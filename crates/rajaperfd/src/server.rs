@@ -652,7 +652,8 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream, shared: &Arc<Sh
         return;
     }
     if params.ranks > MAX_SWEEP_RANKS {
-        // Each rank is a worker thread holding a full suite execution
+        // Each rank — a thread of this daemon or a child process it
+        // supervises, per --rank-isolation — holds a full suite execution
         // context; a shared daemon serves many clients, so it admits far
         // fewer ranks per sweep than the CLI allows.
         let msg = format!(
@@ -665,9 +666,10 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream, shared: &Arc<Sh
     }
     // Process isolation moves the armed fault/sanitize state into the
     // spawned children — each owns its own process globals — so the daemon
-    // itself arms nothing: no exclusive gate, no fault-facility ownership.
-    // This is the daemon-level payoff of lifting FAULT_CELL_GATE: fault
-    // sweeps stop serializing the whole service.
+    // itself arms nothing: no exclusive gate, no fault-facility ownership,
+    // and fault sweeps do not serialize the whole service. Thread ranks arm
+    // this process's globals (the thread carrier gates their cells one at a
+    // time), so those sweeps take the exclusive gate.
     let process_ranked = params.rank_isolation == suite::params::RankIsolation::Process;
     let global_state = (params.faults.is_some() || params.sanitize) && !process_ranked;
     let summary = {

@@ -65,7 +65,7 @@ pub mod transport;
 /// tags `>= 0`.
 pub const FIRST_USER_TAG: i32 = 0;
 /// Reserved tag: gather leg of [`Comm::allreduce_sum`].
-const REDUCE_GATHER_TAG: i32 = -101;
+const REDUCE_UP_TAG: i32 = -101;
 /// Reserved tag: broadcast leg of [`Comm::allreduce_sum`].
 const REDUCE_BCAST_TAG: i32 = -100;
 /// Reserved tag: abort sentinel waking receivers blocked on a dead peer.
@@ -461,7 +461,7 @@ impl Comm {
         if self.rank == 0 {
             let mut acc = value;
             for src in 1..self.size {
-                acc += match self.recv_raw(src, REDUCE_GATHER_TAG) {
+                acc += match self.recv_raw(src, REDUCE_UP_TAG) {
                     Payload::F64(v) => v[0],
                     Payload::Bytes(_) => unreachable!("collectives carry f64"),
                 };
@@ -471,7 +471,7 @@ impl Comm {
             }
             acc
         } else {
-            self.send_raw(0, REDUCE_GATHER_TAG, Payload::F64(vec![value]));
+            self.send_raw(0, REDUCE_UP_TAG, Payload::F64(vec![value]));
             match self.recv_raw(0, REDUCE_BCAST_TAG) {
                 Payload::F64(v) => v[0],
                 Payload::Bytes(_) => unreachable!("collectives carry f64"),

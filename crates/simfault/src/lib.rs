@@ -45,9 +45,9 @@
 //!
 //! All armed state — the installed spec, the draw counters, the kernel
 //! scope — is **process-global**. Within one process, that forces
-//! serialization: the suite's thread-ranked sweeps gate fault-armed cells
-//! one at a time (`FAULT_CELL_GATE`), and the daemon runs fault requests
-//! under an exclusive [`acquire`] claim.
+//! serialization: the sweep engine's thread carrier runs fault-armed cells
+//! one at a time (its private `FAULT_CELL_GATE`), and the daemon runs fault
+//! requests under an exclusive [`acquire`] claim.
 //!
 //! Process-isolated rank campaigns (`--rank-isolation=process`) are the
 //! other side of that coin: each child-rank `rajaperf` process carries its

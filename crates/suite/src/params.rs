@@ -63,21 +63,22 @@ impl Selection {
     }
 }
 
-/// How a ranked sweep's ranks are realized (`--rank-isolation`).
+/// What carries a ranked sweep's ranks (`--rank-isolation`). The
+/// supervisor, protocol and failure policy (requeue → restart within
+/// `--rank-restarts` → retire) are the same either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RankIsolation {
-    /// Ranks are `simcomm` worker threads in this process (the default).
-    /// Cheap and deterministic, but a hard fault (abort, OOM kill) in any
-    /// rank kills the whole campaign, and fault-armed/sanitize campaigns
-    /// serialize cell execution because `simfault` state is process-global.
+    /// Ranks are worker threads in this process (the default). Free to
+    /// start and a panicking rank is restarted, but a hard fault (abort,
+    /// OOM kill) in any rank kills the whole campaign, and
+    /// fault-armed/sanitize campaigns serialize cell execution because
+    /// `simfault` state is process-global.
     #[default]
     Threads,
-    /// Each rank is a spawned child `rajaperf` process supervised by the
-    /// parent: heartbeat monitoring, exit-status decoding, bounded restart
-    /// with backoff, and graceful degradation past the restart budget. A
-    /// killed rank is a restarted rank, not a killed campaign, and each
-    /// child owns its own `simfault` state so fault-armed campaigns run
-    /// rank-parallel (no `FAULT_CELL_GATE`).
+    /// Each rank is a spawned child `rajaperf` process: a signal-killed or
+    /// aborted rank is a restarted rank too, silent ranks are detected by
+    /// heartbeat and killed, and each child owns its own `simfault` state
+    /// so fault-armed campaigns run rank-parallel.
     Process,
 }
 
@@ -134,19 +135,16 @@ pub struct RunParams {
     /// Output directory for sweep profiles, cell caches, and the manifest.
     pub sweep_dir: Option<std::path::PathBuf>,
     /// Number of simulated ranks to shard the sweep's cell grid across
-    /// (`--ranks`, default 1). Ranks are `simcomm` worker threads with
-    /// cell-granularity work stealing; results are gathered over `simcomm`
-    /// messages and the manifest is byte-identical to a `--ranks 1` run.
+    /// (`--ranks`, default 1), with cell-granularity work stealing under
+    /// one supervisor; the manifest is byte-identical to a `--ranks 1` run.
     pub ranks: usize,
-    /// How ranks are realized (`--rank-isolation`, default `threads`):
-    /// `simcomm` worker threads in-process, or supervised child `rajaperf`
-    /// processes with crash isolation and restart (see
-    /// [`crate::sweep::process`]).
+    /// What carries a rank (`--rank-isolation`, default `threads`): a
+    /// worker thread in-process, or a child `rajaperf` process.
     pub rank_isolation: RankIsolation,
-    /// Restart budget per child rank in a process-isolated campaign
-    /// (`--rank-restarts`, default 2): how many times the supervisor
-    /// respawns a dead rank before retiring it as a casualty and
-    /// redistributing its cells to the survivors.
+    /// Restart budget per rank of a ranked campaign (`--rank-restarts`,
+    /// default 2): how many times the supervisor restarts a dead rank
+    /// before retiring it as a casualty and redistributing its cells to
+    /// the survivors.
     pub rank_restarts: u32,
     /// Internal: this invocation *is* a child rank worker — `(rank,
     /// nranks)` from the hidden `--rank-worker R/N` flag the supervisor
@@ -221,13 +219,13 @@ fn faulty_fixtures() -> &'static [Box<dyn KernelBase>] {
     FIXTURES.get_or_init(kernels::faulty::all)
 }
 
-/// Upper bound on `--ranks`: each rank is an OS thread holding a full
-/// suite execution context, so this caps runaway requests (the paper's
-/// largest campaign is 112 ranks).
+/// Upper bound on `--ranks`: each rank is an OS thread or process holding
+/// a full suite execution context, so this caps runaway requests (the
+/// paper's largest campaign is 112 ranks).
 pub const MAX_RANKS: usize = 256;
 
-/// Upper bound on `--rank-restarts`: each restart respawns a full child
-/// process after backoff, so an unbounded budget could retry a
+/// Upper bound on `--rank-restarts`: each restart respawns a full rank
+/// after backoff, so an unbounded budget could retry a
 /// deterministically-crashing rank for hours.
 pub const MAX_RANK_RESTARTS: u32 = 16;
 
@@ -385,7 +383,6 @@ impl RunParams {
             }
             saw_name
         }
-        let mut saw_rank_restarts = false;
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             let mut value = |name: &str| -> Result<String, String> {
@@ -482,9 +479,8 @@ impl RunParams {
                     p.rank_restarts = v
                         .parse::<u32>()
                         .map_err(|e| format!("bad restart budget '{v}': {e}"))?;
-                    saw_rank_restarts = true;
                 }
-                // Internal: appended by the process-mode supervisor when
+                // Internal: appended by the process carrier when
                 // spawning child ranks; not in the usage text.
                 "--rank-worker" => {
                     let v = value("--rank-worker")?;
@@ -539,13 +535,6 @@ impl RunParams {
             1 => parts.remove(0),
             _ => Selection::Union(parts),
         };
-        if saw_rank_restarts && p.rank_isolation != RankIsolation::Process {
-            return Err(
-                "--rank-restarts budgets child-process respawns; it requires \
-                 --rank-isolation process"
-                    .to_string(),
-            );
-        }
         p.validate()?;
         Ok(p)
     }
@@ -651,7 +640,7 @@ impl RunParams {
     }
 
     /// Re-serialize these parameters as the CLI argv that parses back to
-    /// them — how the process-mode supervisor hands a child rank exactly
+    /// them — how the process carrier hands a child rank exactly
     /// the campaign configuration it is itself running.
     ///
     /// Supervisor-only fields are deliberately absent: `rank_isolation` and
@@ -801,23 +790,22 @@ impl RunParams {
            --sweep-dir DIR              sweep output directory\n\
                                         (default target/sweep)\n\
            --ranks N                    shard the sweep's cell grid across N\n\
-                                        simulated ranks (simcomm worker threads\n\
-                                        with cell work stealing); the manifest is\n\
+                                        supervised ranks with cell work\n\
+                                        stealing; the manifest is\n\
                                         byte-identical to --ranks 1 (default 1)\n\
-           --rank-isolation MODE        threads (default): ranks are worker\n\
-                                        threads in this process; process: each\n\
-                                        rank is a supervised child rajaperf\n\
-                                        process — a crashed rank is restarted\n\
-                                        (with backoff, under --rank-restarts)\n\
-                                        and past its budget its cells\n\
-                                        redistribute to surviving ranks, with\n\
-                                        a per-rank casualty report; fault-armed\n\
-                                        and sanitize campaigns run rank-parallel\n\
-                                        (each child owns its own fault state)\n\
-           --rank-restarts N            respawn budget per child rank before it\n\
-                                        is retired as a casualty (default 2,\n\
-                                        max 16; requires --rank-isolation\n\
-                                        process)\n\
+           --rank-isolation MODE        what carries a rank. threads (default):\n\
+                                        a worker thread in this process;\n\
+                                        process: a child rajaperf process, so\n\
+                                        a rank survives kill -9/abort, wedged\n\
+                                        ranks are killed on a missed heartbeat,\n\
+                                        and fault-armed and sanitize campaigns\n\
+                                        run rank-parallel (each child owns its\n\
+                                        own fault state)\n\
+           --rank-restarts N            times a rank that dies (panic, signal,\n\
+                                        exit) is restarted with backoff before\n\
+                                        it is retired as a casualty and its\n\
+                                        cells go to surviving ranks (default 2,\n\
+                                        max 16; either isolation mode)\n\
          \n\
          Output:\n\
            --caliper SPEC               e.g. 'runtime-report,output=stdout' or\n\
@@ -1021,10 +1009,9 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(p.rank_restarts, 0, "a zero budget means no respawns");
-        // The budget only means something when there are child processes.
-        let err = RunParams::parse(&args("--sweep --rank-restarts 3")).unwrap_err();
-        assert!(err.contains("--rank-isolation process"), "{err}");
-        assert!(RunParams::parse(&args("--rank-restarts 3")).is_err());
+        // One failure policy: the budget applies to thread ranks too.
+        let p = RunParams::parse(&args("--sweep --ranks 2 --rank-restarts 3")).unwrap();
+        assert_eq!(p.rank_restarts, 3);
         let err = RunParams::parse(&args(
             "--sweep --rank-isolation=process --rank-restarts 999",
         ))

@@ -18,26 +18,21 @@
 //! configuration) reuses any cell whose key matches and whose profile file
 //! still exists, and re-executes the rest.
 //!
-//! # Distributed campaigns (`--ranks N`)
+//! # Ranked campaigns (`--ranks N`)
 //!
 //! With `--ranks N > 1` the pending cells (after the cache scan) are
-//! sharded across N simulated ranks — `simcomm` worker threads — with
-//! cell-granularity work stealing (see [`ranks`]), mirroring the paper's
-//! multi-rank MPI campaigns. Rank-local results travel back to rank 0 as
-//! `simcomm` messages (a gather, not shared memory), and the manifest is
-//! assembled in grid order from the gathered results, so it is
-//! byte-identical to the `--ranks 1` run no matter which rank executed
-//! which cell.
-//!
-//! With `--rank-isolation=process` the ranks are spawned child `rajaperf`
-//! processes instead of threads: the same gather protocol travels as
-//! line-delimited JSON over pipes ([`simcomm::transport`]), the parent
-//! supervises (heartbeats, exit-status decoding, bounded restart,
-//! casualty reporting — see [`process`]), and a hard fault in a rank is a
-//! restarted rank, not a killed campaign. Manifest byte-identity versus
-//! `--ranks 1` holds in both modes, across kills, restarts, and
-//! isolation-mode changes on resume, because the cache key and manifest
-//! never record rank count or isolation mode.
+//! work-stolen across N ranks by one supervisor (`sweep/supervisor.rs`),
+//! mirroring the paper's multi-rank MPI campaigns. `--rank-isolation`
+//! picks what carries a rank (`sweep/carrier.rs`) — a thread in this
+//! process (default) or a spawned child `rajaperf` process — and nothing
+//! else: both speak the same protocol (`sweep/protocol.rs`) to the same
+//! worker loop (`sweep/worker.rs`), and a rank that dies (thread panic,
+//! child signal or exit) is requeued, respawned within `--rank-restarts`,
+//! then retired, in either mode. The manifest is assembled in grid order
+//! from the gathered results, so it is byte-identical to the `--ranks 1`
+//! run no matter which rank executed which cell, across kills, restarts,
+//! and isolation-mode changes on resume: the cache key and manifest never
+//! record rank count or mode.
 //!
 //! # Crash safety
 //!
@@ -60,15 +55,19 @@
 use crate::params::RankIsolation;
 use crate::{run_suite, RunParams};
 use kernels::VariantId;
+use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-pub(crate) mod process;
-pub(crate) mod ranks;
+pub(crate) mod carrier;
+pub(crate) mod protocol;
+pub(crate) mod scheduler;
+pub(crate) mod supervisor;
 pub(crate) mod worker;
 
-pub use process::RankCasualty;
+pub use supervisor::RankCasualty;
 
 /// One (variant, tuning) cell of a sweep.
 #[derive(Debug, Clone)]
@@ -110,19 +109,22 @@ pub struct SweepSummary {
     /// were re-run.
     pub quarantined: Vec<PathBuf>,
     /// Per-rank communication counters of the campaign's gather traffic,
-    /// indexed by rank; empty for single-process sweeps. In a
-    /// process-isolated campaign these count the child's pipe frames
-    /// (cumulative across restarts), from the child's perspective.
+    /// indexed by rank; empty when no rank was started (`--ranks 1`, or
+    /// every cell cached). Counted from the rank's side (sent = rank →
+    /// supervisor), in encoded protocol frames, cumulative across the
+    /// rank's restarts, under either isolation mode.
     pub rank_stats: Vec<simcomm::CommStats>,
-    /// Times each child rank was respawned after dying, indexed by rank;
-    /// empty unless `--rank-isolation=process`.
+    /// Times each rank was respawned after dying, indexed by rank; empty
+    /// when no rank was started.
     pub rank_restarts: Vec<u32>,
     /// Ranks that exhausted their restart budget and were retired; their
-    /// cells were redistributed to the surviving ranks. Empty unless a
-    /// process-isolated campaign degraded.
+    /// cells were redistributed to the surviving ranks. Empty unless the
+    /// campaign degraded.
     pub casualties: Vec<RankCasualty>,
-    /// Child-rank stderr, each line prefixed `[rank N]`, in arrival order
-    /// (bounded per rank). Process-isolated campaigns only.
+    /// Supervisor annotations (respawns, retirements) plus, for process
+    /// ranks, the child's stderr — each line prefixed `[rank N]`, in
+    /// arrival order, bounded per rank. Thread ranks write to this
+    /// process's own stderr, so only the annotations appear for them.
     pub child_output: Vec<String>,
 }
 
@@ -263,51 +265,26 @@ pub(crate) struct CellSpec {
     pub(crate) key: Value,
 }
 
+/// One kernel that did not pass in a cell, as the manifest, the cell cache
+/// and the gather protocol all spell it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct FailedKernel {
+    pub(crate) kernel: String,
+    /// The outcome label (`FAILED`, `TIMEOUT`, ...).
+    pub(crate) status: String,
+}
+
 /// The deterministic facts a cell execution produces (the manifest's cell
-/// fields plus the wall time, which stays out of the manifest).
-#[derive(Debug, Clone)]
+/// fields plus the wall time, which stays out of the manifest). Its derived
+/// JSON is the shape of the cell cache record's outcome fields and of the
+/// protocol's `outcome` payload.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct CellOutcome {
     pub(crate) kernels_run: usize,
     pub(crate) kernels_failed: usize,
-    pub(crate) failed_kernels: Vec<(String, String)>,
+    /// Failures in run order.
+    pub(crate) failed_kernels: Vec<FailedKernel>,
     pub(crate) total_time_s: f64,
-}
-
-impl CellOutcome {
-    /// Serialize for the rank-0 gather (simcomm byte messages).
-    pub(crate) fn to_json(&self) -> Value {
-        json!({
-            "kernels_run": self.kernels_run,
-            "kernels_failed": self.kernels_failed,
-            "failed_kernels": Value::Array(
-                self.failed_kernels
-                    .iter()
-                    .map(|(k, s)| json!({"kernel": k, "status": s}))
-                    .collect()
-            ),
-            "total_time_s": self.total_time_s,
-        })
-    }
-
-    /// Parse a gathered outcome; `None` on schema mismatch.
-    pub(crate) fn from_json(v: &Value) -> Option<CellOutcome> {
-        Some(CellOutcome {
-            kernels_run: usize::try_from(v.get("kernels_run")?.as_i64()?).ok()?,
-            kernels_failed: usize::try_from(v.get("kernels_failed")?.as_i64()?).ok()?,
-            failed_kernels: v
-                .get("failed_kernels")?
-                .as_array()?
-                .iter()
-                .map(|f| {
-                    Some((
-                        f.get("kernel")?.as_str()?.to_string(),
-                        f.get("status")?.as_str()?.to_string(),
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-            total_time_s: v.get("total_time_s")?.as_f64()?,
-        })
-    }
 }
 
 /// What loading a cell's cache produced.
@@ -334,14 +311,10 @@ pub(crate) fn load_cached_cell(cache: &Path, key: &Value, profile: &Path) -> Cel
         Ok(v) => v,
         Err(_) => return CellLoad::Corrupt(vec![cache.to_path_buf()]),
     };
-    let parsed = (|| {
-        let obj = v.as_object()?;
-        if obj.get("key")? != key {
-            return None;
-        }
-        CellOutcome::from_json(&v)
-    })();
-    let Some(outcome) = parsed else {
+    if v.get("key") != Some(key) {
+        return CellLoad::Miss;
+    }
+    let Ok(outcome) = CellOutcome::deserialize(&v) else {
         return CellLoad::Miss;
     };
     // The record vouches for the profile; verify the profile is actually
@@ -405,11 +378,14 @@ pub(crate) fn execute_cell(
         .iter()
         .map(|e| e.result.time.as_secs_f64())
         .sum();
-    let failed_kernels: Vec<(String, String)> = report
+    let failed_kernels: Vec<FailedKernel> = report
         .outcomes
         .iter()
         .filter(|o| !o.outcome.is_pass())
-        .map(|o| (o.kernel.clone(), o.outcome.label()))
+        .map(|o| FailedKernel {
+            kernel: o.kernel.clone(),
+            status: o.outcome.label(),
+        })
         .collect();
     let entries: Vec<Value> = report
         .entries
@@ -430,42 +406,31 @@ pub(crate) fn execute_cell(
         failed_kernels,
         total_time_s,
     };
-    let record = json!({
-        "key": spec.key.clone(),
-        "profile": spec.profile.display().to_string(),
-        "kernels_run": outcome.kernels_run,
-        "kernels_failed": outcome.kernels_failed,
-        "failed_kernels": Value::Array(
-            outcome
-                .failed_kernels
-                .iter()
-                .map(|(k, s)| json!({"kernel": k, "status": s}))
-                .collect()
-        ),
-        "total_time_s": outcome.total_time_s,
-        "entries": Value::Array(entries),
-    });
+    // The record is the outcome's own JSON plus what vouches for it.
+    let mut record = serde_json::to_value(&outcome).map_err(json_io)?;
+    if let Value::Object(fields) = &mut record {
+        fields.insert("key".to_string(), spec.key.clone());
+        fields.insert(
+            "profile".to_string(),
+            json!(spec.profile.display().to_string()),
+        );
+        fields.insert("entries".to_string(), Value::Array(entries));
+    }
     caliper::write_atomic(
         &spec.cache,
-        serde_json::to_string_pretty(&record).map_err(json_io)?.as_bytes(),
+        serde_json::to_string_pretty(&record)
+            .map_err(json_io)?
+            .as_bytes(),
     )?;
     Ok(outcome)
 }
 
-/// Run the full (variant × block-size) cross-product of `base`'s selection.
-///
-/// `base.sweep_block_sizes` supplies the tunings (falling back to the single
-/// `base.tuning.gpu_block_size`); `base.sweep_dir` the output directory
-/// (default `target/sweep`); `base.ranks` the campaign width (cells are
-/// sharded across that many `simcomm` ranks when > 1). Every cell — even
-/// one whose selection has no kernel supporting the variant — emits a
-/// distinct profile, so downstream Thicket-style composition sees the
-/// complete grid.
 /// The planned grid of a sweep: output directory, tunings, and every
 /// cell's spec in manifest order. Derived deterministically from the
 /// parameters alone, so a child-rank worker process re-plans the identical
-/// grid from the argv its supervisor hands it and the two sides can talk
-/// about cells by grid index.
+/// grid from the argv its supervisor hands it (a thread rank shares the
+/// supervisor's own plan) and the two sides can talk about cells by grid
+/// index.
 pub(crate) struct SweepPlan {
     pub(crate) dir: PathBuf,
     pub(crate) block_sizes: Vec<usize>,
@@ -509,107 +474,105 @@ pub(crate) fn plan_sweep(base: &RunParams) -> io::Result<SweepPlan> {
     })
 }
 
-/// Enter the rank-worker child loop (the hidden `--rank-worker R/N` mode a
-/// process-isolated campaign's supervisor spawns); see [`worker`]. Returns
-/// the process exit status for `main`.
+/// Enter the rank-worker child loop (the hidden `--rank-worker R/N` mode the
+/// process carrier spawns; `sweep/worker.rs`). Returns the process exit
+/// status for `main`.
 pub fn run_rank_worker(base: &RunParams) -> crate::SuiteExit {
     worker::run(base)
 }
 
+/// Run the full (variant × block-size) cross-product of `base`'s selection.
+///
+/// `base.sweep_block_sizes` supplies the tunings (falling back to the single
+/// `base.tuning.gpu_block_size`); `base.sweep_dir` the output directory
+/// (default `target/sweep`); `base.ranks` the campaign width (pending cells
+/// are work-stolen across that many ranks when > 1, carried as
+/// `base.rank_isolation` says). Every cell — even one whose selection has
+/// no kernel supporting the variant — emits a distinct profile, so
+/// downstream Thicket-style composition sees the complete grid.
 pub fn run_sweep(base: &RunParams) -> io::Result<SweepSummary> {
     // Plan the grid in manifest order, then scan the cache: hits become
     // finished cells immediately, torn files are quarantined, and the rest
-    // form the pending work-list any execution mode (serial, thread-ranked,
-    // or process-ranked) consumes identically.
-    let SweepPlan {
-        dir,
-        block_sizes,
-        specs,
-    } = plan_sweep(base)?;
+    // form the pending work-list (grid indices) that the inline loop and
+    // the supervisor's ranks consume identically.
+    let plan = Arc::new(plan_sweep(base)?);
 
     let mut quarantined = Vec::new();
-    let mut finished: Vec<Option<SweepCell>> = vec![None; specs.len()];
-    let mut pending: Vec<CellSpec> = Vec::new();
-    for spec in &specs {
+    // Per grid cell: (outcome, cached, executing rank).
+    let mut finished: Vec<Option<(CellOutcome, bool, Option<usize>)>> =
+        vec![None; plan.specs.len()];
+    let mut pending: Vec<usize> = Vec::new();
+    for spec in &plan.specs {
         match load_cached_cell(&spec.cache, &spec.key, &spec.profile) {
-            CellLoad::Hit(outcome) => {
-                finished[spec.index] = Some(cell_from(spec, &outcome, true, None));
-            }
+            CellLoad::Hit(outcome) => finished[spec.index] = Some((outcome, true, None)),
             CellLoad::Corrupt(files) => {
                 for f in files {
-                    quarantined.push(quarantine(&dir, &f)?);
+                    quarantined.push(quarantine(&plan.dir, &f)?);
                 }
-                pending.push(spec.clone());
+                pending.push(spec.index);
             }
-            CellLoad::Miss => pending.push(spec.clone()),
+            CellLoad::Miss => pending.push(spec.index),
         }
     }
 
-    let mut rank_stats = Vec::new();
-    let mut rank_restarts = Vec::new();
-    let mut casualties = Vec::new();
-    let mut child_output = Vec::new();
-    if base.rank_isolation == RankIsolation::Process && !pending.is_empty() {
-        // Child-process ranks with a supervising restart loop: a crashed
-        // rank is respawned (its in-flight cell re-enqueued), and no
-        // FAULT_CELL_GATE — each child owns its own simfault state, so
-        // fault-armed cells run rank-parallel.
-        let campaign = process::execute_process_ranked(base, &pending)?;
-        rank_stats = campaign.stats;
-        rank_restarts = campaign.restarts;
-        casualties = campaign.casualties;
-        child_output = campaign.child_output;
-        for (pending_idx, rank, outcome) in campaign.executed {
-            let spec = &pending[pending_idx];
-            finished[spec.index] = Some(cell_from(spec, &outcome, false, Some(rank)));
-        }
-    } else if base.ranks > 1 && !pending.is_empty() {
-        let (executed, stats) = ranks::execute_ranked(base, &pending, base.ranks)?;
-        rank_stats = stats;
-        for (pending_idx, rank, outcome) in executed {
-            let spec = &pending[pending_idx];
-            finished[spec.index] = Some(cell_from(spec, &outcome, false, Some(rank)));
+    let mut campaign = supervisor::Campaign::default();
+    let ranked = base.ranks > 1 || base.rank_isolation == RankIsolation::Process;
+    if ranked && !pending.is_empty() {
+        // The one place the isolation mode is consulted: it picks what
+        // carries a rank. The supervisor behind it is the same.
+        let nranks = base.ranks.max(1);
+        let carrier: Box<dyn carrier::Carrier> = match base.rank_isolation {
+            RankIsolation::Process => Box::new(carrier::ProcessCarrier::new(base, nranks)?),
+            RankIsolation::Threads => Box::new(carrier::ThreadCarrier::new(base, &plan, nranks)),
+        };
+        campaign = supervisor::run_campaign(&*carrier, &pending, nranks, base.rank_restarts)?;
+        for (i, rank, outcome) in std::mem::take(&mut campaign.executed) {
+            finished[i] = Some((outcome, false, Some(rank)));
         }
     } else {
-        for spec in &pending {
-            let outcome = execute_cell(base, spec, None)?;
-            finished[spec.index] = Some(cell_from(spec, &outcome, false, None));
+        // `--ranks 1`: no supervisor, no rank context — the byte-identity
+        // reference every ranked campaign is compared against.
+        for &i in &pending {
+            let outcome = execute_cell(base, &plan.specs[i], None)?;
+            finished[i] = Some((outcome, false, None));
         }
     }
-
-    let cells: Vec<SweepCell> = finished
-        .into_iter()
-        .map(|c| c.expect("every grid cell resolved to cached or executed"))
-        .collect();
 
     // The manifest indexes deterministic cell facts only — no cached flags,
     // no wall times, no executing ranks — so resuming an interrupted sweep
     // (at any rank count) reproduces the uninterrupted manifest byte for
     // byte.
-    let manifest = dir.join("manifest.json");
+    let mut manifest_cells = Vec::new();
+    let mut cells = Vec::new();
+    for (spec, cell) in plan.specs.iter().zip(finished) {
+        let (outcome, cached, executed_by) =
+            cell.expect("every grid cell resolved to cached or executed");
+        manifest_cells.push(json!({
+            "variant": spec.variant.name(),
+            "gpu_block_size": spec.block_size,
+            "profile": spec.profile.display().to_string(),
+            "kernels_run": outcome.kernels_run,
+            "kernels_failed": outcome.kernels_failed,
+            "failed_kernels": outcome.failed_kernels,
+        }));
+        let failed = outcome.failed_kernels.into_iter();
+        cells.push(SweepCell {
+            variant: spec.variant,
+            gpu_block_size: spec.block_size,
+            profile: spec.profile.clone(),
+            cached,
+            executed_by,
+            kernels_run: outcome.kernels_run,
+            kernels_failed: outcome.kernels_failed,
+            failed_kernels: failed.map(|f| (f.kernel, f.status)).collect(),
+            total_time_s: outcome.total_time_s,
+        });
+    }
+    let manifest = plan.dir.join("manifest.json");
     let manifest_value = json!({
         "suite": "RAJAPerf-rs",
-        "block_sizes": block_sizes,
-        "cells": Value::Array(
-            cells
-                .iter()
-                .map(|c| {
-                    json!({
-                        "variant": c.variant.name(),
-                        "gpu_block_size": c.gpu_block_size,
-                        "profile": c.profile.display().to_string(),
-                        "kernels_run": c.kernels_run,
-                        "kernels_failed": c.kernels_failed,
-                        "failed_kernels": Value::Array(
-                            c.failed_kernels
-                                .iter()
-                                .map(|(k, s)| json!({"kernel": k, "status": s}))
-                                .collect()
-                        ),
-                    })
-                })
-                .collect()
-        ),
+        "block_sizes": plan.block_sizes,
+        "cells": Value::Array(manifest_cells),
     });
     caliper::write_atomic(
         &manifest,
@@ -619,32 +582,13 @@ pub fn run_sweep(base: &RunParams) -> io::Result<SweepSummary> {
     )?;
 
     Ok(SweepSummary {
-        dir,
+        dir: plan.dir.clone(),
         manifest,
         cells,
         quarantined,
-        rank_stats,
-        rank_restarts,
-        casualties,
-        child_output,
+        rank_stats: campaign.stats,
+        rank_restarts: campaign.restarts,
+        casualties: campaign.casualties,
+        child_output: campaign.output,
     })
-}
-
-fn cell_from(
-    spec: &CellSpec,
-    outcome: &CellOutcome,
-    cached: bool,
-    executed_by: Option<usize>,
-) -> SweepCell {
-    SweepCell {
-        variant: spec.variant,
-        gpu_block_size: spec.block_size,
-        profile: spec.profile.clone(),
-        cached,
-        executed_by,
-        kernels_run: outcome.kernels_run,
-        kernels_failed: outcome.kernels_failed,
-        failed_kernels: outcome.failed_kernels.clone(),
-        total_time_s: outcome.total_time_s,
-    }
 }

@@ -1,95 +1,131 @@
-//! The child side of a process-isolated rank campaign (`--rank-worker`).
-//!
-//! A supervisor parent (see [`super::process`]) spawns this worker as a
-//! child `rajaperf` process — one per rank — with the campaign's own argv
-//! (from [`crate::RunParams::to_argv`]) plus the hidden `--rank-worker R/N`
-//! flag. The worker re-plans the identical cell grid from those parameters
-//! ([`super::plan_sweep`] is deterministic), so the two processes can talk
-//! about cells by grid index alone.
-//!
-//! # Protocol (line-delimited JSON over stdio)
-//!
-//! stdout is protocol-only (the suite writes its human output to stderr in
-//! worker mode — stderr is captured by the parent and prefixed `[rank N]`):
-//!
-//! * worker → parent: `{"ready": R}` once the grid is planned,
-//!   `{"heartbeat": seq}` every [`HEARTBEAT_INTERVAL`] from a dedicated
-//!   thread (liveness even while a long cell runs), and per assignment
-//!   either `{"result": {"cell": i, "cached": bool, "outcome": {…}}}` or
-//!   `{"failed": {"cell": i, "error": "…"}}`.
-//! * parent → worker: `{"cell": i}` (a grid index to execute) and
-//!   `{"shutdown": true}`.
+//! The rank side of a campaign: one worker loop ([`serve`]) for every
+//! carrier, plus the `--rank-worker` process entry ([`run`]) that puts it
+//! on stdio. The frames are [`super::protocol`]'s.
 //!
 //! # Cache discipline
 //!
 //! Each assignment first consults the cell cache: a hit is returned
-//! without re-execution. This is what makes restarts cheap — a child that
+//! without re-execution. This is what makes restarts cheap — a rank that
 //! died *after* finishing a cell but *before* reporting it left an atomic
 //! cache record behind, so the re-assigned cell is a cache load, never a
 //! re-measurement, and completed cells are never executed twice.
 //!
-//! # Fault scoping
+//! # The process entry
 //!
-//! The worker process owns its own process-global `simfault` state:
-//! `execute_cell` → `run_suite` installs the spec (resetting draw
-//! counters) per cell, exactly as in thread mode — but since no other cell
-//! shares this process, no `FAULT_CELL_GATE` serialization is needed and
-//! seeded replay stays deterministic per cell regardless of which rank
-//! (or which incarnation of it) executes.
-//!
-//! # Orphan behavior
-//!
-//! A worker whose parent dies sees EOF on stdin (the supervisor's end of
-//! the pipe closes) and exits cleanly after at most the current cell — a
+//! stdout is protocol-only (the suite writes its human output to stderr in
+//! worker mode — stderr is captured by the supervisor and prefixed
+//! `[rank N]`). A dedicated thread heartbeats every [`HEARTBEAT_INTERVAL`]
+//! so a long cell never looks dead. A worker whose supervisor dies sees
+//! EOF on stdin and exits cleanly after at most the current cell — a
 //! `kill -9` of the parent leaves no long-lived orphans. Protocol write
 //! failures (`EPIPE` from a dead parent) likewise exit quietly.
 
-use super::{execute_cell, load_cached_cell, CellLoad};
+use super::protocol::{CellFailure, CellResult, FromRank, ToRank};
+use super::{execute_cell, load_cached_cell, CellLoad, SweepPlan};
 use crate::exec::SuiteExit;
 use crate::RunParams;
-use serde_json::{json, Value};
-use simcomm::transport::write_frame;
+use serde_json::Value;
+use simcomm::transport::{read_frame, write_frame};
 use simsched::sync::atomic::{AtomicBool, Ordering};
 use simsched::sync::Mutex;
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufReader};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
-/// Cadence of the worker's heartbeat frames. The supervisor's liveness
-/// deadline is many multiples of this, so a healthy-but-busy worker can
-/// never be mistaken for a wedged one.
+/// Cadence of a process worker's heartbeat frames. The supervisor's
+/// liveness deadline is many multiples of this, so a healthy-but-busy
+/// worker can never be mistaken for a wedged one.
 pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 
-/// Test-only hook: a worker whose rank equals this env var's value aborts
-/// at boot, before its `ready` frame — a deterministic stand-in for a rank
-/// whose node OOM-kills it on startup, used to exercise the supervisor's
-/// restart-budget exhaustion and casualty paths.
+/// Test-only hook: a worker whose rank equals this env var's value panics
+/// at boot, before its `ready` frame, every incarnation — a deterministic
+/// stand-in for a rank whose node kills it on startup (child exit 101 / a
+/// caught thread panic), used to exercise restart-budget exhaustion and
+/// the casualty path under both carriers.
 pub(crate) const TEST_ABORT_ENV: &str = "RAJAPERF_TEST_WORKER_ABORT_RANK";
 
-/// Protocol writer shared between the main loop and the heartbeat thread;
-/// frames are line-atomic under the lock.
-struct ProtoOut {
-    out: Mutex<io::Stdout>,
-}
-
-impl ProtoOut {
-    fn send(&self, frame: &Value) -> io::Result<()> {
-        let mut guard = self.out.lock().unwrap_or_else(PoisonError::into_inner);
-        write_frame(&mut *guard, frame).map(|_| ())
+/// The worker loop: announce `ready`, then answer each assigned cell with a
+/// `result` (from the cell cache, or by executing it — under `gate` when
+/// the carrier must serialize cell bodies) or a `failed`, until `shutdown`
+/// or the supervisor hangs up.
+///
+/// `recv` yields the next supervisor frame (`Ok(None)` once hung up);
+/// `send` delivers one frame to it. Returns `Success` on shutdown, hang-up
+/// or a vanished supervisor (`send` failing); `Internal` only when `recv`
+/// itself fails.
+pub(crate) fn serve(
+    base: &RunParams,
+    plan: &SweepPlan,
+    (rank, nranks): (usize, usize),
+    gate: Option<&Mutex<()>>,
+    mut recv: impl FnMut() -> io::Result<Option<Value>>,
+    send: impl Fn(&FromRank) -> io::Result<()>,
+) -> SuiteExit {
+    if std::env::var(TEST_ABORT_ENV).ok().as_deref() == Some(rank.to_string().as_str()) {
+        panic!("rank {rank} aborting at boot ({TEST_ABORT_ENV})");
+    }
+    if send(&FromRank::Ready(rank)).is_err() {
+        return SuiteExit::Success;
+    }
+    loop {
+        let frame = match recv() {
+            // Hung up: the supervisor shut down or died; either way the
+            // orphan contract is "exit now".
+            Ok(None) => return SuiteExit::Success,
+            Ok(Some(frame)) => frame,
+            Err(e) => {
+                eprintln!("rank {rank}: protocol read failed: {e}");
+                return SuiteExit::Internal;
+            }
+        };
+        let cell = match ToRank::decode(&frame) {
+            Ok(ToRank::Shutdown) => return SuiteExit::Success,
+            Ok(ToRank::Cell(cell)) => cell,
+            // Frames this build cannot read are ignored, not guessed at.
+            Err(_) => continue,
+        };
+        let reply = match plan.specs.get(cell) {
+            None => Err(format!(
+                "cell index {cell} is outside the {}-cell grid",
+                plan.specs.len()
+            )),
+            Some(spec) => match load_cached_cell(&spec.cache, &spec.key, &spec.profile) {
+                CellLoad::Hit(outcome) => Ok((true, outcome)),
+                _ => {
+                    let _gate = gate.map(|g| g.lock().unwrap_or_else(PoisonError::into_inner));
+                    execute_cell(base, spec, Some((rank, nranks)))
+                        .map(|outcome| (false, outcome))
+                        .map_err(|e| {
+                            format!(
+                                "cell {}.block_{}: {e}",
+                                spec.variant.name(),
+                                spec.block_size
+                            )
+                        })
+                }
+            },
+        };
+        let reply = match reply {
+            Ok((cached, outcome)) => FromRank::Result(CellResult {
+                cell,
+                cached,
+                outcome,
+            }),
+            Err(error) => FromRank::Failed(CellFailure { cell, error }),
+        };
+        if send(&reply).is_err() {
+            return SuiteExit::Success;
+        }
     }
 }
 
-/// Run the rank-worker loop. Returns the process exit status for `main`:
-/// `Success` on clean shutdown, stdin EOF (orphaned), or a vanished parent
-/// (`EPIPE`); `Internal` only for local I/O failures reading stdin.
+/// The `--rank-worker R/N` process: re-plan the grid from this process's
+/// own parameters (the supervisor's argv), then [`serve`] on stdio with a
+/// heartbeat thread beside it. Returns the process exit status for `main`.
 pub(crate) fn run(base: &RunParams) -> SuiteExit {
     let (rank, nranks) = base
         .rank_worker
         .expect("worker mode requires --rank-worker");
-    if std::env::var(TEST_ABORT_ENV).ok().as_deref() == Some(rank.to_string().as_str()) {
-        eprintln!("rank {rank} aborting at boot ({TEST_ABORT_ENV})");
-        std::process::abort();
-    }
     let plan = match super::plan_sweep(base) {
         Ok(p) => p,
         Err(e) => {
@@ -98,31 +134,31 @@ pub(crate) fn run(base: &RunParams) -> SuiteExit {
         }
     };
 
-    let out = Arc::new(ProtoOut {
-        out: Mutex::labeled(io::stdout(), "sweep.worker_stdout"),
-    });
-    if out.send(&json!({"ready": rank})).is_err() {
-        return SuiteExit::Success;
-    }
+    // Shared by the worker loop and the heartbeat thread; frames are
+    // line-atomic under the lock.
+    let out = Arc::new(Mutex::labeled(io::stdout(), "sweep.worker_stdout"));
+    let send = move |msg: &FromRank| {
+        let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+        write_frame(&mut *out, &msg.encode()).map(drop)
+    };
 
     // Liveness from a dedicated thread: beats keep flowing while a cell
     // (possibly stalled by injected faults) runs on the main thread. The
     // thread dies with the process; `stop` just quiets a clean shutdown.
     let stop = Arc::new(AtomicBool::new(false));
     {
-        let out = Arc::clone(&out);
-        let stop = Arc::clone(&stop);
+        let (send, stop) = (send.clone(), Arc::clone(&stop));
         std::thread::Builder::new()
             .name(format!("rank-{rank}-heartbeat"))
             .spawn(move || {
                 let mut seq: u64 = 0;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     std::thread::sleep(HEARTBEAT_INTERVAL);
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
                     seq += 1;
-                    if out.send(&json!({"heartbeat": seq})).is_err() {
+                    if send(&FromRank::Heartbeat(seq)).is_err() {
                         // Parent is gone; nothing left to be alive *for*.
                         std::process::exit(SuiteExit::Success.code());
                     }
@@ -132,80 +168,8 @@ pub(crate) fn run(base: &RunParams) -> SuiteExit {
     }
 
     let mut stdin = BufReader::new(io::stdin());
-    let exit = worker_loop(base, rank, nranks, &plan, &out, &mut stdin);
+    let recv = || read_frame(&mut stdin).map(|f| f.map(|(frame, _)| frame));
+    let exit = serve(base, &plan, (rank, nranks), None, recv, send);
     stop.store(true, Ordering::Relaxed);
     exit
-}
-
-fn worker_loop<R: BufRead>(
-    base: &RunParams,
-    rank: usize,
-    nranks: usize,
-    plan: &super::SweepPlan,
-    out: &ProtoOut,
-    stdin: &mut R,
-) -> SuiteExit {
-    loop {
-        let frame = match simcomm::transport::read_frame(stdin) {
-            // Clean EOF: the supervisor closed our stdin (shutdown) or the
-            // parent died; either way the orphan contract is "exit now".
-            Ok(None) => return SuiteExit::Success,
-            Ok(Some((v, _))) => v,
-            Err(e) => {
-                eprintln!("rank {rank}: protocol read failed: {e}");
-                return SuiteExit::Internal;
-            }
-        };
-        if frame.get("shutdown").is_some() {
-            return SuiteExit::Success;
-        }
-        let Some(index) = frame
-            .get("cell")
-            .and_then(Value::as_i64)
-            .and_then(|i| u64::try_from(i).ok())
-        else {
-            // Unknown frame kinds are ignored (forward compatibility), but
-            // an unparseable assignment is reported, not guessed at.
-            continue;
-        };
-        let reply = match plan.specs.get(index as usize) {
-            None => json!({"failed": json!({
-                "cell": index,
-                "error": format!("cell index {index} is outside the {}-cell grid", plan.specs.len()),
-            })}),
-            Some(spec) => {
-                // A previous incarnation of some rank may have finished
-                // this cell and died before reporting it; the atomic cache
-                // record is the proof, and reusing it keeps "completed
-                // cells never re-execute" true across restarts.
-                let cached = match load_cached_cell(&spec.cache, &spec.key, &spec.profile) {
-                    CellLoad::Hit(outcome) => Some(outcome),
-                    _ => None,
-                };
-                let was_cached = cached.is_some();
-                let outcome = match cached {
-                    Some(o) => Ok(o),
-                    None => execute_cell(base, spec, Some((rank, nranks))),
-                };
-                match outcome {
-                    Ok(o) => json!({"result": json!({
-                        "cell": index,
-                        "cached": was_cached,
-                        "outcome": o.to_json(),
-                    })}),
-                    Err(e) => json!({"failed": json!({
-                        "cell": index,
-                        "error": format!(
-                            "cell {}.block_{}: {e}",
-                            spec.variant.name(),
-                            spec.block_size
-                        ),
-                    })}),
-                }
-            }
-        };
-        if out.send(&reply).is_err() {
-            return SuiteExit::Success;
-        }
-    }
 }

@@ -113,57 +113,50 @@ fi
 [[ -f "$SWEEP_DIR/manifest.json" ]] || { echo "verify: FAIL — sweep manifest missing" >&2; exit 1; }
 echo "sweep: 12 distinct profiles + manifest"
 
-echo "== cli: --ranks 4 sweep gathers into the --ranks 1 manifest =="
+# Ranked campaigns: one supervisor, two carriers (the full matrix is
+# crates/suite/tests/ranked_campaigns.rs, run by the workspace tests above).
+# Under either isolation mode a 4-rank campaign must gather into the
+# --ranks 1 manifest. The stall faults fail nothing; they widen the window
+# for the kill -9 stage below.
+echo "== cli: --ranks 4 gathers into the --ranks 1 manifest under both isolation modes =="
 RANKS_DIR=$(mktemp -d)
 RAJAPERF_ABS="$PWD/$RAJAPERF"
-for n in 1 4; do
-    mkdir -p "$RANKS_DIR/r$n"
-    (cd "$RANKS_DIR/r$n" && "$RAJAPERF_ABS" --sweep --kernels Basic_DAXPY \
-        --size 100000 --reps 2 --sweep-block-sizes 128,256 \
-        --sweep-dir sweep --ranks "$n" >/dev/null)
+ranked_sweep() {  # <dir> <rank args...>: the campaign, from its own cwd
+    local dir="$RANKS_DIR/$1"; shift
+    mkdir -p "$dir"
+    (cd "$dir" && "$RAJAPERF_ABS" --sweep --kernels Basic_DAXPY \
+        --size 100000 --reps 2 --sweep-block-sizes 128,256 --sweep-dir sweep \
+        --faults 'suite.kernel=stall(150),seed=1' "$@")
+}
+ranked_sweep r1 --ranks 1 >/dev/null
+for mode in threads process; do
+    ranked_sweep "$mode" --ranks 4 --rank-isolation "$mode" >/dev/null
+    cmp "$RANKS_DIR/r1/sweep/manifest.json" "$RANKS_DIR/$mode/sweep/manifest.json" \
+        || { echo "verify: FAIL — $mode-ranked manifest diverged from single-rank" >&2; exit 1; }
 done
-cmp "$RANKS_DIR/r1/sweep/manifest.json" "$RANKS_DIR/r4/sweep/manifest.json" \
-    || { echo "verify: FAIL — ranked sweep manifest diverged from single-rank" >&2; exit 1; }
-rm -rf "$RANKS_DIR"
-echo "ranks: 4-rank campaign manifest byte-identical to single-rank"
+echo "ranks: 4-rank campaigns (threads, process) byte-identical to single-rank"
 
-# Process-isolated ranks: each rank is a spawned child under a supervising
-# restart loop. Kill -9 one child mid-campaign; the supervisor must requeue
-# its cell, respawn it, and finish with the single-rank golden manifest.
-# Deterministic stall faults widen the kill window without failing kernels.
+# Process-only: kill -9 one child mid-campaign; the supervisor must requeue
+# its cell, respawn it, and still finish with the single-rank manifest.
 echo "== cli: --rank-isolation=process survives kill -9 of a child rank =="
-PROC_DIR=$(mktemp -d)
-PROC_FAULTS='suite.kernel=stall(150),seed=1'
-mkdir -p "$PROC_DIR/golden" "$PROC_DIR/proc"
-(cd "$PROC_DIR/golden" && "$RAJAPERF_ABS" --sweep --kernels Basic_DAXPY \
-    --size 100000 --reps 2 --sweep-block-sizes 128,256 \
-    --sweep-dir sweep --ranks 1 --faults "$PROC_FAULTS" >/dev/null)
-(cd "$PROC_DIR/proc" && "$RAJAPERF_ABS" --sweep --kernels Basic_DAXPY \
-    --size 100000 --reps 2 --sweep-block-sizes 128,256 \
-    --sweep-dir sweep --ranks 4 --rank-isolation process \
-    --faults "$PROC_FAULTS" >"$PROC_DIR/proc.out") &
+ranked_sweep kill --ranks 4 --rank-isolation process >"$RANKS_DIR/kill.out" &
 PROC_PID=$!
 VICTIM=""
 for _ in $(seq 1 100); do
-    VICTIM=$(pgrep -P "$PROC_PID" -f -- "--rank-worker" 2>/dev/null | head -1) \
-        && [[ -n "$VICTIM" ]] && break
-    # The sweep runs in a subshell: its rajaperf child is the supervisor.
-    SUPERVISOR=$(pgrep -P "$PROC_PID" 2>/dev/null | head -1) || true
-    if [[ -n "${SUPERVISOR:-}" ]]; then
-        VICTIM=$(pgrep -P "$SUPERVISOR" -f -- "--rank-worker" 2>/dev/null | head -1) || true
-        [[ -n "$VICTIM" ]] && break
-    fi
+    # No other campaign runs during verify, so any rank worker is ours.
+    VICTIM=$(pgrep -f -- "--rank-worker" 2>/dev/null | head -1) || true
+    [[ -n "$VICTIM" ]] && break
     sleep 0.05
 done
 [[ -n "$VICTIM" ]] || { echo "verify: FAIL — no rank worker appeared to kill" >&2; exit 1; }
 kill -9 "$VICTIM"
 wait "$PROC_PID" \
     || { echo "verify: FAIL — process campaign died with its killed child" >&2; exit 1; }
-grep -q "respawn" "$PROC_DIR/proc.out" \
+grep -q "respawn" "$RANKS_DIR/kill.out" \
     || { echo "verify: FAIL — supervisor did not report the respawn" >&2; exit 1; }
-cmp "$PROC_DIR/golden/sweep/manifest.json" "$PROC_DIR/proc/sweep/manifest.json" \
+cmp "$RANKS_DIR/r1/sweep/manifest.json" "$RANKS_DIR/kill/sweep/manifest.json" \
     || { echo "verify: FAIL — process-ranked manifest diverged after child kill" >&2; exit 1; }
-rm -rf "$PROC_DIR"
+rm -rf "$RANKS_DIR"
 echo "process ranks: child killed mid-campaign, respawned, manifest byte-identical"
 
 # A panicking rank must poison the barrier and abort its peers instead of

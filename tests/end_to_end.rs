@@ -165,3 +165,33 @@ fn raja_variants_match_base_variants_across_the_whole_suite() {
         );
     }
 }
+
+/// The campaign engine runs under tier-1: a `ranks: 2` sweep (thread
+/// carrier — no worker binary needed) gathers into the `ranks: 1` manifest.
+#[test]
+fn ranked_sweep_gathers_into_the_single_rank_manifest() {
+    let root = std::env::temp_dir().join(format!("rajaperf_e2e_ranked_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let sweep = |tag: &str, ranks: usize| {
+        let summary = suite::run_sweep(&RunParams {
+            selection: Selection::Kernels(vec!["Basic_DAXPY".into()]),
+            explicit_size: Some(1_000),
+            explicit_reps: Some(1),
+            sweep: true,
+            sweep_dir: Some(root.join(tag).join("sweep")),
+            ranks,
+            ..RunParams::default()
+        })
+        .expect("sweep succeeds");
+        // Profile paths embed the sweep dir; compare modulo the per-run tag.
+        let manifest = std::fs::read_to_string(&summary.manifest).unwrap();
+        (summary, manifest.replace(&format!("/{tag}/"), "/"))
+    };
+    let (single, reference) = sweep("r1", 1);
+    let (ranked, gathered) = sweep("r2", 2);
+    assert!(single.rank_stats.is_empty());
+    assert_eq!(ranked.rank_stats.len(), 2);
+    assert!(ranked.cells.iter().all(|c| matches!(c.executed_by, Some(r) if r < 2)));
+    assert_eq!(gathered, reference, "ranks: 2 must gather into the ranks: 1 manifest");
+    let _ = std::fs::remove_dir_all(&root);
+}
