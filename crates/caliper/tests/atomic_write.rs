@@ -1,14 +1,7 @@
 //! `caliper::write_atomic`: crash-safe writes, and the `io.write` failpoint
-//! that reproduces the torn write the helper exists to prevent. Fault state
-//! is process-global, so the failpoint test serializes behind a gate.
+//! that reproduces the torn write the helper exists to prevent.
 
 use caliper::{write_atomic, Profile};
-use simsched::sync::Mutex;
-
-fn gate() -> simsched::sync::MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("caliper_atomic_{}_{}", tag, std::process::id()));
@@ -52,18 +45,16 @@ fn profile_write_file_roundtrips_through_atomic_path() {
 
 #[test]
 fn truncate_failpoint_tears_the_write_deterministically() {
-    let _g = gate();
     let dir = tmpdir("torn");
     let path = dir.join("torn.json");
     let contents = vec![b'x'; 4096];
 
-    simfault::install_spec("io.write=truncate:1.0,seed=21").unwrap();
-    write_atomic(&path, &contents).unwrap();
-    let torn_a = std::fs::read(&path).unwrap();
-    simfault::install_spec("io.write=truncate:1.0,seed=21").unwrap();
-    write_atomic(&path, &contents).unwrap();
-    let torn_b = std::fs::read(&path).unwrap();
-    simfault::disarm();
+    let torn = || {
+        let _armed = simfault::arm_spec("io.write=truncate:1.0,seed=21").unwrap();
+        write_atomic(&path, &contents).unwrap();
+        std::fs::read(&path).unwrap()
+    };
+    let (torn_a, torn_b) = (torn(), torn());
 
     assert!(
         torn_a.len() < contents.len(),

@@ -1,14 +1,8 @@
-//! The `gpusim.launch` and `gpusim.ecc` failpoints. Fault configuration is
-//! process-global, so every test here serializes on one gate and disarms
-//! before releasing it.
+//! The `gpusim.launch` and `gpusim.ecc` failpoints. Each test arms on its
+//! own thread only, so they run in parallel; the one that reads the device
+//! counters back is in `device_stats.rs`.
 
 use gpusim::DevicePtr;
-use simsched::sync::Mutex;
-
-fn gate() -> simsched::sync::MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn panic_message(err: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = err.downcast_ref::<String>() {
@@ -22,8 +16,7 @@ fn panic_message(err: &(dyn std::any::Any + Send)) -> String {
 
 #[test]
 fn launch_panic_injection_unwinds_with_simfault_prefix() {
-    let _g = gate();
-    simfault::install_spec("gpusim.launch=panic:1.0").unwrap();
+    let _armed = simfault::arm_spec("gpusim.launch=panic:1.0").unwrap();
     let err = std::panic::catch_unwind(|| {
         let mut out = vec![0.0f64; 64];
         let d = DevicePtr::new(&mut out);
@@ -33,20 +26,17 @@ fn launch_panic_injection_unwinds_with_simfault_prefix() {
         gpusim::launch_1d(64, 32, |i| unsafe { d.write(i, i as f64) });
     })
     .expect_err("armed panic failpoint must unwind the launch");
-    simfault::disarm();
     let msg = panic_message(&*err);
     assert!(msg.starts_with("simfault:"), "panic message: {msg}");
 }
 
 #[test]
 fn launch_err_injection_surfaces_as_transient_panic() {
-    let _g = gate();
-    simfault::install_spec("gpusim.launch=err:1.0").unwrap();
+    let _armed = simfault::arm_spec("gpusim.launch=err:1.0").unwrap();
     let err = std::panic::catch_unwind(|| {
         gpusim::launch_1d(8, 8, |_| {});
     })
     .expect_err("err-mode injection panics because launch returns ()");
-    simfault::disarm();
     let msg = panic_message(&*err);
     assert!(
         msg.starts_with("simfault:") && msg.contains("gpusim.launch"),
@@ -55,27 +45,11 @@ fn launch_err_injection_surfaces_as_transient_panic() {
 }
 
 #[test]
-fn launch_failures_count_no_launches() {
-    let _g = gate();
-    simfault::install_spec("gpusim.launch=err:1.0").unwrap();
-    gpusim::reset_stats();
-    let _ = std::panic::catch_unwind(|| gpusim::launch_1d(8, 8, |_| {}));
-    simfault::disarm();
-    assert_eq!(
-        gpusim::stats().launches,
-        0,
-        "an injected launch failure must not reach the device counters"
-    );
-}
-
-#[test]
 fn ecc_flip_corrupts_buffer_deterministically() {
-    let _g = gate();
     let register = || {
-        simfault::install_spec("gpusim.ecc=flip:1.0,seed=11").unwrap();
+        let _armed = simfault::arm_spec("gpusim.ecc=flip:1.0,seed=11").unwrap();
         let mut buf = vec![1.0f64; 256];
         let _d = DevicePtr::new(&mut buf);
-        simfault::disarm();
         buf
     };
     let a = register();
@@ -93,8 +67,6 @@ fn ecc_flip_corrupts_buffer_deterministically() {
 
 #[test]
 fn disarmed_device_behaves_normally() {
-    let _g = gate();
-    simfault::disarm();
     let mut out = vec![0.0f64; 128];
     let d = DevicePtr::new(&mut out);
     // SAFETY: the index is in bounds of the allocation the pointer was built

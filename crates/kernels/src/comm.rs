@@ -440,7 +440,9 @@ impl KernelBase for HaloSendrecv {
     fn execute(&self, variant: VariantId, n: usize, reps: usize, _tuning: &Tuning) -> RunResult {
         check_variant(&self.info(), variant);
         let decomp = RankDecomp::new([RANKS, 1, 1]);
+        let faults = simfault::current();
         let outputs = simcomm::run(RANKS, |mut comm| {
+            let _faults = faults.enter();
             let g = geometry(n);
             let grids = init_grids(&g, comm.rank());
             // Pre-pack once (not timed — this kernel times the messages).
@@ -504,7 +506,11 @@ pub fn run_exchange_decomposed(
     uniform_init: bool,
 ) -> RunResult {
     let decomp = RankDecomp::new([nranks, 1, 1]);
+    // Rank threads pack through `DevicePtr` and launch device kernels: they
+    // draw from the fault world of the thread executing this kernel.
+    let faults = simfault::current();
     let outputs = simcomm::run(nranks, |mut comm| {
+        let _faults = faults.enter();
         let g = geometry(n);
         let mut grids = init_grids(&g, if uniform_init { 0 } else { comm.rank() });
         let mut send_bufs: Vec<Vec<f64>> = g

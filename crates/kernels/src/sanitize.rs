@@ -341,17 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn fixtures_validate_like_real_kernels() {
-        // The fixtures are *hazardous*, not *wrong*: on the sequential
-        // simulator their checksums still match the reference, which is
-        // precisely why a sanitizer (and not checksum validation) is needed
-        // to catch them.
-        for k in fixtures::all() {
-            crate::verify_variants(k.as_ref(), 512, 1e-10);
-        }
-    }
-
-    #[test]
     fn unsupported_variant_returns_none() {
         let r = sanitize_kernel(
             &fixtures::RacySum,

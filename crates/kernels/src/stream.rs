@@ -509,24 +509,4 @@ mod tests {
         assert_eq!(r1.checksum, r3.checksum, "idempotent kernel");
         assert_eq!(r3.reps, 3);
     }
-
-    #[test]
-    fn gpu_block_size_tuning_changes_launch_geometry() {
-        gpusim::reset_stats();
-        let _ = Triad.execute(
-            VariantId::RajaSimGpu,
-            1024,
-            1,
-            &Tuning { gpu_block_size: 128 },
-        );
-        assert_eq!(gpusim::stats().blocks, 8);
-        gpusim::reset_stats();
-        let _ = Triad.execute(
-            VariantId::RajaSimGpu,
-            1024,
-            1,
-            &Tuning { gpu_block_size: 512 },
-        );
-        assert_eq!(gpusim::stats().blocks, 2);
-    }
 }

@@ -205,15 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn simgpu_counts_one_launch_per_forall() {
-        gpusim::reset_stats();
-        <SimGpuExec<128>>::forall(0..1000, &|_| {});
-        let s = gpusim::stats();
-        assert_eq!(s.launches, 1);
-        assert_eq!(s.blocks, 8); // ceil(1000/128)
-    }
-
-    #[test]
     fn simgpu_2d_maps_full_space() {
         let (ni, nj) = (5, 300);
         let mut hits = vec![0u32; ni * nj];

@@ -233,14 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn simgpu_sort_counts_device_passes() {
-        gpusim::reset_stats();
-        let mut v = data(100);
-        sort::<SimGpuExec<64>>(&mut v);
-        assert_eq!(gpusim::stats().launches as usize, RADIX_PASSES);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn sort_pairs_length_mismatch_panics() {
         let mut keys = vec![1.0, 2.0];

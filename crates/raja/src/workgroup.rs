@@ -135,7 +135,7 @@ impl WorkGroup<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ParExec, SeqExec, SimGpuExec};
+    use crate::policy::{ParExec, SeqExec};
     use crate::DevicePtr;
 
     #[test]
@@ -170,25 +170,6 @@ mod tests {
         assert!(a.iter().all(|&v| v == 1));
         assert!(b.iter().all(|&v| v == 1));
         assert!(c.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    fn fused_run_is_a_single_device_launch() {
-        gpusim::reset_stats();
-        let mut bufs: Vec<Vec<f64>> = (0..26).map(|_| vec![0.0; 50]).collect();
-        {
-            let mut pool = WorkPool::new();
-            for buf in bufs.iter_mut() {
-                let p = DevicePtr::new(buf);
-                // SAFETY: the index is in bounds of the allocation the pointer was built
-                // from, and each parallel iterate writes a distinct element, so writes
-                // never alias.
-                pool.enqueue(0..50, move |i| unsafe { p.write(i, 1.0) });
-            }
-            pool.instantiate().run::<SimGpuExec<128>>();
-        }
-        assert_eq!(gpusim::stats().launches, 1, "26 loops, one launch");
-        assert!(bufs.iter().all(|b| b.iter().all(|&v| v == 1.0)));
     }
 
     #[test]

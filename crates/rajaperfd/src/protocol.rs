@@ -43,9 +43,6 @@ pub enum ErrorCode {
     ShuttingDown,
     /// The campaign executed but one or more kernels failed or timed out.
     KernelFailures,
-    /// The request needs a process-global facility (fault injection) that
-    /// another request currently owns.
-    Busy,
     /// The request asks for a feature the daemon does not serve (e.g.
     /// `--trace`, whose collector is process-global).
     Unsupported,
@@ -60,7 +57,6 @@ impl ErrorCode {
             ErrorCode::QueueFull => "queue_full",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::KernelFailures => "kernel_failures",
-            ErrorCode::Busy => "busy",
             ErrorCode::Unsupported => "unsupported",
         }
     }
@@ -70,9 +66,7 @@ impl ErrorCode {
         match self {
             ErrorCode::Usage | ErrorCode::Unsupported => SuiteExit::Usage,
             ErrorCode::Internal => SuiteExit::Internal,
-            ErrorCode::QueueFull | ErrorCode::ShuttingDown | ErrorCode::Busy => {
-                SuiteExit::Unavailable
-            }
+            ErrorCode::QueueFull | ErrorCode::ShuttingDown => SuiteExit::Unavailable,
             ErrorCode::KernelFailures => SuiteExit::KernelFailures,
         }
     }
@@ -85,7 +79,6 @@ impl ErrorCode {
             "queue_full" => ErrorCode::QueueFull,
             "shutting_down" => ErrorCode::ShuttingDown,
             "kernel_failures" => ErrorCode::KernelFailures,
-            "busy" => ErrorCode::Busy,
             "unsupported" => ErrorCode::Unsupported,
             _ => return None,
         })
@@ -320,7 +313,6 @@ mod tests {
         assert_eq!(ErrorCode::Internal.exit(), SuiteExit::Internal);
         assert_eq!(ErrorCode::QueueFull.exit(), SuiteExit::Unavailable);
         assert_eq!(ErrorCode::ShuttingDown.exit(), SuiteExit::Unavailable);
-        assert_eq!(ErrorCode::Busy.exit(), SuiteExit::Unavailable);
         assert_eq!(ErrorCode::KernelFailures.exit(), SuiteExit::KernelFailures);
         assert_eq!(ErrorCode::Unsupported.exit(), SuiteExit::Usage);
         for code in [
@@ -329,7 +321,6 @@ mod tests {
             ErrorCode::QueueFull,
             ErrorCode::ShuttingDown,
             ErrorCode::KernelFailures,
-            ErrorCode::Busy,
             ErrorCode::Unsupported,
         ] {
             assert_eq!(ErrorCode::parse(code.name()), Some(code), "{}", code.name());

@@ -1,6 +1,5 @@
 //! The daemon proper: accept loop, bounded request queue with admission
-//! control, worker pool, the shared/exclusive execution gate, and graceful
-//! shutdown.
+//! control, worker pool, and graceful shutdown.
 //!
 //! # Concurrency model
 //!
@@ -14,15 +13,9 @@
 //! Workers execute campaigns concurrently on the shared rayon pool with
 //! PR 5's per-kernel isolation (`catch_unwind`, watchdog, bounded retry):
 //! a request that panics or hangs is *that request's* failure, reported to
-//! its client as a typed error while concurrent requests continue.
-//!
-//! Requests that touch process-global facilities — fault injection
-//! (`--faults`) and the sanitizer (`--sanitize`) — run under the exclusive
-//! side of a shared/exclusive gate, so one request's injected faults can
-//! never fire inside another request's kernels. Clean requests share the
-//! gate and run concurrently. Fault requests additionally take
-//! [`simfault::acquire`] ownership, which disarms on drop even if the
-//! request unwinds.
+//! its client as a typed error while concurrent requests continue. Fault
+//! injection (`--faults`) and the sanitizer (`--sanitize`) are armed per
+//! run on the executing thread, so such requests run beside clean ones.
 //!
 //! # Shutdown
 //!
@@ -85,77 +78,6 @@ impl DaemonConfig {
     }
 }
 
-/// Shared/exclusive execution gate. Clean requests enter shared and run
-/// concurrently; requests arming process-global state (faults, sanitizer)
-/// enter exclusive and run alone.
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    shared: usize,
-    exclusive: bool,
-}
-
-struct GateGuard<'a> {
-    gate: &'a Gate,
-    exclusive: bool,
-}
-
-impl Gate {
-    fn new() -> Gate {
-        Gate {
-            state: Mutex::labeled(GateState::default(), "rajaperfd.gate"),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn shared(&self) -> GateGuard<'_> {
-        let mut s = lock(&self.state);
-        while s.exclusive {
-            s = self
-                .cv
-                .wait(s)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        s.shared += 1;
-        GateGuard {
-            gate: self,
-            exclusive: false,
-        }
-    }
-
-    fn exclusive(&self) -> GateGuard<'_> {
-        let mut s = lock(&self.state);
-        while s.exclusive || s.shared > 0 {
-            s = self
-                .cv
-                .wait(s)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        s.exclusive = true;
-        GateGuard {
-            gate: self,
-            exclusive: true,
-        }
-    }
-}
-
-impl Drop for GateGuard<'_> {
-    fn drop(&mut self) {
-        let mut s = lock(&self.gate.state);
-        if self.exclusive {
-            s.exclusive = false;
-        } else {
-            s.shared -= 1;
-        }
-        drop(s);
-        self.gate.cv.notify_all();
-    }
-}
-
 /// A queued unit of work: the parsed request plus its client connection.
 struct Job {
     req: Request,
@@ -168,7 +90,6 @@ struct Shared {
     queue_cv: Condvar,
     capacity: usize,
     shutdown: AtomicBool,
-    gate: Gate,
     served: AtomicU64,
     rejected: AtomicU64,
     req_seq: AtomicU64,
@@ -212,7 +133,6 @@ impl Daemon {
             queue_cv: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             shutdown: AtomicBool::new(false),
-            gate: Gate::new(),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             req_seq: AtomicU64::new(0),
@@ -395,7 +315,7 @@ fn execute_job(job: Job, shared: &Arc<Shared>) {
     send(&stream, &proto::ev_started(&id));
     match job.req {
         Request::Run { argv, .. } => execute_run(&id, &argv, &stream, shared),
-        Request::Sweep { argv, .. } => execute_sweep(&id, &argv, &stream, shared),
+        Request::Sweep { argv, .. } => execute_sweep(&id, &argv, &stream),
         Request::Analyze { dir, metric, .. } => {
             execute_analyze(&id, &dir, &metric, &stream, shared)
         }
@@ -544,7 +464,7 @@ fn execute_run(id: &str, argv: &[String], stream: &UnixStream, shared: &Arc<Shar
         return;
     }
 
-    let report = match run_contained(id, &params, stream, shared) {
+    let report = match run_contained(id, &params, stream) {
         Ok(r) => r,
         Err((code, msg)) => {
             send(stream, &proto::ev_error(id, code, &msg));
@@ -589,30 +509,13 @@ fn execute_run(id: &str, argv: &[String], stream: &UnixStream, shared: &Arc<Shar
     }
 }
 
-/// Execute the campaign under the correct side of the gate. Requests that
-/// arm process-global state run exclusively and own the fault facility for
-/// their duration; clean requests run concurrently.
+/// Execute the campaign, streaming its progress to the client.
 fn run_contained(
     id: &str,
     params: &RunParams,
     stream: &UnixStream,
-    shared: &Arc<Shared>,
 ) -> Result<SuiteReport, (ErrorCode, String)> {
     let progress = |p: &suite::KernelProgress| send(stream, &proto::ev_progress(id, p));
-    let global_state = params.faults.is_some() || params.sanitize;
-    let _gate = if global_state {
-        shared.gate.exclusive()
-    } else {
-        shared.gate.shared()
-    };
-    let _ownership = if params.faults.is_some() {
-        Some(
-            simfault::acquire(id)
-                .map_err(|e| (ErrorCode::Busy, e))?,
-        )
-    } else {
-        None
-    };
     // Per-kernel isolation (catch_unwind + watchdog) lives inside
     // run_suite; a panic escaping it would be a runner bug. Contain even
     // that, so one request's bug is its own typed internal error and the
@@ -628,7 +531,7 @@ fn run_contained(
     })
 }
 
-fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream, shared: &Arc<Shared>) {
+fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) {
     let params = match parse_campaign(argv) {
         Ok(p) => p,
         Err((code, msg)) => {
@@ -664,58 +567,29 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream, shared: &Arc<Sh
         send(stream, &proto::ev_done(id, SuiteExit::Usage));
         return;
     }
-    // Process isolation moves the armed fault/sanitize state into the
-    // spawned children — each owns its own process globals — so the daemon
-    // itself arms nothing: no exclusive gate, no fault-facility ownership,
-    // and fault sweeps do not serialize the whole service. Thread ranks arm
-    // this process's globals (the thread carrier gates their cells one at a
-    // time), so those sweeps take the exclusive gate.
-    let process_ranked = params.rank_isolation == suite::params::RankIsolation::Process;
-    let global_state = (params.faults.is_some() || params.sanitize) && !process_ranked;
-    let summary = {
-        let _gate = if global_state {
-            shared.gate.exclusive()
-        } else {
-            shared.gate.shared()
-        };
-        let ownership = if params.faults.is_some() && !process_ranked {
-            match simfault::acquire(id) {
-                Ok(o) => Some(o),
-                Err(e) => {
-                    send(stream, &proto::ev_error(id, ErrorCode::Busy, &e));
-                    send(stream, &proto::ev_done(id, SuiteExit::Unavailable));
-                    return;
-                }
-            }
-        } else {
-            None
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            suite::run_sweep(&params)
-        }));
-        drop(ownership);
-        match result {
-            Ok(Ok(summary)) => summary,
-            Ok(Err(e)) => {
-                send(
-                    stream,
-                    &proto::ev_error(id, ErrorCode::Internal, &format!("sweep failed: {e}")),
-                );
-                send(stream, &proto::ev_done(id, SuiteExit::Internal));
-                return;
-            }
-            Err(p) => {
-                send(
-                    stream,
-                    &proto::ev_error(
-                        id,
-                        ErrorCode::Internal,
-                        &format!("sweep panicked: {}", suite::exec::panic_message(&*p)),
-                    ),
-                );
-                send(stream, &proto::ev_done(id, SuiteExit::Internal));
-                return;
-            }
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| suite::run_sweep(&params)));
+    let summary = match result {
+        Ok(Ok(summary)) => summary,
+        Ok(Err(e)) => {
+            send(
+                stream,
+                &proto::ev_error(id, ErrorCode::Internal, &format!("sweep failed: {e}")),
+            );
+            send(stream, &proto::ev_done(id, SuiteExit::Internal));
+            return;
+        }
+        Err(p) => {
+            send(
+                stream,
+                &proto::ev_error(
+                    id,
+                    ErrorCode::Internal,
+                    &format!("sweep panicked: {}", suite::exec::panic_message(&*p)),
+                ),
+            );
+            send(stream, &proto::ev_done(id, SuiteExit::Internal));
+            return;
         }
     };
     let report = json!({
@@ -1021,17 +895,5 @@ mod tests {
             ProfileStore::key_hash(&run_key(&a)),
             ProfileStore::key_hash(&run_key(&c))
         );
-    }
-
-    #[test]
-    fn gate_excludes_exclusive_from_shared() {
-        let gate = Gate::new();
-        let s1 = gate.shared();
-        let s2 = gate.shared();
-        drop(s1);
-        drop(s2);
-        let e = gate.exclusive();
-        drop(e);
-        let _s3 = gate.shared();
     }
 }

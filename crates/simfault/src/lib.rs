@@ -10,16 +10,21 @@
 //!
 //! # Contract
 //!
-//! * **Zero cost off.** While no fault config is installed — the production
+//! * **Zero cost off.** On a thread with nothing armed — the production
 //!   state — every producer-side call ([`armed`], [`fail_point`],
-//!   [`corrupt_bytes`], [`truncated_len`]) costs exactly one relaxed atomic
-//!   load; evaluation lives behind `#[cold]` calls. This is the same
-//!   contract `gpusim::sanitizer` and `caliper::trace` honor.
+//!   [`corrupt_bytes`], [`truncated_len`]) costs exactly one thread-local
+//!   `Cell<bool>` load; evaluation lives behind `#[cold]` calls. This is
+//!   the same contract `gpusim::sanitizer` honors.
 //! * **Deterministic on.** Every decision is a pure function of the
-//!   installed seed, the failpoint name, the (optional) scope filter, and a
-//!   per-entry draw counter. Re-installing the same spec replays the exact
+//!   armed seed, the failpoint name, the (optional) scope filter, and a
+//!   per-entry draw counter. Arming the same spec again replays the exact
 //!   same fault sequence, so a failing campaign can be reproduced bit for
 //!   bit from its `--faults` string.
+//! * **Scoped.** [`arm`] installs one fault world — spec, counters, kernel
+//!   label, observer — on the calling thread and returns the guard that
+//!   removes it, unwinding included. Other threads are untouched, so any
+//!   number of cells and daemon requests arm at once; a thread the armed
+//!   one spawns joins its world by [`Handle::enter`]ing [`current`].
 //!
 //! # Spec grammar
 //!
@@ -40,35 +45,12 @@
 //! — is [`KNOWN_POINTS`]. The spec parser accepts unknown names (tests use
 //! private points), but the CLI rejects them so typos do not silently
 //! inject nothing.
-//!
-//! # Scope of the armed state: one process, one fault world
-//!
-//! All armed state — the installed spec, the draw counters, the kernel
-//! scope — is **process-global**. Within one process, that forces
-//! serialization: the sweep engine's thread carrier runs fault-armed cells
-//! one at a time (its private `FAULT_CELL_GATE`), and the daemon runs fault
-//! requests under an exclusive [`acquire`] claim.
-//!
-//! Process-isolated rank campaigns (`--rank-isolation=process`) are the
-//! other side of that coin: each child-rank `rajaperf` process carries its
-//! *own* copy of this crate's globals, so N ranks are N independent fault
-//! worlds needing no gate and no cross-rank claim. Determinism survives
-//! the split because every cell re-installs the spec (resetting the draw
-//! counters) at `run_suite` start — a cell's fault sequence is a function
-//! of the spec alone, never of which process (or which restart of it)
-//! executed the cell.
-//!
-//! **Ownership handoff:** a supervisor that spawns worker processes must
-//! *not* [`acquire`] or [`install`] on the workers' behalf — the armed
-//! state belongs to the child that executes kernels, and a parent-side
-//! claim would only serialize campaigns that no longer share state. The
-//! daemon follows this: process-mode fault sweeps skip both its exclusive
-//! gate and its `simfault::acquire`, since only the spawned children arm
-//! anything.
 
-use simsched::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use simsched::sync::Mutex;
-use std::sync::{Arc, OnceLock};
+use simsched::sync::atomic::{AtomicU64, Ordering};
+use simsched::sync::{Mutex, MutexGuard};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 /// The failpoint registry: every instrumented call site in the suite, with
@@ -141,7 +123,7 @@ pub const DEFAULT_STALL: Duration = Duration::from_millis(100);
 pub struct FaultEntry {
     /// Failpoint name this entry arms.
     pub point: String,
-    /// Optional scope filter: the entry only fires while [`set_scope`] (the
+    /// Optional scope filter: the entry only fires while [`scoped`] (the
     /// runner sets it to the executing kernel's name) matches.
     pub scope: Option<String>,
     /// Fault to inject.
@@ -286,155 +268,152 @@ impl std::error::Error for InjectedError {}
 /// the suite hooks this to emit `simfault.*` instants into the event trace.
 pub type Observer = fn(point: &str, mode: &str);
 
+/// One fault world, shared by the thread that armed it and the threads that
+/// entered its [`Handle`].
 struct ArmedState {
     config: FaultConfig,
     /// Per-entry draw counters (the deterministic sequence position).
     draws: Vec<AtomicU64>,
     /// Per-entry fired counters.
     fired: Vec<AtomicU64>,
+    /// The label `point@scope` entries filter on (see [`scoped`]).
+    scope: Mutex<String>,
+    observer: Option<Observer>,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-fn state_slot() -> &'static Mutex<Option<Arc<ArmedState>>> {
-    static STATE: OnceLock<Mutex<Option<Arc<ArmedState>>>> = OnceLock::new();
-    STATE.get_or_init(|| Mutex::new(None))
-}
-
-fn scope_slot() -> &'static Mutex<String> {
-    static SCOPE: OnceLock<Mutex<String>> = OnceLock::new();
-    SCOPE.get_or_init(|| Mutex::new(String::new()))
-}
-
-fn observer_slot() -> &'static Mutex<Option<Observer>> {
-    static OBSERVER: OnceLock<Mutex<Option<Observer>>> = OnceLock::new();
-    OBSERVER.get_or_init(|| Mutex::new(None))
-}
-
-/// Whether a fault configuration is installed. One relaxed atomic load —
-/// the *entire* cost of every failpoint while injection is off.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Install a fault configuration and arm every failpoint it names. Draw
-/// and fired counters reset, so installing the same config replays the
-/// identical fault sequence.
-pub fn install(config: FaultConfig) {
-    let n = config.entries.len();
-    let state = ArmedState {
-        config,
-        draws: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        fired: (0..n).map(|_| AtomicU64::new(0)).collect(),
-    };
-    *state_slot().lock().unwrap() = Some(Arc::new(state));
-    ARMED.store(true, Ordering::Relaxed);
-}
-
-/// Parse `spec` and [`install`] it.
-pub fn install_spec(spec: &str) -> Result<(), String> {
-    FaultConfig::parse(spec).map(install)
-}
-
-/// Disarm every failpoint and drop the configuration. Failpoints return to
-/// the one-relaxed-load cost.
-pub fn disarm() {
-    ARMED.store(false, Ordering::Relaxed);
-    *state_slot().lock().unwrap() = None;
-}
-
-/// Set (or clear, with `None`) the global scope label that `point@scope`
-/// entries filter on. The suite runner sets it to the executing kernel's
-/// name; the label is process-global because the runner executes kernels
-/// one at a time (possibly on a watchdog thread).
-pub fn set_scope(scope: Option<&str>) {
-    let mut s = scope_slot().lock().unwrap();
-    s.clear();
-    if let Some(scope) = scope {
-        s.push_str(scope);
+impl ArmedState {
+    /// Every update leaves the label a valid string, so a poisoned lock is
+    /// still good to use.
+    fn scope(&self) -> MutexGuard<'_, String> {
+        self.scope.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// RAII guard for [`set_scope`]: restores the previous scope on drop.
+thread_local! {
+    /// Whether [`STATE`] holds a world: the only thing a disarmed failpoint
+    /// reads.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static STATE: RefCell<Option<Arc<ArmedState>>> = const { RefCell::new(None) };
+}
+
+/// Whether a fault configuration is armed on this thread. One thread-local
+/// load — the *entire* cost of every failpoint while injection is off.
+#[inline]
+pub fn armed() -> bool {
+    ARMED.get()
+}
+
+fn state() -> Option<Arc<ArmedState>> {
+    STATE.with_borrow(Clone::clone)
+}
+
+/// Make `state` this thread's fault world; returns the one it replaces.
+fn install(state: Option<Arc<ArmedState>>) -> Option<Arc<ArmedState>> {
+    ARMED.set(state.is_some());
+    STATE.replace(state)
+}
+
+/// A fault world installed on this thread; dropping it (unwinding
+/// included) puts back whatever was there before.
+#[must_use = "dropping the guard disarms immediately"]
+pub struct Armed {
+    previous: Option<Arc<ArmedState>>,
+    /// `!Send`: the guard restores the thread it was created on.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        install(self.previous.take());
+    }
+}
+
+/// Arm every failpoint `config` names on this thread, with fresh draw and
+/// fired counters — so arming the same config replays the identical fault
+/// sequence — and `observer` told of each fault that fires.
+pub fn arm(config: FaultConfig, observer: Option<Observer>) -> Armed {
+    let counters = || config.entries.iter().map(|_| AtomicU64::new(0)).collect();
+    let state = ArmedState {
+        draws: counters(),
+        fired: counters(),
+        scope: Mutex::new(String::new()),
+        observer,
+        config,
+    };
+    Handle(Some(Arc::new(state))).enter()
+}
+
+/// Parse `spec` and [`arm`] it, unobserved.
+pub fn arm_spec(spec: &str) -> Result<Armed, String> {
+    FaultConfig::parse(spec).map(|config| arm(config, None))
+}
+
+/// A thread's fault world (possibly none), to hand to a thread it spawns.
+#[derive(Clone, Default)]
+pub struct Handle(Option<Arc<ArmedState>>);
+
+/// The calling thread's fault world.
+pub fn current() -> Handle {
+    Handle(state())
+}
+
+impl Handle {
+    /// Join this world on the calling thread for the guard's lifetime:
+    /// same spec, same counters, same scope label as every other holder.
+    pub fn enter(&self) -> Armed {
+        Armed {
+            previous: install(self.0.clone()),
+            _thread: PhantomData,
+        }
+    }
+}
+
+/// Continue in a private copy of this thread's fault world, counters and
+/// label as they stand. Every other holder keeps the original — the runner
+/// calls this when it abandons a timed-out attempt, which may run on for
+/// seconds and must not draw from the sequence of whatever executes next.
+pub fn detach() {
+    if let Some(old) = state() {
+        let copy = |counters: &[AtomicU64]| {
+            let values = counters.iter().map(|c| c.load(Ordering::Relaxed));
+            values.map(AtomicU64::new).collect()
+        };
+        install(Some(Arc::new(ArmedState {
+            config: old.config.clone(),
+            draws: copy(&old.draws),
+            fired: copy(&old.fired),
+            scope: Mutex::new(old.scope().clone()),
+            observer: old.observer,
+        })));
+    }
+}
+
+/// RAII guard for [`scoped`]: restores the previous scope label on drop.
 pub struct ScopeGuard {
     previous: String,
 }
 
-/// Set the scope label for the guard's lifetime.
+/// Set the label `point@scope` entries filter on, in this thread's fault
+/// world, for the guard's lifetime. The suite runner sets it to the
+/// executing kernel's name. A no-op on a disarmed thread.
 pub fn scoped(scope: &str) -> ScopeGuard {
-    let mut s = scope_slot().lock().unwrap();
-    let previous = std::mem::take(&mut *s);
-    s.push_str(scope);
+    let previous = match state() {
+        Some(s) => std::mem::replace(&mut *s.scope(), scope.to_string()),
+        None => String::new(),
+    };
     ScopeGuard { previous }
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        *scope_slot().lock().unwrap() = std::mem::take(&mut self.previous);
-    }
-}
-
-/// Register (or clear) the fired-fault [`Observer`].
-pub fn set_observer(observer: Option<Observer>) {
-    *observer_slot().lock().unwrap() = observer;
-}
-
-fn owner_slot() -> &'static Mutex<Option<String>> {
-    static OWNER: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    OWNER.get_or_init(|| Mutex::new(None))
-}
-
-/// Exclusive claim on the process-global fault state, released (and the
-/// state [`disarm`]ed) on drop. Cooperative: concurrent users — daemon
-/// requests, primarily — must [`acquire`] before [`install`]ing so one
-/// request's injected faults can never leak into another's execution. The
-/// one-shot CLI, which owns its whole process, installs directly.
-#[must_use = "dropping the ownership immediately disarms and releases it"]
-#[derive(Debug)]
-pub struct FaultOwnership {
-    owner: String,
-}
-
-impl FaultOwnership {
-    /// The label this claim was acquired under.
-    pub fn owner(&self) -> &str {
-        &self.owner
-    }
-}
-
-impl Drop for FaultOwnership {
-    fn drop(&mut self) {
-        disarm();
-        *owner_slot().lock().unwrap() = None;
-    }
-}
-
-/// Claim exclusive ownership of the global fault state under `owner` (e.g.
-/// a daemon request id). Fails — naming the current holder, so the caller
-/// can produce a useful "busy" error — when another claim is live.
-pub fn acquire(owner: &str) -> Result<FaultOwnership, String> {
-    let mut slot = owner_slot().lock().unwrap();
-    match &*slot {
-        Some(current) => Err(format!(
-            "fault injection is exclusively owned by '{current}'"
-        )),
-        None => {
-            *slot = Some(owner.to_string());
-            Ok(FaultOwnership {
-                owner: owner.to_string(),
-            })
+        if let Some(s) = state() {
+            *s.scope() = std::mem::take(&mut self.previous);
         }
     }
 }
 
-/// The label of the live [`FaultOwnership`] claim, if any.
-pub fn current_owner() -> Option<String> {
-    owner_slot().lock().unwrap().clone()
-}
-
 /// Evaluate failpoint `name`: `Some(fault)` when an armed entry fires.
-/// Costs one relaxed load when disarmed.
+/// Costs one thread-local load when disarmed.
 #[inline]
 pub fn point(name: &str) -> Option<Fault> {
     if !armed() {
@@ -445,8 +424,8 @@ pub fn point(name: &str) -> Option<Fault> {
 
 #[cold]
 fn evaluate(name: &str) -> Option<Fault> {
-    let state = state_slot().lock().unwrap().clone()?;
-    let scope = scope_slot().lock().unwrap().clone();
+    let state = state()?;
+    let scope = state.scope().clone();
     for (i, entry) in state.config.entries.iter().enumerate() {
         if entry.point != name {
             continue;
@@ -468,8 +447,8 @@ fn evaluate(name: &str) -> Option<Fault> {
         let frac = (x >> 11) as f64 / (1u64 << 53) as f64;
         if frac < entry.rate {
             state.fired[i].fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = *observer_slot().lock().unwrap() {
-                obs(name, entry.mode.name());
+            if let Some(observe) = state.observer {
+                observe(name, entry.mode.name());
             }
             return Some(Fault {
                 point: name.to_string(),
@@ -521,7 +500,7 @@ fn act(name: &str) -> Result<(), InjectedError> {
 
 /// Data-corruption failpoint: when a `flip`-mode entry fires, flip one
 /// deterministically-chosen bit of `bytes`. Returns `true` when the buffer
-/// was corrupted. One relaxed load when disarmed.
+/// was corrupted. One thread-local load when disarmed.
 #[inline]
 pub fn corrupt_bytes(name: &str, bytes: &mut [u8]) -> bool {
     if !armed() || bytes.is_empty() {
@@ -550,7 +529,7 @@ fn corrupt_cold(name: &str, bytes: &mut [u8]) -> bool {
 /// Torn-write failpoint: when a `truncate`-mode entry fires for a write of
 /// `len` bytes, returns the (strictly shorter) length to actually write —
 /// what a mid-write kill of a non-atomic writer would have left behind.
-/// One relaxed load when disarmed.
+/// One thread-local load when disarmed.
 #[inline]
 pub fn truncated_len(name: &str, len: usize) -> Option<usize> {
     if !armed() {
@@ -575,27 +554,19 @@ fn truncate_cold(name: &str, len: usize) -> Option<usize> {
     }
 }
 
-/// Total faults fired since the last [`install`].
+/// Total faults fired in this thread's fault world since it was armed.
 pub fn fired_total() -> u64 {
-    match &*state_slot().lock().unwrap() {
-        Some(s) => s.fired.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-        None => 0,
-    }
+    fired_counts().iter().map(|(_, n)| n).sum()
 }
 
-/// Per-entry fired counts since the last [`install`], labelled in spec
-/// syntax (`point[@scope]=mode:rate`).
+/// Per-entry fired counts in this thread's fault world since it was armed,
+/// labelled in spec syntax (`point[@scope]=mode:rate`).
 pub fn fired_counts() -> Vec<(String, u64)> {
-    match &*state_slot().lock().unwrap() {
-        Some(s) => s
-            .config
-            .entries
-            .iter()
-            .zip(&s.fired)
-            .map(|(e, c)| (e.label(), c.load(Ordering::Relaxed)))
-            .collect(),
-        None => Vec::new(),
-    }
+    let Some(s) = state() else { return Vec::new() };
+    let entries = s.config.entries.iter().zip(&s.fired);
+    entries
+        .map(|(e, c)| (e.label(), c.load(Ordering::Relaxed)))
+        .collect()
 }
 
 /// SplitMix64: the standard 64-bit finalizer-style mixer (public domain,
@@ -622,12 +593,6 @@ fn fnv1a(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialize tests that arm the global state.
-    fn lock() -> simsched::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn parse_issue_example() {
@@ -671,8 +636,6 @@ mod tests {
 
     #[test]
     fn disarmed_points_are_inert() {
-        let _g = lock();
-        disarm();
         assert!(!armed());
         assert!(point("gpusim.launch").is_none());
         assert!(fail_point("gpusim.launch").is_ok());
@@ -685,24 +648,19 @@ mod tests {
 
     #[test]
     fn rate_one_always_fires_and_rate_zero_never() {
-        let _g = lock();
-        install_spec("a=err:1.0,b=err:0.0,seed=3").unwrap();
+        let _armed = arm_spec("a=err:1.0,b=err:0.0,seed=3").unwrap();
         for _ in 0..32 {
             assert!(fail_point("a").is_err());
             assert!(fail_point("b").is_ok());
         }
         assert_eq!(fired_total(), 32);
-        disarm();
     }
 
     #[test]
     fn same_seed_replays_identical_decision_sequence() {
-        let _g = lock();
         let draw_seq = |spec: &str| -> Vec<bool> {
-            install_spec(spec).unwrap();
-            let seq = (0..200).map(|_| point("p").is_some()).collect();
-            disarm();
-            seq
+            let _armed = arm_spec(spec).unwrap();
+            (0..200).map(|_| point("p").is_some()).collect()
         };
         let a = draw_seq("p=err:0.3,seed=42");
         let b = draw_seq("p=err:0.3,seed=42");
@@ -714,13 +672,11 @@ mod tests {
             (20..=100).contains(&hits),
             "rate 0.3 over 200 draws fired {hits} times"
         );
-        disarm();
     }
 
     #[test]
     fn scope_filter_gates_scoped_entries() {
-        let _g = lock();
-        install_spec("p@K1=err:1.0").unwrap();
+        let _armed = arm_spec("p@K1=err:1.0").unwrap();
         assert!(fail_point("p").is_ok(), "no scope set: filtered entry inert");
         {
             let _s = scoped("K1");
@@ -732,80 +688,131 @@ mod tests {
             assert!(fail_point("p").is_err(), "inner guard restored K1");
         }
         assert!(fail_point("p").is_ok(), "guard restored empty scope");
-        disarm();
     }
 
     #[test]
     fn corrupt_bytes_flips_exactly_one_bit_deterministically() {
-        let _g = lock();
-        install_spec("gpusim.ecc=flip:1.0,seed=9").unwrap();
-        let mut a = vec![0u8; 64];
-        assert!(corrupt_bytes("gpusim.ecc", &mut a));
+        let corrupted = || {
+            let _armed = arm_spec("gpusim.ecc=flip:1.0,seed=9").unwrap();
+            let mut buf = vec![0u8; 64];
+            assert!(corrupt_bytes("gpusim.ecc", &mut buf));
+            buf
+        };
+        let a = corrupted();
         let ones: u32 = a.iter().map(|b| b.count_ones()).sum();
         assert_eq!(ones, 1, "exactly one bit flipped");
-        // Re-install: the first corruption hits the same bit.
-        install_spec("gpusim.ecc=flip:1.0,seed=9").unwrap();
-        let mut b = vec![0u8; 64];
-        assert!(corrupt_bytes("gpusim.ecc", &mut b));
-        assert_eq!(a, b);
-        disarm();
+        // Armed afresh, the first corruption hits the same bit.
+        assert_eq!(a, corrupted());
     }
 
     #[test]
     fn truncated_len_is_a_strict_prefix() {
-        let _g = lock();
-        install_spec("io.write=truncate:1.0,seed=5").unwrap();
+        let _armed = arm_spec("io.write=truncate:1.0,seed=5").unwrap();
         for len in [1usize, 2, 10, 4096] {
             let keep = truncated_len("io.write", len).expect("rate 1.0 fires");
             assert!(keep < len, "torn write of {len} kept {keep}");
         }
-        disarm();
     }
 
     #[test]
     fn panic_mode_panics_with_simfault_prefix() {
-        let _g = lock();
-        install_spec("p=panic:1.0").unwrap();
+        let _armed = arm_spec("p=panic:1.0").unwrap();
         let err = std::panic::catch_unwind(|| {
             let _ = fail_point("p");
         })
         .expect_err("panic mode must unwind");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.starts_with("simfault: injected panic"), "{msg}");
-        disarm();
     }
 
     #[test]
-    fn ownership_is_exclusive_and_released_on_drop() {
-        let _g = lock();
-        let claim = acquire("request-1").unwrap();
-        assert_eq!(claim.owner(), "request-1");
-        assert_eq!(current_owner().as_deref(), Some("request-1"));
-        install_spec("p=err:1.0").unwrap();
-        assert!(armed());
-        // A second claimant is refused and told who holds the state.
-        let err = acquire("request-2").unwrap_err();
-        assert!(err.contains("request-1"), "{err}");
-        // Dropping the claim disarms *and* releases: the next request can
-        // never observe the previous request's faults.
-        drop(claim);
-        assert!(!armed(), "drop must disarm");
-        assert_eq!(current_owner(), None);
-        let claim2 = acquire("request-2").unwrap();
-        assert!(fail_point("p").is_ok(), "previous spec is gone");
-        drop(claim2);
+    fn threads_armed_at_once_see_only_their_own_faults() {
+        // Both threads stay armed between the two barrier waits.
+        let both_armed = std::sync::Barrier::new(2);
+        let world = |mine: &str, theirs: &str| {
+            let _armed = arm_spec(&format!("{mine}=err:1.0")).unwrap();
+            both_armed.wait();
+            let mine_fired = (0..8).all(|_| fail_point(mine).is_err());
+            let theirs_fired = (0..8).any(|_| fail_point(theirs).is_err());
+            let counts = fired_counts();
+            both_armed.wait();
+            // Asserted only past the second wait, so a failure cannot leave
+            // the other thread parked on the barrier.
+            assert!(mine_fired);
+            assert!(!theirs_fired, "{theirs} is armed on the other thread");
+            assert_eq!(counts, vec![(format!("{mine}=err:1"), 8)]);
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| world("a", "b"));
+            s.spawn(|| world("b", "a"));
+        });
+    }
+
+    #[test]
+    fn entered_thread_shares_counters_and_scope_label() {
+        let _armed = arm_spec("p@K=err:1.0").unwrap();
+        let _kernel = scoped("K");
+        assert!(fail_point("p").is_err());
+        let handle = current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _world = handle.enter();
+                assert!(fail_point("p").is_err(), "sees the parent's label K");
+                assert_eq!(fired_total(), 2, "parent's draw and this one");
+            });
+            s.spawn(|| {
+                assert!(!armed(), "a thread that never entered is disarmed");
+                assert!(fail_point("p").is_ok());
+            });
+        });
+        assert_eq!(fired_total(), 2, "the entered thread's draw counts here");
+    }
+
+    #[test]
+    fn guard_disarms_when_a_panic_unwinds_through_it() {
+        let unwound = std::panic::catch_unwind(|| {
+            let _armed = arm_spec("p=panic:1.0").unwrap();
+            let _ = fail_point("p");
+        });
+        assert!(unwound.is_err());
+        assert!(!armed(), "unwinding dropped the guard");
+        assert!(fail_point("p").is_ok());
+    }
+
+    #[test]
+    fn detached_world_is_not_perturbed_by_the_one_left_behind() {
+        let spec = "p=err:0.5,seed=42";
+        let draw = |n: usize| -> Vec<bool> { (0..n).map(|_| point("p").is_some()).collect() };
+        let undisturbed = {
+            let _armed = arm_spec(spec).unwrap();
+            draw(40)
+        };
+        let _armed = arm_spec(spec).unwrap();
+        let mut seq = draw(10);
+        let abandoned = current();
+        detach();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _world = abandoned.enter();
+                draw(100);
+            });
+        });
+        seq.extend(draw(30));
+        assert_eq!(seq, undisturbed, "the abandoned holder drew from its own");
+        assert_eq!(
+            fired_total(),
+            undisturbed.iter().filter(|&&f| f).count() as u64
+        );
     }
 
     #[test]
     fn fired_counts_label_entries_in_spec_syntax() {
-        let _g = lock();
-        install_spec("a=err:1.0,b@K=panic:0.5,seed=1").unwrap();
+        let _armed = arm_spec("a=err:1.0,b@K=panic:0.5,seed=1").unwrap();
         let _ = fail_point("a");
         let counts = fired_counts();
         assert_eq!(counts.len(), 2);
         assert_eq!(counts[0], ("a=err:1".to_string(), 1));
         assert_eq!(counts[1].0, "b@K=panic:0.5");
         assert_eq!(counts[1].1, 0);
-        disarm();
     }
 }

@@ -179,13 +179,15 @@ fn attempt(
             // Watchdog: run the attempt on its own thread and wait with a
             // deadline. A thread cannot be killed, so on timeout it is
             // abandoned — it keeps running detached, its eventual result
-            // discarded (the channel send fails silently). `simfault`'s
-            // scope label is process-global precisely so the spawned
-            // attempt still sees the runner's per-kernel scope.
+            // discarded (the channel send fails silently). The attempt
+            // enters this thread's fault world, so it draws the runner's
+            // sequence under the runner's per-kernel scope label.
             let (tx, rx) = std::sync::mpsc::channel();
+            let faults = simfault::current();
             let spawned = std::thread::Builder::new()
                 .name(format!("watchdog:{}", kernel.info().name))
                 .spawn(move || {
+                    let _faults = faults.enter();
                     let _ = tx.send(guarded());
                 });
             // Spawn can genuinely fail under resource exhaustion (EAGAIN when
@@ -203,8 +205,14 @@ fn attempt(
                     r
                 }
                 // An abandoned attempt's counters are lost with its thread;
-                // the profile under-counts comm for timed-out kernels.
-                Err(_) => Err(AttemptFailure::Timeout(limit)),
+                // the profile under-counts comm for timed-out kernels. It
+                // keeps the fault world it was drawing from; the runner
+                // continues in a copy, so whatever the attempt still draws
+                // cannot shift the next kernel's sequence.
+                Err(_) => {
+                    simfault::detach();
+                    Err(AttemptFailure::Timeout(limit))
+                }
             }
         }
     }

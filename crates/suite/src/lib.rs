@@ -129,20 +129,18 @@ pub fn run_suite_observed(
         simsched::lockorder::enable();
     }
 
-    // Fault injection: (re)install the spec at the start of every run so
-    // draw counters reset — each run_suite call (each sweep cell included)
-    // replays the identical deterministic fault sequence, interrupted or
-    // not. Stays armed through the output flush so `io.write` injections
-    // can tear profile writes; disarmed before returning.
-    let faults_armed = match &params.faults {
-        Some(spec) => {
-            simfault::install_spec(spec)
-                .unwrap_or_else(|e| panic!("invalid fault spec (validate params first): {e}"));
-            simfault::set_observer(Some(fault_trace_observer));
-            true
-        }
-        None => false,
-    };
+    // Fault injection: arm the spec afresh on this thread at the start of
+    // every run, so draw counters start at zero — each run_suite call (each
+    // sweep cell included) replays the identical deterministic fault
+    // sequence, interrupted or not, whatever runs beside it. The guard lives
+    // to the end of the function, so `io.write` injections can tear the
+    // profile writes of the output flush.
+    let faults = params.faults.as_ref().map(|spec| {
+        let config = simfault::FaultConfig::parse(spec)
+            .unwrap_or_else(|e| panic!("invalid fault spec (validate params first): {e}"));
+        simfault::arm(config, Some(fault_trace_observer))
+    });
+    let faults_armed = faults.is_some();
     let policy = exec::FaultPolicy {
         timeout: params.timeout,
         max_retries: params.max_retries,
@@ -165,8 +163,8 @@ pub fn run_suite_observed(
         let reps = params.reps(&info);
         let _group = session.region(info.group.name());
         let region = session.region(info.name);
-        // Scope label for `point@kernel` fault filters. Process-global (not
-        // thread-local) so a watchdog-spawned attempt still sees it.
+        // Scope label for `point@kernel` fault filters. It lives in the
+        // armed state, which a watchdog-spawned attempt enters.
         let scope = faults_armed.then(|| simfault::scoped(info.name));
         let comm_before = simcomm::thread_stats();
         let (outcome, result) =
@@ -343,10 +341,6 @@ pub fn run_suite_observed(
         // All trace exports are done; leave no events behind for the next
         // run in this process.
         caliper::trace::clear();
-    }
-    if faults_armed {
-        simfault::set_observer(None);
-        simfault::disarm();
     }
 
     SuiteReport {

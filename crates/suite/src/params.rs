@@ -70,15 +70,12 @@ impl Selection {
 pub enum RankIsolation {
     /// Ranks are worker threads in this process (the default). Free to
     /// start and a panicking rank is restarted, but a hard fault (abort,
-    /// OOM kill) in any rank kills the whole campaign, and
-    /// fault-armed/sanitize campaigns serialize cell execution because
-    /// `simfault` state is process-global.
+    /// OOM kill) in any rank kills the whole campaign.
     #[default]
     Threads,
     /// Each rank is a spawned child `rajaperf` process: a signal-killed or
-    /// aborted rank is a restarted rank too, silent ranks are detected by
-    /// heartbeat and killed, and each child owns its own `simfault` state
-    /// so fault-armed campaigns run rank-parallel.
+    /// aborted rank is a restarted rank too, and silent ranks are detected
+    /// by heartbeat and killed.
     Process,
 }
 
@@ -796,11 +793,8 @@ impl RunParams {
            --rank-isolation MODE        what carries a rank. threads (default):\n\
                                         a worker thread in this process;\n\
                                         process: a child rajaperf process, so\n\
-                                        a rank survives kill -9/abort, wedged\n\
-                                        ranks are killed on a missed heartbeat,\n\
-                                        and fault-armed and sanitize campaigns\n\
-                                        run rank-parallel (each child owns its\n\
-                                        own fault state)\n\
+                                        a rank survives kill -9/abort and wedged\n\
+                                        ranks are killed on a missed heartbeat\n\
            --rank-restarts N            times a rank that dies (panic, signal,\n\
                                         exit) is restarted with backoff before\n\
                                         it is retired as a casualty and its\n\

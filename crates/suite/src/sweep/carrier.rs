@@ -9,17 +9,12 @@
 //! * [`ProcessCarrier`] — a spawned child `rajaperf --rank-worker R/N` on
 //!   stdio pipes. Reader threads turn its stdout frames and stderr lines
 //!   into events; it can be killed, so the supervisor polices its
-//!   heartbeats; its wait status decodes into the exit taxonomy below. Each
-//!   child owns its own process-global `simfault`/sanitizer state, so
-//!   fault-armed cells run rank-parallel.
+//!   heartbeats; its wait status decodes into the exit taxonomy below.
 //! * [`ThreadCarrier`] — a `catch_unwind`-wrapped thread in this process
 //!   running the same worker loop on in-memory channels. Free to start and
 //!   needs no worker binary, but cannot be killed (the per-kernel watchdog
-//!   is what bounds a cell), shares this process's fate on a hard fault
-//!   (abort, OOM kill), and — because `simfault` and the sanitizer ledger
-//!   are process-global — runs fault-armed or `--sanitize` cells one at a
-//!   time behind a gate so each cell's seeded replay stays a function of
-//!   the spec alone.
+//!   is what bounds a cell) and shares this process's fate on a hard fault
+//!   (abort, OOM kill).
 //!
 //! # Exit taxonomy
 //!
@@ -35,7 +30,6 @@ use crate::exec::{panic_message, SuiteExit};
 use crate::RunParams;
 use serde_json::Value;
 use simcomm::transport::{read_frame, write_frame};
-use simsched::sync::Mutex;
 use simsched::time::Instant;
 use std::io::{self, BufRead, BufReader};
 use std::path::PathBuf;
@@ -280,10 +274,6 @@ impl Drop for ProcessRank {
     }
 }
 
-/// Serializes thread ranks' cell execution while process-global state
-/// (fault injection, the sanitizer ledger) is armed; see the module docs.
-static FAULT_CELL_GATE: Mutex<()> = Mutex::labeled((), "sweep.fault_cell_gate");
-
 /// Ranks as threads of this process on in-memory channels.
 pub(crate) struct ThreadCarrier {
     base: Arc<RunParams>,
@@ -315,13 +305,11 @@ impl Carrier for ThreadCarrier {
         let thread = std::thread::Builder::new()
             .name(format!("sweep-rank-{rank}"))
             .spawn(move || {
-                let gate = (base.faults.is_some() || base.sanitize).then_some(&FAULT_CELL_GATE);
                 let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     worker::serve(
                         &base,
                         &plan,
                         (rank, nranks),
-                        gate,
                         || Ok(rx.recv().ok()),
                         |msg: &FromRank| {
                             let frame = msg.encode();

@@ -45,9 +45,8 @@ pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 pub(crate) const TEST_ABORT_ENV: &str = "RAJAPERF_TEST_WORKER_ABORT_RANK";
 
 /// The worker loop: announce `ready`, then answer each assigned cell with a
-/// `result` (from the cell cache, or by executing it — under `gate` when
-/// the carrier must serialize cell bodies) or a `failed`, until `shutdown`
-/// or the supervisor hangs up.
+/// `result` (from the cell cache, or by executing it) or a `failed`, until
+/// `shutdown` or the supervisor hangs up.
 ///
 /// `recv` yields the next supervisor frame (`Ok(None)` once hung up);
 /// `send` delivers one frame to it. Returns `Success` on shutdown, hang-up
@@ -57,7 +56,6 @@ pub(crate) fn serve(
     base: &RunParams,
     plan: &SweepPlan,
     (rank, nranks): (usize, usize),
-    gate: Option<&Mutex<()>>,
     mut recv: impl FnMut() -> io::Result<Option<Value>>,
     send: impl Fn(&FromRank) -> io::Result<()>,
 ) -> SuiteExit {
@@ -91,18 +89,15 @@ pub(crate) fn serve(
             )),
             Some(spec) => match load_cached_cell(&spec.cache, &spec.key, &spec.profile) {
                 CellLoad::Hit(outcome) => Ok((true, outcome)),
-                _ => {
-                    let _gate = gate.map(|g| g.lock().unwrap_or_else(PoisonError::into_inner));
-                    execute_cell(base, spec, Some((rank, nranks)))
-                        .map(|outcome| (false, outcome))
-                        .map_err(|e| {
-                            format!(
-                                "cell {}.block_{}: {e}",
-                                spec.variant.name(),
-                                spec.block_size
-                            )
-                        })
-                }
+                _ => execute_cell(base, spec, Some((rank, nranks)))
+                    .map(|outcome| (false, outcome))
+                    .map_err(|e| {
+                        format!(
+                            "cell {}.block_{}: {e}",
+                            spec.variant.name(),
+                            spec.block_size
+                        )
+                    }),
             },
         };
         let reply = match reply {
@@ -169,7 +164,7 @@ pub(crate) fn run(base: &RunParams) -> SuiteExit {
 
     let mut stdin = BufReader::new(io::stdin());
     let recv = || read_frame(&mut stdin).map(|f| f.map(|(frame, _)| frame));
-    let exit = serve(base, &plan, (rank, nranks), None, recv, send);
+    let exit = serve(base, &plan, (rank, nranks), recv, send);
     stop.store(true, Ordering::Relaxed);
     exit
 }

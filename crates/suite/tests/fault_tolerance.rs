@@ -2,23 +2,15 @@
 //! retry under injected transient failures, exit codes, and crash-safe
 //! `--sweep` resume after a `kill -9`.
 //!
-//! Tests that arm simfault in-process (directly or via `run_suite` with a
-//! fault spec) serialize on [`GATE`] — simfault's armed state is global.
-//! End-to-end tests drive the built `rajaperf` binary in child processes
-//! and need no gate.
+//! In-process tests arm simfault through `run_suite`, each on its own test
+//! thread; end-to-end tests drive the built `rajaperf` binary in child
+//! processes.
 
 use std::path::Path;
 use std::process::Command;
-use simsched::sync::Mutex;
 use std::time::Duration;
 
 use suite::{run_suite, KernelOutcome, RunParams, Selection};
-
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> simsched::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn base_params(kernels: &[&str]) -> RunParams {
     RunParams {
@@ -35,7 +27,6 @@ fn base_params(kernels: &[&str]) -> RunParams {
 
 #[test]
 fn panicking_fixture_is_isolated_and_rest_of_selection_completes() {
-    let _g = gate();
     let params = base_params(&["Basic_DAXPY", "Fixture_PANIC"]);
     let report = run_suite(&params);
 
@@ -62,7 +53,6 @@ fn panicking_fixture_is_isolated_and_rest_of_selection_completes() {
 
 #[test]
 fn flaky_fixture_retries_until_success_deterministically() {
-    let _g = gate();
     let mut params = base_params(&["Fixture_FLAKY"]);
     params.faults = Some("fixture.flaky=err:0.6,seed=5".to_string());
     params.max_retries = 16;
@@ -87,7 +77,6 @@ fn flaky_fixture_retries_until_success_deterministically() {
 
 #[test]
 fn retry_budget_exhaustion_reports_transient_failure() {
-    let _g = gate();
     let mut params = base_params(&["Fixture_FLAKY"]);
     // Rate 1.0: every attempt fails; the budget must run out.
     params.faults = Some("fixture.flaky=err:1.0,seed=1".to_string());
@@ -102,6 +91,27 @@ fn retry_budget_exhaustion_reports_transient_failure() {
         other => panic!("expected Failed after budget exhaustion, got {other:?}"),
     }
     assert!(report.entries.is_empty());
+}
+
+#[test]
+fn kernel_scoped_fault_reaches_the_watchdog_thread() {
+    // Under --timeout each attempt runs on a spawned watchdog thread, which
+    // must draw from the runner's fault world under the runner's per-kernel
+    // scope label: TRIAD's launches fail, DAXPY's do not.
+    let mut params = base_params(&["Stream_TRIAD", "Basic_DAXPY"]);
+    params.variant = kernels::VariantId::BaseSimGpu;
+    params.timeout = Some(Duration::from_secs(30));
+    params.faults = Some("gpusim.launch@Stream_TRIAD=panic:1.0,seed=1".to_string());
+    let report = run_suite(&params);
+    match report.outcome("Stream_TRIAD").unwrap() {
+        KernelOutcome::Failed { message, .. } => {
+            assert!(message.starts_with("simfault:"), "{message}")
+        }
+        other => panic!("expected the injected launch panic, got {other:?}"),
+    }
+    assert!(report.outcome("Basic_DAXPY").unwrap().is_pass());
+    let injected = &report.profile.globals["fault.injected_total"];
+    assert_eq!(injected.as_i64(), Some(1));
 }
 
 // ---------------------------------------------------------------------------

@@ -191,9 +191,8 @@ fn e2e_every_mode_and_rank_count_reproduces_the_golden_manifest() {
 fn e2e_seeded_faults_replay_identically_at_any_rank_count() {
     // A seeded spec that *fails* kernels: the failures land in the manifest
     // (failed_kernels are cell facts), so byte-identity across rank counts
-    // proves fault replay does not depend on rank assignment — serialized
-    // behind the thread carrier's gate, or rank-parallel in separate
-    // processes with no gate at all.
+    // proves fault replay does not depend on rank assignment — rank-parallel
+    // in both modes, each cell arming its own fault world.
     // Three kernels per cell, so each cell draws a sequence (some kernels
     // fail, some pass) rather than one all-or-nothing draw.
     let faults: &[&str] = &[
@@ -306,8 +305,6 @@ fn e2e_killed_ranked_sweep_resumes_to_identical_manifest() {
 #[test]
 fn e2e_kill9_of_a_child_rank_is_survived_within_the_same_campaign() {
     let dir = temp_dir("childkill");
-    // Faults being armed also proves fault-armed process campaigns run
-    // rank-parallel (no gate) and still complete.
     let parent = rajaperf()
         .args(grid_args(&[STALL, PROCESS, &["--ranks", "4"]]))
         .current_dir(&dir)
@@ -514,6 +511,37 @@ fn e2e_rank_flag_validation_exits_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn thread_ranks_run_fault_armed_cells_in_parallel() {
+    use suite::{run_sweep, RunParams, Selection};
+    let dir = temp_dir("armed-parallel");
+    let stall = Duration::from_millis(400);
+    let params = RunParams {
+        selection: Selection::Kernels(vec!["Basic_DAXPY".to_string()]),
+        explicit_size: Some(1000),
+        explicit_reps: Some(1),
+        sweep: true,
+        sweep_dir: Some(dir.join("sweep")),
+        ranks: 4,
+        faults: Some(format!("suite.kernel=stall({})", stall.as_millis())),
+        ..RunParams::default()
+    };
+    let start = Instant::now();
+    let summary = run_sweep(&params).expect("fault-armed thread campaign succeeds");
+    let wall = start.elapsed();
+    // One kernel, so one stall, per cell: run one cell at a time (what a
+    // process-wide fault state forced) the campaign takes the whole sum.
+    let cells = &summary.cells;
+    assert!(cells.iter().all(|c| c.kernels_run == 1 && !c.cached));
+    let serial = stall * cells.len() as u32;
+    assert!(
+        wall < serial.mul_f64(0.6),
+        "{} stalled cells on 4 thread ranks took {wall:?}; serial stall sum is {serial:?}",
+        cells.len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -117,7 +117,9 @@ echo "sweep: 12 distinct profiles + manifest"
 # crates/suite/tests/ranked_campaigns.rs, run by the workspace tests above).
 # Under either isolation mode a 4-rank campaign must gather into the
 # --ranks 1 manifest. The stall faults fail nothing; they widen the window
-# for the kill -9 stage below.
+# for the kill -9 stage below, and make the cells' wall time a sleep, so the
+# thread carrier running fault-armed cells rank-parallel shows as wall time
+# whatever the host's core count.
 echo "== cli: --ranks 4 gathers into the --ranks 1 manifest under both isolation modes =="
 RANKS_DIR=$(mktemp -d)
 RAJAPERF_ABS="$PWD/$RAJAPERF"
@@ -128,13 +130,23 @@ ranked_sweep() {  # <dir> <rank args...>: the campaign, from its own cwd
         --size 100000 --reps 2 --sweep-block-sizes 128,256 --sweep-dir sweep \
         --faults 'suite.kernel=stall(150),seed=1' "$@")
 }
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+T0=$(now_ms)
 ranked_sweep r1 --ranks 1 >/dev/null
+R1_MS=$(( $(now_ms) - T0 ))
+declare -A MODE_MS
 for mode in threads process; do
+    T0=$(now_ms)
     ranked_sweep "$mode" --ranks 4 --rank-isolation "$mode" >/dev/null
+    MODE_MS[$mode]=$(( $(now_ms) - T0 ))
     cmp "$RANKS_DIR/r1/sweep/manifest.json" "$RANKS_DIR/$mode/sweep/manifest.json" \
         || { echo "verify: FAIL — $mode-ranked manifest diverged from single-rank" >&2; exit 1; }
 done
-echo "ranks: 4-rank campaigns (threads, process) byte-identical to single-rank"
+if [[ "${MODE_MS[threads]}" -gt "$R1_MS" ]]; then
+    echo "verify: FAIL — fault-armed thread ranks serialized: --ranks 4 took ${MODE_MS[threads]} ms, --ranks 1 ${R1_MS} ms" >&2
+    exit 1
+fi
+echo "ranks: 4-rank campaigns byte-identical to single-rank (--ranks 1 ${R1_MS} ms, threads ${MODE_MS[threads]} ms, process ${MODE_MS[process]} ms)"
 
 # Process-only: kill -9 one child mid-campaign; the supervisor must requeue
 # its cell, respawn it, and still finish with the single-rank manifest.
@@ -250,6 +262,27 @@ if echo "$RUN2" | grep -q '"event":"progress"'; then
     echo "verify: FAIL — store hit re-executed kernels (progress events seen)" >&2
     exit 1
 fi
+# A fault-armed request and a clean one side by side: the clean one must
+# finish, untouched, while the other is still stalling.
+"$CLIENT" --socket "$DSOCK" run -- --kernels Basic_DAXPY --size 100000 --reps 2 \
+    --faults 'suite.kernel=stall(1500),seed=1' >"$DAEMON_DIR/stalled.out" &
+STALLED_PID=$!
+for _ in $(seq 1 50); do
+    grep -q '"event":"started"' "$DAEMON_DIR/stalled.out" && break
+    sleep 0.1
+done
+CLEAN=$("$CLIENT" --socket "$DSOCK" run -- --kernels Stream_TRIAD --size 100000 --reps 2)
+kill -0 "$STALLED_PID" 2>/dev/null \
+    || { echo "verify: FAIL — clean request waited out a fault-armed neighbor" >&2; exit 1; }
+echo "$CLEAN" | grep -q '"all_passed":true' \
+    || { echo "verify: FAIL — clean request beside a fault-armed one did not pass" >&2; exit 1; }
+if echo "$CLEAN" | grep -q 'fault\.injected_total'; then
+    echo "verify: FAIL — a neighbor's injected faults reached a clean request" >&2
+    exit 1
+fi
+wait "$STALLED_PID"
+grep -q '"fault.injected_total":1' "$DAEMON_DIR/stalled.out" \
+    || { echo "verify: FAIL — the fault-armed request did not record its own fault" >&2; exit 1; }
 # A process-ranked sweep through the daemon: the daemon supervises child
 # rank processes; after shutdown none may survive as orphans.
 PSWEEP_DIR="$DAEMON_DIR/psweep"
@@ -267,7 +300,7 @@ if pgrep -f "$PSWEEP_DIR" >/dev/null 2>&1; then
     pgrep -af "$PSWEEP_DIR" >&2
     exit 1
 fi
-echo "daemon: run streamed, store hit replayed, process-ranked sweep left no orphans, clean shutdown"
+echo "daemon: run streamed, store hit replayed, fault-armed + clean requests isolated, process-ranked sweep left no orphans, clean shutdown"
 
 # Corpus-scale columnar engine smoke: 50k synthetic profiles through
 # streaming ingest, parallel groupby+stats, and feature clustering, under a

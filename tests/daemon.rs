@@ -6,7 +6,8 @@
 use rajaperfd::{protocol::Request, Daemon, DaemonConfig};
 use serde_json::Value;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// A fresh daemon on its own socket + store under a unique temp dir.
@@ -41,8 +42,34 @@ fn shutdown_and_wait(daemon: Daemon, root: &PathBuf) {
 
 #[test]
 fn concurrent_requests_are_isolated() {
-    let (daemon, root) = start_daemon("isolation", 8, 3);
+    let (daemon, root) = start_daemon("isolation", 8, 5);
     let socket = daemon.socket().to_path_buf();
+
+    // A fault-armed request first: every kernel it runs stalls 600 ms. Once
+    // it is executing, everything below runs beside it.
+    let (started_tx, started_rx) = mpsc::channel();
+    let stalled_done = Arc::new(AtomicBool::new(false));
+    let stalled = {
+        let (socket, stalled_done) = (socket.clone(), Arc::clone(&stalled_done));
+        let req = run_request(
+            "faulty-stall",
+            &["--kernels", "Basic_DAXPY", "--size", "1000", "--reps", "2",
+              "--faults", "suite.kernel=stall(600),seed=1"],
+        );
+        std::thread::spawn(move || {
+            let resp = rajaperfd::submit_with(&socket, &req, &mut |e: &Value| {
+                if e.get("event").and_then(Value::as_str) == Some("started") {
+                    let _ = started_tx.send(());
+                }
+            })
+            .expect("stalled request completes");
+            stalled_done.store(true, Ordering::SeqCst);
+            resp
+        })
+    };
+    started_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("worker picked up the stalled request");
 
     // Four clients at once: two healthy runs, one that panics, one that
     // hangs until the watchdog cuts it loose. The failures must come back
@@ -58,14 +85,15 @@ fn concurrent_requests_are_isolated() {
             vec!["--kernels", "Fixture_HANG", "--size", "64", "--reps", "1", "--timeout", "0.75"],
         ),
     ] {
-        let socket = socket.clone();
+        let (socket, stalled_done) = (socket.clone(), Arc::clone(&stalled_done));
         let req = run_request(id, &argv);
         handles.push(std::thread::spawn(move || {
-            (id, rajaperfd::submit(&socket, &req).expect("request completes"))
+            let resp = rajaperfd::submit(&socket, &req).expect("request completes");
+            (id, resp, stalled_done.load(Ordering::SeqCst))
         }));
     }
     for handle in handles {
-        let (id, resp) = handle.join().expect("client thread");
+        let (id, resp, after_stalled) = handle.join().expect("client thread");
         match id {
             "ok-daxpy" | "ok-triad" => {
                 assert_eq!(resp.exit_code, 0, "{id}: {:?}", resp.error());
@@ -73,6 +101,16 @@ fn concurrent_requests_are_isolated() {
                 assert_eq!(resp.progress_count(), 1, "{id} runs its one kernel");
                 let report = resp.report().expect("healthy run has a report");
                 assert_eq!(report["all_passed"].as_bool(), Some(true), "{id}");
+                assert!(
+                    report["profile"]["globals"]
+                        .get("fault.injected_total")
+                        .is_none(),
+                    "{id}: a neighbor's faults must not reach a clean run"
+                );
+                assert!(
+                    !after_stalled,
+                    "{id} must finish while the stalled request runs"
+                );
             }
             "bad-panic" | "bad-hang" => {
                 assert_eq!(resp.exit_code, 5, "{id} exits kernel_failures");
@@ -88,6 +126,14 @@ fn concurrent_requests_are_isolated() {
             other => unreachable!("{other}"),
         }
     }
+    // The stall fails nothing: the faulty run passes, and owns its fault.
+    let resp = stalled.join().expect("stalled client thread");
+    assert_eq!(resp.exit_code, 0, "{:?}", resp.error());
+    let report = resp.report().expect("stalled run has a report");
+    assert_eq!(
+        report["profile"]["globals"]["fault.injected_total"].as_i64(),
+        Some(1)
+    );
     shutdown_and_wait(daemon, &root);
 }
 
