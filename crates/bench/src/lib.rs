@@ -1,5 +1,5 @@
 //! Experiment harness support: shared helpers for the per-figure/table
-//! binaries in `src/bin/` and the Criterion benches in `benches/`.
+//! binaries in `src/bin/`.
 //!
 //! Every binary regenerates one table or figure of the paper (see
 //! DESIGN.md's experiment index): it prints the same rows/series the paper

@@ -44,7 +44,7 @@
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut, Index, IndexMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 pub mod occupancy;
 pub mod sanitizer;
@@ -534,28 +534,21 @@ where
 }
 
 /// Whether [`launch_1d`] must take its generic block-structured path even
-/// when the fast-path conditions hold. Seeded from the `GPUSIM_GENERIC_LAUNCH`
-/// environment variable (any value but `0`); toggled at runtime with
-/// [`force_generic_launch`] (the fast-path equivalence tests flip it to
-/// compare both paths in one process).
-fn generic_launch_flag() -> &'static std::sync::atomic::AtomicBool {
-    static FORCE: std::sync::OnceLock<std::sync::atomic::AtomicBool> = std::sync::OnceLock::new();
-    FORCE.get_or_init(|| {
-        let from_env = std::env::var_os("GPUSIM_GENERIC_LAUNCH").is_some_and(|v| v != "0");
-        std::sync::atomic::AtomicBool::new(from_env)
-    })
-}
+/// when the fast-path conditions hold; toggled with [`force_generic_launch`]
+/// (the fast-path equivalence tests flip it to compare both paths in one
+/// process).
+static FORCE_GENERIC_LAUNCH: AtomicBool = AtomicBool::new(false);
 
 /// True when the 1-D fast path is disabled (see [`force_generic_launch`]).
 pub fn generic_launch_forced() -> bool {
-    generic_launch_flag().load(Ordering::Relaxed)
+    FORCE_GENERIC_LAUNCH.load(Ordering::Relaxed)
 }
 
 /// Force (or re-allow) the generic block-structured path in [`launch_1d`].
 /// At pool width 1 the fast path and the generic path produce
 /// bitwise-identical results; this switch exists so tests can prove that.
 pub fn force_generic_launch(on: bool) {
-    generic_launch_flag().store(on, Ordering::Relaxed);
+    FORCE_GENERIC_LAUNCH.store(on, Ordering::Relaxed);
 }
 
 /// Convenience: launch a 1-D grid-mapped kernel where each thread handles at
@@ -573,8 +566,8 @@ pub fn force_generic_launch(on: bool) {
 /// count them as launched). Work is chunked deterministically across the
 /// rayon pool; with a one-thread pool both paths degrade to the same
 /// strictly in-order `0..n` sweep, so results are bitwise identical there
-/// (set `GPUSIM_GENERIC_LAUNCH=1` or call [`force_generic_launch`] to
-/// compare — the equivalence tests do exactly that).
+/// (call [`force_generic_launch`] to compare — the equivalence tests do
+/// exactly that).
 pub fn launch_1d<F>(n: usize, block_size: usize, body: F)
 where
     F: Fn(usize) + Sync,

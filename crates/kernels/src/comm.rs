@@ -488,7 +488,7 @@ fn run_exchange(n: usize, reps: usize, variant: VariantId, bs: usize, fused: boo
 
 /// The full pack → exchange → unpack pipeline over an explicit 1-D rank
 /// decomposition (`[nranks, 1, 1]`, periodic). Public for the §IV
-/// rank-decomposition ablation (benches and parity tests).
+/// rank-decomposition ablation (the ledger and parity tests).
 ///
 /// With `uniform_init` every rank starts from identical (rank-independent)
 /// grids; since the decomposition is periodic and all ranks run the same

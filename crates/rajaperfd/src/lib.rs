@@ -10,13 +10,11 @@
 //! streams per-kernel progress events back to each client as its campaign
 //! advances ([`server`]).
 //!
-//! Completed results persist in a content-addressed [`store`]: the key
-//! hashes everything that determines a run's outcome — kernel/variant/
-//! size/reps selection, fault spec, execution policy, and the build
-//! fingerprint ([`suite::code_version`]) — so an identical request is
-//! served from the store without re-executing a single kernel, and a
-//! rebuilt binary can never be answered with a stale profile. Writes are
-//! atomic; reads verify the embedded key and quarantine corruption.
+//! Completed results persist in a content-addressed [`store`] of
+//! [`suite::record`] result records — the same key, encoding and verified
+//! read as the sweep's cell cache — so an identical request is served from
+//! the store without re-executing a single kernel, and a rebuilt binary can
+//! never be answered with a stale profile.
 //!
 //! Overload is a typed answer, not a stall: the request queue is bounded
 //! and admission control rejects excess work with `queue_full`. Shutdown

@@ -27,6 +27,7 @@
 //! `done.exit_code` mirrors the [`SuiteExit`] taxonomy, so scripted clients
 //! branch on codes, not message text.
 
+use crate::store::StoreStats;
 use serde_json::{json, Value};
 use suite::SuiteExit;
 
@@ -147,8 +148,8 @@ impl Request {
     /// Parse one request line. `fallback_id` names the request when the
     /// client sent none (the server passes a connection counter).
     pub fn parse(line: &str, fallback_id: &str) -> Result<Request, String> {
-        let v: Value = serde_json::from_str(line)
-            .map_err(|e| format!("request is not valid JSON: {e}"))?;
+        let v: Value =
+            serde_json::from_str(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
         let kind = v
             .get("kind")
             .and_then(Value::as_str)
@@ -213,6 +214,47 @@ impl Request {
     }
 }
 
+/// Build the `pong` reply to a `ping`: the serving build's version.
+pub fn ev_pong(id: &str) -> Value {
+    json!({"event": "pong", "id": id, "version": suite::code_version()})
+}
+
+/// Build the `stats` reply: store and queue counters.
+pub fn ev_stats(
+    id: &str,
+    store: StoreStats,
+    queue_depth: usize,
+    queue_capacity: usize,
+    served: u64,
+    rejected: u64,
+) -> Value {
+    json!({
+        "event": "stats",
+        "id": id,
+        "store": json!({
+            "hits": store.hits,
+            "misses": store.misses,
+            "stores": store.stores,
+            "quarantined": store.quarantined,
+        }),
+        "queue_depth": queue_depth,
+        "queue_capacity": queue_capacity,
+        "served": served,
+        "rejected": rejected,
+    })
+}
+
+/// Build the `shutting_down` reply to a `shutdown`.
+pub fn ev_shutting_down(id: &str) -> Value {
+    json!({"event": "shutting_down", "id": id})
+}
+
+/// Build a `cached` event: the result that follows is replayed from the
+/// store object `store_key`.
+pub fn ev_cached(id: &str, store_key: &str) -> Value {
+    json!({"event": "cached", "id": id, "store_key": store_key})
+}
+
 /// Build an `accepted` event.
 pub fn ev_accepted(id: &str, queue_depth: usize) -> Value {
     json!({"event": "accepted", "id": id, "queue_depth": queue_depth})
@@ -237,15 +279,12 @@ pub fn ev_progress(id: &str, p: &suite::KernelProgress) -> Value {
 }
 
 /// Build a `result` event carrying the (possibly cached) stored record.
-pub fn ev_result(id: &str, cached: bool, store_key: Option<&str>, report: Value) -> Value {
+pub fn ev_result(id: &str, cached: bool, store_key: Option<&str>, report: &Value) -> Value {
     json!({
         "event": "result",
         "id": id,
         "cached": cached,
-        "store_key": match store_key {
-            Some(h) => Value::String(h.to_string()),
-            None => Value::Null,
-        },
+        "store_key": store_key,
         "report": report,
     })
 }

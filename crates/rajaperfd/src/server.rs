@@ -36,6 +36,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
+use suite::record::{campaign_key, read_json, RunRecord, Verified};
 use suite::{RunParams, SuiteExit, SuiteReport};
 
 /// Most ranks a daemon-served sweep may request: each rank is a worker
@@ -54,7 +55,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Unix socket path to listen on (created fresh; a stale file is
-    /// removed first).
+    /// replaced).
     pub socket: PathBuf,
     /// Root of the content-addressed profile store.
     pub store_dir: PathBuf,
@@ -110,23 +111,45 @@ pub struct Daemon {
 fn send(stream: &UnixStream, event: &Value) {
     let mut line = event.to_string();
     line.push('\n');
-    let _ = (&*stream).write_all(line.as_bytes()).and_then(|_| (&*stream).flush());
+    let _ = (&*stream)
+        .write_all(line.as_bytes())
+        .and_then(|_| (&*stream).flush());
+}
+
+/// Why a request failed: the typed code and its message.
+type Failure = (ErrorCode, String);
+
+/// The one terminal reply path: the typed `error` event if the request
+/// failed, then `done` with the exit code that outcome maps to.
+fn finish(stream: &UnixStream, id: &str, outcome: Result<(), Failure>) {
+    let exit = match outcome {
+        Ok(()) => SuiteExit::Success,
+        Err((code, message)) => {
+            send(stream, &proto::ev_error(id, code, &message));
+            code.exit()
+        }
+    };
+    send(stream, &proto::ev_done(id, exit));
 }
 
 impl Daemon {
     /// Bind the socket, open the store, and start the accept and worker
     /// threads. Returns once the daemon is accepting connections.
     pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
-        if config.socket.exists() {
-            std::fs::remove_file(&config.socket)?;
-        }
         if let Some(parent) = config.socket.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
         let store = ProfileStore::open(&config.store_dir)?;
-        let listener = UnixListener::bind(&config.socket)?;
+        // `bind` creates the socket file before `listen` makes it
+        // connectable, and clients take "the file exists" for "the daemon
+        // accepts": listen under a scratch name, then rename into place
+        // (which also replaces a stale file).
+        let scratch = config.socket.with_extension("tmp");
+        let _ = std::fs::remove_file(&scratch);
+        let listener = UnixListener::bind(&scratch)?;
+        std::fs::rename(&scratch, &config.socket)?;
         let shared = Arc::new(Shared {
             store,
             queue: Mutex::labeled(VecDeque::new(), "rajaperfd.queue"),
@@ -204,83 +227,59 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let fallback = format!("req-{}", shared.req_seq.fetch_add(1, Ordering::Relaxed));
     let mut line = String::new();
-    if BufReader::new(&stream).read_line(&mut line).is_err() || line.trim().is_empty() {
-        send(
-            &stream,
-            &proto::ev_error(&fallback, ErrorCode::Usage, "no request line received"),
-        );
-        send(&stream, &proto::ev_done(&fallback, SuiteExit::Usage));
-        return;
-    }
-    let _ = stream.set_read_timeout(None);
-    let req = match Request::parse(line.trim(), &fallback) {
-        Ok(r) => r,
-        Err(e) => {
-            send(&stream, &proto::ev_error(&fallback, ErrorCode::Usage, &e));
-            send(&stream, &proto::ev_done(&fallback, SuiteExit::Usage));
-            return;
-        }
+    let req = match BufReader::new(&stream).read_line(&mut line) {
+        Ok(_) if !line.trim().is_empty() => Request::parse(line.trim(), &fallback),
+        _ => Err("no request line received".to_string()),
     };
+    let req = match req {
+        Ok(req) => req,
+        Err(e) => return finish(&stream, &fallback, Err((ErrorCode::Usage, e))),
+    };
+    let _ = stream.set_read_timeout(None);
     let id = req.id().to_string();
-    match req {
+    let outcome = match req {
         Request::Ping { .. } => {
-            send(
-                &stream,
-                &json!({"event": "pong", "id": id, "version": suite::code_version()}),
-            );
-            send(&stream, &proto::ev_done(&id, SuiteExit::Success));
+            send(&stream, &proto::ev_pong(&id));
+            Ok(())
         }
         Request::Stats { .. } => {
-            let s = shared.store.stats();
-            send(
-                &stream,
-                &json!({
-                    "event": "stats",
-                    "id": id,
-                    "store": json!({
-                        "hits": s.hits,
-                        "misses": s.misses,
-                        "stores": s.stores,
-                        "quarantined": s.quarantined,
-                    }),
-                    "queue_depth": lock(&shared.queue).len(),
-                    "queue_capacity": shared.capacity,
-                    "served": shared.served.load(Ordering::Relaxed),
-                    "rejected": shared.rejected.load(Ordering::Relaxed),
-                }),
+            let stats = proto::ev_stats(
+                &id,
+                shared.store.stats(),
+                lock(&shared.queue).len(),
+                shared.capacity,
+                shared.served.load(Ordering::Relaxed),
+                shared.rejected.load(Ordering::Relaxed),
             );
-            send(&stream, &proto::ev_done(&id, SuiteExit::Success));
+            send(&stream, &stats);
+            Ok(())
         }
         Request::Shutdown { .. } => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.queue_cv.notify_all();
-            send(&stream, &json!({"event": "shutting_down", "id": id}));
-            send(&stream, &proto::ev_done(&id, SuiteExit::Success));
+            send(&stream, &proto::ev_shutting_down(&id));
+            Ok(())
         }
         req @ (Request::Run { .. } | Request::Sweep { .. } | Request::Analyze { .. }) => {
-            // Admission control: a full queue is an immediate typed
-            // rejection, not a stall.
             let mut queue = lock(&shared.queue);
-            if queue.len() >= shared.capacity {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
+            if queue.len() < shared.capacity {
+                send(&stream, &proto::ev_accepted(&id, queue.len()));
+                queue.push_back(Job { req, stream });
                 drop(queue);
-                send(
-                    &stream,
-                    &proto::ev_error(
-                        &id,
-                        ErrorCode::QueueFull,
-                        &format!("request queue is full ({} queued)", shared.capacity),
-                    ),
-                );
-                send(&stream, &proto::ev_done(&id, SuiteExit::Unavailable));
+                shared.queue_cv.notify_one();
+                // The worker that executes the job finishes it.
                 return;
             }
-            send(&stream, &proto::ev_accepted(&id, queue.len()));
-            queue.push_back(Job { req, stream });
-            drop(queue);
-            shared.queue_cv.notify_one();
+            // Admission control: a full queue is an immediate typed
+            // rejection, not a stall.
+            shared.rejected.fetch_add(1, Ordering::Relaxed);
+            Err((
+                ErrorCode::QueueFull,
+                format!("request queue is full ({} queued)", shared.capacity),
+            ))
         }
-    }
+    };
+    finish(&stream, &id, outcome);
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -313,24 +312,24 @@ fn execute_job(job: Job, shared: &Arc<Shared>) {
     let id = job.req.id().to_string();
     let stream = job.stream;
     send(&stream, &proto::ev_started(&id));
-    match job.req {
+    let outcome = match job.req {
         Request::Run { argv, .. } => execute_run(&id, &argv, &stream, shared),
         Request::Sweep { argv, .. } => execute_sweep(&id, &argv, &stream),
         Request::Analyze { dir, metric, .. } => {
             execute_analyze(&id, &dir, &metric, &stream, shared)
         }
         // Control requests never reach the queue.
-        Request::Ping { .. } | Request::Stats { .. } | Request::Shutdown { .. } => {}
-    }
+        Request::Ping { .. } | Request::Stats { .. } | Request::Shutdown { .. } => return,
+    };
+    finish(&stream, &id, outcome);
 }
 
 /// Parse and daemon-validate campaign argv. Flags whose collectors are
 /// process-global (event trace, lock-order) or that write server-side files
 /// the client never named (free-form Caliper specs) are refused as
 /// `unsupported` — the profile comes back inline in the result instead.
-fn parse_campaign(argv: &[String]) -> Result<RunParams, (ErrorCode, String)> {
-    let params =
-        RunParams::parse(argv).map_err(|e| (ErrorCode::Usage, e))?;
+fn parse_campaign(argv: &[String]) -> Result<RunParams, Failure> {
+    let params = RunParams::parse(argv).map_err(|e| (ErrorCode::Usage, e))?;
     if params.caliper_spec.is_some() {
         return Err((
             ErrorCode::Unsupported,
@@ -360,153 +359,89 @@ fn parse_campaign(argv: &[String]) -> Result<RunParams, (ErrorCode, String)> {
     Ok(params)
 }
 
-/// The content-addressed store key of a run request: everything that
-/// determines its results, in canonical (sorted-key) JSON. Mirrors the
-/// sweep cell key and, like it, folds in [`suite::code_version`] so a
-/// rebuild is a cache miss, never a stale hit.
+/// The content-addressed store key of a run request: the run's
+/// [`campaign_key`] — the value a sweep cell of the same parameters is keyed
+/// by — tagged with the request kind.
 pub fn run_key(params: &RunParams) -> Value {
-    let kernels: Vec<Value> = params
-        .selected_kernels()
-        .iter()
-        .filter(|k| k.info().variants.contains(&params.variant))
-        .map(|k| {
-            let info = k.info();
-            json!({
-                "kernel": info.name,
-                "size": params.problem_size(&info),
-                "reps": params.reps(&info),
-            })
-        })
-        .collect();
-    json!({
-        "kind": "run",
-        "code_version": suite::code_version(),
-        "variant": params.variant.name(),
-        "gpu_block_size": params.tuning.gpu_block_size,
-        "kernels": Value::Array(kernels),
-        "faults": match &params.faults {
-            Some(s) => Value::String(s.clone()),
-            None => Value::Null,
-        },
-        "sanitize": params.sanitize,
-        "timeout_ms": match params.timeout {
-            Some(d) => Value::from(d.as_millis() as u64),
-            None => Value::Null,
-        },
-        "retries": params.max_retries,
-    })
+    let mut key = campaign_key(params);
+    if let Value::Object(fields) = &mut key {
+        fields.insert("kind".to_string(), json!("run"));
+    }
+    key
 }
 
-/// Serialize a [`SuiteReport`] for the wire and the store.
+/// Serialize a [`SuiteReport`] for the wire and the store: the run's
+/// [`RunRecord`] with the profile inline.
 fn report_value(report: &SuiteReport) -> Value {
-    let profile: Value = serde_json::from_str(&report.profile.to_json())
-        .unwrap_or(Value::Null);
-    json!({
-        "variant": report.variant.name(),
-        "all_passed": report.all_passed(),
-        "entries": Value::Array(
-            report
-                .entries
-                .iter()
-                .map(|e| {
-                    json!({
-                        "kernel": e.kernel.clone(),
-                        "size": e.problem_size,
-                        "reps": e.reps,
-                        "time_per_rep_s": e.result.time_per_rep(),
-                        "checksum": e.result.checksum,
-                    })
-                })
-                .collect()
-        ),
-        "outcomes": Value::Array(
-            report
-                .outcomes
-                .iter()
-                .map(|o| {
-                    json!({
-                        "kernel": o.kernel.clone(),
-                        "outcome": o.outcome.label(),
-                        "detail": o.outcome.detail(),
-                    })
-                })
-                .collect()
-        ),
-        "profile": profile,
-    })
+    let mut value = json!(RunRecord::of(report));
+    if let Value::Object(fields) = &mut value {
+        fields.insert("profile".to_string(), json!(report.profile));
+    }
+    value
 }
 
-fn execute_run(id: &str, argv: &[String], stream: &UnixStream, shared: &Arc<Shared>) {
-    let params = match parse_campaign(argv) {
-        Ok(p) => p,
-        Err((code, msg)) => {
-            send(stream, &proto::ev_error(id, code, &msg));
-            send(stream, &proto::ev_done(id, code.exit()));
-            return;
-        }
-    };
+/// Answer from the store: a `cached` marker, then the stored report as the
+/// result — byte for byte what the miss that wrote `record` sent, with
+/// nothing re-executed and no progress events.
+fn replay(id: &str, stream: &UnixStream, key: &Value, record: &Value) {
+    let hash = ProfileStore::key_hash(key);
+    let report = record.get("report").unwrap_or(&Value::Null);
+    send(stream, &proto::ev_cached(id, &hash));
+    send(stream, &proto::ev_result(id, true, Some(&hash), report));
+}
+
+/// The `store_key` of a freshly stored result. A failed store write costs
+/// the next identical request a miss, not this one its answer: log it and
+/// reply without a key.
+fn stored(id: &str, put: std::io::Result<String>) -> Option<String> {
+    put.map_err(|e| eprintln!("rajaperfd: store write failed for {id}: {e}"))
+        .ok()
+}
+
+fn execute_run(
+    id: &str,
+    argv: &[String],
+    stream: &UnixStream,
+    shared: &Arc<Shared>,
+) -> Result<(), Failure> {
+    let params = parse_campaign(argv)?;
     if params.sweep {
-        let msg = "use kind=sweep for --sweep campaigns".to_string();
-        send(stream, &proto::ev_error(id, ErrorCode::Usage, &msg));
-        send(stream, &proto::ev_done(id, SuiteExit::Usage));
-        return;
+        return Err((
+            ErrorCode::Usage,
+            "use kind=sweep for --sweep campaigns".into(),
+        ));
     }
-
-    // Served from the store: no kernel re-executes, no progress events —
-    // the result is the previously measured record, byte for byte.
     let key = run_key(&params);
-    let hash = ProfileStore::key_hash(&key);
     if let Some(record) = shared.store.get(&key) {
-        let report = record.get("report").cloned().unwrap_or(Value::Null);
-        send(stream, &json!({"event": "cached", "id": id, "store_key": hash.clone()}));
-        send(stream, &proto::ev_result(id, true, Some(&hash), report));
-        send(stream, &proto::ev_done(id, SuiteExit::Success));
-        return;
+        replay(id, stream, &key, &record);
+        return Ok(());
     }
-
-    let report = match run_contained(id, &params, stream) {
-        Ok(r) => r,
-        Err((code, msg)) => {
-            send(stream, &proto::ev_error(id, code, &msg));
-            send(stream, &proto::ev_done(id, code.exit()));
-            return;
-        }
-    };
+    let report = run_contained(id, &params, stream)?;
     let rv = report_value(&report);
     // Cache only clean results: a genuine (un-injected) failure is not a
     // reproducible fact, and a faulty run's value is exercising the
     // injection, not replaying a cached answer.
-    let stored = if report.all_passed() {
-        match shared.store.put(&key, json!({"report": rv.clone()})) {
-            Ok(h) => Some(h),
-            Err(e) => {
-                eprintln!("rajaperfd: store write failed for {id}: {e}");
-                None
-            }
-        }
-    } else {
-        None
-    };
-    send(stream, &proto::ev_result(id, false, stored.as_deref(), rv));
+    let store_key = report
+        .all_passed()
+        .then(|| shared.store.put(&key, json!({"report": rv})))
+        .and_then(|put| stored(id, put));
+    send(
+        stream,
+        &proto::ev_result(id, false, store_key.as_deref(), &rv),
+    );
     if report.all_passed() {
-        send(stream, &proto::ev_done(id, SuiteExit::Success));
-    } else {
-        let failed: Vec<String> = report
-            .outcomes
-            .iter()
-            .filter(|o| !o.outcome.is_pass())
-            .map(|o| format!("{} {}", o.kernel, o.outcome.label()))
-            .collect();
-        send(
-            stream,
-            &proto::ev_error(
-                id,
-                ErrorCode::KernelFailures,
-                &format!("kernel failure(s): {}", failed.join(", ")),
-            ),
-        );
-        send(stream, &proto::ev_done(id, SuiteExit::KernelFailures));
+        return Ok(());
     }
+    let failed: Vec<String> = report
+        .outcomes
+        .iter()
+        .filter(|o| !o.outcome.is_pass())
+        .map(|o| format!("{} {}", o.kernel, o.outcome.label()))
+        .collect();
+    Err((
+        ErrorCode::KernelFailures,
+        format!("kernel failure(s): {}", failed.join(", ")),
+    ))
 }
 
 /// Execute the campaign, streaming its progress to the client.
@@ -514,7 +449,7 @@ fn run_contained(
     id: &str,
     params: &RunParams,
     stream: &UnixStream,
-) -> Result<SuiteReport, (ErrorCode, String)> {
+) -> Result<SuiteReport, Failure> {
     let progress = |p: &suite::KernelProgress| send(stream, &proto::ev_progress(id, p));
     // Per-kernel isolation (catch_unwind + watchdog) lives inside
     // run_suite; a panic escaping it would be a runner bug. Contain even
@@ -531,67 +466,37 @@ fn run_contained(
     })
 }
 
-fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) {
-    let params = match parse_campaign(argv) {
-        Ok(p) => p,
-        Err((code, msg)) => {
-            send(stream, &proto::ev_error(id, code, &msg));
-            send(stream, &proto::ev_done(id, code.exit()));
-            return;
-        }
-    };
+fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), Failure> {
+    let params = parse_campaign(argv)?;
     if !params.sweep {
-        let msg = "kind=sweep requires --sweep".to_string();
-        send(stream, &proto::ev_error(id, ErrorCode::Usage, &msg));
-        send(stream, &proto::ev_done(id, SuiteExit::Usage));
-        return;
+        return Err((ErrorCode::Usage, "kind=sweep requires --sweep".into()));
     }
     if params.sweep_dir.is_none() {
         // Concurrent sweeps into the shared default directory would race;
         // the daemon insists each sweep names its own.
-        let msg = "daemon sweeps require an explicit --sweep-dir".to_string();
-        send(stream, &proto::ev_error(id, ErrorCode::Usage, &msg));
-        send(stream, &proto::ev_done(id, SuiteExit::Usage));
-        return;
+        return Err((
+            ErrorCode::Usage,
+            "daemon sweeps require an explicit --sweep-dir".into(),
+        ));
     }
     if params.ranks > MAX_SWEEP_RANKS {
         // Each rank — a thread of this daemon or a child process it
         // supervises, per --rank-isolation — holds a full suite execution
         // context; a shared daemon serves many clients, so it admits far
         // fewer ranks per sweep than the CLI allows.
-        let msg = format!(
-            "daemon sweeps accept at most --ranks {MAX_SWEEP_RANKS} (requested {})",
-            params.ranks
-        );
-        send(stream, &proto::ev_error(id, ErrorCode::Unsupported, &msg));
-        send(stream, &proto::ev_done(id, SuiteExit::Usage));
-        return;
+        return Err((
+            ErrorCode::Unsupported,
+            format!(
+                "daemon sweeps accept at most --ranks {MAX_SWEEP_RANKS} (requested {})",
+                params.ranks
+            ),
+        ));
     }
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| suite::run_sweep(&params)));
-    let summary = match result {
-        Ok(Ok(summary)) => summary,
-        Ok(Err(e)) => {
-            send(
-                stream,
-                &proto::ev_error(id, ErrorCode::Internal, &format!("sweep failed: {e}")),
-            );
-            send(stream, &proto::ev_done(id, SuiteExit::Internal));
-            return;
-        }
-        Err(p) => {
-            send(
-                stream,
-                &proto::ev_error(
-                    id,
-                    ErrorCode::Internal,
-                    &format!("sweep panicked: {}", suite::exec::panic_message(&*p)),
-                ),
-            );
-            send(stream, &proto::ev_done(id, SuiteExit::Internal));
-            return;
-        }
-    };
+    let summary =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| suite::run_sweep(&params)))
+            .map_err(|p| format!("sweep panicked: {}", suite::exec::panic_message(&*p)))
+            .and_then(|swept| swept.map_err(|e| format!("sweep failed: {e}")))
+            .map_err(|message| (ErrorCode::Internal, message))?;
     let report = json!({
         "dir": summary.dir.display().to_string(),
         "manifest": summary.manifest.display().to_string(),
@@ -599,13 +504,7 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) {
         "ranks": params.ranks,
         "isolation": params.rank_isolation.name(),
         "restart_budget": params.rank_restarts,
-        "rank_restarts": Value::Array(
-            summary
-                .rank_restarts
-                .iter()
-                .map(|&r| Value::from(u64::from(r)))
-                .collect()
-        ),
+        "rank_restarts": summary.rank_restarts,
         "casualties": Value::Array(
             summary
                 .casualties
@@ -652,19 +551,13 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) {
                 .collect()
         ),
     });
-    send(stream, &proto::ev_result(id, false, None, report));
-    if summary.kernels_failed() == 0 {
-        send(stream, &proto::ev_done(id, SuiteExit::Success));
-    } else {
-        send(
-            stream,
-            &proto::ev_error(
-                id,
-                ErrorCode::KernelFailures,
-                &format!("{} kernel failure(s) across sweep cells", summary.kernels_failed()),
-            ),
-        );
-        send(stream, &proto::ev_done(id, SuiteExit::KernelFailures));
+    send(stream, &proto::ev_result(id, false, None, &report));
+    match summary.kernels_failed() {
+        0 => Ok(()),
+        n => Err((
+            ErrorCode::KernelFailures,
+            format!("{n} kernel failure(s) across sweep cells"),
+        )),
     }
 }
 
@@ -690,24 +583,21 @@ impl AnalyzeSource {
     /// silently; `Err` is a skip with a reason.
     fn load(&self) -> Result<Option<thicket::ProfileData>, String> {
         match self {
-            AnalyzeSource::File(path, _) => {
-                let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-                thicket::ProfileData::from_caliper_json(&text)
-                    .map(Some)
-                    .map_err(|e| e.to_string())
-            }
+            AnalyzeSource::File(path, _) => thicket::ProfileData::read_file(path)
+                .map(Some)
+                .map_err(|e| e.to_string()),
             AnalyzeSource::StoreObject(path, _) => {
-                let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-                let record: Value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-                let Some(profile) = record.get("report").and_then(|r| r.get("profile")) else {
-                    return Ok(None);
+                let Verified::Hit(record) = read_json(path) else {
+                    return Err(format!("{}: not an intact record", path.display()));
                 };
-                if profile.is_null() {
-                    return Ok(None);
+                match record.get("report").and_then(|r| r.get("profile")) {
+                    Some(profile) if !profile.is_null() => {
+                        thicket::ProfileData::from_caliper_value(profile)
+                            .map(Some)
+                            .map_err(|e| e.to_string())
+                    }
+                    _ => Ok(None),
                 }
-                thicket::ProfileData::from_caliper_json(&profile.to_string())
-                    .map(Some)
-                    .map_err(|e| e.to_string())
             }
         }
     }
@@ -724,7 +614,9 @@ fn analyze_sources(dir: &str, store: &ProfileStore) -> Result<Vec<AnalyzeSource>
         let shards = std::fs::read_dir(&objects)
             .map_err(|e| format!("cannot read {}: {e}", objects.display()))?;
         for shard in shards.flatten() {
-            let Ok(files) = std::fs::read_dir(shard.path()) else { continue };
+            let Ok(files) = std::fs::read_dir(shard.path()) else {
+                continue;
+            };
             for f in files.flatten() {
                 let path = f.path();
                 if path.extension().is_some_and(|e| e == "json") {
@@ -739,15 +631,13 @@ fn analyze_sources(dir: &str, store: &ProfileStore) -> Result<Vec<AnalyzeSource>
         }
     } else {
         let dir = Path::new(dir);
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        let entries =
+            std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
         for entry in entries.flatten() {
             let path = entry.path();
             if path.to_string_lossy().ends_with(".cali.json") {
                 let fp = match std::fs::read(&path) {
-                    Ok(bytes) => {
-                        crate::store::content_hash(&String::from_utf8_lossy(&bytes))
-                    }
+                    Ok(bytes) => crate::store::content_hash(&String::from_utf8_lossy(&bytes)),
                     // Unreadable now: fingerprint the failure so the miss
                     // re-attempts (and re-reports) rather than caching it.
                     Err(e) => crate::store::content_hash(&format!("unreadable:{e}")),
@@ -778,26 +668,22 @@ fn analyze_key(metric: &str, sources: &[AnalyzeSource]) -> Value {
     })
 }
 
-fn execute_analyze(id: &str, dir: &str, metric: &str, stream: &UnixStream, shared: &Arc<Shared>) {
-    let sources = match analyze_sources(dir, &shared.store) {
-        Ok(s) => s,
-        Err(msg) => {
-            send(stream, &proto::ev_error(id, ErrorCode::Internal, &msg));
-            send(stream, &proto::ev_done(id, SuiteExit::Internal));
-            return;
-        }
-    };
+fn execute_analyze(
+    id: &str,
+    dir: &str,
+    metric: &str,
+    stream: &UnixStream,
+    shared: &Arc<Shared>,
+) -> Result<(), Failure> {
+    let sources =
+        analyze_sources(dir, &shared.store).map_err(|message| (ErrorCode::Internal, message))?;
 
     // A corpus already analyzed under this build + engine + metric is a
     // pure replay: no JSON re-parse, no re-composition, no aggregation.
     let key = analyze_key(metric, &sources);
-    let hash = ProfileStore::key_hash(&key);
     if let Some(record) = shared.store.get_derived(&key) {
-        let report = record.get("report").cloned().unwrap_or(Value::Null);
-        send(stream, &json!({"event": "cached", "id": id, "store_key": hash.clone()}));
-        send(stream, &proto::ev_result(id, true, Some(&hash), report));
-        send(stream, &proto::ev_done(id, SuiteExit::Success));
-        return;
+        replay(id, stream, &key, &record);
+        return Ok(());
     }
 
     // Stream the corpus through the incremental ingester one profile at a
@@ -814,16 +700,7 @@ fn execute_analyze(id: &str, dir: &str, metric: &str, stream: &UnixStream, share
     }
     let mut tk = session.finish();
     if tk.profiles.is_empty() {
-        send(
-            stream,
-            &proto::ev_error(
-                id,
-                ErrorCode::Internal,
-                &format!("no usable profiles in {dir}"),
-            ),
-        );
-        send(stream, &proto::ev_done(id, SuiteExit::Internal));
-        return;
+        return Err((ErrorCode::Internal, format!("no usable profiles in {dir}")));
     }
     let mean = tk.stats(metric, thicket::Stat::Mean);
     let mn = tk.stats(metric, thicket::Stat::Min);
@@ -849,51 +726,76 @@ fn execute_analyze(id: &str, dir: &str, metric: &str, stream: &UnixStream, share
         "metric": metric,
         "table": Value::Array(rows),
     });
-    let stored = match shared.store.put_derived(&key, json!({"report": report.clone()})) {
-        Ok(h) => Some(h),
-        Err(e) => {
-            eprintln!("rajaperfd: store write failed for {id}: {e}");
-            None
-        }
-    };
-    send(stream, &proto::ev_result(id, false, stored.as_deref(), report));
-    send(stream, &proto::ev_done(id, SuiteExit::Success));
+    let store_key = stored(
+        id,
+        shared.store.put_derived(&key, json!({"report": report})),
+    );
+    send(
+        stream,
+        &proto::ev_result(id, false, store_key.as_deref(), &report),
+    );
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn params(cli: &str) -> RunParams {
+        let argv: Vec<String> = cli.split_whitespace().map(str::to_string).collect();
+        RunParams::parse(&argv).unwrap()
+    }
+
     #[test]
-    fn run_key_is_canonical_and_build_versioned() {
-        let a = RunParams::parse(&[
-            "--kernels".to_string(),
-            "Basic_DAXPY".to_string(),
-            "--size".to_string(),
-            "1000".to_string(),
-        ])
-        .unwrap();
-        // Same campaign spelled differently (duplicate name) → same key.
-        let b = RunParams::parse(&[
-            "--kernels".to_string(),
-            "Basic_DAXPY,Basic_DAXPY".to_string(),
-            "--size".to_string(),
-            "1000".to_string(),
-        ])
-        .unwrap();
-        assert_eq!(run_key(&a), run_key(&b));
-        assert_eq!(
-            run_key(&a)["code_version"].as_str(),
-            Some(suite::code_version())
+    fn run_key_is_the_campaign_key_tagged_run_at_an_unmoved_address() {
+        let p = params(
+            "--kernels Basic_DAXPY,Stream_TRIAD --variant RAJA_SimGpu --size 1000 --reps 2 \
+             --gpu-block-size 128 --faults suite.kernel=err:0.5,seed=3 --retries 5 --timeout 1.5",
         );
-        // Different size → different key.
-        let c = RunParams {
-            explicit_size: Some(2000),
-            ..a.clone()
+        let Value::Object(mut fields) = run_key(&p) else {
+            panic!("a key is an object");
         };
-        assert_ne!(
-            ProfileStore::key_hash(&run_key(&a)),
-            ProfileStore::key_hash(&run_key(&c))
+        // Store addresses do not move: with the build pinned, this request
+        // hashes to what the build before `suite::record` computed for it.
+        fields.insert("code_version".to_string(), json!("pinned"));
+        assert_eq!(
+            ProfileStore::key_hash(&Value::Object(fields.clone())),
+            "1907073da2911df1ebc03de0615ab726"
         );
+        // And the key is the one a sweep cell of this run is cached under,
+        // plus the request kind.
+        fields.insert("code_version".to_string(), json!(suite::code_version()));
+        assert_eq!(fields.remove("kind"), Some(json!("run")));
+        assert_eq!(Value::Object(fields), campaign_key(&p));
+    }
+
+    #[test]
+    fn the_inline_profile_prints_as_its_text_form_parsed_back() {
+        // `report_value` used to print the profile with `to_json` and parse
+        // the text back into a tree; it now builds the tree directly. The
+        // two trees must print the same compact text — what goes on the
+        // wire and into the store — for real profiles of every variant,
+        // fault-armed ones (the gated `fault.*` globals) included.
+        for (i, variant) in kernels::VariantId::all().into_iter().enumerate() {
+            let faults = if i == 1 {
+                "--faults suite.kernel=stall(1),seed=1"
+            } else {
+                ""
+            };
+            let report = suite::run_suite(&params(&format!(
+                "--kernels Basic_DAXPY,Basic_REDUCE3_INT,Algorithm_SORT --size 1000 --reps 2 \
+                 --variant {} {faults}",
+                variant.name()
+            )));
+            let globals = &report.profile.globals;
+            assert_eq!(globals.contains_key("fault.injected_total"), i == 1);
+            let via_text: Value = serde_json::from_str(&report.profile.to_json()).unwrap();
+            assert_eq!(
+                report_value(&report)["profile"].to_string(),
+                via_text.to_string(),
+                "{}",
+                variant.name()
+            );
+        }
     }
 }

@@ -1,27 +1,18 @@
 //! The content-addressed profile store: the daemon's persistent cache of
-//! completed campaign results, generalizing the sweep's `cells/` cache.
+//! completed campaign results.
 //!
-//! An object's address is a stable 128-bit hash of its *key* — the
-//! canonical JSON of everything that determines a run's results: the build
-//! fingerprint ([`suite::code_version`]), variant, tuning, the (kernel,
-//! size, reps) list, the fault spec, and the execution policy. Canonical
-//! form comes for free: the vendored `serde_json` keeps objects as sorted
-//! maps, so equal keys serialize to equal bytes.
-//!
-//! Integrity model (same stance as the sweep cache):
-//!
-//! * Writes are atomic ([`caliper::write_atomic`]: temp + fsync + rename),
-//!   so a mid-write kill leaves either the old object or the new one.
-//! * Reads verify. The stored record carries its full key; a record whose
-//!   key does not match the request's (a hash collision, or a corrupt but
-//!   parseable file) is treated as a miss. A record that does not *parse*
-//!   is quarantined to `quarantine/` and re-run — corruption is never
-//!   trusted and never fatal.
+//! What a stored result is — its key, its encoding, when a read may be
+//! trusted and what happens to a torn file — is [`suite::record`]'s
+//! decision, shared with the sweep's cell cache. This module adds only the
+//! addressing: an object lives at a stable 128-bit hash of its key's
+//! canonical JSON, under `objects/` for run results or `derived/` for
+//! results computed from them, and four counters watch the traffic.
 
 use serde_json::Value;
 use simsched::sync::atomic::{AtomicU64, Ordering};
 use std::io;
 use std::path::{Path, PathBuf};
+use suite::record::{quarantine, read_verified, write_record, Verified};
 
 /// 64-bit FNV-1a over `bytes` from the given offset basis.
 fn fnv1a64(bytes: &[u8], offset: u64) -> u64 {
@@ -108,102 +99,61 @@ impl ProfileStore {
 
     fn path_in(&self, space: &str, hash: &str) -> PathBuf {
         let shard = hash.get(..2).unwrap_or("00");
-        self.root.join(space).join(shard).join(format!("{hash}.json"))
+        self.root
+            .join(space)
+            .join(shard)
+            .join(format!("{hash}.json"))
     }
 
     /// Look up the record stored under `key`. Returns the record only when
     /// it parses *and* its embedded key matches `key` byte for byte; a
     /// non-parsing file is quarantined first.
     pub fn get(&self, key: &Value) -> Option<Value> {
-        self.get_at(self.object_path(&Self::key_hash(key)), key)
+        self.get_in("objects", key)
     }
 
     /// [`ProfileStore::get`] against the derived space.
     pub fn get_derived(&self, key: &Value) -> Option<Value> {
-        self.get_at(self.derived_path(&Self::key_hash(key)), key)
+        self.get_in("derived", key)
     }
 
-    fn get_at(&self, path: PathBuf, key: &Value) -> Option<Value> {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        let record: Value = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(_) => {
-                // Torn or corrupted on disk: move it out of the address
-                // space so it is never consulted again, and miss.
-                if self.quarantine(&path).is_ok() {
+    fn get_in(&self, space: &str, key: &Value) -> Option<Value> {
+        let path = self.path_in(space, &Self::key_hash(key));
+        let found = match read_verified(&path, key) {
+            Verified::Hit(record) => Some(record),
+            Verified::Miss => None,
+            Verified::Corrupt => {
+                if quarantine(&self.root, &path).is_ok() {
                     self.quarantined.fetch_add(1, Ordering::Relaxed);
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
+                None
             }
         };
-        // Full-key verification: the 128-bit address only has to *find* the
-        // record; equality of the embedded key is what makes serving it
-        // sound (collision and stale-semantics guard in one check).
-        if record.get("key") != Some(key) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(record)
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Store `record` under `key`, embedding the key in the record (the
     /// read-side integrity check). Returns the object's hash.
     pub fn put(&self, key: &Value, record: Value) -> io::Result<String> {
-        let hash = Self::key_hash(key);
-        self.put_at(self.object_path(&hash), key, record)?;
-        Ok(hash)
+        self.put_in("objects", key, record)
     }
 
     /// [`ProfileStore::put`] against the derived space.
     pub fn put_derived(&self, key: &Value, record: Value) -> io::Result<String> {
+        self.put_in("derived", key, record)
+    }
+
+    fn put_in(&self, space: &str, key: &Value, record: Value) -> io::Result<String> {
         let hash = Self::key_hash(key);
-        self.put_at(self.derived_path(&hash), key, record)?;
-        Ok(hash)
-    }
-
-    fn put_at(&self, path: PathBuf, key: &Value, record: Value) -> io::Result<()> {
-        let mut obj = match record {
-            Value::Object(m) => m,
-            other => {
-                let mut m = std::collections::BTreeMap::new();
-                m.insert("body".to_string(), other);
-                m
-            }
-        };
-        obj.insert("key".to_string(), key.clone());
-        let record = Value::Object(obj);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        caliper::write_atomic(&path, record.to_string().as_bytes())?;
+        write_record(&self.path_in(space, &hash), key, record)?;
         self.stores.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Move a corrupt object into `quarantine/`, uniquifying on collision.
-    fn quarantine(&self, file: &Path) -> io::Result<PathBuf> {
-        let qdir = self.root.join("quarantine");
-        std::fs::create_dir_all(&qdir)?;
-        let name = file
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "corrupt".to_string());
-        let mut dest = qdir.join(&name);
-        let mut i = 1;
-        while dest.exists() {
-            dest = qdir.join(format!("{name}.{i}"));
-            i += 1;
-        }
-        std::fs::rename(file, &dest)?;
-        Ok(dest)
+        Ok(hash)
     }
 
     /// Counter snapshot.
@@ -223,7 +173,8 @@ mod tests {
     use serde_json::json;
 
     fn temp_store(tag: &str) -> ProfileStore {
-        let dir = std::env::temp_dir().join(format!("rajaperfd_store_{tag}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("rajaperfd_store_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         ProfileStore::open(dir).unwrap()
     }
@@ -241,7 +192,9 @@ mod tests {
         let store = temp_store("roundtrip");
         let key = json!({"kernel": "Basic_DAXPY", "size": 1000});
         assert!(store.get(&key).is_none(), "empty store misses");
-        let hash = store.put(&key, json!({"profile": json!({"x": 1})})).unwrap();
+        let hash = store
+            .put(&key, json!({"profile": json!({"x": 1})}))
+            .unwrap();
         assert_eq!(hash, ProfileStore::key_hash(&key));
         let rec = store.get(&key).expect("stored record hits");
         assert_eq!(rec.get("key"), Some(&key));
@@ -276,7 +229,11 @@ mod tests {
         // record at the right address carrying the wrong key.
         let path = store.object_path(&hash);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, json!({"key": json!({"q": 2}), "profile": 7}).to_string()).unwrap();
+        std::fs::write(
+            &path,
+            json!({"key": json!({"q": 2}), "profile": 7}).to_string(),
+        )
+        .unwrap();
         assert!(store.get(&key).is_none(), "wrong embedded key must miss");
         assert!(path.exists(), "parseable records are not quarantined");
         std::fs::remove_dir_all(store.root()).ok();

@@ -6,7 +6,7 @@
 //! `CI=true`) and a further allowance for unoptimized builds. The point is
 //! catching order-of-magnitude service regressions (an accept loop that
 //! stalls, a store hit that re-executes kernels), not microbenchmarking —
-//! that is what `cargo bench` is for.
+//! that is what the ledger (`benchmark/run.sh`) is for.
 
 use rajaperfd::{protocol::Request, Daemon, DaemonConfig};
 use std::path::PathBuf;

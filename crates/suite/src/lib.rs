@@ -19,6 +19,7 @@ use std::path::PathBuf;
 
 pub mod exec;
 pub mod params;
+pub mod record;
 pub mod report;
 pub mod simulate;
 pub mod sweep;
@@ -793,6 +794,40 @@ mod tests {
         };
         let s3 = run_sweep(&p3).unwrap();
         assert!(s3.cells.iter().all(|c| !c.cached));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_sweep_cell_is_keyed_as_the_single_run_it_executes() {
+        // Key parity: a cell's cache key is `campaign_key` of the cell's own
+        // run — the value `rajaperfd` tags with `"kind"` for the same run —
+        // whatever the campaign around it looks like.
+        let dir = std::env::temp_dir().join(format!("rajaperf_sweep_key_{}", std::process::id()));
+        let p = RunParams {
+            selection: Selection::Kernels(vec!["Stream_TRIAD".into()]),
+            explicit_size: Some(1000),
+            sweep: true,
+            sweep_block_sizes: vec![128, 256],
+            sweep_dir: Some(dir.clone()),
+            ranks: 4,
+            max_retries: 3,
+            ..RunParams::default()
+        };
+        let plan = sweep::plan_sweep(&p).unwrap();
+        assert_eq!(plan.specs.len(), 12);
+        for spec in &plan.specs {
+            let own = RunParams {
+                selection: p.selection.clone(),
+                explicit_size: p.explicit_size,
+                variant: spec.variant,
+                tuning: kernels::Tuning {
+                    gpu_block_size: spec.block_size,
+                },
+                max_retries: p.max_retries,
+                ..RunParams::default()
+            };
+            assert_eq!(spec.key, record::campaign_key(&own));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

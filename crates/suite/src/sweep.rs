@@ -8,15 +8,11 @@
 //! the sweep directory), so no two cells ever share an output file. A
 //! `manifest.json` at the top of the sweep directory indexes every cell.
 //!
-//! Cells are cached: each run writes a `cells/<cell>.json` record whose
-//! `key` captures exactly what was executed — (kernel, size, reps) for every
-//! selected kernel, the variant, the block-size tuning, the fault spec
-//! (a cell computed under injection must never satisfy a fault-free sweep),
-//! and the build fingerprint ([`crate::code_version`]), so cells cached by
-//! an older binary are re-run after a rebuild instead of silently reused.
-//! Re-running a sweep after an interruption (or with an unchanged
-//! configuration) reuses any cell whose key matches and whose profile file
-//! still exists, and re-executes the rest.
+//! Cells are cached: each run writes a `cells/<cell>.json` result record
+//! ([`crate::record`]) keyed by the cell's own run parameters. Re-running a
+//! sweep after an interruption (or with an unchanged configuration) reuses
+//! any cell whose record verifies and whose profile file is still intact,
+//! and re-executes the rest.
 //!
 //! # Ranked campaigns (`--ranks N`)
 //!
@@ -42,23 +38,22 @@
 //!   outputs), cell cache records, and the manifest — goes through
 //!   [`caliper::write_atomic`] (temp + fsync + rename), so a mid-write kill
 //!   leaves either the old file or the new one, never a torn prefix.
-//! * Cached cells are *integrity-checked* on load: a cache record or
-//!   profile that exists but does not parse (e.g. written by a pre-atomic
-//!   legacy writer, or hit by an injected `io.write` tear) is moved to
-//!   `quarantine/` and the cell re-runs. Corruption is never trusted and
-//!   never fatal.
+//! * Cached cells are *integrity-checked* on load by [`crate::record`]'s
+//!   rule, applied to the record and to the profile it vouches for: a torn
+//!   file is moved to `quarantine/` and the cell re-runs.
 //! * The manifest records only deterministic cell facts (no `cached` flags,
 //!   no wall times, no executing-rank ids), so a killed-and-resumed sweep —
 //!   at any rank count — produces a manifest byte-identical to an
 //!   uninterrupted one.
 
 use crate::params::RankIsolation;
+use crate::record::{self, EntryRecord, Verified};
 use crate::{run_suite, RunParams};
 use kernels::VariantId;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 pub(crate) mod carrier;
@@ -210,43 +205,16 @@ impl SweepSummary {
     }
 }
 
-/// The cache key of one cell: everything that determines its results.
-fn cell_key(base: &RunParams, variant: VariantId, block_size: usize) -> Value {
+/// One cell's own run: the campaign's parameters at this variant and
+/// tuning, as a plain single run. What the cell executes and — through
+/// [`record::campaign_key`] — what its record is keyed by.
+fn cell_params(base: &RunParams, variant: VariantId, block_size: usize) -> RunParams {
     let mut p = base.clone();
     p.variant = variant;
     p.tuning.gpu_block_size = block_size;
-    let kernel_keys: Vec<Value> = p
-        .selected_kernels()
-        .iter()
-        .filter(|k| k.info().variants.contains(&variant))
-        .map(|k| {
-            let info = k.info();
-            json!({
-                "kernel": info.name,
-                "size": p.problem_size(&info),
-                "reps": p.reps(&info),
-            })
-        })
-        .collect();
-    json!({
-        // A cell measured by an older build must never answer for a rebuilt
-        // binary: kernels, the scheduler, or the timing path may all have
-        // changed. Folding the build fingerprint into the key turns "stale
-        // cache after rebuild" into an ordinary miss.
-        "code_version": crate::code_version(),
-        "variant": variant.name(),
-        "gpu_block_size": block_size,
-        "kernels": Value::Array(kernel_keys),
-        // A cell computed under fault injection answers a different
-        // question than a fault-free cell; never let one satisfy the other.
-        // Note the *rank count* is deliberately absent: a cell's results do
-        // not depend on which (or how many) ranks the campaign used, so a
-        // --ranks 4 resume may reuse cells a --ranks 1 run computed.
-        "faults": match &base.faults {
-            Some(s) => Value::String(s.clone()),
-            None => Value::Null,
-        },
-    })
+    p.sweep = false;
+    p.ranks = 1;
+    p
 }
 
 /// Everything needed to execute (or reuse) one cell, precomputed in grid
@@ -261,7 +229,7 @@ pub(crate) struct CellSpec {
     pub(crate) profile: PathBuf,
     /// The cell's cache-record path.
     pub(crate) cache: PathBuf,
-    /// The cell's cache key.
+    /// The cell's cache key: [`record::campaign_key`] of [`cell_params`].
     pub(crate) key: Value,
 }
 
@@ -300,53 +268,24 @@ pub(crate) enum CellLoad {
 
 /// Load a cell's cache record, integrity-checking both the record and the
 /// profile it vouches for.
-pub(crate) fn load_cached_cell(cache: &Path, key: &Value, profile: &Path) -> CellLoad {
-    let text = match std::fs::read_to_string(cache) {
-        Ok(t) => t,
-        Err(_) => return CellLoad::Miss,
-    };
-    // An unparseable record is corruption, not staleness: a legacy
-    // non-atomic writer (or an injected io.write tear) left a torn file.
-    let v: Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(_) => return CellLoad::Corrupt(vec![cache.to_path_buf()]),
-    };
-    if v.get("key") != Some(key) {
-        return CellLoad::Miss;
-    }
-    let Ok(outcome) = CellOutcome::deserialize(&v) else {
-        return CellLoad::Miss;
+pub(crate) fn load_cached_cell(spec: &CellSpec) -> CellLoad {
+    let outcome = match record::read_verified(&spec.cache, &spec.key) {
+        Verified::Hit(v) => match CellOutcome::deserialize(&v) {
+            Ok(outcome) => outcome,
+            Err(_) => return CellLoad::Miss,
+        },
+        Verified::Miss => return CellLoad::Miss,
+        Verified::Corrupt => return CellLoad::Corrupt(vec![spec.cache.clone()]),
     };
     // The record vouches for the profile; verify the profile is actually
     // there and intact before trusting either.
-    match std::fs::read_to_string(profile) {
-        Err(_) => CellLoad::Miss,
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(_) => CellLoad::Hit(outcome),
-            // Torn profile: quarantine it *and* the record that vouched for
-            // it, so neither is ever consulted again.
-            Err(_) => CellLoad::Corrupt(vec![profile.to_path_buf(), cache.to_path_buf()]),
-        },
+    match record::read_json(&spec.profile) {
+        Verified::Hit(_) => CellLoad::Hit(outcome),
+        Verified::Miss => CellLoad::Miss,
+        // Torn profile: quarantine it *and* the record that vouched for
+        // it, so neither is ever consulted again.
+        Verified::Corrupt => CellLoad::Corrupt(vec![spec.profile.clone(), spec.cache.clone()]),
     }
-}
-
-/// Move a corrupt file into `dir/quarantine/`, uniquifying the name if a
-/// previous quarantine already holds one. Returns the quarantined path.
-fn quarantine(dir: &Path, file: &Path) -> io::Result<PathBuf> {
-    let qdir = dir.join("quarantine");
-    std::fs::create_dir_all(&qdir)?;
-    let name = file
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "corrupt".to_string());
-    let mut dest = qdir.join(&name);
-    let mut i = 1;
-    while dest.exists() {
-        dest = qdir.join(format!("{name}.{i}"));
-        i += 1;
-    }
-    std::fs::rename(file, &dest)?;
-    Ok(dest)
 }
 
 fn json_io(e: serde_json::Error) -> io::Error {
@@ -365,19 +304,10 @@ pub(crate) fn execute_cell(
     spec: &CellSpec,
     rank_ctx: Option<(usize, usize)>,
 ) -> io::Result<CellOutcome> {
-    let mut p = base.clone();
-    p.variant = spec.variant;
-    p.tuning.gpu_block_size = spec.block_size;
-    p.sweep = false;
-    p.ranks = 1;
+    let mut p = cell_params(base, spec.variant, spec.block_size);
     p.rank_context = rank_ctx;
     p.caliper_spec = Some(format!("spot(output={})", spec.profile.display()));
     let report = run_suite(&p);
-    let total_time_s: f64 = report
-        .entries
-        .iter()
-        .map(|e| e.result.time.as_secs_f64())
-        .sum();
     let failed_kernels: Vec<FailedKernel> = report
         .outcomes
         .iter()
@@ -387,41 +317,28 @@ pub(crate) fn execute_cell(
             status: o.outcome.label(),
         })
         .collect();
-    let entries: Vec<Value> = report
-        .entries
-        .iter()
-        .map(|e| {
-            json!({
-                "kernel": e.kernel,
-                "size": e.problem_size,
-                "reps": e.reps,
-                "time_per_rep_s": e.result.time_per_rep(),
-                "checksum": e.result.checksum,
-            })
-        })
-        .collect();
     let outcome = CellOutcome {
         kernels_run: report.entries.len(),
         kernels_failed: failed_kernels.len(),
         failed_kernels,
-        total_time_s,
+        total_time_s: report
+            .entries
+            .iter()
+            .map(|e| e.result.time.as_secs_f64())
+            .sum(),
     };
-    // The record is the outcome's own JSON plus what vouches for it.
-    let mut record = serde_json::to_value(&outcome).map_err(json_io)?;
-    if let Value::Object(fields) = &mut record {
-        fields.insert("key".to_string(), spec.key.clone());
+    // The record is the outcome's own JSON plus what vouches for it. The
+    // warm scan parses every record, so it carries no more than that.
+    let entries: Vec<EntryRecord> = report.entries.iter().map(EntryRecord::of).collect();
+    let mut body = json!(outcome);
+    if let Value::Object(fields) = &mut body {
         fields.insert(
             "profile".to_string(),
             json!(spec.profile.display().to_string()),
         );
-        fields.insert("entries".to_string(), Value::Array(entries));
+        fields.insert("entries".to_string(), json!(entries));
     }
-    caliper::write_atomic(
-        &spec.cache,
-        serde_json::to_string_pretty(&record)
-            .map_err(json_io)?
-            .as_bytes(),
-    )?;
+    record::write_record(&spec.cache, &spec.key, body)?;
     Ok(outcome)
 }
 
@@ -463,7 +380,7 @@ pub(crate) fn plan_sweep(base: &RunParams) -> io::Result<SweepPlan> {
                 block_size: bs,
                 profile: profiles_dir.join(format!("{cell_name}.cali.json")),
                 cache: cells_dir.join(format!("{cell_name}.json")),
-                key: cell_key(base, variant, bs),
+                key: record::campaign_key(&cell_params(base, variant, bs)),
             });
         }
     }
@@ -503,11 +420,11 @@ pub fn run_sweep(base: &RunParams) -> io::Result<SweepSummary> {
         vec![None; plan.specs.len()];
     let mut pending: Vec<usize> = Vec::new();
     for spec in &plan.specs {
-        match load_cached_cell(&spec.cache, &spec.key, &spec.profile) {
+        match load_cached_cell(spec) {
             CellLoad::Hit(outcome) => finished[spec.index] = Some((outcome, true, None)),
             CellLoad::Corrupt(files) => {
                 for f in files {
-                    quarantined.push(quarantine(&plan.dir, &f)?);
+                    quarantined.push(record::quarantine(&plan.dir, &f)?);
                 }
                 pending.push(spec.index);
             }

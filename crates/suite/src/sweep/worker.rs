@@ -87,7 +87,7 @@ pub(crate) fn serve(
                 "cell index {cell} is outside the {}-cell grid",
                 plan.specs.len()
             )),
-            Some(spec) => match load_cached_cell(&spec.cache, &spec.key, &spec.profile) {
+            Some(spec) => match load_cached_cell(spec) {
                 CellLoad::Hit(outcome) => Ok((true, outcome)),
                 _ => execute_cell(base, spec, Some((rank, nranks)))
                     .map(|outcome| (false, outcome))

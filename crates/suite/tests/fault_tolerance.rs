@@ -372,3 +372,40 @@ fn e2e_corrupt_sweep_cell_is_quarantined_and_rerun() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn e2e_sweep_cells_do_not_answer_for_another_execution_policy() {
+    // Regression: the cell key left out --retries / --timeout / --sanitize,
+    // so cells that FAILED with no retry budget were served "(cached)" to a
+    // sweep run with one — a matrix holding answers to a different question.
+    let dir = temp_dir("policy");
+    let sweep = |extra: &[&str]| {
+        let out = rajaperf()
+            .args(["--sweep", "--sweep-dir", "D"])
+            .args(["--kernels", "Basic_DAXPY,Stream_TRIAD"])
+            .args(["--size", "1000", "--reps", "1"])
+            .args(["--faults", "suite.kernel=err:0.5,seed=3"])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn sweep");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    let first = sweep(&[]);
+    assert!(first.contains("Sweep: 6 cells (0 cached"), "{first}");
+    assert!(first.contains("Basic_DAXPY FAILED"), "{first}");
+
+    // Same directory, a retry budget that absorbs every injected error:
+    // nothing may be reused, and nothing fails.
+    let retried = sweep(&["--retries", "5"]);
+    assert!(retried.contains("Sweep: 6 cells (0 cached"), "{retried}");
+    assert!(!retried.contains("FAILED"), "{retried}");
+
+    // Unchanged flags: now every cell is this question's own answer.
+    let again = sweep(&["--retries", "5"]);
+    assert!(again.contains("Sweep: 6 cells (6 cached"), "{again}");
+    assert!(!again.contains("FAILED"), "{again}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -163,25 +163,41 @@ pub struct ProfileData {
     pub records: Vec<(Vec<String>, BTreeMap<String, f64>)>,
 }
 
+/// The caliper-JSON shape of a profile, as both constructors below read it.
+#[derive(Deserialize)]
+struct CaliperProfile {
+    globals: BTreeMap<String, serde_json::Value>,
+    records: Vec<CaliperRecord>,
+}
+
+#[derive(Deserialize)]
+struct CaliperRecord {
+    path: Vec<String>,
+    metrics: BTreeMap<String, f64>,
+}
+
+impl From<CaliperProfile> for ProfileData {
+    fn from(p: CaliperProfile) -> ProfileData {
+        ProfileData {
+            globals: p.globals,
+            records: p.records.into_iter().map(|r| (r.path, r.metrics)).collect(),
+        }
+    }
+}
+
 impl ProfileData {
     /// Parse a caliper-JSON profile (`{"globals": .., "records": [{"path":
     /// .., "metrics": ..}]}`).
     pub fn from_caliper_json(text: &str) -> Result<ProfileData, serde_json::Error> {
-        #[derive(Deserialize)]
-        struct Rec {
-            path: Vec<String>,
-            metrics: BTreeMap<String, f64>,
-        }
-        #[derive(Deserialize)]
-        struct Prof {
-            globals: BTreeMap<String, serde_json::Value>,
-            records: Vec<Rec>,
-        }
-        let p: Prof = serde_json::from_str(text)?;
-        Ok(ProfileData {
-            globals: p.globals,
-            records: p.records.into_iter().map(|r| (r.path, r.metrics)).collect(),
-        })
+        serde_json::from_str::<CaliperProfile>(text).map(ProfileData::from)
+    }
+
+    /// [`ProfileData::from_caliper_json`] for a profile that is already a
+    /// JSON tree (e.g. inline in a larger document).
+    pub fn from_caliper_value(
+        profile: &serde_json::Value,
+    ) -> Result<ProfileData, serde_json::Error> {
+        CaliperProfile::deserialize(profile).map(ProfileData::from)
     }
 
     /// Read a caliper-JSON profile file.

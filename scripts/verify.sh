@@ -87,11 +87,6 @@ cargo test --workspace --release
 echo "== fastpath: cargo test --release -p kernels --test fastpath_equivalence =="
 cargo test --release -p kernels --test fastpath_equivalence
 
-# Smoke-run the launch-overhead bench harness (one iteration per benchmark,
-# no timing); full measured runs go through scripts/bench.sh.
-echo "== bench: cargo bench -p rajaperf-bench --bench launch -- --test =="
-cargo bench -p rajaperf-bench --bench launch -- --test
-
 # The release driver binary lives in crates/suite; the root-package build
 # above does not refresh it, so build it explicitly before driving it.
 echo "== cli: full-registry --checksums =="
@@ -325,5 +320,26 @@ echo "corpus: budget met at both widths, $DIGEST1 reproduced bitwise"
 # thresholds (3x under CI=true) — catches service-layer stalls, not µs drift.
 echo "== daemon: latency budget (cargo test --release -p rajaperfd --test latency_budget) =="
 cargo test --release -p rajaperfd --test latency_budget
+
+# The performance ledger is what the pipeline runs after this script: it must
+# still build against this tree and pass every one of its gates, and building
+# it must leave benchmark/ untouched (in particular benchmark/Cargo.lock —
+# a crate in the ledger's lock that gained or lost a dependency rewrites it).
+echo "== ledger: benchmark/run.sh --smoke (five workloads, ops_failed 0, benchmark/ unchanged) =="
+LEDGER_OUT=$(bash benchmark/run.sh --smoke) \
+    || { echo "verify: FAIL — benchmark/run.sh --smoke did not build or an operation failed" >&2; exit 1; }
+LEDGER_OK=$(echo "$LEDGER_OUT" | grep -cE ": ops_attempted [0-9]+ ops_failed 0$" || true)
+if [[ "$LEDGER_OK" -ne 5 ]]; then
+    echo "$LEDGER_OUT" | grep "ops_attempted" >&2 || true
+    echo "verify: FAIL — expected 5 ledger workloads with ops_failed 0, got $LEDGER_OK" >&2
+    exit 1
+fi
+LEDGER_DIRT=$(git status --porcelain -- benchmark BENCHMARK.json)
+if [[ -n "$LEDGER_DIRT" ]]; then
+    echo "verify: FAIL — the benchmark's own files changed:" >&2
+    echo "$LEDGER_DIRT" >&2
+    exit 1
+fi
+echo "ledger: 5 workloads, ops_failed 0, benchmark/ and BENCHMARK.json unchanged"
 
 echo "verify: OK"

@@ -1,10 +1,12 @@
 //! Tier-1 tests for `rajaperfd` under concurrent load: request isolation,
 //! content-addressed cache-hit correctness (byte-identical replies, no
-//! kernel re-execution), bounded-queue admission control, and graceful
-//! shutdown draining.
+//! kernel re-execution), bounded-queue admission control, graceful
+//! shutdown draining, and the shape of every failed reply.
 
-use rajaperfd::{protocol::Request, Daemon, DaemonConfig};
+use rajaperfd::{protocol::Request, Daemon, DaemonConfig, ErrorCode};
 use serde_json::Value;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -393,5 +395,74 @@ fn daemon_results_match_direct_execution() {
     assert_eq!(served["reps"].as_i64(), Some(local.reps as i64));
     assert_eq!(served["checksum"].as_f64(), Some(local.result.checksum));
 
+    shutdown_and_wait(daemon, &root);
+}
+
+#[test]
+fn every_error_path_replies_one_error_then_one_done() {
+    let (daemon, root) = start_daemon("errors", 4, 1);
+    let socket = daemon.socket().to_path_buf();
+    // One raw line in, every event object out (the server hangs up after
+    // `done`) — raw, because two of the lines are not valid requests.
+    let reply = |line: &str| -> Vec<Value> {
+        let mut stream = UnixStream::connect(&socket).expect("connect");
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        BufReader::new(stream)
+            .lines()
+            .map(|l| serde_json::from_str(&l.unwrap()).expect("event lines are JSON"))
+            .collect()
+    };
+    let run = |argv: &[&str]| run_request("e", argv).to_line();
+    let sweep = |argv: &[&str]| {
+        let argv = argv.iter().map(|s| s.to_string()).collect();
+        Request::Sweep { id: "e".into(), argv }.to_line()
+    };
+    let analyze = Request::Analyze {
+        id: "e".into(),
+        dir: root.join("no-such-dir").display().to_string(),
+        metric: "avg#time.duration".into(),
+    };
+    let sweep_dir = root.join("sweep").display().to_string();
+
+    const INLINE: &[&str] = &["error", "done"];
+    const QUEUED: &[&str] = &["accepted", "started", "error", "done"];
+    const EXECUTED: &[&str] = &["accepted", "started", "progress", "result", "error", "done"];
+    let table: Vec<(&str, String, ErrorCode, &[&str])> = vec![
+        ("bad JSON line", "not json".into(), ErrorCode::Usage, INLINE),
+        ("unknown kind", r#"{"kind":"warp"}"#.into(), ErrorCode::Usage, INLINE),
+        ("--trace", run(&["--trace", "t.json"]), ErrorCode::Unsupported, QUEUED),
+        (
+            "--ranks 9",
+            sweep(&["--sweep", "--sweep-dir", &sweep_dir, "--ranks", "9"]),
+            ErrorCode::Unsupported,
+            QUEUED,
+        ),
+        ("kind=run with --sweep", run(&["--sweep"]), ErrorCode::Usage, QUEUED),
+        ("sweep without --sweep-dir", sweep(&["--sweep"]), ErrorCode::Usage, QUEUED),
+        ("unreadable analyze dir", analyze.to_line(), ErrorCode::Internal, QUEUED),
+        (
+            "Fixture_PANIC",
+            run(&["--kernels", "Fixture_PANIC", "--size", "64", "--reps", "1"]),
+            ErrorCode::KernelFailures,
+            EXECUTED,
+        ),
+    ];
+    for (what, line, code, sequence) in table {
+        let events = reply(&line);
+        let names: Vec<&str> = events.iter().map(|e| e["event"].as_str().unwrap()).collect();
+        assert_eq!(names, sequence, "{what}");
+        let only = |name: &str| {
+            let mut matching = events.iter().filter(|e| e["event"].as_str() == Some(name));
+            let first = matching.next().unwrap_or_else(|| panic!("{what}: no {name} event"));
+            assert!(matching.next().is_none(), "{what}: more than one {name} event");
+            first
+        };
+        assert_eq!(only("error")["code"].as_str(), Some(code.name()), "{what}");
+        assert_eq!(
+            only("done")["exit_code"].as_i64(),
+            Some(i64::from(code.exit().code())),
+            "{what}"
+        );
+    }
     shutdown_and_wait(daemon, &root);
 }
