@@ -222,6 +222,30 @@ pub fn write_atomic(path: &std::path::Path, contents: &[u8]) -> std::io::Result<
     }
 }
 
+/// Remove the temp files [`write_atomic`] left in `dir` whose writer is no
+/// longer a live process: a `kill -9` inside a write window orphans one,
+/// named after the killed pid, and nothing else would ever collect it. A
+/// temp whose pid is alive — this process, a sibling rank, an unrelated
+/// process that inherited the pid — is left alone. Liveness is read from
+/// `/proc`; without one, nothing is removed.
+pub fn remove_orphaned_temps(dir: &std::path::Path) {
+    let proc_dir = std::path::Path::new("/proc");
+    if !proc_dir.join("self").exists() {
+        return;
+    }
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        let writer = name.strip_prefix('.').and_then(|n| n.rsplit_once(".tmp."));
+        let orphaned = writer.is_some_and(|(_, pid)| {
+            pid.parse::<u32>().is_ok() && !proc_dir.join(pid).exists()
+        });
+        if orphaned {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
 #[derive(Default)]
 struct SessionInner {
     /// Call-path tree flattened to path → stats.
@@ -785,6 +809,14 @@ impl ConfigManager {
         self
     }
 
+    /// Add an output that is already typed — a path the program computed
+    /// reaches `flush` as it is, never through spec text that `add` would
+    /// split at `,` `(` `)` `=`.
+    pub fn push(&mut self, output: OutputSpec) -> &mut Self {
+        self.outputs.push(output);
+        self
+    }
+
     /// The first configuration error encountered, if any.
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()
@@ -1055,6 +1087,26 @@ mod tests {
         assert_eq!(written.len(), 1);
         let p = Profile::read_file(&path).unwrap();
         assert!(p.find("k").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pushed_output_flushes_to_its_path_whatever_characters_it_holds() {
+        // `add` splits spec text at `,` `(` `)` `=`; a typed output is
+        // never text, so its path arrives whole.
+        let dir = std::env::temp_dir().join(format!("caliper_push_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("sw,eep (1)=x").join("run (2),a=b.cali.json");
+        let s = Session::new();
+        {
+            let _r = s.region("k");
+        }
+        let mut cm = ConfigManager::new();
+        cm.push(OutputSpec::SpotProfile {
+            output: path.display().to_string(),
+        });
+        assert_eq!(cm.flush(&s).unwrap(), vec![path.clone()]);
+        assert!(Profile::read_file(&path).unwrap().find("k").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

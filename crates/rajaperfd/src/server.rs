@@ -36,6 +36,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
+use suite::params::FLAGS;
 use suite::record::{campaign_key, read_json, RunRecord, Verified};
 use suite::{RunParams, SuiteExit, SuiteReport};
 
@@ -324,39 +325,18 @@ fn execute_job(job: Job, shared: &Arc<Shared>) {
     finish(&stream, &id, outcome);
 }
 
-/// Parse and daemon-validate campaign argv. Flags whose collectors are
-/// process-global (event trace, lock-order) or that write server-side files
-/// the client never named (free-form Caliper specs) are refused as
-/// `unsupported` — the profile comes back inline in the result instead.
+/// Parse and daemon-validate campaign argv. A flag whose [`FLAGS`] row says
+/// the daemon refuses it — its collector is process-global (event trace,
+/// lock-order) or it writes server-side files the client never named
+/// (free-form Caliper specs; the profile comes back inline in the result
+/// instead) — is `unsupported`, with the row's reason.
 fn parse_campaign(argv: &[String]) -> Result<RunParams, Failure> {
     let params = RunParams::parse(argv).map_err(|e| (ErrorCode::Usage, e))?;
-    if params.caliper_spec.is_some() {
-        return Err((
-            ErrorCode::Unsupported,
-            "--caliper is not served by the daemon; the result event carries the profile".into(),
-        ));
+    let given = |f: &&suite::params::Flag| (f.get)(&params).is_some();
+    match FLAGS.iter().filter(given).find_map(|f| f.refused) {
+        Some(why) => Err((ErrorCode::Unsupported, why.to_string())),
+        None => Ok(params),
     }
-    if params.trace.is_some() || params.trace_folded.is_some() {
-        return Err((
-            ErrorCode::Unsupported,
-            "--trace records a process-global timeline; run it via the one-shot CLI".into(),
-        ));
-    }
-    if params.lock_order {
-        return Err((
-            ErrorCode::Unsupported,
-            "--lock-order is a process-global diagnostic; run it via the one-shot CLI".into(),
-        ));
-    }
-    if params.rank_worker.is_some() {
-        return Err((
-            ErrorCode::Unsupported,
-            "--rank-worker is the internal child mode of a process campaign; \
-             the daemon only supervises, never serves as a worker"
-                .into(),
-        ));
-    }
-    Ok(params)
 }
 
 /// The content-addressed store key of a run request: the run's
@@ -497,60 +477,7 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), F
             .map_err(|p| format!("sweep panicked: {}", suite::exec::panic_message(&*p)))
             .and_then(|swept| swept.map_err(|e| format!("sweep failed: {e}")))
             .map_err(|message| (ErrorCode::Internal, message))?;
-    let report = json!({
-        "dir": summary.dir.display().to_string(),
-        "manifest": summary.manifest.display().to_string(),
-        "quarantined": summary.quarantined.len(),
-        "ranks": params.ranks,
-        "isolation": params.rank_isolation.name(),
-        "restart_budget": params.rank_restarts,
-        "rank_restarts": summary.rank_restarts,
-        "casualties": Value::Array(
-            summary
-                .casualties
-                .iter()
-                .map(|c| {
-                    json!({
-                        "rank": c.rank,
-                        "restarts": c.restarts,
-                        "last_failure": c.last_failure.clone(),
-                    })
-                })
-                .collect()
-        ),
-        "rank_stats": Value::Array(
-            summary
-                .rank_stats
-                .iter()
-                .enumerate()
-                .map(|(rank, s)| {
-                    json!({
-                        "rank": rank,
-                        "messages_sent": s.messages_sent,
-                        "bytes_sent": s.bytes_sent,
-                        "messages_received": s.messages_received,
-                        "bytes_received": s.bytes_received,
-                    })
-                })
-                .collect()
-        ),
-        "cells": Value::Array(
-            summary
-                .cells
-                .iter()
-                .map(|c| {
-                    json!({
-                        "variant": c.variant.name(),
-                        "gpu_block_size": c.gpu_block_size,
-                        "cached": c.cached,
-                        "kernels_run": c.kernels_run,
-                        "kernels_failed": c.kernels_failed,
-                        "profile": c.profile.display().to_string(),
-                    })
-                })
-                .collect()
-        ),
-    });
+    let report = json!(suite::SweepReport::of(&params, &summary));
     send(stream, &proto::ev_result(id, false, None, &report));
     match summary.kernels_failed() {
         0 => Ok(()),
@@ -630,20 +557,16 @@ fn analyze_sources(dir: &str, store: &ProfileStore) -> Result<Vec<AnalyzeSource>
             }
         }
     } else {
-        let dir = Path::new(dir);
-        let entries =
-            std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.to_string_lossy().ends_with(".cali.json") {
-                let fp = match std::fs::read(&path) {
-                    Ok(bytes) => crate::store::content_hash(&String::from_utf8_lossy(&bytes)),
-                    // Unreadable now: fingerprint the failure so the miss
-                    // re-attempts (and re-reports) rather than caching it.
-                    Err(e) => crate::store::content_hash(&format!("unreadable:{e}")),
-                };
-                sources.push(AnalyzeSource::File(path, fp));
-            }
+        let paths = thicket::profile_paths(Path::new(dir))
+            .map_err(|e| format!("cannot read {dir}: {e}"))?;
+        for path in paths {
+            let fp = match std::fs::read(&path) {
+                Ok(bytes) => crate::store::content_hash(&String::from_utf8_lossy(&bytes)),
+                // Unreadable now: fingerprint the failure so the miss
+                // re-attempts (and re-reports) rather than caching it.
+                Err(e) => crate::store::content_hash(&format!("unreadable:{e}")),
+            };
+            sources.push(AnalyzeSource::File(path, fp));
         }
     }
     sources.sort_by(|a, b| a.fingerprint().cmp(b.fingerprint()));
@@ -702,29 +625,13 @@ fn execute_analyze(
     if tk.profiles.is_empty() {
         return Err((ErrorCode::Internal, format!("no usable profiles in {dir}")));
     }
-    let mean = tk.stats(metric, thicket::Stat::Mean);
-    let mn = tk.stats(metric, thicket::Stat::Min);
-    let mx = tk.stats(metric, thicket::Stat::Max);
-    let mut rows = Vec::new();
-    for nid in 0..tk.nodes.len() {
-        let m = tk.stat_value(&mean, nid).unwrap_or(f64::NAN);
-        if m.is_nan() {
-            continue;
-        }
-        rows.push(json!({
-            "node": tk.nodes[nid].path.join("/"),
-            "mean": m,
-            "min": tk.stat_value(&mn, nid).unwrap_or(f64::NAN),
-            "max": tk.stat_value(&mx, nid).unwrap_or(f64::NAN),
-        }));
-    }
     let report = json!({
         "profiles": tk.profiles.len(),
         "nodes": tk.nodes.len(),
         "columns": tk.column_names().len(),
         "skipped": skipped,
         "metric": metric,
-        "table": Value::Array(rows),
+        "table": tk.statsframe(metric),
     });
     let store_key = stored(
         id,

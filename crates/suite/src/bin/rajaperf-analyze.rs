@@ -16,7 +16,7 @@
 //! `rajaperf` ([`SuiteExit`]): 0 success, 1 internal error, 2 usage error.
 
 use suite::SuiteExit;
-use thicket::{Stat, Thicket};
+use thicket::Thicket;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,23 +64,15 @@ fn main() {
             }
         }
     } else {
-        // Collect every *.cali.json profile in the directory; ingestion
-        // itself tolerates (and reports) unreadable or malformed files.
-        let mut paths = Vec::new();
-        let entries = match std::fs::read_dir(dir) {
-            Ok(e) => e,
+        // Ingestion itself tolerates (and reports) unreadable or malformed
+        // files; only an unreadable directory stops here.
+        let paths = match thicket::profile_paths(dir) {
+            Ok(paths) => paths,
             Err(e) => {
                 eprintln!("cannot read {}: {e}", dir.display());
                 SuiteExit::Internal.exit();
             }
         };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.to_string_lossy().ends_with(".cali.json") {
-                paths.push(path);
-            }
-        }
-        paths.sort();
         let (tk, stats) = Thicket::from_files(&paths);
         for (path, reason) in &stats.skipped {
             eprintln!("warning: skipping {}: {reason}", path.display());
@@ -112,22 +104,11 @@ fn main() {
         }
     }
 
-    // Statsframe over the requested metric.
-    let mean = tk.stats(&metric, Stat::Mean);
-    let mn = tk.stats(&metric, Stat::Min);
-    let mx = tk.stats(&metric, Stat::Max);
     println!("\n{:<40} {:>14} {:>14} {:>14}", "node", "mean", "min", "max");
-    for nid in 0..tk.nodes.len() {
-        let m = tk.stat_value(&mean, nid).unwrap_or(f64::NAN);
-        if m.is_nan() {
-            continue;
-        }
+    for row in tk.statsframe(&metric) {
         println!(
             "{:<40} {:>14.6e} {:>14.6e} {:>14.6e}",
-            tk.nodes[nid].path.join("/"),
-            m,
-            tk.stat_value(&mn, nid).unwrap_or(f64::NAN),
-            tk.stat_value(&mx, nid).unwrap_or(f64::NAN),
+            row.node, row.mean, row.min, row.max
         );
     }
 

@@ -13,32 +13,30 @@
 //! Exit codes follow [`SuiteExit`]: 0 success, 1 internal error, 2 usage
 //! error, 3 checksum failures, 4 sanitizer findings, 5 kernel failures.
 
+use suite::params::{split_modes, Mode, FLAGS};
 use suite::{run_suite, RunParams, SuiteExit};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let (modes, mut args) = split_modes(std::env::args().skip(1).collect());
+    if modes.contains(&Mode::Help) {
         print!("{}", RunParams::usage());
         return;
     }
-    if args.iter().any(|a| a == "--list") {
+    if modes.contains(&Mode::List) {
         print_kernel_list();
         return;
     }
-    let checksums_mode = args.iter().any(|a| a == "--checksums");
-    let mut filtered: Vec<String> = args.into_iter().filter(|a| a != "--checksums").collect();
-    // `SIMFAULT` env is the ambient form of `--faults`; the explicit flag
-    // wins. Routing it through the normal argument path gets it the same
-    // validation (spec grammar, known failpoints, --sanitize conflict).
-    if !filtered.iter().any(|a| a == "--faults") {
-        if let Ok(spec) = std::env::var("SIMFAULT") {
-            if !spec.trim().is_empty() {
-                filtered.push("--faults".to_string());
-                filtered.push(spec);
-            }
+    // A flag's environment variable is its ambient form; the explicit flag
+    // wins. Routing the value through the normal argument path gets it the
+    // same validation (for `SIMFAULT`: spec grammar, known failpoints, the
+    // `--sanitize` conflict).
+    for flag in FLAGS {
+        let ambient = flag.env.and_then(|var| std::env::var(var).ok());
+        if let Some(value) = ambient.filter(|v| !v.trim().is_empty() && !flag.given(&args)) {
+            args.extend([flag.names[0].to_string(), value]);
         }
     }
-    let params = match RunParams::parse(&filtered) {
+    let params = match RunParams::parse(&args) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
@@ -76,7 +74,7 @@ fn main() {
         }
         return;
     }
-    if checksums_mode {
+    if modes.contains(&Mode::Checksums) {
         // Validate every supported variant of the selection against the
         // Base_Seq reference (upstream's checksum report).
         let variants = kernels::VariantId::all();

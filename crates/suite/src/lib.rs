@@ -26,7 +26,7 @@ pub mod sweep;
 
 pub use exec::{FaultPolicy, KernelOutcome, OutcomeRecord, SuiteExit};
 pub use params::{RunParams, Selection};
-pub use sweep::{run_rank_worker, run_sweep, RankCasualty, SweepCell, SweepSummary};
+pub use sweep::{run_rank_worker, run_sweep, RankCasualty, SweepCell, SweepReport, SweepSummary};
 pub use report::{CheckStatus, ChecksumReport, SanitizeSection, SuiteReport, TimingEntry};
 
 /// Identity of the code that produced a measurement: the crate version plus
@@ -72,7 +72,7 @@ fn fault_trace_observer(point: &str, mode: &str) {
 /// Execute the suite described by `params`, producing a report and (if
 /// configured) Caliper output files.
 pub fn run_suite(params: &RunParams) -> SuiteReport {
-    run_suite_observed(params, None)
+    run_suite_with(params, Vec::new(), None)
 }
 
 /// [`run_suite`] with an optional per-kernel progress observer, called after
@@ -80,6 +80,17 @@ pub fn run_suite(params: &RunParams) -> SuiteReport {
 /// uses this to stream progress events to clients while a request runs.
 pub fn run_suite_observed(
     params: &RunParams,
+    progress: Option<&dyn Fn(&KernelProgress)>,
+) -> SuiteReport {
+    run_suite_with(params, Vec::new(), progress)
+}
+
+/// [`run_suite_observed`] plus Caliper `outputs` the caller computed (a
+/// sweep cell's profile): they reach Caliper typed, beside whatever the
+/// user's `--caliper` text and `--trace` ask for.
+pub(crate) fn run_suite_with(
+    params: &RunParams,
+    outputs: Vec<caliper::OutputSpec>,
     progress: Option<&dyn Fn(&KernelProgress)>,
 ) -> SuiteReport {
     let session = caliper::Session::new();
@@ -102,18 +113,27 @@ pub fn run_suite_observed(
         session.set_rank(rank, nranks);
     }
 
-    // Event trace: switch collection on before the first region so the
-    // timeline covers the whole run — whether requested via `--trace` or a
-    // `trace(...)` service in the Caliper spec (the service can only export
-    // events that were recorded). `clear()` drops any events left over from
-    // an earlier run in this process.
-    let spec_cm = params.caliper_spec.as_ref().map(|spec| {
-        let mut cm = caliper::ConfigManager::new();
+    // Every output of the run in one manager: the user's spec text, the
+    // caller's typed outputs, and `--trace` as the `trace` service it is
+    // sugar for — a path is never formatted into text to be parsed back.
+    let mut cm = caliper::ConfigManager::new();
+    if let Some(spec) = &params.caliper_spec {
         cm.add(spec);
-        cm
-    });
-    let tracing = params.trace.is_some()
-        || spec_cm.as_ref().is_some_and(|cm| cm.requests_event_trace());
+    }
+    for output in outputs {
+        cm.push(output);
+    }
+    if let Some(path) = &params.trace {
+        cm.push(caliper::OutputSpec::Trace {
+            output: path.display().to_string(),
+            folded: params.trace_folded.as_ref().map(|f| f.display().to_string()),
+        });
+    }
+    // Event trace: switch collection on before the first region so the
+    // timeline covers the whole run (the service can only export events
+    // that were recorded). `clear()` drops any events left over from an
+    // earlier run in this process.
+    let tracing = cm.requests_event_trace();
     if tracing {
         caliper::trace::clear();
         session.enable_event_trace();
@@ -314,30 +334,15 @@ pub fn run_suite_observed(
         text
     });
 
-    let mut outputs = Vec::new();
-    if let Some(cm) = &spec_cm {
-        if let Some(err) = cm.error() {
-            eprintln!("warning: {err}");
-        }
-        match cm.flush(&session) {
-            Ok(paths) => outputs.extend(paths),
-            Err(e) => eprintln!("warning: caliper flush failed: {e}"),
-        }
+    // `parse` rejects a bad `--caliper` spec; one set programmatically is
+    // reported here, as Caliper does, rather than panicking.
+    if let Some(err) = cm.error() {
+        eprintln!("warning: {err}");
     }
-    if let Some(path) = &params.trace {
-        // The --trace flag is sugar for the ConfigManager `trace` service.
-        let mut spec = format!("trace(output={}", path.display());
-        if let Some(folded) = &params.trace_folded {
-            spec.push_str(&format!(",folded={}", folded.display()));
-        }
-        spec.push(')');
-        let mut cm = caliper::ConfigManager::new();
-        cm.add(&spec);
-        match cm.flush(&session) {
-            Ok(paths) => outputs.extend(paths),
-            Err(e) => eprintln!("warning: trace export failed: {e}"),
-        }
-    }
+    let outputs = cm.flush(&session).unwrap_or_else(|e| {
+        eprintln!("warning: caliper flush failed: {e}");
+        Vec::new()
+    });
     if tracing {
         // All trace exports are done; leave no events behind for the next
         // run in this process.

@@ -42,21 +42,35 @@ impl Selection {
         }
     }
 
-    /// Explicitly-named kernels (recursing through `Union`) — the only way
-    /// `Fixture_*` positive controls join a selection.
-    fn explicit_kernel_names(&self) -> Vec<&str> {
+    /// Position of a name-list selection in the canonical `Union` order
+    /// (kernels, groups, features) that `parse` builds.
+    fn rank(&self) -> usize {
         match self {
-            Selection::Kernels(names) => names.iter().map(String::as_str).collect(),
+            Selection::Kernels(_) => 0,
+            Selection::Groups(_) => 1,
+            Selection::Features(_) => 2,
+            Selection::All | Selection::Union(_) => 3,
+        }
+    }
+
+    /// Every name listed under the kind of `rank` (recursing through
+    /// `Union`), deduplicated in order. Rank 0 — explicitly-named kernels —
+    /// is the only way `Fixture_*` positive controls join a selection.
+    fn names(&self, rank: usize) -> Vec<&str> {
+        match self {
             Selection::Union(parts) => {
                 let mut out: Vec<&str> = Vec::new();
-                for p in parts {
-                    for n in p.explicit_kernel_names() {
-                        if !out.contains(&n) {
-                            out.push(n);
-                        }
+                for n in parts.iter().flat_map(|p| p.names(rank)) {
+                    if !out.contains(&n) {
+                        out.push(n);
                     }
                 }
                 out
+            }
+            Selection::Kernels(names) | Selection::Groups(names) | Selection::Features(names)
+                if self.rank() == rank =>
+            {
+                names.iter().map(String::as_str).collect()
             }
             _ => Vec::new(),
         }
@@ -99,7 +113,7 @@ impl RankIsolation {
 }
 
 /// Parameters of one suite run (one variant, one tuning — one profile).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunParams {
     /// Kernel selection.
     pub selection: Selection,
@@ -241,41 +255,32 @@ const FEATURE_NAMES: &[&str] = &[
 
 /// Strict at the CLI: a typoed kernel, group, or feature name must not
 /// silently select nothing (the same policy `--faults` applies to
-/// failpoint names).
-fn validate_selection(sel: &Selection) -> Result<(), String> {
-    match sel {
-        Selection::All => Ok(()),
-        Selection::Kernels(names) => {
-            for n in names {
-                let known = kernels::find(n).is_some()
-                    || faulty_fixtures().iter().any(|k| k.info().name == n.as_str());
-                if !known {
-                    return Err(format!("unknown kernel '{n}' (try --list)"));
-                }
-            }
-            Ok(())
+/// failpoint names). `rank` is the name's [`Selection::rank`].
+fn check_name(rank: usize, name: &str) -> Result<(), String> {
+    let groups = Group::all().map(|g| g.name());
+    let (noun, known, hint) = match rank {
+        0 => {
+            let fixture = faulty_fixtures().iter().any(|k| k.info().name == name);
+            let known = fixture || kernels::find(name).is_some();
+            ("kernel", known, "try --list".to_string())
         }
-        Selection::Groups(groups) => {
-            for g in groups {
-                if !Group::all().iter().any(|kg| kg.name().eq_ignore_ascii_case(g)) {
-                    let known: Vec<&str> = Group::all().iter().map(|kg| kg.name()).collect();
-                    return Err(format!("unknown group '{g}'; known: {}", known.join(", ")));
-                }
-            }
-            Ok(())
+        1 => {
+            let known = groups.iter().any(|g| g.eq_ignore_ascii_case(name));
+            ("group", known, format!("known: {}", groups.join(", ")))
         }
-        Selection::Features(feats) => {
-            for f in feats {
-                if !FEATURE_NAMES.contains(&f.to_ascii_lowercase().as_str()) {
-                    return Err(format!(
-                        "unknown feature '{f}'; known: {}",
-                        FEATURE_NAMES.join(" ")
-                    ));
-                }
-            }
-            Ok(())
+        _ => {
+            let known = FEATURE_NAMES.contains(&name.to_ascii_lowercase().as_str());
+            (
+                "feature",
+                known,
+                format!("known: {}", FEATURE_NAMES.join(" ")),
+            )
         }
-        Selection::Union(parts) => parts.iter().try_for_each(validate_selection),
+    };
+    if known {
+        Ok(())
+    } else {
+        Err(format!("unknown {noun} '{name}' ({hint})"))
     }
 }
 
@@ -314,7 +319,7 @@ impl RunParams {
                 self.selection.matches(&info) && !self.exclude.iter().any(|n| n == info.name)
             })
             .collect();
-        let explicit = self.selection.explicit_kernel_names();
+        let explicit = self.selection.names(0);
         if !explicit.is_empty() {
             selected.extend(
                 faulty_fixtures()
@@ -346,518 +351,624 @@ impl RunParams {
         }
     }
 
-    /// Parse RAJAPerf-style command-line arguments.
-    ///
-    /// Supported options:
-    /// `--kernels k1,k2` · `--groups g1,g2` · `--features f1,f2` ·
-    /// `--exclude-kernels k1,k2` · `--variant NAME` · `--gpu-block-size N` ·
-    /// `--size N` · `--size-factor X` · `--reps N` · `--reps-factor X` ·
-    /// `--caliper SPEC`.
+    /// Parse RAJAPerf-style command-line arguments: every non-mode row of
+    /// [`FLAGS`], as `--flag value` or `--flag=value`.
     pub fn parse(args: &[String]) -> Result<RunParams, String> {
         let mut p = RunParams::default();
-        // Selection flags accumulate across the whole command line:
-        // `--groups Stream --kernels Basic_DAXPY` is a union (the old
-        // behavior silently kept only the last flag), and names dedupe
-        // order-preservingly so `--kernels a,a` or an overlap between
-        // repeated flags cannot select a name twice.
-        let mut kernel_names: Vec<String> = Vec::new();
-        let mut group_names: Vec<String> = Vec::new();
-        let mut feature_names: Vec<String> = Vec::new();
-        fn push_unique(acc: &mut Vec<String>, csv: &str, fold_case: bool) -> bool {
-            let mut saw_name = false;
-            for part in csv.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                saw_name = true;
-                let dup = acc.iter().any(|p| {
-                    if fold_case {
-                        p.eq_ignore_ascii_case(part)
-                    } else {
-                        p == part
-                    }
-                });
-                if !dup {
-                    acc.push(part.to_string());
-                }
-            }
-            saw_name
-        }
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (arg.as_str(), None),
             };
-            match arg.as_str() {
-                "--kernels" => {
-                    if !push_unique(&mut kernel_names, &value("--kernels")?, false) {
-                        return Err("--kernels requires at least one kernel name".to_string());
-                    }
-                }
-                "--groups" => {
-                    if !push_unique(&mut group_names, &value("--groups")?, true) {
-                        return Err("--groups requires at least one group name".to_string());
-                    }
-                }
-                "--features" => {
-                    if !push_unique(&mut feature_names, &value("--features")?, true) {
-                        return Err("--features requires at least one feature name".to_string());
-                    }
-                }
-                "--exclude-kernels" => {
-                    p.exclude = value("--exclude-kernels")?
-                        .split(',')
-                        .map(str::to_string)
-                        .collect()
-                }
-                "--variant" | "--variants" => {
-                    let v = value("--variant")?;
-                    p.variant = VariantId::parse(&v)
-                        .ok_or_else(|| format!("unknown variant '{v}'"))?;
-                }
-                "--gpu-block-size" => {
-                    p.tuning.gpu_block_size = value("--gpu-block-size")?
-                        .parse()
-                        .map_err(|e| format!("bad block size: {e}"))?;
-                }
-                "--size" => {
-                    p.explicit_size =
-                        Some(value("--size")?.parse().map_err(|e| format!("bad size: {e}"))?)
-                }
-                "--size-factor" => {
-                    p.size_factor = value("--size-factor")?
-                        .parse()
-                        .map_err(|e| format!("bad size factor: {e}"))?
-                }
-                "--reps" => {
-                    p.explicit_reps =
-                        Some(value("--reps")?.parse().map_err(|e| format!("bad reps: {e}"))?)
-                }
-                "--reps-factor" => {
-                    p.reps_factor = value("--reps-factor")?
-                        .parse()
-                        .map_err(|e| format!("bad reps factor: {e}"))?
-                }
-                "--caliper" => p.caliper_spec = Some(value("--caliper")?),
-                "--sanitize" => p.sanitize = true,
-                "--sweep" => p.sweep = true,
-                "--sweep-block-sizes" => {
-                    p.sweep_block_sizes = value("--sweep-block-sizes")?
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<usize>()
-                                .map_err(|e| format!("bad sweep block size '{s}': {e}"))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "--sweep-dir" => {
-                    p.sweep_dir = Some(std::path::PathBuf::from(value("--sweep-dir")?))
-                }
-                "--ranks" => {
-                    let v = value("--ranks")?;
-                    p.ranks = v
-                        .parse::<usize>()
-                        .map_err(|e| format!("bad rank count '{v}': {e}"))?;
-                }
-                arg if arg == "--rank-isolation" || arg.starts_with("--rank-isolation=") => {
-                    let v = match arg.strip_prefix("--rank-isolation=") {
-                        Some(v) => v.to_string(),
-                        None => value("--rank-isolation")?,
-                    };
-                    p.rank_isolation = RankIsolation::parse(&v).ok_or_else(|| {
-                        format!("unknown rank isolation mode '{v}'; known: threads, process")
-                    })?;
-                }
-                arg if arg == "--rank-restarts" || arg.starts_with("--rank-restarts=") => {
-                    let v = match arg.strip_prefix("--rank-restarts=") {
-                        Some(v) => v.to_string(),
-                        None => value("--rank-restarts")?,
-                    };
-                    p.rank_restarts = v
-                        .parse::<u32>()
-                        .map_err(|e| format!("bad restart budget '{v}': {e}"))?;
-                }
-                // Internal: appended by the process carrier when
-                // spawning child ranks; not in the usage text.
-                "--rank-worker" => {
-                    let v = value("--rank-worker")?;
-                    let parsed = v.split_once('/').and_then(|(r, n)| {
-                        Some((r.parse::<usize>().ok()?, n.parse::<usize>().ok()?))
-                    });
-                    p.rank_worker = Some(
-                        parsed.ok_or_else(|| format!("bad --rank-worker '{v}' (want R/N)"))?,
-                    );
-                }
-                "--trace" => p.trace = Some(std::path::PathBuf::from(value("--trace")?)),
-                "--trace-folded" => {
-                    p.trace_folded = Some(std::path::PathBuf::from(value("--trace-folded")?))
-                }
-                "--faults" => p.faults = Some(value("--faults")?),
-                "--lock-order" => p.lock_order = true,
-                "--timeout" => {
-                    let secs: f64 = value("--timeout")?
-                        .parse()
-                        .map_err(|e| format!("bad timeout: {e}"))?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err("--timeout must be a positive number of seconds".to_string());
-                    }
-                    p.timeout = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--retries" => {
-                    p.max_retries = value("--retries")?
-                        .parse()
-                        .map_err(|e| format!("bad retries: {e}"))?
-                }
-                "--retry-backoff-ms" => {
-                    let ms: u64 = value("--retry-backoff-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad retry backoff: {e}"))?;
-                    p.retry_backoff = std::time::Duration::from_millis(ms);
-                }
-                other => return Err(format!("unknown option '{other}' (try --help)")),
-            }
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.mode.is_none() && f.names.contains(&name))
+                .ok_or_else(|| format!("unknown option '{arg}' (try --help)"))?;
+            let value = match (inline, flag.metavar.is_empty()) {
+                (None, true) => "",
+                (Some(_), true) => return Err(format!("{name} takes no value")),
+                (Some(value), false) => value,
+                (None, false) => it
+                    .next()
+                    .ok_or_else(|| format!("{name} requires a value"))?,
+            };
+            (flag.set)(&mut p, value).map_err(|e| format!("{name}: {e}"))?;
         }
-        let mut parts: Vec<Selection> = Vec::new();
-        if !kernel_names.is_empty() {
-            parts.push(Selection::Kernels(kernel_names));
-        }
-        if !group_names.is_empty() {
-            parts.push(Selection::Groups(group_names));
-        }
-        if !feature_names.is_empty() {
-            parts.push(Selection::Features(feature_names));
-        }
-        p.selection = match parts.len() {
-            0 => Selection::All,
-            1 => parts.remove(0),
-            _ => Selection::Union(parts),
-        };
         p.validate()?;
         Ok(p)
     }
 
-    /// Reject parameter combinations that would panic deeper in the stack
-    /// or produce meaningless output (a zero block size trips the launch
-    /// config assert; a zero size runs and prints an all-zero row).
+    /// Reject flag combinations that contradict each other (each flag's own
+    /// range is its row's `set`'s business).
     fn validate(&self) -> Result<(), String> {
-        validate_selection(&self.selection)?;
-        if self.tuning.gpu_block_size == 0 {
-            return Err("--gpu-block-size must be >= 1".to_string());
-        }
-        if self.explicit_size == Some(0) {
-            return Err("--size must be >= 1".to_string());
-        }
-        if self.explicit_reps == Some(0) {
-            return Err("--reps must be >= 1".to_string());
-        }
-        if !(self.size_factor > 0.0 && self.size_factor.is_finite()) {
-            return Err("--size-factor must be a positive number".to_string());
-        }
-        if !(self.reps_factor > 0.0 && self.reps_factor.is_finite()) {
-            return Err("--reps-factor must be a positive number".to_string());
-        }
-        if self.sweep_block_sizes.contains(&0) {
-            return Err("--sweep-block-sizes entries must be >= 1".to_string());
-        }
-        if !self.sweep_block_sizes.is_empty() && !self.sweep {
-            return Err("--sweep-block-sizes requires --sweep".to_string());
-        }
-        if self.sweep && self.caliper_spec.is_some() {
-            return Err(
-                "--sweep manages its own Caliper outputs; do not combine with --caliper"
-                    .to_string(),
-            );
-        }
-        if self.sweep && (self.trace.is_some() || self.trace_folded.is_some()) {
-            return Err(
-                "--trace records a single run's timeline; do not combine with --sweep"
-                    .to_string(),
-            );
-        }
-        if self.trace_folded.is_some() && self.trace.is_none() {
-            return Err("--trace-folded requires --trace".to_string());
-        }
-        if self.sweep && self.lock_order {
-            return Err(
-                "--lock-order analyzes a single run; do not combine with --sweep".to_string(),
-            );
-        }
-        if self.ranks == 0 {
-            return Err("--ranks must be >= 1".to_string());
-        }
-        if self.ranks > MAX_RANKS {
-            return Err(format!("--ranks must be <= {MAX_RANKS}"));
-        }
-        if self.ranks > 1 && !self.sweep {
-            return Err("--ranks shards a sweep's cell grid; it requires --sweep".to_string());
-        }
-        if self.rank_isolation == RankIsolation::Process && !self.sweep {
-            return Err(
-                "--rank-isolation configures a sweep campaign's ranks; it requires --sweep"
-                    .to_string(),
-            );
-        }
-        if self.rank_restarts > MAX_RANK_RESTARTS {
-            return Err(format!("--rank-restarts must be <= {MAX_RANK_RESTARTS}"));
-        }
-        if let Some((r, n)) = self.rank_worker {
+        let tracing = self.trace.is_some() || self.trace_folded.is_some();
+        let process_ranks = self.rank_isolation == RankIsolation::Process;
+        let rules = [
+            (
+                !self.sweep_block_sizes.is_empty() && !self.sweep,
+                "--sweep-block-sizes requires --sweep",
+            ),
+            (
+                self.sweep && self.caliper_spec.is_some(),
+                "--sweep manages its own Caliper outputs; do not combine with --caliper",
+            ),
+            (
+                self.sweep && tracing,
+                "--trace records a single run's timeline; do not combine with --sweep",
+            ),
+            (
+                self.trace_folded.is_some() && self.trace.is_none(),
+                "--trace-folded requires --trace",
+            ),
+            (
+                self.sweep && self.lock_order,
+                "--lock-order analyzes a single run; do not combine with --sweep",
+            ),
+            (
+                self.ranks > 1 && !self.sweep,
+                "--ranks shards a sweep's cell grid; it requires --sweep",
+            ),
+            (
+                process_ranks && !self.sweep,
+                "--rank-isolation configures a sweep campaign's ranks; it requires --sweep",
+            ),
             // Internal flag, but validated like any other: a worker outside
-            // a sweep (or claiming a rank beyond the campaign width) is a
-            // malformed spawn, and the supervisor maps the child's usage
-            // exit back to a parent usage error.
-            if !self.sweep {
-                return Err("--rank-worker is internal to --sweep campaigns".to_string());
-            }
-            if n == 0 || n > MAX_RANKS || r >= n {
-                return Err(format!("--rank-worker {r}/{n} is out of range"));
-            }
+            // a sweep is a malformed spawn, and the supervisor maps the
+            // child's usage exit back to a parent usage error.
+            (
+                self.rank_worker.is_some() && !self.sweep,
+                "--rank-worker is internal to --sweep campaigns",
+            ),
+            (
+                self.faults.is_some() && self.sanitize,
+                "--sanitize expects hazard-free execution; do not combine with --faults",
+            ),
+        ];
+        match rules.iter().find(|(broken, _)| *broken) {
+            Some((_, why)) => Err(why.to_string()),
+            None => Ok(()),
         }
-        if let Some(spec) = &self.faults {
-            // Strict at the CLI: a typoed failpoint name must not silently
-            // inject nothing.
-            let cfg = simfault::FaultConfig::parse(spec)
-                .map_err(|e| format!("--faults: {e}"))?;
-            let unknown = cfg.unknown_points();
-            if !unknown.is_empty() {
-                let known: Vec<&str> =
-                    simfault::KNOWN_POINTS.iter().map(|(p, _)| *p).collect();
-                return Err(format!(
-                    "--faults names unknown failpoint(s) {unknown:?}; known: {}",
-                    known.join(", ")
-                ));
-            }
-            if self.sanitize {
-                return Err(
-                    "--sanitize expects hazard-free execution; do not combine with --faults"
-                        .to_string(),
-                );
-            }
-        }
-        Ok(())
     }
 
     /// Re-serialize these parameters as the CLI argv that parses back to
-    /// them — how the process carrier hands a child rank exactly
-    /// the campaign configuration it is itself running.
-    ///
-    /// Supervisor-only fields are deliberately absent: `rank_isolation` and
-    /// `rank_restarts` (a child must never recurse into supervising its own
-    /// children) and the internal `rank_worker`/`rank_context` (the
-    /// supervisor appends `--rank-worker R/N` itself).
+    /// them — how the process carrier hands a child rank exactly the
+    /// campaign configuration it is itself running: every [`FLAGS`] row
+    /// forwarded to children that has something to say. `rank_context` is
+    /// not a flag and never appears.
     pub fn to_argv(&self) -> Vec<String> {
-        fn selection_argv(sel: &Selection, out: &mut Vec<String>) {
-            match sel {
-                Selection::All => {}
-                Selection::Kernels(names) => {
-                    out.push("--kernels".into());
-                    out.push(names.join(","));
-                }
-                Selection::Groups(names) => {
-                    out.push("--groups".into());
-                    out.push(names.join(","));
-                }
-                Selection::Features(names) => {
-                    out.push("--features".into());
-                    out.push(names.join(","));
-                }
-                Selection::Union(parts) => {
-                    for p in parts {
-                        selection_argv(p, out);
-                    }
+        let mut out = Vec::new();
+        for flag in FLAGS.iter().filter(|f| f.child) {
+            if let Some(value) = (flag.get)(self) {
+                out.push(flag.names[0].to_string());
+                if !flag.metavar.is_empty() {
+                    out.push(value);
                 }
             }
-        }
-        let defaults = RunParams::default();
-        let mut out = Vec::new();
-        selection_argv(&self.selection, &mut out);
-        if !self.exclude.is_empty() {
-            out.push("--exclude-kernels".into());
-            out.push(self.exclude.join(","));
-        }
-        out.push("--variant".into());
-        out.push(self.variant.name().into());
-        out.push("--gpu-block-size".into());
-        out.push(self.tuning.gpu_block_size.to_string());
-        if let Some(n) = self.explicit_size {
-            out.push("--size".into());
-            out.push(n.to_string());
-        }
-        if self.size_factor != defaults.size_factor {
-            out.push("--size-factor".into());
-            out.push(self.size_factor.to_string());
-        }
-        if let Some(r) = self.explicit_reps {
-            out.push("--reps".into());
-            out.push(r.to_string());
-        }
-        if self.reps_factor != defaults.reps_factor {
-            out.push("--reps-factor".into());
-            out.push(self.reps_factor.to_string());
-        }
-        if let Some(spec) = &self.caliper_spec {
-            out.push("--caliper".into());
-            out.push(spec.clone());
-        }
-        if self.sanitize {
-            out.push("--sanitize".into());
-        }
-        if self.sweep {
-            out.push("--sweep".into());
-        }
-        if !self.sweep_block_sizes.is_empty() {
-            out.push("--sweep-block-sizes".into());
-            out.push(
-                self.sweep_block_sizes
-                    .iter()
-                    .map(usize::to_string)
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-        }
-        if let Some(dir) = &self.sweep_dir {
-            out.push("--sweep-dir".into());
-            out.push(dir.display().to_string());
-        }
-        if self.ranks != defaults.ranks {
-            out.push("--ranks".into());
-            out.push(self.ranks.to_string());
-        }
-        if let Some(t) = &self.trace {
-            out.push("--trace".into());
-            out.push(t.display().to_string());
-        }
-        if let Some(t) = &self.trace_folded {
-            out.push("--trace-folded".into());
-            out.push(t.display().to_string());
-        }
-        if let Some(spec) = &self.faults {
-            out.push("--faults".into());
-            out.push(spec.clone());
-        }
-        if self.lock_order {
-            out.push("--lock-order".into());
-        }
-        if let Some(d) = self.timeout {
-            out.push("--timeout".into());
-            // `{}` on f64 prints the shortest representation that parses
-            // back to the same value, so the child's watchdog deadline is
-            // bit-identical to the parent's.
-            out.push(d.as_secs_f64().to_string());
-        }
-        if self.max_retries != defaults.max_retries {
-            out.push("--retries".into());
-            out.push(self.max_retries.to_string());
-        }
-        if self.retry_backoff != defaults.retry_backoff {
-            out.push("--retry-backoff-ms".into());
-            out.push(self.retry_backoff.as_millis().to_string());
         }
         out
     }
 
-    /// Usage text for the CLI.
+    /// Usage text for the CLI: the documented [`FLAGS`] rows by section,
+    /// then the exit codes and the environment.
     pub fn usage() -> &'static str {
-        "rajaperf [options]\n\
-         \n\
-         Kernel selection:\n\
-           --kernels NAME[,NAME...]     run specific kernels (Group_KERNEL names)\n\
-           --groups NAME[,NAME...]      run whole groups (Stream, Basic, Lcals, ...)\n\
-           --features F[,F...]          run kernels using a RAJA feature\n\
-                                        (sort scan reduction atomic view workgroup mpi)\n\
-           --exclude-kernels NAME[,..]  exclude kernels by name\n\
-           (selection flags combine as a union and dedupe repeated names;\n\
-           unknown kernel/group/feature names are usage errors)\n\
-         \n\
-         Execution:\n\
-           --variant NAME               Base_Seq | RAJA_Seq | Base_Par | RAJA_Par |\n\
-                                        Base_SimGpu | RAJA_SimGpu   (default Base_Seq)\n\
-           --gpu-block-size N           device block-size tuning, N >= 1 (default 256)\n\
-           --size N                     problem size for every kernel (N >= 1)\n\
-           --size-factor X              scale each kernel's default size\n\
-           --reps N / --reps-factor X   repetition control (N >= 1)\n\
-         \n\
-         Sweep:\n\
-           --sweep                      run the full cross-product of all variants\n\
-                                        x block-size tunings in one invocation: one\n\
-                                        profile per (variant, tuning) cell, a sweep\n\
-                                        manifest JSON, and per-cell caching so an\n\
-                                        interrupted sweep reuses finished cells\n\
-           --sweep-block-sizes N[,N..]  block-size tunings to sweep (default: just\n\
-                                        --gpu-block-size)\n\
-           --sweep-dir DIR              sweep output directory\n\
-                                        (default target/sweep)\n\
-           --ranks N                    shard the sweep's cell grid across N\n\
-                                        supervised ranks with cell work\n\
-                                        stealing; the manifest is\n\
-                                        byte-identical to --ranks 1 (default 1)\n\
-           --rank-isolation MODE        what carries a rank. threads (default):\n\
-                                        a worker thread in this process;\n\
-                                        process: a child rajaperf process, so\n\
-                                        a rank survives kill -9/abort and wedged\n\
-                                        ranks are killed on a missed heartbeat\n\
-           --rank-restarts N            times a rank that dies (panic, signal,\n\
-                                        exit) is restarted with backoff before\n\
-                                        it is retired as a casualty and its\n\
-                                        cells go to surviving ranks (default 2,\n\
-                                        max 16; either isolation mode)\n\
-         \n\
-         Output:\n\
-           --caliper SPEC               e.g. 'runtime-report,output=stdout' or\n\
-                                        'spot(output=run.cali.json)' or\n\
-                                        'trace(output=run.trace.json)'\n\
-           --trace FILE                 record an event trace (per-kernel regions,\n\
-                                        per-worker lanes, device launch/block\n\
-                                        events) and write Chrome Trace Event JSON\n\
-                                        loadable in chrome://tracing or Perfetto;\n\
-                                        zero overhead when not passed\n\
-           --trace-folded FILE          also write the trace as flamegraph folded\n\
-                                        stacks (requires --trace)\n\
-           --checksums                  run every variant and print the\n\
-                                        cross-variant checksum report\n\
-           --sanitize                   run the simulated-device sanitizer\n\
-                                        (simsan) over the selection and print\n\
-                                        its hazard report\n\
-           --list                       list kernels and exit\n\
-         \n\
-         Fault tolerance:\n\
-           --faults SPEC                arm deterministic fault injection, e.g.\n\
-                                        'gpusim.launch=err:0.05,seed=42' or\n\
-                                        'suite.kernel@Stream_TRIAD=panic:1.0'\n\
-                                        (points: gpusim.launch gpusim.ecc\n\
-                                        suite.kernel io.write fixture.flaky;\n\
-                                        modes: panic err stall[(ms)] flip\n\
-                                        truncate; rate defaults to 1.0; zero\n\
-                                        overhead when not armed)\n\
-           --timeout SECS               watchdog deadline per kernel execution;\n\
-                                        a kernel exceeding it is recorded as\n\
-                                        TIMEOUT and the run continues\n\
-           --retries N                  retries for transient (injected) kernel\n\
-                                        failures (default 0)\n\
-           --retry-backoff-ms MS        base linear backoff between retries\n\
-                                        (default 50)\n\
-         \n\
-         Diagnostics:\n\
-           --lock-order                 record the lock-acquisition order graph\n\
-                                        across the pool, trace, and fault-scope\n\
-                                        locks and report potential-deadlock\n\
-                                        cycles (both acquisition stacks, kernel\n\
-                                        region attribution) after the run;\n\
-                                        captures a backtrace per acquisition, so\n\
-                                        do not combine with timing measurements\n\
-         \n\
-         Exit codes:\n\
-           0 success | 1 internal error | 2 usage | 3 checksum failure |\n\
-           4 sanitizer findings | 5 kernel failures (partial failure: the\n\
-           rest of the selection completed and reported) | 6 unavailable\n\
-           (daemon queue full or shutting down)\n\
-         \n\
-         Environment:\n\
-           RAYON_NUM_THREADS            thread-pool width for Par variants and\n\
-                                        simulated-GPU block scheduling (positive\n\
-                                        integer; default: available parallelism;\n\
-                                        1 = fully sequential, bitwise-deterministic)\n\
-           SIMFAULT                     fault spec used when --faults is absent\n"
+        static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        TEXT.get_or_init(|| {
+            let mut out = "rajaperf [options]\n".to_string();
+            let mut section = "";
+            for flag in FLAGS.iter().filter(|f| !f.help.is_empty()) {
+                if flag.section != section {
+                    section = flag.section;
+                    out += &format!("\n{section}:\n");
+                }
+                // Lay the help sentence out beside the flag, wrapped by word
+                // (the empty last word flushes the last line).
+                let mut head = format!("{} {}", flag.names[0], flag.metavar);
+                let mut line = String::new();
+                for word in flag.help.split_whitespace().chain([""]) {
+                    let full = !line.is_empty() && line.len() + word.len() > HELP_WIDTH;
+                    if word.is_empty() || full {
+                        out += &format!("  {head:<29}{}\n", line.trim_end());
+                        head.clear();
+                        line.clear();
+                    }
+                    line += word;
+                    line.push(' ');
+                }
+            }
+            out += USAGE_TAIL;
+            for flag in FLAGS {
+                if let Some(var) = flag.env {
+                    let name = flag.names[0];
+                    out += &format!("  {var:<29}{name} value used when the flag is absent\n");
+                }
+            }
+            out
+        })
     }
+}
+
+/// Width of the usage text's help column.
+const HELP_WIDTH: usize = 46;
+
+const USAGE_TAIL: &str = "\n\
+    Exit codes:\n\
+    \x20 0 success | 1 internal error | 2 usage | 3 checksum failure |\n\
+    \x20 4 sanitizer findings | 5 kernel failures (partial failure: the\n\
+    \x20 rest of the selection completed and reported) | 6 unavailable\n\
+    \x20 (daemon queue full or shutting down)\n\
+    \n\
+    Environment:\n\
+    \x20 RAYON_NUM_THREADS            thread-pool width for Par variants and\n\
+    \x20                              simulated-GPU block scheduling (positive\n\
+    \x20                              integer; default: available parallelism;\n\
+    \x20                              1 = fully sequential, bitwise-deterministic)\n";
+
+/// Which `rajaperf` mode a flag selects instead of setting a parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// `--help`: print [`RunParams::usage`] and exit.
+    Help,
+    /// `--list`: list the kernel registry and exit.
+    List,
+    /// `--checksums`: run every variant and print the checksum report.
+    Checksums,
+}
+
+/// One flag `rajaperf` accepts: how it is spelled, documented, parsed and
+/// printed back, and what a ranked campaign's children, the daemon and the
+/// cache key make of it. [`FLAGS`] holds every row; `parse`, `to_argv`,
+/// `usage`, the binary's mode scan and `rajaperfd`'s refusals are loops over
+/// it, so a new flag is one new row.
+#[derive(Clone, Copy)]
+pub struct Flag {
+    /// Accepted spellings; the first is canonical (usage and `to_argv`).
+    pub names: &'static [&'static str],
+    /// Value placeholder in the usage text; empty for a switch.
+    pub metavar: &'static str,
+    /// Usage section. Rows of a section are contiguous in [`FLAGS`].
+    pub section: &'static str,
+    /// Usage text, wrapped by `usage`; empty hides the row.
+    pub help: &'static str,
+    /// Parse the value (`""` for a switch) into the parameters. Errors do
+    /// not name the flag: `parse` prefixes the spelling the user typed.
+    pub set: fn(&mut RunParams, &str) -> Result<(), String>,
+    /// Print the value back so that `set` reproduces it; `None` when the
+    /// flag has nothing to say (unset, or at its default).
+    pub get: fn(&RunParams) -> Option<String>,
+    /// The mode this flag selects; such a row is no campaign parameter, so
+    /// `parse` does not know it and the binary strips it first.
+    pub mode: Option<Mode>,
+    /// Forwarded to a child rank by `to_argv`. Supervisor-only rows are
+    /// not: a child must never recurse into supervising its own children.
+    pub child: bool,
+    /// Why `rajaperfd` refuses a request that sets this flag; `None` when
+    /// the daemon serves it.
+    pub refused: Option<&'static str>,
+    /// Whether setting the flag changes `record::campaign_key` — true
+    /// exactly when it can change a run's results.
+    pub keyed: bool,
+    /// Environment variable `rajaperf` reads the value from when the flag
+    /// is absent from the command line.
+    pub env: Option<&'static str>,
+}
+
+impl Flag {
+    const fn new(
+        names: &'static [&'static str],
+        metavar: &'static str,
+        section: &'static str,
+    ) -> Flag {
+        Flag {
+            names,
+            metavar,
+            section,
+            help: "",
+            set: |_, _| Ok(()),
+            get: |_| None,
+            mode: None,
+            child: true,
+            refused: None,
+            keyed: false,
+            env: None,
+        }
+    }
+    const fn help(mut self, help: &'static str) -> Flag {
+        self.help = help;
+        self
+    }
+    const fn set(mut self, set: fn(&mut RunParams, &str) -> Result<(), String>) -> Flag {
+        self.set = set;
+        self
+    }
+    const fn get(mut self, get: fn(&RunParams) -> Option<String>) -> Flag {
+        self.get = get;
+        self
+    }
+    const fn mode(mut self, mode: Mode) -> Flag {
+        self.mode = Some(mode);
+        self
+    }
+    const fn supervisor_only(mut self) -> Flag {
+        self.child = false;
+        self
+    }
+    const fn refused(mut self, why: &'static str) -> Flag {
+        self.refused = Some(why);
+        self
+    }
+    const fn keyed(mut self) -> Flag {
+        self.keyed = true;
+        self
+    }
+    const fn env(mut self, var: &'static str) -> Flag {
+        self.env = Some(var);
+        self
+    }
+
+    /// Whether `args` spell this flag (`--flag` or `--flag=value`).
+    pub fn given(&self, args: &[String]) -> bool {
+        args.iter().any(|a| {
+            let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
+            self.names.contains(&name)
+        })
+    }
+}
+
+const SELECTION: &str = "Kernel selection";
+const EXECUTION: &str = "Execution";
+const SWEEP: &str = "Sweep";
+const OUTPUT: &str = "Output";
+const FAULTS: &str = "Fault tolerance";
+const DIAGNOSTICS: &str = "Diagnostics";
+
+const NOT_SERVED_TRACE: &str =
+    "--trace records a process-global timeline; run it via the one-shot CLI";
+
+/// The command line: every flag `rajaperf` accepts, in usage order.
+pub static FLAGS: &[Flag] = &[
+    Flag::new(&["--kernels"], "NAME[,NAME...]", SELECTION)
+        .help("run specific kernels (Group_KERNEL names)")
+        .set(|p, v| select(p, Selection::Kernels(Vec::new()), v))
+        .get(|p| listed(p.selection.names(0)))
+        .keyed(),
+    Flag::new(&["--groups"], "NAME[,NAME...]", SELECTION)
+        .help("run whole groups (Stream, Basic, Lcals, ...)")
+        .set(|p, v| select(p, Selection::Groups(Vec::new()), v))
+        .get(|p| listed(p.selection.names(1)))
+        .keyed(),
+    Flag::new(&["--features"], "F[,F...]", SELECTION)
+        .help("run kernels using a RAJA feature (sort scan reduction atomic view workgroup mpi)")
+        .set(|p, v| select(p, Selection::Features(Vec::new()), v))
+        .get(|p| listed(p.selection.names(2)))
+        .keyed(),
+    Flag::new(&["--exclude-kernels"], "NAME[,..]", SELECTION)
+        .help(
+            "exclude kernels by name (selection flags combine as a union and dedupe repeated \
+             names; unknown kernel/group/feature names are usage errors)",
+        )
+        .set(|p, v| put(&mut p.exclude, v.split(',').map(str::to_string).collect()))
+        .get(|p| listed(p.exclude.clone()))
+        .keyed(),
+    Flag::new(&["--variant", "--variants"], "NAME", EXECUTION)
+        .help(
+            "Base_Seq | RAJA_Seq | Base_Par | RAJA_Par | Base_SimGpu | RAJA_SimGpu (default \
+             Base_Seq)",
+        )
+        .set(|p, v| match VariantId::parse(v) {
+            Some(variant) => put(&mut p.variant, variant),
+            None => Err(format!("unknown variant '{v}'")),
+        })
+        .get(|p| Some(p.variant.name().to_string()))
+        .keyed(),
+    Flag::new(&["--gpu-block-size"], "N", EXECUTION)
+        .help("device block-size tuning, N >= 1 (default 256)")
+        .set(|p, v| at_least_one(v).map(|n| p.tuning.gpu_block_size = n))
+        .get(|p| Some(p.tuning.gpu_block_size.to_string()))
+        .keyed(),
+    Flag::new(&["--size"], "N", EXECUTION)
+        .help("problem size for every kernel (N >= 1)")
+        .set(|p, v| at_least_one(v).map(|n| p.explicit_size = Some(n)))
+        .get(|p| p.explicit_size.map(|n| n.to_string()))
+        .keyed(),
+    Flag::new(&["--size-factor"], "X", EXECUTION)
+        .help("scale each kernel's default size")
+        .set(|p, v| positive(v).map(|x| p.size_factor = x))
+        .get(|p| unless_default(p.size_factor, RunParams::default().size_factor))
+        .keyed(),
+    Flag::new(&["--reps"], "N", EXECUTION)
+        .help("repetition count for every kernel (N >= 1)")
+        .set(|p, v| at_least_one(v).map(|n| p.explicit_reps = Some(n)))
+        .get(|p| p.explicit_reps.map(|n| n.to_string()))
+        .keyed(),
+    Flag::new(&["--reps-factor"], "X", EXECUTION)
+        .help("scale each kernel's default repetition count")
+        .set(|p, v| positive(v).map(|x| p.reps_factor = x))
+        .get(|p| unless_default(p.reps_factor, RunParams::default().reps_factor))
+        .keyed(),
+    Flag::new(&["--sweep"], "", SWEEP)
+        .help(
+            "run the full cross-product of all variants x block-size tunings in one invocation: \
+             one profile per (variant, tuning) cell, a sweep manifest JSON, and per-cell caching \
+             so an interrupted sweep reuses finished cells",
+        )
+        .set(|p, _| put(&mut p.sweep, true))
+        .get(|p| p.sweep.then(String::new)),
+    Flag::new(&["--sweep-block-sizes"], "N[,N..]", SWEEP)
+        .help("block-size tunings to sweep (default: just --gpu-block-size)")
+        .set(|p, v| {
+            let sizes = v
+                .split(',')
+                .map(|s| at_least_one(s.trim()))
+                .collect::<Result<_, _>>();
+            sizes.map(|sizes| p.sweep_block_sizes = sizes)
+        })
+        .get(|p| listed(p.sweep_block_sizes.iter().map(usize::to_string).collect())),
+    Flag::new(&["--sweep-dir"], "DIR", SWEEP)
+        .help("sweep output directory (default target/sweep)")
+        .set(|p, v| put(&mut p.sweep_dir, Some(v.into())))
+        .get(|p| shown(&p.sweep_dir)),
+    Flag::new(&["--ranks"], "N", SWEEP)
+        .help(
+            "shard the sweep's cell grid across N supervised ranks with cell work stealing; the \
+             manifest is byte-identical to --ranks 1 (default 1)",
+        )
+        .set(|p, v| at_most(at_least_one(v)?, MAX_RANKS).map(|n| p.ranks = n))
+        .get(|p| unless_default(p.ranks, RunParams::default().ranks)),
+    Flag::new(&["--rank-isolation"], "MODE", SWEEP)
+        .help(
+            "what carries a rank. threads (default): a worker thread in this process; process: a \
+             child rajaperf process, so a rank survives kill -9/abort and wedged ranks are killed \
+             on a missed heartbeat",
+        )
+        .set(|p, v| match RankIsolation::parse(v) {
+            Some(mode) => put(&mut p.rank_isolation, mode),
+            None => Err(format!(
+                "unknown rank isolation mode '{v}'; known: threads, process"
+            )),
+        })
+        .get(|p| unless_default(p.rank_isolation.name(), RankIsolation::default().name()))
+        .supervisor_only(),
+    Flag::new(&["--rank-restarts"], "N", SWEEP)
+        .help(
+            "times a rank that dies (panic, signal, exit) is restarted with backoff before it is \
+             retired as a casualty and its cells go to surviving ranks (default 2, max 16; either \
+             isolation mode)",
+        )
+        .set(|p, v| at_most(num(v)?, MAX_RANK_RESTARTS).map(|n| p.rank_restarts = n))
+        .get(|p| unless_default(p.rank_restarts, RunParams::default().rank_restarts))
+        .supervisor_only(),
+    // Internal, so no help: the process carrier sets it on each child rank.
+    Flag::new(&["--rank-worker"], "R/N", SWEEP)
+        .set(|p, v| {
+            let parsed = v
+                .split_once('/')
+                .and_then(|(r, n)| Some((r.parse().ok()?, n.parse().ok()?)));
+            match parsed {
+                Some((r, n)) if r < n && n <= MAX_RANKS => put(&mut p.rank_worker, Some((r, n))),
+                Some(_) => Err(format!("{v} is out of range")),
+                None => Err(format!("bad value '{v}' (want R/N)")),
+            }
+        })
+        .get(|p| p.rank_worker.map(|(r, n)| format!("{r}/{n}")))
+        .refused(
+            "--rank-worker is the internal child mode of a process campaign; \
+             the daemon only supervises, never serves as a worker",
+        ),
+    Flag::new(&["--caliper"], "SPEC", OUTPUT)
+        .help(
+            "e.g. 'runtime-report,output=stdout' or 'spot(output=run.cali.json)' or \
+             'trace(output=run.trace.json)'",
+        )
+        .set(|p, v| {
+            let mut services = caliper::ConfigManager::new();
+            match services.add(v).error() {
+                Some(e) => Err(e.to_string()),
+                None => put(&mut p.caliper_spec, Some(v.to_string())),
+            }
+        })
+        .get(|p| p.caliper_spec.clone())
+        .refused("--caliper is not served by the daemon; the result event carries the profile"),
+    Flag::new(&["--trace"], "FILE", OUTPUT)
+        .help(
+            "record an event trace (per-kernel regions, per-worker lanes, device launch/block \
+             events) and write Chrome Trace Event JSON loadable in chrome://tracing or Perfetto; \
+             zero overhead when not passed",
+        )
+        .set(|p, v| put(&mut p.trace, Some(v.into())))
+        .get(|p| shown(&p.trace))
+        .refused(NOT_SERVED_TRACE),
+    Flag::new(&["--trace-folded"], "FILE", OUTPUT)
+        .help("also write the trace as flamegraph folded stacks (requires --trace)")
+        .set(|p, v| put(&mut p.trace_folded, Some(v.into())))
+        .get(|p| shown(&p.trace_folded))
+        .refused(NOT_SERVED_TRACE),
+    Flag::new(&["--checksums"], "", OUTPUT)
+        .help("run every variant and print the cross-variant checksum report")
+        .mode(Mode::Checksums),
+    Flag::new(&["--sanitize"], "", OUTPUT)
+        .help(
+            "run the simulated-device sanitizer (simsan) over the selection and print its hazard \
+             report",
+        )
+        .set(|p, _| put(&mut p.sanitize, true))
+        .get(|p| p.sanitize.then(String::new))
+        .keyed(),
+    Flag::new(&["--list"], "", OUTPUT)
+        .help("list kernels and exit")
+        .mode(Mode::List),
+    Flag::new(&["--help", "-h"], "", OUTPUT)
+        .help("print this text and exit")
+        .mode(Mode::Help),
+    Flag::new(&["--faults"], "SPEC", FAULTS)
+        .help(
+            "arm deterministic fault injection, e.g. 'gpusim.launch=err:0.05,seed=42' or \
+             'suite.kernel@Stream_TRIAD=panic:1.0' (points: gpusim.launch gpusim.ecc suite.kernel \
+             io.write fixture.flaky; modes: panic err stall[(ms)] flip truncate; rate defaults to \
+             1.0; zero overhead when not armed)",
+        )
+        .set(|p, v| {
+            // Strict at the CLI: a typoed failpoint name must not silently
+            // inject nothing.
+            let config = simfault::FaultConfig::parse(v)?;
+            let unknown = config.unknown_points();
+            if unknown.is_empty() {
+                return put(&mut p.faults, Some(v.to_string()));
+            }
+            let known: Vec<&str> = simfault::KNOWN_POINTS.iter().map(|(p, _)| *p).collect();
+            Err(format!(
+                "unknown failpoint(s) {unknown:?}; known: {}",
+                known.join(", ")
+            ))
+        })
+        .get(|p| p.faults.clone())
+        .keyed()
+        .env("SIMFAULT"),
+    Flag::new(&["--timeout"], "SECS", FAULTS)
+        .help(
+            "watchdog deadline per kernel execution; a kernel exceeding it is recorded as TIMEOUT \
+             and the run continues",
+        )
+        .set(|p, v| {
+            let deadline = std::time::Duration::try_from_secs_f64(positive(v)?);
+            deadline
+                .map(|d| p.timeout = Some(d))
+                .map_err(|e| e.to_string())
+        })
+        // `{}` on f64 prints the shortest representation that parses back
+        // to the same value, so a child's deadline is bit-identical.
+        .get(|p| p.timeout.map(|d| d.as_secs_f64().to_string()))
+        .keyed(),
+    Flag::new(&["--retries"], "N", FAULTS)
+        .help("retries for transient (injected) kernel failures (default 0)")
+        .set(|p, v| num(v).map(|n| p.max_retries = n))
+        .get(|p| unless_default(p.max_retries, RunParams::default().max_retries))
+        .keyed(),
+    Flag::new(&["--retry-backoff-ms"], "MS", FAULTS)
+        .help("base linear backoff between retries (default 50)")
+        .set(|p, v| num(v).map(|ms| p.retry_backoff = std::time::Duration::from_millis(ms)))
+        .get(|p| {
+            let default = RunParams::default().retry_backoff.as_millis();
+            unless_default(p.retry_backoff.as_millis(), default)
+        }),
+    Flag::new(&["--lock-order"], "", DIAGNOSTICS)
+        .help(
+            "record the lock-acquisition order graph across the pool, trace, and fault-scope \
+             locks and report potential-deadlock cycles (both acquisition stacks, kernel region \
+             attribution) after the run; captures a backtrace per acquisition, so do not combine \
+             with timing measurements",
+        )
+        .set(|p, _| put(&mut p.lock_order, true))
+        .get(|p| p.lock_order.then(String::new))
+        .refused("--lock-order is a process-global diagnostic; run it via the one-shot CLI"),
+];
+
+/// Store a parsed value: the tail of most `set`s.
+fn put<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+fn num<T: std::str::FromStr<Err: std::fmt::Display>>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|e| format!("bad value '{v}': {e}"))
+}
+
+/// A count that must not be zero: a zero block size trips the launch
+/// config assert, a zero size runs and prints an all-zero row.
+fn at_least_one(v: &str) -> Result<usize, String> {
+    match num(v)? {
+        0 => Err("must be >= 1".to_string()),
+        n => Ok(n),
+    }
+}
+
+fn at_most<T: PartialOrd + std::fmt::Display>(n: T, max: T) -> Result<T, String> {
+    if n <= max {
+        Ok(n)
+    } else {
+        Err(format!("must be <= {max}"))
+    }
+}
+
+fn positive(v: &str) -> Result<f64, String> {
+    match num(v)? {
+        x if x > 0.0 && f64::is_finite(x) => Ok(x),
+        _ => Err("must be a positive number".to_string()),
+    }
+}
+
+fn listed<S: std::borrow::Borrow<str>>(items: Vec<S>) -> Option<String> {
+    (!items.is_empty()).then(|| items.join(","))
+}
+
+fn shown(path: &Option<std::path::PathBuf>) -> Option<String> {
+    path.as_ref().map(|p| p.display().to_string())
+}
+
+fn unless_default<T: PartialEq + ToString>(value: T, default: T) -> Option<String> {
+    (value != default).then(|| value.to_string())
+}
+
+/// Merge one selection flag's comma-separated names into `p.selection`.
+/// Selection flags accumulate across the whole command line: `--groups
+/// Stream --kernels Basic_DAXPY` is a union (kernels, groups, features, in
+/// that order whatever the flag order), and names dedupe order-preservingly
+/// so `--kernels a,a` or an overlap between repeated flags cannot select a
+/// name twice. `fresh` is the empty list of the flag's kind.
+fn select(p: &mut RunParams, fresh: Selection, csv: &str) -> Result<(), String> {
+    let rank = fresh.rank();
+    let mut parts = match std::mem::replace(&mut p.selection, Selection::All) {
+        Selection::All => Vec::new(),
+        Selection::Union(parts) => parts,
+        one => vec![one],
+    };
+    let at = parts
+        .iter()
+        .position(|s| s.rank() >= rank)
+        .unwrap_or(parts.len());
+    if parts.get(at).map(Selection::rank) != Some(rank) {
+        parts.insert(at, fresh);
+    }
+    let (Selection::Kernels(acc) | Selection::Groups(acc) | Selection::Features(acc)) =
+        &mut parts[at]
+    else {
+        unreachable!("rank {rank} is a name list");
+    };
+    let mut saw_name = false;
+    for name in csv.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+        saw_name = true;
+        check_name(rank, name)?;
+        // Group and feature matching folds case, so their dedupe does too.
+        if !acc
+            .iter()
+            .any(|n| n == name || rank > 0 && n.eq_ignore_ascii_case(name))
+        {
+            acc.push(name.to_string());
+        }
+    }
+    p.selection = match parts.len() {
+        1 => parts.remove(0),
+        _ => Selection::Union(parts),
+    };
+    if saw_name {
+        Ok(())
+    } else {
+        Err("requires at least one name".to_string())
+    }
+}
+
+/// Split the flags that select a `rajaperf` mode from the campaign
+/// parameters [`RunParams::parse`] takes.
+pub fn split_modes(args: Vec<String>) -> (Vec<Mode>, Vec<String>) {
+    let mode_of = |arg: &String| {
+        let row = FLAGS.iter().find(|f| f.names.contains(&arg.as_str()));
+        row.and_then(|f| f.mode)
+    };
+    let modes = args.iter().filter_map(mode_of).collect();
+    (
+        modes,
+        args.into_iter().filter(|a| mode_of(a).is_none()).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -1034,43 +1145,98 @@ mod tests {
         );
     }
 
+    /// Command lines that between them set every parameter row of [`FLAGS`]
+    /// to a non-default value; the table tests below fail on a row that no
+    /// line covers, so a new flag needs a line here.
+    const CASES: &[&str] = &[
+        "",
+        "--kernels Stream_TRIAD,Basic_DAXPY --size 1000 --reps 2",
+        "--groups Stream --kernels Basic_DAXPY --exclude-kernels Stream_DOT",
+        "--features sort --variant RAJA_Par --gpu-block-size 128",
+        "--sweep --sweep-block-sizes 128,256 --sweep-dir target/sw --ranks 4",
+        "--sweep --ranks 2 --faults suite.kernel=panic:0.5,seed=7 \
+         --timeout 2.5 --retries 3 --retry-backoff-ms 10",
+        "--size-factor 0.5 --reps-factor 2 --sanitize",
+        "--sweep --ranks 2 --rank-isolation process --rank-restarts 1",
+        "--sweep --ranks 2 --rank-worker 1/2",
+        "--caliper spot(output=run.cali.json),runtime-report --lock-order",
+        "--trace run.trace.json --trace-folded run.folded",
+    ];
+
+    /// The parameter rows `line` sets away from their default.
+    fn rows_set_by(line: &str) -> Vec<&'static Flag> {
+        let (p, d) = (RunParams::parse(&args(line)).unwrap(), RunParams::default());
+        let set = |f: &&Flag| f.mode.is_none() && (f.get)(&p) != (f.get)(&d);
+        FLAGS.iter().filter(set).collect()
+    }
+
     #[test]
     fn to_argv_roundtrips_through_parse() {
         // The supervisor respawns children from to_argv(); if any field is
         // dropped or mis-serialized, a child computes different cells than
-        // its parent planned. Round-trip a spread of configurations and
-        // require a fixed point: parse(to_argv(p)) serializes identically.
-        let cases = [
-            "",
-            "--kernels Stream_TRIAD,Basic_DAXPY --size 1000 --reps 2",
-            "--groups Stream --kernels Basic_DAXPY --exclude-kernels Stream_DOT",
-            "--features sort --variant RAJA_Par --gpu-block-size 128",
-            "--sweep --sweep-block-sizes 128,256 --sweep-dir target/sw --ranks 4",
-            "--sweep --ranks 2 --faults suite.kernel=panic:0.5,seed=7 \
-             --timeout 2.5 --retries 3 --retry-backoff-ms 10",
-            "--size-factor 0.5 --reps-factor 2 --sanitize",
-        ];
-        for case in cases {
+        // its parent planned. Every child-forwarded row must come back from
+        // a non-default value; supervisor-only rows must never leak into a
+        // child's argv.
+        let mut covered = Vec::new();
+        for case in CASES {
             let p = RunParams::parse(&args(case)).unwrap();
             let argv = p.to_argv();
             let reparsed = RunParams::parse(&argv).unwrap_or_else(|e| {
                 panic!("to_argv of '{case}' must reparse, got {e}: {argv:?}")
             });
-            assert_eq!(reparsed.to_argv(), argv, "fixed point for '{case}'");
-            assert_eq!(reparsed.selection, p.selection, "{case}");
-            assert_eq!(reparsed.faults, p.faults, "{case}");
-            assert_eq!(reparsed.timeout, p.timeout, "{case}");
+            let forwarded = RunParams {
+                rank_isolation: RankIsolation::default(),
+                rank_restarts: RunParams::default().rank_restarts,
+                ..p
+            };
+            assert_eq!(reparsed, forwarded, "{case}");
+            for flag in rows_set_by(case) {
+                let named = flag.names.iter().any(|n| argv.iter().any(|a| a == n));
+                assert_eq!(named, flag.child, "{} in {argv:?}", flag.names[0]);
+                covered.push(flag.names[0]);
+            }
         }
-        // Supervisor-only fields must never leak into a child's argv.
-        let p = RunParams::parse(&args(
-            "--sweep --ranks 2 --rank-isolation=process --rank-restarts 1",
-        ))
-        .unwrap();
-        let argv = p.to_argv();
-        assert!(
-            !argv.iter().any(|a| a.contains("rank-isolation") || a.contains("rank-restarts")),
-            "{argv:?}"
-        );
+        for flag in FLAGS.iter().filter(|f| f.mode.is_none()) {
+            assert!(covered.contains(&flag.names[0]), "no case sets {}", flag.names[0]);
+        }
+    }
+
+    #[test]
+    fn every_valued_row_takes_flag_equals_value_and_no_switch_does() {
+        for case in CASES {
+            // `--flag value` -> `--flag=value`, for every pair of the line.
+            let mut joined: Vec<String> = Vec::new();
+            for word in args(case) {
+                match joined.last_mut() {
+                    Some(last) if last.starts_with("--") && !word.starts_with("--") => {
+                        *last = format!("{last}={word}");
+                    }
+                    _ => joined.push(word),
+                }
+            }
+            let spaced = RunParams::parse(&args(case)).unwrap();
+            assert_eq!(RunParams::parse(&joined), Ok(spaced), "{joined:?}");
+        }
+        for flag in FLAGS.iter().filter(|f| f.mode.is_none() && f.metavar.is_empty()) {
+            let err = RunParams::parse(&[format!("{}=1", flag.names[0])]).unwrap_err();
+            assert!(err.contains("takes no value"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_documented_row_is_in_the_usage_text_once_and_in_the_readme() {
+        let readme = include_str!("../../../README.md");
+        for flag in FLAGS {
+            let name = flag.names[0];
+            let heads = RunParams::usage()
+                .lines()
+                .filter(|l| l.trim_start().split(' ').next() == Some(name))
+                .count();
+            assert_eq!(heads, usize::from(!flag.help.is_empty()), "{name} in --help");
+            if !flag.help.is_empty() {
+                assert!(readme.contains(name), "{name} is not in README.md");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The paper's methodology is *one run per (variant, tuning), composed later
 //! in Thicket* (§II-D); a sweep automates the "many runs" half. Each cell of
-//! the cross-product is an ordinary [`run_suite`] invocation with its own
+//! the cross-product is an ordinary [`crate::run_suite`] invocation with its own
 //! correctly-named Caliper profile (`<variant>.block_<size>.cali.json` under
 //! the sweep directory), so no two cells ever share an output file. A
 //! `manifest.json` at the top of the sweep directory indexes every cell.
@@ -34,7 +34,7 @@
 //!
 //! The sweep is built to survive a `kill -9` at any instant and resume:
 //!
-//! * Every file the sweep writes — profiles (via [`run_suite`]'s Caliper
+//! * Every file the sweep writes — profiles (via [`crate::run_suite`]'s Caliper
 //!   outputs), cell cache records, and the manifest — goes through
 //!   [`caliper::write_atomic`] (temp + fsync + rename), so a mid-write kill
 //!   leaves either the old file or the new one, never a torn prefix.
@@ -48,7 +48,7 @@
 
 use crate::params::RankIsolation;
 use crate::record::{self, EntryRecord, Verified};
-use crate::{run_suite, RunParams};
+use crate::{run_suite_with, RunParams};
 use kernels::VariantId;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
@@ -205,6 +205,81 @@ impl SweepSummary {
     }
 }
 
+/// A finished sweep as data: where the campaign's files are, what its ranks
+/// did, and one row per cell. Its derived JSON is the daemon's sweep `report`.
+#[derive(Serialize)]
+pub struct SweepReport {
+    dir: String,
+    manifest: String,
+    quarantined: usize,
+    ranks: usize,
+    isolation: String,
+    restart_budget: u32,
+    rank_restarts: Vec<u32>,
+    casualties: Vec<RankCasualty>,
+    rank_stats: Vec<RankTraffic>,
+    cells: Vec<CellRow>,
+}
+
+/// One rank's gather traffic ([`simcomm::CommStats`], tagged with the rank).
+#[derive(Serialize)]
+struct RankTraffic {
+    rank: usize,
+    messages_sent: u64,
+    bytes_sent: u64,
+    messages_received: u64,
+    bytes_received: u64,
+}
+
+/// The deterministic, printable facts of a [`SweepCell`].
+#[derive(Serialize)]
+struct CellRow {
+    variant: String,
+    gpu_block_size: usize,
+    cached: bool,
+    kernels_run: usize,
+    kernels_failed: usize,
+    profile: String,
+}
+
+impl SweepReport {
+    /// Summarize `summary`, the result of running `params`.
+    pub fn of(params: &RunParams, summary: &SweepSummary) -> SweepReport {
+        let traffic = summary.rank_stats.iter().enumerate();
+        SweepReport {
+            dir: summary.dir.display().to_string(),
+            manifest: summary.manifest.display().to_string(),
+            quarantined: summary.quarantined.len(),
+            ranks: params.ranks,
+            isolation: params.rank_isolation.name().to_string(),
+            restart_budget: params.rank_restarts,
+            rank_restarts: summary.rank_restarts.clone(),
+            casualties: summary.casualties.clone(),
+            rank_stats: traffic
+                .map(|(rank, s)| RankTraffic {
+                    rank,
+                    messages_sent: s.messages_sent,
+                    bytes_sent: s.bytes_sent,
+                    messages_received: s.messages_received,
+                    bytes_received: s.bytes_received,
+                })
+                .collect(),
+            cells: summary
+                .cells
+                .iter()
+                .map(|c| CellRow {
+                    variant: c.variant.name().to_string(),
+                    gpu_block_size: c.gpu_block_size,
+                    cached: c.cached,
+                    kernels_run: c.kernels_run,
+                    kernels_failed: c.kernels_failed,
+                    profile: c.profile.display().to_string(),
+                })
+                .collect(),
+        }
+    }
+}
+
 /// One cell's own run: the campaign's parameters at this variant and
 /// tuning, as a plain single run. What the cell executes and — through
 /// [`record::campaign_key`] — what its record is keyed by.
@@ -292,7 +367,7 @@ fn json_io(e: serde_json::Error) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// Execute one cell: an ordinary [`run_suite`] with the cell's variant and
+/// Execute one cell: an ordinary [`crate::run_suite`] with the cell's variant and
 /// tuning, its profile as the Caliper output, and — in a ranked campaign —
 /// the executing rank's identity as `rank_ctx` so the profile carries
 /// `mpi.rank` metadata. Writes the cell's atomic cache record.
@@ -306,8 +381,10 @@ pub(crate) fn execute_cell(
 ) -> io::Result<CellOutcome> {
     let mut p = cell_params(base, spec.variant, spec.block_size);
     p.rank_context = rank_ctx;
-    p.caliper_spec = Some(format!("spot(output={})", spec.profile.display()));
-    let report = run_suite(&p);
+    let profile = caliper::OutputSpec::SpotProfile {
+        output: spec.profile.display().to_string(),
+    };
+    let report = run_suite_with(&p, vec![profile], None);
     let failed_kernels: Vec<FailedKernel> = report
         .outcomes
         .iter()
@@ -413,6 +490,12 @@ pub fn run_sweep(base: &RunParams) -> io::Result<SweepSummary> {
     // form the pending work-list (grid indices) that the inline loop and
     // the supervisor's ranks consume identically.
     let plan = Arc::new(plan_sweep(base)?);
+    // A killed writer's temp files carry its pid and would otherwise stay
+    // for ever. Supervisor side only: child ranks plan the same grid while
+    // their siblings are mid-write.
+    for dir in [plan.dir.clone(), plan.dir.join("profiles"), plan.dir.join("cells")] {
+        caliper::remove_orphaned_temps(&dir);
+    }
 
     let mut quarantined = Vec::new();
     // Per grid cell: (outcome, cached, executing rank).

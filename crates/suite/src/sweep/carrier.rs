@@ -130,7 +130,7 @@ impl RankExit {
 /// Ranks as spawned child `rajaperf --rank-worker R/N` processes.
 pub(crate) struct ProcessCarrier {
     bin: PathBuf,
-    argv: Vec<String>,
+    base: RunParams,
     nranks: usize,
 }
 
@@ -138,7 +138,7 @@ impl ProcessCarrier {
     pub(crate) fn new(base: &RunParams, nranks: usize) -> io::Result<ProcessCarrier> {
         Ok(ProcessCarrier {
             bin: worker_binary()?,
-            argv: base.to_argv(),
+            base: base.clone(),
             nranks,
         })
     }
@@ -177,10 +177,13 @@ fn worker_binary() -> io::Result<PathBuf> {
 
 impl Carrier for ProcessCarrier {
     fn start(&self, rank: usize, gen: u64, events: &Events) -> io::Result<Box<dyn RankHandle>> {
+        // The campaign's own command line, as this rank's worker.
+        let worker = RunParams {
+            rank_worker: Some((rank, self.nranks)),
+            ..self.base.clone()
+        };
         let mut child = Command::new(&self.bin)
-            .args(&self.argv)
-            .arg("--rank-worker")
-            .arg(format!("{rank}/{}", self.nranks))
+            .args(worker.to_argv())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())

@@ -94,7 +94,7 @@ const MAX_OUTPUT_LINES: usize = 200;
 
 /// A rank that exhausted its restart budget and was retired from the
 /// campaign; its unfinished cells were redistributed to surviving ranks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct RankCasualty {
     /// The retired rank.
     pub rank: usize,

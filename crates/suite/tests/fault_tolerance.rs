@@ -212,8 +212,18 @@ fn e2e_simfault_env_is_picked_up_and_validated() {
 
 #[test]
 fn e2e_usage_error_exits_2() {
-    let out = rajaperf().args(["--no-such-flag"]).output().expect("spawn");
-    assert_eq!(out.status.code(), Some(2));
+    // The second line: a Caliper spec naming no service used to run the
+    // whole suite, warn once and exit 0 without a profile.
+    for args in [
+        &["--no-such-flag"][..],
+        &["--kernels", "Basic_DAXPY", "--caliper", "sp0t(output=x.json)"],
+    ] {
+        let out = rajaperf().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("rajaperf [options]"), "usage text: {stderr}");
+        assert!(out.stdout.is_empty(), "no kernel may have run for {args:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

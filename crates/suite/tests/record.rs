@@ -6,11 +6,12 @@
 use proptest::prelude::*;
 use serde_json::{json, Value};
 use std::path::PathBuf;
+use suite::params::FLAGS;
 use suite::record::{campaign_key, quarantine, read_verified, write_record, Verified};
 use suite::RunParams;
 
 fn params(extra: &[&str]) -> RunParams {
-    let argv = ["--kernels", "Basic_DAXPY,Stream_TRIAD", "--sweep"];
+    let argv = ["--kernels", "Basic_DAXPY,Stream_TRIAD"];
     let argv: Vec<String> = argv.iter().chain(extra).map(|s| s.to_string()).collect();
     RunParams::parse(&argv).unwrap()
 }
@@ -26,31 +27,46 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn key_holds_what_changes_results_and_nothing_else() {
     let base = campaign_key(&params(&[]));
     assert_eq!(base["code_version"].as_str(), Some(suite::code_version()));
+    // One way to set every parameter row of the flag table. Walking the
+    // table (not this list) is what catches a new flag that changes results
+    // but was left out of the key: a row without a line here fails, and a
+    // line whose key moves must belong to a row that says `keyed`.
     // Regression: the sweep's own copy of the key left out the execution
     // policy, so a cell computed under one retry budget answered a sweep
     // run under another.
-    for changes in [
-        &["--retries", "5"][..],
-        &["--timeout", "2"],
-        &["--sanitize"],
-        &["--faults", "suite.kernel=err:0.5,seed=3"],
+    let settings: &[&[&str]] = &[
+        &["--kernels", "Basic_MULADDSUB"],
+        &["--groups", "Stream"],
+        &["--features", "sort"],
+        &["--exclude-kernels", "Stream_TRIAD"],
         &["--variant", "RAJA_Seq"],
         &["--gpu-block-size", "128"],
         &["--size", "1000"],
+        &["--size-factor", "0.5"],
         &["--reps", "3"],
-        &["--exclude-kernels", "Stream_TRIAD"],
-    ] {
-        assert_ne!(campaign_key(&params(changes)), base, "{changes:?}");
-    }
-    // Who ran it, and how long a retry waited, are not facts of a run.
-    for same in [
-        &["--ranks", "4"][..],
-        &["--rank-isolation", "process"],
-        &["--rank-restarts", "0"],
-        &["--retry-backoff-ms", "7"],
+        &["--reps-factor", "2"],
+        &["--sweep"],
+        &["--sweep-block-sizes", "128,512", "--sweep"],
         &["--sweep-dir", "elsewhere"],
-    ] {
-        assert_eq!(campaign_key(&params(same)), base, "{same:?}");
+        &["--ranks", "4", "--sweep"],
+        &["--rank-isolation", "process", "--sweep"],
+        &["--rank-restarts", "0"],
+        &["--rank-worker", "1/2", "--sweep"],
+        &["--caliper", "runtime-report"],
+        &["--trace", "run.trace.json"],
+        &["--trace-folded", "run.folded", "--trace", "run.trace.json"],
+        &["--sanitize"],
+        &["--faults", "suite.kernel=err:0.5,seed=3"],
+        &["--timeout", "2"],
+        &["--retries", "5"],
+        &["--retry-backoff-ms", "7"],
+        &["--lock-order"],
+    ];
+    for flag in FLAGS.iter().filter(|f| f.mode.is_none()) {
+        let name = flag.names[0];
+        let setting = settings.iter().find(|s| s[0] == name);
+        let setting = setting.unwrap_or_else(|| panic!("no setting for {name}: add one"));
+        assert_eq!(campaign_key(&params(setting)) != base, flag.keyed, "{setting:?}");
     }
     // The same campaign spelled differently is the same campaign.
     let twice = ["--kernels", "Stream_TRIAD,Basic_DAXPY,Basic_DAXPY"];

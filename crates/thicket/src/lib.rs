@@ -237,6 +237,31 @@ impl IngestStats {
     }
 }
 
+/// One row of [`Thicket::statsframe`]: a call-tree node and its metric
+/// aggregated across profiles.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct StatRow {
+    /// The node's call path, `/`-joined.
+    pub node: String,
+    /// Arithmetic mean across profiles.
+    pub mean: f64,
+    /// Minimum across profiles.
+    pub min: f64,
+    /// Maximum across profiles.
+    pub max: f64,
+}
+
+/// Every `*.cali.json` profile directly under `dir`, sorted by path, so a
+/// corpus composes in the same order whatever the directory iteration order.
+pub fn profile_paths(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+    let entries = std::fs::read_dir(dir)?.flatten().map(|e| e.path());
+    let mut paths: Vec<_> = entries
+        .filter(|p| p.to_string_lossy().ends_with(".cali.json"))
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
 /// Transient path → node-id index used by the bulk ingestion paths. Built
 /// once per bulk operation (O(nodes)) so node lookups are hashed instead of
 /// linear — concatenating sweep-sized thickets was O(nodes²·columns) with
@@ -567,6 +592,23 @@ impl Thicket {
         self.statsframe
             .insert(out_name.clone(), vals.into_iter().enumerate().collect());
         out_name
+    }
+
+    /// The statsframe of `column` as rows: mean, min and max per node, in
+    /// node order, skipping nodes that never observed the column. What
+    /// `rajaperf-analyze` prints and `rajaperfd` sends.
+    pub fn statsframe(&mut self, column: &str) -> Vec<StatRow> {
+        let [mean, min, max] = [Stat::Mean, Stat::Min, Stat::Max].map(|s| self.stats(column, s));
+        let rows = self.nodes.iter().enumerate().filter_map(|(nid, node)| {
+            let stat = |name: &str| self.stat_value(name, nid).unwrap_or(f64::NAN);
+            (!stat(&mean).is_nan()).then(|| StatRow {
+                node: node.path.join("/"),
+                mean: stat(&mean),
+                min: stat(&min),
+                max: stat(&max),
+            })
+        });
+        rows.collect()
     }
 
     /// A statsframe value.

@@ -108,6 +108,31 @@ fi
 [[ -f "$SWEEP_DIR/manifest.json" ]] || { echo "verify: FAIL — sweep manifest missing" >&2; exit 1; }
 echo "sweep: 12 distinct profiles + manifest"
 
+# A path is a path: the sweep directory's name is made of the characters
+# Caliper's spec grammar splits at. Relative to the repository root on
+# purpose — a path re-parsed as spec text leaves a stray `sw` file there.
+echo "== cli: a sweep directory named like Caliper spec text keeps its six profiles =="
+STATUS_BEFORE=$(git status --porcelain)
+HOSTILE='sw,eep (1)'
+hostile_sweep() {
+    "$RAJAPERF" --sweep --sweep-dir "$HOSTILE" --kernels Basic_DAXPY --size 1000 --reps 1
+}
+hostile_sweep >/dev/null
+hostile_profiles=$(ls "$HOSTILE"/profiles/*.cali.json | wc -l)
+hostile_warm=$(hostile_sweep)
+hostile_warm=${hostile_warm%%$'\n'*}  # the "Sweep: 6 cells (6 cached)" line
+rm -rf "$HOSTILE"
+if [[ "$hostile_profiles" -ne 6 || "$hostile_warm" != *"(6 cached"* ]]; then
+    echo "verify: FAIL — hostile sweep dir: $hostile_profiles profiles, warm run said '$hostile_warm'" >&2
+    exit 1
+fi
+if [[ "$(git status --porcelain)" != "$STATUS_BEFORE" ]]; then
+    echo "verify: FAIL — the hostile-path sweep left a stray file in the work tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
+echo "hostile path: 6 profiles under '$HOSTILE/profiles', warm run $hostile_warm, no stray file"
+
 # Ranked campaigns: one supervisor, two carriers (the full matrix is
 # crates/suite/tests/ranked_campaigns.rs, run by the workspace tests above).
 # Under either isolation mode a 4-rank campaign must gather into the
@@ -165,6 +190,17 @@ cmp "$RANKS_DIR/r1/sweep/manifest.json" "$RANKS_DIR/kill/sweep/manifest.json" \
     || { echo "verify: FAIL — process-ranked manifest diverged after child kill" >&2; exit 1; }
 rm -rf "$RANKS_DIR"
 echo "process ranks: child killed mid-campaign, respawned, manifest byte-identical"
+
+# The kill -9 resume test asserts no `.tmp.` file survives; a kill inside a
+# write window used to orphan one about 1 run in 10 (now swept by
+# `caliper::remove_orphaned_temps`), so once is not evidence.
+echo "== ranked: kill -9 resume leaves no temp file, five times over =="
+for _ in 1 2 3 4 5; do
+    cargo test --release -q -p suite --test ranked_campaigns \
+        e2e_killed_ranked_sweep_resumes_to_identical_manifest >/dev/null \
+        || { echo "verify: FAIL — killed ranked sweep did not resume cleanly" >&2; exit 1; }
+done
+echo "ranked: 5/5 kill -9 resumes byte-identical with no orphaned temp"
 
 # A panicking rank must poison the barrier and abort its peers instead of
 # deadlocking the campaign (regression for the mid-barrier hang).
@@ -341,5 +377,24 @@ if [[ -n "$LEDGER_DIRT" ]]; then
     exit 1
 fi
 echo "ledger: 5 workloads, ops_failed 0, benchmark/ and BENCHMARK.json unchanged"
+
+# The pipeline builds the ledger from the *committed* files in a fresh
+# directory, so a file this tree has but `git add -A` would not commit (an
+# ignored or forgotten one) only fails there. Build exactly that tree: a
+# clone of HEAD overlaid with what `git add -A` would stage.
+echo "== ledger: benchmark/run.sh --smoke from a clean clone of what would be committed =="
+CLONE=$(mktemp -d)
+git clone --quiet . "$CLONE/repo"
+git ls-files -co --exclude-standard -z | while IFS= read -r -d '' f; do
+    if [[ -e "$f" ]]; then cp --parents "$f" "$CLONE/repo"; else rm -f "$CLONE/repo/$f"; fi
+done
+CLONE_OK=$(cd "$CLONE/repo" && bash benchmark/run.sh --smoke \
+    | grep -cE ": ops_attempted [0-9]+ ops_failed 0$" || true)
+rm -rf "$CLONE"
+if [[ "$CLONE_OK" -ne 5 ]]; then
+    echo "verify: FAIL — from a clean clone, expected 5 ledger workloads with ops_failed 0, got $CLONE_OK" >&2
+    exit 1
+fi
+echo "ledger: clean clone builds and runs, 5 workloads, ops_failed 0"
 
 echo "verify: OK"

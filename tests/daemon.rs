@@ -427,10 +427,9 @@ fn every_error_path_replies_one_error_then_one_done() {
     const INLINE: &[&str] = &["error", "done"];
     const QUEUED: &[&str] = &["accepted", "started", "error", "done"];
     const EXECUTED: &[&str] = &["accepted", "started", "progress", "result", "error", "done"];
-    let table: Vec<(&str, String, ErrorCode, &[&str])> = vec![
+    let mut table: Vec<(&str, String, ErrorCode, &[&str])> = vec![
         ("bad JSON line", "not json".into(), ErrorCode::Usage, INLINE),
         ("unknown kind", r#"{"kind":"warp"}"#.into(), ErrorCode::Usage, INLINE),
-        ("--trace", run(&["--trace", "t.json"]), ErrorCode::Unsupported, QUEUED),
         (
             "--ranks 9",
             sweep(&["--sweep", "--sweep-dir", &sweep_dir, "--ranks", "9"]),
@@ -447,6 +446,20 @@ fn every_error_path_replies_one_error_then_one_done() {
             EXECUTED,
         ),
     ];
+    // Every flag whose row of the flag table says the daemon refuses it, set
+    // the shortest way that parses: `unsupported`, with the row's reason.
+    let refused = suite::params::FLAGS.iter().filter(|f| f.refused.is_some());
+    for flag in refused {
+        let argv: &[&str] = match flag.names[0] {
+            "--caliper" => &["--caliper", "runtime-report"],
+            "--trace" => &["--trace", "t.json"],
+            "--trace-folded" => &["--trace", "t.json", "--trace-folded", "t.folded"],
+            "--lock-order" => &["--lock-order"],
+            "--rank-worker" => &["--sweep", "--rank-worker", "0/2"],
+            other => panic!("no request sets the refused flag {other}: add one"),
+        };
+        table.push((flag.names[0], run(argv), ErrorCode::Unsupported, QUEUED));
+    }
     for (what, line, code, sequence) in table {
         let events = reply(&line);
         let names: Vec<&str> = events.iter().map(|e| e["event"].as_str().unwrap()).collect();
@@ -458,6 +471,9 @@ fn every_error_path_replies_one_error_then_one_done() {
             first
         };
         assert_eq!(only("error")["code"].as_str(), Some(code.name()), "{what}");
+        if let Some(flag) = suite::params::FLAGS.iter().find(|f| f.names[0] == what) {
+            assert_eq!(only("error")["message"].as_str(), flag.refused, "{what}");
+        }
         assert_eq!(
             only("done")["exit_code"].as_i64(),
             Some(i64::from(code.exit().code())),

@@ -195,3 +195,69 @@ fn ranked_sweep_gathers_into_the_single_rank_manifest() {
     assert_eq!(gathered, reference, "ranks: 2 must gather into the ranks: 1 manifest");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+// A path the command line names stays a path to the end: one made of the
+// characters Caliper's spec grammar splits at is never re-parsed as spec
+// text. Each of the three tests below failed before outputs were typed.
+
+/// One small run's command line plus `extra`, parsed.
+fn daxpy(extra: &[&str]) -> Result<RunParams, String> {
+    let run = ["--kernels", "Basic_DAXPY", "--size", "1000", "--reps", "1"];
+    let argv: Vec<String> = run.iter().chain(extra).map(|s| s.to_string()).collect();
+    RunParams::parse(&argv)
+}
+
+/// A fresh scratch directory, and a sorted listing of one.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rajaperf_e2e_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+fn names_in(dir: &std::path::Path) -> Vec<std::ffi::OsString> {
+    let mut names: Vec<_> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_sweep_into_a_directory_named_like_spec_text_keeps_its_profiles() {
+    // Six profiles where the manifest says they are, nothing beside the
+    // sweep directory, and all six reused by a second run.
+    let root = scratch("sweep_path");
+    let dir = root.join("sw,eep (1)=x");
+    let sweep = daxpy(&["--sweep", "--sweep-dir", dir.to_str().unwrap()]).unwrap();
+    let cold = suite::run_sweep(&sweep).expect("cold sweep");
+    assert_eq!(names_in(&dir.join("profiles")).len(), 6);
+    assert_eq!(names_in(&root), ["sw,eep (1)=x"]);
+    assert!(cold.cells.iter().all(|c| !c.cached));
+    let manifest = std::fs::read_to_string(&cold.manifest).unwrap();
+    let manifest: serde_json::Value = serde_json::from_str(&manifest).unwrap();
+    for cell in manifest["cells"].as_array().unwrap() {
+        let profile = cell["profile"].as_str().unwrap();
+        assert!(std::path::Path::new(profile).is_file(), "{profile}");
+    }
+    let warm = suite::run_sweep(&sweep).expect("warm sweep");
+    assert!(warm.render().contains("(6 cached"), "{}", warm.render());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn trace_files_named_like_spec_text_are_the_two_files_written() {
+    let out = scratch("trace_path");
+    let (trace, folded) = (out.join("tr,ace.json"), out.join("f(1).txt"));
+    let names = [trace.to_str().unwrap(), folded.to_str().unwrap()];
+    let traced = daxpy(&["--trace", names[0], "--trace-folded", names[1]]).unwrap();
+    let report = suite::run_suite(&traced);
+    assert_eq!(report.outputs, [trace, folded]);
+    assert_eq!(names_in(&out), ["f(1).txt", "tr,ace.json"]);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn a_caliper_spec_naming_no_service_is_refused_at_the_door() {
+    // A usage error (exit 2 from the binary) before any kernel runs, not one
+    // warning after the whole suite and no profile.
+    let err = daxpy(&["--caliper", "sp0t(output=x.json)"]).unwrap_err();
+    assert!(err.contains("--caliper") && err.contains("sp0t"), "{err}");
+}
