@@ -159,6 +159,35 @@ impl Profile {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
+    /// Render a `runtime-report`-style aligned text table of the call tree.
+    pub fn runtime_report(&self) -> String {
+        let mut out = String::new();
+        let name_w = self
+            .records
+            .iter()
+            .map(|r| r.name().len() + 2 * r.path.len().saturating_sub(1))
+            .max()
+            .unwrap_or(4)
+            .max("Path".len());
+        out.push_str(&format!(
+            "{:<name_w$} {:>10} {:>12} {:>12} {:>12}\n",
+            "Path", "Count", "Time (sum)", "Time (avg)", "Time (max)"
+        ));
+        for r in &self.records {
+            let indent = "  ".repeat(r.path.len().saturating_sub(1));
+            let label = format!("{indent}{}", r.name());
+            out.push_str(&format!(
+                "{:<name_w$} {:>10} {:>12.6} {:>12.6} {:>12.6}\n",
+                label,
+                r.metric("count").unwrap_or(0.0) as u64,
+                r.metric("sum#time.duration").unwrap_or(0.0),
+                r.metric("avg#time.duration").unwrap_or(0.0),
+                r.metric("max#time.duration").unwrap_or(0.0),
+            ));
+        }
+        out
+    }
+
     /// Find the record with the given final path component.
     pub fn find(&self, name: &str) -> Option<&Record> {
         self.records.iter().find(|r| r.name() == name)
@@ -517,19 +546,12 @@ impl Session {
         globals.extend(inner.globals.clone());
         // Exclusive time: each node's inclusive sum minus its direct
         // children's inclusive sums (Caliper's `exclusive#time.duration`).
-        let mut child_sums: BTreeMap<&Vec<String>, f64> = BTreeMap::new();
+        // Keyed by the parent's path, which is the child's minus its last
+        // component; a sum under a path that is no node is never read.
+        let mut child_sums: BTreeMap<&[String], f64> = BTreeMap::new();
         for (path, stats) in &inner.nodes {
-            if path.len() < 2 {
-                continue;
-            }
-            if let Some(t) = &stats.time {
-                let parent = inner
-                    .nodes
-                    .keys()
-                    .find(|p| p.len() == path.len() - 1 && path.starts_with(p.as_slice()));
-                if let Some(parent) = parent {
-                    *child_sums.entry(parent).or_default() += t.sum;
-                }
+            if let (Some(t), [parent @ .., _]) = (&stats.time, path.as_slice()) {
+                *child_sums.entry(parent).or_default() += t.sum;
             }
         }
         let records = inner
@@ -543,7 +565,8 @@ impl Session {
                     metrics.insert("avg#time.duration".to_string(), t.avg());
                     metrics.insert("min#time.duration".to_string(), t.min);
                     metrics.insert("max#time.duration".to_string(), t.max);
-                    let excl = (t.sum - child_sums.get(path).copied().unwrap_or(0.0)).max(0.0);
+                    let excl =
+                        (t.sum - child_sums.get(path.as_slice()).copied().unwrap_or(0.0)).max(0.0);
                     metrics.insert("exclusive#time.duration".to_string(), excl);
                 }
                 for (name, agg) in &stats.metrics {
@@ -569,36 +592,6 @@ impl Session {
         let mut inner = self.inner.lock().unwrap();
         inner.nodes.clear();
         inner.globals.clear();
-    }
-
-    /// Render a `runtime-report`-style aligned text table of the call tree.
-    pub fn runtime_report(&self) -> String {
-        let profile = self.profile();
-        let mut out = String::new();
-        let name_w = profile
-            .records
-            .iter()
-            .map(|r| r.name().len() + 2 * r.path.len().saturating_sub(1))
-            .max()
-            .unwrap_or(4)
-            .max("Path".len());
-        out.push_str(&format!(
-            "{:<name_w$} {:>10} {:>12} {:>12} {:>12}\n",
-            "Path", "Count", "Time (sum)", "Time (avg)", "Time (max)"
-        ));
-        for r in &profile.records {
-            let indent = "  ".repeat(r.path.len().saturating_sub(1));
-            let label = format!("{indent}{}", r.name());
-            out.push_str(&format!(
-                "{:<name_w$} {:>10} {:>12.6} {:>12.6} {:>12.6}\n",
-                label,
-                r.metric("count").unwrap_or(0.0) as u64,
-                r.metric("sum#time.duration").unwrap_or(0.0),
-                r.metric("avg#time.duration").unwrap_or(0.0),
-                r.metric("max#time.duration").unwrap_or(0.0),
-            ));
-        }
-        out
     }
 }
 
@@ -781,24 +774,16 @@ impl ConfigManager {
                 ),
                 None => (part, BTreeMap::new()),
             };
+            let output = |default| args.get("output").map_or(default, String::as_str).to_string();
             match service {
                 "runtime-report" => self.outputs.push(OutputSpec::RuntimeReport {
-                    output: args
-                        .get("output")
-                        .cloned()
-                        .unwrap_or_else(|| "stderr".to_string()),
+                    output: output("stderr"),
                 }),
                 "spot" | "hatchet-region-profile" => self.outputs.push(OutputSpec::SpotProfile {
-                    output: args
-                        .get("output")
-                        .cloned()
-                        .unwrap_or_else(|| "profile.cali.json".to_string()),
+                    output: output("profile.cali.json"),
                 }),
                 "trace" | "event-trace" => self.outputs.push(OutputSpec::Trace {
-                    output: args
-                        .get("output")
-                        .cloned()
-                        .unwrap_or_else(|| "trace.json".to_string()),
+                    output: output("trace.json"),
                     folded: args.get("folded").cloned(),
                 }),
                 other => {
@@ -836,37 +821,27 @@ impl ConfigManager {
             .any(|o| matches!(o, OutputSpec::Trace { .. }))
     }
 
-    /// Produce every configured output from `session`'s current data.
-    /// Returns the paths of profile files written.
-    pub fn flush(&self, session: &Session) -> std::io::Result<Vec<std::path::PathBuf>> {
+    /// Produce every configured output from `profile` — the one the caller
+    /// built for the run, so what is written is what the caller reports.
+    /// Returns the paths of the files written.
+    pub fn flush(&self, profile: &Profile) -> std::io::Result<Vec<std::path::PathBuf>> {
         let mut written = Vec::new();
+        let mut write = |path: &str, contents: String| {
+            written.push(std::path::PathBuf::from(path));
+            write_atomic(std::path::Path::new(path), contents.as_bytes())
+        };
         for out in &self.outputs {
             match out {
-                OutputSpec::RuntimeReport { output } => {
-                    let report = session.runtime_report();
-                    match output.as_str() {
-                        "stdout" => print!("{report}"),
-                        "stderr" => eprint!("{report}"),
-                        path => {
-                            let p = std::path::Path::new(path);
-                            write_atomic(p, report.as_bytes())?;
-                            written.push(p.to_path_buf());
-                        }
-                    }
-                }
-                OutputSpec::SpotProfile { output } => {
-                    let p = std::path::Path::new(output);
-                    session.profile().write_file(p)?;
-                    written.push(p.to_path_buf());
-                }
+                OutputSpec::RuntimeReport { output } => match output.as_str() {
+                    "stdout" => print!("{}", profile.runtime_report()),
+                    "stderr" => eprint!("{}", profile.runtime_report()),
+                    path => write(path, profile.runtime_report())?,
+                },
+                OutputSpec::SpotProfile { output } => write(output, profile.to_json())?,
                 OutputSpec::Trace { output, folded } => {
-                    let p = std::path::Path::new(output);
-                    write_atomic(p, trace::export_chrome_json().as_bytes())?;
-                    written.push(p.to_path_buf());
+                    write(output, trace::export_chrome_json())?;
                     if let Some(folded) = folded {
-                        let p = std::path::Path::new(folded);
-                        write_atomic(p, trace::export_folded().as_bytes())?;
-                        written.push(p.to_path_buf());
+                        write(folded, trace::export_folded())?;
                     }
                 }
             }
@@ -1083,7 +1058,7 @@ mod tests {
         }
         let mut cm = ConfigManager::new();
         cm.add(&format!("spot(output={})", path.display()));
-        let written = cm.flush(&s).unwrap();
+        let written = cm.flush(&s.profile()).unwrap();
         assert_eq!(written.len(), 1);
         let p = Profile::read_file(&path).unwrap();
         assert!(p.find("k").is_some());
@@ -1105,7 +1080,7 @@ mod tests {
         cm.push(OutputSpec::SpotProfile {
             output: path.display().to_string(),
         });
-        assert_eq!(cm.flush(&s).unwrap(), vec![path.clone()]);
+        assert_eq!(cm.flush(&s.profile()).unwrap(), vec![path.clone()]);
         assert!(Profile::read_file(&path).unwrap().find("k").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1116,7 +1091,7 @@ mod tests {
         {
             let _r = s.region("alpha");
         }
-        let report = s.runtime_report();
+        let report = s.profile().runtime_report();
         assert!(report.contains("alpha"));
         assert!(report.contains("Path"));
     }
@@ -1146,6 +1121,37 @@ mod tests {
             inner.metric("exclusive#time.duration"),
             inner.metric("sum#time.duration")
         );
+    }
+
+    #[test]
+    fn exclusive_time_charges_children_to_their_own_parent_only() {
+        // Sibling subtrees whose names share a prefix (`a`, `ab`): a child's
+        // parent is the path minus its last component, nothing looser.
+        let s = Session::new();
+        {
+            let _root = s.region("root");
+            for (mid, leaves) in [("a", &["x", "y"][..]), ("ab", &["x"][..])] {
+                let _mid = s.region(mid);
+                for leaf in leaves {
+                    let _leaf = s.region(leaf);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+        }
+        let p = s.profile();
+        let at = |path: &[&str], metric: &str| {
+            let r = p.records.iter().find(|r| r.path == path).unwrap();
+            r.metric(metric).unwrap()
+        };
+        let sum = |path: &[&str]| at(path, "sum#time.duration");
+        let excl = |path: &[&str]| at(path, "exclusive#time.duration");
+        let mids = sum(&["root", "a"]) + sum(&["root", "ab"]);
+        assert_eq!(excl(&["root"]), sum(&["root"]) - mids);
+        let a_leaves = sum(&["root", "a", "x"]) + sum(&["root", "a", "y"]);
+        assert_eq!(excl(&["root", "a"]), sum(&["root", "a"]) - a_leaves);
+        let ab_leaf = sum(&["root", "ab", "x"]);
+        assert_eq!(excl(&["root", "ab"]), sum(&["root", "ab"]) - ab_leaf);
+        assert_eq!(excl(&["root", "a", "x"]), sum(&["root", "a", "x"]));
     }
 
     #[test]
@@ -1261,7 +1267,7 @@ mod tests {
         assert_eq!(root.metric("problem_size"), Some(1.0e6));
         assert_eq!(root.metric("sum#warmup_time"), Some(0.25));
         // The report renders without panicking and shows the root.
-        let report = s.runtime_report();
+        let report = s.profile().runtime_report();
         assert!(report.contains(SYNTHETIC_ROOT));
     }
 

@@ -278,15 +278,15 @@ pub fn ev_progress(id: &str, p: &suite::KernelProgress) -> Value {
     })
 }
 
-/// Build a `result` event carrying the (possibly cached) stored record.
-pub fn ev_result(id: &str, cached: bool, store_key: Option<&str>, report: &Value) -> Value {
-    json!({
-        "event": "result",
-        "id": id,
-        "cached": cached,
-        "store_key": store_key,
-        "report": report,
-    })
+/// Build a `result` event around the (possibly cached) `report`, which it
+/// takes whole: a report is the one large tree of a reply and is not copied
+/// to be wrapped.
+pub fn ev_result(id: &str, cached: bool, store_key: Option<&str>, report: Value) -> Value {
+    let mut event = json!({"event": "result", "id": id, "cached": cached, "store_key": store_key});
+    if let Value::Object(fields) = &mut event {
+        fields.insert("report".to_string(), report);
+    }
+    event
 }
 
 /// Build a typed `error` event.

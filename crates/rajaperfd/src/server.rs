@@ -31,7 +31,7 @@ use serde_json::{json, Value};
 use simsched::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use simsched::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -45,6 +45,11 @@ use suite::{RunParams, SuiteExit, SuiteReport};
 /// many concurrent clients, so the admission bound is far below the CLI's
 /// [`suite::params::MAX_RANKS`].
 pub const MAX_SWEEP_RANKS: usize = 8;
+
+/// Longest request line the daemon reads. `read_line` grows its `String` to
+/// whatever the peer sends, so without a bound the allocation is the
+/// client's to size; a real request is an argv, far below this.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
 
 /// Lock that survives a poisoned peer: the daemon must keep serving other
 /// clients after one request's thread panics mid-lock.
@@ -228,7 +233,10 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let fallback = format!("req-{}", shared.req_seq.fetch_add(1, Ordering::Relaxed));
     let mut line = String::new();
-    let req = match BufReader::new(&stream).read_line(&mut line) {
+    let req = match BufReader::new((&stream).take(MAX_REQUEST_LINE)).read_line(&mut line) {
+        Ok(n) if n as u64 == MAX_REQUEST_LINE && !line.ends_with('\n') => {
+            Err(format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
+        }
         Ok(_) if !line.trim().is_empty() => Request::parse(line.trim(), &fallback),
         _ => Err("no request line received".to_string()),
     };
@@ -360,12 +368,20 @@ fn report_value(report: &SuiteReport) -> Value {
     value
 }
 
-/// Answer from the store: a `cached` marker, then the stored report as the
-/// result — byte for byte what the miss that wrote `record` sent, with
-/// nothing re-executed and no progress events.
-fn replay(id: &str, stream: &UnixStream, key: &Value, record: &Value) {
+/// The store record of a result: `{"report": ..}` (the store embeds the key).
+fn record_of(report: Value) -> Value {
+    Value::Object([("report".to_string(), report)].into())
+}
+
+/// Answer from the store: a `cached` marker, then the stored report — moved
+/// out of `record` — as the result: byte for byte what the miss that wrote
+/// `record` sent, with nothing re-executed and no progress events.
+fn replay(id: &str, stream: &UnixStream, key: &Value, record: Value) {
     let hash = ProfileStore::key_hash(key);
-    let report = record.get("report").unwrap_or(&Value::Null);
+    let report = match record {
+        Value::Object(mut fields) => fields.remove("report").unwrap_or_default(),
+        _ => Value::Null,
+    };
     send(stream, &proto::ev_cached(id, &hash));
     send(stream, &proto::ev_result(id, true, Some(&hash), report));
 }
@@ -393,7 +409,7 @@ fn execute_run(
     }
     let key = run_key(&params);
     if let Some(record) = shared.store.get(&key) {
-        replay(id, stream, &key, &record);
+        replay(id, stream, &key, record);
         return Ok(());
     }
     let report = run_contained(id, &params, stream)?;
@@ -401,13 +417,14 @@ fn execute_run(
     // Cache only clean results: a genuine (un-injected) failure is not a
     // reproducible fact, and a faulty run's value is exercising the
     // injection, not replaying a cached answer.
+    // The store write needs its own tree; the reply takes this one.
     let store_key = report
         .all_passed()
-        .then(|| shared.store.put(&key, json!({"report": rv})))
+        .then(|| shared.store.put(&key, record_of(rv.clone())))
         .and_then(|put| stored(id, put));
     send(
         stream,
-        &proto::ev_result(id, false, store_key.as_deref(), &rv),
+        &proto::ev_result(id, false, store_key.as_deref(), rv),
     );
     if report.all_passed() {
         return Ok(());
@@ -478,7 +495,7 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), F
             .and_then(|swept| swept.map_err(|e| format!("sweep failed: {e}")))
             .map_err(|message| (ErrorCode::Internal, message))?;
     let report = json!(suite::SweepReport::of(&params, &summary));
-    send(stream, &proto::ev_result(id, false, None, &report));
+    send(stream, &proto::ev_result(id, false, None, report));
     match summary.kernels_failed() {
         0 => Ok(()),
         n => Err((
@@ -605,7 +622,7 @@ fn execute_analyze(
     // pure replay: no JSON re-parse, no re-composition, no aggregation.
     let key = analyze_key(metric, &sources);
     if let Some(record) = shared.store.get_derived(&key) {
-        replay(id, stream, &key, &record);
+        replay(id, stream, &key, record);
         return Ok(());
     }
 
@@ -633,13 +650,11 @@ fn execute_analyze(
         "metric": metric,
         "table": tk.statsframe(metric),
     });
-    let store_key = stored(
-        id,
-        shared.store.put_derived(&key, json!({"report": report})),
-    );
+    let put = shared.store.put_derived(&key, record_of(report.clone()));
+    let store_key = stored(id, put);
     send(
         stream,
-        &proto::ev_result(id, false, store_key.as_deref(), &report),
+        &proto::ev_result(id, false, store_key.as_deref(), report),
     );
     Ok(())
 }

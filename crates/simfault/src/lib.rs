@@ -41,6 +41,23 @@
 //! launch, but only while the runner's scope (the executing kernel) is
 //! `Stream_TRIAD`; `io.write=truncate:0.2` tears one in five file writes.
 //!
+//! # Where each point evaluates
+//!
+//! | point (modes) | site | evaluates on | handle reached that thread by |
+//! |---|---|---|---|
+//! | `suite.kernel` (`panic`, `err`, `stall`) | each execution attempt | the cell's thread, or its `--timeout` watchdog | `run_suite` arms; `exec::attempt` enters in the watchdog |
+//! | `gpusim.launch` (`panic`, `err`, `stall`) | `count_launch`, before any block is submitted | the launching thread: cell, watchdog, or a HALO kernel's `simcomm` rank | the above; `kernels::comm` enters in each rank body |
+//! | `gpusim.ecc` (`flip`) | `DevicePtr::new` | the same | the same |
+//! | `fixture.flaky` (`err`) | `Fixture_FLAKY::execute` | cell or watchdog | the same |
+//! | `io.write` (`truncate`) | `caliper::write_atomic` | the cell's thread, in the output flush | `run_suite` arms |
+//!
+//! Nothing is carried through the shared rayon pool because no failpoint
+//! evaluates there: launches are counted and buffers registered before a
+//! block reaches a pool worker (probed across the registry under all six
+//! variants). An attempt abandoned by `--timeout` keeps its world; the
+//! runner continues in a copy ([`detach`]), so what the abandoned attempt
+//! still draws shifts no later sequence.
+//!
 //! The failpoint *registry* — the call sites the suite actually instruments
 //! — is [`KNOWN_POINTS`]. The spec parser accepts unknown names (tests use
 //! private points), but the CLI rejects them so typos do not silently

@@ -18,18 +18,24 @@
 use suite::SuiteExit;
 use thicket::Thicket;
 
+const USAGE: &str = "usage: rajaperf-analyze <profile-dir|file.tkt> [--groupby KEY] \
+                     [--metric COLUMN] [--tree] [--csv] [--save-tkt FILE]";
+
+/// A usage error: the problem, the usage line, exit 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("error: {problem}\n{USAGE}");
+    SuiteExit::Usage.exit()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" {
-        eprintln!(
-            "usage: rajaperf-analyze <profile-dir|file.tkt> [--groupby KEY] [--metric COLUMN] [--tree] [--csv] [--save-tkt FILE]"
-        );
-        if args.is_empty() {
-            SuiteExit::Usage.exit();
-        }
+    if args.first().is_some_and(|a| a == "--help") {
+        eprintln!("{USAGE}");
         return;
     }
-    let dir = std::path::Path::new(&args[0]);
+    let Some(dir) = args.first().map(std::path::Path::new) else {
+        usage_error("no profile directory or .tkt file given");
+    };
     let mut groupby: Option<String> = None;
     let mut metric = "avg#time.duration".to_string();
     let mut show_tree = false;
@@ -37,20 +43,17 @@ fn main() {
     let mut save_tkt: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
+        let mut value = || match it.next() {
+            Some(v) => v.clone(),
+            None => usage_error(&format!("{a} needs a value")),
+        };
         match a.as_str() {
-            "--groupby" => groupby = it.next().cloned(),
-            "--metric" => {
-                if let Some(m) = it.next() {
-                    metric = m.clone();
-                }
-            }
+            "--groupby" => groupby = Some(value()),
+            "--metric" => metric = value(),
             "--tree" => show_tree = true,
             "--csv" => show_csv = true,
-            "--save-tkt" => save_tkt = it.next().cloned(),
-            other => {
-                eprintln!("unknown option {other}");
-                SuiteExit::Usage.exit();
-            }
+            "--save-tkt" => save_tkt = Some(value()),
+            other => usage_error(&format!("unknown option {other}")),
         }
     }
 

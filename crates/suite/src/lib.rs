@@ -339,7 +339,10 @@ pub(crate) fn run_suite_with(
     if let Some(err) = cm.error() {
         eprintln!("warning: {err}");
     }
-    let outputs = cm.flush(&session).unwrap_or_else(|e| {
+    // Built once: the profile the outputs are written from is the one the
+    // report carries.
+    let profile = session.profile();
+    let outputs = cm.flush(&profile).unwrap_or_else(|e| {
         eprintln!("warning: caliper flush failed: {e}");
         Vec::new()
     });
@@ -352,7 +355,7 @@ pub(crate) fn run_suite_with(
     SuiteReport {
         variant: params.variant,
         entries,
-        profile: session.profile(),
+        profile,
         outputs,
         sanitize,
         lock_order,
@@ -384,28 +387,20 @@ pub fn run_sanitize(params: &RunParams) -> SanitizeSection {
     section
 }
 
-/// Rewrite every `output=PATH` value in a Caliper ConfigManager spec so the
-/// file name carries `tag` before its extension chain — whatever the
-/// extension is. `spot(output=run.json)` with tag `Base_Seq` becomes
-/// `spot(output=run.Base_Seq.json)`, `out.cali.json` becomes
-/// `out.Base_Seq.cali.json`, and an extensionless `run` becomes
-/// `run.Base_Seq`. The `stdout`/`stderr` pseudo-paths and specs without an
-/// `output=` key are left untouched.
-pub fn spec_with_tag(spec: &str, tag: &str) -> String {
-    let mut out = String::with_capacity(spec.len() + tag.len() + 1);
-    let mut rest = spec;
-    while let Some(pos) = rest.find("output=") {
-        let vstart = pos + "output=".len();
-        out.push_str(&rest[..vstart]);
-        let value_len = rest[vstart..]
-            .find([',', ')'])
-            .unwrap_or(rest.len() - vstart);
-        let value = &rest[vstart..vstart + value_len];
-        out.push_str(&tag_path(value, tag));
-        rest = &rest[vstart + value_len..];
+/// `output` with `tag` before the extension chain of every file it names —
+/// whatever the extension is: `run.json` with tag `Base_Seq` becomes
+/// `run.Base_Seq.json`, `out.cali.json` becomes `out.Base_Seq.cali.json`,
+/// and an extensionless `run` becomes `run.Base_Seq`. The `stdout`/`stderr`
+/// pseudo-paths are left untouched.
+fn with_tag(output: &caliper::OutputSpec, tag: &str) -> caliper::OutputSpec {
+    use caliper::OutputSpec::{RuntimeReport, SpotProfile, Trace};
+    let mut tagged = output.clone();
+    let (RuntimeReport { output } | SpotProfile { output } | Trace { output, .. }) = &mut tagged;
+    *output = tag_path(output, tag);
+    if let Trace { folded, .. } = &mut tagged {
+        *folded = folded.as_deref().map(|f| tag_path(f, tag));
     }
-    out.push_str(rest);
-    out
+    tagged
 }
 
 /// Insert `tag` before the extension chain of `path`'s final component.
@@ -427,18 +422,24 @@ fn tag_path(path: &str, tag: &str) -> String {
 
 /// Run several variants (for cross-variant checksum validation and
 /// RAJA-overhead comparison), one profile per variant as upstream: the
-/// variant name is inserted into every `output=` file name of the Caliper
-/// spec so variants never clobber each other's profiles.
+/// user's Caliper spec is parsed once and each variant runs with its typed
+/// outputs, the variant name in every file name ([`with_tag`]), so variants
+/// never clobber each other's profiles.
 pub fn run_variants(base: &RunParams, variants: &[VariantId]) -> Vec<SuiteReport> {
+    let mut spec = caliper::ConfigManager::new();
+    let mut p = base.clone();
+    if let Some(text) = p.caliper_spec.take() {
+        spec.add(&text);
+    }
+    if let Some(err) = spec.error() {
+        eprintln!("warning: {err}");
+    }
     variants
         .iter()
         .map(|&v| {
-            let mut p = base.clone();
             p.variant = v;
-            if let Some(spec) = &mut p.caliper_spec {
-                *spec = spec_with_tag(spec, v.name());
-            }
-            run_suite(&p)
+            let outputs = spec.outputs().iter().map(|o| with_tag(o, v.name()));
+            run_suite_with(&p, outputs.collect(), None)
         })
         .collect()
 }
@@ -686,27 +687,40 @@ mod tests {
     }
 
     #[test]
-    fn spec_with_tag_inserts_variant_before_any_extension() {
+    fn with_tag_inserts_variant_before_any_extension() {
         // Regression: the old `.cali.json`-only string replace silently
         // no-opped for every other spec, so all variants clobbered one file.
+        // The spec is parsed once by Caliper; the tag goes on the typed path.
+        let tagged = |spec: &str, tag: &str| -> String {
+            let mut cm = caliper::ConfigManager::new();
+            match with_tag(&cm.add(spec).outputs()[0], tag) {
+                caliper::OutputSpec::RuntimeReport { output }
+                | caliper::OutputSpec::SpotProfile { output }
+                | caliper::OutputSpec::Trace { output, .. } => output,
+            }
+        };
+        for (spec, tag, path) in [
+            ("spot(output=run.json)", "Base_Seq", "run.Base_Seq.json"),
+            ("spot(output=run.cali.json)", "V", "run.V.cali.json"),
+            ("runtime-report,output=a.txt,profile", "V", "a.V.txt"),
+            ("spot(output=dir.d/run)", "V", "dir.d/run.V"),
+            ("spot(output=.hidden)", "V", ".hidden.V"),
+            ("runtime-report,output=stdout", "V", "stdout"),
+            ("runtime-report", "V", "stderr"),
+            ("trace(output=t.json)", "V", "t.V.json"),
+        ] {
+            assert_eq!(tagged(spec, tag), path, "{spec}");
+        }
+        // A trace's folded file is a file of the run too.
+        let mut cm = caliper::ConfigManager::new();
+        cm.add("trace(output=t.json,folded=t.folded)");
         assert_eq!(
-            spec_with_tag("spot(output=run.json)", "Base_Seq"),
-            "spot(output=run.Base_Seq.json)"
+            with_tag(&cm.outputs()[0], "V"),
+            caliper::OutputSpec::Trace {
+                output: "t.V.json".into(),
+                folded: Some("t.V.folded".into())
+            }
         );
-        assert_eq!(
-            spec_with_tag("spot(output=run.cali.json)", "RAJA_Par"),
-            "spot(output=run.RAJA_Par.cali.json)"
-        );
-        assert_eq!(
-            spec_with_tag("runtime-report,output=a.txt,profile", "V"),
-            "runtime-report,output=a.V.txt,profile"
-        );
-        assert_eq!(spec_with_tag("spot(output=dir.d/run)", "V"), "spot(output=dir.d/run.V)");
-        assert_eq!(
-            spec_with_tag("runtime-report,output=stdout", "V"),
-            "runtime-report,output=stdout"
-        );
-        assert_eq!(spec_with_tag("runtime-report", "V"), "runtime-report");
     }
 
     #[test]

@@ -224,6 +224,16 @@ fn e2e_usage_error_exits_2() {
         assert!(stderr.contains("rajaperf [options]"), "usage text: {stderr}");
         assert!(out.stdout.is_empty(), "no kernel may have run for {args:?}");
     }
+    // `rajaperf-analyze` used to ignore a valued flag given no value and
+    // exit 0 having analysed something else than was asked.
+    for flag in ["--metric", "--groupby", "--save-tkt", "--no-such-flag"] {
+        let mut analyze = Command::new(env!("CARGO_BIN_EXE_rajaperf-analyze"));
+        let out = analyze.args([".", flag]).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: rajaperf-analyze"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} analysed something");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,6 +389,45 @@ fn e2e_corrupt_sweep_cell_is_quarantined_and_rerun() {
     let reparsed: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&torn_cell).unwrap()).unwrap();
     assert!(reparsed.get("key").is_some());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn e2e_deep_nested_cell_profile_is_quarantined_and_its_cell_rerun() {
+    // `[[[[…` where a cached cell's profile (and another cell's record)
+    // should be: the warm scan's parse used to recurse once per bracket and
+    // abort the whole sweep on the stack guard page. It is a corrupt file
+    // like any other — quarantined, its cell re-run, the manifest whole.
+    let dir = temp_dir("deep");
+    let args = "--sweep --sweep-dir sweep --kernels Basic_DAXPY --size 1000 --reps 2";
+    let sweep = || {
+        let args = args.split(' ');
+        rajaperf().args(args).current_dir(&dir).output().unwrap()
+    };
+
+    assert!(sweep().status.success());
+    let manifest_before = std::fs::read_to_string(dir.join("sweep/manifest.json")).unwrap();
+    let deep = "[".repeat(300_000);
+    let victims = ["profiles/Base_Par.block_256.cali.json", "cells/Base_Seq.block_256.json"];
+    for victim in victims {
+        std::fs::write(dir.join("sweep").join(victim), &deep).unwrap();
+    }
+
+    let second = sweep();
+    assert!(second.status.success(), "{:?}", second.status);
+    let stdout = String::from_utf8_lossy(&second.stdout);
+    assert!(
+        stdout.contains("(4 cached, 3 corrupt file(s) quarantined)"),
+        "{stdout}"
+    );
+    let quarantined = |name: &str| dir.join("sweep/quarantine").join(name).exists();
+    assert!(quarantined("Base_Par.block_256.cali.json"));
+    assert!(quarantined("Base_Par.block_256.json"));
+    assert!(quarantined("Base_Seq.block_256.json"));
+    let manifest_after = std::fs::read_to_string(dir.join("sweep/manifest.json")).unwrap();
+    assert_eq!(manifest_before, manifest_after);
+    assert!(String::from_utf8_lossy(&sweep().stdout).contains("(6 cached)"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -155,7 +155,7 @@ impl Stat {
 /// Minimal profile shape consumed by [`Thicket::from_profiles`]; matches
 /// `caliper::Profile` structurally (kept independent so `thicket` does not
 /// depend on `caliper`, mirroring Thicket reading `.cali` files on disk).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileData {
     /// Run metadata.
     pub globals: BTreeMap<String, serde_json::Value>,
@@ -163,33 +163,30 @@ pub struct ProfileData {
     pub records: Vec<(Vec<String>, BTreeMap<String, f64>)>,
 }
 
-/// The caliper-JSON shape of a profile, as both constructors below read it.
-#[derive(Deserialize)]
-struct CaliperProfile {
-    globals: BTreeMap<String, serde_json::Value>,
-    records: Vec<CaliperRecord>,
-}
-
-#[derive(Deserialize)]
-struct CaliperRecord {
-    path: Vec<String>,
-    metrics: BTreeMap<String, f64>,
-}
-
-impl From<CaliperProfile> for ProfileData {
-    fn from(p: CaliperProfile) -> ProfileData {
-        ProfileData {
-            globals: p.globals,
-            records: p.records.into_iter().map(|r| (r.path, r.metrics)).collect(),
-        }
+/// The caliper-JSON shape of a profile — this crate's one description of it.
+impl Deserialize for ProfileData {
+    fn deserialize(profile: &serde_json::Value) -> Result<ProfileData, serde_json::Error> {
+        use serde_json::{Error, Value};
+        let shape = || Error::msg("a profile is {globals, records: [{path, metrics}]}");
+        let fields = profile.as_object().ok_or_else(shape)?;
+        let Some(Value::Array(records)) = fields.get("records") else {
+            return Err(shape());
+        };
+        let record = |r: &Value| {
+            let r = r.as_object().ok_or_else(shape)?;
+            Ok((serde::de_field(r, "path")?, serde::de_field(r, "metrics")?))
+        };
+        Ok(ProfileData {
+            globals: serde::de_field(fields, "globals")?,
+            records: records.iter().map(record).collect::<Result<_, Error>>()?,
+        })
     }
 }
 
 impl ProfileData {
-    /// Parse a caliper-JSON profile (`{"globals": .., "records": [{"path":
-    /// .., "metrics": ..}]}`).
+    /// Parse a caliper-JSON profile.
     pub fn from_caliper_json(text: &str) -> Result<ProfileData, serde_json::Error> {
-        serde_json::from_str::<CaliperProfile>(text).map(ProfileData::from)
+        serde_json::from_str(text)
     }
 
     /// [`ProfileData::from_caliper_json`] for a profile that is already a
@@ -197,7 +194,7 @@ impl ProfileData {
     pub fn from_caliper_value(
         profile: &serde_json::Value,
     ) -> Result<ProfileData, serde_json::Error> {
-        CaliperProfile::deserialize(profile).map(ProfileData::from)
+        ProfileData::deserialize(profile)
     }
 
     /// Read a caliper-JSON profile file.

@@ -333,6 +333,64 @@ if pgrep -f "$PSWEEP_DIR" >/dev/null 2>&1; then
 fi
 echo "daemon: run streamed, store hit replayed, fault-armed + clean requests isolated, process-ranked sweep left no orphans, clean shutdown"
 
+# No input kills a process: a line of 200 000 `[` used to overflow the accept
+# thread's stack in the JSON parser (the daemon aborted; the next connect was
+# refused) and a request line was buffered at whatever size it came; 300 000
+# `[` as a profile aborted rajaperf-analyze. Each is a typed error now.
+echo "== hostile input: deep and over-long request lines, a deep-nested profile =="
+HOSTILE_DIR="$SWEEP_DIR/hostile-input"
+mkdir -p "$HOSTILE_DIR/corpus"
+HSOCK="$HOSTILE_DIR/d.sock"
+"$DAEMON" --socket "$HSOCK" --store "$HOSTILE_DIR/store" --workers 1 2>/dev/null &
+HOSTILE_PID=$!
+for _ in $(seq 1 50); do
+    [[ -S "$HSOCK" ]] && break
+    sleep 0.1
+done
+raw_line() {  # <deep|long>: send one hostile line, print every reply line
+    python3 - "$HSOCK" "$1" <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+line = b"[" * 200000 if sys.argv[2] == "deep" else b'{"kind":"ping","pad":"' + b"x" * (2 << 20) + b'"}'
+try:
+    s.sendall(line + b"\n")
+except OSError:
+    pass  # the daemon stops reading an over-long line and hangs up
+reply = b""
+while True:
+    try:
+        chunk = s.recv(65536)
+    except OSError:
+        break
+    if not chunk:
+        break
+    reply += chunk
+sys.stdout.write(reply.decode())
+PY
+}
+for kind in deep long; do
+    REPLY=$(raw_line "$kind")
+    if [[ $(grep -c '"event":"error"' <<<"$REPLY") -ne 1 || $(grep -c '"event":"done"' <<<"$REPLY") -ne 1 ]] \
+        || ! grep -q '"code":"usage"' <<<"$REPLY" || ! grep -q '"exit_code":2' <<<"$REPLY"; then
+        echo "verify: FAIL — $kind request line: expected one usage error + done (exit 2), got: $REPLY" >&2
+        exit 1
+    fi
+    "$CLIENT" --socket "$HSOCK" ping | grep -q '"event":"pong"' \
+        || { echo "verify: FAIL — daemon did not answer ping after the $kind line" >&2; exit 1; }
+done
+"$CLIENT" --socket "$HSOCK" shutdown >/dev/null
+wait "$HOSTILE_PID"
+cp $(ls "$SWEEP_DIR"/profiles/*.cali.json | head -2) "$HOSTILE_DIR/corpus/"
+python3 -c "import sys; open(sys.argv[1], 'w').write('[' * 300000)" "$HOSTILE_DIR/corpus/b.cali.json"
+HOSTILE_ERR=$("$ANALYZE" "$HOSTILE_DIR/corpus" 2>&1 >/dev/null) \
+    || { echo "verify: FAIL — analyzer did not survive a deep-nested profile: $HOSTILE_ERR" >&2; exit 1; }
+grep -q "skipping .*b.cali.json.*nesting deeper than 128 at byte" <<<"$HOSTILE_ERR" \
+    || { echo "verify: FAIL — deep-nested profile not skipped with the nesting error: $HOSTILE_ERR" >&2; exit 1; }
+grep -q "1 of 3 profile(s) skipped" <<<"$HOSTILE_ERR" \
+    || { echo "verify: FAIL — analyzer skip count wrong: $HOSTILE_ERR" >&2; exit 1; }
+echo "hostile input: both lines answered error + done (exit 2) with a pong after; deep profile skipped, 1 of 3"
+
 # Corpus-scale columnar engine smoke: 50k synthetic profiles through
 # streaming ingest, parallel groupby+stats, and feature clustering, under a
 # CI-scaled wall-clock budget (the binary exits 1 when over). Run at two

@@ -403,13 +403,16 @@ fn every_error_path_replies_one_error_then_one_done() {
     let (daemon, root) = start_daemon("errors", 4, 1);
     let socket = daemon.socket().to_path_buf();
     // One raw line in, every event object out (the server hangs up after
-    // `done`) — raw, because two of the lines are not valid requests.
+    // `done`) — raw, because four of the lines are not valid requests. The
+    // server stops reading an over-long line and hangs up on the rest, so
+    // that write may fail and the stream ends in a reset instead of EOF.
     let reply = |line: &str| -> Vec<Value> {
         let mut stream = UnixStream::connect(&socket).expect("connect");
-        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let _ = stream.write_all(format!("{line}\n").as_bytes());
         BufReader::new(stream)
             .lines()
-            .map(|l| serde_json::from_str(&l.unwrap()).expect("event lines are JSON"))
+            .map_while(Result::ok)
+            .map(|l| serde_json::from_str(&l).expect("event lines are JSON"))
             .collect()
     };
     let run = |argv: &[&str]| run_request("e", argv).to_line();
@@ -430,6 +433,16 @@ fn every_error_path_replies_one_error_then_one_done() {
     let mut table: Vec<(&str, String, ErrorCode, &[&str])> = vec![
         ("bad JSON line", "not json".into(), ErrorCode::Usage, INLINE),
         ("unknown kind", r#"{"kind":"warp"}"#.into(), ErrorCode::Usage, INLINE),
+        // Both used to take the whole daemon down: the first overflowed the
+        // accept thread's stack in the JSON parser, the second is a request
+        // line the daemon would have buffered at whatever size it came.
+        ("a line nested 200 000 deep", "[".repeat(200_000), ErrorCode::Usage, INLINE),
+        (
+            "a 2 MiB line",
+            format!(r#"{{"kind":"ping","pad":"{}"}}"#, "x".repeat(2 << 20)),
+            ErrorCode::Usage,
+            INLINE,
+        ),
         (
             "--ranks 9",
             sweep(&["--sweep", "--sweep-dir", &sweep_dir, "--ranks", "9"]),
@@ -479,6 +492,9 @@ fn every_error_path_replies_one_error_then_one_done() {
             Some(i64::from(code.exit().code())),
             "{what}"
         );
+        // Whatever the line was, the daemon is still there for the next one.
+        let ping = rajaperfd::submit(&socket, &Request::Ping { id: "alive".into() });
+        assert!(ping.is_ok_and(|r| r.find("pong").is_some()), "no pong after {what}");
     }
     shutdown_and_wait(daemon, &root);
 }

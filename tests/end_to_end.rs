@@ -261,3 +261,39 @@ fn a_caliper_spec_naming_no_service_is_refused_at_the_door() {
     let err = daxpy(&["--caliper", "sp0t(output=x.json)"]).unwrap_err();
     assert!(err.contains("--caliper") && err.contains("sp0t"), "{err}");
 }
+
+// One profile per run, handled once: the profile a run reports is the one it
+// wrote, and the writer (`caliper`) and the analysis-side reader (`thicket`,
+// which does not link `caliper`) agree on the `.cali.json` field names.
+
+#[test]
+fn a_run_writes_the_profile_it_reports() {
+    let out = scratch("built_once");
+    let path = out.join("run.cali.json");
+    let spec = format!("spot(output={})", path.display());
+    let report = suite::run_suite(&daxpy(&["--caliper", &spec]).unwrap());
+    assert_eq!(report.outputs, std::slice::from_ref(&path));
+    // Built once: equal as data and as bytes — not a second build made a
+    // moment later, whose globals could already differ.
+    assert_eq!(caliper::Profile::read_file(&path).unwrap(), report.profile);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), report.profile.to_json());
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn thicket_reads_what_caliper_writes() {
+    let out = scratch("writer_reader");
+    let path = out.join("tie.cali.json");
+    let mut profile = suite::run_suite(&daxpy(&["--variant", "RAJA_SimGpu"]).unwrap()).profile;
+    profile.globals.insert("note".into(), serde_json::json!("é \"quoted\"\n"));
+    profile.write_file(&path).unwrap();
+    let written = caliper::Profile::read_file(&path).unwrap();
+    assert_eq!(written, profile);
+    // Fails if either side renames `globals`, `records`, `path` or `metrics`.
+    let read = thicket::ProfileData::read_file(&path).unwrap();
+    assert_eq!(read.globals, written.globals);
+    let records: Vec<_> = written.records.into_iter().map(|r| (r.path, r.metrics)).collect();
+    assert!(records.len() >= 3, "suite, group and kernel regions");
+    assert_eq!(read.records, records);
+    let _ = std::fs::remove_dir_all(&out);
+}
