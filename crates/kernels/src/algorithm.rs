@@ -9,14 +9,15 @@
 
 use crate::common::{checksum, checksum_unweighted, init_signed, init_unit};
 use crate::{
-    check_variant, run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase,
-    KernelInfo, PaperModel, RunResult, Tuning, VariantId, ALL_VARIANTS,
+    run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo,
+    PaperModel, Tuning, VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::atomic::as_atomic_slice;
 use raja::policy::{ParExec, SeqExec};
 use raja::DevicePtr;
 use rayon::prelude::*;
+use std::time::Duration;
 
 /// Register the Algorithm kernels in Table I order.
 pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
@@ -57,14 +58,6 @@ fn info(
     }
 }
 
-fn sig_from(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = ExecSignature::streaming(name, n);
-    s.flops = m.flops;
-    s.bytes_read = m.bytes_read;
-    s.bytes_written = m.bytes_written;
-    s
-}
-
 // ---------------------------------------------------------------------------
 // ATOMIC
 // ---------------------------------------------------------------------------
@@ -95,17 +88,14 @@ impl KernelBase for Atomic {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Algorithm_ATOMIC", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.atomics = n as f64;
         // 4096-way replication spreads the contention thin.
         s.atomic_contention = 0.1;
         s.flop_efficiency = 0.05;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let repl = ATOMIC_REPLICATION.min(n);
         let mut counters = vec![0.0f64; repl];
         let bs = tuning.gpu_block_size;
@@ -116,12 +106,7 @@ impl KernelBase for Atomic {
                 atoms[i % repl].fetch_add(1.0);
             });
         });
-        RunResult {
-            checksum: checksum_unweighted(&counters),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum_unweighted(&counters))
     }
 }
 
@@ -153,17 +138,14 @@ impl KernelBase for Histogram {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Algorithm_HISTOGRAM", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.atomics = n as f64;
         s.atomic_contention = 0.3; // 100 bins: moderate collisions
         s.int_ops_per_iter = 2.0;
         s.flop_efficiency = 0.05;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let bins = crate::common::init_ints(n, 510, HISTOGRAM_BINS);
         let mut counts = vec![0.0f64; HISTOGRAM_BINS];
         let bs = tuning.gpu_block_size;
@@ -174,12 +156,7 @@ impl KernelBase for Histogram {
                 atoms[bins[i] as usize].fetch_add(1.0);
             });
         });
-        RunResult {
-            checksum: checksum(&counts),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&counts))
     }
 }
 
@@ -203,14 +180,11 @@ impl KernelBase for Memcpy {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Algorithm_MEMCPY", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_unit(n, 520);
         let mut y = vec![0.0f64; n];
         let bs = tuning.gpu_block_size;
@@ -225,12 +199,7 @@ impl KernelBase for Memcpy {
                 run_elementwise(variant, n, bs, |i| unsafe { yp.write(i, x[i]) });
             }
         });
-        RunResult {
-            checksum: checksum(&y),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&y))
     }
 }
 
@@ -251,14 +220,11 @@ impl KernelBase for Memset {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Algorithm_MEMSET", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.35;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let mut x = vec![0.0f64; n];
         let value = 0.123;
         let bs = tuning.gpu_block_size;
@@ -272,12 +238,7 @@ impl KernelBase for Memset {
                 run_elementwise(variant, n, bs, |i| unsafe { xp.write(i, value) });
             }
         });
-        RunResult {
-            checksum: checksum(&x),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x))
     }
 }
 
@@ -307,17 +268,14 @@ impl KernelBase for ReduceSum {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Algorithm_REDUCE_SUM", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // The serial accumulation chain limits retire before bandwidth
         // saturates (single-stream add dependency).
         s.int_ops_per_iter = 3.0;
         s.flop_efficiency = 0.12;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_signed(n, 530);
         let mut sum = 0.0f64;
         let bs = tuning.gpu_block_size;
@@ -334,12 +292,7 @@ impl KernelBase for ReduceSum {
                 }
             };
         });
-        RunResult {
-            checksum: sum,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, sum)
     }
 }
 
@@ -369,15 +322,12 @@ impl KernelBase for Scan {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Algorithm_SCAN", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.kernel_launches = 3.0; // blocked scan phases
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_unit(n, 540);
         let mut y = vec![0.0f64; n];
         let bs = tuning.gpu_block_size;
@@ -401,12 +351,7 @@ impl KernelBase for Scan {
                 })
             }
         });
-        RunResult {
-            checksum: checksum(&y),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&y))
     }
 }
 
@@ -439,20 +384,16 @@ impl KernelBase for Sort {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Algorithm_SORT", n);
-        s.complexity = Complexity::NLogN;
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.branches = s.iterations * (n as f64).max(2.0).log2();
         s.branch_mispredict_rate = 0.2;
         s.int_ops_per_iter = 6.0;
         s.kernel_launches = 8.0; // radix passes on the device
         s.cache_reuse = 0.4;
         s.flop_efficiency = 0.02;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let orig = init_signed(n, 550);
         let mut x = orig.clone();
         let bs = tuning.gpu_block_size;
@@ -468,12 +409,7 @@ impl KernelBase for Sort {
                 }
             }
         });
-        RunResult {
-            checksum: checksum(&x),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x))
     }
 }
 
@@ -502,16 +438,11 @@ impl KernelBase for SortPairs {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = Sort.signature(n);
-        s.name = "Algorithm_SORTPAIRS".to_string();
-        s.bytes_read = self.metrics(n).bytes_read;
-        s.bytes_written = self.metrics(n).bytes_written;
-        s
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
+        Sort.shape(n, s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let keys_orig = init_signed(n, 560);
         let vals_orig: Vec<i32> = (0..n as i32).collect();
         let mut keys = keys_orig.clone();
@@ -546,12 +477,7 @@ impl KernelBase for SortPairs {
             .enumerate()
             .map(|(i, &v)| v as f64 * (1.0 + (i % 31) as f64 / 31.0))
             .sum();
-        RunResult {
-            checksum: checksum(&keys) + vsum,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&keys) + vsum)
     }
 }
 

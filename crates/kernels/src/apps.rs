@@ -18,13 +18,14 @@
 
 use crate::common::{checksum, cube_edge, init_unit, square_edge};
 use crate::{
-    check_variant, run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase,
-    KernelInfo, PaperModel, RunResult, Tuning, VariantId, ALL_VARIANTS,
+    run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo,
+    PaperModel, Tuning, VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::atomic::as_atomic_slice;
 use raja::views::{Layout, View};
 use raja::DevicePtr;
+use std::time::Duration;
 
 /// Register the Apps kernels in Table I order.
 pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
@@ -70,17 +71,8 @@ fn info(
     }
 }
 
-fn sig_from(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = ExecSignature::streaming(name, n);
-    s.flops = m.flops;
-    s.bytes_read = m.bytes_read;
-    s.bytes_written = m.bytes_written;
-    s
-}
-
 /// Finite-element signature profile: big body, basis reuse, FMA density.
-fn fe_sig(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = sig_from(m, name, n);
+fn fe_sig(s: &mut ExecSignature) {
     s.cache_reuse = 0.85;
     s.icache_pressure = 0.3;
     // Sum-factorized tensor contractions are cache-resident FMA chains:
@@ -90,7 +82,6 @@ fn fe_sig(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
     // ~7x MI250X) despite the high achieved rates.
     s.flop_efficiency = 2.5;
     s.gpu_flop_efficiency = Some(1.12);
-    s
 }
 
 // ---------------------------------------------------------------------------
@@ -266,18 +257,17 @@ macro_rules! pa_kernel {
                 }
             }
 
-            fn signature(&self, n: usize) -> ExecSignature {
-                fe_sig(self.metrics(n), $name, n)
+            fn shape(&self, _n: usize, s: &mut ExecSignature) {
+                fe_sig(s);
             }
 
-            fn execute(
+            fn run(
                 &self,
                 variant: VariantId,
                 n: usize,
                 reps: usize,
                 tuning: &Tuning,
-            ) -> RunResult {
-                check_variant(&self.info(), variant);
+            ) -> (Duration, f64) {
                 let ne = (n / DOFS_PER_ELEM).max(1);
                 let x = init_unit(ne * DOFS_PER_ELEM, 800);
                 let mut y = vec![0.0f64; ne * DOFS_PER_ELEM];
@@ -287,12 +277,7 @@ macro_rules! pa_kernel {
                     y.fill(0.0);
                     run_pa_kernel(variant, bs, ne, &x, &mut y, &pointwise);
                 });
-                RunResult {
-                    checksum: checksum(&y),
-                    time,
-                    reps,
-                    metrics: self.metrics(n),
-                }
+                (time, checksum(&y))
             }
         }
     };
@@ -359,12 +344,11 @@ impl KernelBase for Mass3dea {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        fe_sig(self.metrics(n), "Apps_MASS3DEA", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        fe_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = (n / (DOFS_PER_ELEM * DOFS_PER_ELEM)).max(1);
         let coeff = init_unit(ne * Q1D, 810);
         let mut mats = vec![0.0f64; ne * DOFS_PER_ELEM * DOFS_PER_ELEM];
@@ -409,12 +393,7 @@ impl KernelBase for Mass3dea {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&mats),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&mats))
     }
 }
 
@@ -454,8 +433,8 @@ impl KernelBase for Edge3d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = fe_sig(self.metrics(n), "Apps_EDGE3D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        fe_sig(s);
         s.icache_pressure = 0.35;
         // The big local-matrix writes stream out; coordinate reads are
         // moderately reused — the paper's TMA places EDGE3D in the
@@ -467,11 +446,9 @@ impl KernelBase for Edge3d {
         // at 95% of peak on the V100).
         s.gpu_flop_efficiency = Some(6.3);
         s.flop_efficiency = 0.88;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let nz = Self::zones(n);
         let xs = init_unit(nz * 8, 820);
         let ys = init_unit(nz * 8, 821);
@@ -507,12 +484,7 @@ impl KernelBase for Edge3d {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&mats),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&mats))
     }
 }
 
@@ -552,8 +524,7 @@ impl KernelBase for DelDotVec2d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_DEL_DOT_VEC_2D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.0; // counts are already unique traffic
         s.icache_pressure = 0.2;
         // Gathered corner access keeps this scalar on the CPU and
@@ -561,11 +532,9 @@ impl KernelBase for DelDotVec2d {
         s.flop_efficiency = 0.12;
         s.int_ops_per_iter = 6.0;
         s.gpu_coalescing = 0.5;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let e = Self::edge(n);
         let nodes = e * e;
         let x = init_unit(nodes, 830);
@@ -602,12 +571,7 @@ impl KernelBase for DelDotVec2d {
                 unsafe { dp.write(z, dfxdx + dfydy) };
             });
         });
-        RunResult {
-            checksum: checksum(&div),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&div))
     }
 }
 
@@ -632,8 +596,7 @@ impl KernelBase for Energy {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_ENERGY", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.branches = 2.0 * n as f64;
         s.branch_mispredict_rate = 0.15;
         s.icache_pressure = 0.25;
@@ -641,11 +604,9 @@ impl KernelBase for Energy {
         s.flop_efficiency = 0.12;
         s.int_ops_per_iter = 4.0;
         s.gpu_coalescing = 0.8; // branch divergence across EOS phases
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let e_old = init_unit(n, 840);
         let delvc = crate::common::init_signed(n, 841);
         let p_old = init_unit(n, 842);
@@ -699,12 +660,7 @@ impl KernelBase for Energy {
                 ep.write(i, e);
             });
         });
-        RunResult {
-            checksum: checksum(&e_new) + checksum(&q_new),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&e_new) + checksum(&q_new))
     }
 }
 
@@ -724,19 +680,16 @@ impl KernelBase for Pressure {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_PRESSURE", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.branches = 2.0 * n as f64;
         s.branch_mispredict_rate = 0.1;
         s.kernel_launches = 2.0;
         s.flop_efficiency = 0.12;
         s.int_ops_per_iter = 3.0;
         s.gpu_coalescing = 0.85; // cut-off branch divergence
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let compression = init_unit(n, 850);
         let e_old = init_unit(n, 851);
         let vnewc = init_unit(n, 852);
@@ -769,12 +722,7 @@ impl KernelBase for Pressure {
                 pp.write(i, p);
             });
         });
-        RunResult {
-            checksum: checksum(&p_new) + checksum(&bvc),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&p_new) + checksum(&bvc))
     }
 }
 
@@ -803,14 +751,11 @@ impl KernelBase for Fir {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_FIR", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.45;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let input = init_unit(n + FIR_COEFFLEN, 860);
         let coeff: Vec<f64> = (0..FIR_COEFFLEN)
             .map(|j| if j % 2 == 0 { 1.0 } else { -1.0 } * (j as f64 + 1.0) * 0.25)
@@ -830,12 +775,7 @@ impl KernelBase for Fir {
                 unsafe { op.write(i, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&out),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&out))
     }
 }
 
@@ -866,14 +806,12 @@ fn lt_metrics(n: usize) -> AnalyticMetrics {
     }
 }
 
-fn lt_sig(name: &'static str, n: usize) -> ExecSignature {
-    let mut s = sig_from(lt_metrics(n), name, n);
+fn lt_sig(s: &mut ExecSignature) {
     s.cache_reuse = 0.2; // counts are already unique traffic; modest reuse
     s.icache_pressure = 0.15;
     s.int_ops_per_iter = 4.0; // 3/4-D view index arithmetic
     s.flop_efficiency = 0.2;
     s.gpu_coalescing = 0.65; // moment-strided phi updates
-    s
 }
 
 /// `Apps_LTIMES`: scattering-moment accumulation
@@ -894,12 +832,11 @@ impl KernelBase for Ltimes {
         lt_metrics(n)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        lt_sig("Apps_LTIMES", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        lt_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let nz = lt_zones(n);
         let mut psi = init_unit(LT_NUM_D * LT_NUM_G * nz, 870);
         let mut ell = init_unit(LT_NUM_M * LT_NUM_D, 871);
@@ -932,12 +869,7 @@ impl KernelBase for Ltimes {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&phi),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&phi))
     }
 }
 
@@ -954,12 +886,11 @@ impl KernelBase for LtimesNoview {
         lt_metrics(n)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        lt_sig("Apps_LTIMES_NOVIEW", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        lt_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let nz = lt_zones(n);
         let psi = init_unit(LT_NUM_D * LT_NUM_G * nz, 870);
         let ell = init_unit(LT_NUM_M * LT_NUM_D, 871);
@@ -986,12 +917,7 @@ impl KernelBase for LtimesNoview {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&phi),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&phi))
     }
 }
 
@@ -1029,8 +955,7 @@ impl KernelBase for Matvec3dStencil {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_MATVEC_3D_STENCIL", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // The paper groups this kernel with the not-primarily-memory-bound
         // cases (§III-A): the 27 coefficient streams hit whole cache lines
         // and the x neighbours are reused 27-fold.
@@ -1039,11 +964,9 @@ impl KernelBase for Matvec3dStencil {
         s.icache_pressure = 0.2;
         s.flop_efficiency = 0.1;
         s.gpu_coalescing = 0.55; // 27-point gathers
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let (ez, _) = mesh_edges(n);
         let zones = ez * ez * ez;
         let x = init_unit(zones, 880);
@@ -1078,12 +1001,7 @@ impl KernelBase for Matvec3dStencil {
                 unsafe { bp.write(zi, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&b),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&b))
     }
 }
 
@@ -1111,18 +1029,15 @@ impl KernelBase for NodalAccumulation3d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_NODAL_ACCUMUL_3D", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         let (ez, _) = mesh_edges(n);
         s.atomics = 8.0 * (ez * ez * ez) as f64; // eight adds per zone
         s.atomic_contention = 0.05; // only shared corners ever collide
         s.int_ops_per_iter = 8.0;
         s.flop_efficiency = 0.1;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let (ez, en) = mesh_edges(n);
         let zones = ez * ez * ez;
         let vol = init_unit(zones, 890);
@@ -1146,12 +1061,7 @@ impl KernelBase for NodalAccumulation3d {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&nodal),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&nodal))
     }
 }
 
@@ -1178,17 +1088,14 @@ impl KernelBase for ZonalAccumulation3d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_ZONAL_ACCUMUL_3D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.5; // corner nodes shared between zones
         s.int_ops_per_iter = 8.0;
         s.flop_efficiency = 0.25;
         s.gpu_coalescing = 0.6; // node gathers
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let (ez, en) = mesh_edges(n);
         let zones = ez * ez * ez;
         let nodal = init_unit(en * en * en, 900);
@@ -1214,12 +1121,7 @@ impl KernelBase for ZonalAccumulation3d {
                 unsafe { zp.write(z, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&zonal),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&zonal))
     }
 }
 
@@ -1245,17 +1147,14 @@ impl KernelBase for Vol3d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Apps_VOL3D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.6; // shared corner coordinates
         s.icache_pressure = 0.35;
         s.flop_efficiency = 0.45;
         s.gpu_flop_efficiency = Some(0.85);
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let (ez, en) = mesh_edges(n);
         let nodes = en * en * en;
         let x = init_unit(nodes, 910);
@@ -1305,12 +1204,7 @@ impl KernelBase for Vol3d {
                 unsafe { vp.write(zi, v * vnormq) };
             });
         });
-        RunResult {
-            checksum: checksum(&vol),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&vol))
     }
 }
 

@@ -10,8 +10,8 @@
 
 use crate::common::{checksum, cube_edge, init_signed, init_unit, square_edge};
 use crate::{
-    check_variant, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo, PaperModel,
-    RunResult, Tuning, VariantId, ALL_VARIANTS,
+    time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo, PaperModel, Tuning,
+    VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::atomic::{as_atomic_slice, AtomicF64};
@@ -19,6 +19,7 @@ use raja::policy::{ParExec, SeqExec};
 use raja::views::{Layout, MultiView, View};
 use raja::DevicePtr;
 use rayon::prelude::*;
+use std::time::Duration;
 
 /// Register the Basic kernels in Table I order.
 pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
@@ -70,14 +71,6 @@ fn info(
     }
 }
 
-fn sig_from(metrics: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = ExecSignature::streaming(name, n);
-    s.flops = metrics.flops;
-    s.bytes_read = metrics.bytes_read;
-    s.bytes_written = metrics.bytes_written;
-    s
-}
-
 // ---------------------------------------------------------------------------
 // ARRAY_OF_PTRS
 // ---------------------------------------------------------------------------
@@ -107,15 +100,12 @@ impl KernelBase for ArrayOfPtrs {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_ARRAY_OF_PTRS", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.int_ops_per_iter = NUM_PTRS as f64; // pointer chases
         s.flop_efficiency = 0.2;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let mut bufs: Vec<Vec<f64>> = (0..NUM_PTRS)
             .map(|a| init_unit(n, 200 + a as u64))
             .collect();
@@ -140,12 +130,7 @@ impl KernelBase for ArrayOfPtrs {
                 unsafe { op.write(i, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&out),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&out))
     }
 }
 
@@ -170,15 +155,12 @@ impl KernelBase for Copy8 {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_COPY8", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.int_ops_per_iter = 8.0;
         s.flop_efficiency = 0.25;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let xs: [Vec<f64>; 8] = std::array::from_fn(|a| init_unit(n, 210 + a as u64));
         let mut ys: Vec<Vec<f64>> = (0..8).map(|_| vec![0.0; n]).collect();
         let bs = tuning.gpu_block_size;
@@ -197,12 +179,7 @@ impl KernelBase for Copy8 {
             });
         });
         let cs = ys.iter().map(|y| checksum(y)).sum();
-        RunResult {
-            checksum: cs,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, cs)
     }
 }
 
@@ -226,14 +203,11 @@ impl KernelBase for Daxpy {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_DAXPY", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_unit(n, 220);
         let mut y = init_unit(n, 221);
         let a = 0.5;
@@ -247,12 +221,7 @@ impl KernelBase for Daxpy {
                 yp.write(i, yp.read(i) + a * x[i])
             });
         });
-        RunResult {
-            checksum: checksum(&y),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&y))
     }
 }
 
@@ -274,16 +243,13 @@ impl KernelBase for DaxpyAtomic {
         Daxpy.metrics(n)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_DAXPY_ATOMIC", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.atomics = n as f64;
         s.atomic_contention = 0.0; // every element owns its own address
         s.flop_efficiency = 0.1;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_unit(n, 230);
         let mut y = init_unit(n, 231);
         let a = 0.5;
@@ -294,12 +260,7 @@ impl KernelBase for DaxpyAtomic {
                 atoms[i].fetch_add(a * x[i]);
             });
         });
-        RunResult {
-            checksum: checksum(&y),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&y))
     }
 }
 
@@ -325,17 +286,14 @@ impl KernelBase for IfQuad {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_IF_QUAD", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.branches = n as f64;
         s.branch_mispredict_rate = 0.25; // data-dependent discriminant sign
         s.flop_efficiency = 0.15;
         s.gpu_coalescing = 0.7; // warp divergence on the discriminant
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let a: Vec<f64> = init_unit(n, 240).iter().map(|v| v + 0.1).collect();
         let b = init_signed(n, 241);
         let c = init_signed(n, 242);
@@ -368,12 +326,7 @@ impl KernelBase for IfQuad {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&x1) + checksum(&x2),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x1) + checksum(&x2))
     }
 }
 
@@ -425,17 +378,14 @@ impl KernelBase for IndexList {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_INDEXLIST", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.branches = n as f64;
         s.branch_mispredict_rate = 0.3;
         s.kernel_launches = 5.0; // scan (3) + flags + gather
         s.flop_efficiency = 0.05;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_signed(n, 250);
         let mut list = vec![0i32; n];
         let mut count = 0usize;
@@ -462,12 +412,7 @@ impl KernelBase for IndexList {
             };
         });
         let cs: f64 = list[..count].iter().map(|&v| v as f64).sum::<f64>() + count as f64;
-        RunResult {
-            checksum: cs,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, cs)
     }
 }
 
@@ -493,17 +438,14 @@ impl KernelBase for IndexList3Loop {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_INDEXLIST_3LOOP", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.branches = n as f64;
         s.branch_mispredict_rate = 0.3;
         s.kernel_launches = 5.0;
         s.flop_efficiency = 0.05;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_signed(n, 260);
         let mut list = vec![0i32; n];
         let mut count = 0usize;
@@ -549,12 +491,7 @@ impl KernelBase for IndexList3Loop {
             };
         });
         let cs: f64 = list[..count].iter().map(|&v| v as f64).sum::<f64>() + count as f64;
-        RunResult {
-            checksum: cs,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, cs)
     }
 }
 
@@ -578,14 +515,11 @@ impl KernelBase for Init3 {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_INIT3", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let in1 = init_unit(n, 270);
         let in2 = init_unit(n, 271);
         let mut o1 = vec![0.0f64; n];
@@ -610,12 +544,7 @@ impl KernelBase for Init3 {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&o1) + checksum(&o2) + checksum(&o3),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&o1) + checksum(&o2) + checksum(&o3))
     }
 }
 
@@ -635,14 +564,11 @@ impl KernelBase for MulAddSub {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_MULADDSUB", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let in1 = init_unit(n, 280);
         let in2 = init_unit(n, 281);
         let mut o1 = vec![0.0f64; n];
@@ -664,12 +590,7 @@ impl KernelBase for MulAddSub {
                 p3.write(i, in1[i] - in2[i]);
             });
         });
-        RunResult {
-            checksum: checksum(&o1) + checksum(&o2) + checksum(&o3),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&o1) + checksum(&o2) + checksum(&o3))
     }
 }
 
@@ -698,16 +619,13 @@ impl KernelBase for InitView1d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_INIT_VIEW1D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // Write-only streaming with trivial compute: the paper finds these
         // retiring-bound ("no specific bottleneck") on both CPU systems.
         s.flop_efficiency = 0.35;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         const V: f64 = 0.00000123;
         let mut a = vec![0.0f64; n];
         let bs = tuning.gpu_block_size;
@@ -720,12 +638,7 @@ impl KernelBase for InitView1d {
                 view.set([i as isize], (i + 1) as f64 * V);
             });
         });
-        RunResult {
-            checksum: checksum(&a),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&a))
     }
 }
 
@@ -747,14 +660,11 @@ impl KernelBase for InitView1dOffset {
         InitView1d.metrics(n)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_INIT_VIEW1D_OFFSET", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.35;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         const V: f64 = 0.00000123;
         let mut a = vec![0.0f64; n];
         let bs = tuning.gpu_block_size;
@@ -780,12 +690,7 @@ impl KernelBase for InitView1dOffset {
                 }
             }
         });
-        RunResult {
-            checksum: checksum(&a),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&a))
     }
 }
 
@@ -915,17 +820,13 @@ impl KernelBase for MatMatShared {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_MAT_MAT_SHARED", n);
-        s.complexity = Complexity::NSqrtN;
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.95; // tiles stay resident
         s.flop_efficiency = 1.0; // this kernel *defines* the achieved ceiling
         s.icache_pressure = 0.1;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, _tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, _tuning: &Tuning) -> (Duration, f64) {
         let ne = Self::edge(n);
         let a = init_unit(ne * ne, 290);
         let b = init_unit(ne * ne, 291);
@@ -964,12 +865,7 @@ impl KernelBase for MatMatShared {
                 VariantId::RajaSimGpu => Self::device_shared(&mut c, &a, &b, ne),
             }
         });
-        RunResult {
-            checksum: checksum(&c),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&c))
     }
 }
 
@@ -1002,17 +898,14 @@ impl KernelBase for MultiReduce {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_MULTI_REDUCE", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.atomics = n as f64;
         s.atomic_contention = 0.6; // ten bins: heavy collisions
         s.int_ops_per_iter = 2.0;
         s.flop_efficiency = 0.08;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let data = init_unit(n, 300);
         let bins = crate::common::init_ints(n, 301, MULTI_REDUCE_BINS);
         let mut sums = vec![0.0f64; MULTI_REDUCE_BINS];
@@ -1042,12 +935,7 @@ impl KernelBase for MultiReduce {
                 }
             }
         });
-        RunResult {
-            checksum: checksum(&sums),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&sums))
     }
 }
 
@@ -1073,14 +961,11 @@ impl KernelBase for NestedInit {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_NESTED_INIT", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.35;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let e = cube_edge(n);
         let mut a = vec![0.0f64; e * e * e];
         let bs = tuning.gpu_block_size;
@@ -1131,12 +1016,7 @@ impl KernelBase for NestedInit {
                 }),
             }
         });
-        RunResult {
-            checksum: checksum(&a),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&a))
     }
 }
 
@@ -1168,16 +1048,13 @@ impl KernelBase for PiAtomic {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_PI_ATOMIC", n);
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         s.atomics = n as f64; // every iteration hits ONE address
         s.flop_efficiency = 0.05;
         s.gpu_flop_efficiency = Some(0.02);
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let dx = 1.0 / n as f64;
         let mut pi = 0.0f64;
         let bs = tuning.gpu_block_size;
@@ -1189,12 +1066,7 @@ impl KernelBase for PiAtomic {
             });
             pi = 4.0 * acc.load();
         });
-        RunResult {
-            checksum: pi,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, pi)
     }
 }
 
@@ -1219,17 +1091,14 @@ impl KernelBase for PiReduce {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_PI_REDUCE", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // Compute-only reduction: FLOP-heavy per byte (one of the 17 in
         // §V-D) but the division chain saturates the FP divider — the
         // paper's core-bound cluster.
         s.flop_efficiency = 0.1;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let dx = 1.0 / n as f64;
         let mut pi = 0.0f64;
         let bs = tuning.gpu_block_size;
@@ -1251,12 +1120,7 @@ impl KernelBase for PiReduce {
             };
             pi = 4.0 * sum;
         });
-        RunResult {
-            checksum: pi,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, pi)
     }
 }
 
@@ -1282,15 +1146,12 @@ impl KernelBase for TrapInt {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_TRAP_INT", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // Polynomial + division per point: divider-port bound (core bound).
         s.flop_efficiency = 0.1;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let (x0, x1) = (0.0f64, 1.0f64);
         let h = (x1 - x0) / n as f64;
         let mut total = 0.0f64;
@@ -1313,12 +1174,7 @@ impl KernelBase for TrapInt {
                 }
             };
         });
-        RunResult {
-            checksum: total,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, total)
     }
 }
 
@@ -1347,18 +1203,15 @@ impl KernelBase for Reduce3Int {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_REDUCE3_INT", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.int_ops_per_iter = 3.0;
         // The paper notes reduction kernels like REDUCE_SUM are not
         // primarily memory-bandwidth limited: dependency chains bound
         // retire instead.
         s.flop_efficiency = 0.2;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let vals: Vec<i64> = crate::common::init_ints(n, 310, 2001)
             .into_iter()
             .map(|v| v as i64 - 1000)
@@ -1395,12 +1248,7 @@ impl KernelBase for Reduce3Int {
                 }
             };
         });
-        RunResult {
-            checksum: out.0 as f64 + out.1 as f64 * 2.0 + out.2 as f64 * 3.0,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, out.0 as f64 + out.1 as f64 * 2.0 + out.2 as f64 * 3.0)
     }
 }
 
@@ -1426,14 +1274,11 @@ impl KernelBase for ReduceStruct {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Basic_REDUCE_STRUCT", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.2;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let xs = init_unit(n, 320);
         let ys = init_unit(n, 321);
         type T6 = ((f64, f64), (f64, f64), (f64, f64)); // (sums, mins, maxs)
@@ -1481,12 +1326,7 @@ impl KernelBase for ReduceStruct {
         let (sums, mins, maxs) = out;
         let xc = sums.0 / n as f64;
         let yc = sums.1 / n as f64;
-        RunResult {
-            checksum: xc + yc + mins.0 + mins.1 + maxs.0 + maxs.1,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, xc + yc + mins.0 + mins.1 + maxs.0 + maxs.1)
     }
 }
 

@@ -22,12 +22,13 @@
 
 use crate::common::{checksum, init_unit};
 use crate::{
-    check_variant, run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase,
-    KernelInfo, PaperModel, RunResult, Tuning, VariantId, ALL_VARIANTS,
+    run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo,
+    PaperModel, RunResult, Tuning, VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::DevicePtr;
 use simcomm::halo::{HaloGeometry, RankDecomp};
+use std::time::Duration;
 
 /// Register the Comm kernels in Table I order.
 pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
@@ -298,25 +299,13 @@ fn comm_metrics(n: usize, _with_mpi: bool) -> AnalyticMetrics {
     }
 }
 
-fn comm_sig(
-    name: &'static str,
-    n: usize,
-    launches: f64,
-    messages: f64,
-) -> ExecSignature {
-    let m = comm_metrics(n, messages > 0.0);
-    let mut s = ExecSignature::streaming(name, n);
-    s.flops = m.flops;
-    s.bytes_read = m.bytes_read;
-    s.bytes_written = m.bytes_written;
-    s.complexity = Complexity::NTwoThirds;
+fn comm_sig(s: &mut ExecSignature, n: usize, launches: f64, messages: f64) {
     s.iterations = pack_volume(n) * 2.0;
     s.int_ops_per_iter = 3.0; // indirect index loads
     s.kernel_launches = launches;
     s.mpi_messages = messages;
     s.mpi_bytes = 8.0 * pack_volume(n);
     s.flop_efficiency = 0.05;
-    s
 }
 
 // ---------------------------------------------------------------------------
@@ -336,12 +325,11 @@ impl KernelBase for HaloPacking {
         comm_metrics(n, false)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        comm_sig("Comm_HALO_PACKING", n, 52.0, 0.0)
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
+        comm_sig(s, n, 52.0, 0.0);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let g = geometry(n);
         let mut grids = init_grids(&g, 0);
         let mut bufs: Vec<Vec<f64>> = g
@@ -354,12 +342,7 @@ impl KernelBase for HaloPacking {
             pack_per_direction(variant, bs, &g, &grids, &mut bufs);
             unpack_per_direction(variant, bs, &g, &mut grids, &bufs);
         });
-        RunResult {
-            checksum: grids.iter().map(|gr| checksum(gr)).sum(),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, grids.iter().map(|gr| checksum(gr)).sum())
     }
 }
 
@@ -379,12 +362,11 @@ impl KernelBase for HaloPackingFused {
         comm_metrics(n, false)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        comm_sig("Comm_HALO_PACKING_FUSED", n, 2.0, 0.0)
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
+        comm_sig(s, n, 2.0, 0.0);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let g = geometry(n);
         let mut grids = init_grids(&g, 0);
         let mut bufs: Vec<Vec<f64>> = g
@@ -397,12 +379,7 @@ impl KernelBase for HaloPackingFused {
             pack_fused(variant, bs, &g, &grids, &mut bufs);
             unpack_fused(variant, bs, &g, &mut grids, &bufs);
         });
-        RunResult {
-            checksum: grids.iter().map(|gr| checksum(gr)).sum(),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, grids.iter().map(|gr| checksum(gr)).sum())
     }
 }
 
@@ -420,6 +397,7 @@ impl KernelBase for HaloSendrecv {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
+        // Message staging only: half the pack/unpack traffic.
         let v = pack_volume(n);
         AnalyticMetrics {
             bytes_read: 8.0 * v,
@@ -428,17 +406,11 @@ impl KernelBase for HaloSendrecv {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = comm_sig("Comm_HALO_SENDRECV", n, 0.0, 26.0);
-        // Message staging only: half the pack/unpack traffic.
-        let m = self.metrics(n);
-        s.bytes_read = m.bytes_read;
-        s.bytes_written = m.bytes_written;
-        s
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
+        comm_sig(s, n, 0.0, 26.0);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, _tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, _v: VariantId, n: usize, reps: usize, _tuning: &Tuning) -> (Duration, f64) {
         let decomp = RankDecomp::new([RANKS, 1, 1]);
         let faults = simfault::current();
         let outputs = simcomm::run(RANKS, |mut comm| {
@@ -469,21 +441,8 @@ impl KernelBase for HaloSendrecv {
             (time, cs)
         });
         let time = outputs.iter().map(|(t, _)| *t).max().unwrap_or_default();
-        let checksum_total: f64 = outputs.iter().map(|(_, c)| c).sum();
-        RunResult {
-            checksum: checksum_total,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, outputs.iter().map(|(_, c)| c).sum())
     }
-}
-
-/// Shared driver for the two full-exchange kernels: the fixed [`RANKS`]-rank
-/// decomposition with rank-seeded grids (each rank's data is distinct, so
-/// the summed checksum witnesses real inter-rank traffic).
-fn run_exchange(n: usize, reps: usize, variant: VariantId, bs: usize, fused: bool) -> RunResult {
-    run_exchange_decomposed(n, reps, variant, bs, fused, RANKS, false)
 }
 
 /// The full pack → exchange → unpack pipeline over an explicit 1-D rank
@@ -505,6 +464,28 @@ pub fn run_exchange_decomposed(
     nranks: usize,
     uniform_init: bool,
 ) -> RunResult {
+    let (time, checksum) = exchange(n, reps, variant, bs, fused, nranks, uniform_init);
+    RunResult {
+        checksum,
+        time,
+        reps,
+        metrics: comm_metrics(n, true),
+    }
+}
+
+/// The exchange itself: the slowest rank's timed span and the summed
+/// checksum. The two full-exchange kernels run it over the fixed
+/// [`RANKS`]-rank decomposition with rank-seeded grids (each rank's data is
+/// distinct, so the summed checksum witnesses real inter-rank traffic).
+fn exchange(
+    n: usize,
+    reps: usize,
+    variant: VariantId,
+    bs: usize,
+    fused: bool,
+    nranks: usize,
+    uniform_init: bool,
+) -> (Duration, f64) {
     let decomp = RankDecomp::new([nranks, 1, 1]);
     // Rank threads pack through `DevicePtr` and launch device kernels: they
     // draw from the fault world of the thread executing this kernel.
@@ -537,13 +518,7 @@ pub fn run_exchange_decomposed(
         (time, cs)
     });
     let time = outputs.iter().map(|(t, _)| *t).max().unwrap_or_default();
-    let checksum_total: f64 = outputs.iter().map(|(_, c)| c).sum();
-    RunResult {
-        checksum: checksum_total,
-        time,
-        reps,
-        metrics: comm_metrics(n, true),
-    }
+    (time, outputs.iter().map(|(_, c)| c).sum())
 }
 
 /// `Comm_HALO_EXCHANGE`: full pack → isend/irecv/wait → unpack pipeline,
@@ -559,13 +534,12 @@ impl KernelBase for HaloExchange {
         comm_metrics(n, true)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        comm_sig("Comm_HALO_EXCHANGE", n, 52.0, 26.0)
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
+        comm_sig(s, n, 52.0, 26.0);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
-        run_exchange(n, reps, variant, tuning.gpu_block_size, false)
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
+        exchange(n, reps, variant, tuning.gpu_block_size, false, RANKS, false)
     }
 }
 
@@ -584,13 +558,12 @@ impl KernelBase for HaloExchangeFused {
         comm_metrics(n, true)
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        comm_sig("Comm_HALO_EXCH_FUSED", n, 2.0, 26.0)
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
+        comm_sig(s, n, 2.0, 26.0);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
-        run_exchange(n, reps, variant, tuning.gpu_block_size, true)
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
+        exchange(n, reps, variant, tuning.gpu_block_size, true, RANKS, false)
     }
 }
 

@@ -19,10 +19,11 @@
 
 use crate::common;
 use crate::{
-    check_variant, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo, PaperModel,
-    RunResult, Tuning, VariantId,
+    time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo, PaperModel, Tuning,
+    VariantId,
 };
 use perfmodel::Complexity;
+use std::time::Duration;
 
 const FIXTURE_VARIANTS: &[VariantId] = &[VariantId::BaseSeq, VariantId::BaseSimGpu];
 
@@ -45,7 +46,13 @@ fn fixture_info(name: &'static str) -> KernelInfo {
 
 /// The DAXPY-shaped work every fixture does when it is not failing, so a
 /// passing run produces a real checksum like any registry kernel.
-fn daxpy_run(variant: VariantId, n: usize, reps: usize, tuning: &Tuning, seed: u64) -> RunResult {
+fn daxpy_run(
+    variant: VariantId,
+    n: usize,
+    reps: usize,
+    tuning: &Tuning,
+    seed: u64,
+) -> (Duration, f64) {
     let x = common::init_unit(n, seed);
     let mut y = vec![0.0f64; n];
     let time = time_reps(reps, || {
@@ -57,19 +64,10 @@ fn daxpy_run(variant: VariantId, n: usize, reps: usize, tuning: &Tuning, seed: u
         match variant {
             VariantId::BaseSeq => (0..n).for_each(body),
             VariantId::BaseSimGpu => gpusim::launch_1d(n, tuning.gpu_block_size, body),
-            _ => unreachable!("fixture variants are checked above"),
+            _ => unreachable!("fixture variants are checked by `execute`"),
         }
     });
-    RunResult {
-        checksum: common::checksum(&y),
-        time,
-        reps,
-        metrics: AnalyticMetrics {
-            bytes_read: 16.0 * n as f64,
-            bytes_written: 8.0 * n as f64,
-            flops: 2.0 * n as f64,
-        },
-    }
+    (time, common::checksum(&y))
 }
 
 /// `Fixture_PANIC`: unconditionally panics mid-execution (no `simfault:`
@@ -89,8 +87,7 @@ impl KernelBase for Panicky {
         }
     }
 
-    fn execute(&self, variant: VariantId, n: usize, _reps: usize, _tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, _v: VariantId, n: usize, _reps: usize, _tuning: &Tuning) -> (Duration, f64) {
         panic!("Fixture_PANIC crashed deliberately at n={n}");
     }
 }
@@ -115,8 +112,7 @@ impl KernelBase for Flaky {
         }
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         if let Err(e) = simfault::fail_point("fixture.flaky") {
             panic!("simfault: {e}");
         }
@@ -142,8 +138,7 @@ impl KernelBase for Hang {
         }
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         // Deliberately real wall-clock: this fixture must hang for actual
         // time so the watchdog fires, not for virtual checker time.
         #[allow(clippy::disallowed_methods)]

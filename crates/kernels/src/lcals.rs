@@ -9,13 +9,14 @@
 
 use crate::common::{checksum, init_unit, square_edge};
 use crate::{
-    check_variant, run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase,
-    KernelInfo, PaperModel, RunResult, Tuning, VariantId, ALL_VARIANTS,
+    run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo,
+    PaperModel, Tuning, VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::policy::{ParExec, SeqExec};
 use raja::DevicePtr;
 use rayon::prelude::*;
+use std::time::Duration;
 
 /// Register the Lcals kernels in Table I order.
 pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
@@ -52,15 +53,6 @@ fn info(name: &'static str, default_reps: usize) -> KernelInfo {
         paper_models: MODELS,
         variants: ALL_VARIANTS,
     }
-}
-
-fn streaming_sig(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = ExecSignature::streaming(name, n);
-    s.flops = m.flops;
-    s.bytes_read = m.bytes_read;
-    s.bytes_written = m.bytes_written;
-    s.flop_efficiency = 0.3;
-    s
 }
 
 /// Planes in the `DIFF_PREDICT`/`INT_PREDICT` state arrays.
@@ -113,12 +105,11 @@ impl KernelBase for DiffPredict {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        streaming_sig(self.metrics(n), "Lcals_DIFF_PREDICT", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        s.flop_efficiency = 0.3;
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let mut px = init_unit(PLANES * n, 400);
         let cx = init_unit(PLANES * n, 401);
         let bs = tuning.gpu_block_size;
@@ -126,12 +117,7 @@ impl KernelBase for DiffPredict {
             let pp = DevicePtr::new(&mut px);
             run_elementwise(variant, n, bs, |i| Self::body(i, n, &pp, &cx));
         });
-        RunResult {
-            checksum: checksum(&px),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&px))
     }
 }
 
@@ -152,16 +138,13 @@ impl KernelBase for Eos {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = streaming_sig(self.metrics(n), "Lcals_EOS", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // Shifted-window reads hit cache lines repeatedly.
         s.cache_reuse = 0.5;
         s.flop_efficiency = 0.35;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let y = init_unit(n, 410);
         let z = init_unit(n, 411);
         let u = init_unit(n + 7, 412);
@@ -183,12 +166,7 @@ impl KernelBase for Eos {
                 );
             });
         });
-        RunResult {
-            checksum: checksum(&x),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x))
     }
 }
 
@@ -208,12 +186,11 @@ impl KernelBase for FirstDiff {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        streaming_sig(self.metrics(n), "Lcals_FIRST_DIFF", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        s.flop_efficiency = 0.3;
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let y = init_unit(n + 1, 420);
         let mut x = vec![0.0f64; n];
         let bs = tuning.gpu_block_size;
@@ -226,12 +203,7 @@ impl KernelBase for FirstDiff {
                 xp.write(i, y[i + 1] - y[i]);
             });
         });
-        RunResult {
-            checksum: checksum(&x),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x))
     }
 }
 
@@ -255,19 +227,16 @@ impl KernelBase for FirstMin {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = streaming_sig(self.metrics(n), "Lcals_FIRST_MIN", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // The compare/select/location chain serializes and defeats
         // vectorization: the paper finds this kernel split ~half/half
         // between retiring and frontend bound.
         s.flop_efficiency = 0.0;
         s.int_ops_per_iter = 12.0;
         s.icache_pressure = 0.45;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let x = init_unit(n, 440);
         let mut out = raja::reduce::ValLoc {
             val: f64::INFINITY,
@@ -313,12 +282,7 @@ impl KernelBase for FirstMin {
                 }
             };
         });
-        RunResult {
-            checksum: out.val + out.loc as f64,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, out.val + out.loc as f64)
     }
 }
 
@@ -338,12 +302,11 @@ impl KernelBase for FirstSum {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        streaming_sig(self.metrics(n), "Lcals_FIRST_SUM", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        s.flop_efficiency = 0.3;
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let y = init_unit(n, 430);
         let mut x = vec![0.0f64; n];
         let bs = tuning.gpu_block_size;
@@ -361,12 +324,7 @@ impl KernelBase for FirstSum {
                 unsafe { xp.write(i, y[i - 1] + y[i]) };
             });
         });
-        RunResult {
-            checksum: checksum(&x),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x))
     }
 }
 
@@ -388,14 +346,12 @@ impl KernelBase for GenLinRecur {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = streaming_sig(self.metrics(n), "Lcals_GEN_LIN_RECUR", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        s.flop_efficiency = 0.3;
         s.kernel_launches = 2.0;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let sa = init_unit(n, 450);
         let sb = init_unit(n, 451);
         let mut b5 = vec![0.0f64; n];
@@ -424,12 +380,7 @@ impl KernelBase for GenLinRecur {
                 sp.write(k, v - sp.read(k));
             });
         });
-        RunResult {
-            checksum: checksum(&b5) + checksum(&stb5),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&b5) + checksum(&stb5))
     }
 }
 
@@ -449,12 +400,11 @@ impl KernelBase for Hydro1d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        streaming_sig(self.metrics(n), "Lcals_HYDRO_1D", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        s.flop_efficiency = 0.3;
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let y = init_unit(n, 460);
         let z = init_unit(n + 12, 461);
         let mut x = vec![0.0f64; n];
@@ -469,12 +419,7 @@ impl KernelBase for Hydro1d {
                 xp.write(i, q + y[i] * (r * z[i + 10] + t * z[i + 11]));
             });
         });
-        RunResult {
-            checksum: checksum(&x),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x))
     }
 }
 
@@ -506,16 +451,14 @@ impl KernelBase for Hydro2d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = streaming_sig(self.metrics(n), "Lcals_HYDRO_2D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        s.flop_efficiency = 0.3;
         s.cache_reuse = 0.35; // stencil row reuse
         s.kernel_launches = 3.0;
         s.icache_pressure = 0.15;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let e = Self::edge(n);
         let idx = |k: usize, j: usize| k * e + j;
         let za_in = init_unit(e * e, 470);
@@ -568,12 +511,7 @@ impl KernelBase for Hydro2d {
                 }
             });
         });
-        RunResult {
-            checksum: checksum(&zr) + checksum(&zz),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&zr) + checksum(&zz))
     }
 }
 
@@ -594,14 +532,11 @@ impl KernelBase for IntPredict {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = streaming_sig(self.metrics(n), "Lcals_INT_PREDICT", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.flop_efficiency = 0.35;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let mut px = init_unit(PLANES * n, 480);
         let dm: [f64; 7] = [0.1, 0.11, 0.12, 0.13, 0.14, 0.15, 0.16];
         let (c0, t) = (0.5, 0.02);
@@ -623,12 +558,7 @@ impl KernelBase for IntPredict {
                 pp.write(i, v);
             });
         });
-        RunResult {
-            checksum: checksum(&px[..n]),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&px[..n]))
     }
 }
 
@@ -649,16 +579,13 @@ impl KernelBase for Planckian {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = streaming_sig(self.metrics(n), "Lcals_PLANCKIAN", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // exp() expands to a polynomial-evaluation call: many extra μops.
         s.int_ops_per_iter = 12.0;
         s.flop_efficiency = 0.1;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let u = init_unit(n, 490);
         let v: Vec<f64> = init_unit(n, 491).iter().map(|x| x + 0.5).collect();
         let x = init_unit(n, 492);
@@ -677,12 +604,7 @@ impl KernelBase for Planckian {
                 wp.write(i, x[i] / (yi.exp() - 1.0));
             });
         });
-        RunResult {
-            checksum: checksum(&w) + checksum(&y),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&w) + checksum(&y))
     }
 }
 
@@ -703,12 +625,11 @@ impl KernelBase for TridiagElim {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        streaming_sig(self.metrics(n), "Lcals_TRIDIAG_ELIM", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        s.flop_efficiency = 0.3;
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let xin = init_unit(n, 500);
         let y = init_unit(n, 501);
         let z = init_unit(n, 502);
@@ -724,12 +645,7 @@ impl KernelBase for TridiagElim {
                 unsafe { xp.write(i, z[i] * (y[i] - xin[i - 1])) };
             });
         });
-        RunResult {
-            checksum: checksum(&xout),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&xout))
     }
 }
 

@@ -2,18 +2,27 @@
 //!
 //! All 76 kernels of the paper's Table I, organized into the seven groups
 //! (§II-A): [`algorithm`], [`apps`], [`basic`], [`comm`], [`lcals`],
-//! [`polybench`], and [`stream`]. Each kernel is a self-contained loop-based
-//! computation providing:
+//! [`polybench`], and [`stream`]. A kernel is four things, and only these
+//! (the [`KernelBase`] contract):
 //!
-//! * multiple *variants* — Base (direct) and RAJA (through the portability
-//!   layer) implementations for each back-end: sequential, host-parallel
-//!   (the OpenMP stand-in), and simulated GPU (the CUDA/HIP stand-in);
-//! * exact analytic metrics per repetition (§II-B): bytes read, bytes
-//!   written, FLOPs — the inputs to Fig. 1 and the performance models;
-//! * an [`ExecSignature`] deriving the microarchitectural descriptors the
-//!   TMA/roofline models need from the kernel's structure;
-//! * a *checksum* so every variant can be validated against the reference
-//!   sequential implementation.
+//! * `info` — its Table I row: name, group, features, complexity, and the
+//!   *variants* it implements — Base (direct) and RAJA (through the
+//!   portability layer) for each back-end: sequential, host-parallel (the
+//!   OpenMP stand-in), and simulated GPU (the CUDA/HIP stand-in);
+//! * `metrics` — exact analytic counts per repetition (§II-B): bytes read,
+//!   bytes written, FLOPs — the inputs to Fig. 1 and the performance models;
+//! * `run` — untimed setup, the per-variant loops under [`time_reps`], and
+//!   the untimed *checksum* that validates every variant against the
+//!   reference sequential implementation;
+//! * optionally `shape` — the microarchitectural descriptors the
+//!   TMA/roofline models need that its loop structure dictates.
+//!
+//! The suite owns the rest, once, as provided trait methods:
+//! [`KernelBase::execute`] is the run protocol (variant check → `run` →
+//! [`RunResult`] with `reps` and `metrics`), and [`KernelBase::signature`]
+//! builds the [`ExecSignature`] from `info`'s name and complexity and
+//! `metrics`' counts before `shape` refines it — so a kernel cannot
+//! mis-report any of them.
 //!
 //! The [`registry`] lists every kernel with its Table I annotations
 //! (programming models, features, complexity).
@@ -267,7 +276,9 @@ impl RunResult {
     }
 }
 
-/// The interface every suite kernel implements.
+/// The interface every suite kernel implements (the contract is in the
+/// [crate docs](crate)): `info`, `metrics`, `run` and optionally `shape` are
+/// the kernel's; `execute` and `signature` are provided.
 pub trait KernelBase: Send + Sync {
     /// Static description (Table I row).
     fn info(&self) -> KernelInfo;
@@ -275,10 +286,22 @@ pub trait KernelBase: Send + Sync {
     /// Analytic metrics per repetition at problem size `n`.
     fn metrics(&self, n: usize) -> AnalyticMetrics;
 
+    /// The kernel's own part of an execution: set up its data (untimed),
+    /// run `reps` repetitions of `variant` under [`time_reps`], and
+    /// checksum the outputs (untimed). Returns the timed span and the
+    /// checksum. Callers go through [`Self::execute`], which has already
+    /// checked that `variant` is in `info().variants`.
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64);
+
+    /// Set the structural descriptors (reuse, branches, atomics, launches,
+    /// …) this kernel's loop structure dictates on its base signature. The
+    /// default leaves the streaming defaults.
+    fn shape(&self, _n: usize, _s: &mut ExecSignature) {}
+
     /// The execution signature at problem size `n` for the performance
-    /// models. The default derives byte/FLOP counts from [`Self::metrics`]
-    /// and leaves the structural descriptors at streaming defaults;
-    /// kernels override the descriptors their structure dictates.
+    /// models: streaming defaults carrying this kernel's Table I name and
+    /// complexity and the byte/FLOP counts of [`Self::metrics`], then
+    /// [`Self::shape`].
     fn signature(&self, n: usize) -> ExecSignature {
         let m = self.metrics(n);
         let info = self.info();
@@ -287,6 +310,7 @@ pub trait KernelBase: Send + Sync {
         s.bytes_read = m.bytes_read;
         s.bytes_written = m.bytes_written;
         s.complexity = info.complexity;
+        self.shape(n, &mut s);
         s
     }
 
@@ -295,7 +319,16 @@ pub trait KernelBase: Send + Sync {
     ///
     /// # Panics
     /// Panics if `variant` is not in `info().variants`.
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult;
+    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
+        check_variant(&self.info(), variant);
+        let (time, checksum) = self.run(variant, n, reps, tuning);
+        RunResult {
+            checksum,
+            time,
+            reps,
+            metrics: self.metrics(n),
+        }
+    }
 }
 
 /// Time a closure over `reps` repetitions (the standard kernel timing
@@ -567,18 +600,12 @@ mod tests {
             }
         }
 
-        fn execute(&self, variant: VariantId, n: usize, reps: usize, _t: &Tuning) -> RunResult {
-            check_variant(&self.info(), variant);
+        fn run(&self, variant: VariantId, n: usize, _reps: usize, _t: &Tuning) -> (Duration, f64) {
             let scale = match variant {
                 VariantId::RajaSeq => self.drift,
                 _ => 1.0,
             };
-            RunResult {
-                checksum: n as f64 * scale,
-                time: Duration::from_micros(1),
-                reps,
-                metrics: self.metrics(n),
-            }
+            (Duration::from_micros(1), n as f64 * scale)
         }
     }
 

@@ -16,11 +16,12 @@
 
 use crate::common::{checksum, init_unit};
 use crate::{
-    check_variant, run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase,
-    KernelInfo, PaperModel, RunResult, Tuning, VariantId, ALL_VARIANTS,
+    run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo,
+    PaperModel, Tuning, VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::DevicePtr;
+use std::time::Duration;
 
 /// Register the Polybench kernels in Table I order.
 pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
@@ -61,14 +62,6 @@ fn info(name: &'static str, complexity: Complexity, default_size: usize) -> Kern
     }
 }
 
-fn sig_from(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = ExecSignature::streaming(name, n);
-    s.flops = m.flops;
-    s.bytes_read = m.bytes_read;
-    s.bytes_written = m.bytes_written;
-    s
-}
-
 /// Matrix edge when the kernel stores `mats` square matrices in `n` slots.
 fn edge(n: usize, mats: usize) -> usize {
     ((n / mats) as f64).sqrt().floor().max(4.0) as usize
@@ -76,19 +69,15 @@ fn edge(n: usize, mats: usize) -> usize {
 
 /// Dense-matmul signature profile (2MM/3MM/GEMM): high tile reuse, FP-port
 /// saturation, super-linear work.
-fn matmul_sig(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = sig_from(m, name, n);
-    s.complexity = Complexity::NSqrtN;
+fn matmul_sig(s: &mut ExecSignature) {
     s.cache_reuse = 0.92;
     s.flop_efficiency = 0.5; // untiled triple loop: below the MAT_MAT ceiling
     s.icache_pressure = 0.08;
-    s
 }
 
 /// Matrix-vector signature profile (ATAX/GEMVER/MVT): transposed access —
 /// poorly vectorized on the CPU, uncoalesced on the device.
-fn matvec_transposed_sig(m: AnalyticMetrics, name: &'static str, n: usize) -> ExecSignature {
-    let mut s = sig_from(m, name, n);
+fn matvec_transposed_sig(s: &mut ExecSignature) {
     s.cache_reuse = 0.45;
     // Column-strided FP accumulations cannot vectorize at all: FP-port
     // latency dominates (the paper's most core-bound cluster).
@@ -99,7 +88,6 @@ fn matvec_transposed_sig(m: AnalyticMetrics, name: &'static str, n: usize) -> Ex
     // FMA): effectively well under 1% of device bandwidth — the paper's
     // no-GPU-speedup exceptions on both the V100 and the MI250X.
     s.gpu_coalescing = 0.006;
-    s
 }
 
 // ---------------------------------------------------------------------------
@@ -139,12 +127,11 @@ impl KernelBase for TwoMM {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        matmul_sig(self.metrics(n), "Polybench_2MM", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        matmul_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = edge(n, 5);
         let (alpha, beta) = (1.5, 1.2);
         let a = init_unit(ne * ne, 600);
@@ -165,12 +152,7 @@ impl KernelBase for TwoMM {
             d.iter_mut().zip(&d0).for_each(|(x, &y)| *x = beta * y);
             mm_accumulate(variant, bs, ne, &mut d, &tmp, &c);
         });
-        RunResult {
-            checksum: checksum(&d),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&d))
     }
 }
 
@@ -191,12 +173,11 @@ impl KernelBase for ThreeMM {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        matmul_sig(self.metrics(n), "Polybench_3MM", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        matmul_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = edge(n, 7);
         let a = init_unit(ne * ne, 610);
         let b = init_unit(ne * ne, 611);
@@ -214,12 +195,7 @@ impl KernelBase for ThreeMM {
             mm_accumulate(variant, bs, ne, &mut f, &c, &d);
             mm_accumulate(variant, bs, ne, &mut g, &e, &f);
         });
-        RunResult {
-            checksum: checksum(&g),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&g))
     }
 }
 
@@ -240,12 +216,11 @@ impl KernelBase for Gemm {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        matmul_sig(self.metrics(n), "Polybench_GEMM", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        matmul_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = edge(n, 3);
         let (alpha, beta) = (1.5, 1.2);
         let a = init_unit(ne * ne, 620);
@@ -267,12 +242,7 @@ impl KernelBase for Gemm {
                 unsafe { cp.write(i * ne + j, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&c),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&c))
     }
 }
 
@@ -309,19 +279,16 @@ impl KernelBase for Adi {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Polybench_ADI", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // Sweep recurrences: scalar chains on the CPU, wholly uncoalesced
         // column sweeps on the device.
         s.flop_efficiency = 0.12;
         s.gpu_coalescing = 0.03;
         s.kernel_launches = (TSTEPS * 4) as f64;
         s.int_ops_per_iter = 3.0;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = Self::edge(n);
         let mut u = init_unit(ne * ne, 630);
         let mut v = vec![0.0f64; ne * ne];
@@ -397,12 +364,7 @@ impl KernelBase for Adi {
                 });
             }
         });
-        RunResult {
-            checksum: checksum(&u) + checksum(&v),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&u) + checksum(&v))
     }
 }
 
@@ -427,12 +389,11 @@ impl KernelBase for Atax {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        matvec_transposed_sig(self.metrics(n), "Polybench_ATAX", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        matvec_transposed_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = edge(n, 1);
         let a = init_unit(ne * ne, 640);
         let x = init_unit(ne, 641);
@@ -467,12 +428,7 @@ impl KernelBase for Atax {
                 unsafe { yp.write(j, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&y),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&y))
     }
 }
 
@@ -494,8 +450,7 @@ impl KernelBase for Gesummv {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Polybench_GESUMMV", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         // Two full-matrix streams per matvec: bandwidth-starved on DDR.
         s.cache_reuse = 0.0;
         s.flop_efficiency = 0.25;
@@ -503,11 +458,9 @@ impl KernelBase for Gesummv {
         // GPU: the per-row dependent accumulations leave the device
         // bandwidth badly underutilized.
         s.gpu_coalescing = 0.045;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = edge(n, 2);
         let (alpha, beta) = (1.5, 1.2);
         let a = init_unit(ne * ne, 650);
@@ -530,12 +483,7 @@ impl KernelBase for Gesummv {
                 unsafe { yp.write(i, alpha * sa + beta * sb) };
             });
         });
-        RunResult {
-            checksum: checksum(&y),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&y))
     }
 }
 
@@ -556,14 +504,12 @@ impl KernelBase for Gemver {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = matvec_transposed_sig(self.metrics(n), "Polybench_GEMVER", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        matvec_transposed_sig(s);
         s.kernel_launches = 4.0;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = edge(n, 1);
         let (alpha, beta) = (1.5, 1.2);
         let a0 = init_unit(ne * ne, 660);
@@ -622,12 +568,7 @@ impl KernelBase for Gemver {
                 unsafe { wp.write(i, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&w) + checksum(&x),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&w) + checksum(&x))
     }
 }
 
@@ -648,12 +589,11 @@ impl KernelBase for Mvt {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        matvec_transposed_sig(self.metrics(n), "Polybench_MVT", n)
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        matvec_transposed_sig(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = edge(n, 1);
         let a = init_unit(ne * ne, 670);
         let y1 = init_unit(ne, 671);
@@ -689,12 +629,7 @@ impl KernelBase for Mvt {
                 unsafe { p2.write(i, acc) };
             });
         });
-        RunResult {
-            checksum: checksum(&x1) + checksum(&x2),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&x1) + checksum(&x2))
     }
 }
 
@@ -727,16 +662,13 @@ impl KernelBase for Fdtd2d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Polybench_FDTD_2D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.3;
         s.kernel_launches = (TSTEPS * 4) as f64;
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = Self::edge(n);
         let mut ex = init_unit(ne * ne, 680);
         let mut ey = init_unit(ne * ne, 681);
@@ -796,12 +728,7 @@ impl KernelBase for Fdtd2d {
                 });
             }
         });
-        RunResult {
-            checksum: checksum(&hz),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&hz))
     }
 }
 
@@ -834,20 +761,16 @@ impl KernelBase for FloydWarshall {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
+    fn shape(&self, n: usize, s: &mut ExecSignature) {
         let ne = Self::edge(n) as f64;
-        let mut s = sig_from(self.metrics(n), "Polybench_FLOYD_WARSHALL", n);
-        s.complexity = Complexity::NSqrtN;
         s.cache_reuse = 0.55; // row k and column k stay hot
         s.branches = ne * ne * ne;
         s.branch_mispredict_rate = 0.1;
         s.kernel_launches = ne; // one launch per k
         s.flop_efficiency = 0.08;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let ne = Self::edge(n);
         let init: Vec<f64> = init_unit(ne * ne, 690).iter().map(|v| v * 100.0).collect();
         let mut paths = vec![0.0f64; ne * ne];
@@ -870,12 +793,7 @@ impl KernelBase for FloydWarshall {
                 });
             }
         });
-        RunResult {
-            checksum: checksum(&paths),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&paths))
     }
 }
 
@@ -908,16 +826,13 @@ impl KernelBase for Heat3d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Polybench_HEAT_3D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.45; // plane reuse
         s.kernel_launches = (TSTEPS * 2) as f64;
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let e = Self::edge(n);
         let mut a = init_unit(e * e * e, 700);
         let mut b = vec![0.0f64; e * e * e];
@@ -948,12 +863,7 @@ impl KernelBase for Heat3d {
                 run_elementwise(variant, inner * inner * inner, bs, |f| stencil(&bp, &ap, f));
             }
         });
-        RunResult {
-            checksum: checksum(&a),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&a))
     }
 }
 
@@ -975,16 +885,13 @@ impl KernelBase for Jacobi1d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Polybench_JACOBI_1D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.4;
         s.kernel_launches = (TSTEPS * 2) as f64;
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let e = n / 2;
         let mut a = init_unit(e, 710);
         let mut b = vec![0.0f64; e];
@@ -1015,12 +922,7 @@ impl KernelBase for Jacobi1d {
                 });
             }
         });
-        RunResult {
-            checksum: checksum(&a),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&a))
     }
 }
 
@@ -1048,16 +950,13 @@ impl KernelBase for Jacobi2d {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let mut s = sig_from(self.metrics(n), "Polybench_JACOBI_2D", n);
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
         s.cache_reuse = 0.4;
         s.kernel_launches = (TSTEPS * 2) as f64;
         s.flop_efficiency = 0.3;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let e = Self::edge(n);
         let mut a = init_unit(e * e, 720);
         let mut b = vec![0.0f64; e * e];
@@ -1087,12 +986,7 @@ impl KernelBase for Jacobi2d {
                 run_elementwise(variant, inner * inner, bs, |f| step(&bp, &ap, f));
             }
         });
-        RunResult {
-            checksum: checksum(&a),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&a))
     }
 }
 

@@ -14,7 +14,7 @@
 //! positive controls. They implement [`KernelBase`] like real kernels but
 //! are *not* in the registry, so the suite never runs them by accident.
 
-use crate::{AnalyticMetrics, KernelBase, KernelInfo, RunResult, Tuning, VariantId};
+use crate::{AnalyticMetrics, KernelBase, KernelInfo, Tuning, VariantId};
 use gpusim::sanitizer::{Finding, SanitizerScope};
 use simsched::time::Instant;
 use std::time::Duration;
@@ -139,7 +139,7 @@ pub fn sanitize_all(n: Option<usize>, tuning: &Tuning) -> Vec<SanitizeOutcome> {
 pub mod fixtures {
     use super::*;
     use crate::common;
-    use crate::{check_variant, time_reps, Feature, Group, PaperModel};
+    use crate::{time_reps, Feature, Group, PaperModel};
     use perfmodel::Complexity;
 
     const FIXTURE_VARIANTS: &[VariantId] = &[
@@ -181,8 +181,13 @@ pub mod fixtures {
             }
         }
 
-        fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-            check_variant(&self.info(), variant);
+        fn run(
+            &self,
+            variant: VariantId,
+            n: usize,
+            reps: usize,
+            tuning: &Tuning,
+        ) -> (Duration, f64) {
             let x = common::init_unit(n, 7);
             let mut out = vec![0.0f64; 1];
             let time = time_reps(reps, || {
@@ -199,15 +204,10 @@ pub mod fixtures {
                     VariantId::RajaSimGpu => crate::dispatch_gpu_block!(bs, P, {
                         raja::forall::<P>(0..n, body)
                     }),
-                    _ => unreachable!("fixture variants are checked above"),
+                    _ => unreachable!("fixture variants are checked by `execute`"),
                 }
             });
-            RunResult {
-                checksum: common::checksum(&out),
-                time,
-                reps,
-                metrics: self.metrics(n),
-            }
+            (time, common::checksum(&out))
         }
     }
 
@@ -229,8 +229,13 @@ pub mod fixtures {
             }
         }
 
-        fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-            check_variant(&self.info(), variant);
+        fn run(
+            &self,
+            variant: VariantId,
+            n: usize,
+            reps: usize,
+            tuning: &Tuning,
+        ) -> (Duration, f64) {
             let x = common::init_unit(n, 11);
             let mut out = vec![0.0f64; n];
             let time = time_reps(reps, || match variant {
@@ -261,14 +266,9 @@ pub mod fixtures {
                         });
                     });
                 }
-                _ => unreachable!("fixture variants are checked above"),
+                _ => unreachable!("fixture variants are checked by `execute`"),
             });
-            RunResult {
-                checksum: common::checksum(&out),
-                time,
-                reps,
-                metrics: self.metrics(n),
-            }
+            (time, common::checksum(&out))
         }
     }
 

@@ -9,13 +9,14 @@
 
 use crate::common::{checksum, init_unit};
 use crate::{
-    check_variant, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo, PaperModel,
-    RunResult, Tuning, VariantId, ALL_VARIANTS,
+    time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo, PaperModel, Tuning,
+    VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::policy::{ParExec, SeqExec};
 use raja::DevicePtr;
 use rayon::prelude::*;
+use std::time::Duration;
 
 /// Register the Stream kernels in Table I order.
 pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
@@ -49,14 +50,11 @@ fn stream_info(name: &'static str, features: &'static [Feature]) -> KernelInfo {
     }
 }
 
-fn stream_signature(base: ExecSignature) -> ExecSignature {
-    ExecSignature {
-        // Pure streaming: no reuse, tiny vectorizable body.
-        cache_reuse: 0.0,
-        icache_pressure: 0.02,
-        flop_efficiency: 0.30,
-        ..base
-    }
+fn stream_signature(s: &mut ExecSignature) {
+    // Pure streaming: no reuse, tiny vectorizable body.
+    s.cache_reuse = 0.0;
+    s.icache_pressure = 0.02;
+    s.flop_efficiency = 0.30;
 }
 
 /// `Stream_ADD`: `c[i] = a[i] + b[i]`.
@@ -85,17 +83,11 @@ impl KernelBase for Add {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let m = self.metrics(n);
-        let mut s = stream_signature(ExecSignature::streaming("Stream_ADD", n));
-        s.flops = m.flops;
-        s.bytes_read = m.bytes_read;
-        s.bytes_written = m.bytes_written;
-        s
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        stream_signature(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let a = init_unit(n, 101);
         let b = init_unit(n, 102);
         let mut c = vec![0.0f64; n];
@@ -124,12 +116,7 @@ impl KernelBase for Add {
                 crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut c, &a, &b) })
             }
         });
-        RunResult {
-            checksum: checksum(&c),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&c))
     }
 }
 
@@ -159,17 +146,11 @@ impl KernelBase for Copy {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let m = self.metrics(n);
-        let mut s = stream_signature(ExecSignature::streaming("Stream_COPY", n));
-        s.flops = m.flops;
-        s.bytes_read = m.bytes_read;
-        s.bytes_written = m.bytes_written;
-        s
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        stream_signature(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let a = init_unit(n, 111);
         let mut c = vec![0.0f64; n];
         let bs = tuning.gpu_block_size;
@@ -195,12 +176,7 @@ impl KernelBase for Copy {
                 crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut c, &a) })
             }
         });
-        RunResult {
-            checksum: checksum(&c),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&c))
     }
 }
 
@@ -220,22 +196,16 @@ impl KernelBase for Dot {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let m = self.metrics(n);
-        let mut s = stream_signature(ExecSignature::streaming("Stream_DOT", n));
-        s.flops = m.flops;
-        s.bytes_read = m.bytes_read;
-        s.bytes_written = m.bytes_written;
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        stream_signature(s);
         // The dependent accumulation chain limits retire before the read
         // stream saturates (this is the one Stream kernel the paper's
         // clustering separates from the pure-bandwidth four).
         s.flop_efficiency = 0.08;
         s.int_ops_per_iter = 8.0;
-        s
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let a = init_unit(n, 121);
         let b = init_unit(n, 122);
         let mut dot = 0.0f64;
@@ -279,12 +249,7 @@ impl KernelBase for Dot {
                 }),
             };
         });
-        RunResult {
-            checksum: dot,
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, dot)
     }
 }
 
@@ -314,17 +279,11 @@ impl KernelBase for Mul {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let m = self.metrics(n);
-        let mut s = stream_signature(ExecSignature::streaming("Stream_MUL", n));
-        s.flops = m.flops;
-        s.bytes_read = m.bytes_read;
-        s.bytes_written = m.bytes_written;
-        s
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        stream_signature(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let c = init_unit(n, 131);
         let mut b = vec![0.0f64; n];
         let alpha = 0.3;
@@ -353,12 +312,7 @@ impl KernelBase for Mul {
                 crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut b, &c, alpha) })
             }
         });
-        RunResult {
-            checksum: checksum(&b),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&b))
     }
 }
 
@@ -389,17 +343,11 @@ impl KernelBase for Triad {
         }
     }
 
-    fn signature(&self, n: usize) -> ExecSignature {
-        let m = self.metrics(n);
-        let mut s = stream_signature(ExecSignature::streaming("Stream_TRIAD", n));
-        s.flops = m.flops;
-        s.bytes_read = m.bytes_read;
-        s.bytes_written = m.bytes_written;
-        s
+    fn shape(&self, _n: usize, s: &mut ExecSignature) {
+        stream_signature(s);
     }
 
-    fn execute(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> RunResult {
-        check_variant(&self.info(), variant);
+    fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
         let b = init_unit(n, 141);
         let c = init_unit(n, 142);
         let mut a = vec![0.0f64; n];
@@ -429,12 +377,7 @@ impl KernelBase for Triad {
                 crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut a, &b, &c, alpha) })
             }
         });
-        RunResult {
-            checksum: checksum(&a),
-            time,
-            reps,
-            metrics: self.metrics(n),
-        }
+        (time, checksum(&a))
     }
 }
 

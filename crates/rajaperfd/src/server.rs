@@ -642,6 +642,8 @@ fn execute_analyze(
     if tk.profiles.is_empty() {
         return Err((ErrorCode::Internal, format!("no usable profiles in {dir}")));
     }
+    tk.require_column(metric)
+        .map_err(|problem| (ErrorCode::Usage, problem))?;
     let report = json!({
         "profiles": tk.profiles.len(),
         "nodes": tk.nodes.len(),

@@ -29,7 +29,7 @@ fn usage_error(problem: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--help") {
+    if args.iter().any(|a| a == "--help") {
         eprintln!("{USAGE}");
         return;
     }
@@ -93,6 +93,9 @@ fn main() {
         }
         tk
     };
+    if let Err(problem) = tk.require_column(&metric) {
+        usage_error(&problem);
+    }
     println!(
         "composed {} profiles, {} call-tree nodes, {} metric columns",
         tk.profiles.len(),

@@ -235,6 +235,13 @@ fn faulty_fixtures() -> &'static [Box<dyn KernelBase>] {
 /// paper's largest campaign is 112 ranks).
 pub const MAX_RANKS: usize = 256;
 
+/// Upper bound on a kernel's problem size, whether `--size` names it or
+/// `--size-factor` resolves to it: kernels allocate several `f64` arrays of
+/// that length before their first loop, so an unbounded size is an
+/// allocation failure (or the OOM killer) taking the process — daemon
+/// included — down. 8× Table III's 32 M node size; 2 GiB per `f64` array.
+pub const MAX_PROBLEM_SIZE: usize = 1 << 28;
+
 /// Upper bound on `--rank-restarts`: each restart respawns a full rank
 /// after backoff, so an unbounded budget could retry a
 /// deterministically-crashing rank for hours.
@@ -425,10 +432,23 @@ impl RunParams {
                 "--sanitize expects hazard-free execution; do not combine with --faults",
             ),
         ];
-        match rules.iter().find(|(broken, _)| *broken) {
-            Some((_, why)) => Err(why.to_string()),
-            None => Ok(()),
+        if let Some((_, why)) = rules.iter().find(|(broken, _)| *broken) {
+            return Err(why.to_string());
         }
+        // `--size` is range-checked by its row; a factor resolves per kernel.
+        if self.explicit_size.is_none() {
+            for kernel in self.selected_kernels() {
+                let info = kernel.info();
+                let n = self.problem_size(&info);
+                if n > MAX_PROBLEM_SIZE {
+                    return Err(format!(
+                        "--size-factor {} puts {} at {n} elements; the limit is {MAX_PROBLEM_SIZE}",
+                        self.size_factor, info.name
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Re-serialize these parameters as the CLI argv that parses back to
@@ -667,8 +687,8 @@ pub static FLAGS: &[Flag] = &[
         .get(|p| Some(p.tuning.gpu_block_size.to_string()))
         .keyed(),
     Flag::new(&["--size"], "N", EXECUTION)
-        .help("problem size for every kernel (N >= 1)")
-        .set(|p, v| at_least_one(v).map(|n| p.explicit_size = Some(n)))
+        .help("problem size for every kernel (1 <= N <= 268435456, which also caps --size-factor)")
+        .set(|p, v| at_most(at_least_one(v)?, MAX_PROBLEM_SIZE).map(|n| p.explicit_size = Some(n)))
         .get(|p| p.explicit_size.map(|n| n.to_string()))
         .keyed(),
     Flag::new(&["--size-factor"], "X", EXECUTION)
@@ -697,11 +717,16 @@ pub static FLAGS: &[Flag] = &[
     Flag::new(&["--sweep-block-sizes"], "N[,N..]", SWEEP)
         .help("block-size tunings to sweep (default: just --gpu-block-size)")
         .set(|p, v| {
-            let sizes = v
-                .split(',')
-                .map(|s| at_least_one(s.trim()))
-                .collect::<Result<_, _>>();
-            sizes.map(|sizes| p.sweep_block_sizes = sizes)
+            // First occurrences only, as `--kernels A,A`: a repeated size
+            // would be two cells sharing one profile and one cell record.
+            let mut sizes = Vec::new();
+            for size in v.split(',') {
+                let size = at_least_one(size.trim())?;
+                if !sizes.contains(&size) {
+                    sizes.push(size);
+                }
+            }
+            put(&mut p.sweep_block_sizes, sizes)
         })
         .get(|p| listed(p.sweep_block_sizes.iter().map(usize::to_string).collect())),
     Flag::new(&["--sweep-dir"], "DIR", SWEEP)
@@ -1043,8 +1068,19 @@ mod tests {
         assert!(RunParams::parse(&args("--size-factor 0")).is_err());
         assert!(RunParams::parse(&args("--size-factor -1.5")).is_err());
         assert!(RunParams::parse(&args("--reps-factor 0")).is_err());
+        // Regression: an unbounded size was an allocation failure that
+        // took the process (the daemon included) down.
+        let over = MAX_PROBLEM_SIZE + 1;
+        assert!(RunParams::parse(&args(&format!("--size {over}"))).is_err());
+        assert!(RunParams::parse(&args(&format!("--size {}", usize::MAX))).is_err());
+        let err = RunParams::parse(&args("--kernels Stream_TRIAD --size-factor 300")).unwrap_err();
+        assert!(err.contains("Stream_TRIAD at 300000000"), "{err}");
         // The boundary values stay accepted.
         assert!(RunParams::parse(&args("--gpu-block-size 1 --size 1 --reps 1")).is_ok());
+        assert!(RunParams::parse(&args(&format!("--size {MAX_PROBLEM_SIZE}"))).is_ok());
+        let cap = MAX_PROBLEM_SIZE.to_string();
+        assert!(RunParams::usage().contains(&cap), "--help states the cap");
+        assert!(RunParams::parse(&args("--kernels Stream_TRIAD --size-factor 268")).is_ok());
     }
 
     #[test]
@@ -1056,6 +1092,8 @@ mod tests {
         assert!(p.sweep);
         assert_eq!(p.sweep_block_sizes, vec![128, 256]);
         assert_eq!(p.sweep_dir.as_deref(), Some(std::path::Path::new("target/sw")));
+        let p = RunParams::parse(&args("--sweep --sweep-block-sizes 64,128,64")).unwrap();
+        assert_eq!(p.sweep_block_sizes, vec![64, 128], "first occurrences");
         assert!(RunParams::parse(&args("--sweep --sweep-block-sizes 0")).is_err());
         assert!(RunParams::parse(&args("--sweep-block-sizes 128")).is_err());
         assert!(

@@ -234,6 +234,28 @@ fn e2e_usage_error_exits_2() {
         assert!(stderr.contains("usage: rajaperf-analyze"), "{stderr}");
         assert!(out.stdout.is_empty(), "{flag} analysed something");
     }
+    // A misspelt metric used to print an empty table and exit 0; `--help`
+    // anywhere but first used to be an unknown option.
+    let dir = temp_dir("metric");
+    let spec = format!("spot(output={})", dir.join("run.cali.json").display());
+    let run = rajaperf()
+        .args(["--kernels", "Basic_DAXPY", "--size", "1000", "--reps", "1"])
+        .args(["--caliper", &spec])
+        .output()
+        .expect("spawn");
+    assert_eq!(run.status.code(), Some(0), "corpus run");
+    for (flags, code, expect) in [
+        (&["--metric", "nope"][..], 2, "available: "),
+        (&["--metric", "avg#time.duration", "--help"], 0, "usage: rajaperf-analyze"),
+    ] {
+        let mut analyze = Command::new(env!("CARGO_BIN_EXE_rajaperf-analyze"));
+        let out = analyze.arg(&dir).args(flags).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(code), "{flags:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expect), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a table");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -430,6 +452,29 @@ fn e2e_deep_nested_cell_profile_is_quarantined_and_its_cell_rerun() {
     assert!(String::from_utf8_lossy(&sweep().stdout).contains("(6 cached)"));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn e2e_duplicate_sweep_block_sizes_are_one_cell_each() {
+    // Regression: `64,64` planned 12 cells over 6 file names, so two cells
+    // (two ranks, under --ranks 2) wrote each profile and each cell record.
+    let sweep = |tag: &str, sizes: &str| {
+        let dir = temp_dir(tag);
+        let out = rajaperf()
+            .args(["--sweep", "--sweep-dir", "D", "--sweep-block-sizes", sizes])
+            .args(["--kernels", "Basic_DAXPY", "--size", "1000", "--reps", "1"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn sweep");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(stdout.contains("Sweep: 6 cells (0 cached"), "{sizes}: {stdout}");
+        let profiles = std::fs::read_dir(dir.join("D/profiles")).unwrap().count();
+        assert_eq!(profiles, 6, "{sizes}: one profile per cell");
+        let manifest = std::fs::read(dir.join("D/manifest.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        manifest
+    };
+    assert!(sweep("dup", "64,64") == sweep("single", "64"), "manifests differ");
 }
 
 #[test]

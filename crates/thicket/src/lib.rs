@@ -669,6 +669,20 @@ impl Thicket {
         self.frame.column_names()
     }
 
+    /// `Ok` when `column` is a metric column; otherwise the message a
+    /// front-end shows for a misspelt `--metric`, naming the columns there
+    /// are — an unknown column is otherwise an empty statsframe, not an error.
+    pub fn require_column(&self, column: &str) -> Result<(), String> {
+        let known = self.column_names();
+        if known.contains(&column) {
+            return Ok(());
+        }
+        Err(format!(
+            "unknown metric column '{column}'; available: {}",
+            known.join(", ")
+        ))
+    }
+
     /// Serialize the performance dataframe as CSV: one row per
     /// (node, profile) with every metric column. Fields containing `,`,
     /// `"`, or newlines are RFC-4180 quoted (quotes doubled); numeric

@@ -391,6 +391,48 @@ grep -q "1 of 3 profile(s) skipped" <<<"$HOSTILE_ERR" \
     || { echo "verify: FAIL — analyzer skip count wrong: $HOSTILE_ERR" >&2; exit 1; }
 echo "hostile input: both lines answered error + done (exit 2) with a pong after; deep profile skipped, 1 of 3"
 
+# Three requests that used to end badly: an 800 GB `--size` was an allocation
+# failure that took the daemon down (the memory limit makes that the outcome
+# here instead of the OOM killer's pick); `--sweep-block-sizes 64,64` ran 12
+# cells over 6 file names; a misspelt `--metric` was an empty table, exit 0.
+echo "== limits: oversize request, duplicate block sizes, misspelt metric =="
+LIMITS_DIR="$SWEEP_DIR/limits"
+mkdir -p "$LIMITS_DIR"
+LSOCK="$LIMITS_DIR/d.sock"
+(ulimit -v 3000000; exec "$DAEMON" --socket "$LSOCK" --store "$LIMITS_DIR/store" --workers 1) 2>/dev/null &
+LIMITS_PID=$!
+for _ in $(seq 1 50); do
+    [[ -S "$LSOCK" ]] && break
+    sleep 0.1
+done
+set +e
+REPLY=$("$CLIENT" --socket "$LSOCK" run -- --kernels Basic_DAXPY --size 100000000000 --reps 1)
+OVERSIZE_CODE=$?
+set -e
+if [[ "$OVERSIZE_CODE" -ne 2 || $(grep -c '"event":"error"' <<<"$REPLY") -ne 1 || $(grep -c '"event":"done"' <<<"$REPLY") -ne 1 ]] \
+    || ! grep -q '"code":"usage"' <<<"$REPLY" || ! grep -q '"exit_code":2' <<<"$REPLY"; then
+    echo "verify: FAIL — oversize request: expected one usage error + done (exit 2), got $OVERSIZE_CODE: $REPLY" >&2
+    exit 1
+fi
+"$CLIENT" --socket "$LSOCK" ping | grep -q '"event":"pong"' \
+    || { echo "verify: FAIL — daemon did not answer ping after the oversize request" >&2; exit 1; }
+"$CLIENT" --socket "$LSOCK" shutdown >/dev/null
+wait "$LIMITS_PID"
+DUP_OUT=$("$RAJAPERF" --sweep --sweep-dir "$LIMITS_DIR/sw" --sweep-block-sizes 64,64 \
+    --kernels Basic_DAXPY --size 1000 --reps 1)
+dup_profiles=$(ls "$LIMITS_DIR"/sw/profiles/*.cali.json | wc -l)
+if [[ "$dup_profiles" -ne 6 || "$DUP_OUT" != *"Sweep: 6 cells"* ]]; then
+    echo "verify: FAIL — --sweep-block-sizes 64,64: $dup_profiles profiles, '${DUP_OUT%%$'\n'*}'" >&2
+    exit 1
+fi
+set +e
+"$ANALYZE" "$LIMITS_DIR/sw/profiles" --metric nope >/dev/null 2>&1
+NOPE_CODE=$?
+set -e
+[[ "$NOPE_CODE" -eq 2 ]] \
+    || { echo "verify: FAIL — rajaperf-analyze --metric nope exited $NOPE_CODE, not 2" >&2; exit 1; }
+echo "limits: oversize request refused (usage, exit 2) with a pong after; 64,64 is 6 cells, 6 profiles; --metric nope exits 2"
+
 # Corpus-scale columnar engine smoke: 50k synthetic profiles through
 # streaming ingest, parallel groupby+stats, and feature clustering, under a
 # CI-scaled wall-clock budget (the binary exits 1 when over). Run at two

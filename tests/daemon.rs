@@ -426,6 +426,15 @@ fn every_error_path_replies_one_error_then_one_done() {
         metric: "avg#time.duration".into(),
     };
     let sweep_dir = root.join("sweep").display().to_string();
+    // One good run, so the store holds a profile for the misspelt-metric
+    // analyze to load before it is refused.
+    let seed = run_request("seed", &["--kernels", "Basic_DAXPY", "--size", "64", "--reps", "1"]);
+    assert_eq!(rajaperfd::submit(&socket, &seed).unwrap().exit_code, 0);
+    let misspelt = Request::Analyze {
+        id: "e".into(),
+        dir: "store".into(),
+        metric: "nope".into(),
+    };
 
     const INLINE: &[&str] = &["error", "done"];
     const QUEUED: &[&str] = &["accepted", "started", "error", "done"];
@@ -452,6 +461,16 @@ fn every_error_path_replies_one_error_then_one_done() {
         ("kind=run with --sweep", run(&["--sweep"]), ErrorCode::Usage, QUEUED),
         ("sweep without --sweep-dir", sweep(&["--sweep"]), ErrorCode::Usage, QUEUED),
         ("unreadable analyze dir", analyze.to_line(), ErrorCode::Internal, QUEUED),
+        // Used to be an empty table, exit 0, stored under `derived/`.
+        ("analyze --metric nope", misspelt.to_line(), ErrorCode::Usage, QUEUED),
+        // Used to take the whole daemon down: 800 GB is an allocation failure
+        // (or the OOM killer's pick) in the worker thread.
+        (
+            "--size above the cap",
+            run(&["--kernels", "Basic_DAXPY", "--size", "100000000000", "--reps", "1"]),
+            ErrorCode::Usage,
+            QUEUED,
+        ),
         (
             "Fixture_PANIC",
             run(&["--kernels", "Fixture_PANIC", "--size", "64", "--reps", "1"]),
@@ -496,5 +515,9 @@ fn every_error_path_replies_one_error_then_one_done() {
         let ping = rajaperfd::submit(&socket, &Request::Ping { id: "alive".into() });
         assert!(ping.is_ok_and(|r| r.find("pong").is_some()), "no pong after {what}");
     }
+    // Nothing an error path produced was stored: only the seed run was.
+    let stats = rajaperfd::submit(&socket, &Request::Stats { id: "s".into() }).unwrap();
+    let store = &stats.find("stats").expect("stats event")["store"];
+    assert_eq!(store["stores"].as_i64(), Some(1), "{store}");
     shutdown_and_wait(daemon, &root);
 }

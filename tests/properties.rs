@@ -199,3 +199,54 @@ fn thicket_groupby_partitions() {
     assert_eq!(total, 4, "groupby partitions every profile");
     assert_eq!(groups.len(), 3);
 }
+
+/// The performance model obeys its own physics on the kernels' *real*
+/// signatures (not the synthetic ones above): over all 76 kernels × 4
+/// machines × five sizes from 10³ to 6.4·10⁷, predicted time is finite,
+/// positive and non-decreasing in n; on the CPU machines the TMA fractions
+/// lie on the simplex and SPR-HBM never loses to SPR-DDR beyond the
+/// documented 0.87 FLOPS dip; on the GPU machines no roofline point exceeds
+/// its instruction or transaction ceiling.
+#[test]
+fn model_obeys_its_physics_on_every_real_signature() {
+    use perfmodel::{roofline, CacheLevel, Machine, MachineId, MachineKind};
+    const SIZES: [usize; 5] = [1_000, 32_000, 1_000_000, 32_000_000, 64_000_000];
+    for id in MachineId::all() {
+        let m = Machine::get(id);
+        for k in kernels::registry() {
+            let name = k.info().name;
+            let mut previous = 0.0;
+            for n in SIZES {
+                let sig = k.signature(n);
+                let at = format!("{name} on {} at n={n}", id.shorthand());
+                let t = perfmodel::predict_time(&m, &sig).total_s;
+                assert!(t.is_finite() && t > 0.0, "{at}: time {t}");
+                assert!(t >= previous, "{at}: time {t} < {previous} at the size below");
+                previous = t;
+                if id == MachineId::SprHbm {
+                    // More bandwidth never predicts slower, beyond the dip
+                    // HBM's lower sustained FLOPS allows compute kernels.
+                    let ddr = Machine::get(MachineId::SprDdr);
+                    let gain = perfmodel::speedup(&ddr, &m, &sig);
+                    assert!(gain > 0.8, "{at}: HBM speedup {gain}");
+                }
+                if m.kind == MachineKind::Cpu {
+                    let tma = perfmodel::tma_breakdown(&m, &sig);
+                    assert!((tma.sum() - 1.0).abs() < 1e-9, "{at}: {tma:?}");
+                    assert!(tma.tuple().iter().all(|f| (0.0..=1.0).contains(f)), "{at}: {tma:?}");
+                    continue;
+                }
+                let c = roofline::ceilings(&m);
+                for (level, roof) in [
+                    (CacheLevel::L1, c.l1_gtxn_s),
+                    (CacheLevel::L2, c.l2_gtxn_s),
+                    (CacheLevel::Hbm, c.hbm_gtxn_s),
+                ] {
+                    let p = roofline::roofline_point(&m, &sig, level);
+                    assert!(p.warp_gips <= c.peak_warp_gips, "{at}: {p:?} over {c:?}");
+                    assert!(p.gtxn_s <= roof, "{at}: {p:?} over {c:?}");
+                }
+            }
+        }
+    }
+}
