@@ -522,13 +522,14 @@ impl AnalyzeSource {
         }
     }
 
-    /// Load and parse the profile. `Ok(None)` means the source carries no
-    /// profile (e.g. a store object from a non-run record) and is skipped
-    /// silently; `Err` is a skip with a reason.
-    fn load(&self) -> Result<Option<thicket::ProfileData>, String> {
+    /// Ingest the profile into `session`. `Ok(false)` means the source
+    /// carries no profile (e.g. a store object from a non-run record) and is
+    /// skipped silently; `Err` is a skip with a reason.
+    fn ingest_into(&self, session: &mut thicket::IngestSession) -> Result<bool, String> {
         match self {
-            AnalyzeSource::File(path, _) => thicket::ProfileData::read_file(path)
-                .map(Some)
+            AnalyzeSource::File(path, _) => session
+                .ingest_file(path)
+                .map(|()| true)
                 .map_err(|e| e.to_string()),
             AnalyzeSource::StoreObject(path, _) => {
                 let Verified::Hit(record) = read_json(path) else {
@@ -536,11 +537,12 @@ impl AnalyzeSource {
                 };
                 match record.get("report").and_then(|r| r.get("profile")) {
                     Some(profile) if !profile.is_null() => {
-                        thicket::ProfileData::from_caliper_value(profile)
-                            .map(Some)
-                            .map_err(|e| e.to_string())
+                        let profile = thicket::ProfileData::from_caliper_value(profile)
+                            .map_err(|e| e.to_string())?;
+                        session.ingest(&profile);
+                        Ok(true)
                     }
-                    _ => Ok(None),
+                    _ => Ok(false),
                 }
             }
         }
@@ -632,10 +634,8 @@ fn execute_analyze(
     let mut session = thicket::IngestSession::new();
     let mut skipped = 0usize;
     for source in &sources {
-        match source.load() {
-            Ok(Some(profile)) => session.ingest(&profile),
-            Ok(None) => {}
-            Err(_) => skipped += 1,
+        if source.ingest_into(&mut session).is_err() {
+            skipped += 1;
         }
     }
     let mut tk = session.finish();

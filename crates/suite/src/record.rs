@@ -139,9 +139,9 @@ impl RunRecord {
 
 /// What reading a record file produced.
 #[derive(Debug, PartialEq)]
-pub enum Verified {
+pub enum Verified<T = Value> {
     /// The file is intact and — for [`read_verified`] — answers the key.
-    Hit(Value),
+    Hit(T),
     /// Nothing usable: no readable file, or a record of another key.
     Miss,
     /// The file exists but its bytes are not JSON. The caller must
@@ -149,16 +149,31 @@ pub enum Verified {
     Corrupt,
 }
 
-/// Read a file that must hold one JSON document (a record, or a profile a
-/// record vouches for): the single definition of "intact".
-pub fn read_json(path: &Path) -> Verified {
+/// The single definition of "intact": the file's bytes, through `read`.
+fn read_with<T>(
+    path: &Path,
+    read: impl FnOnce(&str) -> Result<T, serde_json::Error>,
+) -> Verified<T> {
     let Ok(bytes) = std::fs::read(path) else {
         return Verified::Miss;
     };
-    match std::str::from_utf8(&bytes).map(serde_json::from_str::<Value>) {
+    match std::str::from_utf8(&bytes).map(read) {
         Ok(Ok(v)) => Verified::Hit(v),
         _ => Verified::Corrupt,
     }
+}
+
+/// Read a file that must hold one JSON document (a record, or a profile a
+/// record vouches for).
+pub fn read_json(path: &Path) -> Verified {
+    read_with(path, serde_json::from_str::<Value>)
+}
+
+/// [`read_json`] for a file whose content the caller does not need (a
+/// profile a record vouches for): the same `Hit` / `Miss` / `Corrupt`
+/// decision, from checking the text without building a tree of it.
+pub fn check_json(path: &Path) -> Verified<()> {
+    read_with(path, serde::text::validate)
 }
 
 /// Read the record at `path` and verify it was written under exactly `key`.

@@ -354,8 +354,8 @@ pub(crate) fn load_cached_cell(spec: &CellSpec) -> CellLoad {
     };
     // The record vouches for the profile; verify the profile is actually
     // there and intact before trusting either.
-    match record::read_json(&spec.profile) {
-        Verified::Hit(_) => CellLoad::Hit(outcome),
+    match record::check_json(&spec.profile) {
+        Verified::Hit(()) => CellLoad::Hit(outcome),
         Verified::Miss => CellLoad::Miss,
         // Torn profile: quarantine it *and* the record that vouched for
         // it, so neither is ever consulted again.

@@ -258,6 +258,40 @@ fn e2e_usage_error_exits_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A bit flipped into a checksum's exponent makes it non-finite, which the
+/// profile spells `null` (`--faults 'gpusim.ecc=flip:1.0,seed=5'` did, in
+/// `Checksum` and its three aggregates). That one cell used to make the
+/// whole profile `malformed`: the run's other 75 kernels were discarded and,
+/// in a `--sweep --faults gpusim.ecc=…` campaign, its cell silently left the
+/// composition. Whichever seeds flip one: every run's profile composes.
+#[test]
+fn e2e_an_ecc_flipped_checksum_does_not_lose_the_runs_profile() {
+    let dir = temp_dir("ecc");
+    let mut with_null = 0;
+    for seed in 1..=8 {
+        let profile = dir.join(format!("seed{seed}.cali.json"));
+        let run = rajaperf()
+            .args(["--variant", "RAJA_SimGpu", "--size", "500", "--reps", "1"])
+            .args(["--faults", &format!("gpusim.ecc=flip:1.0,seed={seed}")])
+            .args(["--caliper", &format!("spot(output={})", profile.display())])
+            .output()
+            .expect("spawn rajaperf");
+        assert!(run.status.code().is_some(), "seed {seed} died");
+        let text = std::fs::read_to_string(&profile).expect("the run's profile");
+        with_null += usize::from(text.contains(": null"));
+    }
+    let mut analyze = Command::new(env!("CARGO_BIN_EXE_rajaperf-analyze"));
+    let out = analyze.arg(&dir).output().expect("spawn rajaperf-analyze");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{with_null} with a null: {stderr}");
+    assert!(stdout.starts_with("composed 8 profiles,"), "{with_null} with a null: {stdout}");
+    assert!(!stderr.contains("skipping"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: crash-safe sweep resume
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use suite::params::FLAGS;
-use suite::record::{campaign_key, quarantine, read_verified, write_record, Verified};
+use suite::record::{
+    campaign_key, check_json, quarantine, read_verified, write_record, Verified,
+};
 use suite::RunParams;
 
 fn params(extra: &[&str]) -> RunParams {
@@ -133,6 +135,9 @@ proptest! {
             let parsed = std::str::from_utf8(&bytes)
                 .ok()
                 .and_then(|text| serde_json::from_str::<Value>(text).ok());
+            // The validate-only read decides "intact" the same way.
+            let checked = if parsed.is_some() { Verified::Hit(()) } else { Verified::Corrupt };
+            prop_assert_eq!(check_json(&path), checked);
             let expected = match parsed {
                 None => Verified::Corrupt,
                 Some(doc) if doc.get("key") == Some(&key) => Verified::Hit(doc),

@@ -118,6 +118,17 @@ struct Pending {
     columns: BTreeMap<String, Column>,
 }
 
+impl Pending {
+    /// The pending column `name`, created empty on first use. (Not `entry`:
+    /// that would clone the name on every call, not only the first.)
+    fn column_mut(&mut self, name: &str) -> &mut Column {
+        if !self.columns.contains_key(name) {
+            self.columns.insert(name.to_string(), Column::default());
+        }
+        self.columns.get_mut(name).expect("inserted above")
+    }
+}
+
 /// The columnar performance dataframe.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Frame {
@@ -145,12 +156,53 @@ impl Frame {
         let pos = self.pending.rows.len();
         self.pending.rows.push((node, profile));
         for (name, &v) in metrics {
-            if !self.pending.columns.contains_key(name) {
-                self.pending.columns.insert(name.clone(), Column::default());
-            }
-            let col = self.pending.columns.get_mut(name).expect("inserted above");
+            let col = self.pending.column_mut(name);
             col.pad_to(pos);
             col.push_valid(v);
+        }
+    }
+
+    /// [`Frame::append`] for a whole profile whose column names are
+    /// interned: each of `rows` is `(node, cells)`, a cell `(id, value)` with
+    /// `names[id]` its column and no id twice in one row. The ids are the
+    /// caller's shorthand only — columns stay keyed by name — and buy one
+    /// map lookup per column instead of one per cell.
+    pub(crate) fn append_cells(
+        &mut self,
+        profile: u32,
+        rows: &[(u32, &[(usize, f64)])],
+        names: &[String],
+    ) {
+        // Counting sort of the cells by column, each tagged with the pending
+        // position of its row: `starts[id]..starts[id + 1]` is column `id`'s
+        // run of `by_column`, in row order.
+        let mut starts = vec![0usize; names.len() + 1];
+        for &(id, _) in rows.iter().flat_map(|&(_, cells)| cells) {
+            starts[id + 1] += 1;
+        }
+        for id in 0..names.len() {
+            starts[id + 1] += starts[id];
+        }
+        let mut by_column = vec![(0usize, 0.0f64); starts[names.len()]];
+        let mut next = starts.clone();
+        for &(node, cells) in rows.iter().filter(|(_, cells)| !cells.is_empty()) {
+            let pos = self.pending.rows.len();
+            self.pending.rows.push((node, profile));
+            for &(id, v) in cells {
+                by_column[next[id]] = (pos, v);
+                next[id] += 1;
+            }
+        }
+        for (id, name) in names.iter().enumerate() {
+            let run = &by_column[starts[id]..starts[id + 1]];
+            if run.is_empty() {
+                continue;
+            }
+            let col = self.pending.column_mut(name);
+            for &(pos, v) in run {
+                col.pad_to(pos);
+                col.push_valid(v);
+            }
         }
     }
 
@@ -170,10 +222,7 @@ impl Frame {
                 .push((node_map[n as usize], prof_map[&p]));
         }
         for (name, col) in &other.columns {
-            if !self.pending.columns.contains_key(name) {
-                self.pending.columns.insert(name.clone(), Column::default());
-            }
-            let dst = self.pending.columns.get_mut(name).expect("inserted above");
+            let dst = self.pending.column_mut(name);
             dst.pad_to(offset);
             for i in 0..other.index.len() {
                 match col.get(i) {

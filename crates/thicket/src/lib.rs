@@ -30,9 +30,41 @@
 //! `rajaperfd` store scale) stay interactive. [`Thicket::write_tkt`] /
 //! [`Thicket::read_tkt`] persist the composed dataframe in a chunked binary
 //! format so a corpus is parsed from Caliper JSON once, not per query.
+//!
+//! # Two ingest routes
+//!
+//! A `.cali.json` profile is `{globals, records: [{path, metrics}]}`, and it
+//! reaches the frame one of two ways:
+//!
+//! * **From text** — [`IngestSession::ingest_json`] (and
+//!   [`IngestSession::ingest_file`], [`Thicket::from_files`], which is all of
+//!   `rajaperf-analyze DIR`). One walk over `serde::text::Reader`
+//!   (`Staging::read`, the crate's one spelling of the text shape) interns
+//!   column names and stages each record's path and `(column, value)` cells
+//!   in buffers the session reuses; no JSON tree and no [`ProfileData`] is
+//!   built — only each global's own value. [`ProfileData::from_caliper_json`]
+//!   is the same walk drained into a `ProfileData`.
+//! * **From a tree** — [`ProfileData::from_caliper_value`] +
+//!   [`IngestSession::ingest`], for callers that already hold a
+//!   `serde_json::Value` (the daemon's store objects). Its `impl Deserialize`
+//!   is the reference the text walk is tested against
+//!   (`tests/text_ingest.rs`): same profiles, same `.tkt` bytes.
+//!
+//! **All or nothing.** `ingest_json` reads a profile's text to its end before
+//! it touches the thicket: a malformed profile (torn, not JSON, not a
+//! profile) is an `Err` that leaves profiles, nodes, rows and columns exactly
+//! as they were, and the next profile gets the id it would have had — which
+//! is what lets `from_files` skip and report a bad file and keep composing.
+//! A metric whose value is `null` (the writer's spelling of a non-finite
+//! number) is a cell the run did not observe, on both routes; a key repeated
+//! within one object is last-wins, on both routes. The one difference: the
+//! walk checks every occurrence of a repeated key where it stands, while a
+//! tree only ever holds the last — so `{"t": "fast", "t": 1}` is refused
+//! from text and read from a tree. No writer here repeats a key.
 
+use serde::text::Reader;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 mod columnar;
@@ -163,18 +195,27 @@ pub struct ProfileData {
     pub records: Vec<(Vec<String>, BTreeMap<String, f64>)>,
 }
 
-/// The caliper-JSON shape of a profile — this crate's one description of it.
+/// What every reader says of a document that is JSON but not a profile.
+const PROFILE_SHAPE: &str = "a profile is {globals, records: [{path, metrics}]}";
+
+/// The caliper-JSON shape of a profile as a tree: the route for callers that
+/// already hold a [`serde_json::Value`] (the daemon's store objects), and the
+/// reference the text walk ([`Staging::read`]) is tested against.
 impl Deserialize for ProfileData {
     fn deserialize(profile: &serde_json::Value) -> Result<ProfileData, serde_json::Error> {
         use serde_json::{Error, Value};
-        let shape = || Error::msg("a profile is {globals, records: [{path, metrics}]}");
+        let shape = || Error::msg(PROFILE_SHAPE);
         let fields = profile.as_object().ok_or_else(shape)?;
         let Some(Value::Array(records)) = fields.get("records") else {
             return Err(shape());
         };
         let record = |r: &Value| {
             let r = r.as_object().ok_or_else(shape)?;
-            Ok((serde::de_field(r, "path")?, serde::de_field(r, "metrics")?))
+            // A `null` metric is a cell the run did not observe (the writer's
+            // spelling of a non-finite value), not a malformed profile.
+            let metrics: BTreeMap<String, Option<f64>> = serde::de_field(r, "metrics")?;
+            let observed = metrics.into_iter().filter_map(|(k, v)| Some((k, v?)));
+            Ok((serde::de_field(r, "path")?, observed.collect()))
         };
         Ok(ProfileData {
             globals: serde::de_field(fields, "globals")?,
@@ -183,10 +224,178 @@ impl Deserialize for ProfileData {
     }
 }
 
+/// One profile's text, read and held flat: what the `.cali.json` text walk
+/// ([`Staging::read`]) fills and what its two consumers drain —
+/// [`ProfileData::from_caliper_json`] into a `ProfileData`,
+/// [`IngestSession::ingest_json`] into the frame. A session keeps one and
+/// reuses its buffers and its column-name interner from profile to profile.
+#[derive(Default)]
+struct Staging {
+    /// Column-name interner: a column's id is its index in `names`. Ids are
+    /// private to this staging — the frame keys columns by name.
+    ids: HashMap<String, usize>,
+    names: Vec<String>,
+    /// Per column id: the `metrics` object (by `stamp`) that last observed
+    /// it and where in `cells` — how a repeated key finds the cell it
+    /// overwrites, so a record holds each column at most once, last-wins.
+    seen: Vec<(u64, usize)>,
+    /// Counts `metrics` objects read; 0 is "never".
+    stamp: u64,
+    globals: BTreeMap<String, serde_json::Value>,
+    /// Path segments and `(column id, value)` cells of all records, flat.
+    segments: Vec<String>,
+    cells: Vec<(usize, f64)>,
+    /// Per record, in text order: where its segments and its cells end.
+    records: Vec<(usize, usize)>,
+}
+
+impl Staging {
+    /// Read one profile — the text shape `{globals, records: [{path,
+    /// metrics}]}`, spelled here once — replacing whatever was staged.
+    /// Unknown fields are skipped; a repeated key replaces its earlier
+    /// occurrence, as the tree's map insert does. On `Err` the staged
+    /// content is unspecified (the next `read` clears it).
+    ///
+    /// Text that is not JSON is reported as that (`… at byte N`, wherever the
+    /// fault is) before JSON that is not a profile, as on the tree route: the
+    /// walk stops at the first thing it cannot use, so a failure re-reads
+    /// the text for a grammar error further on.
+    fn read(&mut self, text: &str) -> Result<(), serde_json::Error> {
+        self.walk(text)
+            .map_err(|unusable| serde::text::validate(text).err().unwrap_or(unusable))
+    }
+
+    fn walk(&mut self, text: &str) -> Result<(), serde_json::Error> {
+        self.globals.clear();
+        self.clear_records();
+        let (mut globals, mut records) = (false, false);
+        let mut r = Reader::new(text);
+        r.object(|r, key| match &*key {
+            "globals" => {
+                globals = true;
+                self.globals.clear();
+                r.object(|r, name| {
+                    self.globals.insert(name.into_owned(), r.value()?);
+                    Ok(())
+                })
+            }
+            "records" => {
+                records = true;
+                self.clear_records();
+                r.array(|r| self.record(r))
+            }
+            _ => r.skip(),
+        })?;
+        r.end()?;
+        if globals && records {
+            Ok(())
+        } else {
+            Err(serde_json::Error::msg(PROFILE_SHAPE))
+        }
+    }
+
+    fn clear_records(&mut self) {
+        self.segments.clear();
+        self.cells.clear();
+        self.records.clear();
+    }
+
+    fn record(&mut self, r: &mut Reader<'_>) -> Result<(), serde_json::Error> {
+        let (first_segment, first_cell) = (self.segments.len(), self.cells.len());
+        let (mut path, mut metrics) = (false, false);
+        r.object(|r, key| match &*key {
+            "path" => {
+                path = true;
+                self.segments.truncate(first_segment);
+                r.array(|r| {
+                    self.segments.push(r.string()?.into_owned());
+                    Ok(())
+                })
+            }
+            "metrics" => {
+                metrics = true;
+                self.cells.truncate(first_cell);
+                self.stamp += 1;
+                r.object(|r, name| {
+                    // `null` is a cell the run did not observe: see the
+                    // `Deserialize` impl, which this must agree with.
+                    if r.null()? {
+                        self.unobserve(&name);
+                    } else {
+                        let value = r.f64()?;
+                        self.observe(name, value);
+                    }
+                    Ok(())
+                })
+            }
+            _ => r.skip(),
+        })?;
+        if !(path && metrics) {
+            return Err(serde_json::Error::msg(PROFILE_SHAPE));
+        }
+        self.records.push((self.segments.len(), self.cells.len()));
+        Ok(())
+    }
+
+    /// Stage `name = value` in the record being read.
+    fn observe(&mut self, name: std::borrow::Cow<'_, str>, value: f64) {
+        let id = match self.ids.get(&*name) {
+            Some(&id) => id,
+            None => {
+                let id = self.names.len();
+                self.names.push(name.to_string());
+                self.seen.push((0, 0));
+                self.ids.insert(name.into_owned(), id);
+                id
+            }
+        };
+        let (stamp, at) = self.seen[id];
+        if stamp == self.stamp {
+            self.cells[at].1 = value;
+        } else {
+            self.seen[id] = (self.stamp, self.cells.len());
+            self.cells.push((id, value));
+        }
+    }
+
+    /// Drop `name`'s cell from the record being read, if it has one.
+    fn unobserve(&mut self, name: &str) {
+        let Some(&id) = self.ids.get(name) else {
+            return;
+        };
+        let (stamp, at) = self.seen[id];
+        if stamp == self.stamp {
+            self.seen[id].0 = 0;
+            self.cells.swap_remove(at);
+            if let Some(&(moved, _)) = self.cells.get(at) {
+                self.seen[moved].1 = at;
+            }
+        }
+    }
+
+    /// Each staged record as `(path segments, cells)`, in text order.
+    fn rows(&self) -> impl Iterator<Item = (&[String], &[(usize, f64)])> {
+        let starts = std::iter::once(&(0, 0)).chain(&self.records);
+        starts
+            .zip(&self.records)
+            .map(|(&(s0, c0), &(s1, c1))| (&self.segments[s0..s1], &self.cells[c0..c1]))
+    }
+}
+
 impl ProfileData {
-    /// Parse a caliper-JSON profile.
+    /// Parse a caliper-JSON profile, straight from the text (no tree).
     pub fn from_caliper_json(text: &str) -> Result<ProfileData, serde_json::Error> {
-        serde_json::from_str(text)
+        let mut staged = Staging::default();
+        staged.read(text)?;
+        let named = |&(id, value): &(usize, f64)| (staged.names[id].clone(), value);
+        let records = staged
+            .rows()
+            .map(|(path, cells)| (path.to_vec(), cells.iter().map(named).collect()))
+            .collect();
+        Ok(ProfileData {
+            globals: std::mem::take(&mut staged.globals),
+            records,
+        })
     }
 
     /// [`ProfileData::from_caliper_json`] for a profile that is already a
@@ -201,19 +410,33 @@ impl ProfileData {
     ///
     /// A truncated, torn, or non-JSON file returns a descriptive
     /// `InvalidData` error naming the file and the byte offset where
-    /// parsing failed (the parser embeds `at byte N` in its messages) —
+    /// parsing failed (the reader embeds `at byte N` in its messages) —
     /// never a panic. Campaign ingestion ([`Thicket::from_files`]) relies
     /// on this to skip corrupt cells instead of dying on them.
     pub fn read_file(path: &std::path::Path) -> std::io::Result<ProfileData> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-        Self::from_caliper_json(&text).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: malformed profile: {e}", path.display()),
-            )
-        })
+        let mut text = String::new();
+        read_profile_text(path, &mut text)?;
+        Self::from_caliper_json(&text).map_err(|e| malformed(path, e))
     }
+}
+
+/// Replace `text` with the contents of the profile file at `path`; the error
+/// names the file.
+fn read_profile_text(path: &std::path::Path, text: &mut String) -> std::io::Result<()> {
+    use std::io::Read;
+    text.clear();
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read_to_string(text))
+        .map(drop)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+}
+
+/// The error for a profile file that was read but is not a profile.
+fn malformed(path: &std::path::Path, e: serde_json::Error) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("{}: malformed profile: {e}", path.display()),
+    )
 }
 
 /// What [`Thicket::from_files`] skipped: one `(path, reason)` pair per
@@ -264,7 +487,7 @@ pub fn profile_paths(dir: &std::path::Path) -> std::io::Result<Vec<std::path::Pa
 /// linear — concatenating sweep-sized thickets was O(nodes²·columns) with
 /// the old per-record scan. Not stored on [`Thicket`]: the struct is plain
 /// serializable data, and an index field would leak into its JSON form.
-type PathIndex = std::collections::HashMap<Vec<String>, usize>;
+type PathIndex = HashMap<Vec<String>, usize>;
 
 /// Narrow a node/profile id into the frame's `u32` row space.
 pub(crate) fn id32(id: usize) -> u32 {
@@ -279,6 +502,9 @@ pub(crate) fn id32(id: usize) -> u32 {
 pub struct IngestSession {
     thicket: Thicket,
     index: PathIndex,
+    /// Scratch of the text route, reused from profile to profile.
+    staged: Staging,
+    text: String,
 }
 
 impl IngestSession {
@@ -291,12 +517,40 @@ impl IngestSession {
     /// `.tkt` file).
     pub fn from_thicket(thicket: Thicket) -> IngestSession {
         let index = thicket.build_path_index();
-        IngestSession { thicket, index }
+        IngestSession {
+            thicket,
+            index,
+            staged: Staging::default(),
+            text: String::new(),
+        }
     }
 
     /// Ingest one profile.
     pub fn ingest(&mut self, p: &ProfileData) {
         self.thicket.ingest_indexed(&mut self.index, p);
+    }
+
+    /// Ingest one profile from its caliper-JSON text, without building a
+    /// [`ProfileData`]: the same nodes, rows and cells as
+    /// `ingest(&ProfileData::from_caliper_json(text)?)`, bit for bit.
+    /// All-or-nothing — the text is read to its end into the session's
+    /// scratch first, so an `Err` leaves the thicket exactly as it was and
+    /// the next profile gets the id this one would have had.
+    pub fn ingest_json(&mut self, text: &str) -> Result<(), serde_json::Error> {
+        self.staged.read(text)?;
+        self.thicket.ingest_staged(&mut self.index, &mut self.staged);
+        Ok(())
+    }
+
+    /// [`IngestSession::ingest_json`] of the profile file at `path`, read
+    /// into a buffer the session reuses; errors as
+    /// [`ProfileData::read_file`]'s.
+    pub fn ingest_file(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+        let mut text = std::mem::take(&mut self.text);
+        let read = read_profile_text(path, &mut text)
+            .and_then(|()| self.ingest_json(&text).map_err(|e| malformed(path, e)));
+        self.text = text;
+        read
     }
 
     /// Profiles ingested so far (including any the session started with).
@@ -350,11 +604,8 @@ impl Thicket {
         let mut stats = IngestStats::default();
         for p in paths {
             let p = p.as_ref();
-            match ProfileData::read_file(p) {
-                Ok(data) => {
-                    s.ingest(&data);
-                    stats.ingested += 1;
-                }
+            match s.ingest_file(p) {
+                Ok(()) => stats.ingested += 1,
                 Err(e) => stats.skipped.push((p.to_path_buf(), e.to_string())),
             }
         }
@@ -380,6 +631,22 @@ impl Thicket {
             let nid = id32(self.node_id_or_insert(index, path));
             self.frame.append(nid, pid, metrics);
         }
+        if self.frame.should_compact() {
+            self.frame.compact(self.nodes.len());
+        }
+    }
+
+    /// [`Thicket::ingest_indexed`] for a profile held in `staged`.
+    fn ingest_staged(&mut self, index: &mut PathIndex, staged: &mut Staging) {
+        let pid = self.next_profile_id();
+        self.profiles.push(pid);
+        let globals = std::mem::take(&mut staged.globals);
+        self.metadata.insert(pid, Arc::new(globals));
+        let rows: Vec<(u32, &[(usize, f64)])> = staged
+            .rows()
+            .map(|(path, cells)| (id32(self.node_id_or_insert(index, path)), cells))
+            .collect();
+        self.frame.append_cells(id32(pid), &rows, &staged.names);
         if self.frame.should_compact() {
             self.frame.compact(self.nodes.len());
         }
@@ -934,6 +1201,40 @@ mod tests {
         let t = Thicket::from_profiles(&[p]);
         let nid = t.node_by_name("ADD").unwrap();
         assert_eq!(t.value("count", nid, 0), Some(3.0));
+    }
+
+    /// Regression: `caliper` writes a non-finite metric as `null`, and one
+    /// such cell used to make the whole profile `malformed` — every other
+    /// kernel of the run lost with it. It is a cell the run did not observe.
+    #[test]
+    fn a_null_metric_is_an_unobserved_cell_on_every_route() {
+        let text = r#"{
+            "globals": {"variant": "RAJA_SimGpu"},
+            "records": [
+                {"path": ["RAJAPerf", "ADD"], "metrics": {"Checksum": null, "count": 3.0}},
+                {"path": ["RAJAPerf", "MUL"], "metrics": {"Checksum": 7.5, "count": 1}}
+            ]
+        }"#;
+        let tree: serde_json::Value = serde_json::from_str(text).unwrap();
+        let mut session = IngestSession::new();
+        session.ingest_json(text).unwrap();
+        let routes = [
+            Thicket::from_profiles(&[ProfileData::from_caliper_json(text).unwrap()]),
+            Thicket::from_profiles(&[ProfileData::from_caliper_value(&tree).unwrap()]),
+            session.finish(),
+        ];
+        for t in routes {
+            let (add, mul) = (t.node_by_name("ADD").unwrap(), t.node_by_name("MUL").unwrap());
+            assert_eq!(t.value("Checksum", add, 0), None);
+            assert_eq!(t.value("count", add, 0), Some(3.0));
+            assert_eq!(t.value("Checksum", mul, 0), Some(7.5));
+            assert_eq!(t.row_count(), 2);
+        }
+        // Anything else that is not a number is still malformed.
+        let bad = text.replace("null", "\"NaN\"");
+        assert!(ProfileData::from_caliper_json(&bad).is_err());
+        let tree: serde_json::Value = serde_json::from_str(&bad).unwrap();
+        assert!(ProfileData::from_caliper_value(&tree).is_err());
     }
 
     #[test]

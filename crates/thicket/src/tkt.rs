@@ -28,7 +28,7 @@
 //! `caliper::write_atomic`).
 
 use crate::columnar::{Column, Frame};
-use crate::{id32, Node, Thicket};
+use crate::{Node, Thicket};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -66,7 +66,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(bad(format!("truncated {} section", self.what)));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -76,6 +76,17 @@ impl<'a> Cursor<'a> {
 
     fn u32(&mut self) -> io::Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    /// A chunk's item count, refused unless the section still holds that
+    /// many items of at least `item_bytes` each — so what a reader reserves
+    /// for a chunk is bounded by the bytes on disk, not by a number in them.
+    fn count(&mut self, item_bytes: usize) -> io::Result<usize> {
+        let count = self.u32()? as usize;
+        if count > (self.buf.len() - self.pos) / item_bytes {
+            return Err(bad(format!("truncated {} section", self.what)));
+        }
+        Ok(count)
     }
 }
 
@@ -103,7 +114,7 @@ fn decode_index(buf: &[u8]) -> io::Result<Vec<(u32, u32)>> {
     let nchunks = c.u32()?;
     let mut rows = Vec::new();
     for _ in 0..nchunks {
-        let count = c.u32()? as usize;
+        let count = c.count(8)?;
         rows.reserve(count);
         for _ in 0..count {
             let n = c.u32()?;
@@ -152,7 +163,7 @@ fn decode_column(buf: &[u8], name: &str) -> io::Result<Column> {
     let nchunks = c.u32()?;
     let mut col = Column::default();
     for _ in 0..nchunks {
-        let count = c.u32()? as usize;
+        let count = c.count(8)?;
         let mut vals = Vec::with_capacity(count);
         for _ in 0..count {
             let raw = c.take(8)?;
@@ -277,7 +288,8 @@ impl Thicket {
         }
         let footer_off = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
         let footer_len = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
-        if footer_off + footer_len + 20 > file_len {
+        let footer_end = footer_off.checked_add(footer_len);
+        if footer_end.and_then(|end| end.checked_add(20)).is_none_or(|end| end > file_len) {
             return Err(bad(format!("{}: footer out of bounds", path.display())));
         }
         let mut footer = vec![0u8; footer_len as usize];
@@ -292,7 +304,7 @@ impl Thicket {
             let &(off, len) = sections
                 .get(name)
                 .ok_or_else(|| bad(format!("{}: missing section {name}", path.display())))?;
-            if off + len > file_len {
+            if off.checked_add(len).is_none_or(|end| end > file_len) {
                 return Err(bad(format!("{}: section {name} out of bounds", path.display())));
             }
             let mut buf = vec![0u8; len as usize];
@@ -340,8 +352,11 @@ impl Thicket {
                 path.display()
             )));
         }
-        for &p in &head.profiles {
-            let _ = id32(p); // asserts the id fits the row space
+        if let Some(p) = head.profiles.iter().find(|&&p| u32::try_from(p).is_err()) {
+            return Err(bad(format!(
+                "{}: profile id {p} exceeds the u32 row space",
+                path.display()
+            )));
         }
 
         let frame = Frame::from_parts(rows, columns, nnodes);

@@ -265,6 +265,72 @@ echo "$ANALYZE_ERR" | grep -q "1 of 2 profile(s) skipped" \
     || { echo "verify: FAIL — analyzer skip count wrong: $ANALYZE_ERR" >&2; exit 1; }
 echo "analyze: truncated profile skipped with warning, composition continued"
 
+# Profiles are read without a JSON tree since PR 24. Three checks of that
+# reader at the CLI: it composes what the last tree-reading build composed,
+# byte for byte; a `null` metric does not lose a profile; a `.tkt` whose
+# numbers lie is refused, not believed.
+# ANALYZE_REFERENCE names that last tree-reading build (PR 22's commit); its
+# rajaperf-analyze is built once into target/verify-reference and kept.
+echo "== analyze: tree-free ingest equals the reference build; null metric; crafted .tkt =="
+ANALYZE_REFERENCE=${ANALYZE_REFERENCE:-5d1749b97f2ba2cee0ec61d527a807433942eefd}
+TEXT_DIR="$SWEEP_DIR/text-ingest"
+ROOT=$PWD
+mkdir -p "$TEXT_DIR/reference" "$TEXT_DIR/change" "$TEXT_DIR/ecc"
+if git cat-file -e "$ANALYZE_REFERENCE^{commit}" 2>/dev/null; then
+    REF_SRC=$(mktemp -d)
+    git archive "$ANALYZE_REFERENCE" | tar -x -C "$REF_SRC"
+    (cd "$REF_SRC" && CARGO_TARGET_DIR="$ROOT/target/verify-reference" \
+        cargo build --release --offline --quiet -p suite --bin rajaperf-analyze)
+    rm -rf "$REF_SRC"
+    for build in reference change; do
+        bin="$ROOT/$ANALYZE"
+        [[ "$build" == reference ]] && bin="$ROOT/target/verify-reference/release/rajaperf-analyze"
+        (cd "$TEXT_DIR/$build" && "$bin" "$SWEEP_DIR/profiles" --groupby variant --tree --csv \
+            --save-tkt out.tkt >stdout)
+    done
+    cmp "$TEXT_DIR/reference/stdout" "$TEXT_DIR/change/stdout" \
+        || { echo "verify: FAIL — rajaperf-analyze stdout differs from the reference build's" >&2; exit 1; }
+    cmp "$TEXT_DIR/reference/out.tkt" "$TEXT_DIR/change/out.tkt" \
+        || { echo "verify: FAIL — --save-tkt bytes differ from the reference build's" >&2; exit 1; }
+    echo "analyze: 12-profile stdout (--groupby --tree --csv) and .tkt bytes equal the reference build's"
+else
+    echo "analyze: reference commit $ANALYZE_REFERENCE not in this clone, comparison skipped"
+    (cd "$TEXT_DIR/change" && "$ROOT/$ANALYZE" "$SWEEP_DIR/profiles" --save-tkt out.tkt >/dev/null)
+fi
+# seed=5 flips a checksum into a non-finite value: `"Checksum": null`.
+"$RAJAPERF" --variant RAJA_SimGpu --size 500 --reps 1 --faults 'gpusim.ecc=flip:1.0,seed=5' \
+    --caliper "spot(output=$TEXT_DIR/ecc/ecc.cali.json)" >/dev/null
+ECC_OUT=$("$ANALYZE" "$TEXT_DIR/ecc" 2>&1) \
+    || { echo "verify: FAIL — the ECC-flipped run's profile was not composed: $ECC_OUT" >&2; exit 1; }
+grep -q "^composed 1 profiles," <<<"$ECC_OUT" \
+    || { echo "verify: FAIL — the ECC-flipped run's profile was not composed: $ECC_OUT" >&2; exit 1; }
+ECC_NULLS=$(grep -c ': null' "$TEXT_DIR/ecc/ecc.cali.json" || true)
+python3 - "$TEXT_DIR/change/out.tkt" "$TEXT_DIR" <<'PY'
+import json, struct, sys
+good = open(sys.argv[1], "rb").read()
+# The tail's footer extent wraps past the bounds check: 200 + (2^64 - 100) + 20.
+wrapped = bytearray(good)
+wrapped[-20:-4] = struct.pack("<QQ", 200, 2**64 - 100)
+open(sys.argv[2] + "/wrapped-tail.tkt", "wb").write(wrapped)
+# The row index's first chunk claims 2^32 - 1 rows.
+footer_off, footer_len = struct.unpack("<QQ", good[-20:-4])
+index_off = json.loads(good[footer_off:footer_off + footer_len])["index"][0]
+huge = bytearray(good)
+huge[index_off + 4:index_off + 8] = struct.pack("<I", 0xFFFFFFFF)
+open(sys.argv[2] + "/huge-count.tkt", "wb").write(huge)
+PY
+for crafted in wrapped-tail huge-count; do
+    set +e
+    CRAFTED_ERR=$("$ANALYZE" "$TEXT_DIR/$crafted.tkt" 2>&1 >/dev/null)
+    CRAFTED_CODE=$?
+    set -e
+    if [[ "$CRAFTED_CODE" -ne 1 ]] || ! grep -q "^cannot open .*$crafted.tkt" <<<"$CRAFTED_ERR"; then
+        echo "verify: FAIL — $crafted.tkt: expected exit 1 and a 'cannot open' line, got $CRAFTED_CODE: $CRAFTED_ERR" >&2
+        exit 1
+    fi
+done
+echo "analyze: ECC-flipped profile ($ECC_NULLS null cells) composed; wrapped-tail.tkt and huge-count.tkt refused with exit 1"
+
 echo "== daemon: rajaperfd smoke (run, store hit, graceful shutdown) =="
 DAEMON=target/release/rajaperfd
 CLIENT=target/release/rajaperf-client

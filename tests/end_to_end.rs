@@ -280,6 +280,37 @@ fn a_run_writes_the_profile_it_reports() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
+/// A non-finite metric (a flipped bit in a checksum) has no JSON number: the
+/// writer spells it `null`, and both of `thicket`'s readers take that as a
+/// cell the run did not observe — the profile and its other cells are kept.
+#[test]
+fn a_non_finite_metric_is_an_unobserved_cell_not_a_lost_profile() {
+    let session = caliper::Session::new();
+    {
+        let _suite = session.region("RAJAPerf");
+        let _kernel = session.region("Stream_TRIAD");
+        session.set_metric("x", f64::NAN);
+        session.set_metric("Bytes/Rep", 3.0e6);
+    }
+    let text = session.profile().to_json();
+    assert!(text.contains("\"x\": null"), "{text}");
+
+    let tree = serde_json::from_str(&text).unwrap();
+    let mut by_text = thicket::IngestSession::new();
+    by_text.ingest_json(&text).unwrap();
+    for t in [
+        thicket::Thicket::from_profiles(&[thicket::ProfileData::from_caliper_json(&text).unwrap()]),
+        thicket::Thicket::from_profiles(&[thicket::ProfileData::from_caliper_value(&tree).unwrap()]),
+        by_text.finish(),
+    ] {
+        assert_eq!(t.profiles, [0]);
+        let kernel = t.node_by_name("Stream_TRIAD").unwrap();
+        assert_eq!(t.value("x", kernel, 0), None);
+        assert_eq!(t.value("Bytes/Rep", kernel, 0), Some(3.0e6));
+        assert!(!t.column_names().contains(&"x"), "no cell, so no column");
+    }
+}
+
 #[test]
 fn thicket_reads_what_caliper_writes() {
     let out = scratch("writer_reader");
