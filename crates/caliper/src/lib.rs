@@ -106,12 +106,31 @@ struct NodeStats {
 /// `sum#time.duration`, `avg#time.duration`, `min#...`, `max#...`, and the
 /// raw metric name for application metrics (average over visits) alongside
 /// `sum#<name>` / `min#<name>` / `max#<name>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Record {
     /// Call path from the root region to this node.
     pub path: Vec<String>,
     /// Aggregated metric columns.
     pub metrics: BTreeMap<String, f64>,
+}
+
+/// The derived reading but for one rule: a `null` metric — how a non-finite
+/// value is written — is a cell the run did not observe, as `thicket` reads
+/// it, so every profile [`Profile::to_json`] writes reads back.
+impl Deserialize for Record {
+    fn deserialize(v: &serde_json::Value) -> Result<Record, serde_json::Error> {
+        let fields = v.as_object().ok_or_else(|| {
+            serde_json::Error::msg("expected a JSON object for struct \"Record\"")
+        })?;
+        let metrics: BTreeMap<String, Option<f64>> = serde::de_field(fields, "metrics")?;
+        Ok(Record {
+            path: serde::de_field(fields, "path")?,
+            metrics: metrics
+                .into_iter()
+                .filter_map(|(k, v)| Some((k, v?)))
+                .collect(),
+        })
+    }
 }
 
 impl Record {

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use suite::params::FLAGS;
-use suite::record::{campaign_key, read_json, RunRecord, Verified};
+use suite::record::{campaign_key, RunRecord};
 use suite::{RunParams, SuiteExit, SuiteReport};
 
 /// Most ranks a daemon-served sweep may request: each rank is a worker
@@ -505,47 +505,27 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), F
     }
 }
 
-/// One profile source for an analyze request: where to load it from plus
-/// the content fingerprint that enters the cache key.
-enum AnalyzeSource {
-    /// A `.cali.json` file on disk (fingerprint = hash of its bytes).
-    File(PathBuf, String),
-    /// A store object carrying an inline `report.profile` (fingerprint =
-    /// the object's content-addressed name).
-    StoreObject(PathBuf, String),
+/// Where a store object carries its run's profile.
+const STORE_PROFILE: &[&str] = &["report", "profile"];
+
+/// One profile source for an analyze request: a `.cali.json` file (the
+/// document is the profile) or a store object (the profile is inline at
+/// [`STORE_PROFILE`]), plus the content fingerprint that enters the cache
+/// key — the hash of a file's bytes, an object's content-addressed name.
+struct AnalyzeSource {
+    path: PathBuf,
+    at: &'static [&'static str],
+    fingerprint: String,
 }
 
 impl AnalyzeSource {
-    fn fingerprint(&self) -> &str {
-        match self {
-            AnalyzeSource::File(_, f) | AnalyzeSource::StoreObject(_, f) => f,
-        }
-    }
-
-    /// Ingest the profile into `session`. `Ok(false)` means the source
-    /// carries no profile (e.g. a store object from a non-run record) and is
-    /// skipped silently; `Err` is a skip with a reason.
-    fn ingest_into(&self, session: &mut thicket::IngestSession) -> Result<bool, String> {
-        match self {
-            AnalyzeSource::File(path, _) => session
-                .ingest_file(path)
-                .map(|()| true)
-                .map_err(|e| e.to_string()),
-            AnalyzeSource::StoreObject(path, _) => {
-                let Verified::Hit(record) = read_json(path) else {
-                    return Err(format!("{}: not an intact record", path.display()));
-                };
-                match record.get("report").and_then(|r| r.get("profile")) {
-                    Some(profile) if !profile.is_null() => {
-                        let profile = thicket::ProfileData::from_caliper_value(profile)
-                            .map_err(|e| e.to_string())?;
-                        session.ingest(&profile);
-                        Ok(true)
-                    }
-                    _ => Ok(false),
-                }
-            }
-        }
+    /// Ingest the profile into `session`, all or nothing; `false` when the
+    /// source is unusable (unreadable, not UTF-8, not JSON, not a profile).
+    /// A store object with no profile (not a run's record) ingests nothing
+    /// and is not unusable.
+    fn ingest_into(&self, session: &mut thicket::IngestSession) -> bool {
+        std::fs::read_to_string(&self.path)
+            .is_ok_and(|text| session.ingest_json_at(&text, self.at).is_ok())
     }
 }
 
@@ -567,11 +547,15 @@ fn analyze_sources(dir: &str, store: &ProfileStore) -> Result<Vec<AnalyzeSource>
                 let path = f.path();
                 if path.extension().is_some_and(|e| e == "json") {
                     // The file stem *is* the object's content hash.
-                    let fp = path
+                    let fingerprint = path
                         .file_stem()
                         .map(|s| s.to_string_lossy().into_owned())
                         .unwrap_or_default();
-                    sources.push(AnalyzeSource::StoreObject(path, fp));
+                    sources.push(AnalyzeSource {
+                        path,
+                        at: STORE_PROFILE,
+                        fingerprint,
+                    });
                 }
             }
         }
@@ -579,16 +563,20 @@ fn analyze_sources(dir: &str, store: &ProfileStore) -> Result<Vec<AnalyzeSource>
         let paths = thicket::profile_paths(Path::new(dir))
             .map_err(|e| format!("cannot read {dir}: {e}"))?;
         for path in paths {
-            let fp = match std::fs::read(&path) {
+            let fingerprint = match std::fs::read(&path) {
                 Ok(bytes) => crate::store::content_hash(&String::from_utf8_lossy(&bytes)),
                 // Unreadable now: fingerprint the failure so the miss
                 // re-attempts (and re-reports) rather than caching it.
                 Err(e) => crate::store::content_hash(&format!("unreadable:{e}")),
             };
-            sources.push(AnalyzeSource::File(path, fp));
+            sources.push(AnalyzeSource {
+                path,
+                at: &[],
+                fingerprint,
+            });
         }
     }
-    sources.sort_by(|a, b| a.fingerprint().cmp(b.fingerprint()));
+    sources.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
     Ok(sources)
 }
 
@@ -604,7 +592,7 @@ fn analyze_key(metric: &str, sources: &[AnalyzeSource]) -> Value {
         "corpus": Value::Array(
             sources
                 .iter()
-                .map(|s| Value::String(s.fingerprint().to_string()))
+                .map(|s| Value::String(s.fingerprint.clone()))
                 .collect()
         ),
     })
@@ -632,12 +620,10 @@ fn execute_analyze(
     // time — the session compacts periodically, so memory tracks the
     // compacted frame, not a vector of parsed JSON documents.
     let mut session = thicket::IngestSession::new();
-    let mut skipped = 0usize;
-    for source in &sources {
-        if source.ingest_into(&mut session).is_err() {
-            skipped += 1;
-        }
-    }
+    let skipped = sources
+        .iter()
+        .filter(|source| !source.ingest_into(&mut session))
+        .count();
     let mut tk = session.finish();
     if tk.profiles.is_empty() {
         return Err((ErrorCode::Internal, format!("no usable profiles in {dir}")));

@@ -1,16 +1,11 @@
-//! Transport abstraction: the gather protocol's framing, independent of
-//! what carries it.
+//! The rank-sharded sweep's wire framing: [`write_frame`] / [`read_frame`]
+//! over any `Write` / `BufRead`.
 //!
-//! The rank-sharded sweep speaks one wire format — JSON objects, one per
-//! line — over two very different carriers: in-memory `simcomm` byte
-//! messages between threads (the default `--rank-isolation=threads`), and
-//! OS pipes between a supervising parent and spawned child-rank processes
-//! (`--rank-isolation=process`). This module is the carrier-independent
-//! half: [`write_frame`]/[`read_frame`] define the framing once, and
-//! [`FrameTransport`] wraps any `Read`/`Write` pair (a child's stdio, a
-//! unix-socket stream, an in-memory cursor in tests) with per-direction
-//! [`CommStats`] accounting so pipe traffic is countable exactly like
-//! thread-rank message traffic.
+//! A child-rank process (`--rank-isolation=process`) and its supervising
+//! parent exchange these frames over the child's stdio pipes. Thread ranks
+//! (the default `--rank-isolation=threads`) pass the same messages on
+//! in-memory channels, unframed, and size each one with [`write_frame`] into
+//! a sink — so both modes count rank traffic in the same wire bytes.
 //!
 //! # Framing
 //!
@@ -31,7 +26,6 @@
 //!   peer's pipe is an error return, never a process kill — the supervisor
 //!   relies on this to treat a dying child as a restartable event.
 
-use crate::CommStats;
 use serde_json::Value;
 use std::io::{self, BufRead, Write};
 
@@ -71,56 +65,6 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> io::Result<Option<(Value, u64)>> {
     Ok(Some((v, n as u64)))
 }
 
-/// A framed, stat-counting transport over any `Read`/`Write` pair.
-///
-/// The supervisor holds one per child rank (writer = the child's stdin,
-/// reader = its stdout); a child-rank worker holds the mirror image over
-/// its own stdio. `stats` counts sent/received frames and bytes from the
-/// holder's perspective, giving process-mode campaigns the same per-rank
-/// traffic accounting thread-mode campaigns get from [`crate::Comm`].
-#[derive(Debug)]
-pub struct FrameTransport<R, W> {
-    reader: R,
-    writer: W,
-    stats: CommStats,
-}
-
-impl<R: BufRead, W: Write> FrameTransport<R, W> {
-    /// Wrap a reader/writer pair with zeroed counters.
-    pub fn new(reader: R, writer: W) -> FrameTransport<R, W> {
-        FrameTransport {
-            reader,
-            writer,
-            stats: CommStats::new(),
-        }
-    }
-
-    /// Send one frame, counting it.
-    pub fn send(&mut self, frame: &Value) -> io::Result<()> {
-        let bytes = write_frame(&mut self.writer, frame)?;
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes;
-        Ok(())
-    }
-
-    /// Receive one frame (`Ok(None)` on clean EOF), counting it.
-    pub fn recv(&mut self) -> io::Result<Option<Value>> {
-        match read_frame(&mut self.reader)? {
-            Some((v, bytes)) => {
-                self.stats.messages_received += 1;
-                self.stats.bytes_received += bytes;
-                Ok(Some(v))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Traffic counters accumulated so far, from this side's perspective.
-    pub fn stats(&self) -> CommStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,24 +72,17 @@ mod tests {
     use std::io::BufReader;
 
     #[test]
-    fn frames_roundtrip_and_count() {
+    fn frames_roundtrip_with_their_wire_lengths() {
         let mut wire = Vec::new();
         let a = json!({"cell": 3});
         let b = json!({"result": json!({"cell": 3, "outcome": json!({"kernels_run": 1})})});
-        write_frame(&mut wire, &a).unwrap();
-        write_frame(&mut wire, &b).unwrap();
+        let sent = [&a, &b].map(|frame| write_frame(&mut wire, frame).unwrap());
+        assert_eq!(sent.iter().sum::<u64>(), wire.len() as u64);
 
-        let mut t = FrameTransport::new(BufReader::new(wire.as_slice()), Vec::new());
-        assert_eq!(t.recv().unwrap(), Some(a.clone()));
-        assert_eq!(t.recv().unwrap(), Some(b));
-        assert_eq!(t.recv().unwrap(), None, "clean EOF");
-        let s = t.stats();
-        assert_eq!(s.messages_received, 2);
-        assert_eq!(s.bytes_received, wire.len() as u64);
-
-        t.send(&a).unwrap();
-        assert_eq!(t.stats().messages_sent, 1);
-        assert!(t.stats().bytes_sent > 0);
+        let mut r = BufReader::new(wire.as_slice());
+        assert_eq!(read_frame(&mut r).unwrap(), Some((a, sent[0])));
+        assert_eq!(read_frame(&mut r).unwrap(), Some((b, sent[1])));
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
     }
 
     #[test]
@@ -191,9 +128,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut t = FrameTransport::new(BufReader::new(&b""[..]), Dead);
-        let err = t.send(&json!({"cell": 0})).unwrap_err();
+        let err = write_frame(&mut Dead, &json!({"cell": 0})).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert_eq!(t.stats().messages_sent, 0, "failed sends are not counted");
     }
 }

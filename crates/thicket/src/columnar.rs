@@ -146,27 +146,13 @@ pub struct Frame {
 impl Frame {
     // ------------------------------------------------------------- writes
 
-    /// Append one record's metrics at `(node, profile)`. Records with no
-    /// metrics create no row (the row engine likewise only materialized
-    /// rows through column entries).
-    pub(crate) fn append(&mut self, node: u32, profile: u32, metrics: &BTreeMap<String, f64>) {
-        if metrics.is_empty() {
-            return;
-        }
-        let pos = self.pending.rows.len();
-        self.pending.rows.push((node, profile));
-        for (name, &v) in metrics {
-            let col = self.pending.column_mut(name);
-            col.pad_to(pos);
-            col.push_valid(v);
-        }
-    }
-
-    /// [`Frame::append`] for a whole profile whose column names are
-    /// interned: each of `rows` is `(node, cells)`, a cell `(id, value)` with
-    /// `names[id]` its column and no id twice in one row. The ids are the
-    /// caller's shorthand only — columns stay keyed by name — and buy one
-    /// map lookup per column instead of one per cell.
+    /// Append a whole profile whose column names are interned: each of
+    /// `rows` is `(node, cells)`, a cell `(id, value)` with `names[id]` its
+    /// column and no id twice in one row. A row with no cells creates no row
+    /// (the row engine likewise only materialized rows through column
+    /// entries). The ids are the caller's shorthand only — columns stay
+    /// keyed by name — and buy one map lookup per column instead of one per
+    /// cell.
     pub(crate) fn append_cells(
         &mut self,
         profile: u32,
@@ -461,16 +447,15 @@ impl Frame {
 
     // --------------------------------------------------------- selections
 
-    /// Sub-frame of rows whose profile satisfies `keep` (indexed by profile
-    /// id). Requires a compacted frame; the output is compacted. Columns
+    /// Sub-frame of rows whose profile is in `keep` (ascending ids).
+    /// Requires a compacted frame; the output is compacted. Columns
     /// left with no observed value are dropped, matching the row engine's
     /// filter semantics. The row scan and per-column gathers are chunk
     /// parallel with deterministic chunk-ordered concatenation.
-    pub(crate) fn select_profiles(&self, keep: &[bool], nnodes: usize) -> Frame {
+    pub(crate) fn select_profiles(&self, keep: &[u32], nnodes: usize) -> Frame {
         debug_assert!(self.pending.rows.is_empty());
         let keep_pos = par_filter_positions(self.index.len(), |i| {
-            let p = self.index[i].1 as usize;
-            p < keep.len() && keep[p]
+            keep.binary_search(&self.index[i].1).is_ok()
         });
         let index: Vec<Row> = keep_pos.iter().map(|&i| self.index[i]).collect();
         self.gathered(index, &keep_pos, nnodes)
@@ -570,16 +555,19 @@ fn par_filter_positions(n: usize, pred: impl Fn(usize) -> bool + Sync) -> Vec<us
 mod tests {
     use super::*;
 
-    fn metrics(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    /// Append one row at `(node, profile)`: its cells by column name.
+    fn append(f: &mut Frame, node: u32, profile: u32, cells: &[(&str, f64)]) {
+        let names: Vec<String> = cells.iter().map(|&(k, _)| k.to_string()).collect();
+        let ids: Vec<(usize, f64)> = cells.iter().map(|&(_, v)| v).enumerate().collect();
+        f.append_cells(profile, &[(node, &ids)], &names);
     }
 
     #[test]
     fn append_then_compact_sorts_node_major() {
         let mut f = Frame::default();
-        f.append(2, 0, &metrics(&[("t", 1.0)]));
-        f.append(0, 1, &metrics(&[("t", 2.0)]));
-        f.append(0, 0, &metrics(&[("t", 3.0)]));
+        append(&mut f, 2, 0, &[("t", 1.0)]);
+        append(&mut f, 0, 1, &[("t", 2.0)]);
+        append(&mut f, 0, 0, &[("t", 3.0)]);
         f.compact(3);
         assert_eq!(f.rows(), &[(0, 0), (0, 1), (2, 0)]);
         assert_eq!(f.value("t", 0, 0), Some(3.0));
@@ -590,8 +578,8 @@ mod tests {
     #[test]
     fn duplicate_cell_last_write_wins_per_column() {
         let mut f = Frame::default();
-        f.append(0, 0, &metrics(&[("a", 1.0), ("b", 10.0)]));
-        f.append(0, 0, &metrics(&[("a", 2.0)]));
+        append(&mut f, 0, 0, &[("a", 1.0), ("b", 10.0)]);
+        append(&mut f, 0, 0, &[("a", 2.0)]);
         // Pre-compaction reads already see the overwrite...
         assert_eq!(f.value("a", 0, 0), Some(2.0));
         assert_eq!(f.value("b", 0, 0), Some(10.0), "b not overwritten");
@@ -605,9 +593,9 @@ mod tests {
     #[test]
     fn pending_reads_match_compacted_reads() {
         let mut f = Frame::default();
-        f.append(1, 3, &metrics(&[("t", 1.0)]));
-        f.append(1, 1, &metrics(&[("t", 2.0)]));
-        f.append(0, 2, &metrics(&[("u", 9.0)]));
+        append(&mut f, 1, 3, &[("t", 1.0)]);
+        append(&mut f, 1, 1, &[("t", 2.0)]);
+        append(&mut f, 0, 2, &[("u", 9.0)]);
         let before = f.node_values("t", 1);
         f.compact(2);
         assert_eq!(before, f.node_values("t", 1));
@@ -617,11 +605,10 @@ mod tests {
     #[test]
     fn select_profiles_drops_empty_columns() {
         let mut f = Frame::default();
-        f.append(0, 0, &metrics(&[("only0", 1.0)]));
-        f.append(0, 1, &metrics(&[("only1", 2.0)]));
+        append(&mut f, 0, 0, &[("only0", 1.0)]);
+        append(&mut f, 0, 1, &[("only1", 2.0)]);
         f.compact(1);
-        let keep = vec![true, false];
-        let g = f.select_profiles(&keep, 1);
+        let g = f.select_profiles(&[0], 1);
         assert_eq!(g.rows(), &[(0, 0)]);
         assert!(g.columns().contains_key("only0"));
         assert!(!g.columns().contains_key("only1"), "empty column dropped");
@@ -631,11 +618,11 @@ mod tests {
     fn geometric_trigger_scales_with_base() {
         let mut f = Frame::default();
         for i in 0..PENDING_MIN_ROWS as u32 {
-            f.append(0, i, &metrics(&[("t", 1.0)]));
+            append(&mut f, 0, i, &[("t", 1.0)]);
         }
         assert!(f.should_compact());
         f.compact(1);
-        f.append(0, 0, &metrics(&[("t", 2.0)]));
+        append(&mut f, 0, 0, &[("t", 2.0)]);
         assert!(!f.should_compact(), "small pending over a large base waits");
     }
 }

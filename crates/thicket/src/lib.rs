@@ -25,42 +25,43 @@
 //! per-column value vectors with validity bitmaps. Aggregations are
 //! contiguous per-node slice scans parallelized over the vendored `rayon`
 //! pool with deterministic chunk-ordered combines, selections are
-//! profile-mask gathers, and [`Thicket::ingest`] appends to a pending chunk
-//! that is compacted geometrically — so corpora of 10⁵–10⁶ profiles (the
-//! `rajaperfd` store scale) stay interactive. [`Thicket::write_tkt`] /
+//! profile-mask gathers, and ingest appends to a pending chunk that is
+//! compacted geometrically — so corpora of 10⁵–10⁶ profiles (the `rajaperfd`
+//! store scale) stay interactive. [`Thicket::write_tkt`] /
 //! [`Thicket::read_tkt`] persist the composed dataframe in a chunked binary
 //! format so a corpus is parsed from Caliper JSON once, not per query.
 //!
-//! # Two ingest routes
+//! # One ingest route
 //!
-//! A `.cali.json` profile is `{globals, records: [{path, metrics}]}`, and it
-//! reaches the frame one of two ways:
+//! A `.cali.json` profile is `{globals, records: [{path, metrics}]}`, and
+//! every profile reaches the frame the same way: staged in an
+//! [`IngestSession`]'s reused buffers — column names interned, each record's
+//! path segments and `(column, value)` cells pushed flat — then committed in
+//! one append. What fills the staging is one walk over `serde::text::Reader`
+//! (`Staging::read`, the crate's one spelling of the text shape), which
+//! builds no JSON tree and no [`ProfileData`], only each global's own value:
 //!
-//! * **From text** — [`IngestSession::ingest_json`] (and
+//! * [`IngestSession::ingest_json`] — a profile's text (and
 //!   [`IngestSession::ingest_file`], [`Thicket::from_files`], which is all of
-//!   `rajaperf-analyze DIR`). One walk over `serde::text::Reader`
-//!   (`Staging::read`, the crate's one spelling of the text shape) interns
-//!   column names and stages each record's path and `(column, value)` cells
-//!   in buffers the session reuses; no JSON tree and no [`ProfileData`] is
-//!   built — only each global's own value. [`ProfileData::from_caliper_json`]
-//!   is the same walk drained into a `ProfileData`.
-//! * **From a tree** — [`ProfileData::from_caliper_value`] +
-//!   [`IngestSession::ingest`], for callers that already hold a
-//!   `serde_json::Value` (the daemon's store objects). Its `impl Deserialize`
-//!   is the reference the text walk is tested against
-//!   (`tests/text_ingest.rs`): same profiles, same `.tkt` bytes.
+//!   `rajaperf-analyze DIR`);
+//! * [`IngestSession::ingest_json_at`] — a profile embedded in a larger
+//!   document at a member path (the daemon's store objects, at
+//!   `report.profile`);
+//! * [`ProfileData::from_caliper_json`] — the same walk drained into a
+//!   `ProfileData`, which [`IngestSession::ingest`] stages as it stands.
 //!
-//! **All or nothing.** `ingest_json` reads a profile's text to its end before
-//! it touches the thicket: a malformed profile (torn, not JSON, not a
-//! profile) is an `Err` that leaves profiles, nodes, rows and columns exactly
-//! as they were, and the next profile gets the id it would have had — which
-//! is what lets `from_files` skip and report a bad file and keep composing.
-//! A metric whose value is `null` (the writer's spelling of a non-finite
-//! number) is a cell the run did not observe, on both routes; a key repeated
-//! within one object is last-wins, on both routes. The one difference: the
-//! walk checks every occurrence of a repeated key where it stands, while a
-//! tree only ever holds the last — so `{"t": "fast", "t": 1}` is refused
-//! from text and read from a tree. No writer here repeats a key.
+//! **All or nothing.** A document is read to its end before the thicket is
+//! touched: a malformed profile (torn, not JSON, not a profile) is an `Err`
+//! that leaves profiles, nodes, rows and columns exactly as they were, and
+//! the next profile gets the id it would have had — which is what lets
+//! `from_files` skip and report a bad file and keep composing. Text that is
+//! not JSON is reported as that (`… at byte N`) before JSON that is not a
+//! profile. A metric whose value is `null` (the writer's spelling of a
+//! non-finite number) is a cell the run did not observe; a key repeated
+//! within one object is last-wins, but every occurrence is checked where it
+//! stands — so `{"t": "fast", "t": 1}` is refused. No writer here repeats a
+//! key. `tests/text_ingest.rs` checks the walk against an independent reader
+//! that goes through a JSON tree.
 
 use serde::text::Reader;
 use serde::{Deserialize, Serialize};
@@ -195,40 +196,14 @@ pub struct ProfileData {
     pub records: Vec<(Vec<String>, BTreeMap<String, f64>)>,
 }
 
-/// What every reader says of a document that is JSON but not a profile.
+/// What the walk says of a document that is JSON but not a profile.
 const PROFILE_SHAPE: &str = "a profile is {globals, records: [{path, metrics}]}";
 
-/// The caliper-JSON shape of a profile as a tree: the route for callers that
-/// already hold a [`serde_json::Value`] (the daemon's store objects), and the
-/// reference the text walk ([`Staging::read`]) is tested against.
-impl Deserialize for ProfileData {
-    fn deserialize(profile: &serde_json::Value) -> Result<ProfileData, serde_json::Error> {
-        use serde_json::{Error, Value};
-        let shape = || Error::msg(PROFILE_SHAPE);
-        let fields = profile.as_object().ok_or_else(shape)?;
-        let Some(Value::Array(records)) = fields.get("records") else {
-            return Err(shape());
-        };
-        let record = |r: &Value| {
-            let r = r.as_object().ok_or_else(shape)?;
-            // A `null` metric is a cell the run did not observe (the writer's
-            // spelling of a non-finite value), not a malformed profile.
-            let metrics: BTreeMap<String, Option<f64>> = serde::de_field(r, "metrics")?;
-            let observed = metrics.into_iter().filter_map(|(k, v)| Some((k, v?)));
-            Ok((serde::de_field(r, "path")?, observed.collect()))
-        };
-        Ok(ProfileData {
-            globals: serde::de_field(fields, "globals")?,
-            records: records.iter().map(record).collect::<Result<_, Error>>()?,
-        })
-    }
-}
-
-/// One profile's text, read and held flat: what the `.cali.json` text walk
-/// ([`Staging::read`]) fills and what its two consumers drain —
-/// [`ProfileData::from_caliper_json`] into a `ProfileData`,
-/// [`IngestSession::ingest_json`] into the frame. A session keeps one and
-/// reuses its buffers and its column-name interner from profile to profile.
+/// One profile, held flat: what the `.cali.json` text walk
+/// ([`Staging::read`]) or a [`ProfileData`] ([`Staging::load`]) fills, and
+/// what [`Thicket::ingest_staged`] commits (or
+/// [`ProfileData::from_caliper_json`] drains). A session keeps one and reuses
+/// its buffers and its column-name interner from profile to profile.
 #[derive(Default)]
 struct Staging {
     /// Column-name interner: a column's id is its index in `names`. Ids are
@@ -250,26 +225,45 @@ struct Staging {
 }
 
 impl Staging {
-    /// Read one profile — the text shape `{globals, records: [{path,
-    /// metrics}]}`, spelled here once — replacing whatever was staged.
-    /// Unknown fields are skipped; a repeated key replaces its earlier
-    /// occurrence, as the tree's map insert does. On `Err` the staged
-    /// content is unspecified (the next `read` clears it).
+    /// Read the document `text` to its end, staging the profile found at
+    /// member path `at` (`[]`: the document is the profile) in place of
+    /// whatever was staged. `Ok(false)`: a member on the path is absent or
+    /// `null`, so there is no profile to stage. On `Err` the staged content
+    /// is unspecified (the next read replaces it).
     ///
     /// Text that is not JSON is reported as that (`… at byte N`, wherever the
-    /// fault is) before JSON that is not a profile, as on the tree route: the
-    /// walk stops at the first thing it cannot use, so a failure re-reads
-    /// the text for a grammar error further on.
-    fn read(&mut self, text: &str) -> Result<(), serde_json::Error> {
-        self.walk(text)
+    /// fault is) before JSON that is not a profile: the walk stops at the
+    /// first thing it cannot use, so a failure re-reads the text for a
+    /// grammar error further on.
+    fn read(&mut self, text: &str, at: &[&str]) -> Result<bool, serde_json::Error> {
+        let mut r = Reader::new(text);
+        self.find(&mut r, at)
+            .and_then(|found| r.end().map(|()| found))
             .map_err(|unusable| serde::text::validate(text).err().unwrap_or(unusable))
     }
 
-    fn walk(&mut self, text: &str) -> Result<(), serde_json::Error> {
-        self.globals.clear();
-        self.clear_records();
+    /// Follow `at` down from the value `r` is at; every other member is
+    /// skipped, and a repeated member is last-wins.
+    fn find(&mut self, r: &mut Reader<'_>, at: &[&str]) -> Result<bool, serde_json::Error> {
+        let Some((name, rest)) = at.split_first() else {
+            return self.profile(r).map(|()| true);
+        };
+        let mut found = false;
+        r.object(|r, key| {
+            if key != *name {
+                return r.skip();
+            }
+            found = !r.null()? && self.find(r, rest)?;
+            Ok(())
+        })?;
+        Ok(found)
+    }
+
+    /// Read one profile — the text shape `{globals, records: [{path,
+    /// metrics}]}`, spelled here once. Unknown fields are skipped; a
+    /// repeated key replaces its earlier occurrence.
+    fn profile(&mut self, r: &mut Reader<'_>) -> Result<(), serde_json::Error> {
         let (mut globals, mut records) = (false, false);
-        let mut r = Reader::new(text);
         r.object(|r, key| match &*key {
             "globals" => {
                 globals = true;
@@ -286,11 +280,25 @@ impl Staging {
             }
             _ => r.skip(),
         })?;
-        r.end()?;
         if globals && records {
             Ok(())
         } else {
             Err(serde_json::Error::msg(PROFILE_SHAPE))
+        }
+    }
+
+    /// Stage a profile already held as data, as [`Staging::read`] stages
+    /// its text.
+    fn load(&mut self, p: &ProfileData) {
+        self.globals = p.globals.clone();
+        self.clear_records();
+        for (path, metrics) in &p.records {
+            self.segments.extend_from_slice(path);
+            self.stamp += 1;
+            for (name, &value) in metrics {
+                self.observe(name.into(), value);
+            }
+            self.records.push((self.segments.len(), self.cells.len()));
         }
     }
 
@@ -317,8 +325,8 @@ impl Staging {
                 self.cells.truncate(first_cell);
                 self.stamp += 1;
                 r.object(|r, name| {
-                    // `null` is a cell the run did not observe: see the
-                    // `Deserialize` impl, which this must agree with.
+                    // `null` is a cell the run did not observe (the writer's
+                    // spelling of a non-finite value), not a bad profile.
                     if r.null()? {
                         self.unobserve(&name);
                     } else {
@@ -386,7 +394,7 @@ impl ProfileData {
     /// Parse a caliper-JSON profile, straight from the text (no tree).
     pub fn from_caliper_json(text: &str) -> Result<ProfileData, serde_json::Error> {
         let mut staged = Staging::default();
-        staged.read(text)?;
+        staged.read(text, &[])?;
         let named = |&(id, value): &(usize, f64)| (staged.names[id].clone(), value);
         let records = staged
             .rows()
@@ -396,14 +404,6 @@ impl ProfileData {
             globals: std::mem::take(&mut staged.globals),
             records,
         })
-    }
-
-    /// [`ProfileData::from_caliper_json`] for a profile that is already a
-    /// JSON tree (e.g. inline in a larger document).
-    pub fn from_caliper_value(
-        profile: &serde_json::Value,
-    ) -> Result<ProfileData, serde_json::Error> {
-        ProfileData::deserialize(profile)
     }
 
     /// Read a caliper-JSON profile file.
@@ -502,7 +502,7 @@ pub(crate) fn id32(id: usize) -> u32 {
 pub struct IngestSession {
     thicket: Thicket,
     index: PathIndex,
-    /// Scratch of the text route, reused from profile to profile.
+    /// Where each profile is staged before it commits, reused.
     staged: Staging,
     text: String,
 }
@@ -527,19 +527,33 @@ impl IngestSession {
 
     /// Ingest one profile.
     pub fn ingest(&mut self, p: &ProfileData) {
-        self.thicket.ingest_indexed(&mut self.index, p);
+        self.staged.load(p);
+        self.thicket
+            .ingest_staged(&mut self.index, &mut self.staged);
     }
 
     /// Ingest one profile from its caliper-JSON text, without building a
     /// [`ProfileData`]: the same nodes, rows and cells as
     /// `ingest(&ProfileData::from_caliper_json(text)?)`, bit for bit.
     /// All-or-nothing — the text is read to its end into the session's
-    /// scratch first, so an `Err` leaves the thicket exactly as it was and
+    /// staging first, so an `Err` leaves the thicket exactly as it was and
     /// the next profile gets the id this one would have had.
     pub fn ingest_json(&mut self, text: &str) -> Result<(), serde_json::Error> {
-        self.staged.read(text)?;
-        self.thicket.ingest_staged(&mut self.index, &mut self.staged);
-        Ok(())
+        self.ingest_json_at(text, &[]).map(drop)
+    }
+
+    /// [`IngestSession::ingest_json`] of the profile embedded in the
+    /// document `text` at member path `at` (e.g. `["report", "profile"]`).
+    /// The whole document is read, all or nothing, before anything commits;
+    /// `Ok(false)` — nothing ingested — when a member on the path is absent
+    /// or `null`.
+    pub fn ingest_json_at(&mut self, text: &str, at: &[&str]) -> Result<bool, serde_json::Error> {
+        let found = self.staged.read(text, at)?;
+        if found {
+            self.thicket
+                .ingest_staged(&mut self.index, &mut self.staged);
+        }
+        Ok(found)
     }
 
     /// [`IngestSession::ingest_json`] of the profile file at `path`, read
@@ -612,31 +626,10 @@ impl Thicket {
         (s.finish(), stats)
     }
 
-    /// Add one profile to this thicket. Appends land in the frame's pending
-    /// chunk; compaction is amortized (geometric trigger), so calling this
-    /// in a loop streams N profiles in O(N) total merge work. For long
-    /// sessions prefer [`IngestSession`], which also amortizes the path
-    /// index.
-    pub fn ingest(&mut self, p: &ProfileData) {
-        let mut index = self.build_path_index();
-        self.ingest_indexed(&mut index, p);
-    }
-
-    fn ingest_indexed(&mut self, index: &mut PathIndex, p: &ProfileData) {
-        let pid = self.next_profile_id();
-        self.profiles.push(pid);
-        self.metadata.insert(pid, Arc::new(p.globals.clone()));
-        let pid = id32(pid);
-        for (path, metrics) in &p.records {
-            let nid = id32(self.node_id_or_insert(index, path));
-            self.frame.append(nid, pid, metrics);
-        }
-        if self.frame.should_compact() {
-            self.frame.compact(self.nodes.len());
-        }
-    }
-
-    /// [`Thicket::ingest_indexed`] for a profile held in `staged`.
+    /// Commit the profile held in `staged` as the next profile: the one way a
+    /// profile's cells enter the frame. Appends land in the frame's pending
+    /// chunk; compaction is amortized (geometric trigger), so N profiles
+    /// stream in O(N) total merge work.
     fn ingest_staged(&mut self, index: &mut PathIndex, staged: &mut Staging) {
         let pid = self.next_profile_id();
         self.profiles.push(pid);
@@ -786,15 +779,12 @@ impl Thicket {
     }
 
     /// Sub-thicket of the given profile ids (ascending). The frame gather
-    /// is a chunk-parallel profile-mask selection.
+    /// is a chunk-parallel selection of the rows whose profile is kept;
+    /// nothing is sized by an id, which may be anything up to 2³² − 1.
     fn select_profiles(&self, keep: &[usize]) -> Thicket {
-        let mask_len = self.profiles.iter().copied().max().map_or(0, |m| m + 1);
-        let mut mask = vec![false; mask_len];
-        for &p in keep {
-            mask[p] = true;
-        }
-        let fv = self.frame_view();
-        let frame = fv.select_profiles(&mask, self.nodes.len());
+        // An id past `u32` has no rows to keep.
+        let ids: Vec<u32> = keep.iter().filter_map(|&p| u32::try_from(p).ok()).collect();
+        let frame = self.frame_view().select_profiles(&ids, self.nodes.len());
         let mut metadata = BTreeMap::new();
         for &p in keep {
             if let Some(md) = self.metadata.get(&p) {
@@ -1215,13 +1205,20 @@ mod tests {
                 {"path": ["RAJAPerf", "MUL"], "metrics": {"Checksum": 7.5, "count": 1}}
             ]
         }"#;
-        let tree: serde_json::Value = serde_json::from_str(text).unwrap();
         let mut session = IngestSession::new();
         session.ingest_json(text).unwrap();
+        let embedded = format!(r#"{{"report": {{"profile": {text}}}}}"#);
+        let mut at_path = IngestSession::new();
+        assert_eq!(
+            at_path
+                .ingest_json_at(&embedded, &["report", "profile"])
+                .ok(),
+            Some(true)
+        );
         let routes = [
             Thicket::from_profiles(&[ProfileData::from_caliper_json(text).unwrap()]),
-            Thicket::from_profiles(&[ProfileData::from_caliper_value(&tree).unwrap()]),
             session.finish(),
+            at_path.finish(),
         ];
         for t in routes {
             let (add, mul) = (t.node_by_name("ADD").unwrap(), t.node_by_name("MUL").unwrap());
@@ -1233,8 +1230,45 @@ mod tests {
         // Anything else that is not a number is still malformed.
         let bad = text.replace("null", "\"NaN\"");
         assert!(ProfileData::from_caliper_json(&bad).is_err());
-        let tree: serde_json::Value = serde_json::from_str(&bad).unwrap();
-        assert!(ProfileData::from_caliper_value(&tree).is_err());
+    }
+
+    /// A profile embedded in a larger document (the daemon's store objects):
+    /// a member on the path that is absent or `null` is no profile, not an
+    /// error; anything else follows the rules of a profile's own text.
+    #[test]
+    fn a_profile_at_a_member_path_is_read_from_the_whole_document() {
+        let at = ["report", "profile"];
+        let profile = r#"{"globals": {"v": 1}, "records": [{"path": ["a"], "metrics": {"t": 2}}]}"#;
+        let mut s = IngestSession::new();
+        for absent in [
+            r#"{"key": 1}"#.to_string(),
+            r#"{"report": null}"#.to_string(),
+            r#"{"report": {"entries": []}}"#.to_string(),
+            format!(r#"{{"report": {{"profile": {profile}}}, "report": {{"profile": null}}}}"#),
+        ] {
+            assert_eq!(s.ingest_json_at(&absent, &at).ok(), Some(false), "{absent}");
+        }
+        assert!(s.is_empty());
+        let whole =
+            format!(r#"{{"key": {{"x": [1]}}, "report": {{"ok": true, "profile": {profile}}}}}"#);
+        assert_eq!(s.ingest_json_at(&whole, &at).ok(), Some(true));
+        // Read to the end before anything commits: a grammar error after the
+        // profile outranks it, and leaves the session as it was.
+        let torn = &whole[..whole.len() - 1];
+        let err = s.ingest_json_at(torn, &at).unwrap_err().to_string();
+        assert!(err.ends_with(&format!(" at byte {}", torn.len())), "{err}");
+        let trailing = format!("{whole} x");
+        let err = s.ingest_json_at(&trailing, &at).unwrap_err().to_string();
+        assert!(err.starts_with("trailing characters"), "{err}");
+        let not_a_profile = whole.replace(r#""records""#, r#""recs""#);
+        let err = s
+            .ingest_json_at(&not_a_profile, &at)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, PROFILE_SHAPE);
+        assert_eq!(s.len(), 1);
+        let t = s.finish();
+        assert_eq!(t.value("t", t.node_by_name("a").unwrap(), 0), Some(2.0));
     }
 
     #[test]
@@ -1380,8 +1414,13 @@ mod tests {
         // Filter leaves ids {0, 2}; the next ingest must not reuse id 2.
         t = t.filter_metadata(|md| md["variant"] == serde_json::json!("keep"));
         assert_eq!(t.profiles, vec![0, 2]);
-        t.ingest(&profile("new", 4.0));
-        assert_eq!(t.profiles, vec![0, 2, 3], "max+1 allocation, not len");
+        let mut s = IngestSession::from_thicket(t);
+        s.ingest(&profile("new", 4.0));
+        assert_eq!(
+            s.finish().profiles,
+            vec![0, 2, 3],
+            "max+1 allocation, not len"
+        );
     }
 
     /// Streaming ingest through an [`IngestSession`] must land in the same

@@ -1,9 +1,10 @@
-//! Differential tests of the two `.cali.json` routes. The text walk
+//! Differential tests of `thicket`'s one `.cali.json` reader. The text walk
 //! (`ProfileData::from_caliper_json`, `IngestSession::ingest_json`) reads a
-//! profile without a tree; the tree route (`serde_json::from_str` +
-//! `ProfileData::from_caliper_value`) is the reference it must agree with,
-//! and `ingest_json` must leave a session exactly where
-//! `ingest(&from_caliper_json(..))` would — compared on `.tkt` bytes.
+//! profile without a tree; this file's own reader, `through_the_tree`
+//! (`serde_json::from_str`, then the profile picked out of the tree), is the
+//! independent reference it must agree with, and `ingest_json` must leave a
+//! session exactly where `ingest(&from_caliper_json(..))` would — compared
+//! on `.tkt` bytes.
 //!
 //! Profiles are generated as *text*, so the things a tree cannot hold are
 //! covered: repeated keys at every level, `null` / integer / exponent
@@ -16,6 +17,7 @@
 //! own (repeat-free) spelling of it.
 
 use proptest::prelude::*;
+use serde_json::Value;
 use thicket::{IngestSession, ProfileData, Thicket};
 
 /// Names that need escaping, are not ASCII, or are ordinary.
@@ -150,10 +152,39 @@ fn profile_text(choices: &Vec<usize>) -> String {
     Speller { choices, used: 0 }.profile()
 }
 
-/// The tree route.
+/// The reference reader: the whole text as a JSON tree, then the profile
+/// picked out of it — `globals` an object, `records` an array of objects
+/// with a `path` of strings and `metrics` of numbers, where `null` is a cell
+/// not observed. Unknown fields are ignored.
 fn through_the_tree(text: &str) -> Result<ProfileData, String> {
-    let tree: serde_json::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    ProfileData::from_caliper_value(&tree).map_err(|e| e.to_string())
+    let tree: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    profile_in(&tree).ok_or_else(|| "not a profile".to_string())
+}
+
+fn profile_in(tree: &Value) -> Option<ProfileData> {
+    let fields = tree.as_object()?;
+    let record = |r: &Value| {
+        let r = r.as_object()?;
+        let path = r.get("path")?.as_array()?.iter();
+        let metrics = r.get("metrics")?.as_object()?.iter();
+        Some((
+            path.map(|s| s.as_str().map(String::from))
+                .collect::<Option<_>>()?,
+            metrics
+                .filter(|(_, v)| !v.is_null())
+                .map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                .collect::<Option<_>>()?,
+        ))
+    };
+    Some(ProfileData {
+        globals: fields.get("globals")?.as_object()?.clone(),
+        records: fields
+            .get("records")?
+            .as_array()?
+            .iter()
+            .map(record)
+            .collect::<Option<_>>()?,
+    })
 }
 
 fn same(walked: &ProfileData, tree: &ProfileData, text: &str) -> Result<(), TestCaseError> {
@@ -244,7 +275,11 @@ proptest! {
             texts[victim] = broken;
         }
         let (mut by_value, mut by_text) = (IngestSession::new(), IngestSession::new());
+        // Each profile also inside a larger document, as a store object holds it.
+        let mut by_path = IngestSession::new();
         for text in &texts {
+            let embedded = format!(r#"{{"key": {{"profile": 0}}, "report": {{"profile": {text}}}}}"#);
+            let at_path = by_path.ingest_json_at(&embedded, &["report", "profile"]);
             let before = observable(&by_text);
             match (ProfileData::from_caliper_json(text), by_text.ingest_json(text)) {
                 (Ok(profile), Ok(())) => {
@@ -260,11 +295,15 @@ proptest! {
                 }
             }
             prop_assert_eq!(by_text.len(), by_value.len());
+            prop_assert_eq!(by_path.len(), by_text.len());
+            prop_assert!(at_path.unwrap_or(true), "no profile found at the path");
         }
         let (by_value, by_text) = (by_value.finish(), by_text.finish());
         prop_assert_eq!(by_text.to_csv(), by_value.to_csv());
         prop_assert_eq!(&by_text.metadata, &by_value.metadata);
-        prop_assert!(tkt_bytes(&by_text, "text") == tkt_bytes(&by_value, "value"), ".tkt bytes differ");
+        let text_tkt = tkt_bytes(&by_text, "text");
+        prop_assert!(text_tkt == tkt_bytes(&by_value, "value"), ".tkt bytes differ");
+        prop_assert!(text_tkt == tkt_bytes(&by_path.finish(), "path"), ".tkt bytes differ");
     }
 }
 

@@ -265,22 +265,51 @@ echo "$ANALYZE_ERR" | grep -q "1 of 2 profile(s) skipped" \
     || { echo "verify: FAIL — analyzer skip count wrong: $ANALYZE_ERR" >&2; exit 1; }
 echo "analyze: truncated profile skipped with warning, composition continued"
 
-# Profiles are read without a JSON tree since PR 24. Three checks of that
-# reader at the CLI: it composes what the last tree-reading build composed,
-# byte for byte; a `null` metric does not lose a profile; a `.tkt` whose
-# numbers lie is refused, not believed.
-# ANALYZE_REFERENCE names that last tree-reading build (PR 22's commit); its
-# rajaperf-analyze is built once into target/verify-reference and kept.
+# Profiles are read without a JSON tree, from files and from the daemon's
+# store objects alike. Four checks of that reader: `rajaperf-analyze`
+# composes what the last tree-reading build composed, byte for byte; so does
+# the daemon's `analyze store`; a `null` metric does not lose a profile; a
+# `.tkt` whose numbers lie is refused, not believed.
+# ANALYZE_REFERENCE names that last tree-reading build (default: commit
+# 5d1749b); its rajaperf-analyze and rajaperfd are built once into
+# target/verify-reference and kept.
 echo "== analyze: tree-free ingest equals the reference build; null metric; crafted .tkt =="
 ANALYZE_REFERENCE=${ANALYZE_REFERENCE:-5d1749b97f2ba2cee0ec61d527a807433942eefd}
 TEXT_DIR="$SWEEP_DIR/text-ingest"
 ROOT=$PWD
 mkdir -p "$TEXT_DIR/reference" "$TEXT_DIR/change" "$TEXT_DIR/ecc"
+# Start <daemon binary> on one store under $TEXT_DIR, run each kernel named
+# after it once, then `analyze store`: its raw events go to <events file>, its
+# report (keys sorted) to <report file>.
+analyze_store() {  # <daemon binary> <events file> <report file> [kernel...]
+    local daemon_bin=$1 events=$2 report=$3 sock="$TEXT_DIR/d.sock" client="$ROOT/target/release/rajaperf-client"
+    shift 3
+    "$daemon_bin" --socket "$sock" --store "$TEXT_DIR/store" --workers 1 >/dev/null 2>&1 &
+    local pid=$!
+    for _ in $(seq 1 50); do
+        [[ -S "$sock" ]] && break
+        sleep 0.1
+    done
+    for kernel in "$@"; do
+        "$client" --socket "$sock" run -- --kernels "$kernel" --size 1000 --reps 1 >/dev/null
+    done
+    "$client" --socket "$sock" analyze store >"$events"
+    "$client" --socket "$sock" shutdown >/dev/null
+    wait "$pid"
+    python3 -c '
+import json, sys
+reports = [e["report"] for e in map(json.loads, open(sys.argv[1])) if e.get("event") == "result"]
+assert len(reports) == 1, reports
+print(json.dumps(reports[0], sort_keys=True))' "$events" >"$report"
+}
 if git cat-file -e "$ANALYZE_REFERENCE^{commit}" 2>/dev/null; then
     REF_SRC=$(mktemp -d)
     git archive "$ANALYZE_REFERENCE" | tar -x -C "$REF_SRC"
+    # A fingerprint of its own, so its cache keys are never this build's.
     (cd "$REF_SRC" && CARGO_TARGET_DIR="$ROOT/target/verify-reference" \
-        cargo build --release --offline --quiet -p suite --bin rajaperf-analyze)
+        RAJAPERF_BUILD_FINGERPRINT="reference-$ANALYZE_REFERENCE" \
+        cargo build --release --offline --quiet -p suite -p rajaperfd \
+        --bin rajaperf-analyze --bin rajaperfd)
     rm -rf "$REF_SRC"
     for build in reference change; do
         bin="$ROOT/$ANALYZE"
@@ -293,6 +322,20 @@ if git cat-file -e "$ANALYZE_REFERENCE^{commit}" 2>/dev/null; then
     cmp "$TEXT_DIR/reference/out.tkt" "$TEXT_DIR/change/out.tkt" \
         || { echo "verify: FAIL — --save-tkt bytes differ from the reference build's" >&2; exit 1; }
     echo "analyze: 12-profile stdout (--groupby --tree --csv) and .tkt bytes equal the reference build's"
+    # One store, seeded by this build; the reference's `analyze store` misses
+    # the derived cache this build's filled (another code_version) and
+    # composes the same objects itself.
+    analyze_store "$ROOT/target/release/rajaperfd" "$TEXT_DIR/change/events" \
+        "$TEXT_DIR/change/report" Basic_DAXPY Stream_TRIAD Basic_MULADDSUB
+    analyze_store "$ROOT/target/verify-reference/release/rajaperfd" "$TEXT_DIR/reference/events" \
+        "$TEXT_DIR/reference/report"
+    grep -q '"cached":false' "$TEXT_DIR/reference/events" \
+        || { echo "verify: FAIL — the reference daemon replayed this build's analysis" >&2; exit 1; }
+    grep -q '"profiles": 3, "skipped": 0,' "$TEXT_DIR/change/report" \
+        || { echo "verify: FAIL — analyze store did not compose the 3 seeded runs: $(cat "$TEXT_DIR/change/report")" >&2; exit 1; }
+    cmp "$TEXT_DIR/reference/report" "$TEXT_DIR/change/report" \
+        || { echo "verify: FAIL — rajaperfd analyze store report differs from the reference build's" >&2; exit 1; }
+    echo "analyze: rajaperfd 'analyze store' report over 3 stored runs equals the reference build's"
 else
     echo "analyze: reference commit $ANALYZE_REFERENCE not in this clone, comparison skipped"
     (cd "$TEXT_DIR/change" && "$ROOT/$ANALYZE" "$SWEEP_DIR/profiles" --save-tkt out.tkt >/dev/null)

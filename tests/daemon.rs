@@ -5,6 +5,7 @@
 
 use rajaperfd::{protocol::Request, Daemon, DaemonConfig, ErrorCode};
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -361,6 +362,88 @@ fn analyze_streams_store_profiles_and_caches_the_result() {
     let r3 = third.report().expect("recomputed report");
     assert_eq!(r3["profiles"].as_i64(), Some(3));
     assert_eq!(r3["skipped"].as_i64(), Some(0));
+
+    shutdown_and_wait(daemon, &root);
+}
+
+/// `analyze store` reads each object's inline `report.profile` by the walk
+/// `analyze DIR` reads a `.cali.json` by, so over three runs it composes what
+/// `analyze DIR` composes from those runs' profiles written out as files — up
+/// to the rounding of a mean summed in another order (the two corpora are
+/// ingested in different orders). A torn object and one that is not UTF-8
+/// are each one skip, and the rest still compose.
+#[test]
+fn analyze_store_composes_what_analyze_dir_does_from_the_same_profiles() {
+    let (daemon, root) = start_daemon("store_vs_dir", 8, 2);
+    let socket = daemon.socket().to_path_buf();
+    let corpus = root.join("corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    for (i, kernel) in ["Basic_DAXPY", "Stream_TRIAD", "Basic_MULADDSUB"]
+        .into_iter()
+        .enumerate()
+    {
+        let argv = ["--kernels", kernel, "--size", "1000", "--reps", "2"];
+        let resp = rajaperfd::submit(&socket, &run_request(kernel, &argv)).unwrap();
+        assert_eq!(resp.exit_code, 0, "{kernel}");
+        let profile = &resp.report().expect("a run reports")["profile"];
+        std::fs::write(corpus.join(format!("{i}.cali.json")), profile.to_string()).unwrap();
+    }
+    let analyze = |id: &str, dir: String| {
+        let metric = "avg#time.duration".to_string();
+        let resp = rajaperfd::submit(
+            &socket,
+            &Request::Analyze {
+                id: id.into(),
+                dir,
+                metric,
+            },
+        );
+        let resp = resp.unwrap();
+        assert_eq!(resp.exit_code, 0, "{id}: {:?}", resp.error());
+        resp.report().expect("an analysis reports").clone()
+    };
+    let table = |report: &Value| -> BTreeMap<String, [f64; 3]> {
+        let rows = report["table"].as_array().expect("a table").iter();
+        let stats = |row: &Value| ["mean", "min", "max"].map(|s| row[s].as_f64().unwrap());
+        rows.map(|row| (row["node"].as_str().unwrap().to_string(), stats(row)))
+            .collect()
+    };
+    let from_dir = analyze("dir", corpus.display().to_string());
+    assert_eq!(
+        (from_dir["profiles"].as_i64(), from_dir["skipped"].as_i64()),
+        (Some(3), Some(0))
+    );
+    let expected = table(&from_dir);
+    let agrees = |from_store: &Value, skipped: i64| {
+        for field in ["profiles", "nodes", "columns"] {
+            assert_eq!(from_store[field], from_dir[field], "{field}");
+        }
+        assert_eq!(from_store["skipped"].as_i64(), Some(skipped));
+        let table = table(from_store);
+        assert!(table.keys().eq(expected.keys()), "{table:?}");
+        for ((node, got), want) in table.iter().zip(expected.values()) {
+            for (g, w) in got.iter().zip(want) {
+                assert!(
+                    (g - w).abs() <= 1e-12 * w.abs(),
+                    "{node:?}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    };
+    agrees(&analyze("store", "store".into()), 0);
+
+    let objects = root.join("store").join("objects");
+    let first = |dir: &std::path::Path| std::fs::read_dir(dir).unwrap().next().unwrap().unwrap();
+    let intact = std::fs::read(first(&first(&objects).path()).path()).unwrap();
+    let shard = objects.join("zz");
+    std::fs::create_dir_all(&shard).unwrap();
+    std::fs::write(shard.join("torn.json"), &intact[..intact.len() / 2]).unwrap();
+    std::fs::write(
+        shard.join("latin1.json"),
+        b"{\"report\": {\"note\": \"caf\xe9\"}}",
+    )
+    .unwrap();
+    agrees(&analyze("store-damaged", "store".into()), 2);
 
     shutdown_and_wait(daemon, &root);
 }

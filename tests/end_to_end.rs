@@ -281,8 +281,9 @@ fn a_run_writes_the_profile_it_reports() {
 }
 
 /// A non-finite metric (a flipped bit in a checksum) has no JSON number: the
-/// writer spells it `null`, and both of `thicket`'s readers take that as a
-/// cell the run did not observe — the profile and its other cells are kept.
+/// writer spells it `null`, and every reader — `caliper`'s own and both of
+/// `thicket`'s ways in — takes that as a cell the run did not observe: the
+/// profile and its other cells are kept.
 #[test]
 fn a_non_finite_metric_is_an_unobserved_cell_not_a_lost_profile() {
     let session = caliper::Session::new();
@@ -292,15 +293,26 @@ fn a_non_finite_metric_is_an_unobserved_cell_not_a_lost_profile() {
         session.set_metric("x", f64::NAN);
         session.set_metric("Bytes/Rep", 3.0e6);
     }
-    let text = session.profile().to_json();
+    let profile = session.profile();
+    let text = profile.to_json();
     assert!(text.contains("\"x\": null"), "{text}");
 
-    let tree = serde_json::from_str(&text).unwrap();
+    let out = scratch("non_finite");
+    let path = out.join("nan.cali.json");
+    profile.write_file(&path).unwrap();
+    let read = caliper::Profile::read_file(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&out);
+    let kernel = read.find("Stream_TRIAD").unwrap();
+    assert_eq!(
+        (kernel.metric("x"), kernel.metric("Bytes/Rep")),
+        (None, Some(3.0e6))
+    );
+    assert_eq!(read.globals, profile.globals);
+
     let mut by_text = thicket::IngestSession::new();
     by_text.ingest_json(&text).unwrap();
     for t in [
         thicket::Thicket::from_profiles(&[thicket::ProfileData::from_caliper_json(&text).unwrap()]),
-        thicket::Thicket::from_profiles(&[thicket::ProfileData::from_caliper_value(&tree).unwrap()]),
         by_text.finish(),
     ] {
         assert_eq!(t.profiles, [0]);

@@ -3,10 +3,11 @@
 //! (`thicket::ProfileData::from_caliper_json`, `IngestSession::ingest_json`),
 //! a record or profile file a cache vouches for (`suite::record::read_json`,
 //! `check_json`), a daemon request line (`rajaperfd::Request::parse`) and a
-//! `.tkt` snapshot (`Thicket::read_tkt`). The text surfaces read through the
-//! one vendored JSON reader, whose nesting cap is what turns `[[[[…` from a
-//! stack overflow — an abort no `catch_unwind` contains — into a typed error;
-//! the binary one must not size an allocation by a number in the file.
+//! `.tkt` snapshot (`Thicket::read_tkt`, then `groupby`). The text surfaces
+//! read through the one vendored JSON reader, whose nesting cap is what turns
+//! `[[[[…` from a stack overflow — an abort no `catch_unwind` contains — into
+//! a typed error; the binary one must not size an allocation by a number in
+//! the file, nor by an id it holds.
 
 use proptest::prelude::*;
 use rajaperfd::Request;
@@ -267,8 +268,20 @@ fn a_tkt_whose_numbers_lie_is_refused_without_allocating_for_them() {
     let path = scratch_file("tkt");
     thicket.write_tkt(&path).unwrap();
     let err = Thicket::read_tkt(&path).expect_err("an id no row can hold").to_string();
-    std::fs::remove_file(&path).ok();
     assert!(err.ends_with("profile id 1099511627776 exceeds the u32 row space"), "{err}");
+    // The largest id the row space holds is a snapshot, not a lie; `--groupby`
+    // over it used to size a mask by that id and ask for 4 GB.
+    let mut thicket = read_tkt_back(intact).unwrap();
+    thicket.profiles.push((1 << 32) - 2);
+    thicket.write_tkt(&path).unwrap();
+    let thicket = Thicket::read_tkt(&path).expect("an id the row space holds");
+    std::fs::remove_file(&path).ok();
+    let groups = thicket.groupby("note");
+    let sizes: Vec<(&str, usize)> = groups
+        .iter()
+        .map(|(k, g)| (k.as_str(), g.profiles.len()))
+        .collect();
+    assert_eq!(sizes, [(thicket::MISSING_GROUP, 1), ("é \"quoted\"\n", 2)]);
     assert!(LARGEST_REQUEST.load(Ordering::Relaxed) < 64 << 20);
 }
 
