@@ -290,7 +290,7 @@ fn pack_volume(n: usize) -> f64 {
     (geometry(n).pack_volume() * NUM_VARS) as f64
 }
 
-fn comm_metrics(n: usize, _with_mpi: bool) -> AnalyticMetrics {
+fn comm_metrics(n: usize) -> AnalyticMetrics {
     let v = pack_volume(n);
     AnalyticMetrics {
         bytes_read: 16.0 * v,
@@ -322,7 +322,7 @@ impl KernelBase for HaloPacking {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
-        comm_metrics(n, false)
+        comm_metrics(n)
     }
 
     fn shape(&self, n: usize, s: &mut ExecSignature) {
@@ -359,7 +359,7 @@ impl KernelBase for HaloPackingFused {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
-        comm_metrics(n, false)
+        comm_metrics(n)
     }
 
     fn shape(&self, n: usize, s: &mut ExecSignature) {
@@ -469,7 +469,7 @@ pub fn run_exchange_decomposed(
         checksum,
         time,
         reps,
-        metrics: comm_metrics(n, true),
+        metrics: comm_metrics(n),
     }
 }
 
@@ -531,7 +531,7 @@ impl KernelBase for HaloExchange {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
-        comm_metrics(n, true)
+        comm_metrics(n)
     }
 
     fn shape(&self, n: usize, s: &mut ExecSignature) {
@@ -555,7 +555,7 @@ impl KernelBase for HaloExchangeFused {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
-        comm_metrics(n, true)
+        comm_metrics(n)
     }
 
     fn shape(&self, n: usize, s: &mut ExecSignature) {

@@ -44,6 +44,15 @@ fn fixture_info(name: &'static str) -> KernelInfo {
     }
 }
 
+/// The DAXPY-shaped traffic every fixture declares.
+fn daxpy_metrics(n: usize) -> AnalyticMetrics {
+    AnalyticMetrics {
+        bytes_read: 16.0 * n as f64,
+        bytes_written: 8.0 * n as f64,
+        flops: 2.0 * n as f64,
+    }
+}
+
 /// The DAXPY-shaped work every fixture does when it is not failing, so a
 /// passing run produces a real checksum like any registry kernel.
 fn daxpy_run(
@@ -80,11 +89,7 @@ impl KernelBase for Panicky {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
-        AnalyticMetrics {
-            bytes_read: 16.0 * n as f64,
-            bytes_written: 8.0 * n as f64,
-            flops: 2.0 * n as f64,
-        }
+        daxpy_metrics(n)
     }
 
     fn run(&self, _v: VariantId, n: usize, _reps: usize, _tuning: &Tuning) -> (Duration, f64) {
@@ -105,11 +110,7 @@ impl KernelBase for Flaky {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
-        AnalyticMetrics {
-            bytes_read: 16.0 * n as f64,
-            bytes_written: 8.0 * n as f64,
-            flops: 2.0 * n as f64,
-        }
+        daxpy_metrics(n)
     }
 
     fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {
@@ -131,11 +132,7 @@ impl KernelBase for Hang {
     }
 
     fn metrics(&self, n: usize) -> AnalyticMetrics {
-        AnalyticMetrics {
-            bytes_read: 16.0 * n as f64,
-            bytes_written: 8.0 * n as f64,
-            flops: 2.0 * n as f64,
-        }
+        daxpy_metrics(n)
     }
 
     fn run(&self, variant: VariantId, n: usize, reps: usize, tuning: &Tuning) -> (Duration, f64) {

@@ -28,7 +28,7 @@
 //! branch on codes, not message text.
 
 use crate::store::StoreStats;
-use serde_json::{json, Value};
+use serde_json::{json, text, Value};
 use suite::SuiteExit;
 
 /// Typed error codes the daemon emits in `error` events.
@@ -147,46 +147,61 @@ impl Request {
 
     /// Parse one request line. `fallback_id` names the request when the
     /// client sent none (the server passes a connection counter).
+    ///
+    /// The line is walked once: each member a request reads is taken from
+    /// its own value (the last of a repeated name wins), and every other
+    /// member is checked and skipped without being kept.
     pub fn parse(line: &str, fallback_id: &str) -> Result<Request, String> {
-        let v: Value =
-            serde_json::from_str(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
+        let (mut kind, mut id, mut argv, mut dir, mut metric) = (None, None, None, None, None);
+        let mut r = text::Reader::new(line);
+        let walked = r
+            .object(|r, name| {
+                let slot = match &*name {
+                    "kind" => &mut kind,
+                    "id" => &mut id,
+                    "argv" => &mut argv,
+                    "dir" => &mut dir,
+                    "metric" => &mut metric,
+                    _ => return r.skip(),
+                };
+                *slot = Some(r.value()?);
+                Ok(())
+            })
+            .and_then(|()| r.end());
+        if walked.is_err() {
+            // Not JSON, or JSON that is not an object (and so has no kind):
+            // the grammar decides which, with its own error text.
+            text::validate(line).map_err(|e| format!("request is not valid JSON: {e}"))?;
+        }
+        let string = |v: Value| match v {
+            Value::String(s) => Some(s),
+            _ => None,
+        };
+        let kind = kind
+            .and_then(string)
             .ok_or("request has no string 'kind' field")?;
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap_or(fallback_id)
-            .to_string();
+        let id = id
+            .and_then(string)
+            .unwrap_or_else(|| fallback_id.to_string());
         let argv = || -> Result<Vec<String>, String> {
-            match v.get("argv") {
+            match argv {
                 None => Ok(Vec::new()),
                 Some(Value::Array(items)) => items
-                    .iter()
-                    .map(|a| {
-                        a.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "argv entries must be strings".to_string())
-                    })
+                    .into_iter()
+                    .map(|a| string(a).ok_or_else(|| "argv entries must be strings".into()))
                     .collect(),
                 Some(_) => Err("argv must be an array of strings".to_string()),
             }
         };
-        match kind {
+        match kind.as_str() {
             "run" => Ok(Request::Run { id, argv: argv()? }),
             "sweep" => Ok(Request::Sweep { id, argv: argv()? }),
             "analyze" => {
-                let dir = v
-                    .get("dir")
-                    .and_then(Value::as_str)
-                    .ok_or("analyze requires a string 'dir' field")?
-                    .to_string();
-                let metric = v
-                    .get("metric")
-                    .and_then(Value::as_str)
-                    .unwrap_or("avg#time.duration")
-                    .to_string();
+                let dir = dir
+                    .and_then(string)
+                    .ok_or("analyze requires a string 'dir' field")?;
+                let metric = metric.and_then(string);
+                let metric = metric.unwrap_or_else(|| "avg#time.duration".to_string());
                 Ok(Request::Analyze { id, dir, metric })
             }
             "ping" => Ok(Request::Ping { id }),
@@ -278,15 +293,24 @@ pub fn ev_progress(id: &str, p: &suite::KernelProgress) -> Value {
     })
 }
 
-/// Build a `result` event around the (possibly cached) `report`, which it
-/// takes whole: a report is the one large tree of a reply and is not copied
-/// to be wrapped.
-pub fn ev_result(id: &str, cached: bool, store_key: Option<&str>, report: Value) -> Value {
-    let mut event = json!({"event": "result", "id": id, "cached": cached, "store_key": store_key});
-    if let Value::Object(fields) = &mut event {
-        fields.insert("report".to_string(), report);
-    }
-    event
+/// The `result` event line around a report already printed as JSON text:
+/// what printing the event as a tree gives (members in sorted order), with
+/// the report's text copied in as it is rather than parsed and printed
+/// again. A report that spans lines — a stored record this daemon did not
+/// write — is printed again compactly, since the wire is one event per line.
+pub fn result_line(id: &str, cached: bool, store_key: Option<&str>, report: &str) -> String {
+    let compacted;
+    let report = if report.as_bytes().contains(&b'\n') {
+        compacted = text::parse(report).unwrap_or_default().to_string();
+        &compacted
+    } else {
+        report
+    };
+    format!(
+        "{{\"cached\":{cached},\"event\":\"result\",\"id\":{},\"report\":{report},\"store_key\":{}}}",
+        Value::from(id),
+        json!(store_key)
+    )
 }
 
 /// Build a typed `error` event.
@@ -343,6 +367,67 @@ mod tests {
         assert!(
             Request::parse("{\"kind\":\"analyze\"}", "f").is_err(),
             "analyze requires dir"
+        );
+    }
+
+    #[test]
+    fn the_last_of_a_repeated_member_wins_and_unknown_members_are_skipped() {
+        let line = r#"{"kind":"warp","id":7,"kind":"analyze","dir":1,"pad":{"deep":[1,{"x":null}]},"dir":"d","id":"a","metric":"m"}"#;
+        let analyze = Request::Analyze {
+            id: "a".into(),
+            dir: "d".into(),
+            metric: "m".into(),
+        };
+        assert_eq!(Request::parse(line, "f"), Ok(analyze));
+        let no_kind = Err("request has no string 'kind' field".to_string());
+        assert_eq!(Request::parse(r#"{"kind":"run","kind":5}"#, "f"), no_kind);
+        assert_eq!(
+            Request::parse("[1]", "f"),
+            no_kind,
+            "JSON, but not an object"
+        );
+        let torn = r#"{"kind":"run","argv":["#;
+        let grammar = text::validate(torn).unwrap_err();
+        assert_eq!(
+            Request::parse(torn, "f"),
+            Err(format!("request is not valid JSON: {grammar}"))
+        );
+        assert_eq!(
+            Request::parse(r#"{"kind":"run","argv":null}"#, "f"),
+            Err("argv must be an array of strings".to_string())
+        );
+        // A member only some kinds read is not checked by the others.
+        let ping = Request::parse(r#"{"kind":"ping","argv":[1],"id":"p"}"#, "f");
+        assert_eq!(ping, Ok(Request::Ping { id: "p".into() }));
+    }
+
+    #[test]
+    fn a_result_line_is_the_printed_event_with_the_report_spliced_in() {
+        let report = json!({
+            "all_passed": true,
+            "profile": json!({"globals": json!({"note": "é \"q\"\n"})}),
+            "t": json!([1.5, Value::Null, -3]),
+        });
+        for id in ["r1", "w\"i\nd\u{1}é"] {
+            for cached in [false, true] {
+                for store_key in [None, Some("5bd8")] {
+                    let event = json!({
+                        "event": "result",
+                        "id": id,
+                        "cached": cached,
+                        "store_key": store_key,
+                        "report": report,
+                    });
+                    let line = result_line(id, cached, store_key, &report.to_string());
+                    assert_eq!(line, event.to_string());
+                }
+            }
+        }
+        // A report spread over lines still goes out as one line.
+        let pretty = serde_json::to_string_pretty(&report).unwrap();
+        assert_eq!(
+            result_line("r", true, None, &pretty),
+            result_line("r", true, None, &report.to_string())
         );
     }
 

@@ -26,7 +26,7 @@
 //! removes the socket file.
 
 use crate::protocol::{self as proto, ErrorCode, Request};
-use crate::store::ProfileStore;
+use crate::store::{ProfileStore, Space};
 use serde_json::{json, Value};
 use simsched::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use simsched::sync::{Condvar, Mutex, MutexGuard};
@@ -115,7 +115,11 @@ pub struct Daemon {
 /// must not kill the campaign mid-run (its result still lands in the
 /// store for the next identical request).
 fn send(stream: &UnixStream, event: &Value) {
-    let mut line = event.to_string();
+    send_line(stream, event.to_string());
+}
+
+/// [`send`] of an event already printed.
+fn send_line(stream: &UnixStream, mut line: String) {
     line.push('\n');
     let _ = (&*stream)
         .write_all(line.as_bytes())
@@ -368,22 +372,32 @@ fn report_value(report: &SuiteReport) -> Value {
     value
 }
 
-/// The store record of a result: `{"report": ..}` (the store embeds the key).
-fn record_of(report: Value) -> Value {
-    Value::Object([("report".to_string(), report)].into())
+/// Answer from the store: a `cached` marker, then the stored report's text
+/// as the result — byte for byte what the miss that stored it sent, with
+/// nothing re-executed, parsed or printed, and no progress events.
+fn replay(id: &str, stream: &UnixStream, key: &Value, report: &str) {
+    let hash = ProfileStore::key_hash(key);
+    send(stream, &proto::ev_cached(id, &hash));
+    send_line(stream, proto::result_line(id, true, Some(&hash), report));
 }
 
-/// Answer from the store: a `cached` marker, then the stored report — moved
-/// out of `record` — as the result: byte for byte what the miss that wrote
-/// `record` sent, with nothing re-executed and no progress events.
-fn replay(id: &str, stream: &UnixStream, key: &Value, record: Value) {
-    let hash = ProfileStore::key_hash(key);
-    let report = match record {
-        Value::Object(mut fields) => fields.remove("report").unwrap_or_default(),
-        _ => Value::Null,
-    };
-    send(stream, &proto::ev_cached(id, &hash));
-    send(stream, &proto::ev_result(id, true, Some(&hash), report));
+/// Answer with a freshly computed report, printed once: the text the store
+/// keeps under `keep` (its space and key; `None`: not kept) is the text the
+/// wire carries, so the next identical request's hit sends these bytes.
+fn answer(
+    id: &str,
+    stream: &UnixStream,
+    report: &Value,
+    keep: Option<(&ProfileStore, Space, &Value)>,
+) {
+    let text = report.to_string();
+    let store_key = keep
+        .map(|(store, space, key)| store.put_report(space, key, &text))
+        .and_then(|put| stored(id, put));
+    send_line(
+        stream,
+        proto::result_line(id, false, store_key.as_deref(), &text),
+    );
 }
 
 /// The `store_key` of a freshly stored result. A failed store write costs
@@ -408,24 +422,18 @@ fn execute_run(
         ));
     }
     let key = run_key(&params);
-    if let Some(record) = shared.store.get(&key) {
-        replay(id, stream, &key, record);
+    if let Some(report) = shared.store.get_report(Space::Objects, &key) {
+        replay(id, stream, &key, &report);
         return Ok(());
     }
     let report = run_contained(id, &params, stream)?;
-    let rv = report_value(&report);
     // Cache only clean results: a genuine (un-injected) failure is not a
     // reproducible fact, and a faulty run's value is exercising the
     // injection, not replaying a cached answer.
-    // The store write needs its own tree; the reply takes this one.
-    let store_key = report
+    let keep = report
         .all_passed()
-        .then(|| shared.store.put(&key, record_of(rv.clone())))
-        .and_then(|put| stored(id, put));
-    send(
-        stream,
-        &proto::ev_result(id, false, store_key.as_deref(), rv),
-    );
+        .then_some((&shared.store, Space::Objects, &key));
+    answer(id, stream, &report_value(&report), keep);
     if report.all_passed() {
         return Ok(());
     }
@@ -495,7 +503,7 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), F
             .and_then(|swept| swept.map_err(|e| format!("sweep failed: {e}")))
             .map_err(|message| (ErrorCode::Internal, message))?;
     let report = json!(suite::SweepReport::of(&params, &summary));
-    send(stream, &proto::ev_result(id, false, None, report));
+    answer(id, stream, &report, None);
     match summary.kernels_failed() {
         0 => Ok(()),
         n => Err((
@@ -611,8 +619,8 @@ fn execute_analyze(
     // A corpus already analyzed under this build + engine + metric is a
     // pure replay: no JSON re-parse, no re-composition, no aggregation.
     let key = analyze_key(metric, &sources);
-    if let Some(record) = shared.store.get_derived(&key) {
-        replay(id, stream, &key, record);
+    if let Some(report) = shared.store.get_report(Space::Derived, &key) {
+        replay(id, stream, &key, &report);
         return Ok(());
     }
 
@@ -638,11 +646,11 @@ fn execute_analyze(
         "metric": metric,
         "table": tk.statsframe(metric),
     });
-    let put = shared.store.put_derived(&key, record_of(report.clone()));
-    let store_key = stored(id, put);
-    send(
+    answer(
+        id,
         stream,
-        &proto::ev_result(id, false, store_key.as_deref(), report),
+        &report,
+        Some((&shared.store, Space::Derived, &key)),
     );
     Ok(())
 }

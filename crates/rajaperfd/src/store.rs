@@ -6,13 +6,41 @@
 //! decision, shared with the sweep's cell cache. This module adds only the
 //! addressing: an object lives at a stable 128-bit hash of its key's
 //! canonical JSON, under `objects/` for run results or `derived/` for
-//! results computed from them, and four counters watch the traffic.
+//! results computed from them, and four counters watch the traffic. The
+//! daemon keeps a result's `report` as JSON text end to end
+//! ([`ProfileStore::put_report`], [`ProfileStore::get_report`]): the text a
+//! miss printed is the text a hit sends.
 
 use serde_json::Value;
 use simsched::sync::atomic::{AtomicU64, Ordering};
 use std::io;
 use std::path::{Path, PathBuf};
-use suite::record::{quarantine, read_verified, write_record, Verified};
+use suite::record::{
+    quarantine, read_verified, read_verified_text, write_record, write_record_text, Verified,
+};
+
+/// The member of a stored record that holds the result.
+const REPORT: &str = "report";
+
+/// The two address spaces of a store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Space {
+    /// `objects/`: run results, the corpus `analyze store` reads.
+    Objects,
+    /// `derived/`: results computed from stored objects (cached analyze
+    /// results), kept apart so an analysis caching its own result does not
+    /// change the corpus it is keyed on.
+    Derived,
+}
+
+impl Space {
+    fn dir(self) -> &'static str {
+        match self {
+            Space::Objects => "objects",
+            Space::Derived => "derived",
+        }
+    }
+}
 
 /// 64-bit FNV-1a over `bytes` from the given offset basis.
 fn fnv1a64(bytes: &[u8], offset: u64) -> u64 {
@@ -82,44 +110,38 @@ impl ProfileStore {
         content_hash(&key.to_string())
     }
 
-    /// The object file a hash addresses. Objects shard on the first two hex
-    /// digits so no single directory grows unboundedly.
-    pub fn object_path(&self, hash: &str) -> PathBuf {
-        self.path_in("objects", hash)
-    }
-
-    /// The file a hash addresses in the *derived* space — records computed
-    /// from stored objects (e.g. cached analyze results). Derived records
-    /// live outside `objects/` so corpus enumeration never sees them: an
-    /// analysis caching its own result must not change the corpus it is
-    /// keyed on.
-    pub fn derived_path(&self, hash: &str) -> PathBuf {
-        self.path_in("derived", hash)
-    }
-
-    fn path_in(&self, space: &str, hash: &str) -> PathBuf {
+    /// The file a hash addresses in `space`. Files shard on the first two
+    /// hex digits so no single directory grows unboundedly.
+    pub fn path(&self, space: Space, hash: &str) -> PathBuf {
         let shard = hash.get(..2).unwrap_or("00");
         self.root
-            .join(space)
+            .join(space.dir())
             .join(shard)
             .join(format!("{hash}.json"))
     }
 
-    /// Look up the record stored under `key`. Returns the record only when
-    /// it parses *and* its embedded key matches `key` byte for byte; a
+    /// Look up the record stored under `key` in `objects/`. Returns the
+    /// record only when it parses *and* its embedded key matches `key`; a
     /// non-parsing file is quarantined first.
     pub fn get(&self, key: &Value) -> Option<Value> {
-        self.get_in("objects", key)
+        self.lookup(Space::Objects, key, |path| read_verified(path, key))
     }
 
-    /// [`ProfileStore::get`] against the derived space.
-    pub fn get_derived(&self, key: &Value) -> Option<Value> {
-        self.get_in("derived", key)
+    /// [`ProfileStore::get`] of the `report` a [`ProfileStore::put_report`]
+    /// stored, as its exact JSON text: the same decision and counters, with
+    /// the report sliced from the file instead of parsed into a tree.
+    pub fn get_report(&self, space: Space, key: &Value) -> Option<String> {
+        self.lookup(space, key, |path| read_verified_text(path, key, REPORT))
     }
 
-    fn get_in(&self, space: &str, key: &Value) -> Option<Value> {
-        let path = self.path_in(space, &Self::key_hash(key));
-        let found = match read_verified(&path, key) {
+    fn lookup<T>(
+        &self,
+        space: Space,
+        key: &Value,
+        read: impl FnOnce(&Path) -> Verified<T>,
+    ) -> Option<T> {
+        let path = self.path(space, &Self::key_hash(key));
+        let found = match read(&path) {
             Verified::Hit(record) => Some(record),
             Verified::Miss => None,
             Verified::Corrupt => {
@@ -138,20 +160,29 @@ impl ProfileStore {
         found
     }
 
-    /// Store `record` under `key`, embedding the key in the record (the
-    /// read-side integrity check). Returns the object's hash.
+    /// Store `record` under `key` in `objects/`, embedding the key in the
+    /// record (the read-side integrity check). Returns the object's hash.
     pub fn put(&self, key: &Value, record: Value) -> io::Result<String> {
-        self.put_in("objects", key, record)
+        self.write(Space::Objects, key, |path| write_record(path, key, record))
     }
 
-    /// [`ProfileStore::put`] against the derived space.
-    pub fn put_derived(&self, key: &Value, record: Value) -> io::Result<String> {
-        self.put_in("derived", key, record)
+    /// Store the record `{"key": key, "report": <report>}`, `report` being
+    /// the report's compact JSON text: the bytes [`ProfileStore::put`] of
+    /// `{"report": ..}` writes, without a tree. Returns the record's hash.
+    pub fn put_report(&self, space: Space, key: &Value, report: &str) -> io::Result<String> {
+        self.write(space, key, |path| {
+            write_record_text(path, key, REPORT, report)
+        })
     }
 
-    fn put_in(&self, space: &str, key: &Value, record: Value) -> io::Result<String> {
+    fn write(
+        &self,
+        space: Space,
+        key: &Value,
+        write: impl FnOnce(&Path) -> io::Result<()>,
+    ) -> io::Result<String> {
         let hash = Self::key_hash(key);
-        write_record(&self.path_in(space, &hash), key, record)?;
+        write(&self.path(space, &hash))?;
         self.stores.fetch_add(1, Ordering::Relaxed);
         Ok(hash)
     }
@@ -208,15 +239,16 @@ mod tests {
     fn derived_space_is_separate_from_objects() {
         let store = temp_store("derived");
         let key = json!({"kind": "analyze", "metric": "t"});
-        assert!(store.get_derived(&key).is_none());
-        store.put_derived(&key, json!({"report": 42})).unwrap();
-        let rec = store.get_derived(&key).expect("derived record hits");
-        assert_eq!(rec["report"].as_i64(), Some(42));
+        assert!(store.get_report(Space::Derived, &key).is_none());
+        store.put_report(Space::Derived, &key, "42").unwrap();
+        let report = store.get_report(Space::Derived, &key);
+        assert_eq!(report.as_deref(), Some("42"), "derived record hits");
         // The same key misses in the object space, and no file appears
         // under objects/ — corpus enumeration never sees derived records.
         assert!(store.get(&key).is_none());
-        assert!(!store.object_path(&ProfileStore::key_hash(&key)).exists());
-        assert!(store.derived_path(&ProfileStore::key_hash(&key)).exists());
+        let hash = ProfileStore::key_hash(&key);
+        assert!(!store.path(Space::Objects, &hash).exists());
+        assert!(store.path(Space::Derived, &hash).exists());
         std::fs::remove_dir_all(store.root()).ok();
     }
 
@@ -227,7 +259,7 @@ mod tests {
         let hash = ProfileStore::key_hash(&key);
         // Simulate a hash collision / semantic corruption: a parseable
         // record at the right address carrying the wrong key.
-        let path = store.object_path(&hash);
+        let path = store.path(Space::Objects, &hash);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(
             &path,
@@ -235,6 +267,7 @@ mod tests {
         )
         .unwrap();
         assert!(store.get(&key).is_none(), "wrong embedded key must miss");
+        assert!(store.get_report(Space::Objects, &key).is_none());
         assert!(path.exists(), "parseable records are not quarantined");
         std::fs::remove_dir_all(store.root()).ok();
     }
@@ -243,10 +276,10 @@ mod tests {
     fn corrupt_objects_are_quarantined_and_rewritable() {
         let store = temp_store("quarantine");
         let key = json!({"q": "torn"});
-        let path = store.object_path(&ProfileStore::key_hash(&key));
+        let path = store.path(Space::Objects, &ProfileStore::key_hash(&key));
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, "{\"key\": {\"q\": \"torn\"").unwrap();
-        assert!(store.get(&key).is_none());
+        assert!(store.get_report(Space::Objects, &key).is_none());
         assert!(!path.exists(), "corrupt object must leave the address");
         assert_eq!(store.stats().quarantined, 1);
         // The address is usable again.

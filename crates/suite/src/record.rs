@@ -7,7 +7,10 @@
 //! record is keyed by ([`campaign_key`]), what a run looks like as data
 //! ([`RunRecord`]), how a record is written ([`write_record`]), when a read
 //! may be trusted ([`read_verified`]) and what happens to a file that may
-//! not ([`quarantine`]). The two caches keep only their own addressing.
+//! not ([`quarantine`]). A record whose one member travels on as JSON text —
+//! the daemon's stored report, spliced into its reply — is written and read
+//! under the same rules without a tree ([`write_record_text`],
+//! [`read_verified_text`]). The two caches keep only their own addressing.
 //!
 //! The integrity rule: writes are atomic ([`caliper::write_atomic`]); a
 //! record embeds its full key and answers only a byte-for-byte equal one
@@ -186,6 +189,39 @@ pub fn read_verified(path: &Path, key: &Value) -> Verified {
     }
 }
 
+/// [`read_verified`] for a caller that passes one member on as text: the
+/// same `Hit` / `Miss` / `Corrupt` decision — the whole file validated, the
+/// embedded key compared as a value, the last of a repeated member winning —
+/// but a hit is the exact text of the record's `member` (`null` when it has
+/// none), sliced from the file rather than built into a tree and printed
+/// back. `member` is not `"key"`.
+pub fn read_verified_text(path: &Path, key: &Value, member: &str) -> Verified<String> {
+    let read = read_with(path, |text| {
+        let (mut keyed, mut kept) = (false, None);
+        let mut r = serde::text::Reader::new(text);
+        let walked = r
+            .object(|r, name| {
+                match &*name {
+                    "key" => keyed = r.value()? == *key,
+                    name if name == member => kept = Some(r.raw()?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })
+            .and_then(|()| r.end());
+        match walked {
+            Ok(()) => Ok(keyed.then(|| kept.unwrap_or("null").to_string())),
+            // JSON that is not an object embeds no key: a miss, not corrupt.
+            Err(_) => serde::text::validate(text).map(|()| None),
+        }
+    });
+    match read {
+        Verified::Hit(Some(text)) => Verified::Hit(text),
+        Verified::Hit(None) | Verified::Miss => Verified::Miss,
+        Verified::Corrupt => Verified::Corrupt,
+    }
+}
+
 /// Atomically write `body` at `path` as the record of `key`: the key is
 /// embedded as the `"key"` field [`read_verified`] checks. A `body` that is
 /// not a JSON object is wrapped as `{"body": ..}`.
@@ -196,6 +232,24 @@ pub fn write_record(path: &Path, key: &Value, body: Value) -> io::Result<()> {
     };
     fields.insert("key".to_string(), key.clone());
     caliper::write_atomic(path, Value::Object(fields).to_string().as_bytes())
+}
+
+/// [`write_record`] of the body `{member: <text>}` whose one member is
+/// already printed (compact): the same bytes, with `text` copied in rather
+/// than parsed and printed again. `member` is not `"key"`.
+pub fn write_record_text(path: &Path, key: &Value, member: &str, text: &str) -> io::Result<()> {
+    debug_assert_ne!(member, "key", "a record's `key` member is its key");
+    let (keyed, kept) = (
+        format!("\"key\":{key}"),
+        format!("{}:{text}", Value::from(member)),
+    );
+    // In the order a printed object has its members: sorted by name.
+    let fields = if member < "key" {
+        [kept, keyed]
+    } else {
+        [keyed, kept]
+    };
+    caliper::write_atomic(path, format!("{{{}}}", fields.join(",")).as_bytes())
 }
 
 /// Move a corrupt file into `root/quarantine/` — out of its cache's address

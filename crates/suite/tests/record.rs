@@ -5,10 +5,11 @@
 
 use proptest::prelude::*;
 use serde_json::{json, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use suite::params::FLAGS;
 use suite::record::{
-    campaign_key, check_json, quarantine, read_verified, write_record, Verified,
+    campaign_key, check_json, quarantine, read_verified, read_verified_text, write_record,
+    write_record_text, Verified,
 };
 use suite::RunParams;
 
@@ -86,6 +87,63 @@ fn a_body_that_is_not_an_object_still_gets_its_key() {
         Verified::Hit(json!({"body": json!([1, 2]), "key": key}))
     );
     assert_eq!(read_verified(&path, &other), Verified::Miss);
+    // The text writer orders a member named before `key` as a printed
+    // object does.
+    let spliced = dir.join("spliced.json");
+    write_record_text(&spliced, &key, "body", "[1,2]").unwrap();
+    assert_eq!(std::fs::read(&spliced).unwrap(), std::fs::read(&path).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The text read of the record at `path` makes the tree read's decision,
+/// and a hit's text parses to the tree's `report` (`null` when absent).
+fn text_read_agrees(path: &Path, key: &Value) -> Verified<String> {
+    let (tree, text) = (
+        read_verified(path, key),
+        read_verified_text(path, key, "report"),
+    );
+    match (&tree, &text) {
+        (Verified::Hit(doc), Verified::Hit(t)) => {
+            assert_eq!(&serde_json::from_str::<Value>(t).unwrap(), &doc["report"]);
+        }
+        (Verified::Miss, Verified::Miss) | (Verified::Corrupt, Verified::Corrupt) => {}
+        _ => panic!("tree read {tree:?}, text read {text:?}"),
+    }
+    text
+}
+
+#[test]
+fn the_text_read_keeps_the_report_exactly_as_written() {
+    let dir = temp_dir("text");
+    let path = dir.join("r.json");
+    let key = json!({"q": 1});
+    let deep = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    let cases: [(String, Verified<String>); 8] = [
+        (r#"{"key": {"q": 1}}"#.into(), Verified::Hit("null".into())),
+        (
+            r#"{"report": 1, "key": {"q":1}, "report": {"a" : [2, "é"]} }"#.into(),
+            Verified::Hit(r#"{"a" : [2, "é"]}"#.into()),
+        ),
+        (
+            r#"{"key": {"q": 2}, "key": {"q": 1}, "report": 3}"#.into(),
+            Verified::Hit("3".into()),
+        ),
+        (
+            r#"{"key": {"q": 1}, "key": {"q": 2}, "report": 3}"#.into(),
+            Verified::Miss,
+        ),
+        (r#"{"key": {"q": 1.0}, "report": 3}"#.into(), Verified::Miss),
+        ("[1]".into(), Verified::Miss),
+        (r#"{"key": {"q": 1}, "report": ["#.into(), Verified::Corrupt),
+        (
+            format!(r#"{{"key": {{"q": 1}}, "report": {deep}}}"#),
+            Verified::Corrupt,
+        ),
+    ];
+    for (doc, expected) in cases {
+        std::fs::write(&path, &doc).unwrap();
+        assert_eq!(text_read_agrees(&path, &key), expected, "{doc}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -112,7 +170,8 @@ proptest! {
     /// path — arbitrary, or a real record truncated or bit-flipped —
     /// reading them never panics, is `Corrupt` exactly when they are
     /// not a JSON document, and is a `Hit` only when that document
-    /// embeds exactly the key asked for.
+    /// embeds exactly the key asked for. The text read decides the same,
+    /// and the text writer lays down the tree writer's bytes.
     #[test]
     fn any_bytes_at_a_record_path_read_as_hit_miss_or_corrupt(
         noise in prop::collection::vec(0u16..256, 0..48),
@@ -122,15 +181,18 @@ proptest! {
         let dir = temp_dir("prop");
         let path = dir.join("r.json");
         let key = campaign_key(&params(&["--retries", "2"]));
-        let body = json!({"entries": json!([1.5, "é"]), "profile": "p.cali.json"});
-        write_record(&path, &key, body).unwrap();
+        let report = json!({"entries": json!([1.5, "é\"\n"]), "profile": "p.cali.json"});
+        write_record(&path, &key, json!({"report": report})).unwrap();
         let intact = std::fs::read(&path).unwrap();
+        let spliced = dir.join("spliced.json");
+        write_record_text(&spliced, &key, "report", &report.to_string()).unwrap();
+        prop_assert_eq!(&std::fs::read(&spliced).unwrap(), &intact);
         let mut torn = intact.clone();
         torn.truncate(cut % (intact.len() + 1));
         let mut flipped = intact.clone();
         flipped[(flip / 8) % intact.len()] ^= 1 << (flip % 8);
         let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
-        for bytes in [noise, torn, flipped, intact] {
+        for bytes in [noise, torn, flipped, intact.clone()] {
             std::fs::write(&path, &bytes).unwrap();
             let parsed = std::str::from_utf8(&bytes)
                 .ok()
@@ -144,6 +206,10 @@ proptest! {
                 Some(_) => Verified::Miss,
             };
             prop_assert_eq!(read_verified(&path, &key), expected);
+            let text = text_read_agrees(&path, &key);
+            if bytes == intact {
+                prop_assert_eq!(text, Verified::Hit(report.to_string()));
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

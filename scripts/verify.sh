@@ -388,20 +388,26 @@ for _ in $(seq 1 50); do
 done
 "$CLIENT" --socket "$DSOCK" ping | grep -q '"event":"pong"' \
     || { echo "verify: FAIL — daemon did not answer ping" >&2; exit 1; }
-RUN1=$("$CLIENT" --socket "$DSOCK" run -- --kernels Basic_DAXPY --size 100000 --reps 2)
+RUN1=$("$CLIENT" --socket "$DSOCK" --id smoke run -- --kernels Basic_DAXPY --size 100000 --reps 2)
 echo "$RUN1" | grep -q '"event":"progress"' \
     || { echo "verify: FAIL — daemon run streamed no progress events" >&2; exit 1; }
 echo "$RUN1" | grep -q '"cached":false' \
     || { echo "verify: FAIL — first daemon run should not be cached" >&2; exit 1; }
 ls "$DAEMON_DIR"/store/objects/*/*.json >/dev/null 2>&1 \
     || { echo "verify: FAIL — no object persisted in the profile store" >&2; exit 1; }
-RUN2=$("$CLIENT" --socket "$DSOCK" run -- --kernels Basic_DAXPY --size 100000 --reps 2)
+RUN2=$("$CLIENT" --socket "$DSOCK" --id smoke run -- --kernels Basic_DAXPY --size 100000 --reps 2)
 echo "$RUN2" | grep -q '"cached":true' \
     || { echo "verify: FAIL — identical request not served from the store" >&2; exit 1; }
 if echo "$RUN2" | grep -q '"event":"progress"'; then
     echo "verify: FAIL — store hit re-executed kernels (progress events seen)" >&2
     exit 1
 fi
+# The hit sends what the miss sent: the two result events differ only in
+# `cached` (same id, same store key, same report).
+RESULT1=$(grep '"event":"result"' <<<"$RUN1" | sed 's/"cached":false/"cached":true/')
+RESULT2=$(grep '"event":"result"' <<<"$RUN2")
+[[ -n "$RESULT2" && "$RESULT1" == "$RESULT2" ]] \
+    || { echo "verify: FAIL — the store hit's result event is not the miss's with cached=true" >&2; exit 1; }
 # A fault-armed request and a clean one side by side: the clean one must
 # finish, untouched, while the other is still stalling.
 "$CLIENT" --socket "$DSOCK" run -- --kernels Basic_DAXPY --size 100000 --reps 2 \
@@ -440,7 +446,7 @@ if pgrep -f "$PSWEEP_DIR" >/dev/null 2>&1; then
     pgrep -af "$PSWEEP_DIR" >&2
     exit 1
 fi
-echo "daemon: run streamed, store hit replayed, fault-armed + clean requests isolated, process-ranked sweep left no orphans, clean shutdown"
+echo "daemon: run streamed, store hit replayed (result = the miss's but for cached), fault-armed + clean requests isolated, process-ranked sweep left no orphans, clean shutdown"
 
 # No input kills a process: a line of 200 000 `[` used to overflow the accept
 # thread's stack in the JSON parser (the daemon aborted; the next connect was

@@ -1,14 +1,15 @@
 //! Tier-1 tests for `rajaperfd` under concurrent load: request isolation,
-//! content-addressed cache-hit correctness (byte-identical replies, no
-//! kernel re-execution), bounded-queue admission control, graceful
-//! shutdown draining, and the shape of every failed reply.
+//! content-addressed cache-hit correctness (byte-identical replies on the
+//! wire, no kernel re-execution, no untrustworthy object served),
+//! bounded-queue admission control, graceful shutdown draining, and the
+//! shape of every failed reply.
 
 use rajaperfd::{protocol::Request, Daemon, DaemonConfig, ErrorCode};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -32,6 +33,22 @@ fn run_request(id: &str, argv: &[&str]) -> Request {
         id: id.to_string(),
         argv: argv.iter().map(|s| s.to_string()).collect(),
     }
+}
+
+/// One raw line in, every reply line out exactly as the daemon wrote it (it
+/// hangs up after `done`). The server stops reading an over-long line and
+/// hangs up on the rest, so that write may fail and the stream end in a
+/// reset instead of EOF.
+fn raw_reply(socket: &Path, line: &str) -> Vec<String> {
+    let mut stream = UnixStream::connect(socket).expect("connect");
+    let _ = stream.write_all(format!("{line}\n").as_bytes());
+    BufReader::new(stream).lines().map_while(Result::ok).collect()
+}
+
+/// The reply line carrying event `name`.
+fn event_line<'a>(lines: &'a [String], name: &str) -> &'a str {
+    let is = |line: &&String| serde_json::from_str::<Value>(line).unwrap()["event"].as_str() == Some(name);
+    lines.iter().find(is).unwrap_or_else(|| panic!("no {name} event in {lines:?}"))
 }
 
 fn shutdown_and_wait(daemon: Daemon, root: &PathBuf) {
@@ -182,6 +199,88 @@ fn identical_request_is_served_from_the_store() {
     assert_eq!(store["hits"].as_i64(), Some(1));
     assert_eq!(store["stores"].as_i64(), Some(1));
 
+    shutdown_and_wait(daemon, &root);
+}
+
+/// A hit sends the bytes its miss sent: the same request with the same id
+/// gets `result` lines equal but for `"cached"`, for a run and for `analyze
+/// store`. Every line is what printing its event as a tree gives, and an id
+/// that needs escaping is echoed exactly as a JSON string prints it.
+#[test]
+fn a_store_hit_sends_the_bytes_its_miss_sent() {
+    let (daemon, root) = start_daemon("wire", 4, 1);
+    let socket = daemon.socket().to_path_buf();
+    let id = "w\"i\nd\u{1}é";
+    let echoed = format!("\"id\":{}", Value::from(id));
+    let run = run_request(id, &["--kernels", "Basic_DAXPY", "--size", "1000", "--reps", "2"]);
+    let analyze = Request::Analyze {
+        id: id.into(),
+        dir: "store".into(),
+        metric: "avg#time.duration".into(),
+    };
+    for request in [run, analyze] {
+        let miss = raw_reply(&socket, &request.to_line());
+        let hit = raw_reply(&socket, &request.to_line());
+        for line in miss.iter().chain(&hit) {
+            assert!(line.contains(&echoed), "{line}");
+            let event: Value = serde_json::from_str(line).unwrap();
+            assert_eq!(event.to_string(), *line);
+        }
+        let (miss, hit) = (event_line(&miss, "result"), event_line(&hit, "result"));
+        assert!(miss.starts_with(r#"{"cached":false,"#), "{miss}");
+        assert_eq!(hit, miss.replacen(r#""cached":false"#, r#""cached":true"#, 1));
+    }
+    shutdown_and_wait(daemon, &root);
+}
+
+/// What sits at a run's store address is served only when it is a whole
+/// JSON object embedding the run's key. Another key, or JSON that is not an
+/// object, is a plain miss; a torn, non-UTF-8 or 129-deep object is
+/// quarantined once. Each re-executes, and nothing planted reaches the wire.
+#[test]
+fn a_stored_object_that_cannot_answer_is_a_miss_and_never_reaches_the_wire() {
+    let (daemon, root) = start_daemon("planted", 4, 1);
+    let socket = daemon.socket().to_path_buf();
+    let argv = ["--kernels", "Basic_DAXPY", "--size", "1000", "--reps", "1"];
+    let params = suite::RunParams::parse(&argv.map(String::from)).unwrap();
+    let key = rajaperfd::server::run_key(&params);
+    let hash = rajaperfd::ProfileStore::key_hash(&key);
+    let store = root.join("store");
+    let object = store.join("objects").join(&hash[..2]).join(format!("{hash}.json"));
+    let quarantined = || std::fs::read_dir(store.join("quarantine")).map_or(0, Iterator::count);
+    let run = |id: &str| raw_reply(&socket, &run_request(id, &argv).to_line());
+    event_line(&run("seed"), "result");
+    let intact = std::fs::read(&object).expect("the seed run is stored");
+
+    let mut latin1 = format!(r#"{{"key":{key},"report":{{"note":"caf"#).into_bytes();
+    latin1.extend(b"\xe9\"}}");
+    let deep = format!(r#"{{"key":{key},"report":{}{}}}"#, "[".repeat(128), "]".repeat(128));
+    let planted: [(&str, Vec<u8>, usize); 5] = [
+        ("another key", br#"{"key":{"q":2},"report":{"planted":1}}"#.to_vec(), 0),
+        ("not an object", b"[1]".to_vec(), 0),
+        ("torn", intact[..intact.len() / 2].to_vec(), 1),
+        ("not UTF-8", latin1, 1),
+        ("129 deep", deep.into_bytes(), 1),
+    ];
+    for (what, bytes, moved) in planted {
+        let before = quarantined();
+        std::fs::write(&object, &bytes).unwrap();
+        let reply = run(what);
+        assert!(
+            reply.iter().any(|l| l.contains(r#""event":"progress""#)),
+            "{what}: re-executed"
+        );
+        let result: Value = serde_json::from_str(event_line(&reply, "result")).unwrap();
+        assert_eq!(result["cached"], Value::Bool(false), "{what}");
+        let report = &result["report"];
+        assert_eq!(report["all_passed"].as_bool(), Some(true), "{what}");
+        assert!(report["profile"].as_object().is_some() && report.get("planted").is_none(), "{what}");
+        assert_eq!(quarantined(), before + moved, "{what}");
+        assert_ne!(std::fs::read(&object).unwrap(), bytes, "{what}: the miss stored its own answer");
+    }
+    let stats = rajaperfd::submit(&socket, &Request::Stats { id: "s".into() }).unwrap();
+    let store = &stats.find("stats").expect("stats event")["store"];
+    assert_eq!(store["quarantined"].as_i64(), Some(3), "{store}");
     shutdown_and_wait(daemon, &root);
 }
 
@@ -485,17 +584,11 @@ fn daemon_results_match_direct_execution() {
 fn every_error_path_replies_one_error_then_one_done() {
     let (daemon, root) = start_daemon("errors", 4, 1);
     let socket = daemon.socket().to_path_buf();
-    // One raw line in, every event object out (the server hangs up after
-    // `done`) — raw, because four of the lines are not valid requests. The
-    // server stops reading an over-long line and hangs up on the rest, so
-    // that write may fail and the stream ends in a reset instead of EOF.
+    // Raw, because four of the lines are not valid requests.
     let reply = |line: &str| -> Vec<Value> {
-        let mut stream = UnixStream::connect(&socket).expect("connect");
-        let _ = stream.write_all(format!("{line}\n").as_bytes());
-        BufReader::new(stream)
-            .lines()
-            .map_while(Result::ok)
-            .map(|l| serde_json::from_str(&l).expect("event lines are JSON"))
+        raw_reply(&socket, line)
+            .iter()
+            .map(|l| serde_json::from_str(l).expect("event lines are JSON"))
             .collect()
     };
     let run = |argv: &[&str]| run_request("e", argv).to_line();
