@@ -36,6 +36,7 @@
 
 pub mod trace;
 
+use serde::text::Reader;
 use serde::{Deserialize, Serialize};
 use simsched::sync::atomic::{AtomicBool, Ordering};
 use simsched::sync::Mutex;
@@ -114,26 +115,45 @@ pub struct Record {
     pub metrics: BTreeMap<String, f64>,
 }
 
-/// The derived reading but for one rule: a `null` metric — how a non-finite
-/// value is written — is a cell the run did not observe, as `thicket` reads
-/// it, so every profile [`Profile::to_json`] writes reads back.
-impl Deserialize for Record {
-    fn deserialize(v: &serde_json::Value) -> Result<Record, serde_json::Error> {
-        let fields = v.as_object().ok_or_else(|| {
-            serde_json::Error::msg("expected a JSON object for struct \"Record\"")
+impl Record {
+    /// Read one record, `{path, metrics}`, for [`Profile::from_json`]. A
+    /// `null` metric — how a non-finite value is written — is a cell the run
+    /// did not observe, as `thicket` reads it, so every profile
+    /// [`Profile::to_json`] writes reads back.
+    fn read(r: &mut Reader<'_>) -> Result<Record, serde_json::Error> {
+        let (mut path, mut metrics) = (None, None);
+        r.object(|r, name| {
+            match &*name {
+                "path" => {
+                    let mut segments = Vec::new();
+                    r.array(|r| {
+                        segments.push(r.string()?.into_owned());
+                        Ok(())
+                    })?;
+                    path = Some(segments);
+                }
+                "metrics" => {
+                    let mut cells = BTreeMap::new();
+                    r.object(|r, name| {
+                        if r.null()? {
+                            cells.remove(&*name);
+                        } else {
+                            cells.insert(name.into_owned(), r.f64()?);
+                        }
+                        Ok(())
+                    })?;
+                    metrics = Some(cells);
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
         })?;
-        let metrics: BTreeMap<String, Option<f64>> = serde::de_field(fields, "metrics")?;
         Ok(Record {
-            path: serde::de_field(fields, "path")?,
-            metrics: metrics
-                .into_iter()
-                .filter_map(|(k, v)| Some((k, v?)))
-                .collect(),
+            path: path.ok_or_else(|| missing("path"))?,
+            metrics: metrics.ok_or_else(|| missing("metrics"))?,
         })
     }
-}
 
-impl Record {
     /// Final path component (the region's own name).
     pub fn name(&self) -> &str {
         self.path.last().map(String::as_str).unwrap_or("")
@@ -146,7 +166,7 @@ impl Record {
 }
 
 /// A serialized run profile — our `.cali` equivalent.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Profile {
     /// Run-level metadata (the Adiak snapshot), name → JSON value.
     pub globals: BTreeMap<String, serde_json::Value>,
@@ -154,15 +174,53 @@ pub struct Profile {
     pub records: Vec<Record>,
 }
 
+fn missing(field: &str) -> serde_json::Error {
+    serde_json::Error::msg(format!("missing field `{field}`"))
+}
+
 impl Profile {
-    /// Serialize to pretty JSON.
+    /// Serialize to pretty JSON, printed as it is written (no tree).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("profile serialization cannot fail")
     }
 
-    /// Parse a profile from JSON text.
+    /// Parse a profile from JSON text in one walk of the pull reader, with
+    /// no tree in between: `{globals, records: [{path, metrics}]}`, unknown
+    /// members skipped, a repeated one last-wins. Text that is not JSON is
+    /// reported as that (`… at byte N`) before JSON that is not a profile.
     pub fn from_json(text: &str) -> Result<Profile, serde_json::Error> {
-        serde_json::from_str(text)
+        let mut r = Reader::new(text);
+        let (mut globals, mut records) = (None, None);
+        r.object(|r, name| {
+            match &*name {
+                "globals" => {
+                    let mut values = BTreeMap::new();
+                    r.object(|r, name| {
+                        values.insert(name.into_owned(), r.value()?);
+                        Ok(())
+                    })?;
+                    globals = Some(values);
+                }
+                "records" => {
+                    let mut read = Vec::new();
+                    r.array(|r| {
+                        read.push(Record::read(r)?);
+                        Ok(())
+                    })?;
+                    records = Some(read);
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })
+        .and_then(|()| r.end())
+        .and_then(|()| {
+            Ok(Profile {
+                globals: globals.ok_or_else(|| missing("globals"))?,
+                records: records.ok_or_else(|| missing("records"))?,
+            })
+        })
+        .map_err(|unusable| serde::text::validate(text).err().unwrap_or(unusable))
     }
 
     /// Write the profile to a file, atomically (see [`write_atomic`]): a

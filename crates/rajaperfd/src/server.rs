@@ -27,7 +27,7 @@
 
 use crate::protocol::{self as proto, ErrorCode, Request};
 use crate::store::{ProfileStore, Space};
-use serde_json::{json, Value};
+use serde_json::{json, Extended, Serialize, Sink, Value};
 use simsched::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use simsched::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
@@ -362,14 +362,24 @@ pub fn run_key(params: &RunParams) -> Value {
     key
 }
 
-/// Serialize a [`SuiteReport`] for the wire and the store: the run's
-/// [`RunRecord`] with the profile inline.
-fn report_value(report: &SuiteReport) -> Value {
-    let mut value = json!(RunRecord::of(report));
-    if let Value::Object(fields) = &mut value {
-        fields.insert("profile".to_string(), json!(report.profile));
+/// A [`SuiteReport`] as the wire and the store carry it: the run's
+/// [`RunRecord`] with the profile inline, printed without a tree.
+struct RunReport<'a>(RunRecord, &'a caliper::Profile);
+
+impl<'a> RunReport<'a> {
+    fn of(report: &'a SuiteReport) -> RunReport<'a> {
+        RunReport(RunRecord::of(report), &report.profile)
     }
-    value
+}
+
+impl Serialize for RunReport<'_> {
+    fn serialize(&self, s: &mut dyn Sink) {
+        Extended {
+            body: &self.0,
+            extra: &[("profile", self.1)],
+        }
+        .serialize(s)
+    }
 }
 
 /// Answer from the store: a `cached` marker, then the stored report's text
@@ -387,10 +397,10 @@ fn replay(id: &str, stream: &UnixStream, key: &Value, report: &str) {
 fn answer(
     id: &str,
     stream: &UnixStream,
-    report: &Value,
+    report: &impl Serialize,
     keep: Option<(&ProfileStore, Space, &Value)>,
 ) {
-    let text = report.to_string();
+    let text = serde_json::text::write(report, false);
     let store_key = keep
         .map(|(store, space, key)| store.put_report(space, key, &text))
         .and_then(|put| stored(id, put));
@@ -433,7 +443,7 @@ fn execute_run(
     let keep = report
         .all_passed()
         .then_some((&shared.store, Space::Objects, &key));
-    answer(id, stream, &report_value(&report), keep);
+    answer(id, stream, &RunReport::of(&report), keep);
     if report.all_passed() {
         return Ok(());
     }
@@ -502,8 +512,7 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), F
             .map_err(|p| format!("sweep panicked: {}", suite::exec::panic_message(&*p)))
             .and_then(|swept| swept.map_err(|e| format!("sweep failed: {e}")))
             .map_err(|message| (ErrorCode::Internal, message))?;
-    let report = json!(suite::SweepReport::of(&params, &summary));
-    answer(id, stream, &report, None);
+    answer(id, stream, &suite::SweepReport::of(&params, &summary), None);
     match summary.kernels_failed() {
         0 => Ok(()),
         n => Err((
@@ -688,12 +697,12 @@ mod tests {
     }
 
     #[test]
-    fn the_inline_profile_prints_as_its_text_form_parsed_back() {
-        // `report_value` used to print the profile with `to_json` and parse
-        // the text back into a tree; it now builds the tree directly. The
-        // two trees must print the same compact text — what goes on the
-        // wire and into the store — for real profiles of every variant,
-        // fault-armed ones (the gated `fault.*` globals) included.
+    fn the_run_report_prints_as_the_tree_of_its_parts() {
+        // A `RunReport` prints its record and its profile straight into one
+        // buffer. It must print the compact text — what goes on the wire
+        // and into the store — of the tree made of the record's JSON with
+        // the profile's text form parsed back in, for real profiles of every
+        // variant, fault-armed ones (the gated `fault.*` globals) included.
         for (i, variant) in kernels::VariantId::all().into_iter().enumerate() {
             let faults = if i == 1 {
                 "--faults suite.kernel=stall(1),seed=1"
@@ -707,10 +716,15 @@ mod tests {
             )));
             let globals = &report.profile.globals;
             assert_eq!(globals.contains_key("fault.injected_total"), i == 1);
-            let via_text: Value = serde_json::from_str(&report.profile.to_json()).unwrap();
+            let mut tree = json!(RunRecord::of(&report));
+            let Value::Object(fields) = &mut tree else {
+                panic!("a run record is an object");
+            };
+            let profile = serde_json::from_str(&report.profile.to_json()).unwrap();
+            fields.insert("profile".to_string(), profile);
             assert_eq!(
-                report_value(&report)["profile"].to_string(),
-                via_text.to_string(),
+                serde_json::to_string(&RunReport::of(&report)).unwrap(),
+                tree.to_string(),
                 "{}",
                 variant.name()
             );

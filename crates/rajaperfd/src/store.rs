@@ -163,7 +163,7 @@ impl ProfileStore {
     /// Store `record` under `key` in `objects/`, embedding the key in the
     /// record (the read-side integrity check). Returns the object's hash.
     pub fn put(&self, key: &Value, record: Value) -> io::Result<String> {
-        self.write(Space::Objects, key, |path| write_record(path, key, record))
+        self.write(Space::Objects, key, |path| write_record(path, key, &record))
     }
 
     /// Store the record `{"key": key, "report": <report>}`, `report` being

@@ -222,16 +222,16 @@ pub fn read_verified_text(path: &Path, key: &Value, member: &str) -> Verified<St
     }
 }
 
-/// Atomically write `body` at `path` as the record of `key`: the key is
-/// embedded as the `"key"` field [`read_verified`] checks. A `body` that is
-/// not a JSON object is wrapped as `{"body": ..}`.
-pub fn write_record(path: &Path, key: &Value, body: Value) -> io::Result<()> {
-    let mut fields = match body {
-        Value::Object(fields) => fields,
-        other => [("body".to_string(), other)].into(),
+/// Atomically write `body` — a value that serializes as a JSON object with
+/// no member named `key` — at `path` as the record of `key`: the key is
+/// embedded as the `"key"` member [`read_verified`] checks. The record is
+/// printed as it is written; no tree of it is built.
+pub fn write_record(path: &Path, key: &Value, body: &dyn Serialize) -> io::Result<()> {
+    let record = serde::Extended {
+        body,
+        extra: &[("key", key)],
     };
-    fields.insert("key".to_string(), key.clone());
-    caliper::write_atomic(path, Value::Object(fields).to_string().as_bytes())
+    caliper::write_atomic(path, serde::text::write(&record, false).as_bytes())
 }
 
 /// [`write_record`] of the body `{member: <text>}` whose one member is

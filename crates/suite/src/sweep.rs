@@ -51,7 +51,7 @@ use crate::record::{self, EntryRecord, Verified};
 use crate::{run_suite_with, RunParams};
 use kernels::VariantId;
 use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -330,6 +330,26 @@ pub(crate) struct CellOutcome {
     pub(crate) total_time_s: f64,
 }
 
+/// `manifest.json`: the grid's tunings and each cell's deterministic facts,
+/// in grid order.
+#[derive(Serialize)]
+struct Manifest {
+    suite: &'static str,
+    block_sizes: Vec<usize>,
+    cells: Vec<ManifestCell>,
+}
+
+/// One cell of the manifest: no cached flag, wall time or executing rank.
+#[derive(Serialize)]
+struct ManifestCell {
+    variant: &'static str,
+    gpu_block_size: usize,
+    profile: String,
+    kernels_run: usize,
+    kernels_failed: usize,
+    failed_kernels: Vec<FailedKernel>,
+}
+
 /// What loading a cell's cache produced.
 pub(crate) enum CellLoad {
     /// The record matches and the profile is intact: reuse.
@@ -361,10 +381,6 @@ pub(crate) fn load_cached_cell(spec: &CellSpec) -> CellLoad {
         // it, so neither is ever consulted again.
         Verified::Corrupt => CellLoad::Corrupt(vec![spec.profile.clone(), spec.cache.clone()]),
     }
-}
-
-fn json_io(e: serde_json::Error) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
 /// Execute one cell: an ordinary [`crate::run_suite`] with the cell's variant and
@@ -407,15 +423,12 @@ pub(crate) fn execute_cell(
     // The record is the outcome's own JSON plus what vouches for it. The
     // warm scan parses every record, so it carries no more than that.
     let entries: Vec<EntryRecord> = report.entries.iter().map(EntryRecord::of).collect();
-    let mut body = json!(outcome);
-    if let Value::Object(fields) = &mut body {
-        fields.insert(
-            "profile".to_string(),
-            json!(spec.profile.display().to_string()),
-        );
-        fields.insert("entries".to_string(), json!(entries));
-    }
-    record::write_record(&spec.cache, &spec.key, body)?;
+    let profile = spec.profile.display().to_string();
+    let body = serde::Extended {
+        body: &outcome,
+        extra: &[("entries", &entries), ("profile", &profile)],
+    };
+    record::write_record(&spec.cache, &spec.key, &body)?;
     Ok(outcome)
 }
 
@@ -547,14 +560,14 @@ pub fn run_sweep(base: &RunParams) -> io::Result<SweepSummary> {
     for (spec, cell) in plan.specs.iter().zip(finished) {
         let (outcome, cached, executed_by) =
             cell.expect("every grid cell resolved to cached or executed");
-        manifest_cells.push(json!({
-            "variant": spec.variant.name(),
-            "gpu_block_size": spec.block_size,
-            "profile": spec.profile.display().to_string(),
-            "kernels_run": outcome.kernels_run,
-            "kernels_failed": outcome.kernels_failed,
-            "failed_kernels": outcome.failed_kernels,
-        }));
+        manifest_cells.push(ManifestCell {
+            variant: spec.variant.name(),
+            gpu_block_size: spec.block_size,
+            profile: spec.profile.display().to_string(),
+            kernels_run: outcome.kernels_run,
+            kernels_failed: outcome.kernels_failed,
+            failed_kernels: outcome.failed_kernels.clone(),
+        });
         let failed = outcome.failed_kernels.into_iter();
         cells.push(SweepCell {
             variant: spec.variant,
@@ -569,17 +582,15 @@ pub fn run_sweep(base: &RunParams) -> io::Result<SweepSummary> {
         });
     }
     let manifest = plan.dir.join("manifest.json");
-    let manifest_value = json!({
-        "suite": "RAJAPerf-rs",
-        "block_sizes": plan.block_sizes,
-        "cells": Value::Array(manifest_cells),
-    });
-    caliper::write_atomic(
-        &manifest,
-        serde_json::to_string_pretty(&manifest_value)
-            .map_err(json_io)?
-            .as_bytes(),
-    )?;
+    let manifest_text = serde::text::write(
+        &Manifest {
+            suite: "RAJAPerf-rs",
+            block_sizes: plan.block_sizes.clone(),
+            cells: manifest_cells,
+        },
+        true,
+    );
+    caliper::write_atomic(&manifest, manifest_text.as_bytes())?;
 
     Ok(SweepSummary {
         dir: plan.dir.clone(),

@@ -4,12 +4,12 @@
 //! stand on.
 
 use proptest::prelude::*;
-use serde_json::{json, Value};
+use serde_json::{json, Extended, Value};
 use std::path::{Path, PathBuf};
 use suite::params::FLAGS;
 use suite::record::{
     campaign_key, check_json, quarantine, read_verified, read_verified_text, write_record,
-    write_record_text, Verified,
+    write_record_text, EntryRecord, Verified,
 };
 use suite::RunParams;
 
@@ -77,11 +77,11 @@ fn key_holds_what_changes_results_and_nothing_else() {
 }
 
 #[test]
-fn a_body_that_is_not_an_object_still_gets_its_key() {
+fn a_record_is_its_body_with_its_key_among_the_members() {
     let dir = temp_dir("body");
     let path = dir.join("cells/nested/r.json");
     let (key, other) = (json!({"q": 1}), json!({"q": 2}));
-    write_record(&path, &key, json!([1, 2])).unwrap();
+    write_record(&path, &key, &json!({"body": json!([1, 2])})).unwrap();
     assert_eq!(
         read_verified(&path, &key),
         Verified::Hit(json!({"body": json!([1, 2]), "key": key}))
@@ -92,6 +92,28 @@ fn a_body_that_is_not_an_object_still_gets_its_key() {
     let spliced = dir.join("spliced.json");
     write_record_text(&spliced, &key, "body", "[1,2]").unwrap();
     assert_eq!(std::fs::read(&spliced).unwrap(), std::fs::read(&path).unwrap());
+    // A typed body extended as a sweep cell's is prints what the tree of
+    // its parts prints: the key and the extra members in name order among
+    // the type's fields, a non-finite checksum as `null`.
+    let entry = EntryRecord {
+        kernel: "K\"é".to_string(),
+        size: 10,
+        reps: 2,
+        time_per_rep_s: 1.5e-6,
+        checksum: f64::NAN,
+    };
+    let (a, profile) = (1, "p.cali.json");
+    let extra: [(&str, &dyn serde_json::Serialize); 2] = [("a", &a), ("profile", &profile)];
+    let typed = dir.join("typed.json");
+    write_record(&typed, &key, &Extended { body: &entry, extra: &extra }).unwrap();
+    let mut tree = json!(entry);
+    let Value::Object(fields) = &mut tree else {
+        panic!("an entry is an object");
+    };
+    for (name, value) in [("a", json!(a)), ("profile", json!(profile)), ("key", key.clone())] {
+        fields.insert(name.to_string(), value);
+    }
+    assert_eq!(std::fs::read_to_string(&typed).unwrap(), tree.to_string());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -182,7 +204,7 @@ proptest! {
         let path = dir.join("r.json");
         let key = campaign_key(&params(&["--retries", "2"]));
         let report = json!({"entries": json!([1.5, "é\"\n"]), "profile": "p.cali.json"});
-        write_record(&path, &key, json!({"report": report})).unwrap();
+        write_record(&path, &key, &json!({"report": report})).unwrap();
         let intact = std::fs::read(&path).unwrap();
         let spliced = dir.join("spliced.json");
         write_record_text(&spliced, &key, "report", &report.to_string()).unwrap();

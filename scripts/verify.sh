@@ -87,6 +87,15 @@ cargo test --workspace --release
 echo "== fastpath: cargo test --release -p kernels --test fastpath_equivalence =="
 cargo test --release -p kernels --test fastpath_equivalence
 
+# The codec prints as it writes, with no tree: the golden profile pins the
+# `.cali.json` bytes, the property test pins "prints as the tree of it
+# prints" (values, derived structs, maps keyed out of name order), and the
+# fixed-point smoke pins every file a real sweep writes.
+echo "== codec: golden profile bytes, print-as-the-tree property, sweep fixed point =="
+cargo test --release -q -p caliper --test golden_profile
+cargo test --release -q -p serde --test print_without_a_tree
+cargo test --release -q --test end_to_end every_file_a_sweep_writes_prints_back_to_its_own_bytes
+
 # The release driver binary lives in crates/suite; the root-package build
 # above does not refresh it, so build it explicitly before driving it.
 echo "== cli: full-registry --checksums =="

@@ -196,6 +196,38 @@ fn ranked_sweep_gathers_into_the_single_rank_manifest() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Profiles, cell records and the manifest are printed as they are written,
+/// with no tree: each file a 2-kernel × 2-block-size sweep writes must be
+/// the text its own tree prints — parse, then print in the file's mode
+/// (profiles and manifest pretty, records compact), gives its exact bytes.
+#[test]
+fn every_file_a_sweep_writes_prints_back_to_its_own_bytes() {
+    let root = scratch("fixed_point");
+    let dir = root.join("sweep");
+    let argv = [
+        "--kernels", "Basic_DAXPY,Stream_TRIAD", "--size", "1000", "--reps", "1", "--sweep",
+        "--sweep-block-sizes", "64,128", "--sweep-dir", dir.to_str().unwrap(),
+    ];
+    let summary = suite::run_sweep(&RunParams::parse(&argv.map(String::from)).unwrap()).unwrap();
+    let mut files = vec![(summary.manifest, true)];
+    for (sub, pretty) in [("profiles", true), ("cells", false)] {
+        let names = names_in(&dir.join(sub));
+        assert_eq!(names.len(), summary.cells.len(), "{sub}");
+        files.extend(names.into_iter().map(|name| (dir.join(sub).join(name), pretty)));
+    }
+    assert_eq!(files.len(), 2 * 6 * 2 + 1);
+    for (path, pretty) in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let tree: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let printed = match pretty {
+            true => serde_json::to_string_pretty(&tree),
+            false => serde_json::to_string(&tree),
+        };
+        assert!(printed.unwrap() == text, "{} does not print back to its bytes", path.display());
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 // A path the command line names stays a path to the end: one made of the
 // characters Caliper's spec grammar splits at is never re-parsed as spec
 // text. Each of the three tests below failed before outputs were typed.
