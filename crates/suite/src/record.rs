@@ -222,10 +222,11 @@ pub fn read_verified_text(path: &Path, key: &Value, member: &str) -> Verified<St
     }
 }
 
-/// Atomically write `body` — a value that serializes as a JSON object with
-/// no member named `key` — at `path` as the record of `key`: the key is
-/// embedded as the `"key"` member [`read_verified`] checks. The record is
-/// printed as it is written; no tree of it is built.
+/// Atomically write `body` at `path` as the record of `key`: the key is
+/// embedded as the `"key"` member [`read_verified`] checks, in place of any
+/// `key` member the body has. A `body` that is not a JSON object is wrapped
+/// as `{"body": ..}`. The record is printed as it is written; no tree of it
+/// is built.
 pub fn write_record(path: &Path, key: &Value, body: &dyn Serialize) -> io::Result<()> {
     let record = serde::Extended {
         body,

@@ -77,21 +77,37 @@ fn key_holds_what_changes_results_and_nothing_else() {
 }
 
 #[test]
-fn a_record_is_its_body_with_its_key_among_the_members() {
+fn a_body_that_is_not_an_object_still_gets_its_key() {
     let dir = temp_dir("body");
     let path = dir.join("cells/nested/r.json");
     let (key, other) = (json!({"q": 1}), json!({"q": 2}));
-    write_record(&path, &key, &json!({"body": json!([1, 2])})).unwrap();
+    write_record(&path, &key, &json!([1, 2])).unwrap();
     assert_eq!(
         read_verified(&path, &key),
         Verified::Hit(json!({"body": json!([1, 2]), "key": key}))
     );
     assert_eq!(read_verified(&path, &other), Verified::Miss);
+    // A scalar body is wrapped the same way.
+    let scalar = dir.join("scalar.json");
+    write_record(&scalar, &key, &json!("s")).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&scalar).unwrap(),
+        json!({"body": "s", "key": key}).to_string()
+    );
     // The text writer orders a member named before `key` as a printed
     // object does.
     let spliced = dir.join("spliced.json");
     write_record_text(&spliced, &key, "body", "[1,2]").unwrap();
     assert_eq!(std::fs::read(&spliced).unwrap(), std::fs::read(&path).unwrap());
+    // A body's own `key` member, however nested its value, gives way to the
+    // record's key: the record still verifies.
+    let keyed = dir.join("keyed.json");
+    let nested = json!([1, json!({"key": 2})]);
+    let body = json!({"a": nested, "key": json!({"q": json!([2, json!({"k": 3})])}), "z": 4});
+    write_record(&keyed, &key, &body).unwrap();
+    let expected = json!({"a": nested, "key": key, "z": 4});
+    assert_eq!(std::fs::read_to_string(&keyed).unwrap(), expected.to_string());
+    assert_eq!(read_verified(&keyed, &key), Verified::Hit(expected));
     // A typed body extended as a sweep cell's is prints what the tree of
     // its parts prints: the key and the extra members in name order among
     // the type's fields, a non-finite checksum as `null`.
