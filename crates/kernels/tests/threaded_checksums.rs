@@ -4,7 +4,7 @@
 //!
 //! This binary pins `RAYON_NUM_THREADS=4` before first pool use (the pool is
 //! process-global and sized once), so every kernel here executes with real
-//! work-stealing parallelism: `Par` variants run their loops across the
+//! pool parallelism: `Par` variants run their loops across the
 //! pool, and `SimGpu` variants run their blocks across it.
 
 use kernels::{Feature, Tuning, VariantId};

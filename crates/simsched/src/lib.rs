@@ -1,7 +1,7 @@
 //! `simsched` — the concurrency-soundness layer for the RAJAPerf-rs host
 //! runtime.
 //!
-//! The suite's measurement substrate — the work-stealing pool in
+//! The suite's measurement substrate — the thread pool in
 //! `vendor/rayon`, the `caliper::trace` event rings, `simfault`'s scope
 //! publication — is hand-rolled shared-state code. Campaigns only mean
 //! something if that substrate is sound, so this crate gives it the same

@@ -2,9 +2,10 @@
 //! exact pool the suite runs kernels on, built at small widths inside the
 //! checker so every lock, condvar wait, and atomic becomes a scheduling
 //! point. These models are the soundness argument for the pool's
-//! completion (`done`/`done_cv`), shutdown, panic-poisoning, and
-//! steal/inject protocols — all in strict mode, where a lost wakeup is a
-//! reported deadlock, not a 5ms hiccup.
+//! completion, idle (spin-then-park), shutdown, panic-poisoning, and chunk
+//! claiming protocols — all in strict mode, where a lost wakeup is a
+//! reported deadlock. The pool's spin is a single poll under the checker,
+//! itself a scheduling point, so a publish or a finish can land mid-spin.
 //!
 //! Also here: a deliberately broken variant of the completion protocol
 //! (flag set outside the mutex, notify dropped) as a regression test that
@@ -76,7 +77,7 @@ fn pool_combine_is_schedule_independent() {
 }
 
 /// Shutdown protocol at width 3 (two workers): setting the flag under the
-/// injector lock must close the check-then-park race for BOTH idle
+/// slot lock must close the check-then-park race for BOTH idle
 /// workers. In strict mode a worker that parks after missing the
 /// `notify_all` would be an unwakeable `BlockedCv` thread — a reported
 /// deadlock.
@@ -95,9 +96,9 @@ fn pool_shutdown_wakes_all_idle_workers() {
     );
 }
 
-/// Steal/inject at width 3: two single-chunk segments seeded while two
-/// workers race the submitter for them. Every schedule must still run each
-/// chunk exactly once and terminate.
+/// Claiming at width 3: two single-chunk parts published while two workers
+/// race the submitter for them. Every schedule must still run each chunk
+/// exactly once and terminate.
 #[test]
 fn pool_width3_steal_and_inject() {
     let report = Checker::new()
@@ -116,6 +117,67 @@ fn pool_width3_steal_and_inject() {
     println!(
         "pool width-3 steal/inject: {} schedules, {} pruned, {} transitions",
         report.schedules, report.pruned, report.transitions
+    );
+}
+
+/// Idle handshake, worker side: a job published while the worker decides to
+/// park (polling the epoch, taking the slot lock, counting itself a
+/// sleeper) is never lost. Chunk 0 — the submitter's own part — cannot
+/// finish until chunk 1 has run on another thread, so if the worker missed
+/// the publish, the submitter would block in chunk 0 forever: a reported
+/// deadlock in strict mode.
+#[test]
+fn pool_publish_while_a_worker_parks_is_never_lost() {
+    let report = check(|| {
+        let pool = PoolCore::new(2);
+        let gate = (
+            Mutex::labeled(false, "model.chunk1_ran"),
+            Condvar::labeled("model.chunk1_cv"),
+        );
+        pool.execute(2, 2, 1, &|lo, _hi| {
+            let mut ran = gate.0.lock().unwrap();
+            if lo == 1 {
+                *ran = true;
+                gate.1.notify_all();
+            } else {
+                while !*ran {
+                    ran = gate.1.wait(ran).unwrap();
+                }
+            }
+        });
+        drop(pool);
+    });
+    report.assert_ok();
+    println!(
+        "pool idle handshake (publish vs park): {} schedules, {} pruned",
+        report.schedules, report.pruned
+    );
+}
+
+/// Idle handshake, submitter side: the submitter's spin-then-park wait for
+/// the last chunk cannot miss the finisher's notify. Chunk 1 is the
+/// worker's; the submitter drains chunk 0, finds nothing left to claim and
+/// waits, in every interleaving with the worker's decrement and its read of
+/// the `waiting` flag. A finish that went unnoticed would leave the
+/// submitter parked: a reported deadlock.
+#[test]
+fn pool_submitter_wait_cannot_miss_the_finish() {
+    let report = check(|| {
+        let pool = PoolCore::new(2);
+        let runs = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        for _ in 0..2 {
+            pool.execute(2, 2, 1, &|lo, _hi| {
+                runs[lo].fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(runs[0].load(Ordering::Relaxed), 2);
+        assert_eq!(runs[1].load(Ordering::Relaxed), 2);
+        drop(pool);
+    });
+    report.assert_ok();
+    println!(
+        "pool idle handshake (wait vs finish): {} schedules, {} pruned",
+        report.schedules, report.pruned
     );
 }
 

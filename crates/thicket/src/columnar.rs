@@ -447,16 +447,15 @@ impl Frame {
 
     // --------------------------------------------------------- selections
 
-    /// Sub-frame of rows whose profile is in `keep` (ascending ids).
+    /// Sub-frame of rows whose profile is in `keep`.
     /// Requires a compacted frame; the output is compacted. Columns
     /// left with no observed value are dropped, matching the row engine's
     /// filter semantics. The row scan and per-column gathers are chunk
     /// parallel with deterministic chunk-ordered concatenation.
     pub(crate) fn select_profiles(&self, keep: &[u32], nnodes: usize) -> Frame {
         debug_assert!(self.pending.rows.is_empty());
-        let keep_pos = par_filter_positions(self.index.len(), |i| {
-            keep.binary_search(&self.index[i].1).is_ok()
-        });
+        let kept = IdSet::new(keep);
+        let keep_pos = par_filter_positions(self.index.len(), |i| kept.contains(self.index[i].1));
         let index: Vec<Row> = keep_pos.iter().map(|&i| self.index[i]).collect();
         self.gathered(index, &keep_pos, nnodes)
     }
@@ -534,6 +533,45 @@ impl Frame {
 /// each chunk filters its sub-range locally and the per-chunk hit lists
 /// are concatenated in chunk order, so the result is independent of the
 /// pool width.
+/// A set of `u32` ids with O(1) membership: open addressing with linear
+/// probing over a power-of-two table at most half full, so it is sized by
+/// the number of ids, never by their values.
+struct IdSet {
+    /// `u64::MAX` marks an empty slot; no `u32` id equals it.
+    slots: Vec<u64>,
+    shift: u32,
+}
+
+impl IdSet {
+    fn new(ids: &[u32]) -> IdSet {
+        let cap = (ids.len() * 2).next_power_of_two().max(2);
+        let mut set = IdSet {
+            slots: vec![u64::MAX; cap],
+            shift: 64 - cap.trailing_zeros(),
+        };
+        for &id in ids {
+            let s = set.probe(id);
+            set.slots[s] = u64::from(id);
+        }
+        set
+    }
+
+    /// The slot holding `id`, or the empty slot where it would go.
+    fn probe(&self, id: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the top bits of a multiplicative hash.
+        let mut s = (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.slots[s] != u64::MAX && self.slots[s] != u64::from(id) {
+            s = (s + 1) & mask;
+        }
+        s
+    }
+
+    fn contains(&self, id: u32) -> bool {
+        self.slots[self.probe(id)] != u64::MAX
+    }
+}
+
 fn par_filter_positions(n: usize, pred: impl Fn(usize) -> bool + Sync) -> Vec<usize> {
     const CHUNK: usize = 64 * 1024;
     if n <= CHUNK {
@@ -612,6 +650,19 @@ mod tests {
         assert_eq!(g.rows(), &[(0, 0)]);
         assert!(g.columns().contains_key("only0"));
         assert!(!g.columns().contains_key("only1"), "empty column dropped");
+    }
+
+    #[test]
+    fn id_set_is_membership_whatever_the_ids() {
+        let ids = [0, 1, 7, 64, 1 << 20, u32::MAX - 1, u32::MAX];
+        for k in 0..=ids.len() {
+            let set = IdSet::new(&ids[..k]);
+            assert!(set.slots.len() <= 4 * k.max(1), "sized by the count");
+            for (j, &id) in ids.iter().enumerate() {
+                assert_eq!(set.contains(id), j < k, "{id} in the first {k}");
+            }
+            assert!(!set.contains(2) && !set.contains(u32::MAX - 2));
+        }
     }
 
     #[test]

@@ -250,3 +250,51 @@ fn model_obeys_its_physics_on_every_real_signature() {
         }
     }
 }
+
+/// The host pool under back-to-back calls, through `raja` alone: 2 000
+/// parallel calls over lengths from empty to the registry's usual 10 000
+/// visit every index exactly once, a parallel sum has the same bits on
+/// every call, and two threads submitting at once both finish with the
+/// same answers. This is what a spinning worker that misses a publish, or a
+/// submitter that misses the last chunk's finish, would break: a hang, a
+/// skipped chunk or a chunk run twice.
+#[test]
+fn pool_survives_back_to_back_calls() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    const SIZES: [usize; 6] = [0, 1, 2, 17, 256, 10_000];
+    let value = |i: usize| ((i as f64) * 0.37).sin() * 1e3;
+    let sums = SIZES.map(|n| raja::reduce::reduce_sum::<ParExec, f64>(0..n, value).to_bits());
+    let hits: Vec<AtomicU32> = (0..10_000).map(|_| AtomicU32::new(0)).collect();
+    for call in 1..=2_000u32 {
+        let n = SIZES[call as usize % SIZES.len()];
+        raja::forall::<ParExec>(0..n, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        let sum = raja::reduce::reduce_sum::<ParExec, f64>(0..n, value);
+        assert_eq!(sum.to_bits(), sums[call as usize % SIZES.len()], "call {call}, n {n}");
+    }
+    // Index i was visited once per call over a length above i.
+    let per_size: Vec<u32> = (0..SIZES.len())
+        .map(|j| (1..=2_000).filter(|c| c % SIZES.len() == j).count() as u32)
+        .collect();
+    for (i, h) in hits.iter().enumerate() {
+        let calls: u32 = (0..SIZES.len()).filter(|&j| SIZES[j] > i).map(|j| per_size[j]).sum();
+        assert_eq!(h.load(Ordering::Relaxed), calls, "index {i}");
+    }
+    let submit = || {
+        (0..500)
+            .map(|k| {
+                let n = SIZES[k % SIZES.len()];
+                raja::reduce::reduce_sum::<ParExec, f64>(0..n, value).to_bits()
+            })
+            .collect::<Vec<u64>>()
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(submit);
+        let b = s.spawn(submit);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let expect: Vec<u64> = (0..500).map(|k| sums[k % SIZES.len()]).collect();
+    assert_eq!(a, expect);
+    assert_eq!(b, expect);
+}
