@@ -8,186 +8,39 @@
 //! runs by their metadata.
 //!
 //! This crate reproduces that model: a process-wide, thread-safe registry of
-//! typed name/value pairs organized by [`Category`]. The `caliper` crate
-//! snapshots the registry when writing a profile.
+//! name → JSON value pairs. [`value`] stores whatever a `Serialize` value
+//! writes, so a global keeps its JSON type (string, integer, double, list);
+//! the `caliper` crate snapshots the registry when writing a profile.
 //!
 //! # Example
 //! ```
 //! adiak::init();
 //! adiak::value("variant", "RAJA_Seq");
 //! adiak::value("problem_size", 1_000_000i64);
-//! adiak::value_categorized("launch_overhead_us", 3.5, adiak::Category::Performance);
+//! adiak::value("launch_overhead_us", 3.5);
 //! let snap = adiak::snapshot();
 //! assert_eq!(snap.get("variant").unwrap().as_str(), Some("RAJA_Seq"));
+//! assert_eq!(snap.get("problem_size").unwrap().as_i64(), Some(1_000_000));
 //! ```
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// A typed metadata value.
-///
-/// Mirrors the value kinds Adiak supports (scalars, strings, timestamps and
-/// lists). `Value` serializes to natural JSON so profiles remain readable by
-/// generic tooling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
-pub enum Value {
-    /// Boolean flag.
-    Bool(bool),
-    /// Signed integer (Adiak `int`/`long`).
-    Int(i64),
-    /// Floating-point value (Adiak `double`).
-    Double(f64),
-    /// String value (Adiak `string`/`catstring`/`path`/`version`).
-    Str(String),
-    /// Homogeneous or heterogeneous list of values.
-    List(Vec<Value>),
-}
-
-impl Value {
-    /// Returns the contained string, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the contained integer, if this is a [`Value::Int`].
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Returns the contained double, widening from `Int` if necessary.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Double(d) => Some(*d),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// Returns the contained bool, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(s: String) -> Self {
-        Value::Str(s)
-    }
-}
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::Int(v as i64)
-    }
-}
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::Int(v as i64)
-    }
-}
-impl From<i32> for Value {
-    fn from(v: i32) -> Self {
-        Value::Int(v as i64)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Double(v)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-impl<T: Into<Value>> From<Vec<T>> for Value {
-    fn from(v: Vec<T>) -> Self {
-        Value::List(v.into_iter().map(Into::into).collect())
-    }
-}
-
-/// Metadata category, mirroring Adiak's category constants.
-///
-/// Categories let tools subscribe to subsets of the metadata (e.g. a
-/// performance dashboard may only want [`Category::Performance`] entries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Category {
-    /// General run description (default).
-    General,
-    /// Performance-related metadata.
-    Performance,
-    /// Control variables (problem size, tuning knobs).
-    Control,
-    /// System/environment description.
-    System,
-}
-
-/// A single registered metadata entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Entry {
-    /// The metadata value.
-    pub value: Value,
-    /// The category it was registered under.
-    pub category: Category,
-}
-
-/// An immutable snapshot of the registry, name → entry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Snapshot(pub BTreeMap<String, Entry>);
+/// An immutable snapshot of the registry, name → value.
+#[derive(Debug, Clone)]
+pub struct Snapshot(pub BTreeMap<String, Value>);
 
 impl Snapshot {
     /// Look up a value by name.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.0.get(name).map(|e| &e.value)
-    }
-
-    /// Iterate over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.0.iter().map(|(k, e)| (k.as_str(), &e.value))
-    }
-
-    /// Entries restricted to one category.
-    pub fn in_category(&self, cat: Category) -> impl Iterator<Item = (&str, &Value)> {
-        self.0
-            .iter()
-            .filter(move |(_, e)| e.category == cat)
-            .map(|(k, e)| (k.as_str(), &e.value))
-    }
-
-    /// Number of registered entries.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.get(name)
     }
 }
 
-fn registry() -> &'static Mutex<BTreeMap<String, Entry>> {
-    static REG: OnceLock<Mutex<BTreeMap<String, Entry>>> = OnceLock::new();
+fn registry() -> &'static Mutex<BTreeMap<String, Value>> {
+    static REG: OnceLock<Mutex<BTreeMap<String, Value>>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -200,39 +53,22 @@ pub fn init() {
         .ok()
         .and_then(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
         .unwrap_or_else(|| "unknown".to_string());
-    value_categorized("executable", exe, Category::System);
-    value_categorized("adiak_version", env!("CARGO_PKG_VERSION"), Category::System);
+    value("executable", exe);
+    value("adiak_version", env!("CARGO_PKG_VERSION"));
 }
 
-/// Register a metadata value under [`Category::General`].
+/// Register a metadata value as the JSON it serializes to.
 ///
 /// Registering the same name twice replaces the previous value, matching
 /// Adiak's last-writer-wins behaviour.
-pub fn value(name: &str, v: impl Into<Value>) {
-    value_categorized(name, v, Category::General);
-}
-
-/// Register a metadata value under an explicit category.
-pub fn value_categorized(name: &str, v: impl Into<Value>, category: Category) {
-    registry().lock().insert(
-        name.to_string(),
-        Entry {
-            value: v.into(),
-            category,
-        },
-    );
+pub fn value(name: &str, v: impl Serialize) {
+    let v = serde::to_value(v).expect("a value serializes into a tree");
+    registry().lock().insert(name.to_string(), v);
 }
 
 /// Take an immutable snapshot of the current registry contents.
 pub fn snapshot() -> Snapshot {
     Snapshot(registry().lock().clone())
-}
-
-/// Remove every registered entry. Primarily useful between logical "runs"
-/// inside one process (a single RAJAPerf execution produces one profile, so
-/// the driver clears metadata before configuring the next run).
-pub fn clear() {
-    registry().lock().clear();
 }
 
 #[cfg(test)]
@@ -250,9 +86,9 @@ mod tests {
         value("t1_bool", true);
         let s = snapshot();
         assert_eq!(s.get("t1_str").unwrap().as_str(), Some("hello"));
-        assert_eq!(s.get("t1_int").unwrap().as_i64(), Some(42));
-        assert_eq!(s.get("t1_dbl").unwrap().as_f64(), Some(2.5));
-        assert_eq!(s.get("t1_bool").unwrap().as_bool(), Some(true));
+        assert_eq!(s.get("t1_int"), Some(&Value::Int(42)));
+        assert_eq!(s.get("t1_dbl"), Some(&Value::Float(2.5)));
+        assert_eq!(s.get("t1_bool"), Some(&Value::Bool(true)));
     }
 
     #[test]
@@ -267,19 +103,9 @@ mod tests {
         value("t3_list", vec![1i64, 2, 3]);
         let s = snapshot();
         match s.get("t3_list").unwrap() {
-            Value::List(v) => assert_eq!(v.len(), 3),
+            Value::Array(v) => assert_eq!(v.len(), 3),
             other => panic!("expected list, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn categories_filter() {
-        value_categorized("t4_perf", 1.0f64, Category::Performance);
-        value_categorized("t4_gen", 1.0f64, Category::General);
-        let s = snapshot();
-        let perf: Vec<_> = s.in_category(Category::Performance).collect();
-        assert!(perf.iter().any(|(k, _)| *k == "t4_perf"));
-        assert!(!perf.iter().any(|(k, _)| *k == "t4_gen"));
     }
 
     #[test]
@@ -296,12 +122,14 @@ mod tests {
         assert_eq!(snapshot().get("t5_i").unwrap().as_f64(), Some(7.0));
     }
 
+    /// A double that happens to be integral stays a double: a profile's
+    /// global keeps the JSON type its writer gave it.
     #[test]
-    fn json_roundtrip() {
-        value("t6_k", 3.25f64);
+    fn a_double_stays_a_double() {
+        value("t6_d", 1.0f64);
+        value("t6_i", 7i64);
         let s = snapshot();
-        let js = serde_json::to_string(&s).unwrap();
-        let back: Snapshot = serde_json::from_str(&js).unwrap();
-        assert_eq!(back.get("t6_k").unwrap().as_f64(), Some(3.25));
+        assert_eq!(serde_json::to_string(s.get("t6_d").unwrap()).unwrap(), "1.0");
+        assert_eq!(serde_json::to_string(s.get("t6_i").unwrap()).unwrap(), "7");
     }
 }

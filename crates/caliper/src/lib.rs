@@ -37,7 +37,7 @@
 pub mod trace;
 
 use serde::text::Reader;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simsched::sync::atomic::{AtomicBool, Ordering};
 use simsched::sync::Mutex;
 use simsched::time::Instant;
@@ -51,7 +51,7 @@ use std::sync::{Arc, OnceLock};
 pub const SYNTHETIC_ROOT: &str = "(root)";
 
 /// Aggregated statistics for one metric on one call-path node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MetricAgg {
     /// Sum of all recorded values.
     pub sum: f64,
@@ -610,16 +610,7 @@ impl Session {
     /// aggregated records.
     pub fn profile(&self) -> Profile {
         let inner = self.inner.lock().unwrap();
-        let mut globals: BTreeMap<String, serde_json::Value> = adiak::snapshot()
-            .0
-            .into_iter()
-            .map(|(k, e)| {
-                (
-                    k,
-                    serde_json::to_value(e.value).expect("adiak value serializes"),
-                )
-            })
-            .collect();
+        let mut globals = adiak::snapshot().0;
         globals.extend(inner.globals.clone());
         // Exclusive time: each node's inclusive sum minus its direct
         // children's inclusive sums (Caliper's `exclusive#time.duration`).

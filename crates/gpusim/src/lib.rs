@@ -540,7 +540,7 @@ where
 static FORCE_GENERIC_LAUNCH: AtomicBool = AtomicBool::new(false);
 
 /// True when the 1-D fast path is disabled (see [`force_generic_launch`]).
-pub fn generic_launch_forced() -> bool {
+fn generic_launch_forced() -> bool {
     FORCE_GENERIC_LAUNCH.load(Ordering::Relaxed)
 }
 

@@ -419,14 +419,6 @@ pub const ALL_VARIANTS: &[VariantId] = &[
     VariantId::RajaSimGpu,
 ];
 
-/// Host-only variants (kernels without device implementations in Table I).
-pub const HOST_VARIANTS: &[VariantId] = &[
-    VariantId::BaseSeq,
-    VariantId::RajaSeq,
-    VariantId::BasePar,
-    VariantId::RajaPar,
-];
-
 /// Sequential-only variants (kernels whose upstream coverage is Seq-only).
 pub const SEQ_VARIANTS: &[VariantId] = &[VariantId::BaseSeq, VariantId::RajaSeq];
 

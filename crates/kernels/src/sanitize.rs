@@ -6,8 +6,9 @@
 //! inside a [`gpusim::sanitizer::SanitizerScope`] and returns the findings
 //! together with sanitized and unsanitized timings (the overhead is worth
 //! recording as run metadata, as Caliper does for instrumentation cost).
-//! [`sanitize_all`] sweeps every simulated-device variant of every registry
-//! kernel — the expectation, enforced by tests, is **zero findings**: the
+//! [`sanitize_all`] sweeps every simulated-device variant of the kernels it
+//! is given (`rajaperf --sanitize` passes its selection) — over the whole
+//! registry the expectation, enforced by tests, is **zero findings**: the
 //! suite's kernels are race-free, in-bounds, and correctly barriered.
 //!
 //! The [`fixtures`] module provides intentionally-broken kernels as
@@ -115,17 +116,19 @@ pub fn sanitize_kernel(
 /// The simulated-device variants the sweep covers.
 pub const SANITIZED_VARIANTS: &[VariantId] = &[VariantId::BaseSimGpu, VariantId::RajaSimGpu];
 
-/// Sweep every simulated-device variant of every registry kernel at size
-/// `n` (or [`DEFAULT_SANITIZE_SIZE`]). Kernels without a simulated-device
-/// variant are skipped.
-pub fn sanitize_all(n: Option<usize>, tuning: &Tuning) -> Vec<SanitizeOutcome> {
+/// Sweep every simulated-device variant of each of `kernels`, in order, at
+/// size `n` (or [`DEFAULT_SANITIZE_SIZE`]). Variants a kernel does not
+/// implement are skipped.
+pub fn sanitize_all<'a>(
+    kernels: impl IntoIterator<Item = &'a dyn KernelBase>,
+    n: Option<usize>,
+    tuning: &Tuning,
+) -> Vec<SanitizeOutcome> {
     let n = n.unwrap_or(DEFAULT_SANITIZE_SIZE);
     let mut out = Vec::new();
-    for k in crate::registry() {
+    for k in kernels {
         for &v in SANITIZED_VARIANTS {
-            if let Some(outcome) = sanitize_kernel(k.as_ref(), v, n, tuning) {
-                out.push(outcome);
-            }
+            out.extend(sanitize_kernel(k, v, n, tuning));
         }
     }
     out
@@ -377,7 +380,8 @@ mod tests {
     fn full_registry_sweep_is_clean() {
         // The acceptance bar: zero findings across every simulated-device
         // variant of all 76 kernels.
-        let outcomes = sanitize_all(Some(1024), &Tuning::default());
+        let registry = crate::registry().iter().map(|k| k.as_ref());
+        let outcomes = sanitize_all(registry, Some(1024), &Tuning::default());
         assert!(!outcomes.is_empty());
         let dirty: Vec<String> = outcomes
             .iter()

@@ -1,10 +1,10 @@
 //! Descriptors of the four evaluation systems (paper Tables II and III).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// CPU vs GPU execution (determines which hardware-metric model applies:
 /// TMA on CPUs, instruction roofline on GPUs — paper §III-A/B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MachineKind {
     /// CPU-only node; kernels run with the `RAJA_Seq` variant across MPI
     /// ranks.
@@ -14,7 +14,7 @@ pub enum MachineKind {
 }
 
 /// The four systems of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum MachineId {
     /// Poodle with DDR memory (Intel Sapphire Rapids) — the baseline.
     SprDdr,
@@ -55,7 +55,7 @@ impl MachineId {
 /// (Basic_MAT_MAT_SHARED for FLOPS, Stream_TRIAD for bandwidth); we adopt
 /// them as sustained-rate ceilings since this container cannot measure the
 /// real hardware.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Machine {
     /// Identity.
     pub id: MachineId,
@@ -241,11 +241,6 @@ impl Machine {
     /// Per-rank share of the sustained write bandwidth.
     pub fn write_bw_per_rank(&self) -> f64 {
         self.achieved_write_bw_node / self.ranks as f64
-    }
-
-    /// Per-rank share of the sustained FLOPS ceiling.
-    pub fn flops_per_rank(&self) -> f64 {
-        self.achieved_flops_node / self.ranks as f64
     }
 
     /// Aggregate micro-op issue throughput per rank (slots/s).

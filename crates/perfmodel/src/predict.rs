@@ -19,7 +19,7 @@
 
 use crate::machine::{Machine, MachineKind};
 use crate::signature::ExecSignature;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fraction of theoretical issue bandwidth sustainable by real kernels.
 /// GPUs rarely keep every scheduler slot busy on irregular code.
@@ -27,7 +27,7 @@ const ISSUE_SUSTAIN_CPU: f64 = 0.8;
 const ISSUE_SUSTAIN_GPU: f64 = 0.12;
 
 /// The predicted time and its components, per repetition, seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PredictedTime {
     /// Total predicted time for one repetition (slowest rank ≈ any rank,
     /// work being balanced).

@@ -18,13 +18,13 @@
 use crate::machine::{Machine, MachineKind};
 use crate::predict::predict_time;
 use crate::signature::ExecSignature;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Memory-transaction granularity (an NVIDIA sector), bytes.
 pub const SECTOR_BYTES: f64 = 32.0;
 
 /// The three cache layers of Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CacheLevel {
     /// L1/texture cache.
     L1,
@@ -51,7 +51,7 @@ impl CacheLevel {
 }
 
 /// Per-level ceilings of the instruction roofline for a GPU machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RooflineCeilings {
     /// Theoretical peak warp instructions per second (the horizontal roof),
     /// in GIPS.
@@ -94,7 +94,7 @@ pub fn ceilings(machine: &Machine) -> RooflineCeilings {
 }
 
 /// A kernel's point on the instruction roofline at one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RooflinePoint {
     /// Cache level.
     pub level: CacheLevel,

@@ -1,13 +1,13 @@
 //! Kernel execution signatures: the structural inputs to the models.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Asymptotic work complexity relative to the stored problem size, as
 /// annotated in Table I. Drives the per-rank decomposition rule: a rank
 /// holding `n` elements of an O(N^{3/2}) kernel performs `n^{3/2}` work, so
 /// machines using fewer, larger ranks do more total work — the paper's
 /// observation about the Polybench matrix kernels on GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Complexity {
     /// O(N): work linear in the data size (most kernels).
     N,
@@ -47,7 +47,7 @@ impl Complexity {
 /// problem), matching RAJAPerf's per-rep analytic metrics. The counts are
 /// *exact* where RAJAPerf reports them (FLOPs, bytes) and *derived from the
 /// loop structure* for the microarchitectural descriptors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExecSignature {
     /// Kernel name (`Group_KERNEL` form, e.g. `Stream_TRIAD`).
     pub name: String,

@@ -30,7 +30,7 @@
 
 use crate::machine::{Machine, MachineKind};
 use crate::signature::ExecSignature;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Branch misprediction recovery penalty, cycles (typical for modern OoO).
 const MISPREDICT_PENALTY: f64 = 15.0;
@@ -39,7 +39,7 @@ const MISPREDICT_PENALTY: f64 = 15.0;
 const ATOMIC_LATENCY: f64 = 20.0;
 
 /// The top-two-level TMA breakdown. Fractions of pipeline slots; sums to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TmaBreakdown {
     /// Instruction fetch/decode starvation.
     pub frontend_bound: f64,
@@ -64,11 +64,6 @@ impl TmaBreakdown {
             self.core_bound,
             self.memory_bound,
         ]
-    }
-
-    /// Level-1 Backend Bound = Core + Memory.
-    pub fn backend_bound(&self) -> f64 {
-        self.core_bound + self.memory_bound
     }
 
     /// Sum of all five fractions (1.0 up to rounding).

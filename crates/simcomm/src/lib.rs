@@ -10,9 +10,8 @@
 //! This container has one core and no MPI, so this crate implements message
 //! passing over OS threads: [`run`] spawns one thread per rank, and each
 //! rank's [`Comm`] handle provides blocking send/recv with tag matching,
-//! non-blocking isend/irecv with [`Request`]s, barriers, and allreduce —
-//! the subset the halo kernels and the rank-sharded sweep orchestrator
-//! need. Per-rank traffic counters (both directions) feed the performance
+//! non-blocking isend/irecv with [`Request`]s, and barriers — the subset
+//! the halo kernels need. Per-rank traffic counters (both directions) feed the performance
 //! model's communication-cost term (`latency + bytes/BW` per message),
 //! which is how the paper's "HALO kernels are dominated by MPI time"
 //! observation is reproduced.
@@ -38,16 +37,15 @@
 //! # Tag discipline
 //!
 //! User-facing tags must be `>= 0`. The negative tag space is reserved for
-//! the runtime (collectives, abort sentinels), so user traffic can never
-//! collide with an in-flight `allreduce_sum` again.
+//! the runtime's abort sentinel, so user traffic can never be mistaken for
+//! it.
 //!
 //! # Transports
 //!
-//! The in-memory channels here are one carrier of the sweep's gather
-//! protocol; [`transport`] is the carrier-independent other half — line-
-//! delimited JSON framing with [`CommStats`] accounting over any
-//! `Read`/`Write` pair — used by process-isolated campaigns to speak the
-//! same protocol over child-process pipes.
+//! The [`Comm`] channels carry the halo kernels' messages. The sweep's
+//! gather protocol does not use them: [`transport`] is its line-delimited
+//! JSON framing over any `Read`/`Write` pair, which process-isolated
+//! campaigns speak over child-process pipes.
 //!
 //! [`halo`] builds the 3-D domain-decomposition geometry: neighbour ranks
 //! and pack/unpack index lists for all 26 adjacencies of a box with ghost
@@ -64,15 +62,11 @@ pub mod transport;
 /// Tags below zero belong to the runtime; user-facing operations must use
 /// tags `>= 0`.
 pub const FIRST_USER_TAG: i32 = 0;
-/// Reserved tag: gather leg of [`Comm::allreduce_sum`].
-const REDUCE_UP_TAG: i32 = -101;
-/// Reserved tag: broadcast leg of [`Comm::allreduce_sum`].
-const REDUCE_BCAST_TAG: i32 = -100;
 /// Reserved tag: abort sentinel waking receivers blocked on a dead peer.
 const ABORT_TAG: i32 = i32::MIN;
 
-/// A message payload: numeric halo data or opaque bytes (the rank-sharded
-/// sweep gathers its per-cell results as serialized JSON bytes).
+/// A message payload: numeric halo data ([`Comm::send`]) or opaque bytes
+/// ([`Comm::send_bytes`]). A receive of the other kind is a panic.
 #[derive(Debug, Clone)]
 enum Payload {
     F64(Vec<f64>),
@@ -326,7 +320,7 @@ impl Comm {
         assert!(
             tag >= FIRST_USER_TAG,
             "tag {tag} is reserved: negative tags belong to simcomm \
-             collectives and runtime control traffic"
+             runtime control traffic"
         );
     }
 
@@ -397,8 +391,7 @@ impl Comm {
         }
     }
 
-    /// Blocking tagged byte send (tag `>= 0`). The rank-sharded sweep
-    /// gathers per-cell results as serialized JSON with this.
+    /// Blocking tagged byte send (tag `>= 0`).
     pub fn send_bytes(&mut self, dest: usize, tag: i32, payload: &[u8]) {
         Self::assert_user_tag(tag);
         self.send_raw(dest, tag, Payload::Bytes(payload.to_vec()));
@@ -437,45 +430,11 @@ impl Comm {
         }
     }
 
-    /// Complete a batch of requests, returning received payloads in request
-    /// order (`MPI_Waitall`).
-    pub fn wait_all(&mut self, reqs: Vec<Request>) -> Vec<Option<Vec<f64>>> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
-
     /// Synchronize all ranks (`MPI_Barrier`). If any rank dies, every
     /// waiter aborts instead of blocking forever.
     pub fn barrier(&self) {
         if self.shared.barrier.wait().is_err() {
             abort("barrier poisoned by a peer rank's panic".to_string());
-        }
-    }
-
-    /// Sum-allreduce a scalar across ranks (`MPI_Allreduce(..., MPI_SUM)`).
-    /// Runs entirely on reserved negative tags, so it can never be satisfied
-    /// by (or swallow) user traffic.
-    pub fn allreduce_sum(&mut self, value: f64) -> f64 {
-        if self.size == 1 {
-            return value;
-        }
-        if self.rank == 0 {
-            let mut acc = value;
-            for src in 1..self.size {
-                acc += match self.recv_raw(src, REDUCE_UP_TAG) {
-                    Payload::F64(v) => v[0],
-                    Payload::Bytes(_) => unreachable!("collectives carry f64"),
-                };
-            }
-            for dest in 1..self.size {
-                self.send_raw(dest, REDUCE_BCAST_TAG, Payload::F64(vec![acc]));
-            }
-            acc
-        } else {
-            self.send_raw(0, REDUCE_UP_TAG, Payload::F64(vec![value]));
-            match self.recv_raw(0, REDUCE_BCAST_TAG) {
-                Payload::F64(v) => v[0],
-                Payload::Bytes(_) => unreachable!("collectives carry f64"),
-            }
         }
     }
 }
@@ -722,40 +681,16 @@ mod tests {
     }
 
     #[test]
-    fn isend_irecv_waitall() {
+    fn isend_irecv_wait() {
         let out = run(2, |mut comm| {
             let peer = 1 - comm.rank();
             let payload = vec![comm.rank() as f64; 8];
             let s = comm.isend(peer, 0, &payload);
             let r = comm.irecv(peer, 0);
-            let results = comm.wait_all(vec![s, r]);
-            results[1].as_ref().unwrap()[0]
+            assert_eq!(comm.wait(s), None);
+            comm.wait(r).unwrap()[0]
         });
         assert_eq!(out, vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn allreduce_sums_across_ranks() {
-        let out = run(5, |mut comm| comm.allreduce_sum(comm.rank() as f64 + 1.0));
-        assert!(out.iter().all(|&v| v == 15.0));
-    }
-
-    #[test]
-    fn allreduce_coexists_with_user_tag_traffic() {
-        // User messages on tag 0 in flight *around* an allreduce: with the
-        // collectives on reserved tags, neither can swallow the other.
-        let out = run(3, |mut comm| {
-            let next = (comm.rank() + 1) % comm.size();
-            let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send(next, 0, &[100.0 + comm.rank() as f64]);
-            let red = comm.allreduce_sum(1.0);
-            let ring = comm.recv(prev, 0)[0];
-            (red, ring)
-        });
-        for (rank, (red, ring)) in out.iter().enumerate() {
-            assert_eq!(*red, 3.0);
-            assert_eq!(*ring, 100.0 + ((rank + 2) % 3) as f64);
-        }
     }
 
     #[test]
@@ -834,8 +769,8 @@ mod tests {
 
     #[test]
     fn user_negative_tag_is_rejected_not_swallowed() {
-        // Tag -101 collides with the allreduce gather leg; it must be
-        // rejected at the send site, never silently matched.
+        // A negative tag is the runtime's; it must be rejected at the send
+        // site, never silently matched.
         let err = try_run(2, |mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, -101, &[1.0]);

@@ -97,7 +97,7 @@ pub const KNOWN_POINTS: &[(&str, &str)] = &[
 ];
 
 /// True when `point` names a registered call site.
-pub fn is_known_point(point: &str) -> bool {
+fn is_known_point(point: &str) -> bool {
     KNOWN_POINTS.iter().any(|(p, _)| *p == point)
 }
 

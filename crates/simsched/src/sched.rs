@@ -382,7 +382,7 @@ fn independent(a: &Cand, b: &Cand) -> bool {
 }
 
 /// All enabled transitions at a quiescent state, in deterministic order.
-fn candidates(st: &RunState, timeouts: bool, spurious: bool, wake_budget: usize) -> Vec<Cand> {
+fn candidates(st: &RunState, timeouts: bool, spurious: bool) -> Vec<Cand> {
     let mut v = Vec::new();
     for (tid, t) in st.threads.iter().enumerate() {
         match &t.status {
@@ -440,7 +440,7 @@ fn candidates(st: &RunState, timeouts: bool, spurious: bool, wake_budget: usize)
                 has_timeout,
                 ..
             } => {
-                if *has_timeout && timeouts && t.wake_budget_used < wake_budget {
+                if *has_timeout && timeouts && t.wake_budget_used < WAKE_BUDGET {
                     v.push(Cand {
                         trans: Trans::Timeout(tid),
                         r1: *condvar,
@@ -449,7 +449,7 @@ fn candidates(st: &RunState, timeouts: bool, spurious: bool, wake_budget: usize)
                         lifecycle: false,
                     });
                 }
-                if spurious && t.wake_budget_used < wake_budget {
+                if spurious && t.wake_budget_used < WAKE_BUDGET {
                     v.push(Cand {
                         trans: Trans::Spurious(tid),
                         r1: *condvar,
@@ -731,15 +731,23 @@ pub enum Mode {
     Random { seed: u64, iterations: u64 },
 }
 
+/// Timeout + spurious wakes per thread per run. The bound is what keeps
+/// lenient-mode exploration finite; it also means a protocol whose only
+/// recovery is an unbounded retry-on-timeout loop is reported as a deadlock
+/// — bounded checking rightly refuses to accept "it times out and retries
+/// forever" as a liveness argument.
+const WAKE_BUDGET: usize = 2;
+/// Per-run transition cap (livelock guard).
+const MAX_STEPS: usize = 10_000;
+/// Total schedule cap; hitting it reports `complete: false`.
+const MAX_SCHEDULES: u64 = 200_000;
+
 /// Builder for a bounded model check.
 #[derive(Clone, Debug)]
 pub struct Checker {
     preemption_bound: Option<usize>,
     timeouts: bool,
     spurious: bool,
-    wake_budget: usize,
-    max_steps: usize,
-    max_schedules: u64,
     mode: Mode,
 }
 
@@ -757,9 +765,6 @@ impl Checker {
             preemption_bound: Some(2),
             timeouts: false,
             spurious: false,
-            wake_budget: 2,
-            max_steps: 10_000,
-            max_schedules: 200_000,
             mode: Mode::Exhaustive,
         }
     }
@@ -782,28 +787,6 @@ impl Checker {
     /// unguarded `wait` into a found bug even in protocols with no timeout).
     pub fn spurious(mut self, allow: bool) -> Checker {
         self.spurious = allow;
-        self
-    }
-
-    /// Per-run transition cap (livelock guard).
-    pub fn max_steps(mut self, steps: usize) -> Checker {
-        self.max_steps = steps;
-        self
-    }
-
-    /// Total schedule cap; hitting it reports `complete: false`.
-    pub fn max_schedules(mut self, cap: u64) -> Checker {
-        self.max_schedules = cap;
-        self
-    }
-
-    /// Cap timeout + spurious wakes per thread per run (default 2). The
-    /// bound is what keeps lenient-mode exploration finite; it also means a
-    /// protocol whose only recovery is an unbounded retry-on-timeout loop
-    /// is reported as a deadlock — bounded checking rightly refuses to
-    /// accept "it times out and retries forever" as a liveness argument.
-    pub fn wake_budget(mut self, budget: usize) -> Checker {
-        self.wake_budget = budget;
         self
     }
 
@@ -856,7 +839,7 @@ impl Checker {
                             break;
                         }
                     }
-                    if report.schedules >= self.max_schedules {
+                    if report.schedules >= MAX_SCHEDULES {
                         break;
                     }
                 }
@@ -924,15 +907,15 @@ impl Checker {
                 drop(st);
                 break;
             }
-            if depth >= self.max_steps {
+            if depth >= MAX_STEPS {
                 outcome = RunResult::Failed(Failure::StepLimit {
-                    limit: self.max_steps,
+                    limit: MAX_STEPS,
                     schedule: st.schedule.clone(),
                 });
                 abandon(&run, st);
                 break;
             }
-            let raw = candidates(&st, self.timeouts, self.spurious, self.wake_budget);
+            let raw = candidates(&st, self.timeouts, self.spurious);
             if raw.is_empty() {
                 outcome = RunResult::Failed(Failure::Deadlock {
                     schedule: st.schedule.clone(),

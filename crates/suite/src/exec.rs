@@ -135,7 +135,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Transient failures carry the `simfault:` message prefix — injected
 /// faults the retry policy may absorb. Anything else is a genuine crash.
-pub fn is_transient(message: &str) -> bool {
+fn is_transient(message: &str) -> bool {
     message.starts_with("simfault:")
 }
 

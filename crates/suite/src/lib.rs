@@ -98,7 +98,7 @@ pub(crate) fn run_suite_with(
     adiak::value("variant", params.variant.name());
     adiak::value("tuning", format!("block_{}", params.tuning.gpu_block_size));
     adiak::value("size_factor", params.size_factor);
-    adiak::value_categorized("suite", "RAJAPerf-rs", adiak::Category::General);
+    adiak::value("suite", "RAJAPerf-rs");
     // Adiak is process-global; under the daemon several runs annotate
     // concurrently and would read each other's metadata at flush time. The
     // same values set directly on the (private) session override the Adiak
@@ -370,21 +370,9 @@ pub(crate) fn run_suite_with(
 /// map operation per access, and the hazard classes it detects are
 /// intra-block, so a reduced size loses no coverage.
 pub fn run_sanitize(params: &RunParams) -> SanitizeSection {
-    let n = params.explicit_size;
-    let mut section = SanitizeSection::default();
-    for kernel in params.selected_kernels() {
-        for &v in kernels::sanitize::SANITIZED_VARIANTS {
-            if let Some(outcome) = kernels::sanitize::sanitize_kernel(
-                kernel,
-                v,
-                n.unwrap_or(kernels::sanitize::DEFAULT_SANITIZE_SIZE),
-                &params.tuning,
-            ) {
-                section.outcomes.push(outcome);
-            }
-        }
-    }
-    section
+    let selected = params.selected_kernels();
+    let outcomes = kernels::sanitize::sanitize_all(selected, params.explicit_size, &params.tuning);
+    SanitizeSection { outcomes }
 }
 
 /// `output` with `tag` before the extension chain of every file it names —
@@ -505,32 +493,6 @@ pub fn run_tuning_sweep(
         .collect())
 }
 
-impl SuiteReport {
-    /// Render the run as a GitHub-flavored markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!(
-            "### RAJAPerf-rs run — variant `{}`\n\n\
-             | Kernel | Group | Size | Reps | Time/rep (s) | GB/s | GFLOP/s |\n\
-             |---|---|--:|--:|--:|--:|--:|\n",
-            self.variant.name()
-        );
-        for e in &self.entries {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {:.3e} | {:.2} | {:.2} |
-",
-                e.kernel,
-                e.group,
-                e.problem_size,
-                e.reps,
-                e.result.time_per_rep(),
-                e.bandwidth() / 1e9,
-                e.flop_rate() / 1e9,
-            ));
-        }
-        out
-    }
-}
-
 /// Where experiment binaries write their outputs.
 pub fn experiment_dir() -> PathBuf {
     let dir = std::env::var("RAJAPERF_EXPERIMENT_DIR")
@@ -647,16 +609,6 @@ mod tests {
             vec![1, 2, 3]
         );
         assert!(seen.iter().all(|(_, _, _, o)| o == "PASSED"));
-    }
-
-    #[test]
-    fn markdown_report_renders_table() {
-        let report = run_suite(&small_params());
-        let md = report.to_markdown();
-        assert!(md.contains("| Kernel |"));
-        assert!(md.contains("| Stream_TRIAD |"));
-        // Header row + one data row per kernel.
-        assert_eq!(md.lines().filter(|l| l.starts_with("| ")).count(), 1 + 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Corruption is never trusted and never fatal.
 
 use crate::{RunParams, SuiteReport, TimingEntry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::{json, Value};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -67,7 +67,7 @@ pub fn campaign_key(params: &RunParams) -> Value {
 }
 
 /// One executed kernel of a finished run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EntryRecord {
     /// Full kernel name.
     pub kernel: String,
@@ -82,7 +82,7 @@ pub struct EntryRecord {
 }
 
 /// One kernel's fate in a finished run, passed or not.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OutcomeSummary {
     /// Full kernel name.
     pub kernel: String,
@@ -95,7 +95,7 @@ pub struct OutcomeSummary {
 /// A finished run as data. Its derived JSON is the daemon's `report`
 /// (beside the inline profile); a sweep cell's record keeps the `entries`
 /// (beside the cell's outcome fields and its profile's path).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunRecord {
     /// Name of the variant the run executed.
     pub variant: String,

@@ -91,7 +91,7 @@ pub fn simulate_all() -> Vec<KernelSim> {
 /// The paper excludes 12 of 75 kernels whose decomposition makes the work
 /// incomparable across rank counts: the Comm kernels and every kernel with
 /// complexity other than O(N).
-pub fn in_comparison(kernel: &dyn KernelBase) -> bool {
+fn in_comparison(kernel: &dyn KernelBase) -> bool {
     let info = kernel.info();
     info.group != Group::Comm && info.complexity == Complexity::N
 }

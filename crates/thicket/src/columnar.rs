@@ -29,7 +29,6 @@
 //! `RAYON_NUM_THREADS`.
 
 use rayon::IntoParallelIterator;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Row identity: `(node id, profile id)`. `u32` halves index memory versus
@@ -41,7 +40,7 @@ pub(crate) type Row = (u32, u32);
 const PENDING_MIN_ROWS: usize = 4096;
 
 /// Validity bitmap: one bit per row position of the owning column.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Bitmap {
     words: Vec<u64>,
     len: usize,
@@ -69,7 +68,7 @@ impl Bitmap {
 
 /// One metric column: values dense over the owning frame's row index (or a
 /// prefix of it, in the pending chunk), plus validity.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Column {
     pub(crate) values: Vec<f64>,
     pub(crate) valid: Bitmap,
@@ -112,7 +111,7 @@ impl Column {
 /// Unsorted appends awaiting compaction. Rows are in append order; columns
 /// are dense over the row positions they have reached (shorter tails read
 /// as unobserved).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Pending {
     rows: Vec<Row>,
     columns: BTreeMap<String, Column>,
@@ -130,7 +129,7 @@ impl Pending {
 }
 
 /// The columnar performance dataframe.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Frame {
     /// Sorted node-major row index, deduplicated.
     index: Vec<Row>,
@@ -457,37 +456,13 @@ impl Frame {
         let kept = IdSet::new(keep);
         let keep_pos = par_filter_positions(self.index.len(), |i| kept.contains(self.index[i].1));
         let index: Vec<Row> = keep_pos.iter().map(|&i| self.index[i]).collect();
-        self.gathered(index, &keep_pos, nnodes)
-    }
-
-    /// Sub-frame of rows whose node remaps (`remap[node] = Some(new id)`).
-    /// `remap` must be monotone over kept nodes so node-major order is
-    /// preserved. Requires a compacted frame; the output is compacted.
-    pub(crate) fn select_nodes(&self, remap: &[Option<u32>], new_nnodes: usize) -> Frame {
-        debug_assert!(self.pending.rows.is_empty());
-        let keep_pos = par_filter_positions(self.index.len(), |i| {
-            remap[self.index[i].0 as usize].is_some()
-        });
-        let index: Vec<Row> = keep_pos
-            .iter()
-            .map(|&i| {
-                let (n, p) = self.index[i];
-                (remap[n as usize].expect("kept position"), p)
-            })
-            .collect();
-        self.gathered(index, &keep_pos, new_nnodes)
-    }
-
-    /// Assemble a frame from a pre-remapped `index` plus the base positions
-    /// each row was taken from. Column gathers run chunk-parallel.
-    fn gathered(&self, index: Vec<Row>, keep_pos: &[usize], nnodes: usize) -> Frame {
         let names: Vec<&String> = self.columns.keys().collect();
         let gathered: Vec<Column> = (0..names.len())
             .into_par_iter()
             .map(|c| {
                 let src = &self.columns[names[c]];
                 let mut col = Column::default();
-                for &i in keep_pos {
+                for &i in &keep_pos {
                     match src.get(i) {
                         Some(v) => col.push_valid(v),
                         None => col.push_invalid(),

@@ -42,8 +42,8 @@
 //! builds no JSON tree and no [`ProfileData`], only each global's own value:
 //!
 //! * [`IngestSession::ingest_json`] — a profile's text (and
-//!   [`IngestSession::ingest_file`], [`Thicket::from_files`], which is all of
-//!   `rajaperf-analyze DIR`);
+//!   [`Thicket::from_files`], which reads each file into one reused buffer:
+//!   all of `rajaperf-analyze DIR`);
 //! * [`IngestSession::ingest_json_at`] — a profile embedded in a larger
 //!   document at a member path (the daemon's store objects, at
 //!   `report.profile`);
@@ -100,11 +100,8 @@ impl Node {
     }
 }
 
-/// Row identity in the performance dataframe: (node, profile).
-pub type RowKey = (usize, usize);
-
 /// The Thicket: call graph + performance dataframe + metadata + statsframe.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Thicket {
     /// Unified call-graph nodes; `node id` = index.
     pub nodes: Vec<Node>,
@@ -485,8 +482,8 @@ pub fn profile_paths(dir: &std::path::Path) -> std::io::Result<Vec<std::path::Pa
 /// Transient path → node-id index used by the bulk ingestion paths. Built
 /// once per bulk operation (O(nodes)) so node lookups are hashed instead of
 /// linear — concatenating sweep-sized thickets was O(nodes²·columns) with
-/// the old per-record scan. Not stored on [`Thicket`]: the struct is plain
-/// serializable data, and an index field would leak into its JSON form.
+/// the old per-record scan. Not stored on [`Thicket`]: selections and
+/// `.tkt` reopen would have to rebuild or carry it.
 type PathIndex = HashMap<Vec<String>, usize>;
 
 /// Narrow a node/profile id into the frame's `u32` row space.
@@ -559,7 +556,7 @@ impl IngestSession {
     /// [`IngestSession::ingest_json`] of the profile file at `path`, read
     /// into a buffer the session reuses; errors as
     /// [`ProfileData::read_file`]'s.
-    pub fn ingest_file(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+    fn ingest_file(&mut self, path: &std::path::Path) -> std::io::Result<()> {
         let mut text = std::mem::take(&mut self.text);
         let read = read_profile_text(path, &mut text)
             .and_then(|()| self.ingest_json(&text).map_err(|e| malformed(path, e)));
@@ -699,13 +696,6 @@ impl Thicket {
             metadata,
             statsframe,
         }
-    }
-
-    /// Node id of a call path, if present.
-    pub fn node_id(&self, path: &[&str]) -> Option<usize> {
-        self.nodes.iter().position(|n| {
-            n.path.len() == path.len() && n.path.iter().zip(path).all(|(a, b)| a == b)
-        })
     }
 
     /// Node id by leaf name (first match).
@@ -892,35 +882,6 @@ impl Thicket {
         out
     }
 
-    /// Nodes whose leaf name contains `pattern` (a simple Hatchet-style
-    /// query on the call graph).
-    pub fn query_nodes(&self, pattern: &str) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].name().contains(pattern))
-            .collect()
-    }
-
-    /// Keep only the sub-thicket of nodes matching `pattern` (the query
-    /// counterpart of [`Thicket::filter_metadata`]).
-    pub fn filter_nodes(&self, pattern: &str) -> Thicket {
-        let keep = self.query_nodes(pattern);
-        let mut remap: Vec<Option<u32>> = vec![None; self.nodes.len()];
-        let mut nodes = Vec::with_capacity(keep.len());
-        for &nid in &keep {
-            remap[nid] = Some(id32(nodes.len()));
-            nodes.push(self.nodes[nid].clone());
-        }
-        let fv = self.frame_view();
-        let frame = fv.select_nodes(&remap, nodes.len());
-        Thicket {
-            nodes,
-            profiles: self.profiles.clone(),
-            frame,
-            metadata: self.metadata.clone(),
-            statsframe: BTreeMap::new(),
-        }
-    }
-
     /// Names of every metric column.
     pub fn column_names(&self) -> Vec<&str> {
         self.frame.column_names()
@@ -964,47 +925,6 @@ impl Thicket {
                 }
             }
             out.push('\n');
-        }
-        out
-    }
-
-    /// Render a text heatmap of `column` over nodes × profiles (Thicket's
-    /// `display_heatmap`): each cell is a shade from '.' (minimum) to '#'
-    /// (maximum), normalized per node so cross-profile differences stand
-    /// out. Nodes without data are skipped.
-    pub fn heatmap(&self, column: &str) -> String {
-        const SHADES: &[u8] = b".:-=+*%#";
-        let f = self.frame_view();
-        let mut out = format!(
-            "heatmap of {column} (columns = profiles {:?})\n",
-            self.profiles
-        );
-        for nid in 0..self.nodes.len() {
-            let vals = f.node_values(column, id32(nid));
-            if vals.is_empty() {
-                continue;
-            }
-            let lo = vals.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
-            let hi = vals
-                .iter()
-                .map(|(_, v)| *v)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let mut cells = String::new();
-            let mut cur = 0usize;
-            for &p in &self.profiles {
-                while cur < vals.len() && (vals[cur].0 as usize) < p {
-                    cur += 1;
-                }
-                if cur < vals.len() && vals[cur].0 as usize == p {
-                    let v = vals[cur].1;
-                    let frac = if hi > lo { (v - lo) / (hi - lo) } else { 0.5 };
-                    let idx = (frac * (SHADES.len() - 1) as f64).round() as usize;
-                    cells.push(SHADES[idx.min(SHADES.len() - 1)] as char);
-                } else {
-                    cells.push(' ');
-                }
-            }
-            out.push_str(&format!("{cells}  {}\n", self.nodes[nid].path.join("/")));
         }
         out
     }
@@ -1068,13 +988,6 @@ mod tests {
         let nid = t.node_by_name("TRIAD").unwrap();
         assert_eq!(t.value("avg#time.duration", nid, 0), Some(1.0));
         assert_eq!(t.value("avg#time.duration", nid, 1), Some(2.0));
-    }
-
-    #[test]
-    fn node_lookup_by_path() {
-        let t = Thicket::from_profiles(&[profile("v", 1.0)]);
-        assert!(t.node_id(&["RAJAPerf", "TRIAD"]).is_some());
-        assert!(t.node_id(&["TRIAD"]).is_none(), "path must match fully");
     }
 
     #[test]
@@ -1296,16 +1209,6 @@ mod tests {
     }
 
     #[test]
-    fn query_and_filter_nodes() {
-        let t = Thicket::from_profiles(&[profile("v", 1.0)]);
-        assert_eq!(t.query_nodes("TRIAD").len(), 1);
-        assert_eq!(t.query_nodes("RAJA").len(), 1, "matches the root node");
-        let f = t.filter_nodes("TRIAD");
-        assert_eq!(f.nodes.len(), 1);
-        assert_eq!(f.value("avg#time.duration", 0, 0), Some(1.0));
-    }
-
-    #[test]
     fn csv_export_has_rows_and_columns() {
         let t = Thicket::from_profiles(&[profile("a", 1.0), profile("b", 2.0)]);
         let csv = t.to_csv();
@@ -1387,17 +1290,6 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_shades_extremes() {
-        let t = Thicket::from_profiles(&[profile("a", 1.0), profile("b", 9.0)]);
-        let hm = t.heatmap("avg#time.duration");
-        // The TRIAD row has a min cell '.' and a max cell '#'.
-        let row = hm.lines().find(|l| l.contains("TRIAD")).unwrap();
-        assert!(row.starts_with(".#"), "{row}");
-        // Root node has no data for the column: skipped entirely.
-        assert!(!hm.contains("RAJAPerf\n") || hm.lines().count() >= 2);
-    }
-
-    #[test]
     fn row_count_counts_touched_rows() {
         let t = Thicket::from_profiles(&[profile("a", 1.0), profile("b", 2.0)]);
         // Root has no metrics; TRIAD × 2 profiles = 2 rows.
@@ -1442,7 +1334,6 @@ mod tests {
         let streamed = s.finish();
         assert_eq!(streamed.to_csv(), bulk.to_csv());
         assert_eq!(streamed.profiles, bulk.profiles);
-        assert_eq!(streamed.heatmap("avg#time.duration"), bulk.heatmap("avg#time.duration"));
     }
 
     /// Perf regression: concat used to re-scan the node list per record

@@ -417,7 +417,6 @@ mod tests {
         assert_eq!(back.metadata, t.metadata);
         assert_eq!(back.statsframe, t.statsframe);
         assert_eq!(back.to_csv(), t.to_csv());
-        assert_eq!(back.heatmap("t"), t.heatmap("t"));
         // The reopened thicket keeps ingesting.
         let mut s = crate::IngestSession::from_thicket(back);
         s.ingest(&corpus(1)[0]);

@@ -23,6 +23,14 @@ fi
 echo "== lint: cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+# The ledger (benchmark/, its own package) imports names no workspace crate
+# calls, so a deletion that breaks it is caught here in seconds, not at the
+# final smoke. Then the counted lines ROADMAP item 5 asks every PR to report.
+echo "== surface: the ledger builds against this tree; counted lines =="
+CARGO_TARGET_DIR=target cargo check --offline --locked --quiet --manifest-path benchmark/Cargo.toml \
+    || { echo "verify: FAIL — benchmark/ does not build against this tree" >&2; exit 1; }
+scripts/loc.sh
+
 # Unsafe audit: every `unsafe` site in first-party code (crates/ plus the
 # vendored-but-maintained vendor/rayon) must be justified by a `// SAFETY:`
 # comment or a `# Safety` doc section within the preceding 8 lines. The

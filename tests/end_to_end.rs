@@ -4,6 +4,7 @@
 
 use rajaperf::prelude::*;
 use suite::simulate::{self, ClusterAnalysis};
+use suite::KernelOutcome;
 
 #[test]
 fn suite_run_to_thicket_pipeline() {
@@ -194,6 +195,40 @@ fn ranked_sweep_gathers_into_the_single_rank_manifest() {
     assert!(ranked.cells.iter().all(|c| matches!(c.executed_by, Some(r) if r < 2)));
     assert_eq!(gathered, reference, "ranks: 2 must gather into the ranks: 1 manifest");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Seeded fault replay, in process: one spec over the same selection fails,
+/// retries and passes the same kernels the same way and injects the same
+/// number of faults, run after run.
+#[test]
+fn a_seeded_fault_spec_replays_the_same_outcomes() {
+    let argv = [
+        "--groups", "Stream", "--variant", "Base_SimGpu", "--size", "1000", "--reps", "2",
+        "--faults", "gpusim.launch=panic:0.1,seed=7", "--retries", "1", "--retry-backoff-ms", "1",
+    ];
+    let params = RunParams::parse(&argv.map(String::from)).unwrap();
+    let run = || {
+        let report = suite::run_suite(&params);
+        let outcomes: Vec<(String, String, u32)> = report
+            .outcomes
+            .iter()
+            .map(|o| {
+                let retries = match &o.outcome {
+                    KernelOutcome::Passed { retries } | KernelOutcome::Failed { retries, .. } => {
+                        *retries
+                    }
+                    _ => 0,
+                };
+                (o.kernel.clone(), o.outcome.label(), retries)
+            })
+            .collect();
+        let injected = report.profile.globals["fault.injected_total"].as_i64().unwrap();
+        (outcomes, injected)
+    };
+    let first = run();
+    assert!(first.1 > 0, "the spec never fired: {first:?}");
+    assert_eq!(first.0.len(), 5, "{first:?}");
+    assert_eq!(run(), first, "the same seed must replay the same outcomes");
 }
 
 /// Profiles, cell records and the manifest are printed as they are written,
