@@ -10,9 +10,7 @@
 //! This crate reproduces that model for the RAJAPerf-rs suite:
 //!
 //! * [`Session`] — a measurement channel holding the call-path tree and
-//!   per-node aggregated statistics. A process-wide default session backs the
-//!   free functions ([`begin`], [`end`], [`set_metric`], ...), mirroring how
-//!   Caliper's annotation macros write into implicitly-configured channels.
+//!   per-node aggregated statistics.
 //! * [`Region`] — RAII guard for scoped annotation (`CALI_CXX_MARK_SCOPE`).
 //! * [`ConfigManager`] — parses Caliper-style config strings such as
 //!   `"runtime-report,output=stdout"` or `"spot(output=run.cali)"` and
@@ -43,7 +41,7 @@ use simsched::sync::Mutex;
 use simsched::time::Instant;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Synthetic root node that receives metrics recorded while no region is
 /// open. Caliper attaches such values to the channel root rather than
@@ -695,36 +693,6 @@ impl Drop for Region<'_> {
     }
 }
 
-fn default_session() -> &'static Session {
-    static DEFAULT: OnceLock<Session> = OnceLock::new();
-    DEFAULT.get_or_init(Session::new)
-}
-
-/// The process-wide default session backing the free annotation functions.
-pub fn global() -> &'static Session {
-    default_session()
-}
-
-/// Open a region on the default session (see [`Session::begin`]).
-pub fn begin(name: &str) {
-    global().begin(name);
-}
-
-/// Close a region on the default session (see [`Session::end`]).
-pub fn end(name: &str) {
-    global().end(name);
-}
-
-/// Scoped region on the default session.
-pub fn region(name: &str) -> Region<'static> {
-    global().region(name)
-}
-
-/// Set a metric on the default session's current region.
-pub fn set_metric(name: &str, value: f64) {
-    global().set_metric(name, value);
-}
-
 /// Slash-joined path of every region open on the calling thread — across
 /// all sessions, in the order they were opened — or `None` outside any
 /// region. This is the attribution hook diagnostic layers use to tie a
@@ -916,23 +884,6 @@ impl ConfigManager {
         }
         Ok(written)
     }
-}
-
-/// Annotate the enclosing scope as a Caliper region on the default
-/// session (the `CALI_CXX_MARK_SCOPE` equivalent):
-///
-/// ```
-/// fn kernel_step() {
-///     caliper::cali_scope!("kernel_step");
-///     // ... work measured until the end of the scope ...
-/// }
-/// kernel_step();
-/// ```
-#[macro_export]
-macro_rules! cali_scope {
-    ($name:expr) => {
-        let _cali_region_guard = $crate::region($name);
-    };
 }
 
 /// Split on commas that are not inside parentheses.
@@ -1220,19 +1171,6 @@ mod tests {
         let ab_leaf = sum(&["root", "ab", "x"]);
         assert_eq!(excl(&["root", "ab"]), sum(&["root", "ab"]) - ab_leaf);
         assert_eq!(excl(&["root", "a", "x"]), sum(&["root", "a", "x"]));
-    }
-
-    #[test]
-    fn cali_scope_macro_records_a_region() {
-        // The macro writes to the default session.
-        {
-            crate::cali_scope!("macro_region_test");
-        }
-        let p = crate::global().profile();
-        assert!(p
-            .records
-            .iter()
-            .any(|r| r.name() == "macro_region_test"));
     }
 
     #[test]

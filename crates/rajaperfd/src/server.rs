@@ -30,6 +30,7 @@ use crate::store::{ProfileStore, Space};
 use serde_json::{json, Extended, Serialize, Sink, Value};
 use simsched::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use simsched::sync::{Condvar, Mutex, MutexGuard};
+use simsched::thread::panic_message;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -476,7 +477,7 @@ fn run_contained(
     .map_err(|p| {
         (
             ErrorCode::Internal,
-            format!("campaign panicked: {}", suite::exec::panic_message(&*p)),
+            format!("campaign panicked: {}", panic_message(&*p)),
         )
     })
 }
@@ -509,7 +510,7 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), F
     }
     let summary =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| suite::run_sweep(&params)))
-            .map_err(|p| format!("sweep panicked: {}", suite::exec::panic_message(&*p)))
+            .map_err(|p| format!("sweep panicked: {}", panic_message(&*p)))
             .and_then(|swept| swept.map_err(|e| format!("sweep failed: {e}")))
             .map_err(|message| (ErrorCode::Internal, message))?;
     answer(id, stream, &suite::SweepReport::of(&params, &summary), None);

@@ -53,6 +53,7 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use simsched::sync::{Condvar, Mutex};
+use simsched::thread::panic_message;
 use std::cell::Cell;
 use std::sync::{Arc, PoisonError};
 
@@ -543,8 +544,7 @@ where
                                 // so propagation chains across ranks.
                                 poison_run(shared, rank, format!("aborted: {}", a.0));
                             } else {
-                                let msg = message_of(&*payload);
-                                poison_run(shared, rank, msg);
+                                poison_run(shared, rank, panic_message(&*payload));
                             }
                             None
                         }
@@ -627,17 +627,6 @@ where
     F: Fn(Comm) -> T + Sync,
 {
     try_run(nranks, body).unwrap_or_else(|p| panic!("{}", p.message))
-}
-
-/// Extract a readable message from an unwind payload.
-fn message_of(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -287,16 +287,6 @@ where
     Ok((child, handle))
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
 fn sim_thread_body<T>(run: Arc<RunInner>, tid: Tid, f: impl FnOnce() -> T) -> T {
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(SimCtx {
@@ -314,7 +304,7 @@ fn sim_thread_body<T>(run: Arc<RunInner>, tid: Tid, f: impl FnOnce() -> T) -> T 
     }));
     CURRENT.with(|c| *c.borrow_mut() = None);
     let panic_msg = match &result {
-        Err(p) if !p.is::<SimAbort>() => Some(panic_message(p.as_ref())),
+        Err(p) if !p.is::<SimAbort>() => Some(crate::thread::panic_message(p.as_ref())),
         _ => None,
     };
     {

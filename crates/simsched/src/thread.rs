@@ -36,6 +36,18 @@ impl<T> JoinHandle<T> {
     }
 }
 
+/// A readable message from a panic payload (a `catch_unwind` error or a
+/// join's `Err`): the `panic!` text, or a placeholder for a non-string one.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
 /// Spawn a thread running `f`; shimmed equivalent of `std::thread::spawn`.
 pub fn spawn<F, T>(f: F) -> JoinHandle<T>
 where

@@ -23,6 +23,9 @@ fn abba_cycle_is_reported_with_both_stacks() {
     lockorder::reset();
     lockorder::enable();
 
+    // The suite measures through a private session; region attribution
+    // spans sessions.
+    let session = caliper::Session::new();
     let x = Mutex::labeled(0u32, "abba-x");
     let y = Mutex::labeled(0u32, "abba-y");
 
@@ -31,7 +34,7 @@ fn abba_cycle_is_reported_with_both_stacks() {
         std::thread::Builder::new()
             .name("abba-forward".into())
             .spawn_scoped(scope, || {
-                let _r = caliper::region("Stream_TRIAD");
+                let _r = session.region("Stream_TRIAD");
                 let _gx = x.lock().unwrap();
                 let _gy = y.lock().unwrap();
             })
@@ -42,7 +45,7 @@ fn abba_cycle_is_reported_with_both_stacks() {
     // Path 2, after path 1 fully finished (never a real deadlock): y before
     // x. Inserting the reversed edge must close the cycle.
     {
-        let _r = caliper::region("Basic_DAXPY");
+        let _r = session.region("Basic_DAXPY");
         let _gy = y.lock().unwrap();
         let _gx = x.lock().unwrap();
     }

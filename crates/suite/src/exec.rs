@@ -18,6 +18,7 @@
 //! hang would stack abandoned threads.
 
 use kernels::{KernelBase, RunResult, Tuning, VariantId};
+use simsched::thread::panic_message;
 use std::time::Duration;
 
 /// How the runner contains kernel failures. `Default` is maximally
@@ -67,11 +68,6 @@ pub enum KernelOutcome {
         /// The deadline that was exceeded.
         limit: Duration,
     },
-    /// The kernel was not executed at all.
-    Skipped {
-        /// Why (e.g. "variant not supported").
-        reason: String,
-    },
 }
 
 impl KernelOutcome {
@@ -80,15 +76,14 @@ impl KernelOutcome {
         matches!(self, KernelOutcome::Passed { .. })
     }
 
-    /// Short status label for reports: `PASSED`, `RETRIED(n)`, `FAILED`,
-    /// `TIMEOUT`, or `SKIPPED`.
+    /// Short status label for reports: `PASSED`, `RETRIED(n)`, `FAILED`, or
+    /// `TIMEOUT`.
     pub fn label(&self) -> String {
         match self {
             KernelOutcome::Passed { retries: 0 } => "PASSED".to_string(),
             KernelOutcome::Passed { retries } => format!("RETRIED({retries})"),
             KernelOutcome::Failed { .. } => "FAILED".to_string(),
             KernelOutcome::TimedOut { .. } => "TIMEOUT".to_string(),
-            KernelOutcome::Skipped { .. } => "SKIPPED".to_string(),
         }
     }
 
@@ -106,7 +101,6 @@ impl KernelOutcome {
             KernelOutcome::TimedOut { limit } => {
                 format!("exceeded {:.3}s watchdog deadline", limit.as_secs_f64())
             }
-            KernelOutcome::Skipped { reason } => reason.clone(),
         }
     }
 }
@@ -120,17 +114,6 @@ pub struct OutcomeRecord {
     pub variant: VariantId,
     /// What happened.
     pub outcome: KernelOutcome,
-}
-
-/// Extract a readable message from a `catch_unwind` payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 /// Transient failures carry the `simfault:` message prefix — injected
@@ -330,13 +313,6 @@ mod tests {
             }
             .label(),
             "TIMEOUT"
-        );
-        assert_eq!(
-            KernelOutcome::Skipped {
-                reason: "x".into()
-            }
-            .label(),
-            "SKIPPED"
         );
     }
 

@@ -145,9 +145,9 @@ pub struct RunParams {
     pub sweep_block_sizes: Vec<usize>,
     /// Output directory for sweep profiles, cell caches, and the manifest.
     pub sweep_dir: Option<std::path::PathBuf>,
-    /// Number of simulated ranks to shard the sweep's cell grid across
-    /// (`--ranks`, default 1), with cell-granularity work stealing under
-    /// one supervisor; the manifest is byte-identical to a `--ranks 1` run.
+    /// Number of simulated ranks the sweep's cells are handed to, one cell
+    /// to each idle rank from one supervisor's queue (`--ranks`, default 1);
+    /// the manifest is byte-identical to a `--ranks 1` run.
     pub ranks: usize,
     /// What carries a rank (`--rank-isolation`, default `threads`): a
     /// worker thread in-process, or a child `rajaperf` process.
@@ -735,8 +735,8 @@ pub static FLAGS: &[Flag] = &[
         .get(|p| shown(&p.sweep_dir)),
     Flag::new(&["--ranks"], "N", SWEEP)
         .help(
-            "shard the sweep's cell grid across N supervised ranks with cell work stealing; the \
-             manifest is byte-identical to --ranks 1 (default 1)",
+            "hand the sweep's cells, one at a time, to N supervised ranks; the manifest is \
+             byte-identical to --ranks 1 (default 1)",
         )
         .set(|p, v| at_most(at_least_one(v)?, MAX_RANKS).map(|n| p.ranks = n))
         .get(|p| unless_default(p.ranks, RunParams::default().ranks)),

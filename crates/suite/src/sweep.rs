@@ -16,15 +16,15 @@
 //!
 //! # Ranked campaigns (`--ranks N`)
 //!
-//! With `--ranks N > 1` the pending cells (after the cache scan) are
-//! work-stolen across N ranks by one supervisor (`sweep/supervisor.rs`),
+//! With `--ranks N > 1` one supervisor (`sweep/supervisor.rs`) hands the
+//! pending cells (after the cache scan) from one queue to N ranks,
 //! mirroring the paper's multi-rank MPI campaigns. `--rank-isolation`
 //! picks what carries a rank (`sweep/carrier.rs`) — a thread in this
 //! process (default) or a spawned child `rajaperf` process — and nothing
 //! else: both speak the same protocol (`sweep/protocol.rs`) to the same
 //! worker loop (`sweep/worker.rs`), and a rank that dies (thread panic,
-//! child signal or exit) is requeued, respawned within `--rank-restarts`,
-//! then retired, in either mode. The manifest is assembled in grid order
+//! child signal or exit) hands its cell back to the queue and is respawned
+//! within `--rank-restarts`, then retired, in either mode. The manifest is assembled in grid order
 //! from the gathered results, so it is byte-identical to the `--ranks 1`
 //! run no matter which rank executed which cell, across kills, restarts,
 //! and isolation-mode changes on resume: the cache key and manifest never
@@ -58,7 +58,6 @@ use std::sync::Arc;
 
 pub(crate) mod carrier;
 pub(crate) mod protocol;
-pub(crate) mod scheduler;
 pub(crate) mod supervisor;
 pub(crate) mod worker;
 
@@ -493,7 +492,7 @@ pub fn run_rank_worker(base: &RunParams) -> crate::SuiteExit {
 /// `base.sweep_block_sizes` supplies the tunings (falling back to the single
 /// `base.tuning.gpu_block_size`); `base.sweep_dir` the output directory
 /// (default `target/sweep`); `base.ranks` the campaign width (pending cells
-/// are work-stolen across that many ranks when > 1, carried as
+/// are handed out to that many ranks when > 1, carried as
 /// `base.rank_isolation` says). Every cell — even one whose selection has
 /// no kernel supporting the variant — emits a distinct profile, so
 /// downstream Thicket-style composition sees the complete grid.

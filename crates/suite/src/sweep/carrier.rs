@@ -26,10 +26,11 @@
 
 use super::protocol::{FromRank, ToRank};
 use super::{worker, SweepPlan};
-use crate::exec::{panic_message, SuiteExit};
+use crate::exec::SuiteExit;
 use crate::RunParams;
 use serde_json::Value;
 use simcomm::transport::{read_frame, write_frame};
+use simsched::thread::panic_message;
 use simsched::time::Instant;
 use std::io::{self, BufRead, BufReader};
 use std::path::PathBuf;

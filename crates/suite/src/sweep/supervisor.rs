@@ -1,28 +1,28 @@
 //! The campaign engine: one supervisor event loop for every ranked sweep.
 //!
-//! The supervisor owns the [`CellScheduler`] and a slot per rank, and knows
-//! its ranks only through [`super::carrier`]: it never learns whether a
-//! rank is a thread or a process. It assigns a cell to each ready, idle
-//! rank; records each result once; and treats a rank that dies as a
-//! restartable event.
+//! The supervisor owns one queue of pending grid indices and a slot per
+//! rank, and knows its ranks only through [`super::carrier`]: it never
+//! learns whether a rank is a thread or a process. It hands the front of
+//! the queue to each idle rank, one cell at a time; records each result
+//! once; and treats a rank that dies as a restartable event.
 //!
-//! # State machine (per rank slot)
+//! # State machine (per rank slot, [`Phase`])
 //!
 //! ```text
-//!            start            ready frame
-//!   Started ───────▶ Booting ────────────▶ Ready ◀─────────┐
-//!                       │                    │ assign       │ result
-//!                       │ death              ▼              │
-//!                       │                  Busy ────────────┘
-//!                       │                    │ death (EOF / torn frame /
-//!                       ▼                    ▼  missed heartbeat → kill)
-//!                     Dead ◀─────────────────┘
-//!                       │ restarts < budget: requeue cell, backoff,
-//!                       │ restart (generation += 1)
-//!                       ├──────────────────────────────▶ Booting
-//!                       │ restarts == budget
-//!                       ▼
-//!                    Retired (casualty; queue drained by the survivors)
+//!     start           ready frame
+//!   ───────▶ Booting ────────────▶ Idle ◀───────────┐
+//!               │                    │ assign        │ result
+//!               │ death              ▼               │
+//!               │                Busy(cell) ─────────┘
+//!               │                    │ death (EOF / torn frame /
+//!               ▼                    ▼  missed heartbeat → kill)
+//!             (dead) ◀───────────────┘
+//!               │ restarts < budget: cell back to the queue's front,
+//!               │ backoff, restart (generation += 1)
+//!               ├──────────────────────────────▶ Booting
+//!               │ restarts == budget
+//!               ▼
+//!            Retired (casualty; the survivors drain the queue)
 //! ```
 //!
 //! Death is an [`Event::Eof`] from the carrier: a child's stdout closed
@@ -37,10 +37,10 @@
 //!
 //! A cell that *reports* an `io::Error` (a `failed` frame) aborts the
 //! campaign; finished cells are on disk for the resume. A rank that
-//! *dies* is reaped into a [`RankExit`], its
-//! in-flight cell is requeued, and it is restarted until `--rank-restarts`
-//! is spent, then retired with a [`RankCasualty`]; only every rank
-//! retiring fails the campaign. A usage exit is the exception — see the
+//! *dies* is reaped into a [`RankExit`], its unfinished cell goes back to
+//! the front of the queue, and it is restarted until `--rank-restarts` is
+//! spent, then retired with a [`RankCasualty`]; only every rank retiring
+//! fails the campaign. A usage exit is the exception — see the
 //! carrier's exit taxonomy.
 //!
 //! # Deviations from real MPI/srun
@@ -61,10 +61,10 @@
 
 use super::carrier::{Carrier, Event, Events, RankExit, RankHandle};
 use super::protocol::{DecodeError, FromRank, ToRank};
-use super::scheduler::CellScheduler;
 use super::CellOutcome;
 use simcomm::CommStats;
 use simsched::time::Instant;
+use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -121,6 +121,19 @@ pub(crate) struct Campaign {
     pub(crate) output: Vec<String>,
 }
 
+/// Where a rank slot is in the module-doc state machine.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Started; its `ready` frame has not arrived yet.
+    Booting,
+    /// Ready, and holding no cell.
+    Idle,
+    /// Executing this grid cell.
+    Busy(usize),
+    /// Restart budget spent; out of the campaign for good.
+    Retired,
+}
+
 /// Supervisor-side state of one rank.
 struct RankSlot {
     /// The live incarnation; dropping it kills/joins and reaps the rank,
@@ -129,11 +142,7 @@ struct RankSlot {
     /// Incarnation counter: events tagged with an older generation are
     /// late arrivals from a previous (dead) incarnation and are discarded.
     gen: u64,
-    /// The current incarnation sent its `ready` frame.
-    ready: bool,
-    /// Pending-index of the cell assigned and not yet reported.
-    current: Option<usize>,
-    retired: bool,
+    phase: Phase,
     last_seen: Instant,
     /// Set when the liveness scan killed this rank, to annotate the
     /// decoded (SIGKILL) exit with *why*.
@@ -143,15 +152,18 @@ struct RankSlot {
 
 struct Supervisor<'a> {
     carrier: &'a dyn Carrier,
-    /// Grid indices of the cells to execute, ascending; the scheduler and
-    /// `done` speak positions in this list, the wire speaks grid indices.
+    /// Grid indices of the cells to execute, ascending; a report for any
+    /// other cell aborts the campaign.
     pending: &'a [usize],
     budget: u32,
-    sched: CellScheduler,
+    /// Grid indices waiting for an idle rank, next first; a dead rank's
+    /// cell goes back at the front.
+    queue: VecDeque<usize>,
     slots: Vec<RankSlot>,
     tx: Events,
     rx: mpsc::Receiver<(usize, u64, Event)>,
-    done: Vec<bool>,
+    /// Grid indices already recorded.
+    done: HashSet<usize>,
     out: Campaign,
 }
 
@@ -169,14 +181,12 @@ pub(crate) fn run_campaign(
         carrier,
         pending,
         budget,
-        sched: CellScheduler::new(pending.len(), nranks),
+        queue: pending.iter().copied().collect(),
         slots: (0..nranks)
             .map(|_| RankSlot {
                 handle: None,
                 gen: 0,
-                ready: false,
-                current: None,
-                retired: false,
+                phase: Phase::Booting,
                 last_seen: Instant::now(),
                 kill_note: None,
                 output_lines: 0,
@@ -184,7 +194,7 @@ pub(crate) fn run_campaign(
             .collect(),
         tx,
         rx,
-        done: vec![false; pending.len()],
+        done: HashSet::new(),
         out: Campaign {
             stats: vec![CommStats::new(); nranks],
             restarts: vec![0; nranks],
@@ -201,7 +211,7 @@ impl Supervisor<'_> {
             self.start_rank(rank)?;
         }
         while self.out.executed.len() < self.pending.len() {
-            if self.slots.iter().all(|s| s.retired) {
+            if self.slots.iter().all(|s| s.phase == Phase::Retired) {
                 let roster = self
                     .out
                     .casualties
@@ -232,7 +242,7 @@ impl Supervisor<'_> {
         let handle = self.carrier.start(rank, self.slots[rank].gen, &self.tx)?;
         let slot = &mut self.slots[rank];
         slot.handle = Some(handle);
-        slot.ready = false;
+        slot.phase = Phase::Booting;
         slot.last_seen = Instant::now();
         Ok(())
     }
@@ -255,8 +265,8 @@ impl Supervisor<'_> {
         self.out.stats[rank].messages_sent += 1;
         self.out.stats[rank].bytes_sent += bytes;
         match FromRank::decode(&frame) {
-            Ok(FromRank::Ready(_)) => {
-                slot.ready = true;
+            Ok(FromRank::Ready(_)) if slot.phase == Phase::Booting => {
+                slot.phase = Phase::Idle;
                 self.assign(rank);
                 Ok(())
             }
@@ -265,40 +275,41 @@ impl Supervisor<'_> {
                 "sweep rank {rank} failed: {}",
                 failed.error
             ))),
-            Ok(FromRank::Heartbeat(_)) | Err(DecodeError::Unknown) => Ok(()),
+            Ok(FromRank::Ready(_) | FromRank::Heartbeat(_)) | Err(DecodeError::Unknown) => Ok(()),
             Err(DecodeError::Malformed(what)) => Err(io::Error::other(format!(
                 "sweep rank {rank} sent a malformed {what}"
             ))),
         }
     }
 
-    fn on_result(&mut self, rank: usize, grid: usize, outcome: CellOutcome) -> io::Result<()> {
-        let Ok(i) = self.pending.binary_search(&grid) else {
+    fn on_result(&mut self, rank: usize, cell: usize, outcome: CellOutcome) -> io::Result<()> {
+        if self.pending.binary_search(&cell).is_err() {
             return Err(io::Error::other(format!(
-                "sweep rank {rank} reported cell {grid}, which is not pending"
+                "sweep rank {rank} reported cell {cell}, which is not pending"
             )));
-        };
-        // `done` guards the one legitimate double-report: a rank finished
-        // a cell, died before we read the result frame, and the requeued
-        // cell was answered again (from cache) by another rank.
-        if !self.done[i] {
-            self.done[i] = true;
-            self.out.executed.push((grid, rank, outcome));
         }
-        self.slots[rank].current = None;
-        self.assign(rank);
+        // The first report wins; a repeat (a requeued cell answered again,
+        // from cache) is dropped.
+        if self.done.insert(cell) {
+            self.out.executed.push((cell, rank, outcome));
+        }
+        // Only the answer to the cell it holds frees the rank.
+        if self.slots[rank].phase == Phase::Busy(cell) {
+            self.slots[rank].phase = Phase::Idle;
+            self.assign(rank);
+        }
         Ok(())
     }
 
-    /// Reap a dead rank, decode why it died, requeue its in-flight cell,
-    /// and either restart it (budget permitting) or retire it.
+    /// Reap a dead rank, decode why it died, put its unfinished cell back at
+    /// the front of the queue, and either restart it (budget permitting) or
+    /// retire it.
     fn on_rank_exit(&mut self, rank: usize) -> io::Result<()> {
         let slot = &mut self.slots[rank];
         let Some(mut handle) = slot.handle.take() else {
             return Ok(());
         };
         let exit = handle.reap(REAP_GRACE)?;
-        slot.ready = false;
         if exit == RankExit::Usage {
             // The worker rejected the command line the carrier built;
             // restarting cannot fix a parameter disagreement. InvalidInput
@@ -315,10 +326,8 @@ impl Supervisor<'_> {
         if let Some(note) = slot.kill_note.take() {
             reason = format!("{reason} ({note})");
         }
-        if let Some(i) = slot.current.take() {
-            if !self.done[i] {
-                self.sched.requeue(rank, i);
-            }
+        if let Phase::Busy(cell) = slot.phase {
+            self.queue.push_front(cell);
         }
         let restarts = &mut self.out.restarts[rank];
         if *restarts < self.budget {
@@ -337,7 +346,7 @@ impl Supervisor<'_> {
             std::thread::sleep(backoff);
             self.start_rank(rank)?;
         } else {
-            slot.retired = true;
+            slot.phase = Phase::Retired;
             self.out.output.push(format!(
                 "[rank {rank}] -- supervisor: {reason}; restart budget ({}) exhausted, retiring rank",
                 self.budget
@@ -347,12 +356,11 @@ impl Supervisor<'_> {
                 restarts: *restarts,
                 last_failure: reason,
             });
-            // The casualty's queued cells are stealable; nudge every idle
-            // survivor so redistribution does not wait for their next
-            // natural result.
-            for survivor in 0..self.slots.len() {
-                self.assign(survivor);
-            }
+        }
+        // An idle survivor found the queue empty and waits for nothing; the
+        // cell just put back must not wait for its next natural result.
+        for survivor in 0..self.slots.len() {
+            self.assign(survivor);
         }
         Ok(())
     }
@@ -378,18 +386,17 @@ impl Supervisor<'_> {
         }
     }
 
-    /// Hand `rank` its next cell if it is ready and idle. Send failures are
-    /// ignored here: a dying rank's EOF event will requeue the cell.
+    /// Hand an idle `rank` the front of the queue. Send failures are
+    /// ignored here: a dying rank's EOF event puts the cell back.
     fn assign(&mut self, rank: usize) {
-        let slot = &self.slots[rank];
-        if slot.retired || !slot.ready || slot.current.is_some() {
+        if self.slots[rank].phase != Phase::Idle {
             return;
         }
-        let Some(i) = self.sched.next(rank) else {
+        let Some(cell) = self.queue.pop_front() else {
             return;
         };
-        self.slots[rank].current = Some(i);
-        self.send_to(rank, &ToRank::Cell(self.pending[i]));
+        self.slots[rank].phase = Phase::Busy(cell);
+        self.send_to(rank, &ToRank::Cell(cell));
     }
 
     /// Send one message to `rank`, counting it (as the rank's "received")
@@ -437,5 +444,229 @@ impl Supervisor<'_> {
                 self.capture_output(rank, &line);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::protocol::CellResult;
+    use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Grid indices with gaps, so a slip into queue positions shows.
+    const PENDING: &[usize] = &[1, 2, 4, 7, 8, 11];
+
+    /// How scripted ranks behave: `answer(rank, gen, cell)` is what
+    /// incarnation `gen` of `rank` sends back when handed `cell`, and every
+    /// reap returns `exit`.
+    struct Script {
+        answer: Box<dyn Fn(usize, u64, usize) -> Vec<Event>>,
+        exit: RankExit,
+        /// Every cell handed out, in order.
+        handed_out: RefCell<Vec<usize>>,
+    }
+
+    /// A carrier whose ranks are scripts: a started rank says `ready` at
+    /// once, and a rank handed a cell queues its script's answer.
+    struct Scripted(Rc<Script>);
+
+    struct ScriptedRank {
+        script: Rc<Script>,
+        rank: usize,
+        gen: u64,
+        events: Events,
+    }
+
+    impl Carrier for Scripted {
+        fn start(&self, rank: usize, gen: u64, events: &Events) -> io::Result<Box<dyn RankHandle>> {
+            let ready = FromRank::Ready(rank).encode();
+            events.send((rank, gen, Event::Frame(ready, 0))).unwrap();
+            Ok(Box::new(ScriptedRank {
+                script: Rc::clone(&self.0),
+                rank,
+                gen,
+                events: events.clone(),
+            }))
+        }
+    }
+
+    impl RankHandle for ScriptedRank {
+        fn send(&mut self, msg: &ToRank) -> io::Result<u64> {
+            if let ToRank::Cell(cell) = *msg {
+                self.script.handed_out.borrow_mut().push(cell);
+                for ev in (self.script.answer)(self.rank, self.gen, cell) {
+                    self.events.send((self.rank, self.gen, ev)).unwrap();
+                }
+            }
+            Ok(0)
+        }
+
+        fn kill(&mut self) -> bool {
+            false
+        }
+
+        fn reap(&mut self, _grace: Duration) -> io::Result<RankExit> {
+            Ok(self.script.exit.clone())
+        }
+    }
+
+    /// A `result` frame for `cell`; `tag` rides in `kernels_run` so a test
+    /// can tell which report was recorded.
+    fn result(cell: usize, tag: usize) -> Event {
+        let outcome = CellOutcome {
+            kernels_run: tag,
+            kernels_failed: 0,
+            failed_kernels: Vec::new(),
+            total_time_s: 0.0,
+        };
+        let frame = FromRank::Result(CellResult {
+            cell,
+            cached: false,
+            outcome,
+        });
+        Event::Frame(frame.encode(), 0)
+    }
+
+    /// Run `pending` on `nranks` scripted ranks; the campaign and every
+    /// cell handed out, in order.
+    fn campaign(
+        pending: &[usize],
+        nranks: usize,
+        budget: u32,
+        exit: RankExit,
+        answer: impl Fn(usize, u64, usize) -> Vec<Event> + 'static,
+    ) -> (io::Result<Campaign>, Vec<usize>) {
+        let script = Rc::new(Script {
+            answer: Box::new(answer),
+            exit,
+            handed_out: RefCell::new(Vec::new()),
+        });
+        let out = run_campaign(&Scripted(Rc::clone(&script)), pending, nranks, budget);
+        (out, script.handed_out.take())
+    }
+
+    /// The grid indices a campaign recorded, ascending.
+    fn recorded(out: &Campaign) -> Vec<usize> {
+        let mut cells: Vec<usize> = out.executed.iter().map(|&(cell, _, _)| cell).collect();
+        cells.sort_unstable();
+        cells
+    }
+
+    #[test]
+    fn every_pending_cell_is_recorded_once_at_1_2_and_4_ranks() {
+        for nranks in [1, 2, 4] {
+            let (out, handed_out) = campaign(PENDING, nranks, 0, RankExit::Clean, |_, _, cell| {
+                vec![result(cell, 0)]
+            });
+            assert_eq!(recorded(&out.unwrap()), PENDING, "{nranks} ranks");
+            // One queue: with no deaths, cells leave it in grid order.
+            assert_eq!(handed_out, PENDING, "{nranks} ranks");
+        }
+    }
+
+    #[test]
+    fn a_rank_that_dies_busy_has_its_cell_handed_out_next_and_recorded_once() {
+        // Rank 0's first incarnation dies holding cell 1; rank 1, freed by
+        // its first result, is the next idle rank and takes cell 1 back.
+        let (out, handed_out) = campaign(PENDING, 2, 1, RankExit::Signal(9), |rank, gen, cell| {
+            if (rank, gen) == (0, 0) {
+                vec![Event::Eof]
+            } else {
+                vec![result(cell, 0)]
+            }
+        });
+        let out = out.unwrap();
+        assert_eq!(handed_out[..3], [1, 2, 1]);
+        assert_eq!(handed_out.len(), PENDING.len() + 1);
+        assert_eq!(recorded(&out), PENDING);
+        assert_eq!(out.restarts, [1, 0]);
+    }
+
+    #[test]
+    fn a_retired_rank_leaves_its_cell_to_an_idle_survivor() {
+        // Rank 1 is up and idle (the queue is empty) when rank 0 retires.
+        let (out, _) = campaign(
+            &[5],
+            2,
+            0,
+            RankExit::Panic("boom".into()),
+            |rank, _, cell| {
+                if rank == 0 {
+                    vec![Event::Eof]
+                } else {
+                    vec![result(cell, 0)]
+                }
+            },
+        );
+        let out = out.unwrap();
+        assert_eq!(out.executed.len(), 1);
+        assert_eq!((out.executed[0].0, out.executed[0].1), (5, 1));
+        assert_eq!(out.casualties.len(), 1);
+        assert_eq!(out.casualties[0].last_failure, "panicked (boom)");
+    }
+
+    #[test]
+    fn a_result_from_a_dead_generation_is_ignored() {
+        // The first incarnation's frame arrives after its death.
+        let (out, _) = campaign(
+            PENDING,
+            1,
+            1,
+            RankExit::Signal(9),
+            |_, gen, cell| match gen {
+                0 => vec![Event::Eof, result(cell, 99)],
+                _ => vec![result(cell, 1)],
+            },
+        );
+        let out = out.unwrap();
+        assert_eq!(recorded(&out), PENDING);
+        assert!(out.executed.iter().all(|(_, _, o)| o.kernels_run == 1));
+    }
+
+    #[test]
+    fn a_duplicate_result_for_a_finished_cell_is_ignored() {
+        let (out, handed_out) = campaign(PENDING, 2, 0, RankExit::Clean, |_, _, cell| {
+            vec![result(cell, 1), result(cell, 2)]
+        });
+        let out = out.unwrap();
+        assert_eq!(recorded(&out), PENDING);
+        assert!(
+            out.executed.iter().all(|(_, _, o)| o.kernels_run == 1),
+            "the first report wins"
+        );
+        assert_eq!(handed_out, PENDING, "each cell is handed out once");
+    }
+
+    #[test]
+    fn a_result_for_a_cell_that_is_not_pending_aborts_the_campaign() {
+        let (out, _) = campaign(PENDING, 2, 0, RankExit::Clean, |_, _, _| vec![result(3, 0)]);
+        let err = out.err().expect("cell 3 is not pending");
+        assert!(
+            err.to_string()
+                .contains("reported cell 3, which is not pending"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_last_rank_retiring_fails_the_campaign() {
+        let (out, _) = campaign(PENDING, 2, 0, RankExit::Signal(9), |_, _, _| {
+            vec![Event::Eof]
+        });
+        let err = out.err().expect("no rank survives");
+        let want =
+            "all 2 ranks retired before campaign completion (0/6 cells done): rank 0: killed";
+        assert!(err.to_string().starts_with(want), "{err}");
+    }
+
+    #[test]
+    fn a_usage_exit_aborts_as_invalid_input() {
+        // A restart budget is left, and still no restart is tried.
+        let (out, handed_out) =
+            campaign(PENDING, 2, 3, RankExit::Usage, |_, _, _| vec![Event::Eof]);
+        let err = out.err().expect("a usage exit aborts");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(handed_out, [1, 2]);
     }
 }
