@@ -42,6 +42,7 @@
 //! assert_eq!(out[10], 20.0);
 //! ```
 
+use rayon::prelude::*;
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut, Index, IndexMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -503,7 +504,6 @@ fn launch_blocks_raw<F>(cfg: &LaunchConfig, body: &F)
 where
     F: Fn(&mut BlockCtx) + Sync,
 {
-    use rayon::prelude::*;
     let (gx, gy) = (cfg.grid.x, cfg.grid.y);
     (0..cfg.grid.total()).into_par_iter().for_each(|flat| {
         let bx = flat % gx;
@@ -579,11 +579,7 @@ where
     // for. Same discipline as the sanitizer gate — one relaxed load here,
     // zero cost while tracing is off.
     if !sanitizer::active() && !generic_launch_forced() && !caliper::trace::enabled() {
-        // `for_each_index` drives each pool chunk with a bare counted loop;
-        // the par-iter `SpanIter` equivalent costs ~2.4ns/element extra on
-        // slice-indexed bodies (measured on Stream_TRIAD), which at stream
-        // sizes erases the win from skipping the block machinery.
-        rayon::for_each_index(n, &body);
+        (0..n).into_par_iter().for_each(&body);
     } else {
         launch_1d_generic(&cfg, n, &body);
     }

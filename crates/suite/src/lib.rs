@@ -95,14 +95,9 @@ pub(crate) fn run_suite_with(
 ) -> SuiteReport {
     let session = caliper::Session::new();
     adiak::init();
-    adiak::value("variant", params.variant.name());
-    adiak::value("tuning", format!("block_{}", params.tuning.gpu_block_size));
-    adiak::value("size_factor", params.size_factor);
-    adiak::value("suite", "RAJAPerf-rs");
-    // Adiak is process-global; under the daemon several runs annotate
-    // concurrently and would read each other's metadata at flush time. The
-    // same values set directly on the (private) session override the Adiak
-    // snapshot in the profile, so each run's profile stays self-consistent.
+    // Per-run values go on the run's own session, never into the
+    // process-global Adiak registry: every later profile in the process
+    // (another daemon request, the simulated machines) merges that registry.
     session.set_global("variant", params.variant.name());
     session.set_global("tuning", format!("block_{}", params.tuning.gpu_block_size));
     session.set_global("size_factor", params.size_factor);

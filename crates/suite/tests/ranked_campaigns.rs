@@ -235,9 +235,10 @@ fn e2e_restart_budget_exhaustion_redistributes_and_reports_casualty() {
     for (mode, isolation) in MODES {
         let dir = temp_dir(&format!("budget-{mode}"));
         // Rank 2 panics at boot, every incarnation: initial boot + 1 restart
-        // exhausts --rank-restarts 1, so it retires and its shard is stolen
-        // by the survivors (the stalls keep them busy past the restart
-        // cycle). The campaign must still complete cleanly.
+        // exhausts --rank-restarts 1, so it retires and the survivors take
+        // every cell from the one queue (a cell a dead rank held goes back
+        // to its front; the stalls keep them busy past the restart cycle).
+        // The campaign must still complete cleanly.
         let args = grid_args(&[STALL, isolation, &["--ranks", "3", "--rank-restarts", "1"]]);
         let out = rajaperf()
             .args(args)

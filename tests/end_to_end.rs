@@ -125,6 +125,25 @@ fn simulated_profiles_feed_thicket_per_machine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A run's metadata goes on its own profile and nowhere else: a profile
+/// written later in the same process (the simulated machines, or another
+/// daemon request) does not inherit the earlier run's tuning or size.
+#[test]
+fn run_metadata_stays_on_the_runs_own_profile() {
+    let report = suite::run_suite(&daxpy(&[]).unwrap());
+    for key in ["tuning", "size_factor", "suite"] {
+        assert!(report.profile.globals.contains_key(key), "run profile lacks {key}");
+    }
+    let dir = scratch("sim_metadata");
+    for path in simulate::write_simulated_profiles(&dir).unwrap() {
+        let profile = caliper::Profile::read_file(&path).unwrap();
+        for key in ["tuning", "size_factor", "suite"] {
+            assert!(!profile.globals.contains_key(key), "{} carries {key}", path.display());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn headline_result_memory_bound_kernels_gain_most_from_hbm() {
     // The paper's abstract: "the most memory bound kernels show the most
