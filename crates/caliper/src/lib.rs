@@ -326,6 +326,51 @@ pub fn write_atomic(path: &std::path::Path, contents: &[u8]) -> std::io::Result<
     }
 }
 
+/// A 128-bit digest of `bytes`, for telling whether a file still holds the
+/// bytes a writer handed to [`write_atomic`]. Not cryptographic: it catches
+/// a torn, truncated or overwritten file, not a forger.
+///
+/// Two independent lanes each take every other 8-byte little-endian word
+/// through `(lane ^ word) * odd, rotated`; the length and a finaliser then
+/// fold both lanes into the result. Every step is a bijection of the lane
+/// state, so two inputs of one length that differ in a single word — one
+/// flipped bit, say — never share a digest.
+pub fn digest(bytes: &[u8]) -> u128 {
+    const ODD: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
+    let mut lanes = ODD;
+    let mut take = |block: &[u8]| {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let word = u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+            *lane = (*lane ^ word).wrapping_mul(ODD[i]).rotate_left(31);
+        }
+    };
+    let mut blocks = bytes.chunks_exact(16);
+    blocks.by_ref().for_each(&mut take);
+    let mut last = [0u8; 16];
+    last[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    take(&last);
+    let fmix = |mut h: u64| {
+        h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^ (h >> 33)
+    };
+    let high = fmix(lanes[0] ^ bytes.len() as u64);
+    (u128::from(high) << 64) | u128::from(fmix(lanes[1] ^ high))
+}
+
+/// A file [`ConfigManager::flush`] wrote: its path, and the length and
+/// [`digest`] of the bytes handed to [`write_atomic`] for it — what the
+/// file holds unless something tore or replaced it since.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Written {
+    /// Where the file was written.
+    pub path: std::path::PathBuf,
+    /// Its length in bytes.
+    pub len: u64,
+    /// [`digest`] of its bytes.
+    pub digest: u128,
+}
+
 /// Remove the temp files [`write_atomic`] left in `dir` whose writer is no
 /// longer a live process: a `kill -9` inside a write window orphans one,
 /// named after the killed pid, and nothing else would ever collect it. A
@@ -859,12 +904,20 @@ impl ConfigManager {
 
     /// Produce every configured output from `profile` — the one the caller
     /// built for the run, so what is written is what the caller reports.
-    /// Returns the paths of the files written.
-    pub fn flush(&self, profile: &Profile) -> std::io::Result<Vec<std::path::PathBuf>> {
+    /// Returns the files written, each digested from the very bytes handed
+    /// to [`write_atomic`] — never read back, so a torn write is not vouched
+    /// for.
+    pub fn flush(&self, profile: &Profile) -> std::io::Result<Vec<Written>> {
         let mut written = Vec::new();
         let mut write = |path: &str, contents: String| {
-            written.push(std::path::PathBuf::from(path));
-            write_atomic(std::path::Path::new(path), contents.as_bytes())
+            let path = std::path::PathBuf::from(path);
+            write_atomic(&path, contents.as_bytes())?;
+            written.push(Written {
+                path,
+                len: contents.len() as u64,
+                digest: digest(contents.as_bytes()),
+            });
+            Ok::<_, std::io::Error>(())
         };
         for out in &self.outputs {
             match out {
@@ -1078,10 +1131,32 @@ mod tests {
         let mut cm = ConfigManager::new();
         cm.add(&format!("spot(output={})", path.display()));
         let written = cm.flush(&s.profile()).unwrap();
-        assert_eq!(written.len(), 1);
+        let bytes = std::fs::read(&path).unwrap();
+        let expected = Written {
+            path: path.clone(),
+            len: bytes.len() as u64,
+            digest: digest(&bytes),
+        };
+        assert_eq!(written, [expected]);
         let p = Profile::read_file(&path).unwrap();
         assert!(p.find("k").is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn digest_tells_apart_every_flipped_bit_and_every_length() {
+        let bytes: Vec<u8> = (0..53u8).map(|b| b.wrapping_mul(37)).collect();
+        let intact = digest(&bytes);
+        for bit in 0..8 * bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(digest(&flipped), intact, "bit {bit}");
+        }
+        // Zero padding of the last block does not hide a length.
+        let digests: Vec<u128> = (0..=32).map(|n| digest(&vec![0; n])).collect();
+        for (n, d) in digests.iter().enumerate() {
+            assert!(!digests[..n].contains(d), "length {n}");
+        }
     }
 
     #[test]
@@ -1099,7 +1174,9 @@ mod tests {
         cm.push(OutputSpec::SpotProfile {
             output: path.display().to_string(),
         });
-        assert_eq!(cm.flush(&s.profile()).unwrap(), vec![path.clone()]);
+        let written = cm.flush(&s.profile()).unwrap();
+        assert_eq!(written.len(), 1);
+        assert_eq!(written[0].path, path);
         assert!(Profile::read_file(&path).unwrap().find("k").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -114,8 +114,8 @@ fn main() {
         println!();
         print!("{lock_order}");
     }
-    for path in &report.outputs {
-        println!("wrote {}", path.display());
+    for written in &report.outputs {
+        println!("wrote {}", written.path.display());
     }
     if !report.all_passed() {
         SuiteExit::KernelFailures.exit();

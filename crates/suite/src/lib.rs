@@ -684,7 +684,8 @@ mod tests {
             ..RunParams::default()
         };
         let reports = run_variants(&p, &VariantId::all());
-        let mut files: Vec<_> = reports.iter().flat_map(|r| r.outputs.clone()).collect();
+        let outputs = reports.iter().flat_map(|r| &r.outputs);
+        let mut files: Vec<_> = outputs.map(|w| w.path.clone()).collect();
         assert_eq!(files.len(), 6, "one output per variant");
         files.sort();
         files.dedup();

@@ -6,21 +6,28 @@
 //! both hold them. This module is the one place that decides what such a
 //! record is keyed by ([`campaign_key`]), what a run looks like as data
 //! ([`RunRecord`]), how a record is written ([`write_record`]), when a read
-//! may be trusted ([`read_verified`]) and what happens to a file that may
-//! not ([`quarantine`]). A record whose one member travels on as JSON text —
-//! the daemon's stored report, spliced into its reply — is written and read
-//! under the same rules without a tree ([`write_record_text`],
-//! [`read_verified_text`]). The two caches keep only their own addressing.
+//! may be trusted ([`read_verified`], [`ProfileDigest::check`]) and what
+//! happens to a file that may not ([`quarantine`]). A record whose one
+//! member travels on as JSON text — the daemon's stored report, spliced into
+//! its reply — is written and read under the same rules without a tree
+//! ([`write_record_text`], [`read_verified_text`]). The two caches keep only
+//! their own addressing.
 //!
 //! The integrity rule: writes are atomic ([`caliper::write_atomic`]); a
 //! record embeds its full key and answers only a byte-for-byte equal one
 //! (anything else — another build, another retry budget, a hash collision —
-//! is a miss); a file that exists but is not JSON was torn by a kill or an
-//! injected `io.write` fault, is moved to `quarantine/` and its run repeats.
-//! Corruption is never trusted and never fatal.
+//! is a miss); a record that exists but is not JSON was torn by a kill or an
+//! injected `io.write` fault. A file a record vouches for (a sweep cell's
+//! profile) is named in it by its exact length and [`caliper::digest`], taken
+//! from the bytes its writer handed to `write_atomic`, and checked against
+//! them without being parsed: any other bytes at its path — torn, flipped,
+//! or another cell's profile — fail the check. A torn record, and a vouched
+//! file that fails its check together with the record that vouched for it,
+//! are moved to `quarantine/` and the run repeats. Corruption is never
+//! trusted and never fatal.
 
 use crate::{RunParams, SuiteReport, TimingEntry};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -93,8 +100,7 @@ pub struct OutcomeSummary {
 }
 
 /// A finished run as data. Its derived JSON is the daemon's `report`
-/// (beside the inline profile); a sweep cell's record keeps the `entries`
-/// (beside the cell's outcome fields and its profile's path).
+/// (beside the inline profile).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunRecord {
     /// Name of the variant the run executed.
@@ -147,12 +153,13 @@ pub enum Verified<T = Value> {
     Hit(T),
     /// Nothing usable: no readable file, or a record of another key.
     Miss,
-    /// The file exists but its bytes are not JSON. The caller must
+    /// The file exists but its bytes are not JSON — or, for
+    /// [`ProfileDigest::check`], not the vouched-for bytes. The caller must
     /// [`quarantine`] it and repeat the run it stood for.
     Corrupt,
 }
 
-/// The single definition of "intact": the file's bytes, through `read`.
+/// A record's definition of "intact": the file's bytes, through `read`.
 fn read_with<T>(
     path: &Path,
     read: impl FnOnce(&str) -> Result<T, serde_json::Error>,
@@ -166,17 +173,46 @@ fn read_with<T>(
     }
 }
 
-/// Read a file that must hold one JSON document (a record, or a profile a
-/// record vouches for).
+/// Read a file that must hold one JSON document (a record).
 pub fn read_json(path: &Path) -> Verified {
     read_with(path, serde_json::from_str::<Value>)
 }
 
-/// [`read_json`] for a file whose content the caller does not need (a
-/// profile a record vouches for): the same `Hit` / `Miss` / `Corrupt`
-/// decision, from checking the text without building a tree of it.
-pub fn check_json(path: &Path) -> Verified<()> {
-    read_with(path, serde::text::validate)
+/// What a record vouches for in a file it names (a sweep cell's profile):
+/// the exact length and [`caliper::digest`] — as 32 hex digits — of the
+/// bytes written there. Its derived JSON is the record's `profile_bytes`
+/// and `profile_digest` members.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ProfileDigest {
+    /// Length of the vouched-for bytes.
+    pub profile_bytes: u64,
+    /// Their [`caliper::digest`], as 32 lower-case hex digits.
+    pub profile_digest: String,
+}
+
+impl ProfileDigest {
+    /// Vouch for `len` bytes whose [`caliper::digest`] is `digest`.
+    pub fn new(len: u64, digest: u128) -> ProfileDigest {
+        ProfileDigest {
+            profile_bytes: len,
+            profile_digest: format!("{digest:032x}"),
+        }
+    }
+
+    /// Whether the file at `path` holds exactly the vouched-for bytes: `Hit`
+    /// when it does, `Miss` when there is no readable file, `Corrupt` for
+    /// any other bytes. Nothing is parsed: however deep or malformed the
+    /// text, the check is one read and one digest.
+    pub fn check(&self, path: &Path) -> Verified<()> {
+        let Ok(bytes) = std::fs::read(path) else {
+            return Verified::Miss;
+        };
+        if ProfileDigest::new(bytes.len() as u64, caliper::digest(&bytes)) == *self {
+            Verified::Hit(())
+        } else {
+            Verified::Corrupt
+        }
+    }
 }
 
 /// Read the record at `path` and verify it was written under exactly `key`.

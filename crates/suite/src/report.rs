@@ -55,8 +55,9 @@ pub struct SuiteReport {
     pub entries: Vec<TimingEntry>,
     /// The Caliper profile of the run.
     pub profile: caliper::Profile,
-    /// Files written by the configured Caliper outputs.
-    pub outputs: Vec<std::path::PathBuf>,
+    /// Files written by the configured Caliper outputs, each with the
+    /// length and digest of the bytes written.
+    pub outputs: Vec<caliper::Written>,
     /// Sanitizer results when the run was invoked with `--sanitize`.
     pub sanitize: Option<SanitizeSection>,
     /// Lock-order analysis when the run was invoked with `--lock-order`:

@@ -39,15 +39,19 @@
 //!   [`caliper::write_atomic`] (temp + fsync + rename), so a mid-write kill
 //!   leaves either the old file or the new one, never a torn prefix.
 //! * Cached cells are *integrity-checked* on load by [`crate::record`]'s
-//!   rule, applied to the record and to the profile it vouches for: a torn
-//!   file is moved to `quarantine/` and the cell re-runs.
+//!   rule: the record must be JSON under the cell's key, and the profile
+//!   must be the very bytes the record's length and digest name (no
+//!   profile is parsed). A torn record, or a profile that is torn, flipped
+//!   or another cell's, is moved to `quarantine/` (the profile with the
+//!   record that vouched for it) and the cell re-runs. A record with no
+//!   digest vouches for nothing: the cell re-runs, nothing is quarantined.
 //! * The manifest records only deterministic cell facts (no `cached` flags,
 //!   no wall times, no executing-rank ids), so a killed-and-resumed sweep —
 //!   at any rank count — produces a manifest byte-identical to an
 //!   uninterrupted one.
 
 use crate::params::RankIsolation;
-use crate::record::{self, EntryRecord, Verified};
+use crate::record::{self, ProfileDigest, Verified};
 use crate::{run_suite_with, RunParams};
 use kernels::VariantId;
 use serde::{Deserialize, Serialize};
@@ -351,33 +355,35 @@ struct ManifestCell {
 
 /// What loading a cell's cache produced.
 pub(crate) enum CellLoad {
-    /// The record matches and the profile is intact: reuse.
+    /// The record matches and the profile is the one it vouches for: reuse.
     Hit(CellOutcome),
-    /// No usable cache (absent, or stale key): run the cell normally.
+    /// No usable cache (absent, stale key, no digest, or no profile): run
+    /// the cell normally.
     Miss,
-    /// Files exist but do not parse — torn by a kill or corrupted on disk.
-    /// They must be quarantined and the cell re-run.
+    /// A record that does not parse, or a profile that is not the bytes
+    /// its record vouches for — torn by a kill, corrupted on disk, or
+    /// copied from elsewhere. They must be quarantined and the cell re-run.
     Corrupt(Vec<PathBuf>),
 }
 
 /// Load a cell's cache record, integrity-checking both the record and the
 /// profile it vouches for.
 pub(crate) fn load_cached_cell(spec: &CellSpec) -> CellLoad {
-    let outcome = match record::read_verified(&spec.cache, &spec.key) {
-        Verified::Hit(v) => match CellOutcome::deserialize(&v) {
-            Ok(outcome) => outcome,
-            Err(_) => return CellLoad::Miss,
+    let (outcome, digest) = match record::read_verified(&spec.cache, &spec.key) {
+        Verified::Hit(v) => match (CellOutcome::deserialize(&v), ProfileDigest::deserialize(&v)) {
+            (Ok(outcome), Ok(digest)) => (outcome, digest),
+            _ => return CellLoad::Miss,
         },
         Verified::Miss => return CellLoad::Miss,
         Verified::Corrupt => return CellLoad::Corrupt(vec![spec.cache.clone()]),
     };
-    // The record vouches for the profile; verify the profile is actually
-    // there and intact before trusting either.
-    match record::check_json(&spec.profile) {
+    // The record vouches for the profile's bytes; verify the file holds
+    // exactly them before trusting either.
+    match digest.check(&spec.profile) {
         Verified::Hit(()) => CellLoad::Hit(outcome),
         Verified::Miss => CellLoad::Miss,
-        // Torn profile: quarantine it *and* the record that vouched for
-        // it, so neither is ever consulted again.
+        // Torn or foreign profile: quarantine it *and* the record that
+        // vouched for it, so neither is ever consulted again.
         Verified::Corrupt => CellLoad::Corrupt(vec![spec.profile.clone(), spec.cache.clone()]),
     }
 }
@@ -385,10 +391,12 @@ pub(crate) fn load_cached_cell(spec: &CellSpec) -> CellLoad {
 /// Execute one cell: an ordinary [`crate::run_suite`] with the cell's variant and
 /// tuning, its profile as the Caliper output, and — in a ranked campaign —
 /// the executing rank's identity as `rank_ctx` so the profile carries
-/// `mpi.rank` metadata. Writes the cell's atomic cache record.
+/// `mpi.rank` metadata. Writes the cell's atomic cache record — unless the
+/// profile's flush failed, in which case there is nothing to vouch for and
+/// the cell re-runs next time.
 ///
-/// The cache record and its `key` are identical no matter which rank (or
-/// how many ranks) executed the cell.
+/// The record's `key` is identical no matter which rank (or how many ranks)
+/// executed the cell; its digest is of the profile that rank wrote.
 pub(crate) fn execute_cell(
     base: &RunParams,
     spec: &CellSpec,
@@ -419,13 +427,22 @@ pub(crate) fn execute_cell(
             .map(|e| e.result.time.as_secs_f64())
             .sum(),
     };
-    // The record is the outcome's own JSON plus what vouches for it. The
-    // warm scan parses every record, so it carries no more than that.
-    let entries: Vec<EntryRecord> = report.entries.iter().map(EntryRecord::of).collect();
+    // The record is the outcome's own JSON plus what vouches for the
+    // profile: its path, and the length and digest of the bytes the flush
+    // handed to the writer. The warm scan parses every record, so it
+    // carries no more than that.
+    let Some(written) = report.outputs.iter().find(|w| w.path == spec.profile) else {
+        return Ok(outcome);
+    };
+    let digest = ProfileDigest::new(written.len, written.digest);
     let profile = spec.profile.display().to_string();
     let body = serde::Extended {
         body: &outcome,
-        extra: &[("entries", &entries), ("profile", &profile)],
+        extra: &[
+            ("profile", &profile),
+            ("profile_bytes", &digest.profile_bytes),
+            ("profile_digest", &digest.profile_digest),
+        ],
     };
     record::write_record(&spec.cache, &spec.key, &body)?;
     Ok(outcome)

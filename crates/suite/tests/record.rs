@@ -8,8 +8,8 @@ use serde_json::{json, Extended, Value};
 use std::path::{Path, PathBuf};
 use suite::params::FLAGS;
 use suite::record::{
-    campaign_key, check_json, quarantine, read_verified, read_verified_text, write_record,
-    write_record_text, EntryRecord, Verified,
+    campaign_key, quarantine, read_verified, read_verified_text, write_record, write_record_text,
+    EntryRecord, ProfileDigest, Verified,
 };
 use suite::RunParams;
 
@@ -186,6 +186,40 @@ fn the_text_read_keeps_the_report_exactly_as_written() {
 }
 
 #[test]
+fn a_digest_vouches_for_its_bytes_and_no_others() {
+    let dir = temp_dir("digest");
+    let path = dir.join("p.cali.json");
+    let text = r#"{"globals": {"variant": "Base_Seq"}, "records": []}"#;
+    let vouched = ProfileDigest::new(text.len() as u64, caliper::digest(text.as_bytes()));
+    assert_eq!(vouched.check(&path), Verified::Miss, "no file");
+    std::fs::write(&path, text).unwrap();
+    assert_eq!(vouched.check(&path), Verified::Hit(()));
+    // Another valid document, one byte longer, or nested past the reader's
+    // cap: none is the vouched bytes, and none is parsed to find out.
+    let deep = "[".repeat(300_000);
+    let other = text.replace("Base_Seq", "Base_Par");
+    for bytes in [other, format!("{text} "), deep] {
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(vouched.check(&path), Verified::Corrupt);
+    }
+    // A record carries the digest as two members, and reads it back.
+    let record = dir.join("r.json");
+    let key = json!({"q": 1});
+    let extra: [(&str, &dyn serde_json::Serialize); 2] = [
+        ("profile_bytes", &vouched.profile_bytes),
+        ("profile_digest", &vouched.profile_digest),
+    ];
+    write_record(&record, &key, &Extended { body: &json!({}), extra: &extra }).unwrap();
+    let Verified::Hit(read) = read_verified(&record, &key) else {
+        panic!("an intact record");
+    };
+    assert_eq!(read["profile_digest"].as_str().map(str::len), Some(32));
+    let digest = <ProfileDigest as serde::Deserialize>::deserialize(&read);
+    assert_eq!(digest.ok(), Some(vouched));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn quarantine_moves_the_file_aside_under_a_fresh_name() {
     let dir = temp_dir("quarantine");
     let file = dir.join("torn.json");
@@ -209,7 +243,10 @@ proptest! {
     /// reading them never panics, is `Corrupt` exactly when they are
     /// not a JSON document, and is a `Hit` only when that document
     /// embeds exactly the key asked for. The text read decides the same,
-    /// and the text writer lays down the tree writer's bytes.
+    /// and the text writer lays down the tree writer's bytes. As a file a
+    /// record vouches for, under the intact bytes' digest, they pass only
+    /// when they are the intact bytes: JSON or not, anything else is
+    /// `Corrupt`.
     #[test]
     fn any_bytes_at_a_record_path_read_as_hit_miss_or_corrupt(
         noise in prop::collection::vec(0u16..256, 0..48),
@@ -222,6 +259,7 @@ proptest! {
         let report = json!({"entries": json!([1.5, "é\"\n"]), "profile": "p.cali.json"});
         write_record(&path, &key, &json!({"report": report})).unwrap();
         let intact = std::fs::read(&path).unwrap();
+        let vouched = ProfileDigest::new(intact.len() as u64, caliper::digest(&intact));
         let spliced = dir.join("spliced.json");
         write_record_text(&spliced, &key, "report", &report.to_string()).unwrap();
         prop_assert_eq!(&std::fs::read(&spliced).unwrap(), &intact);
@@ -235,9 +273,8 @@ proptest! {
             let parsed = std::str::from_utf8(&bytes)
                 .ok()
                 .and_then(|text| serde_json::from_str::<Value>(text).ok());
-            // The validate-only read decides "intact" the same way.
-            let checked = if parsed.is_some() { Verified::Hit(()) } else { Verified::Corrupt };
-            prop_assert_eq!(check_json(&path), checked);
+            let checked = if bytes == intact { Verified::Hit(()) } else { Verified::Corrupt };
+            prop_assert_eq!(vouched.check(&path), checked);
             let expected = match parsed {
                 None => Verified::Corrupt,
                 Some(doc) if doc.get("key") == Some(&key) => Verified::Hit(doc),

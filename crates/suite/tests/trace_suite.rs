@@ -86,7 +86,7 @@ fn full_registry_trace_pairs_every_begin_with_a_later_end() {
         ..RunParams::default()
     };
     let report = run_suite(&p);
-    assert!(report.outputs.contains(&path), "trace listed in outputs");
+    assert!(report.outputs.iter().any(|w| w.path == path), "trace listed in outputs");
     let json = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
@@ -120,7 +120,7 @@ fn trace_service_in_caliper_spec_enables_collection() {
         ..RunParams::default()
     };
     let report = run_suite(&p);
-    assert!(report.outputs.contains(&path), "trace listed in outputs");
+    assert!(report.outputs.iter().any(|w| w.path == path), "trace listed in outputs");
     let json = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     let events = parse_events(&json);

@@ -38,7 +38,7 @@ fn main() {
     let profiles: Vec<thicket::ProfileData> = reports
         .iter()
         .flat_map(|r| r.outputs.iter())
-        .map(|p| thicket::ProfileData::read_file(p).expect("profile readable"))
+        .map(|w| thicket::ProfileData::read_file(&w.path).expect("profile readable"))
         .collect();
     let tk = thicket::Thicket::from_profiles(&profiles);
     println!("composed {} profiles into one thicket\n", tk.profiles.len());

@@ -179,11 +179,16 @@ for mode in threads process; do
     cmp "$RANKS_DIR/r1/sweep/manifest.json" "$RANKS_DIR/$mode/sweep/manifest.json" \
         || { echo "verify: FAIL — $mode-ranked manifest diverged from single-rank" >&2; exit 1; }
 done
+# Child ranks wrote those profiles (with `mpi.rank`) and the digests in
+# their records; the single-rank scan must verify every one of them.
+RESCAN=$(ranked_sweep process --ranks 1 | head -1)
+[[ "$RESCAN" == "Sweep: 12 cells (12 cached)" ]] \
+    || { echo "verify: FAIL — --ranks 1 re-scan of the process-ranked sweep: $RESCAN" >&2; exit 1; }
 if [[ "${MODE_MS[threads]}" -gt "$R1_MS" ]]; then
     echo "verify: FAIL — fault-armed thread ranks serialized: --ranks 4 took ${MODE_MS[threads]} ms, --ranks 1 ${R1_MS} ms" >&2
     exit 1
 fi
-echo "ranks: 4-rank campaigns byte-identical to single-rank (--ranks 1 ${R1_MS} ms, threads ${MODE_MS[threads]} ms, process ${MODE_MS[process]} ms)"
+echo "ranks: 4-rank campaigns byte-identical to single-rank (--ranks 1 ${R1_MS} ms, threads ${MODE_MS[threads]} ms, process ${MODE_MS[process]} ms); process-ranked cells all cached under --ranks 1"
 
 # Process-only: kill -9 one child mid-campaign; the supervisor must requeue
 # its cell, respawn it, and still finish with the single-rank manifest.

@@ -30,7 +30,7 @@ fn suite_run_to_thicket_pipeline() {
     assert!(suite::checksum_report(&reports).all_pass());
 
     // Every run produced a profile file; Thicket composes them.
-    let paths: Vec<_> = reports.iter().flat_map(|r| r.outputs.clone()).collect();
+    let paths: Vec<_> = reports.iter().flat_map(|r| &r.outputs).map(|w| &w.path).collect();
     assert_eq!(paths.len(), 3);
     let profiles: Vec<thicket::ProfileData> = paths
         .iter()
@@ -186,15 +186,18 @@ fn raja_variants_match_base_variants_across_the_whole_suite() {
     }
 }
 
-/// The campaign engine runs under tier-1: a `ranks: 2` sweep (thread
-/// carrier — no worker binary needed) gathers into the `ranks: 1` manifest.
+/// The campaign engine runs under tier-1, in process, within a budget of
+/// 1 s: four thread ranks (no worker binary needed) gather into the
+/// `ranks: 1` manifest byte for byte, and a `ranks: 1` re-run of the
+/// four-rank directory serves every cell from the cache — what any rank
+/// wrote verifies under the single-rank scan.
 #[test]
 fn ranked_sweep_gathers_into_the_single_rank_manifest() {
     let root = std::env::temp_dir().join(format!("rajaperf_e2e_ranked_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let sweep = |tag: &str, ranks: usize| {
         let summary = suite::run_sweep(&RunParams {
-            selection: Selection::Kernels(vec!["Basic_DAXPY".into()]),
+            selection: Selection::Kernels(vec!["Basic_DAXPY".into(), "Stream_TRIAD".into()]),
             explicit_size: Some(1_000),
             explicit_reps: Some(1),
             sweep: true,
@@ -208,11 +211,14 @@ fn ranked_sweep_gathers_into_the_single_rank_manifest() {
         (summary, manifest.replace(&format!("/{tag}/"), "/"))
     };
     let (single, reference) = sweep("r1", 1);
-    let (ranked, gathered) = sweep("r2", 2);
+    let (ranked, gathered) = sweep("r4", 4);
     assert!(single.rank_stats.is_empty());
-    assert_eq!(ranked.rank_stats.len(), 2);
-    assert!(ranked.cells.iter().all(|c| matches!(c.executed_by, Some(r) if r < 2)));
-    assert_eq!(gathered, reference, "ranks: 2 must gather into the ranks: 1 manifest");
+    assert_eq!(ranked.rank_stats.len(), 4);
+    assert!(ranked.cells.iter().all(|c| matches!(c.executed_by, Some(r) if r < 4)));
+    assert_eq!(gathered, reference, "ranks: 4 must gather into the ranks: 1 manifest");
+    let (rescanned, manifest) = sweep("r4", 1);
+    assert!(rescanned.cells.iter().all(|c| c.cached), "{}", rescanned.render());
+    assert_eq!(manifest, reference);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -335,7 +341,8 @@ fn trace_files_named_like_spec_text_are_the_two_files_written() {
     let names = [trace.to_str().unwrap(), folded.to_str().unwrap()];
     let traced = daxpy(&["--trace", names[0], "--trace-folded", names[1]]).unwrap();
     let report = suite::run_suite(&traced);
-    assert_eq!(report.outputs, [trace, folded]);
+    let written: Vec<_> = report.outputs.iter().map(|w| &w.path).collect();
+    assert_eq!(written, [&trace, &folded]);
     assert_eq!(names_in(&out), ["f(1).txt", "tr,ace.json"]);
     let _ = std::fs::remove_dir_all(&out);
 }
@@ -358,11 +365,17 @@ fn a_run_writes_the_profile_it_reports() {
     let path = out.join("run.cali.json");
     let spec = format!("spot(output={})", path.display());
     let report = suite::run_suite(&daxpy(&["--caliper", &spec]).unwrap());
-    assert_eq!(report.outputs, std::slice::from_ref(&path));
+    let bytes = std::fs::read(&path).unwrap();
+    let written = caliper::Written {
+        path: path.clone(),
+        len: bytes.len() as u64,
+        digest: caliper::digest(&bytes),
+    };
+    assert_eq!(report.outputs, [written]);
     // Built once: equal as data and as bytes — not a second build made a
     // moment later, whose globals could already differ.
     assert_eq!(caliper::Profile::read_file(&path).unwrap(), report.profile);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), report.profile.to_json());
+    assert_eq!(bytes, report.profile.to_json().into_bytes());
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -425,4 +438,89 @@ fn thicket_reads_what_caliper_writes() {
     assert!(records.len() >= 3, "suite, group and kernel regions");
     assert_eq!(read.records, records);
     let _ = std::fs::remove_dir_all(&out);
+}
+
+// A cached cell is served only for the profile bytes its record vouches for:
+// the warm scan compares each profile's length and digest with its record's,
+// and parses no profile.
+
+/// A `Basic_DAXPY` sweep into `dir`, plus `extra` flags; its header line.
+fn daxpy_sweep(dir: &std::path::Path, extra: &[&str]) -> String {
+    let mut args = vec!["--sweep", "--sweep-dir", dir.to_str().unwrap()];
+    args.extend(extra);
+    let summary = suite::run_sweep(&daxpy(&args).unwrap()).expect("sweep succeeds");
+    summary.render().lines().next().unwrap().to_string()
+}
+
+/// A record vouches for the bytes its cell wrote, not for any JSON at that
+/// path: another cell's valid profile copied over this cell's is quarantined
+/// with the record, and the cell re-runs into the same manifest.
+#[test]
+fn a_profile_copied_from_another_cell_is_not_served_as_this_one() {
+    let root = scratch("foreign_profile");
+    let dir = root.join("sweep");
+    assert_eq!(daxpy_sweep(&dir, &[]), "Sweep: 6 cells (0 cached)");
+    let manifest = std::fs::read(dir.join("manifest.json")).unwrap();
+    let profiles = dir.join("profiles");
+    std::fs::copy(
+        profiles.join("Base_Par.block_256.cali.json"),
+        profiles.join("Base_Seq.block_256.cali.json"),
+    )
+    .unwrap();
+    assert_eq!(
+        daxpy_sweep(&dir, &[]),
+        "Sweep: 6 cells (5 cached, 2 corrupt file(s) quarantined)"
+    );
+    assert_eq!(
+        names_in(&dir.join("quarantine")),
+        ["Base_Seq.block_256.cali.json", "Base_Seq.block_256.json"]
+    );
+    assert_eq!(std::fs::read(dir.join("manifest.json")).unwrap(), manifest);
+    assert_eq!(daxpy_sweep(&dir, &[]), "Sweep: 6 cells (6 cached)");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The digest is of the bytes the flush handed to the writer, never of the
+/// file read back: `io.write=truncate:1` tears every profile while the flush
+/// reports success, and each record — written after the cell's fault world
+/// is gone — vouches for the untorn bytes, so the same command again finds
+/// every profile torn. A record with no digest vouches for nothing: its cell
+/// is a miss and re-runs, and nothing is quarantined. Nor is a record
+/// written for a profile whose flush failed.
+#[test]
+fn a_record_vouches_for_the_bytes_flushed_not_the_bytes_on_disk() {
+    let root = scratch("torn_profiles");
+    let dir = root.join("torn");
+    let torn = ["--faults", "io.write=truncate:1"];
+    assert_eq!(daxpy_sweep(&dir, &torn), "Sweep: 6 cells (0 cached)");
+    assert_eq!(
+        daxpy_sweep(&dir, &torn),
+        "Sweep: 6 cells (0 cached, 12 corrupt file(s) quarantined)"
+    );
+    let quarantined = names_in(&dir.join("quarantine"));
+    let (profiles, records): (Vec<_>, Vec<_>) = quarantined
+        .iter()
+        .partition(|n| n.to_string_lossy().ends_with(".cali.json"));
+    assert_eq!((profiles.len(), records.len()), (6, 6), "{quarantined:?}");
+
+    let dir = root.join("undigested");
+    assert_eq!(daxpy_sweep(&dir, &[]), "Sweep: 6 cells (0 cached)");
+    let cell = dir.join("cells/Base_Seq.block_256.json");
+    let mut record: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&cell).unwrap()).unwrap();
+    let serde_json::Value::Object(members) = &mut record else {
+        panic!("a record is an object");
+    };
+    assert!(members.remove("profile_digest").is_some());
+    std::fs::write(&cell, record.to_string()).unwrap();
+    assert_eq!(daxpy_sweep(&dir, &[]), "Sweep: 6 cells (5 cached)");
+    assert!(!dir.join("quarantine").exists());
+    assert_eq!(daxpy_sweep(&dir, &[]), "Sweep: 6 cells (6 cached)");
+
+    // A directory where the profile goes: its rename fails, the flush fails.
+    let dir = root.join("unflushed");
+    std::fs::create_dir_all(dir.join("profiles/Base_Seq.block_256.cali.json")).unwrap();
+    assert_eq!(daxpy_sweep(&dir, &[]), "Sweep: 6 cells (0 cached)");
+    assert!(!dir.join("cells/Base_Seq.block_256.json").exists());
+    let _ = std::fs::remove_dir_all(&root);
 }

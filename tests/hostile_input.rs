@@ -1,18 +1,21 @@
 //! Hostile input on the wire surfaces (ROADMAP aim 3: "no input on any wire
 //! surface can panic or hang a process"): a `.cali.json` profile
 //! (`thicket::ProfileData::from_caliper_json`, `IngestSession::ingest_json`),
-//! a record or profile file a cache vouches for (`suite::record::read_json`,
-//! `check_json`), a daemon request line (`rajaperfd::Request::parse`) and a
-//! `.tkt` snapshot (`Thicket::read_tkt`, then `groupby`). The text surfaces
-//! read through the one vendored JSON reader, whose nesting cap is what turns
-//! `[[[[…` from a stack overflow — an abort no `catch_unwind` contains — into
-//! a typed error; the binary one must not size an allocation by a number in
-//! the file, nor by an id it holds.
+//! a cache record (`suite::record::read_json`), a daemon request line
+//! (`rajaperfd::Request::parse`) and a `.tkt` snapshot (`Thicket::read_tkt`,
+//! then `groupby`). The text surfaces read through the one vendored JSON
+//! reader, whose nesting cap is what turns `[[[[…` from a stack overflow — an
+//! abort no `catch_unwind` contains — into a typed error; the binary one must
+//! not size an allocation by a number in the file, nor by an id it holds.
+//! A profile file a cache record vouches for is no text surface at all: the
+//! warm scan parses no profile, it compares the file's length and digest
+//! with the record's (`ProfileDigest::check`), so any bytes but the vouched
+//! ones — torn, bit-flipped, nested, or a valid document — fail that check.
 
 use proptest::prelude::*;
 use rajaperfd::Request;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use suite::record::{check_json, read_json, Verified};
+use suite::record::{read_json, ProfileDigest, Verified};
 use thicket::{IngestSession, ProfileData, Thicket};
 
 /// The system allocator, remembering the largest single request — how "no
@@ -40,16 +43,21 @@ unsafe impl std::alloc::GlobalAlloc for LargestRequest {
 #[global_allocator]
 static ALLOCATOR: LargestRequest = LargestRequest;
 
-/// A real profile, with text that needs escaping and a non-ASCII scalar.
+/// A real profile, with text that needs escaping and a non-ASCII scalar;
+/// the same text at every call.
 fn profile_text() -> String {
-    let session = caliper::Session::new();
-    session.set_global("note", "é \"quoted\"\n");
-    {
-        let _suite = session.region("RAJAPerf");
-        let _kernel = session.region("Stream_TRIAD");
-        session.set_metric("Bytes/Rep", 3.0e6);
-    }
-    session.profile().to_json()
+    static PROFILE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    let text = PROFILE.get_or_init(|| {
+        let session = caliper::Session::new();
+        session.set_global("note", "é \"quoted\"\n");
+        {
+            let _suite = session.region("RAJAPerf");
+            let _kernel = session.region("Stream_TRIAD");
+            session.set_metric("Bytes/Rep", 3.0e6);
+        }
+        session.profile().to_json()
+    });
+    text.clone()
 }
 
 fn request_line() -> String {
@@ -69,18 +77,20 @@ fn scratch_file(extension: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("rajaperf_hostile_{owner}.{extension}"))
 }
 
-/// `read_json` of a file holding exactly `bytes`; the validate-only read
-/// reaches the same verdict.
+/// `read_json` of a file holding exactly `bytes`. The same file as a cached
+/// cell's profile, under the digest of [`profile_text`], passes the check
+/// only when it is those very bytes, and is `Corrupt` otherwise.
 fn read_back(bytes: &[u8]) -> Verified {
     let path = scratch_file("json");
     std::fs::write(&path, bytes).unwrap();
     let read = read_json(&path);
-    let checked = check_json(&path);
+    let vouched = profile_text();
+    let digest = ProfileDigest::new(vouched.len() as u64, caliper::digest(vouched.as_bytes()));
+    let checked = digest.check(&path);
     std::fs::remove_file(&path).ok();
-    let expected = match &read {
-        Verified::Hit(_) => Verified::Hit(()),
-        Verified::Miss => Verified::Miss,
-        Verified::Corrupt => Verified::Corrupt,
+    let expected = match bytes == vouched.as_bytes() {
+        true => Verified::Hit(()),
+        false => Verified::Corrupt,
     };
     assert_eq!(checked, expected);
     read
@@ -179,7 +189,8 @@ proptest! {
 
             // One flipped bit may still be a document (a different letter
             // in a string); whatever it is, it is read without a panic, and
-            // it is `Corrupt` exactly when it is not JSON.
+            // a record is `Corrupt` exactly when it is not JSON. As a
+            // vouched profile it is `Corrupt` for every bit (`read_back`).
             let mut flipped = intact.clone();
             flipped[(flip / 8) % intact.len()] ^= 1 << (flip % 8);
             let is_json = std::str::from_utf8(&flipped)
