@@ -635,8 +635,9 @@ fn execute_analyze(
     }
 
     // Stream the corpus through the incremental ingester one profile at a
-    // time — the session compacts periodically, so memory tracks the
-    // compacted frame, not a vector of parsed JSON documents.
+    // time — each profile's cells land in the frame's dense pending columns
+    // and `finish` compacts them once, so memory tracks the frame, not a
+    // vector of parsed JSON documents.
     let mut session = thicket::IngestSession::new();
     let skipped = sources
         .iter()

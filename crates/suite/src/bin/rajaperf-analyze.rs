@@ -105,8 +105,8 @@ fn main() {
 
     if let Some(key) = groupby {
         println!("\ngroups by '{key}':");
-        for (value, sub) in tk.groupby(&key) {
-            println!("  {key}={value}: {} profiles", sub.profiles.len());
+        for (value, ids) in tk.group_profiles(&key) {
+            println!("  {key}={value}: {} profiles", ids.len());
         }
     }
 

@@ -14,10 +14,11 @@
 //!   not absent — the row exists because *some* column observed it);
 //! * `node_starts` offsets so "all rows of node n" is a contiguous slice.
 //!
-//! Appends do not disturb the sorted index: they land in a small row-major
-//! **pending chunk** that [`Frame::compact`] merges in sorted order. The
-//! compaction trigger is geometric (pending ≥ half the base), so streaming
-//! N profiles costs O(N) amortized merge work instead of O(N²) re-sorts.
+//! Appends do not disturb the sorted index: they land in a row-major
+//! **pending chunk** whose columns are as dense as the base's, and
+//! [`Frame::compact`] merges it in sorted order. An ingest session compacts
+//! once, when it finishes, so streaming N profiles sorts and merges each row
+//! once instead of re-merging a growing base at every trigger.
 //!
 //! Duplicate `(node, profile)` cells keep the *last* appended valid value
 //! per column, reproducing the `BTreeMap::insert` overwrite semantics of
@@ -35,9 +36,6 @@ use std::collections::BTreeMap;
 /// `usize`; 2³² nodes or profiles is far beyond any corpus we model, and
 /// the conversions assert rather than wrap.
 pub(crate) type Row = (u32, u32);
-
-/// Compact once pending reaches this many rows, even on small bases.
-const PENDING_MIN_ROWS: usize = 4096;
 
 /// Validity bitmap: one bit per row position of the owning column.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -59,6 +57,28 @@ impl Bitmap {
             *self.words.last_mut().expect("word pushed above") |= 1 << (self.len & 63);
         }
         self.len += 1;
+    }
+
+    /// Append the first `count` bits of `bytes`, LSB-first, a whole word at
+    /// a time: the bitmap `count` [`Bitmap::push`]es would build. Bits past
+    /// `count` in the last byte are ignored.
+    pub(crate) fn extend_from_bytes(&mut self, bytes: &[u8], count: usize) {
+        for (k, chunk) in bytes[..count.div_ceil(8)].chunks(8).enumerate() {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            let n = (count - k * 64).min(64);
+            let word = u64::from_le_bytes(le) & (u64::MAX >> (64 - n));
+            let shift = self.len & 63;
+            if shift == 0 {
+                self.words.push(word);
+            } else {
+                *self.words.last_mut().expect("a partial word") |= word << shift;
+                if shift + n > 64 {
+                    self.words.push(word >> (64 - shift));
+                }
+            }
+            self.len += n;
+        }
     }
 
     pub(crate) fn count_ones(&self) -> usize {
@@ -216,13 +236,6 @@ impl Frame {
                 }
             }
         }
-    }
-
-    /// True when enough appends have accumulated to justify a merge. The
-    /// geometric trigger keeps total compaction work linear in the stream.
-    pub(crate) fn should_compact(&self) -> bool {
-        self.pending.rows.len() >= PENDING_MIN_ROWS
-            && self.pending.rows.len() >= self.index.len() / 2
     }
 
     /// True when there are no uncompacted appends.
@@ -628,6 +641,21 @@ mod tests {
     }
 
     #[test]
+    fn bulk_bits_equal_pushed_bits_at_any_offset() {
+        let bytes: Vec<u8> = (0..20u8).map(|b| b.wrapping_mul(0x9D) | 0x81).collect();
+        for start in [0, 1, 63, 64, 65] {
+            for count in [0, 1, 7, 8, 63, 64, 65, 100, 160] {
+                let mut pushed = Bitmap::default();
+                (0..start).for_each(|i| pushed.push(i % 3 == 0));
+                let mut bulk = pushed.clone();
+                (0..count).for_each(|i| pushed.push(bytes[i / 8] >> (i % 8) & 1 == 1));
+                bulk.extend_from_bytes(&bytes, count);
+                assert_eq!(bulk, pushed, "{count} bits after {start}");
+            }
+        }
+    }
+
+    #[test]
     fn id_set_is_membership_whatever_the_ids() {
         let ids = [0, 1, 7, 64, 1 << 20, u32::MAX - 1, u32::MAX];
         for k in 0..=ids.len() {
@@ -638,17 +666,5 @@ mod tests {
             }
             assert!(!set.contains(2) && !set.contains(u32::MAX - 2));
         }
-    }
-
-    #[test]
-    fn geometric_trigger_scales_with_base() {
-        let mut f = Frame::default();
-        for i in 0..PENDING_MIN_ROWS as u32 {
-            append(&mut f, 0, i, &[("t", 1.0)]);
-        }
-        assert!(f.should_compact());
-        f.compact(1);
-        append(&mut f, 0, 0, &[("t", 2.0)]);
-        assert!(!f.should_compact(), "small pending over a large base waits");
     }
 }

@@ -26,10 +26,11 @@
 //! contiguous per-node slice scans parallelized over the vendored `rayon`
 //! pool with deterministic chunk-ordered combines, selections are
 //! profile-mask gathers, and ingest appends to a pending chunk that is
-//! compacted geometrically — so corpora of 10⁵–10⁶ profiles (the `rajaperfd`
-//! store scale) stay interactive. [`Thicket::write_tkt`] /
-//! [`Thicket::read_tkt`] persist the composed dataframe in a chunked binary
-//! format so a corpus is parsed from Caliper JSON once, not per query.
+//! compacted once, when the session finishes — so corpora of 10⁵–10⁶
+//! profiles (the `rajaperfd` store scale) stay interactive.
+//! [`Thicket::write_tkt`] / [`Thicket::read_tkt`] persist the composed
+//! dataframe in a chunked binary format so a corpus is parsed from Caliper
+//! JSON once, not per query.
 //!
 //! # One ingest route
 //!
@@ -106,7 +107,8 @@ pub struct Thicket {
     /// Unified call-graph nodes; `node id` = index.
     pub nodes: Vec<Node>,
     /// Profile ids, in ingestion order (always ascending: ids are allocated
-    /// `max + 1` and filters keep subsequences).
+    /// `max + 1`, filters keep subsequences, and [`Thicket::read_tkt`]
+    /// refuses a snapshot that lists them otherwise).
     pub profiles: Vec<usize>,
     /// The columnar performance dataframe (metric columns over the sorted
     /// `(node, profile)` row index).
@@ -580,7 +582,8 @@ impl IngestSession {
         &self.thicket
     }
 
-    /// Compact and return the thicket.
+    /// Compact — the session's one merge of its pending rows — and return
+    /// the thicket.
     pub fn finish(mut self) -> Thicket {
         let nnodes = self.thicket.nodes.len();
         self.thicket.frame.compact(nnodes);
@@ -625,8 +628,7 @@ impl Thicket {
 
     /// Commit the profile held in `staged` as the next profile: the one way a
     /// profile's cells enter the frame. Appends land in the frame's pending
-    /// chunk; compaction is amortized (geometric trigger), so N profiles
-    /// stream in O(N) total merge work.
+    /// chunk, which [`IngestSession::finish`] merges in one compaction.
     fn ingest_staged(&mut self, index: &mut PathIndex, staged: &mut Staging) {
         let pid = self.next_profile_id();
         self.profiles.push(pid);
@@ -637,9 +639,6 @@ impl Thicket {
             .map(|(path, cells)| (id32(self.node_id_or_insert(index, path)), cells))
             .collect();
         self.frame.append_cells(id32(pid), &rows, &staged.names);
-        if self.frame.should_compact() {
-            self.frame.compact(self.nodes.len());
-        }
     }
 
     /// Smallest unused profile id. `last + 1`, not `len`: ids stay unique
@@ -790,11 +789,12 @@ impl Thicket {
         }
     }
 
-    /// Partition profiles by the string value of a metadata key (Thicket's
-    /// `groupby`). Profiles whose metadata lacks the key are grouped under
-    /// [`MISSING_GROUP`] — every profile lands in exactly one group. Groups
-    /// are returned in sorted key order.
-    pub fn groupby(&self, key: &str) -> Vec<(String, Thicket)> {
+    /// Partition profile ids by the string value of a metadata key: what
+    /// [`Thicket::groupby`] selects, without copying a frame. Profiles whose
+    /// metadata lacks the key are grouped under [`MISSING_GROUP`] — every
+    /// profile lands in exactly one group. Groups are returned in sorted key
+    /// order, each group's ids ascending.
+    pub fn group_profiles(&self, key: &str) -> Vec<(String, Vec<usize>)> {
         let mut parts: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for &p in &self.profiles {
             let label = self
@@ -805,12 +805,15 @@ impl Thicket {
                 .unwrap_or_else(|| MISSING_GROUP.to_string());
             parts.entry(label).or_default().push(p);
         }
-        parts
+        parts.into_iter().collect()
+    }
+
+    /// Partition profiles by the string value of a metadata key (Thicket's
+    /// `groupby`): one sub-thicket per [`Thicket::group_profiles`] group.
+    pub fn groupby(&self, key: &str) -> Vec<(String, Thicket)> {
+        self.group_profiles(key)
             .into_iter()
-            .map(|(label, pids)| {
-                let group = self.select_profiles(&pids);
-                (label, group)
-            })
+            .map(|(label, ids)| (label, self.select_profiles(&ids)))
             .collect()
     }
 

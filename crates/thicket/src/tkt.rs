@@ -58,6 +58,10 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+fn u32_le(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -75,7 +79,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.take(4).map(u32_le)
     }
 
     /// A chunk's item count, refused unless the section still holds that
@@ -115,12 +119,10 @@ fn decode_index(buf: &[u8]) -> io::Result<Vec<(u32, u32)>> {
     let mut rows = Vec::new();
     for _ in 0..nchunks {
         let count = c.count(8)?;
-        rows.reserve(count);
-        for _ in 0..count {
-            let n = c.u32()?;
-            let p = c.u32()?;
-            rows.push((n, p));
-        }
+        rows.extend(c.take(count * 8)?.chunks_exact(8).map(|row| {
+            let (n, p) = row.split_at(4);
+            (u32_le(n), u32_le(p))
+        }));
     }
     Ok(rows)
 }
@@ -164,23 +166,20 @@ fn decode_column(buf: &[u8], name: &str) -> io::Result<Column> {
     let mut col = Column::default();
     for _ in 0..nchunks {
         let count = c.count(8)?;
-        let mut vals = Vec::with_capacity(count);
-        for _ in 0..count {
-            let raw = c.take(8)?;
-            vals.push(f64::from_le_bytes(raw.try_into().expect("8 bytes")));
-        }
+        let values = c.take(count * 8)?;
         let bits = c.take(count.div_ceil(8))?;
-        for (i, v) in vals.into_iter().enumerate() {
-            if bits[i / 8] >> (i % 8) & 1 == 1 {
-                col.values.push(v);
-                col.valid.push(true);
-            } else {
+        col.values.reserve(count);
+        col.values
+            .extend(values.chunks_exact(8).enumerate().map(|(i, v)| {
                 // Invalid cells re-read as NaN placeholders regardless of
                 // what the writer stored.
-                col.values.push(f64::NAN);
-                col.valid.push(false);
-            }
-        }
+                if bits[i / 8] >> (i % 8) & 1 == 1 {
+                    f64::from_le_bytes(v.try_into().expect("8 bytes"))
+                } else {
+                    f64::NAN
+                }
+            }));
+        col.valid.extend_from_bytes(bits, count);
     }
     Ok(col)
 }
@@ -356,6 +355,15 @@ impl Thicket {
             return Err(bad(format!(
                 "{}: profile id {p} exceeds the u32 row space",
                 path.display()
+            )));
+        }
+        // Ids are allocated `last + 1`, so a resumed session trusts the order.
+        if let Some(w) = head.profiles.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(bad(format!(
+                "{}: profile ids are not strictly ascending ({} then {})",
+                path.display(),
+                w[0],
+                w[1]
             )));
         }
 

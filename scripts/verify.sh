@@ -362,6 +362,20 @@ else
     echo "analyze: reference commit $ANALYZE_REFERENCE not in this clone, comparison skipped"
     (cd "$TEXT_DIR/change" && "$ROOT/$ANALYZE" "$SWEEP_DIR/profiles" --save-tkt out.tkt >/dev/null)
 fi
+# The routes the ledger compares: the directory on a two-thread pool and the
+# snapshot just saved print what the directory prints on one thread.
+for route in width1 width2 tkt; do
+    input="$SWEEP_DIR/profiles" width=1
+    [[ "$route" == width2 ]] && width=2
+    [[ "$route" == tkt ]] && input="$TEXT_DIR/change/out.tkt"
+    RAYON_NUM_THREADS=$width "$ANALYZE" "$input" --groupby variant --tree --csv \
+        >"$TEXT_DIR/change/$route.stdout"
+done
+for route in width2 tkt; do
+    cmp "$TEXT_DIR/change/width1.stdout" "$TEXT_DIR/change/$route.stdout" \
+        || { echo "verify: FAIL — rajaperf-analyze $route stdout differs from the one-thread directory run's" >&2; exit 1; }
+done
+echo "analyze: two-thread directory and .tkt reopen stdout (--groupby --tree --csv) equal the one-thread directory run's"
 # seed=5 flips a checksum into a non-finite value: `"Checksum": null`.
 "$RAJAPERF" --variant RAJA_SimGpu --size 500 --reps 1 --faults 'gpusim.ecc=flip:1.0,seed=5' \
     --caliper "spot(output=$TEXT_DIR/ecc/ecc.cali.json)" >/dev/null

@@ -280,6 +280,13 @@ fn a_tkt_whose_numbers_lie_is_refused_without_allocating_for_them() {
     thicket.write_tkt(&path).unwrap();
     let err = Thicket::read_tkt(&path).expect_err("an id no row can hold").to_string();
     assert!(err.ends_with("profile id 1099511627776 exceeds the u32 row space"), "{err}");
+    // Ids are allocated `last + 1`: a repeated id was resumed into a session
+    // (a debug build panicked) and counted twice by `groupby`.
+    let mut thicket = read_tkt_back(intact).unwrap();
+    thicket.profiles.push(thicket.profiles[1]);
+    thicket.write_tkt(&path).unwrap();
+    let err = Thicket::read_tkt(&path).expect_err("a repeated id").to_string();
+    assert!(err.ends_with("profile ids are not strictly ascending (1 then 1)"), "{err}");
     // The largest id the row space holds is a snapshot, not a lie; `--groupby`
     // over it used to size a mask by that id and ask for 4 GB.
     let mut thicket = read_tkt_back(intact).unwrap();
