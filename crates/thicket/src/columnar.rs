@@ -49,6 +49,23 @@ impl Bitmap {
         (self.words[i >> 6] >> (i & 63)) & 1 == 1
     }
 
+    /// Grow to `len` bits; the new bits are unset (bits past `len` are
+    /// always zero, so the new words are all there is to add).
+    fn grow(&mut self, len: usize) {
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
+    }
+
+    /// Set bit `i`, which must be below `len`.
+    fn set(&mut self, i: usize) {
+        self.words[i >> 6] |= 1 << (i & 63);
+    }
+
     pub(crate) fn push(&mut self, v: bool) {
         if self.len & 63 == 0 {
             self.words.push(0);
@@ -107,9 +124,24 @@ impl Column {
     }
 
     fn pad_to(&mut self, n: usize) {
-        while self.values.len() < n {
-            self.values.push(f64::NAN);
-            self.valid.push(false);
+        if self.values.len() < n {
+            self.values.resize(n, f64::NAN);
+            self.valid.grow(n);
+        }
+    }
+
+    /// Append the observed cells `run` — `(position, value)`, positions
+    /// ascending from the column's end — and an unobserved row at every
+    /// position skipped: values first, then the validity words grown once
+    /// and the run's bits set.
+    fn append_run(&mut self, run: &[(usize, f64)]) {
+        for &(pos, v) in run {
+            self.values.resize(pos, f64::NAN);
+            self.values.push(v);
+        }
+        self.valid.grow(self.values.len());
+        for &(pos, _) in run {
+            self.valid.set(pos);
         }
     }
 
@@ -135,17 +167,21 @@ impl Column {
 struct Pending {
     rows: Vec<Row>,
     columns: BTreeMap<String, Column>,
+    /// [`Frame::append_cells`]' counting-sort buffers, kept from one
+    /// profile to the next: `starts[id]..starts[id + 1]` is column `id`'s
+    /// run of `by_column`, `next[id]` where its next cell goes.
+    starts: Vec<usize>,
+    next: Vec<usize>,
+    by_column: Vec<(usize, f64)>,
 }
 
-impl Pending {
-    /// The pending column `name`, created empty on first use. (Not `entry`:
-    /// that would clone the name on every call, not only the first.)
-    fn column_mut(&mut self, name: &str) -> &mut Column {
-        if !self.columns.contains_key(name) {
-            self.columns.insert(name.to_string(), Column::default());
-        }
-        self.columns.get_mut(name).expect("inserted above")
+/// The pending column `name`, created empty on first use. (Not `entry`:
+/// that would clone the name on every call, not only the first.)
+fn column_mut<'c>(columns: &'c mut BTreeMap<String, Column>, name: &str) -> &'c mut Column {
+    if !columns.contains_key(name) {
+        columns.insert(name.to_string(), Column::default());
     }
+    columns.get_mut(name).expect("inserted above")
 }
 
 /// The columnar performance dataframe.
@@ -172,41 +208,39 @@ impl Frame {
     /// entries). The ids are the caller's shorthand only — columns stay
     /// keyed by name — and buy one map lookup per column instead of one per
     /// cell.
-    pub(crate) fn append_cells(
+    pub(crate) fn append_cells<'c>(
         &mut self,
         profile: u32,
-        rows: &[(u32, &[(usize, f64)])],
+        rows: impl Iterator<Item = (u32, &'c [(usize, f64)])> + Clone,
         names: &[String],
     ) {
         // Counting sort of the cells by column, each tagged with the pending
-        // position of its row: `starts[id]..starts[id + 1]` is column `id`'s
-        // run of `by_column`, in row order.
-        let mut starts = vec![0usize; names.len() + 1];
-        for &(id, _) in rows.iter().flat_map(|&(_, cells)| cells) {
-            starts[id + 1] += 1;
+        // position of its row, so each column's run is in row order.
+        let p = &mut self.pending;
+        p.starts.clear();
+        p.starts.resize(names.len() + 1, 0);
+        for &(id, _) in rows.clone().flat_map(|(_, cells)| cells) {
+            p.starts[id + 1] += 1;
         }
         for id in 0..names.len() {
-            starts[id + 1] += starts[id];
+            p.starts[id + 1] += p.starts[id];
         }
-        let mut by_column = vec![(0usize, 0.0f64); starts[names.len()]];
-        let mut next = starts.clone();
-        for &(node, cells) in rows.iter().filter(|(_, cells)| !cells.is_empty()) {
-            let pos = self.pending.rows.len();
-            self.pending.rows.push((node, profile));
+        p.by_column.clear();
+        p.by_column.resize(p.starts[names.len()], (0, 0.0));
+        p.next.clear();
+        p.next.extend_from_slice(&p.starts[..names.len()]);
+        for (node, cells) in rows.filter(|(_, cells)| !cells.is_empty()) {
+            let pos = p.rows.len();
+            p.rows.push((node, profile));
             for &(id, v) in cells {
-                by_column[next[id]] = (pos, v);
-                next[id] += 1;
+                p.by_column[p.next[id]] = (pos, v);
+                p.next[id] += 1;
             }
         }
         for (id, name) in names.iter().enumerate() {
-            let run = &by_column[starts[id]..starts[id + 1]];
-            if run.is_empty() {
-                continue;
-            }
-            let col = self.pending.column_mut(name);
-            for &(pos, v) in run {
-                col.pad_to(pos);
-                col.push_valid(v);
+            let run = &p.by_column[p.starts[id]..p.starts[id + 1]];
+            if !run.is_empty() {
+                column_mut(&mut p.columns, name).append_run(run);
             }
         }
     }
@@ -227,7 +261,7 @@ impl Frame {
                 .push((node_map[n as usize], prof_map[&p]));
         }
         for (name, col) in &other.columns {
-            let dst = self.pending.column_mut(name);
+            let dst = column_mut(&mut self.pending.columns, name);
             dst.pad_to(offset);
             for i in 0..other.index.len() {
                 match col.get(i) {
@@ -291,44 +325,46 @@ impl Frame {
             new_index.push(row);
         }
 
-        let names: Vec<String> = {
-            let mut v: Vec<String> = self.columns.keys().cloned().collect();
-            v.extend(self.pending.columns.keys().cloned());
-            v.sort();
-            v.dedup();
-            v
-        };
-        let mut new_columns = BTreeMap::new();
+        // Each merged column is built whole — values, then validity words
+        // set where a value was chosen — into the buffers of the input the
+        // column before it was merged from: one column's worth of memory is
+        // fresh, not every column's.
+        let mut base_columns = std::mem::take(&mut self.columns);
+        let mut pending_columns = std::mem::take(&mut self.pending.columns);
+        let mut names: Vec<String> = base_columns.keys().cloned().collect();
+        names.extend(pending_columns.keys().cloned());
+        names.sort_unstable();
+        names.dedup();
+        let mut spare = Column::default();
         for name in names {
-            let bcol = self.columns.get(&name);
-            let pcol = self.pending.columns.get(&name);
-            let mut col = Column::default();
-            for &(base, ps, pe) in &plan {
+            let bcol = base_columns.remove(&name);
+            let pcol = pending_columns.remove(&name);
+            let mut col = std::mem::take(&mut spare);
+            col.values.clear();
+            col.valid.clear();
+            col.valid.grow(plan.len());
+            for (k, &(base, ps, pe)) in plan.iter().enumerate() {
                 // Latest valid pending write wins; otherwise the base value.
-                let mut chosen: Option<f64> = None;
-                if let Some(pc) = pcol {
-                    for jj in (ps..pe).rev() {
-                        if let Some(v) = pc.get(porder[jj as usize] as usize) {
-                            chosen = Some(v);
-                            break;
-                        }
-                    }
-                }
-                if chosen.is_none() && base != NO_BASE {
-                    if let Some(bc) = bcol {
-                        chosen = bc.get(base as usize);
-                    }
-                }
-                match chosen {
-                    Some(v) => col.push_valid(v),
-                    None => col.push_invalid(),
+                let pending = pcol.as_ref().and_then(|pc| {
+                    porder[ps as usize..pe as usize]
+                        .iter()
+                        .rev()
+                        .find_map(|&p| pc.get(p as usize))
+                });
+                let chosen = pending.or_else(|| match (&bcol, base) {
+                    (Some(bc), base) if base != NO_BASE => bc.get(base as usize),
+                    _ => None,
+                });
+                col.values.push(chosen.unwrap_or(f64::NAN));
+                if chosen.is_some() {
+                    col.valid.set(k);
                 }
             }
-            new_columns.insert(name, col);
+            spare = pcol.or(bcol).unwrap_or_default();
+            self.columns.insert(name, col);
         }
 
         self.index = new_index;
-        self.columns = new_columns;
         self.pending = Pending::default();
         self.rebuild_node_starts(nnodes);
     }
@@ -585,7 +621,7 @@ mod tests {
     fn append(f: &mut Frame, node: u32, profile: u32, cells: &[(&str, f64)]) {
         let names: Vec<String> = cells.iter().map(|&(k, _)| k.to_string()).collect();
         let ids: Vec<(usize, f64)> = cells.iter().map(|&(_, v)| v).enumerate().collect();
-        f.append_cells(profile, &[(node, &ids)], &names);
+        f.append_cells(profile, std::iter::once((node, &ids[..])), &names);
     }
 
     #[test]

@@ -38,9 +38,12 @@
 //! every profile reaches the frame the same way: staged in an
 //! [`IngestSession`]'s reused buffers — column names interned, each record's
 //! path segments and `(column, value)` cells pushed flat — then committed in
-//! one append. What fills the staging is one walk over `serde::text::Reader`
-//! (`Staging::read`, the crate's one spelling of the text shape), which
-//! builds no JSON tree and no [`ProfileData`], only each global's own value:
+//! one append. The interner guesses each key's column before it hashes — the
+//! column that followed the previous key last time, taken only when its name
+//! equals the key, so a guess never gives a wrong id. What fills the staging
+//! is one walk over `serde::text::Reader` (`Staging::read`, the crate's one
+//! spelling of the text shape), which builds no JSON tree and no
+//! [`ProfileData`], only each global's own value:
 //!
 //! * [`IngestSession::ingest_json`] — a profile's text (and
 //!   [`Thicket::from_files`], which reads each file into one reused buffer:
@@ -203,12 +206,26 @@ const PROFILE_SHAPE: &str = "a profile is {globals, records: [{path, metrics}]}"
 /// what [`Thicket::ingest_staged`] commits (or
 /// [`ProfileData::from_caliper_json`] drains). A session keeps one and reuses
 /// its buffers and its column-name interner from profile to profile.
+///
+/// The interner guesses before it hashes. Every `metrics` object a writer
+/// prints lists its keys in one order, so the column met after column `c`
+/// last time is nearly always the one met after it now: the guess is taken
+/// when its name equals the key — an exact string compare, so a wrong guess
+/// costs a lookup in `ids`, never a wrong id — and a key met in a new place
+/// moves the guess there.
 #[derive(Default)]
 struct Staging {
     /// Column-name interner: a column's id is its index in `names`. Ids are
     /// private to this staging — the frame keys columns by name.
     ids: HashMap<String, usize>,
     names: Vec<String>,
+    /// The interner's guesses: `after[0]` is the id last met first in a
+    /// `metrics` object, `after[c + 1]` the id last met right after column
+    /// `c`, and `usize::MAX` (no id) where there is none yet. Empty until the
+    /// first column is interned.
+    after: Vec<usize>,
+    /// Where in `after` the next key's guess is: 0 at an object's start.
+    prev: usize,
     /// Per column id: the `metrics` object (by `stamp`) that last observed
     /// it and where in `cells` — how a repeated key finds the cell it
     /// overwrites, so a record holds each column at most once, last-wins.
@@ -221,6 +238,8 @@ struct Staging {
     cells: Vec<(usize, f64)>,
     /// Per record, in text order: where its segments and its cells end.
     records: Vec<(usize, usize)>,
+    /// Per record: its node id, filled by [`Thicket::ingest_staged`].
+    nodes: Vec<u32>,
 }
 
 impl Staging {
@@ -293,9 +312,9 @@ impl Staging {
         self.clear_records();
         for (path, metrics) in &p.records {
             self.segments.extend_from_slice(path);
-            self.stamp += 1;
+            self.begin_metrics();
             for (name, &value) in metrics {
-                self.observe(name.into(), value);
+                self.observe(name, value);
             }
             self.records.push((self.segments.len(), self.cells.len()));
         }
@@ -322,7 +341,7 @@ impl Staging {
             "metrics" => {
                 metrics = true;
                 self.cells.truncate(first_cell);
-                self.stamp += 1;
+                self.begin_metrics();
                 r.object(|r, name| {
                     // `null` is a cell the run did not observe (the writer's
                     // spelling of a non-finite value), not a bad profile.
@@ -330,7 +349,7 @@ impl Staging {
                         self.unobserve(&name);
                     } else {
                         let value = r.f64()?;
-                        self.observe(name, value);
+                        self.observe(&name, value);
                     }
                     Ok(())
                 })
@@ -344,18 +363,39 @@ impl Staging {
         Ok(())
     }
 
-    /// Stage `name = value` in the record being read.
-    fn observe(&mut self, name: std::borrow::Cow<'_, str>, value: f64) {
-        let id = match self.ids.get(&*name) {
-            Some(&id) => id,
-            None => {
-                let id = self.names.len();
-                self.names.push(name.to_string());
-                self.seen.push((0, 0));
-                self.ids.insert(name.into_owned(), id);
-                id
-            }
+    /// Start the cells of a new `metrics` object.
+    fn begin_metrics(&mut self) {
+        self.stamp += 1;
+        self.prev = 0;
+    }
+
+    /// The id of column `name`, interned on first sight when `insert`
+    /// (else `None` for a name never seen); the guess for the next key
+    /// follows it.
+    fn column_id(&mut self, name: &str, insert: bool) -> Option<usize> {
+        let guess = self.after.get(self.prev).copied().unwrap_or(usize::MAX);
+        let id = if self.names.get(guess).is_some_and(|known| known == name) {
+            guess
+        } else if let Some(&id) = self.ids.get(name) {
+            id
+        } else if insert {
+            let id = self.names.len();
+            self.names.push(name.to_string());
+            self.ids.insert(name.to_string(), id);
+            self.seen.push((0, 0));
+            self.after.resize(id + 2, usize::MAX);
+            id
+        } else {
+            return None;
         };
+        self.after[self.prev] = id;
+        self.prev = id + 1;
+        Some(id)
+    }
+
+    /// Stage `name = value` in the record being read.
+    fn observe(&mut self, name: &str, value: f64) {
+        let id = self.column_id(name, true).expect("inserted when new");
         let (stamp, at) = self.seen[id];
         if stamp == self.stamp {
             self.cells[at].1 = value;
@@ -367,7 +407,7 @@ impl Staging {
 
     /// Drop `name`'s cell from the record being read, if it has one.
     fn unobserve(&mut self, name: &str) {
-        let Some(&id) = self.ids.get(name) else {
+        let Some(id) = self.column_id(name, false) else {
             return;
         };
         let (stamp, at) = self.seen[id];
@@ -381,7 +421,7 @@ impl Staging {
     }
 
     /// Each staged record as `(path segments, cells)`, in text order.
-    fn rows(&self) -> impl Iterator<Item = (&[String], &[(usize, f64)])> {
+    fn rows(&self) -> impl Iterator<Item = (&[String], &[(usize, f64)])> + Clone {
         let starts = std::iter::once(&(0, 0)).chain(&self.records);
         starts
             .zip(&self.records)
@@ -631,25 +671,43 @@ impl Thicket {
     /// chunk, which [`IngestSession::finish`] merges in one compaction.
     fn ingest_staged(&mut self, index: &mut PathIndex, staged: &mut Staging) {
         let pid = self.next_profile_id();
-        self.profiles.push(pid);
+        self.push_profile(pid);
         let globals = std::mem::take(&mut staged.globals);
         self.metadata.insert(pid, Arc::new(globals));
-        let rows: Vec<(u32, &[(usize, f64)])> = staged
-            .rows()
-            .map(|(path, cells)| (id32(self.node_id_or_insert(index, path)), cells))
-            .collect();
-        self.frame.append_cells(id32(pid), &rows, &staged.names);
+        let mut nodes = std::mem::take(&mut staged.nodes);
+        nodes.clear();
+        nodes.extend(
+            staged
+                .rows()
+                .map(|(path, _)| id32(self.node_id_or_insert(index, path))),
+        );
+        let rows = nodes
+            .iter()
+            .zip(staged.rows())
+            .map(|(&node, (_, cells))| (node, cells));
+        self.frame.append_cells(id32(pid), rows, &staged.names);
+        staged.nodes = nodes;
     }
 
     /// Smallest unused profile id. `last + 1`, not `len`: ids stay unique
     /// even after [`Thicket::filter_metadata`] leaves the set non-contiguous.
-    /// Every constructor appends ids in ascending order and every filter
-    /// keeps a subsequence, so the last element is the max — asserted in
-    /// debug builds because streaming ingest calls this once per profile
-    /// and an O(n) max-scan here made ingest quadratic.
+    /// Every constructor appends ids in ascending order
+    /// ([`Thicket::push_profile`] asserts it) and every filter keeps a
+    /// subsequence, so the last element is the max. Streaming ingest calls
+    /// this once per profile, so it scans nothing: an O(n) scan here made
+    /// ingest quadratic.
     fn next_profile_id(&self) -> usize {
-        debug_assert!(self.profiles.windows(2).all(|w| w[0] < w[1]));
         self.profiles.last().map_or(0, |m| m + 1)
+    }
+
+    /// Append profile id `pid`, which must exceed the last one — checked in
+    /// debug builds against that one id, so ingest stays linear there too.
+    fn push_profile(&mut self, pid: usize) {
+        debug_assert!(
+            self.profiles.last().is_none_or(|&last| last < pid),
+            "profile ids must be appended in ascending order"
+        );
+        self.profiles.push(pid);
     }
 
     /// Index the current node set by path.
@@ -737,7 +795,7 @@ impl Thicket {
             let mut prof_map: std::collections::HashMap<u32, u32> =
                 std::collections::HashMap::with_capacity(t.profiles.len());
             for (next_pid, &pid) in (out.next_profile_id()..).zip(t.profiles.iter()) {
-                out.profiles.push(next_pid);
+                out.push_profile(next_pid);
                 if let Some(md) = t.metadata.get(&pid) {
                     out.metadata.insert(next_pid, md.clone());
                 }
@@ -754,6 +812,13 @@ impl Thicket {
     /// `filter_metadata`). Node set is preserved; orphaned values dropped.
     /// Profiles without a metadata record are dropped (use
     /// [`Thicket::groupby`] to partition those under [`MISSING_GROUP`]).
+    ///
+    /// No front-end calls this: `rajaperf-analyze` and `rajaperfd` only
+    /// partition. It stays because it is one of the Thicket operations the
+    /// paper's analysis scripts use — keep the profiles of one variant,
+    /// tuning or machine before aggregating — and a predicate over metadata
+    /// is a library call, not a flag: a program composing a corpus picks its
+    /// own profiles here.
     pub fn filter_metadata(
         &self,
         pred: impl Fn(&BTreeMap<String, serde_json::Value>) -> bool,

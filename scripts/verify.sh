@@ -344,6 +344,38 @@ if git cat-file -e "$ANALYZE_REFERENCE^{commit}" 2>/dev/null; then
     cmp "$TEXT_DIR/reference/out.tkt" "$TEXT_DIR/change/out.tkt" \
         || { echo "verify: FAIL — --save-tkt bytes differ from the reference build's" >&2; exit 1; }
     echo "analyze: 12-profile stdout (--groupby --tree --csv) and .tkt bytes equal the reference build's"
+    # The same profiles with every record's `metrics` keys in another order
+    # (rotated by the record's index, reversed on odd records): the column
+    # interner's guesses miss, and nothing composed may change. The
+    # reference build hashes every key.
+    REORDERED="$TEXT_DIR/reordered"
+    mkdir -p "$REORDERED/profiles" "$REORDERED/reference" "$REORDERED/change"
+    python3 - "$SWEEP_DIR/profiles" "$REORDERED/profiles" <<'PY'
+import json, os, sys
+src, dst = sys.argv[1:]
+for name in sorted(n for n in os.listdir(src) if n.endswith(".cali.json")):
+    doc = json.load(open(os.path.join(src, name)))
+    for i, record in enumerate(doc["records"]):
+        keys = list(record["metrics"])
+        keys = keys[i % max(len(keys), 1):] + keys[:i % max(len(keys), 1)]
+        if i % 2:
+            keys.reverse()
+        record["metrics"] = {k: record["metrics"][k] for k in keys}
+    json.dump(doc, open(os.path.join(dst, name), "w"), indent=1)
+PY
+    for build in reference change; do
+        bin="$ROOT/$ANALYZE"
+        [[ "$build" == reference ]] && bin="$ROOT/target/verify-reference/release/rajaperf-analyze"
+        (cd "$REORDERED/$build" && "$bin" "$REORDERED/profiles" --groupby variant --tree --csv \
+            --save-tkt out.tkt >stdout)
+    done
+    for file in stdout out.tkt; do
+        cmp "$REORDERED/reference/$file" "$REORDERED/change/$file" \
+            || { echo "verify: FAIL — reordered-keys $file differs from the reference build's" >&2; exit 1; }
+        cmp "$TEXT_DIR/change/$file" "$REORDERED/change/$file" \
+            || { echo "verify: FAIL — reordering metrics keys changed $file" >&2; exit 1; }
+    done
+    echo "analyze: reordered metrics keys give the reference build's stdout and .tkt bytes, and the unreordered ones"
     # One store, seeded by this build; the reference's `analyze store` misses
     # the derived cache this build's filled (another code_version) and
     # composes the same objects itself.
