@@ -302,7 +302,12 @@ pub fn write_atomic(path: &std::path::Path, contents: &[u8]) -> std::io::Result<
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "out".to_string());
-    let tmp = path.with_file_name(format!(".{}.tmp.{}", name, std::process::id()));
+    // One temp file per call: two writers of one path in one process (two
+    // daemon workers storing the same result) must not share one. The pid
+    // stays last for `remove_orphaned_temps`.
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{name}.{seq}.tmp.{}", std::process::id()));
     let result = (|| {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(contents)?;

@@ -32,4 +32,4 @@ pub mod store;
 pub use client::{submit, submit_with, Response};
 pub use protocol::{ErrorCode, Request};
 pub use server::{Daemon, DaemonConfig};
-pub use store::{content_hash, ProfileStore, Space, StoreStats};
+pub use store::{content_hash, ProfileStore, Space, StoreKey, StoreStats};

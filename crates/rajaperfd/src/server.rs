@@ -26,7 +26,7 @@
 //! removes the socket file.
 
 use crate::protocol::{self as proto, ErrorCode, Request};
-use crate::store::{ProfileStore, Space};
+use crate::store::{ProfileStore, Space, StoreKey};
 use serde_json::{json, Extended, Serialize, Sink, Value};
 use simsched::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use simsched::sync::{Condvar, Mutex, MutexGuard};
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use suite::params::FLAGS;
-use suite::record::{campaign_key, RunRecord};
+use suite::record::{campaign_key, CampaignKey, RunRecord};
 use suite::{RunParams, SuiteExit, SuiteReport};
 
 /// Most ranks a daemon-served sweep may request: each rank is a worker
@@ -363,6 +363,17 @@ pub fn run_key(params: &RunParams) -> Value {
     key
 }
 
+/// [`run_key`] as the store meets it, printed once from the typed
+/// [`CampaignKey`]: its text is `run_key(params).to_string()`, `"kind"`
+/// joining the members in sorted position, and no tree is built.
+pub fn run_store_key(params: &RunParams) -> StoreKey {
+    let key = Extended {
+        body: &CampaignKey::of(params),
+        extra: &[("kind", &"run")],
+    };
+    StoreKey::new(serde_json::text::write(&key, false))
+}
+
 /// A [`SuiteReport`] as the wire and the store carry it: the run's
 /// [`RunRecord`] with the profile inline, printed without a tree.
 struct RunReport<'a>(RunRecord, &'a caliper::Profile);
@@ -386,10 +397,9 @@ impl Serialize for RunReport<'_> {
 /// Answer from the store: a `cached` marker, then the stored report's text
 /// as the result — byte for byte what the miss that stored it sent, with
 /// nothing re-executed, parsed or printed, and no progress events.
-fn replay(id: &str, stream: &UnixStream, key: &Value, report: &str) {
-    let hash = ProfileStore::key_hash(key);
-    send(stream, &proto::ev_cached(id, &hash));
-    send_line(stream, proto::result_line(id, true, Some(&hash), report));
+fn replay(id: &str, stream: &UnixStream, key: &StoreKey, report: &str) {
+    send(stream, &proto::ev_cached(id, key.hash()));
+    send_line(stream, proto::result_line(id, true, Some(key.hash()), report));
 }
 
 /// Answer with a freshly computed report, printed once: the text the store
@@ -399,7 +409,7 @@ fn answer(
     id: &str,
     stream: &UnixStream,
     report: &impl Serialize,
-    keep: Option<(&ProfileStore, Space, &Value)>,
+    keep: Option<(&ProfileStore, Space, &StoreKey)>,
 ) {
     let text = serde_json::text::write(report, false);
     let store_key = keep
@@ -432,7 +442,7 @@ fn execute_run(
             "use kind=sweep for --sweep campaigns".into(),
         ));
     }
-    let key = run_key(&params);
+    let key = run_store_key(&params);
     if let Some(report) = shared.store.get_report(Space::Objects, &key) {
         replay(id, stream, &key, &report);
         return Ok(());
@@ -628,7 +638,7 @@ fn execute_analyze(
 
     // A corpus already analyzed under this build + engine + metric is a
     // pure replay: no JSON re-parse, no re-composition, no aggregation.
-    let key = analyze_key(metric, &sources);
+    let key = StoreKey::from(&analyze_key(metric, &sources));
     if let Some(report) = shared.store.get_report(Space::Derived, &key) {
         replay(id, stream, &key, &report);
         return Ok(());

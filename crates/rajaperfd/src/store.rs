@@ -7,9 +7,10 @@
 //! addressing: an object lives at a stable 128-bit hash of its key's
 //! canonical JSON, under `objects/` for run results or `derived/` for
 //! results computed from them, and four counters watch the traffic. The
-//! daemon keeps a result's `report` as JSON text end to end
-//! ([`ProfileStore::put_report`], [`ProfileStore::get_report`]): the text a
-//! miss printed is the text a hit sends.
+//! daemon keeps a key and a result's `report` as JSON text end to end
+//! ([`StoreKey`], [`ProfileStore::put_report`], [`ProfileStore::get_report`]):
+//! the key is printed and hashed once per request, and the text a miss
+//! printed is the text a hit sends.
 
 use serde_json::Value;
 use simsched::sync::atomic::{AtomicU64, Ordering};
@@ -61,6 +62,39 @@ pub fn content_hash(text: &str) -> String {
     let h1 = fnv1a64(text.as_bytes(), 0xCBF2_9CE4_8422_2325);
     let h2 = fnv1a64(text.as_bytes(), 0x6C62_272E_07BB_0142);
     format!("{h1:016x}{h2:016x}")
+}
+
+/// A key as the store meets it: its compact JSON text, printed once, and
+/// the [`content_hash`] of that text, taken once — the text is what a record
+/// embeds and a read compares byte for byte, the hash is its address.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StoreKey {
+    text: String,
+    hash: String,
+}
+
+impl StoreKey {
+    /// The key whose compact JSON text is `text`.
+    pub fn new(text: String) -> StoreKey {
+        let hash = content_hash(&text);
+        StoreKey { text, hash }
+    }
+
+    /// The key's compact JSON text.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The hash the key addresses: [`ProfileStore::key_hash`] of its tree.
+    pub fn hash(&self) -> &str {
+        &self.hash
+    }
+}
+
+impl From<&Value> for StoreKey {
+    fn from(key: &Value) -> StoreKey {
+        StoreKey::new(key.to_string())
+    }
 }
 
 /// Counters the `stats` request reports.
@@ -121,26 +155,29 @@ impl ProfileStore {
     }
 
     /// Look up the record stored under `key` in `objects/`. Returns the
-    /// record only when it parses *and* its embedded key matches `key`; a
-    /// non-parsing file is quarantined first.
+    /// record's members other than its key, only when it parses *and* its
+    /// embedded key is `key`'s text; a non-parsing file is quarantined first.
     pub fn get(&self, key: &Value) -> Option<Value> {
-        self.lookup(Space::Objects, key, |path| read_verified(path, key))
+        let keyed = StoreKey::from(key);
+        self.lookup(Space::Objects, &keyed, |path| read_verified(path, keyed.text()))
     }
 
     /// [`ProfileStore::get`] of the `report` a [`ProfileStore::put_report`]
     /// stored, as its exact JSON text: the same decision and counters, with
     /// the report sliced from the file instead of parsed into a tree.
-    pub fn get_report(&self, space: Space, key: &Value) -> Option<String> {
-        self.lookup(space, key, |path| read_verified_text(path, key, REPORT))
+    pub fn get_report(&self, space: Space, key: &StoreKey) -> Option<String> {
+        self.lookup(space, key, |path| {
+            read_verified_text(path, key.text(), REPORT)
+        })
     }
 
     fn lookup<T>(
         &self,
         space: Space,
-        key: &Value,
+        key: &StoreKey,
         read: impl FnOnce(&Path) -> Verified<T>,
     ) -> Option<T> {
-        let path = self.path(space, &Self::key_hash(key));
+        let path = self.path(space, key.hash());
         let found = match read(&path) {
             Verified::Hit(record) => Some(record),
             Verified::Miss => None,
@@ -163,28 +200,30 @@ impl ProfileStore {
     /// Store `record` under `key` in `objects/`, embedding the key in the
     /// record (the read-side integrity check). Returns the object's hash.
     pub fn put(&self, key: &Value, record: Value) -> io::Result<String> {
-        self.write(Space::Objects, key, |path| write_record(path, key, &record))
+        let keyed = StoreKey::from(key);
+        self.write(Space::Objects, &keyed, |path| {
+            write_record(path, keyed.text(), &record)
+        })
     }
 
     /// Store the record `{"key": key, "report": <report>}`, `report` being
     /// the report's compact JSON text: the bytes [`ProfileStore::put`] of
     /// `{"report": ..}` writes, without a tree. Returns the record's hash.
-    pub fn put_report(&self, space: Space, key: &Value, report: &str) -> io::Result<String> {
+    pub fn put_report(&self, space: Space, key: &StoreKey, report: &str) -> io::Result<String> {
         self.write(space, key, |path| {
-            write_record_text(path, key, REPORT, report)
+            write_record_text(path, key.text(), REPORT, report)
         })
     }
 
     fn write(
         &self,
         space: Space,
-        key: &Value,
+        key: &StoreKey,
         write: impl FnOnce(&Path) -> io::Result<()>,
     ) -> io::Result<String> {
-        let hash = Self::key_hash(key);
-        write(&self.path(space, &hash))?;
+        write(&self.path(space, key.hash()))?;
         self.stores.fetch_add(1, Ordering::Relaxed);
-        Ok(hash)
+        Ok(key.hash().to_string())
     }
 
     /// Counter snapshot.
@@ -228,8 +267,7 @@ mod tests {
             .unwrap();
         assert_eq!(hash, ProfileStore::key_hash(&key));
         let rec = store.get(&key).expect("stored record hits");
-        assert_eq!(rec.get("key"), Some(&key));
-        assert_eq!(rec["profile"]["x"].as_i64(), Some(1));
+        assert_eq!(rec, json!({"profile": json!({"x": 1})}));
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 1, 1));
         std::fs::remove_dir_all(store.root()).ok();
@@ -239,9 +277,10 @@ mod tests {
     fn derived_space_is_separate_from_objects() {
         let store = temp_store("derived");
         let key = json!({"kind": "analyze", "metric": "t"});
-        assert!(store.get_report(Space::Derived, &key).is_none());
-        store.put_report(Space::Derived, &key, "42").unwrap();
-        let report = store.get_report(Space::Derived, &key);
+        let keyed = StoreKey::from(&key);
+        assert!(store.get_report(Space::Derived, &keyed).is_none());
+        store.put_report(Space::Derived, &keyed, "42").unwrap();
+        let report = store.get_report(Space::Derived, &keyed);
         assert_eq!(report.as_deref(), Some("42"), "derived record hits");
         // The same key misses in the object space, and no file appears
         // under objects/ — corpus enumeration never sees derived records.
@@ -267,7 +306,7 @@ mod tests {
         )
         .unwrap();
         assert!(store.get(&key).is_none(), "wrong embedded key must miss");
-        assert!(store.get_report(Space::Objects, &key).is_none());
+        assert!(store.get_report(Space::Objects, &StoreKey::from(&key)).is_none());
         assert!(path.exists(), "parseable records are not quarantined");
         std::fs::remove_dir_all(store.root()).ok();
     }
@@ -279,7 +318,7 @@ mod tests {
         let path = store.path(Space::Objects, &ProfileStore::key_hash(&key));
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, "{\"key\": {\"q\": \"torn\"").unwrap();
-        assert!(store.get_report(Space::Objects, &key).is_none());
+        assert!(store.get_report(Space::Objects, &StoreKey::from(&key)).is_none());
         assert!(!path.exists(), "corrupt object must leave the address");
         assert_eq!(store.stats().quarantined, 1);
         // The address is usable again.

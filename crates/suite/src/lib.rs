@@ -766,7 +766,7 @@ mod tests {
 
     #[test]
     fn a_sweep_cell_is_keyed_as_the_single_run_it_executes() {
-        // Key parity: a cell's cache key is `campaign_key` of the cell's own
+        // Key parity: a cell's cache key is the key text of the cell's own
         // run — the value `rajaperfd` tags with `"kind"` for the same run —
         // whatever the campaign around it looks like.
         let dir = std::env::temp_dir().join(format!("rajaperf_sweep_key_{}", std::process::id()));
@@ -793,7 +793,7 @@ mod tests {
                 max_retries: p.max_retries,
                 ..RunParams::default()
             };
-            assert_eq!(spec.key, record::campaign_key(&own));
+            assert_eq!(spec.key, record::campaign_key(&own).to_string());
         }
         std::fs::remove_dir_all(&dir).ok();
     }

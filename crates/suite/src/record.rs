@@ -4,7 +4,7 @@
 //! Thicket, so finished runs are worth keeping: the `--sweep` cell cache
 //! (`cells/<cell>.json`) and the `rajaperfd` store (`objects/<hh>/<hash>.json`)
 //! both hold them. This module is the one place that decides what such a
-//! record is keyed by ([`campaign_key`]), what a run looks like as data
+//! record is keyed by ([`CampaignKey`]), what a run looks like as data
 //! ([`RunRecord`]), how a record is written ([`write_record`]), when a read
 //! may be trusted ([`read_verified`], [`ProfileDigest::check`]) and what
 //! happens to a file that may not ([`quarantine`]). A record whose one
@@ -14,10 +14,12 @@
 //! their own addressing.
 //!
 //! The integrity rule: writes are atomic ([`caliper::write_atomic`]); a
-//! record embeds its full key and answers only a byte-for-byte equal one
-//! (anything else — another build, another retry budget, a hash collision —
-//! is a miss); a record that exists but is not JSON was torn by a kill or an
-//! injected `io.write` fault. A file a record vouches for (a sweep cell's
+//! record embeds its full key as compact JSON text and answers only a
+//! byte-for-byte equal one — the reader compares the `key` member's exact
+//! text and builds no tree of it, so anything else (another build, another
+//! retry budget, a hash collision, the same key re-printed) is a miss; a
+//! record that exists but is not JSON was torn by a kill or an injected
+//! `io.write` fault. A file a record vouches for (a sweep cell's
 //! profile) is named in it by its exact length and [`caliper::digest`], taken
 //! from the bytes its writer handed to `write_atomic`, and checked against
 //! them without being parsed: any other bytes at its path — torn, flipped,
@@ -27,15 +29,19 @@
 //! trusted and never fatal.
 
 use crate::{RunParams, SuiteReport, TimingEntry};
-use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use serde::text::Reader;
+use serde::{Deserialize, Printed, Serialize};
+use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Everything that determines a run's results, as canonical JSON (the
-/// vendored `serde_json` keeps objects as sorted maps, so equal keys print
-/// equal bytes). A sweep cell's key is this value for the cell's own
-/// parameters; the daemon's `run_key` is this value plus `"kind"`.
+/// Everything that determines a run's results: the one definition of a
+/// run's key. A sweep cell's key is this for the cell's own parameters; the
+/// daemon's run key is this plus `"kind"`. Its compact text ([`Self::text`])
+/// is what a record embeds and what a read compares, byte for byte, so it is
+/// printed once per cell or request (derived members print sorted by name,
+/// as a `Value` object would).
 ///
 /// In the key because it changes the answer: the build
 /// ([`crate::code_version`] — kernels, scheduler or timing path may all have
@@ -47,30 +53,73 @@ use std::path::{Path, PathBuf};
 /// budget (which rank ran a cell is not a cell fact — a `--ranks 4` resume
 /// reuses what `--ranks 1` computed) and the retry backoff (it changes how
 /// long a retry waits, not whether it happens).
-pub fn campaign_key(params: &RunParams) -> Value {
-    let kernels: Vec<Value> = params
-        .selected_kernels()
-        .iter()
-        .map(|k| k.info())
-        .filter(|info| info.variants.contains(&params.variant))
-        .map(|info| {
-            json!({
-                "kernel": info.name,
-                "size": params.problem_size(&info),
-                "reps": params.reps(&info),
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct CampaignKey {
+    /// [`crate::code_version`] of the build.
+    pub code_version: &'static str,
+    /// Name of the variant.
+    pub variant: &'static str,
+    /// GPU block-size tuning.
+    pub gpu_block_size: usize,
+    /// The selected kernels that support the variant, in run order.
+    pub kernels: Vec<KeyedKernel>,
+    /// The fault spec, if any.
+    pub faults: Option<String>,
+    /// Whether the sanitizer pass runs.
+    pub sanitize: bool,
+    /// The watchdog deadline, milliseconds.
+    pub timeout_ms: Option<u64>,
+    /// The retry budget.
+    pub retries: u32,
+}
+
+/// One kernel of a [`CampaignKey`], as the run resolves it.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct KeyedKernel {
+    /// Full kernel name.
+    pub kernel: &'static str,
+    /// Problem size.
+    pub size: usize,
+    /// Repetitions.
+    pub reps: usize,
+}
+
+impl CampaignKey {
+    /// The key of a run of `params`.
+    pub fn of(params: &RunParams) -> CampaignKey {
+        let kernels = params
+            .selected_kernels()
+            .iter()
+            .map(|k| k.info())
+            .filter(|info| info.variants.contains(&params.variant))
+            .map(|info| KeyedKernel {
+                kernel: info.name,
+                size: params.problem_size(&info),
+                reps: params.reps(&info),
             })
-        })
-        .collect();
-    json!({
-        "code_version": crate::code_version(),
-        "variant": params.variant.name(),
-        "gpu_block_size": params.tuning.gpu_block_size,
-        "kernels": kernels,
-        "faults": params.faults,
-        "sanitize": params.sanitize,
-        "timeout_ms": params.timeout.map(|d| d.as_millis() as u64),
-        "retries": params.max_retries,
-    })
+            .collect();
+        CampaignKey {
+            code_version: crate::code_version(),
+            variant: params.variant.name(),
+            gpu_block_size: params.tuning.gpu_block_size,
+            kernels,
+            faults: params.faults.clone(),
+            sanitize: params.sanitize,
+            timeout_ms: params.timeout.map(|d| d.as_millis() as u64),
+            retries: params.max_retries,
+        }
+    }
+
+    /// The key's compact JSON text: `campaign_key(params).to_string()`
+    /// without the tree.
+    pub fn text(&self) -> String {
+        serde::text::write(self, false)
+    }
+}
+
+/// [`CampaignKey`] of `params` as a tree.
+pub fn campaign_key(params: &RunParams) -> Value {
+    serde::to_value(CampaignKey::of(params)).expect("a key serializes")
 }
 
 /// One executed kernel of a finished run.
@@ -215,58 +264,87 @@ impl ProfileDigest {
     }
 }
 
-/// Read the record at `path` and verify it was written under exactly `key`.
-/// The path only has to *find* the record (a cell name, a 128-bit hash);
-/// equality of the embedded key is what makes serving it sound.
-pub fn read_verified(path: &Path, key: &Value) -> Verified {
-    match read_json(path) {
-        Verified::Hit(record) if record.get("key") != Some(key) => Verified::Miss,
-        read => read,
-    }
+/// Read the record at `path` and verify it was written under exactly `key`,
+/// a key's compact JSON text: the record's `key` member must be these very
+/// bytes. The path only has to *find* the record (a cell name, a 128-bit
+/// hash); equality of the embedded key is what makes serving it sound. A hit
+/// is the record's other members, as a tree; no tree of the key is built.
+pub fn read_verified(path: &Path, key: &str) -> Verified {
+    read_keyed(path, |text| {
+        let mut members = BTreeMap::new();
+        let keyed = walk_record(text, key, |r, name| {
+            members.insert(name.to_string(), r.value()?);
+            Ok(())
+        })?;
+        Ok(keyed.then_some(Value::Object(members)))
+    })
 }
 
 /// [`read_verified`] for a caller that passes one member on as text: the
-/// same `Hit` / `Miss` / `Corrupt` decision — the whole file validated, the
-/// embedded key compared as a value, the last of a repeated member winning —
-/// but a hit is the exact text of the record's `member` (`null` when it has
-/// none), sliced from the file rather than built into a tree and printed
-/// back. `member` is not `"key"`.
-pub fn read_verified_text(path: &Path, key: &Value, member: &str) -> Verified<String> {
-    let read = read_with(path, |text| {
-        let (mut keyed, mut kept) = (false, None);
-        let mut r = serde::text::Reader::new(text);
-        let walked = r
-            .object(|r, name| {
-                match &*name {
-                    "key" => keyed = r.value()? == *key,
-                    name if name == member => kept = Some(r.raw()?),
-                    _ => r.skip()?,
-                }
+/// same `Hit` / `Miss` / `Corrupt` decision, but a hit is the exact text of
+/// the record's `member` (`null` when it has none), sliced from the file
+/// rather than built into a tree and printed back. `member` is not `"key"`.
+pub fn read_verified_text(path: &Path, key: &str, member: &str) -> Verified<String> {
+    read_keyed(path, |text| {
+        let mut kept = None;
+        let keyed = walk_record(text, key, |r, name| {
+            if name == member {
+                kept = Some(r.raw()?);
                 Ok(())
-            })
-            .and_then(|()| r.end());
-        match walked {
-            Ok(()) => Ok(keyed.then(|| kept.unwrap_or("null").to_string())),
-            // JSON that is not an object embeds no key: a miss, not corrupt.
-            Err(_) => serde::text::validate(text).map(|()| None),
-        }
-    });
-    match read {
-        Verified::Hit(Some(text)) => Verified::Hit(text),
+            } else {
+                r.skip()
+            }
+        })?;
+        Ok(keyed.then(|| kept.unwrap_or("null").to_string()))
+    })
+}
+
+/// [`read_with`] of a reader that answers `None` for a record of another key.
+fn read_keyed<T>(
+    path: &Path,
+    read: impl FnOnce(&str) -> Result<Option<T>, serde_json::Error>,
+) -> Verified<T> {
+    match read_with(path, read) {
+        Verified::Hit(Some(v)) => Verified::Hit(v),
         Verified::Hit(None) | Verified::Miss => Verified::Miss,
         Verified::Corrupt => Verified::Corrupt,
     }
 }
 
-/// Atomically write `body` at `path` as the record of `key`: the key is
-/// embedded as the `"key"` member [`read_verified`] checks, in place of any
-/// `key` member the body has. A `body` that is not a JSON object is wrapped
-/// as `{"body": ..}`. The record is printed as it is written; no tree of it
-/// is built.
-pub fn write_record(path: &Path, key: &Value, body: &dyn Serialize) -> io::Result<()> {
+/// The one walk of a record's text, validating it whole: every member but
+/// `key` goes to `member`, and the `key` member's exact text is compared
+/// with `key` (the last of a repeated member winning). `Ok(true)` for a
+/// record of `key`, `Ok(false)` for JSON that is not one (another key, no
+/// key, not an object), `Err` for text that is not JSON.
+fn walk_record<'t>(
+    text: &'t str,
+    key: &str,
+    mut member: impl FnMut(&mut Reader<'t>, &str) -> Result<(), serde_json::Error>,
+) -> Result<bool, serde_json::Error> {
+    let mut keyed = false;
+    let mut r = Reader::new(text);
+    let walked = r
+        .object(|r, name| match &*name {
+            "key" => r.raw().map(|raw| keyed = raw == key),
+            name => member(r, name),
+        })
+        .and_then(|()| r.end());
+    match walked {
+        Ok(()) => Ok(keyed),
+        // JSON that is not an object embeds no key: a miss, not corrupt.
+        Err(_) => serde::text::validate(text).map(|()| false),
+    }
+}
+
+/// Atomically write `body` at `path` as the record of `key`, a key's compact
+/// JSON text: the key is copied in as the `"key"` member [`read_verified`]
+/// checks, in place of any `key` member the body has. A `body` that is not
+/// a JSON object is wrapped as `{"body": ..}`. The record is printed as it
+/// is written; no tree of it is built.
+pub fn write_record(path: &Path, key: &str, body: &dyn Serialize) -> io::Result<()> {
     let record = serde::Extended {
         body,
-        extra: &[("key", key)],
+        extra: &[("key", &Printed(key))],
     };
     caliper::write_atomic(path, serde::text::write(&record, false).as_bytes())
 }
@@ -274,19 +352,13 @@ pub fn write_record(path: &Path, key: &Value, body: &dyn Serialize) -> io::Resul
 /// [`write_record`] of the body `{member: <text>}` whose one member is
 /// already printed (compact): the same bytes, with `text` copied in rather
 /// than parsed and printed again. `member` is not `"key"`.
-pub fn write_record_text(path: &Path, key: &Value, member: &str, text: &str) -> io::Result<()> {
+pub fn write_record_text(path: &Path, key: &str, member: &str, text: &str) -> io::Result<()> {
     debug_assert_ne!(member, "key", "a record's `key` member is its key");
-    let (keyed, kept) = (
-        format!("\"key\":{key}"),
-        format!("{}:{text}", Value::from(member)),
-    );
-    // In the order a printed object has its members: sorted by name.
-    let fields = if member < "key" {
-        [kept, keyed]
-    } else {
-        [keyed, kept]
+    let body = serde::Extended {
+        body: &Value::Object(BTreeMap::new()),
+        extra: &[(member, &Printed(text))],
     };
-    caliper::write_atomic(path, format!("{{{}}}", fields.join(",")).as_bytes())
+    write_record(path, key, &body)
 }
 
 /// Move a corrupt file into `root/quarantine/` — out of its cache's address

@@ -39,23 +39,24 @@
 //!   [`caliper::write_atomic`] (temp + fsync + rename), so a mid-write kill
 //!   leaves either the old file or the new one, never a torn prefix.
 //! * Cached cells are *integrity-checked* on load by [`crate::record`]'s
-//!   rule: the record must be JSON under the cell's key, and the profile
-//!   must be the very bytes the record's length and digest name (no
-//!   profile is parsed). A torn record, or a profile that is torn, flipped
-//!   or another cell's, is moved to `quarantine/` (the profile with the
-//!   record that vouched for it) and the cell re-runs. A record with no
-//!   digest vouches for nothing: the cell re-runs, nothing is quarantined.
+//!   rule: the record must be JSON whose `key` is the cell's key text, byte
+//!   for byte, and the profile must be the very bytes the record's length
+//!   and digest name (no profile is parsed). A torn record, or a profile
+//!   that is torn, flipped or another cell's, is moved to `quarantine/` (the
+//!   profile with the record that vouched for it) and the cell re-runs. A
+//!   record with no digest vouches for nothing: the cell re-runs, nothing
+//!   is quarantined.
 //! * The manifest records only deterministic cell facts (no `cached` flags,
 //!   no wall times, no executing-rank ids), so a killed-and-resumed sweep —
 //!   at any rank count — produces a manifest byte-identical to an
-//!   uninterrupted one.
+//!   uninterrupted one. A manifest that already holds those bytes is not
+//!   written again (no fsync, rename or directory sync on a warm run).
 
 use crate::params::RankIsolation;
-use crate::record::{self, ProfileDigest, Verified};
+use crate::record::{self, CampaignKey, ProfileDigest, Verified};
 use crate::{run_suite_with, RunParams};
 use kernels::VariantId;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -285,7 +286,7 @@ impl SweepReport {
 
 /// One cell's own run: the campaign's parameters at this variant and
 /// tuning, as a plain single run. What the cell executes and — through
-/// [`record::campaign_key`] — what its record is keyed by.
+/// [`CampaignKey`] — what its record is keyed by.
 fn cell_params(base: &RunParams, variant: VariantId, block_size: usize) -> RunParams {
     let mut p = base.clone();
     p.variant = variant;
@@ -307,8 +308,9 @@ pub(crate) struct CellSpec {
     pub(crate) profile: PathBuf,
     /// The cell's cache-record path.
     pub(crate) cache: PathBuf,
-    /// The cell's cache key: [`record::campaign_key`] of [`cell_params`].
-    pub(crate) key: Value,
+    /// The cell's cache key: the [`CampaignKey`] text of [`cell_params`],
+    /// printed once when the grid is planned.
+    pub(crate) key: String,
 }
 
 /// One kernel that did not pass in a cell, as the manifest, the cell cache
@@ -429,7 +431,7 @@ pub(crate) fn execute_cell(
     };
     // The record is the outcome's own JSON plus what vouches for the
     // profile: its path, and the length and digest of the bytes the flush
-    // handed to the writer. The warm scan parses every record, so it
+    // handed to the writer. The warm scan reads every record, so it
     // carries no more than that.
     let Some(written) = report.outputs.iter().find(|w| w.path == spec.profile) else {
         return Ok(outcome);
@@ -486,7 +488,7 @@ pub(crate) fn plan_sweep(base: &RunParams) -> io::Result<SweepPlan> {
                 block_size: bs,
                 profile: profiles_dir.join(format!("{cell_name}.cali.json")),
                 cache: cells_dir.join(format!("{cell_name}.json")),
-                key: record::campaign_key(&cell_params(base, variant, bs)),
+                key: CampaignKey::of(&cell_params(base, variant, bs)).text(),
             });
         }
     }
@@ -606,7 +608,9 @@ pub fn run_sweep(base: &RunParams) -> io::Result<SweepSummary> {
         },
         true,
     );
-    caliper::write_atomic(&manifest, manifest_text.as_bytes())?;
+    if std::fs::read(&manifest).ok().as_deref() != Some(manifest_text.as_bytes()) {
+        caliper::write_atomic(&manifest, manifest_text.as_bytes())?;
+    }
 
     Ok(SweepSummary {
         dir: plan.dir.clone(),

@@ -181,7 +181,10 @@ for mode in threads process; do
 done
 # Child ranks wrote those profiles (with `mpi.rank`) and the digests in
 # their records; the single-rank scan must verify every one of them.
-RESCAN=$(ranked_sweep process --ranks 1 | head -1)
+# The whole report, then its first line: `| head -1` may close the pipe
+# before rajaperf's last write, and a print to a closed pipe panics.
+RESCAN=$(ranked_sweep process --ranks 1)
+RESCAN=${RESCAN%%$'\n'*}
 [[ "$RESCAN" == "Sweep: 12 cells (12 cached)" ]] \
     || { echo "verify: FAIL — --ranks 1 re-scan of the process-ranked sweep: $RESCAN" >&2; exit 1; }
 if [[ "${MODE_MS[threads]}" -gt "$R1_MS" ]]; then
@@ -441,6 +444,70 @@ for crafted in wrapped-tail huge-count; do
     fi
 done
 echo "analyze: ECC-flipped profile ($ECC_NULLS null cells) composed; wrapped-tail.tkt and huge-count.tkt refused with exit 1"
+
+# One key, two printers: a sweep cell's record and a store object embed their
+# key as compact text, and a read compares those bytes. KEY_REFERENCE (default
+# commit 3a10682, the last build that built and compared key trees) and this
+# tree are built under one fingerprint, in target directories of their own,
+# so their keys may differ only if their printers do: each build must find
+# the other's 12 cells cached, the two manifests must be equal, and a run the
+# reference daemon stored must be a hit here with the reference's report.
+echo "== cache: this build and the reference answer each other's records =="
+KEY_REFERENCE=${KEY_REFERENCE:-3a1068227d48c62a3d11ac5dcc98996f0416fb80}
+KEY_DIR="$SWEEP_DIR/key-compat"
+if git cat-file -e "$KEY_REFERENCE^{commit}" 2>/dev/null; then
+    KEY_FP="key-compat-$KEY_REFERENCE"
+    REF_SRC=$(mktemp -d)
+    git archive "$KEY_REFERENCE" | tar -x -C "$REF_SRC"
+    declare -A KEY_SRC=([reference]="$REF_SRC" [change]="$ROOT")
+    for build in reference change; do
+        (cd "${KEY_SRC[$build]}" && CARGO_TARGET_DIR="$ROOT/target/verify-key-$build" \
+            RAJAPERF_BUILD_FINGERPRINT="$KEY_FP" cargo build --release --offline --quiet \
+            -p suite -p rajaperfd --bin rajaperf --bin rajaperfd)
+    done
+    rm -rf "$REF_SRC"
+    key_bin() { echo "$ROOT/target/verify-key-$1/release/$2"; }
+    key_sweep() {  # <build> <dir>: a 12-cell sweep from <dir>, its first line
+        mkdir -p "$KEY_DIR/$2"
+        local out
+        out=$(cd "$KEY_DIR/$2" && "$(key_bin "$1" rajaperf)" --sweep --groups Stream --size 1000 \
+            --reps 1 --sweep-block-sizes 128,256 --sweep-dir sweep)
+        echo "${out%%$'\n'*}"
+    }
+    for build in reference change; do
+        key_sweep "$build" "$build" >/dev/null
+    done
+    for pair in "reference change" "change reference"; do
+        read -r build other <<<"$pair"
+        RESCAN=$(key_sweep "$build" "$other")
+        [[ "$RESCAN" == "Sweep: 12 cells (12 cached)" ]] \
+            || { echo "verify: FAIL — the $build build re-scanning the $other build's sweep: $RESCAN" >&2; exit 1; }
+    done
+    cmp "$KEY_DIR/reference/sweep/manifest.json" "$KEY_DIR/change/sweep/manifest.json" \
+        || { echo "verify: FAIL — the two builds' manifests differ" >&2; exit 1; }
+    key_run() {  # <build> <events file>: one run through <build>'s daemon on one store
+        local sock="$KEY_DIR/d.sock"
+        "$(key_bin "$1" rajaperfd)" --socket "$sock" --store "$KEY_DIR/store" --workers 1 >/dev/null 2>&1 &
+        local pid=$!
+        for _ in $(seq 1 50); do
+            [[ -S "$sock" ]] && break
+            sleep 0.1
+        done
+        "$ROOT/target/release/rajaperf-client" --socket "$sock" --id compat run -- \
+            --kernels Basic_DAXPY,Stream_TRIAD --size 1000 --reps 1 >"$2"
+        "$ROOT/target/release/rajaperf-client" --socket "$sock" shutdown >/dev/null
+        wait "$pid"
+    }
+    key_run reference "$KEY_DIR/reference.events"
+    key_run change "$KEY_DIR/change.events"
+    STORED=$(grep '"event":"result"' "$KEY_DIR/reference.events" | sed 's/"cached":false/"cached":true/')
+    SERVED=$(grep '"event":"result"' "$KEY_DIR/change.events")
+    [[ "$STORED" == *'"cached":true'* && "$STORED" == "$SERVED" ]] \
+        || { echo "verify: FAIL — the reference daemon's stored run is not this daemon's hit, byte for byte" >&2; exit 1; }
+    echo "cache: each build found the other's 12 cells cached, manifests equal; the reference daemon's stored run replayed byte for byte"
+else
+    echo "cache: reference commit $KEY_REFERENCE not in this clone, comparison skipped"
+fi
 
 echo "== daemon: rajaperfd smoke (run, store hit, graceful shutdown) =="
 DAEMON=target/release/rajaperfd

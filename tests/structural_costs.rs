@@ -1,0 +1,100 @@
+//! Structural costs: counts, not clocks. A win that removed work is pinned
+//! by counting what the work would cost — heap blocks allocated on the
+//! calling thread — against a bound with stated headroom, so a change that
+//! puts the work back fails here however fast the host is that day.
+//!
+//! Its own binary: the counting allocator below serves every test in it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use suite::RunParams;
+
+/// The system allocator, counting the blocks each thread asks for.
+struct Counting;
+
+thread_local! {
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread's last frees run after its locals are gone.
+    let _ = BLOCKS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; counting touches only a const-initialised
+// thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` contract passes through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` contract passes through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Blocks this thread allocated while `f` ran, and what `f` returned.
+fn blocks<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = BLOCKS.with(Cell::get);
+    let out = f();
+    (BLOCKS.with(Cell::get) - before, out)
+}
+
+/// A warm `--sweep` (every cell cached) plans the grid, scans each cell's
+/// record and profile digest, and composes the manifest. The key is printed
+/// once per cell and compared as bytes, so a cell costs a few dozen blocks
+/// however many kernels its key lists. Building the key as a tree, or
+/// parsing a record's key back into one, costs several blocks per kernel:
+/// with the whole 76-kernel registry selected, hundreds more per cell.
+#[test]
+fn a_warm_sweep_allocates_a_bounded_number_of_blocks_per_cell() {
+    // Measured: 59 per cell. The bound leaves 2x headroom for incidental
+    // change and still fails when either key tree comes back.
+    const BOUND_PER_CELL: u64 = 120;
+    // One pool thread: the cold run below is the only parallel work.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let dir = std::env::temp_dir().join(format!("rajaperf_costs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let argv = [
+        "--sweep",
+        "--size",
+        "64",
+        "--reps",
+        "1",
+        "--sweep-block-sizes",
+        "128,256",
+    ];
+    let mut params = RunParams::parse(&argv.map(String::from)).unwrap();
+    params.sweep_dir = Some(dir.clone());
+    let cold = suite::run_sweep(&params).unwrap();
+    assert_eq!(cold.cells.len(), 12);
+    let (warm_blocks, warm) = blocks(|| suite::run_sweep(&params).unwrap());
+    assert!(warm.cells.iter().all(|c| c.cached), "{}", warm.render());
+    let per_cell = warm_blocks / 12;
+    eprintln!("warm 12-cell sweep: {warm_blocks} blocks, {per_cell} per cell");
+    assert!(
+        per_cell <= BOUND_PER_CELL,
+        "a warm sweep allocated {per_cell} blocks per cell (bound {BOUND_PER_CELL}): \
+         is a key built or parsed as a tree again?"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
