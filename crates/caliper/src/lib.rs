@@ -927,7 +927,11 @@ impl ConfigManager {
         for out in &self.outputs {
             match out {
                 OutputSpec::RuntimeReport { output } => match output.as_str() {
-                    "stdout" => print!("{}", profile.runtime_report()),
+                    // A closed stdout drops the report; the run goes on.
+                    "stdout" => {
+                        let report = profile.runtime_report();
+                        let _ = std::io::stdout().write_all(report.as_bytes());
+                    }
                     "stderr" => eprint!("{}", profile.runtime_report()),
                     path => write(path, profile.runtime_report())?,
                 },

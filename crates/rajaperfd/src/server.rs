@@ -116,31 +116,41 @@ pub struct Daemon {
 /// must not kill the campaign mid-run (its result still lands in the
 /// store for the next identical request).
 fn send(stream: &UnixStream, event: &Value) {
-    send_line(stream, event.to_string());
+    let mut line = event.to_string();
+    line.push('\n');
+    send_lines(stream, &line);
 }
 
-/// [`send`] of an event already printed.
-fn send_line(stream: &UnixStream, mut line: String) {
-    line.push('\n');
+/// [`send`] of event lines already printed, in one write.
+fn send_lines(stream: &UnixStream, lines: &str) {
     let _ = (&*stream)
-        .write_all(line.as_bytes())
+        .write_all(lines.as_bytes())
         .and_then(|_| (&*stream).flush());
+}
+
+/// Append one printed event line to the lines a reply has not sent yet.
+fn push_line(lines: &mut String, line: &str) {
+    lines.push_str(line);
+    lines.push('\n');
 }
 
 /// Why a request failed: the typed code and its message.
 type Failure = (ErrorCode, String);
 
-/// The one terminal reply path: the typed `error` event if the request
-/// failed, then `done` with the exit code that outcome maps to.
-fn finish(stream: &UnixStream, id: &str, outcome: Result<(), Failure>) {
+/// The one terminal reply path: the lines the request composed last
+/// (`tail`: a store hit's `cached` and `result`, a miss's `result`), the
+/// typed `error` event if it failed, then `done` with the exit code that
+/// outcome maps to — all in one write.
+fn finish(stream: &UnixStream, id: &str, outcome: Result<(), Failure>, mut tail: String) {
     let exit = match outcome {
         Ok(()) => SuiteExit::Success,
         Err((code, message)) => {
-            send(stream, &proto::ev_error(id, code, &message));
+            push_line(&mut tail, &proto::ev_error(id, code, &message).to_string());
             code.exit()
         }
     };
-    send(stream, &proto::ev_done(id, exit));
+    push_line(&mut tail, &proto::ev_done(id, exit).to_string());
+    send_lines(stream, &tail);
 }
 
 impl Daemon {
@@ -247,7 +257,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
     };
     let req = match req {
         Ok(req) => req,
-        Err(e) => return finish(&stream, &fallback, Err((ErrorCode::Usage, e))),
+        Err(e) => return finish(&stream, &fallback, Err((ErrorCode::Usage, e)), String::new()),
     };
     let _ = stream.set_read_timeout(None);
     let id = req.id().to_string();
@@ -293,7 +303,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
             ))
         }
     };
-    finish(&stream, &id, outcome);
+    finish(&stream, &id, outcome, String::new());
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -326,16 +336,17 @@ fn execute_job(job: Job, shared: &Arc<Shared>) {
     let id = job.req.id().to_string();
     let stream = job.stream;
     send(&stream, &proto::ev_started(&id));
+    let mut tail = String::new();
     let outcome = match job.req {
-        Request::Run { argv, .. } => execute_run(&id, &argv, &stream, shared),
-        Request::Sweep { argv, .. } => execute_sweep(&id, &argv, &stream),
+        Request::Run { argv, .. } => execute_run(&id, &argv, &stream, shared, &mut tail),
+        Request::Sweep { argv, .. } => execute_sweep(&id, &argv, &mut tail),
         Request::Analyze { dir, metric, .. } => {
-            execute_analyze(&id, &dir, &metric, &stream, shared)
+            execute_analyze(&id, &dir, &metric, shared, &mut tail)
         }
         // Control requests never reach the queue.
         Request::Ping { .. } | Request::Stats { .. } | Request::Shutdown { .. } => return,
     };
-    finish(&stream, &id, outcome);
+    finish(&stream, &id, outcome, tail);
 }
 
 /// Parse and daemon-validate campaign argv. A flag whose [`FLAGS`] row says
@@ -396,28 +407,30 @@ impl Serialize for RunReport<'_> {
 
 /// Answer from the store: a `cached` marker, then the stored report's text
 /// as the result — byte for byte what the miss that stored it sent, with
-/// nothing re-executed, parsed or printed, and no progress events.
-fn replay(id: &str, stream: &UnixStream, key: &StoreKey, report: &str) {
-    send(stream, &proto::ev_cached(id, key.hash()));
-    send_line(stream, proto::result_line(id, true, Some(key.hash()), report));
+/// nothing re-executed, parsed or printed, and no progress events. Both
+/// join the reply's `tail`, which [`finish`] sends with `done`.
+fn replay(id: &str, key: &StoreKey, report: &str, tail: &mut String) {
+    push_line(tail, &proto::ev_cached(id, key.hash()).to_string());
+    push_line(tail, &proto::result_line(id, true, Some(key.hash()), report));
 }
 
 /// Answer with a freshly computed report, printed once: the text the store
 /// keeps under `keep` (its space and key; `None`: not kept) is the text the
 /// wire carries, so the next identical request's hit sends these bytes.
+/// The `result` line joins the reply's `tail`.
 fn answer(
     id: &str,
-    stream: &UnixStream,
     report: &impl Serialize,
     keep: Option<(&ProfileStore, Space, &StoreKey)>,
+    tail: &mut String,
 ) {
     let text = serde_json::text::write(report, false);
     let store_key = keep
         .map(|(store, space, key)| store.put_report(space, key, &text))
         .and_then(|put| stored(id, put));
-    send_line(
-        stream,
-        proto::result_line(id, false, store_key.as_deref(), &text),
+    push_line(
+        tail,
+        &proto::result_line(id, false, store_key.as_deref(), &text),
     );
 }
 
@@ -434,6 +447,7 @@ fn execute_run(
     argv: &[String],
     stream: &UnixStream,
     shared: &Arc<Shared>,
+    tail: &mut String,
 ) -> Result<(), Failure> {
     let params = parse_campaign(argv)?;
     if params.sweep {
@@ -444,7 +458,7 @@ fn execute_run(
     }
     let key = run_store_key(&params);
     if let Some(report) = shared.store.get_report(Space::Objects, &key) {
-        replay(id, stream, &key, &report);
+        replay(id, &key, &report, tail);
         return Ok(());
     }
     let report = run_contained(id, &params, stream)?;
@@ -454,7 +468,7 @@ fn execute_run(
     let keep = report
         .all_passed()
         .then_some((&shared.store, Space::Objects, &key));
-    answer(id, stream, &RunReport::of(&report), keep);
+    answer(id, &RunReport::of(&report), keep, tail);
     if report.all_passed() {
         return Ok(());
     }
@@ -492,7 +506,7 @@ fn run_contained(
     })
 }
 
-fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), Failure> {
+fn execute_sweep(id: &str, argv: &[String], tail: &mut String) -> Result<(), Failure> {
     let params = parse_campaign(argv)?;
     if !params.sweep {
         return Err((ErrorCode::Usage, "kind=sweep requires --sweep".into()));
@@ -523,7 +537,7 @@ fn execute_sweep(id: &str, argv: &[String], stream: &UnixStream) -> Result<(), F
             .map_err(|p| format!("sweep panicked: {}", panic_message(&*p)))
             .and_then(|swept| swept.map_err(|e| format!("sweep failed: {e}")))
             .map_err(|message| (ErrorCode::Internal, message))?;
-    answer(id, stream, &suite::SweepReport::of(&params, &summary), None);
+    answer(id, &suite::SweepReport::of(&params, &summary), None, tail);
     match summary.kernels_failed() {
         0 => Ok(()),
         n => Err((
@@ -630,8 +644,8 @@ fn execute_analyze(
     id: &str,
     dir: &str,
     metric: &str,
-    stream: &UnixStream,
     shared: &Arc<Shared>,
+    tail: &mut String,
 ) -> Result<(), Failure> {
     let sources =
         analyze_sources(dir, &shared.store).map_err(|message| (ErrorCode::Internal, message))?;
@@ -640,7 +654,7 @@ fn execute_analyze(
     // pure replay: no JSON re-parse, no re-composition, no aggregation.
     let key = StoreKey::from(&analyze_key(metric, &sources));
     if let Some(report) = shared.store.get_report(Space::Derived, &key) {
-        replay(id, stream, &key, &report);
+        replay(id, &key, &report, tail);
         return Ok(());
     }
 
@@ -667,12 +681,7 @@ fn execute_analyze(
         "metric": metric,
         "table": tk.statsframe(metric),
     });
-    answer(
-        id,
-        stream,
-        &report,
-        Some((&shared.store, Space::Derived, &key)),
-    );
+    answer(id, &report, Some((&shared.store, Space::Derived, &key)), tail);
     Ok(())
 }
 

@@ -3,25 +3,22 @@
 //!
 //! What a stored result is — its key, its encoding, when a read may be
 //! trusted and what happens to a torn file — is [`suite::record`]'s
-//! decision, shared with the sweep's cell cache. This module adds only the
-//! addressing: an object lives at a stable 128-bit hash of its key's
-//! canonical JSON, under `objects/` for run results or `derived/` for
-//! results computed from them, and four counters watch the traffic. The
-//! daemon keeps a key and a result's `report` as JSON text end to end
+//! decision, shared with the sweep's cell cache: one length-plus-digest
+//! rule vouches for a cell's profile and for a stored report. This module
+//! adds only the addressing: an object lives at a stable 128-bit hash of
+//! its key's canonical JSON, under `objects/` for run results or `derived/`
+//! for results computed from them, and four counters watch the traffic.
+//! The daemon keeps a key and a result's `report` as JSON text end to end
 //! ([`StoreKey`], [`ProfileStore::put_report`], [`ProfileStore::get_report`]):
-//! the key is printed and hashed once per request, and the text a miss
-//! printed is the text a hit sends.
+//! the key is printed and hashed once per request, a hit checks the stored
+//! report's length and digest instead of walking its grammar, and the text
+//! a miss printed is the text a hit sends.
 
 use serde_json::Value;
 use simsched::sync::atomic::{AtomicU64, Ordering};
 use std::io;
 use std::path::{Path, PathBuf};
-use suite::record::{
-    quarantine, read_verified, read_verified_text, write_record, write_record_text, Verified,
-};
-
-/// The member of a stored record that holds the result.
-const REPORT: &str = "report";
+use suite::record::{quarantine, read_report, read_verified, write_record, write_report, Verified};
 
 /// The two address spaces of a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,13 +159,14 @@ impl ProfileStore {
         self.lookup(Space::Objects, &keyed, |path| read_verified(path, keyed.text()))
     }
 
-    /// [`ProfileStore::get`] of the `report` a [`ProfileStore::put_report`]
-    /// stored, as its exact JSON text: the same decision and counters, with
-    /// the report sliced from the file instead of parsed into a tree.
+    /// The `report` a [`ProfileStore::put_report`] stored, as its exact
+    /// JSON text ([`read_report`]): a hit when the record is of `key` and
+    /// the report is the length and digest it was stored with. A report
+    /// that fails them, like a file that is not JSON, is quarantined first;
+    /// any other JSON (a record of another key, or one stored without a
+    /// digest) is a miss. The counters are [`ProfileStore::get`]'s.
     pub fn get_report(&self, space: Space, key: &StoreKey) -> Option<String> {
-        self.lookup(space, key, |path| {
-            read_verified_text(path, key.text(), REPORT)
-        })
+        self.lookup(space, key, |path| read_report(path, key.text()))
     }
 
     fn lookup<T>(
@@ -206,13 +204,10 @@ impl ProfileStore {
         })
     }
 
-    /// Store the record `{"key": key, "report": <report>}`, `report` being
-    /// the report's compact JSON text: the bytes [`ProfileStore::put`] of
-    /// `{"report": ..}` writes, without a tree. Returns the record's hash.
+    /// Store `report`, a report's compact JSON text, under `key` with its
+    /// length and digest ([`write_report`]). Returns the record's hash.
     pub fn put_report(&self, space: Space, key: &StoreKey, report: &str) -> io::Result<String> {
-        self.write(space, key, |path| {
-            write_record_text(path, key.text(), REPORT, report)
-        })
+        self.write(space, key, |path| write_report(path, key.text(), report))
     }
 
     fn write(

@@ -13,9 +13,10 @@
 //!
 //! Corrupt or truncated profiles (e.g. torn by a mid-write kill) are skipped
 //! with a warning rather than aborting the composition; the exit codes match
-//! `rajaperf` ([`SuiteExit`]): 0 success, 1 internal error, 2 usage error.
+//! `rajaperf` ([`SuiteExit`]): 0 success, 1 internal error, 2 usage error,
+//! and a closed stdout ends the report, never the run.
 
-use suite::SuiteExit;
+use suite::{out, outln, SuiteExit};
 use thicket::Thicket;
 
 const USAGE: &str = "usage: rajaperf-analyze <profile-dir|file.tkt> [--groupby KEY] \
@@ -96,7 +97,7 @@ fn main() {
     if let Err(problem) = tk.require_column(&metric) {
         usage_error(&problem);
     }
-    println!(
+    outln!(
         "composed {} profiles, {} call-tree nodes, {} metric columns",
         tk.profiles.len(),
         tk.nodes.len(),
@@ -104,32 +105,32 @@ fn main() {
     );
 
     if let Some(key) = groupby {
-        println!("\ngroups by '{key}':");
+        outln!("\ngroups by '{key}':");
         for (value, ids) in tk.group_profiles(&key) {
-            println!("  {key}={value}: {} profiles", ids.len());
+            outln!("  {key}={value}: {} profiles", ids.len());
         }
     }
 
-    println!("\n{:<40} {:>14} {:>14} {:>14}", "node", "mean", "min", "max");
+    outln!("\n{:<40} {:>14} {:>14} {:>14}", "node", "mean", "min", "max");
     for row in tk.statsframe(&metric) {
-        println!(
+        outln!(
             "{:<40} {:>14.6e} {:>14.6e} {:>14.6e}",
             row.node, row.mean, row.min, row.max
         );
     }
 
     if show_tree {
-        println!("\ncall tree ({metric}, mean over profiles):");
-        print!("{}", tk.tree(&metric));
+        outln!("\ncall tree ({metric}, mean over profiles):");
+        out!("{}", tk.tree(&metric));
     }
     if show_csv {
-        print!("{}", tk.to_csv());
+        out!("{}", tk.to_csv());
     }
     if let Some(out) = save_tkt {
         if let Err(e) = tk.write_tkt(std::path::Path::new(&out)) {
             eprintln!("cannot write {out}: {e}");
             SuiteExit::Internal.exit();
         }
-        println!("\nsaved columnar snapshot to {out}");
+        outln!("\nsaved columnar snapshot to {out}");
     }
 }

@@ -11,15 +11,16 @@
 //! ```
 //!
 //! Exit codes follow [`SuiteExit`]: 0 success, 1 internal error, 2 usage
-//! error, 3 checksum failures, 4 sanitizer findings, 5 kernel failures.
+//! error, 3 checksum failures, 4 sanitizer findings, 5 kernel failures. A
+//! closed stdout ends the report, never the run ([`suite::report::print_out`]).
 
 use suite::params::{split_modes, Mode, FLAGS};
-use suite::{run_suite, RunParams, SuiteExit};
+use suite::{out, outln, run_suite, RunParams, SuiteExit};
 
 fn main() {
     let (modes, mut args) = split_modes(std::env::args().skip(1).collect());
     if modes.contains(&Mode::Help) {
-        print!("{}", RunParams::usage());
+        out!("{}", RunParams::usage());
         return;
     }
     if modes.contains(&Mode::List) {
@@ -55,8 +56,8 @@ fn main() {
         // one profile per cell plus a manifest, with per-cell caching.
         match suite::run_sweep(&params) {
             Ok(summary) => {
-                print!("{}", summary.render());
-                println!("wrote {}", summary.manifest.display());
+                out!("{}", summary.render());
+                outln!("wrote {}", summary.manifest.display());
                 if summary.kernels_failed() > 0 {
                     SuiteExit::KernelFailures.exit();
                 }
@@ -80,42 +81,42 @@ fn main() {
         let variants = kernels::VariantId::all();
         let reports = suite::run_variants(&params, &variants);
         let cr = suite::checksum_report(&reports);
-        print!("{}", cr.render());
+        out!("{}", cr.render());
         if reports.iter().any(|r| !r.all_passed()) {
             // Kernel failures poke holes in the checksum grid; report them
             // as the stronger condition.
             for r in &reports {
                 if !r.all_passed() {
-                    println!();
-                    print!("{}", r.render_outcomes());
+                    outln!();
+                    out!("{}", r.render_outcomes());
                 }
             }
             SuiteExit::KernelFailures.exit();
         }
         if cr.all_pass() {
-            println!("ALL CHECKSUMS PASS");
+            outln!("ALL CHECKSUMS PASS");
         } else {
-            println!("CHECKSUM FAILURES DETECTED");
+            outln!("CHECKSUM FAILURES DETECTED");
             SuiteExit::ChecksumFailure.exit();
         }
         return;
     }
     let report = run_suite(&params);
-    print!("{}", report.render_timing());
+    out!("{}", report.render_timing());
     if params.faults.is_some() || !report.all_passed() {
-        println!();
-        print!("{}", report.render_outcomes());
+        outln!();
+        out!("{}", report.render_outcomes());
     }
     if let Some(section) = &report.sanitize {
-        println!();
-        print!("{}", section.render());
+        outln!();
+        out!("{}", section.render());
     }
     if let Some(lock_order) = &report.lock_order {
-        println!();
-        print!("{lock_order}");
+        outln!();
+        out!("{lock_order}");
     }
     for written in &report.outputs {
-        println!("wrote {}", written.path.display());
+        outln!("wrote {}", written.path.display());
     }
     if !report.all_passed() {
         SuiteExit::KernelFailures.exit();
@@ -126,14 +127,14 @@ fn main() {
 }
 
 fn print_kernel_list() {
-    println!(
+    outln!(
         "{:<28} {:<10} {:>12} {:>6}  {:<8} variants",
         "Kernel", "Group", "DefaultSize", "Reps", "Complex."
     );
     for k in kernels::registry() {
         let info = k.info();
         let variants: Vec<&str> = info.variants.iter().map(|v| v.name()).collect();
-        println!(
+        outln!(
             "{:<28} {:<10} {:>12} {:>6}  {:<8} {}",
             info.name,
             info.group.name(),

@@ -5,13 +5,11 @@
 //! (`cells/<cell>.json`) and the `rajaperfd` store (`objects/<hh>/<hash>.json`)
 //! both hold them. This module is the one place that decides what such a
 //! record is keyed by ([`CampaignKey`]), what a run looks like as data
-//! ([`RunRecord`]), how a record is written ([`write_record`]), when a read
-//! may be trusted ([`read_verified`], [`ProfileDigest::check`]) and what
-//! happens to a file that may not ([`quarantine`]). A record whose one
-//! member travels on as JSON text — the daemon's stored report, spliced into
-//! its reply — is written and read under the same rules without a tree
-//! ([`write_record_text`], [`read_verified_text`]). The two caches keep only
-//! their own addressing.
+//! ([`RunRecord`]), how a record is written ([`write_record`],
+//! [`write_report`]), when a read may be trusted ([`read_verified`],
+//! [`read_report`], [`ProfileDigest::check`]) and what happens to a file
+//! that may not ([`quarantine`]). The two caches keep only their own
+//! addressing.
 //!
 //! The integrity rule: writes are atomic ([`caliper::write_atomic`]); a
 //! record embeds its full key as compact JSON text and answers only a
@@ -19,14 +17,15 @@
 //! text and builds no tree of it, so anything else (another build, another
 //! retry budget, a hash collision, the same key re-printed) is a miss; a
 //! record that exists but is not JSON was torn by a kill or an injected
-//! `io.write` fault. A file a record vouches for (a sweep cell's
-//! profile) is named in it by its exact length and [`caliper::digest`], taken
-//! from the bytes its writer handed to `write_atomic`, and checked against
-//! them without being parsed: any other bytes at its path — torn, flipped,
-//! or another cell's profile — fail the check. A torn record, and a vouched
-//! file that fails its check together with the record that vouched for it,
-//! are moved to `quarantine/` and the run repeats. Corruption is never
-//! trusted and never fatal.
+//! `io.write` fault. What a record vouches for — a sweep cell's profile, a
+//! file of its own; a store object's report, text inside the record — is
+//! named by its exact length and [`caliper::digest`], taken from the bytes
+//! its writer wrote, and checked against them without being parsed, by one
+//! comparison both caches share: any other bytes — torn, flipped, still
+//! valid JSON, or another cell's profile — fail it. A torn record, and a
+//! vouched-for text that fails its check together with the record that
+//! vouched for it, are moved to `quarantine/` and the run repeats.
+//! Corruption is never trusted and never fatal.
 
 use crate::{RunParams, SuiteReport, TimingEntry};
 use serde::text::Reader;
@@ -203,8 +202,9 @@ pub enum Verified<T = Value> {
     /// Nothing usable: no readable file, or a record of another key.
     Miss,
     /// The file exists but its bytes are not JSON — or, for
-    /// [`ProfileDigest::check`], not the vouched-for bytes. The caller must
-    /// [`quarantine`] it and repeat the run it stood for.
+    /// [`ProfileDigest::check`] and [`read_report`], not the vouched-for
+    /// bytes. The caller must [`quarantine`] it and repeat the run it stood
+    /// for.
     Corrupt,
 }
 
@@ -256,7 +256,7 @@ impl ProfileDigest {
         let Ok(bytes) = std::fs::read(path) else {
             return Verified::Miss;
         };
-        if ProfileDigest::new(bytes.len() as u64, caliper::digest(&bytes)) == *self {
+        if vouches(&bytes, self.profile_bytes, self.profile_digest.as_bytes()) {
             Verified::Hit(())
         } else {
             Verified::Corrupt
@@ -266,73 +266,33 @@ impl ProfileDigest {
 
 /// Read the record at `path` and verify it was written under exactly `key`,
 /// a key's compact JSON text: the record's `key` member must be these very
-/// bytes. The path only has to *find* the record (a cell name, a 128-bit
-/// hash); equality of the embedded key is what makes serving it sound. A hit
-/// is the record's other members, as a tree; no tree of the key is built.
+/// bytes (the last of a repeated member winning). The path only has to
+/// *find* the record (a cell name, a 128-bit hash); equality of the embedded
+/// key is what makes serving it sound. A hit is the record's other members,
+/// as a tree; no tree of the key is built. JSON that is not a record of
+/// `key` (another key, no key, not an object) is a miss.
 pub fn read_verified(path: &Path, key: &str) -> Verified {
-    read_keyed(path, |text| {
-        let mut members = BTreeMap::new();
-        let keyed = walk_record(text, key, |r, name| {
-            members.insert(name.to_string(), r.value()?);
-            Ok(())
-        })?;
-        Ok(keyed.then_some(Value::Object(members)))
-    })
-}
-
-/// [`read_verified`] for a caller that passes one member on as text: the
-/// same `Hit` / `Miss` / `Corrupt` decision, but a hit is the exact text of
-/// the record's `member` (`null` when it has none), sliced from the file
-/// rather than built into a tree and printed back. `member` is not `"key"`.
-pub fn read_verified_text(path: &Path, key: &str, member: &str) -> Verified<String> {
-    read_keyed(path, |text| {
-        let mut kept = None;
-        let keyed = walk_record(text, key, |r, name| {
-            if name == member {
-                kept = Some(r.raw()?);
-                Ok(())
-            } else {
-                r.skip()
-            }
-        })?;
-        Ok(keyed.then(|| kept.unwrap_or("null").to_string()))
-    })
-}
-
-/// [`read_with`] of a reader that answers `None` for a record of another key.
-fn read_keyed<T>(
-    path: &Path,
-    read: impl FnOnce(&str) -> Result<Option<T>, serde_json::Error>,
-) -> Verified<T> {
-    match read_with(path, read) {
+    let read = read_with(path, |text| {
+        let (mut keyed, mut members) = (false, BTreeMap::new());
+        let mut r = Reader::new(text);
+        let walked = r
+            .object(|r, name| match &*name {
+                "key" => r.raw().map(|raw| keyed = raw == key),
+                name => {
+                    members.insert(name.to_string(), r.value()?);
+                    Ok(())
+                }
+            })
+            .and_then(|()| r.end());
+        match walked {
+            Ok(()) => Ok(keyed.then_some(Value::Object(members))),
+            Err(_) => serde::text::validate(text).map(|()| None),
+        }
+    });
+    match read {
         Verified::Hit(Some(v)) => Verified::Hit(v),
         Verified::Hit(None) | Verified::Miss => Verified::Miss,
         Verified::Corrupt => Verified::Corrupt,
-    }
-}
-
-/// The one walk of a record's text, validating it whole: every member but
-/// `key` goes to `member`, and the `key` member's exact text is compared
-/// with `key` (the last of a repeated member winning). `Ok(true)` for a
-/// record of `key`, `Ok(false)` for JSON that is not one (another key, no
-/// key, not an object), `Err` for text that is not JSON.
-fn walk_record<'t>(
-    text: &'t str,
-    key: &str,
-    mut member: impl FnMut(&mut Reader<'t>, &str) -> Result<(), serde_json::Error>,
-) -> Result<bool, serde_json::Error> {
-    let mut keyed = false;
-    let mut r = Reader::new(text);
-    let walked = r
-        .object(|r, name| match &*name {
-            "key" => r.raw().map(|raw| keyed = raw == key),
-            name => member(r, name),
-        })
-        .and_then(|()| r.end());
-    match walked {
-        Ok(()) => Ok(keyed),
-        // JSON that is not an object embeds no key: a miss, not corrupt.
-        Err(_) => serde::text::validate(text).map(|()| false),
     }
 }
 
@@ -349,16 +309,69 @@ pub fn write_record(path: &Path, key: &str, body: &dyn Serialize) -> io::Result<
     caliper::write_atomic(path, serde::text::write(&record, false).as_bytes())
 }
 
-/// [`write_record`] of the body `{member: <text>}` whose one member is
-/// already printed (compact): the same bytes, with `text` copied in rather
-/// than parsed and printed again. `member` is not `"key"`.
-pub fn write_record_text(path: &Path, key: &str, member: &str, text: &str) -> io::Result<()> {
-    debug_assert_ne!(member, "key", "a record's `key` member is its key");
-    let body = serde::Extended {
-        body: &Value::Object(BTreeMap::new()),
-        extra: &[(member, &Printed(text))],
+/// Atomically write the daemon store's record of `report`, a report's
+/// compact JSON text, under `key`, a key's compact JSON text:
+/// `{"key":<key>,"report":<report>,"report_bytes":N,"report_digest":"<hex>"}`
+/// — the members in the order a printed object has them, the report's
+/// length and [`caliper::digest`] taken from the very bytes written, as a
+/// sweep cell vouches for its profile. [`read_report`] reads it back.
+pub fn write_report(path: &Path, key: &str, report: &str) -> io::Result<()> {
+    let vouched = ProfileDigest::new(report.len() as u64, caliper::digest(report.as_bytes()));
+    let record = format!(
+        r#"{{"key":{key},"report":{report},"report_bytes":{},"report_digest":"{}"}}"#,
+        vouched.profile_bytes, vouched.profile_digest
+    );
+    caliper::write_atomic(path, record.as_bytes())
+}
+
+/// Read the record [`write_report`] wrote at `path` under `key` and answer
+/// its report's exact text. A hit is one read, a byte comparison of the
+/// `{"key":<key>,"report":` head, the fixed tail parsed from the end, and
+/// the report between them checked against the tail's length and digest:
+/// no grammar walk. A record laid out so whose report fails the check is
+/// `Corrupt` — torn, flipped, however valid its JSON still is. Bytes laid
+/// out otherwise decide as [`read_verified`] does for text with no record
+/// of `key`: JSON (another key, the key re-printed, a record that carries
+/// no digest) is a `Miss`, anything else `Corrupt`.
+pub fn read_report(path: &Path, key: &str) -> Verified<String> {
+    let Ok(bytes) = std::fs::read(path) else {
+        return Verified::Miss;
     };
-    write_record(path, key, &body)
+    let Some((report, len, digest)) = report_layout(&bytes, key) else {
+        return match std::str::from_utf8(&bytes).map(serde::text::validate) {
+            Ok(Ok(())) => Verified::Miss,
+            _ => Verified::Corrupt,
+        };
+    };
+    match std::str::from_utf8(report) {
+        Ok(text) if len.is_some_and(|len| vouches(report, len, digest)) => {
+            Verified::Hit(text.to_string())
+        }
+        _ => Verified::Corrupt,
+    }
+}
+
+/// The parts of `bytes` laid out as [`write_report`] lays down a record of
+/// `key`: the report's bytes, the tail's `report_bytes` (`None` past a
+/// `u64`) and its `report_digest` text. `None` for any other layout.
+fn report_layout<'b>(bytes: &'b [u8], key: &str) -> Option<(&'b [u8], Option<u64>, &'b [u8])> {
+    let body = bytes.strip_prefix(br#"{"key":"#)?;
+    let body = body.strip_prefix(key.as_bytes())?.strip_prefix(br#","report":"#)?;
+    let body = body.strip_suffix(br#""}"#)?;
+    let (body, digest) = body.split_at(body.len().checked_sub(32)?);
+    let body = body.strip_suffix(br#","report_digest":""#)?;
+    let digits = body.iter().rev().take_while(|b| b.is_ascii_digit()).count();
+    let (body, len) = body.split_at(body.len() - digits);
+    let report = body.strip_suffix(br#","report_bytes":"#)?;
+    let len = std::str::from_utf8(len).ok()?.parse().ok();
+    Some((report, len, digest))
+}
+
+/// The one length-plus-digest comparison both caches make: whether `bytes`
+/// are `len` bytes whose [`caliper::digest`], as 32 lower-case hex digits,
+/// is `digest`.
+fn vouches(bytes: &[u8], len: u64, digest: &[u8]) -> bool {
+    bytes.len() as u64 == len && format!("{:032x}", caliper::digest(bytes)).as_bytes() == digest
 }
 
 /// Move a corrupt file into `root/quarantine/` — out of its cache's address

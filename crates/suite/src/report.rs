@@ -6,6 +6,42 @@ use crate::exec::{KernelOutcome, OutcomeRecord};
 use kernels::sanitize::SanitizeOutcome;
 use kernels::{RunResult, VariantId};
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once standard output refused a write: the rest is not attempted.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Print report text to standard output, as the binaries' [`out!`] and
+/// [`outln!`] do. A reader that went away (`| head -1`, `| true`) ends the
+/// output, not the run: the rest is dropped and the process exits with its
+/// own [`crate::SuiteExit`], where `print!` would panic (exit 101).
+pub fn print_out(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            let _ = writeln!(std::io::stderr(), "warning: stdout: {e}; output dropped");
+        }
+    }
+}
+
+/// `print!` through [`print_out`]: a closed stdout ends the output.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::report::print_out(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`print_out`]: a closed stdout ends the output.
+#[macro_export]
+macro_rules! outln {
+    () => { $crate::report::print_out(format_args!("\n")) };
+    ($($arg:tt)*) => {
+        $crate::report::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// One kernel execution within a suite run.
 #[derive(Debug, Clone)]

@@ -8,8 +8,8 @@ use serde_json::{json, Extended, Value};
 use std::path::{Path, PathBuf};
 use suite::params::FLAGS;
 use suite::record::{
-    campaign_key, quarantine, read_verified, read_verified_text, write_record, write_record_text,
-    EntryRecord, ProfileDigest, Verified,
+    campaign_key, quarantine, read_report, read_verified, write_record, write_report, EntryRecord,
+    ProfileDigest, Verified,
 };
 use suite::RunParams;
 
@@ -95,11 +95,6 @@ fn a_body_that_is_not_an_object_still_gets_its_key() {
         std::fs::read_to_string(&scalar).unwrap(),
         json!({"body": "s", "key": key}).to_string()
     );
-    // The text writer orders a member named before `key` as a printed
-    // object does.
-    let spliced = dir.join("spliced.json");
-    write_record_text(&spliced, &text, "body", "[1,2]").unwrap();
-    assert_eq!(std::fs::read(&spliced).unwrap(), std::fs::read(&path).unwrap());
     // A body's own `key` member, however nested its value, gives way to the
     // record's key: the record still verifies.
     let keyed = dir.join("keyed.json");
@@ -137,58 +132,112 @@ fn a_body_that_is_not_an_object_still_gets_its_key() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The text read of the record at `path` makes the tree read's decision,
-/// and a hit's text parses to the tree's `report` (`null` when absent).
-fn text_read_agrees(path: &Path, key: &str) -> Verified<String> {
-    let (tree, text) = (
-        read_verified(path, key),
-        read_verified_text(path, key, "report"),
-    );
-    match (&tree, &text) {
-        (Verified::Hit(doc), Verified::Hit(t)) => {
-            assert_eq!(&serde_json::from_str::<Value>(t).unwrap(), &doc["report"]);
-        }
-        (Verified::Miss, Verified::Miss) | (Verified::Corrupt, Verified::Corrupt) => {}
-        _ => panic!("tree read {tree:?}, text read {text:?}"),
+/// The tree a record of `report` (compact text) prints from: what
+/// [`write_report`] must lay down without one.
+fn report_tree(report: &str) -> Value {
+    json!({
+        "report": serde_json::from_str::<Value>(report).unwrap(),
+        "report_bytes": report.len(),
+        "report_digest": format!("{:032x}", caliper::digest(report.as_bytes())),
+    })
+}
+
+/// [`read_report`] of the record at `path`. Whatever it answers, a hit is
+/// also a hit of the tree read, whose `report` is the hit's text parsed.
+fn report_read(path: &Path, key: &str) -> Verified<String> {
+    let read = read_report(path, key);
+    if let Verified::Hit(text) = &read {
+        let Verified::Hit(doc) = read_verified(path, key) else {
+            panic!("a report hit the tree read misses: {text}");
+        };
+        assert_eq!(serde_json::from_str::<Value>(text).unwrap(), doc["report"]);
     }
-    text
+    read
 }
 
 #[test]
-fn the_text_read_keeps_the_report_exactly_as_written() {
+fn the_report_read_answers_the_bytes_written_and_no_others() {
     let dir = temp_dir("text");
     let path = dir.join("r.json");
     let key = r#"{"p":[1],"q":1}"#;
+    // The writer lays down the tree writer's bytes, and the report comes
+    // back exactly as written, its spaces and all.
+    write_report(&path, key, r#"{"a":[2,"é"]}"#).unwrap();
+    let tree = dir.join("tree.json");
+    write_record(&tree, key, &report_tree(r#"{"a":[2,"é"]}"#)).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&tree).unwrap());
+    let spaced = r#"{"a" : [2, "é"]}"#;
+    write_report(&path, key, spaced).unwrap();
+    assert_eq!(report_read(&path, key), Verified::Hit(spaced.into()));
+    let intact = std::fs::read_to_string(&path).unwrap();
+    let tail = intact.rfind(r#","report_bytes""#).unwrap();
+    let hex = format!("{:032x}", caliper::digest(spaced.as_bytes()));
+    let other_hex = hex.replacen(&hex[..1], if hex.starts_with('0') { "1" } else { "0" }, 1);
     let deep = format!("{}{}", "[".repeat(128), "]".repeat(128));
-    let cases: [(String, Verified<String>); 10] = [
-        (r#"{"key": {"p":[1],"q":1}}"#.into(), Verified::Hit("null".into())),
+    let cases: [(String, Verified<String>); 19] = [
+        // JSON laid out otherwise is a miss, whatever the tree read makes
+        // of it: no report, a repeated member, the key repeated (either way
+        // round), printed otherwise or another, not an object, a record
+        // stored without a digest, a byte after the record's end.
+        (r#"{"key": {"p":[1],"q":1}}"#.into(), Verified::Miss),
         (
             r#"{"report": 1, "key":{"p":[1],"q":1}, "report": {"a" : [2, "é"]} }"#.into(),
-            Verified::Hit(r#"{"a" : [2, "é"]}"#.into()),
-        ),
-        (
-            r#"{"key": {"p":[1],"q":2}, "key": {"p":[1],"q":1}, "report": 3}"#.into(),
-            Verified::Hit("3".into()),
-        ),
-        (
-            r#"{"key": {"p":[1],"q":1}, "key": {"p":[1],"q":2}, "report": 3}"#.into(),
             Verified::Miss,
         ),
-        (r#"{"key": {"p":[1],"q":1.0}, "report": 3}"#.into(), Verified::Miss),
-        // The same key as a value, printed otherwise: not the key's bytes.
+        (r#"{"key":{"p":[1],"q":2},"key":{"p":[1],"q":1},"report":3}"#.into(), Verified::Miss),
+        (r#"{"key":{"p":[1],"q":1},"key":{"p":[1],"q":2},"report":3}"#.into(), Verified::Miss),
+        (r#"{"key":{"p":[1],"q":1.0},"report":3}"#.into(), Verified::Miss),
         (r#"{"key": {"p": [1], "q": 1}, "report": 3}"#.into(), Verified::Miss),
-        (r#"{"key": {"q":1,"p":[1]}, "report": 3}"#.into(), Verified::Miss),
+        (r#"{"key":{"q":1,"p":[1]},"report":3}"#.into(), Verified::Miss),
         ("[1]".into(), Verified::Miss),
-        (r#"{"key": {"p":[1],"q":1}, "report": ["#.into(), Verified::Corrupt),
+        (r#"{"key":{"p":[1],"q":1},"report":3}"#.into(), Verified::Miss),
+        (format!("{intact}\n"), Verified::Miss),
+        // Not JSON: torn, or nested past the reader's cap.
+        (r#"{"key":{"p":[1],"q":1},"report":["#.into(), Verified::Corrupt),
+        (format!(r#"{{"key":{key},"report":{deep}}}"#), Verified::Corrupt),
+        // The layout, but not the bytes it vouches for: still JSON, and
+        // corrupt all the same.
+        (intact.replacen('2', "7", 1), Verified::Corrupt),
+        (intact.replacen("\"é", "\"e", 1), Verified::Corrupt),
         (
-            format!(r#"{{"key": {{"p":[1],"q":1}}, "report": {deep}}}"#),
+            intact.replace(
+                &format!(r#""report_bytes":{}"#, spaced.len()),
+                &format!(r#""report_bytes":{}"#, spaced.len() + 1),
+            ),
             Verified::Corrupt,
+        ),
+        (
+            intact.replace(
+                &format!(r#""report_bytes":{}"#, spaced.len()),
+                r#""report_bytes":99999999999999999999999"#,
+            ),
+            Verified::Corrupt,
+        ),
+        (intact.replace(&hex, &other_hex), Verified::Corrupt),
+        (intact.replace(&hex, &hex.to_uppercase()), Verified::Corrupt),
+        // A tail laid out otherwise is not the layout: JSON, so a miss.
+        (
+            format!("{}{}", &intact[..tail], &intact[tail..].to_uppercase()),
+            Verified::Miss,
         ),
     ];
     for (doc, expected) in cases {
         std::fs::write(&path, &doc).unwrap();
-        assert_eq!(text_read_agrees(&path, key), expected, "{doc}");
+        assert_eq!(report_read(&path, key), expected, "{doc}");
     }
+    // The report is not parsed: past the reader's cap, or not UTF-8, a
+    // report that is the vouched bytes is a hit and one that is not UTF-8
+    // is corrupt however it is vouched for.
+    let deep = format!("{}{}", "[".repeat(200), "]".repeat(200));
+    write_report(&path, key, &deep).unwrap();
+    assert_eq!(read_report(&path, key), Verified::Hit(deep));
+    let latin1 = b"\"caf\xe9\"";
+    let mut record = format!(r#"{{"key":{key},"report":"#).into_bytes();
+    record.extend(latin1);
+    let digest = caliper::digest(latin1);
+    record.extend(format!(r#","report_bytes":6,"report_digest":"{digest:032x}"}}"#).bytes());
+    std::fs::write(&path, &record).unwrap();
+    assert_eq!(read_report(&path, key), Verified::Corrupt);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -249,11 +298,12 @@ proptest! {
     /// path — arbitrary, or a real record truncated or bit-flipped —
     /// reading them never panics, is `Corrupt` exactly when they are
     /// not a JSON document, and is a `Hit` only when that document
-    /// embeds exactly the key asked for. The text read decides the same,
-    /// and the text writer lays down the tree writer's bytes. As a file a
-    /// record vouches for, under the intact bytes' digest, they pass only
-    /// when they are the intact bytes: JSON or not, anything else is
-    /// `Corrupt`.
+    /// embeds exactly the key asked for. The report read is a `Hit` only
+    /// for the intact bytes, is `Corrupt` for any that are not JSON or
+    /// whose report was flipped, and the report writer lays down the tree
+    /// writer's bytes. As a file a record vouches for, under the intact
+    /// bytes' digest, they pass only when they are the intact bytes: JSON
+    /// or not, anything else is `Corrupt`.
     #[test]
     fn any_bytes_at_a_record_path_read_as_hit_miss_or_corrupt(
         noise in prop::collection::vec(0u16..256, 0..48),
@@ -265,22 +315,27 @@ proptest! {
         let tree = campaign_key(&params(&["--retries", "2"]));
         let key = tree.to_string();
         let report = json!({"entries": json!([1.5, "é\"\n"]), "profile": "p.cali.json"});
-        write_record(&path, &key, &json!({"report": report})).unwrap();
+        let text = report.to_string();
+        write_report(&path, &key, &text).unwrap();
         let intact = std::fs::read(&path).unwrap();
         let vouched = ProfileDigest::new(intact.len() as u64, caliper::digest(&intact));
-        let spliced = dir.join("spliced.json");
-        write_record_text(&spliced, &key, "report", &report.to_string()).unwrap();
-        prop_assert_eq!(&std::fs::read(&spliced).unwrap(), &intact);
+        let tree_written = dir.join("tree.json");
+        write_record(&tree_written, &key, &report_tree(&text)).unwrap();
+        prop_assert_eq!(&std::fs::read(&tree_written).unwrap(), &intact);
         let mut torn = intact.clone();
         torn.truncate(cut % (intact.len() + 1));
         let mut flipped = intact.clone();
         flipped[(flip / 8) % intact.len()] ^= 1 << (flip % 8);
+        let head = r#"{"key":,"report":"#.len() + key.len();
+        let mut in_report = intact.clone();
+        in_report[head + (flip / 8) % text.len()] ^= 1 << (flip % 8);
         let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
-        for bytes in [noise, torn, flipped, intact.clone()] {
+        for bytes in [noise, torn, flipped, in_report.clone(), intact.clone()] {
             std::fs::write(&path, &bytes).unwrap();
             let parsed = std::str::from_utf8(&bytes)
                 .ok()
                 .and_then(|text| serde_json::from_str::<Value>(text).ok());
+            let json = parsed.is_some();
             let checked = if bytes == intact { Verified::Hit(()) } else { Verified::Corrupt };
             prop_assert_eq!(vouched.check(&path), checked);
             // One flipped bit cannot re-print the key: equal as a value is
@@ -294,9 +349,13 @@ proptest! {
                 Some(_) => Verified::Miss,
             };
             prop_assert_eq!(read_verified(&path, &key), expected);
-            let text = text_read_agrees(&path, &key);
+            let read = report_read(&path, &key);
             if bytes == intact {
-                prop_assert_eq!(text, Verified::Hit(report.to_string()));
+                prop_assert_eq!(read, Verified::Hit(text.clone()));
+            } else if !json || bytes == in_report {
+                prop_assert_eq!(read, Verified::Corrupt);
+            } else {
+                prop_assert!(!matches!(read, Verified::Hit(_)), "{:?}", read);
             }
         }
         std::fs::remove_dir_all(&dir).ok();

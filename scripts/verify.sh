@@ -450,8 +450,12 @@ echo "analyze: ECC-flipped profile ($ECC_NULLS null cells) composed; wrapped-tai
 # commit 3a10682, the last build that built and compared key trees) and this
 # tree are built under one fingerprint, in target directories of their own,
 # so their keys may differ only if their printers do: each build must find
-# the other's 12 cells cached, the two manifests must be equal, and a run the
-# reference daemon stored must be a hit here with the reference's report.
+# the other's 12 cells cached and the two manifests must be equal. A store
+# object of this build carries its report's length and digest: the reference
+# daemon, which walks the record and skips members it does not know, must
+# replay a run this daemon stored byte for byte; an object the reference
+# stored has no digest, so this daemon meets it as a plain miss, quarantines
+# nothing, and its own next run is a hit.
 echo "== cache: this build and the reference answer each other's records =="
 KEY_REFERENCE=${KEY_REFERENCE:-3a1068227d48c62a3d11ac5dcc98996f0416fb80}
 KEY_DIR="$SWEEP_DIR/key-compat"
@@ -485,26 +489,33 @@ if git cat-file -e "$KEY_REFERENCE^{commit}" 2>/dev/null; then
     done
     cmp "$KEY_DIR/reference/sweep/manifest.json" "$KEY_DIR/change/sweep/manifest.json" \
         || { echo "verify: FAIL — the two builds' manifests differ" >&2; exit 1; }
-    key_run() {  # <build> <events file>: one run through <build>'s daemon on one store
+    key_run() {  # <build> <store> <events file>: one run through <build>'s daemon on <store>
         local sock="$KEY_DIR/d.sock"
-        "$(key_bin "$1" rajaperfd)" --socket "$sock" --store "$KEY_DIR/store" --workers 1 >/dev/null 2>&1 &
+        "$(key_bin "$1" rajaperfd)" --socket "$sock" --store "$KEY_DIR/$2" --workers 1 >/dev/null 2>&1 &
         local pid=$!
         for _ in $(seq 1 50); do
             [[ -S "$sock" ]] && break
             sleep 0.1
         done
         "$ROOT/target/release/rajaperf-client" --socket "$sock" --id compat run -- \
-            --kernels Basic_DAXPY,Stream_TRIAD --size 1000 --reps 1 >"$2"
+            --kernels Basic_DAXPY,Stream_TRIAD --size 1000 --reps 1 >"$KEY_DIR/$3.events"
         "$ROOT/target/release/rajaperf-client" --socket "$sock" shutdown >/dev/null
         wait "$pid"
     }
-    key_run reference "$KEY_DIR/reference.events"
-    key_run change "$KEY_DIR/change.events"
-    STORED=$(grep '"event":"result"' "$KEY_DIR/reference.events" | sed 's/"cached":false/"cached":true/')
-    SERVED=$(grep '"event":"result"' "$KEY_DIR/change.events")
-    [[ "$STORED" == *'"cached":true'* && "$STORED" == "$SERVED" ]] \
-        || { echo "verify: FAIL — the reference daemon's stored run is not this daemon's hit, byte for byte" >&2; exit 1; }
-    echo "cache: each build found the other's 12 cells cached, manifests equal; the reference daemon's stored run replayed byte for byte"
+    key_result() { grep '"event":"result"' "$KEY_DIR/$1.events"; }
+    key_run change stored-here change-miss
+    key_run reference stored-here reference-hit
+    STORED=$(key_result change-miss | sed 's/"cached":false/"cached":true/')
+    [[ "$STORED" == *'"cached":true'* && "$STORED" == "$(key_result reference-hit)" ]] \
+        || { echo "verify: FAIL — the reference daemon does not replay this daemon's stored run byte for byte" >&2; exit 1; }
+    key_run reference stored-there reference-miss
+    key_run change stored-there change-meets-reference
+    key_run change stored-there change-hit
+    [[ "$(key_result change-meets-reference)" == *'"cached":false'* \
+        && ! -e "$KEY_DIR/stored-there/quarantine" \
+        && "$(key_result change-hit)" == *'"cached":true'* ]] \
+        || { echo "verify: FAIL — the reference daemon's digest-less object is not a plain miss here, then a hit" >&2; exit 1; }
+    echo "cache: each build found the other's 12 cells cached, manifests equal; the reference daemon replayed this daemon's stored run byte for byte; its own object was a plain miss here, then a hit"
 else
     echo "cache: reference commit $KEY_REFERENCE not in this clone, comparison skipped"
 fi

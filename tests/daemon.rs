@@ -255,12 +255,21 @@ fn a_stored_object_that_cannot_answer_is_a_miss_and_never_reaches_the_wire() {
     let mut latin1 = format!(r#"{{"key":{key},"report":{{"note":"caf"#).into_bytes();
     latin1.extend(b"\xe9\"}}");
     let deep = format!(r#"{{"key":{key},"report":{}{}}}"#, "[".repeat(128), "]".repeat(128));
-    let planted: [(&str, Vec<u8>, usize); 5] = [
+    // One digit of the stored report flipped in place: the same length,
+    // still JSON, and not the bytes the record vouches for.
+    let mut flipped = intact.clone();
+    let checksum = intact.windows(11).position(|w| w == br#""checksum":"#).unwrap() + 11;
+    let digit = checksum + intact[checksum..].iter().position(u8::is_ascii_digit).unwrap();
+    flipped[digit] = if flipped[digit] == b'9' { b'8' } else { flipped[digit] + 1 };
+    let still_json = std::str::from_utf8(&flipped).map(serde_json::from_str::<Value>);
+    assert!(matches!(still_json, Ok(Ok(_))), "the flipped object is still JSON");
+    let planted: [(&str, Vec<u8>, usize); 6] = [
         ("another key", br#"{"key":{"q":2},"report":{"planted":1}}"#.to_vec(), 0),
         ("not an object", b"[1]".to_vec(), 0),
         ("torn", intact[..intact.len() / 2].to_vec(), 1),
         ("not UTF-8", latin1, 1),
         ("129 deep", deep.into_bytes(), 1),
+        ("a flipped digit", flipped, 1),
     ];
     for (what, bytes, moved) in planted {
         let before = quarantined();
@@ -280,7 +289,7 @@ fn a_stored_object_that_cannot_answer_is_a_miss_and_never_reaches_the_wire() {
     }
     let stats = rajaperfd::submit(&socket, &Request::Stats { id: "s".into() }).unwrap();
     let store = &stats.find("stats").expect("stats event")["store"];
-    assert_eq!(store["quarantined"].as_i64(), Some(3), "{store}");
+    assert_eq!(store["quarantined"].as_i64(), Some(4), "{store}");
     shutdown_and_wait(daemon, &root);
 }
 

@@ -2,8 +2,9 @@
 //! the key text a sweep cell and a `rajaperfd` request print once is the
 //! text of the key's tree, a record answers only those exact bytes (a key
 //! equal as a value but printed otherwise is a miss, never corrupt), a
-//! repeated `key` member resolves last-wins, and two writers of one path in
-//! one process never share a temp file.
+//! repeated `key` member resolves last-wins on the tree read, a stored
+//! report is vouched for by its length and digest, and two writers of one
+//! path in one process never share a temp file.
 
 use rajaperfd::server::{run_key, run_store_key};
 use rajaperfd::{ProfileStore, Space, StoreKey};
@@ -157,16 +158,63 @@ fn a_repeated_key_member_resolves_last_wins() {
     std::fs::create_dir_all(object.parent().unwrap()).unwrap();
     let record = |first: &str, last: &str| format!(r#"{{"key":{first},"key":{last},"report":7}}"#);
     std::fs::write(&object, record(&other, key.text())).unwrap();
-    assert_eq!(store.get_report(Space::Derived, &key).as_deref(), Some("7"));
     assert_eq!(
         read_verified(&object, key.text()),
         Verified::Hit(json!({"report": 7}))
     );
     std::fs::write(&object, record(key.text(), &other)).unwrap();
-    assert_eq!(store.get_report(Space::Derived, &key), None);
     assert_eq!(read_verified(&object, key.text()), Verified::Miss);
-    assert!(object.exists());
+    // The store's report read answers only the layout its writer lays
+    // down, with one key and a digest: either record is a plain miss.
+    for (first, last) in [(other.as_str(), key.text()), (key.text(), other.as_str())] {
+        std::fs::write(&object, record(first, last)).unwrap();
+        assert_eq!(store.get_report(Space::Derived, &key), None);
+        assert!(object.exists());
+    }
     assert_eq!(store.stats().quarantined, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stored report is checked against the length and digest stored with it:
+/// a tail that reports another length, or a report flipped in place that is
+/// still JSON, is corrupt and quarantined; a record with no digest — what
+/// an older build stored — is a plain miss that leaves the file in place.
+#[test]
+fn a_stored_report_is_vouched_for_by_its_length_and_digest() {
+    let dir = scratch("vouched");
+    let store = ProfileStore::open(dir.join("store")).unwrap();
+    let key = StoreKey::from(&json!({"kind": "analyze", "metric": "t"}));
+    let report = r#"{"checksum":1107.98,"n":1}"#;
+    let object = store.path(Space::Derived, key.hash());
+    let quarantined = || std::fs::read_dir(dir.join("store/quarantine")).map_or(0, Iterator::count);
+    store.put_report(Space::Derived, &key, report).unwrap();
+    let intact = std::fs::read_to_string(&object).unwrap();
+    assert!(intact.ends_with(&format!(
+        r#","report_bytes":{},"report_digest":"{:032x}"}}"#,
+        report.len(),
+        caliper::digest(report.as_bytes())
+    )));
+    assert_eq!(store.get_report(Space::Derived, &key).as_deref(), Some(report));
+    let wrong_length = intact.replace(
+        &format!(r#""report_bytes":{}"#, report.len()),
+        &format!(r#""report_bytes":{}"#, report.len() - 1),
+    );
+    let flipped = intact.replacen("1107.98", "7107.98", 1);
+    for (what, planted) in [("wrong report_bytes", wrong_length), ("a flipped digit", flipped)] {
+        let before = quarantined();
+        serde_json::from_str::<Value>(&planted).expect("still JSON");
+        std::fs::write(&object, &planted).unwrap();
+        assert_eq!(store.get_report(Space::Derived, &key), None, "{what}");
+        assert!(!object.exists(), "{what}: moved out of the address");
+        assert_eq!(quarantined(), before + 1, "{what}");
+        store.put_report(Space::Derived, &key, report).unwrap();
+    }
+    let digestless = format!(r#"{{"key":{},"report":{report}}}"#, key.text());
+    std::fs::write(&object, &digestless).unwrap();
+    assert_eq!(store.get_report(Space::Derived, &key), None);
+    assert_eq!(std::fs::read_to_string(&object).unwrap(), digestless);
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses, stats.quarantined), (1, 3, 2));
     std::fs::remove_dir_all(&dir).ok();
 }
 

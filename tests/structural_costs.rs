@@ -98,3 +98,24 @@ fn a_warm_sweep_allocates_a_bounded_number_of_blocks_per_cell() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `Profile::to_json` prints the profile straight into one buffer: a
+/// handful of blocks for the text itself, however many records it holds.
+/// Building the profile's `Value` tree first and printing that costs
+/// several blocks per record and metric.
+#[test]
+fn to_json_of_a_whole_registry_profile_builds_no_tree() {
+    // Measured: 15 blocks (the buffer growing) for 113 KB. The bound
+    // leaves 2x headroom.
+    const BOUND: u64 = 30;
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let argv = ["--size", "64", "--reps", "1"];
+    let report = suite::run_suite(&RunParams::parse(&argv.map(String::from)).unwrap());
+    assert_eq!(report.entries.len(), 76, "the whole registry");
+    let (printed, text) = blocks(|| report.profile.to_json());
+    eprintln!("to_json of a {}-byte profile: {printed} blocks", text.len());
+    assert!(
+        printed <= BOUND,
+        "to_json allocated {printed} blocks (bound {BOUND}): is a tree built again?"
+    );
+}
