@@ -128,8 +128,9 @@ enum AttemptFailure {
 }
 
 /// One contained execution attempt. The `suite.kernel` failpoint is
-/// evaluated *inside* the containment, so its `panic`, `err`, and `stall`
-/// modes exercise exactly the paths a real kernel failure would.
+/// evaluated *inside* the containment, so its `panic` and `stall` modes
+/// exercise exactly the paths a real kernel failure would, and its `err`
+/// mode fails the attempt with the message such a panic would carry.
 fn attempt(
     kernel: &'static dyn KernelBase,
     variant: VariantId,
@@ -145,13 +146,14 @@ fn attempt(
     // comm-group kernels under `--timeout`.
     let guarded = move || {
         let comm_before = simcomm::thread_stats();
+        // Raising an injected `err` as a panic would have the panic hook
+        // report a failure the run handles.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Err(e) = simfault::fail_point("suite.kernel") {
-                panic!("simfault: {e}");
-            }
-            kernel.execute(variant, n, reps, &tuning)
+            simfault::fail_point("suite.kernel")
+                .map(|()| kernel.execute(variant, n, reps, &tuning))
+                .map_err(|e| AttemptFailure::Panic(format!("simfault: {e}")))
         }))
-        .map_err(|p| AttemptFailure::Panic(panic_message(&*p)));
+        .unwrap_or_else(|p| Err(AttemptFailure::Panic(panic_message(&*p))));
         (result, simcomm::thread_stats().since(comm_before))
     };
     match timeout {

@@ -86,8 +86,17 @@ pub struct KeyedKernel {
 impl CampaignKey {
     /// The key of a run of `params`.
     pub fn of(params: &RunParams) -> CampaignKey {
-        let kernels = params
-            .selected_kernels()
+        Self::of_selected(params, &params.selected_kernels())
+    }
+
+    /// [`CampaignKey::of`] with the selection already resolved: `selected`
+    /// is `params.selected_kernels()`, which a sweep resolves once for all
+    /// its cells.
+    pub(crate) fn of_selected(
+        params: &RunParams,
+        selected: &[&'static dyn kernels::KernelBase],
+    ) -> CampaignKey {
+        let kernels = selected
             .iter()
             .map(|k| k.info())
             .filter(|info| info.variants.contains(&params.variant))

@@ -478,17 +478,24 @@ pub(crate) fn plan_sweep(base: &RunParams) -> io::Result<SweepPlan> {
     } else {
         base.sweep_block_sizes.clone()
     };
+    // A cell's key is `CampaignKey::of(&cell_params(..))`. Its kernel list
+    // depends on the variant, never on the block size, so the selection is
+    // resolved once and each variant's key is built once.
+    let selected = base.selected_kernels();
     let mut specs = Vec::new();
     for &variant in &VariantId::all() {
+        let own = cell_params(base, variant, base.tuning.gpu_block_size);
+        let mut key = CampaignKey::of_selected(&own, &selected);
         for &bs in &block_sizes {
             let cell_name = format!("{}.block_{bs}", variant.name());
+            key.gpu_block_size = bs;
             specs.push(CellSpec {
                 index: specs.len(),
                 variant,
                 block_size: bs,
                 profile: profiles_dir.join(format!("{cell_name}.cali.json")),
                 cache: cells_dir.join(format!("{cell_name}.json")),
-                key: CampaignKey::of(&cell_params(base, variant, bs)).text(),
+                key: key.text(),
             });
         }
     }

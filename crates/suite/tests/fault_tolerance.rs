@@ -157,6 +157,29 @@ fn e2e_injected_panic_fails_one_kernel_and_exits_partial_failure() {
 }
 
 #[test]
+fn e2e_an_injected_error_fails_its_kernel_without_a_panic_report() {
+    // Regression: the `err` mode was raised as a panic inside the
+    // containment, so the panic hook printed `thread 'main' panicked at …`
+    // for a failure the run handles and reports.
+    let out = rajaperf()
+        .args(["--kernels", "Basic_DAXPY", "--size", "64", "--reps", "1"])
+        .args(["--faults", "suite.kernel=err:1.0,seed=1"])
+        .output()
+        .expect("spawn rajaperf");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(5), "kernel failures must exit 5: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let section = outcome_section(&stdout);
+    assert!(section.contains("FAILED"), "section: {section}");
+    assert!(section.contains("0 passed, 1 failed"), "section: {section}");
+    assert!(
+        section.contains("simfault: injected error at failpoint 'suite.kernel'"),
+        "section: {section}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
 fn e2e_same_seed_reproduces_identical_outcome_set() {
     let run = || {
         let out = rajaperf()

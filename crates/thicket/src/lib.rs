@@ -46,8 +46,10 @@
 //! [`ProfileData`], only each global's own value:
 //!
 //! * [`IngestSession::ingest_json`] — a profile's text (and
-//!   [`Thicket::from_files`], which reads each file into one reused buffer:
-//!   all of `rajaperf-analyze DIR`);
+//!   [`Thicket::from_files`], all of `rajaperf-analyze DIR`: at pool width 1
+//!   one loop that reads each file into one reused buffer; wider, the pool
+//!   reads and stages a batch of files, one staging each, and the caller
+//!   commits them in path order, so every bit is the one loop's);
 //! * [`IngestSession::ingest_json_at`] — a profile embedded in a larger
 //!   document at a member path (the daemon's store objects, at
 //!   `report.profile`);
@@ -77,7 +79,7 @@ mod features;
 mod tkt;
 
 use columnar::Frame;
-use rayon::IntoParallelIterator;
+use rayon::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
 
 pub use features::{kernel_family_features, FeatureMatrix};
 
@@ -478,6 +480,24 @@ fn malformed(path: &std::path::Path, e: serde_json::Error) -> std::io::Error {
     )
 }
 
+/// Read the profile file at `path` into `text` and stage it in `staged`,
+/// all or nothing; errors as [`ProfileData::read_file`]'s.
+fn stage_file(
+    path: &std::path::Path,
+    text: &mut String,
+    staged: &mut Staging,
+) -> std::io::Result<()> {
+    read_profile_text(path, text)?;
+    staged
+        .read(text, &[])
+        .map(drop)
+        .map_err(|e| malformed(path, e))
+}
+
+/// Files a pooled [`Thicket::from_files`] holds in flight per pool thread,
+/// each staged in its own [`Staging`].
+const IN_FLIGHT_PER_THREAD: usize = 4;
+
 /// What [`Thicket::from_files`] skipped: one `(path, reason)` pair per
 /// unreadable or malformed profile, so campaign tooling can report — and
 /// re-run — exactly the cells that were lost.
@@ -599,11 +619,10 @@ impl IngestSession {
     /// into a buffer the session reuses; errors as
     /// [`ProfileData::read_file`]'s.
     fn ingest_file(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut text = std::mem::take(&mut self.text);
-        let read = read_profile_text(path, &mut text)
-            .and_then(|()| self.ingest_json(&text).map_err(|e| malformed(path, e)));
-        self.text = text;
-        read
+        stage_file(path, &mut self.text, &mut self.staged)?;
+        self.thicket
+            .ingest_staged(&mut self.index, &mut self.staged);
+        Ok(())
     }
 
     /// Profiles ingested so far (including any the session started with).
@@ -653,14 +672,48 @@ impl Thicket {
     /// campaign-scale analysis, where a sweep directory may contain
     /// quarantined or torn cells. Returns the thicket built from the intact
     /// files plus an [`IngestStats`] listing every skipped file and why.
+    ///
+    /// The thicket, its bits and the skip list are the same at every pool
+    /// width. At width 1 this is one loop: each file is read and staged in
+    /// one reused buffer, then committed. Wider, the files go in batches of
+    /// four per pool thread: the pool reads each and stages it in its own
+    /// slot, and the calling thread then commits the batch in path order,
+    /// so profile and node ids are handed out as the loop hands them out.
+    /// A skipped file takes no id. The frame keys columns by name, so each
+    /// slot may intern names in its own order.
     pub fn from_files<P: AsRef<std::path::Path>>(paths: &[P]) -> (Thicket, IngestStats) {
         let mut s = IngestSession::new();
         let mut stats = IngestStats::default();
-        for p in paths {
-            let p = p.as_ref();
-            match s.ingest_file(p) {
-                Ok(()) => stats.ingested += 1,
-                Err(e) => stats.skipped.push((p.to_path_buf(), e.to_string())),
+        let mut tally = |p: &std::path::Path, read: std::io::Result<()>| match read {
+            Ok(()) => stats.ingested += 1,
+            Err(e) => stats.skipped.push((p.to_path_buf(), e.to_string())),
+        };
+        let width = rayon::current_num_threads();
+        if width == 1 {
+            for p in paths {
+                let p = p.as_ref();
+                tally(p, s.ingest_file(p));
+            }
+            return (s.finish(), stats);
+        }
+        let paths: Vec<&std::path::Path> = paths.iter().map(AsRef::as_ref).collect();
+        let mut slots: Vec<Staging> = (0..IN_FLIGHT_PER_THREAD * width)
+            .map(|_| Staging::default())
+            .collect();
+        for batch in paths.chunks(slots.len()) {
+            // A file's text is dropped once it is staged, so a thread's next
+            // file reuses its memory: one text per thread is resident, not
+            // one per slot.
+            let reads: Vec<std::io::Result<()>> = slots
+                .par_iter_mut()
+                .zip(batch.par_iter())
+                .map(|(staged, p)| stage_file(p, &mut String::new(), staged))
+                .collect();
+            for ((staged, &p), read) in slots.iter_mut().zip(batch).zip(reads) {
+                if read.is_ok() {
+                    s.thicket.ingest_staged(&mut s.index, staged);
+                }
+                tally(p, read);
             }
         }
         (s.finish(), stats)

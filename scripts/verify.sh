@@ -283,12 +283,17 @@ INGEST_DIR="$SWEEP_DIR/ingest-smoke"
 mkdir -p "$INGEST_DIR"
 cp "$GOOD_PROFILE" "$INGEST_DIR/good.cali.json"
 head -c 40 "$GOOD_PROFILE" > "$INGEST_DIR/torn.cali.json"
-ANALYZE_ERR=$("$ANALYZE" "$INGEST_DIR" 2>&1 >/dev/null)
+echo "not a profile" > "$INGEST_DIR/a-not-json.cali.json"
+ANALYZE_ERR=$(RAYON_NUM_THREADS=1 "$ANALYZE" "$INGEST_DIR" 2>&1 >/dev/null)
 echo "$ANALYZE_ERR" | grep -q "torn.cali.json" \
     || { echo "verify: FAIL — truncated profile not reported by analyzer" >&2; exit 1; }
-echo "$ANALYZE_ERR" | grep -q "1 of 2 profile(s) skipped" \
+echo "$ANALYZE_ERR" | grep -q "2 of 3 profile(s) skipped" \
     || { echo "verify: FAIL — analyzer skip count wrong: $ANALYZE_ERR" >&2; exit 1; }
-echo "analyze: truncated profile skipped with warning, composition continued"
+# A two-thread pool reads the files on the pool and skips in path order.
+ANALYZE_ERR2=$(RAYON_NUM_THREADS=2 "$ANALYZE" "$INGEST_DIR" 2>&1 >/dev/null)
+[[ "$ANALYZE_ERR2" == "$ANALYZE_ERR" ]] \
+    || { echo "verify: FAIL — skip lines differ at two threads: $ANALYZE_ERR2" >&2; exit 1; }
+echo "analyze: truncated and non-JSON profiles skipped with warnings in path order at 1 and 2 threads, composition continued"
 
 # Profiles are read without a JSON tree, from files and from the daemon's
 # store objects alike. Four checks of that reader: `rajaperf-analyze`
@@ -397,20 +402,29 @@ else
     echo "analyze: reference commit $ANALYZE_REFERENCE not in this clone, comparison skipped"
     (cd "$TEXT_DIR/change" && "$ROOT/$ANALYZE" "$SWEEP_DIR/profiles" --save-tkt out.tkt >/dev/null)
 fi
-# The routes the ledger compares: the directory on a two-thread pool and the
-# snapshot just saved print what the directory prints on one thread.
-for route in width1 width2 tkt; do
-    input="$SWEEP_DIR/profiles" width=1
-    [[ "$route" == width2 ]] && width=2
-    [[ "$route" == tkt ]] && input="$TEXT_DIR/change/out.tkt"
+# The routes the ledger compares: the directory on a two- and a four-thread
+# pool (files parsed on the pool, committed in path order) and the snapshot
+# just saved print what the directory prints on one thread, and the wider
+# pools save the one-thread snapshot byte for byte.
+for route in width1 width2 width4 tkt; do
+    input="$SWEEP_DIR/profiles" width=${route#width}
+    [[ "$route" == tkt ]] && input="$TEXT_DIR/change/out.tkt" width=1
     RAYON_NUM_THREADS=$width "$ANALYZE" "$input" --groupby variant --tree --csv \
         >"$TEXT_DIR/change/$route.stdout"
 done
-for route in width2 tkt; do
+for route in width2 width4 tkt; do
     cmp "$TEXT_DIR/change/width1.stdout" "$TEXT_DIR/change/$route.stdout" \
         || { echo "verify: FAIL — rajaperf-analyze $route stdout differs from the one-thread directory run's" >&2; exit 1; }
 done
-echo "analyze: two-thread directory and .tkt reopen stdout (--groupby --tree --csv) equal the one-thread directory run's"
+for width in 1 2 4; do
+    RAYON_NUM_THREADS=$width "$ANALYZE" "$SWEEP_DIR/profiles" \
+        --save-tkt "$TEXT_DIR/change/width$width.tkt" >/dev/null
+done
+for width in 2 4; do
+    cmp "$TEXT_DIR/change/width1.tkt" "$TEXT_DIR/change/width$width.tkt" \
+        || { echo "verify: FAIL — --save-tkt at $width threads differs from the one-thread snapshot" >&2; exit 1; }
+done
+echo "analyze: two- and four-thread directory and .tkt reopen stdout (--groupby --tree --csv) equal the one-thread directory run's; so do the snapshots saved at 2 and 4 threads"
 # seed=5 flips a checksum into a non-finite value: `"Checksum": null`.
 "$RAJAPERF" --variant RAJA_SimGpu --size 500 --reps 1 --faults 'gpusim.ecc=flip:1.0,seed=5' \
     --caliper "spot(output=$TEXT_DIR/ecc/ecc.cali.json)" >/dev/null

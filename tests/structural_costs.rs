@@ -119,3 +119,56 @@ fn to_json_of_a_whole_registry_profile_builds_no_tree() {
         "to_json allocated {printed} blocks (bound {BOUND}): is a tree built again?"
     );
 }
+
+/// `Thicket::from_files` at pool width 1 reads every file into one reused
+/// text buffer and stages it in one reused staging, whose column interner
+/// and flat record buffers are grown by the first profile and only reused
+/// after it. So what a profile costs is what the thicket keeps of it (its
+/// path segments, globals and metadata) plus the pending frame's amortised
+/// growth, and it does not grow with the corpus. A staging built per file
+/// re-interns every column name and regrows every buffer for each profile.
+#[test]
+fn from_files_allocates_per_profile_what_it_keeps_however_many_profiles() {
+    // Measured: 273 blocks per added 76-kernel profile (455 per profile
+    // over the first eight, which carry the warm-up and the compaction); a
+    // staging built per file makes it 426. The bound leaves 25 % headroom.
+    const BOUND_PER_ADDED: u64 = 340;
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let argv = ["--size", "64", "--reps", "1"];
+    let report = suite::run_suite(&RunParams::parse(&argv.map(String::from)).unwrap());
+    let text = report.profile.to_json();
+    let dir = std::env::temp_dir().join(format!("rajaperf_ingest_costs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    const N: usize = 8;
+    let paths: Vec<_> = (0..2 * N)
+        .map(|i| {
+            let path = dir.join(format!("p{i:02}.cali.json"));
+            std::fs::write(&path, &text).unwrap();
+            path
+        })
+        .collect();
+    let compose = |n: usize| {
+        let (blocks, (tk, stats)) = blocks(|| thicket::Thicket::from_files(&paths[..n]));
+        assert_eq!((tk.profiles.len(), stats.warnings()), (n, 0));
+        blocks
+    };
+    let (small, large) = (compose(N), compose(2 * N));
+    let (per_profile, marginal) = (small / N as u64, (large - small) / N as u64);
+    eprintln!(
+        "from_files: {small} blocks for {N} profiles, {large} for {}: \
+         {per_profile} per profile, {marginal} per added profile",
+        2 * N
+    );
+    assert!(
+        marginal <= per_profile,
+        "an added profile cost {marginal} blocks, more than the {per_profile} per profile \
+         of the first {N}: does ingest cost grow with the corpus?"
+    );
+    assert!(
+        marginal <= BOUND_PER_ADDED,
+        "an added profile cost {marginal} blocks (bound {BOUND_PER_ADDED}): \
+         is a staging built per file again?"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,8 +3,13 @@
 //! pool reads it once per process), and each child composes the same
 //! seeded synthetic corpus through `from_profiles`, `groupby`, `statsframe`
 //! and `kernel_family_features`, then prints a digest of every result bit.
-//! The parent asserts the two digests are equal. `scripts/verify.sh` runs
-//! the same comparison on a 50 000-profile corpus (`corpus_smoke`).
+//! Each child also writes the corpus as `.cali.json` files, with a torn file
+//! and a file that is not JSON planted among them, composes the directory
+//! with `from_files` (read and staged on the pool when it is wider than one
+//! thread, committed in path order), and prints digests of that thicket,
+//! of the skip list in order and of its `.tkt` bytes. The parent asserts the
+//! two children printed the same digests. `scripts/verify.sh` runs the same
+//! comparison on a 50 000-profile corpus (`corpus_smoke`).
 
 use std::collections::BTreeMap;
 use thicket::{ProfileData, Thicket};
@@ -67,10 +72,19 @@ impl Digest {
     }
 }
 
+/// A fresh digest.
+fn digest() -> Digest {
+    Digest(0xCBF2_9CE4_8422_2325)
+}
+
 fn corpus_digest() -> u64 {
     let profiles: Vec<ProfileData> = (0..PROFILES).map(profile).collect();
-    let tk = Thicket::from_profiles(&profiles);
-    let mut d = Digest(0xCBF2_9CE4_8422_2325);
+    thicket_digest(&Thicket::from_profiles(&profiles))
+}
+
+/// Every bit of `tk` the analyses read: groups, statsframes, features.
+fn thicket_digest(tk: &Thicket) -> u64 {
+    let mut d = digest();
     d.word(tk.profiles.len() as u64);
     d.word(tk.nodes.len() as u64);
     for (variant, mut sub) in tk.groupby("variant") {
@@ -85,7 +99,7 @@ fn corpus_digest() -> u64 {
             }
         }
     }
-    let features = thicket::kernel_family_features(&tk, METRICS[0]);
+    let features = thicket::kernel_family_features(tk, METRICS[0]);
     features.names.iter().for_each(|n| d.text(n));
     for (p, point) in features.profiles.iter().zip(&features.points) {
         d.word(*p as u64);
@@ -94,14 +108,96 @@ fn corpus_digest() -> u64 {
     d.0
 }
 
+/// The files of the on-disk corpus, in path order: at width 4 a batch is
+/// 16 files, so the torn file is the first of the second batch and the
+/// non-JSON file its last, and the count is no multiple of any batch size.
+const TORN_AT: usize = 16;
+const NOT_JSON_AT: usize = 31;
+const FILES: usize = PROFILES + 2;
+
+/// Profile `i` as `.cali.json` text. Odd profiles list their metric keys
+/// in reverse, and every seventh has a column the others lack, so each
+/// slot's column interner meets the names in its own order.
+fn profile_text(i: usize) -> String {
+    let p = profile(i);
+    let globals: Vec<String> = p
+        .globals
+        .iter()
+        .map(|(k, v)| format!("{k:?}:{v}"))
+        .collect();
+    let records: Vec<String> = p
+        .records
+        .iter()
+        .map(|(path, metrics)| {
+            let mut cells: Vec<String> =
+                metrics.iter().map(|(k, v)| format!("{k:?}:{v}")).collect();
+            if i % 7 == 3 {
+                cells.push(format!("\"Flops/Rep\":{}", i * 10));
+            }
+            if i % 2 == 1 {
+                cells.reverse();
+            }
+            format!(r#"{{"path":{path:?},"metrics":{{{}}}}}"#, cells.join(","))
+        })
+        .collect();
+    format!(
+        r#"{{"globals":{{{}}},"records":[{}]}}"#,
+        globals.join(","),
+        records.join(",")
+    )
+}
+
+/// Write the corpus under `dir`, compose it with `from_files`, and digest
+/// the thicket, the skip list (paths and reasons, `dir` left out) and the
+/// `.tkt` bytes.
+fn files_digests(dir: &std::path::Path) -> [u64; 3] {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    let mut next = 0;
+    for f in 0..FILES {
+        let text = match f {
+            TORN_AT => profile_text(0)[..100].to_string(),
+            NOT_JSON_AT => "this is not JSON".to_string(),
+            _ => {
+                next += 1;
+                profile_text(next - 1)
+            }
+        };
+        std::fs::write(dir.join(format!("f{f:03}.cali.json")), text).unwrap();
+    }
+    let paths = thicket::profile_paths(dir).unwrap();
+    let (tk, stats) = Thicket::from_files(&paths);
+    assert_eq!((stats.ingested, stats.warnings()), (PROFILES, 2));
+    let mut skipped = digest();
+    let prefix = dir.display().to_string();
+    for (path, reason) in &stats.skipped {
+        skipped.text(&path.display().to_string().replace(&prefix, ""));
+        skipped.text(&reason.replace(&prefix, ""));
+    }
+    let tkt_path = dir.join("corpus.tkt");
+    tk.write_tkt(&tkt_path).unwrap();
+    let mut tkt = digest();
+    std::fs::read(&tkt_path)
+        .unwrap()
+        .iter()
+        .for_each(|&b| tkt.word(u64::from(b)));
+    std::fs::remove_dir_all(dir).unwrap();
+    [thicket_digest(&tk), skipped.0, tkt.0]
+}
+
 const CHILD: &str = "digest_of_one_pool_width";
 
-/// The child: prints this process's digest. Ignored so that it runs only
+/// The child: prints this process's digests. Ignored so that it runs only
 /// when the parent asks for it by name.
 #[test]
 #[ignore = "run by thicket_results_are_the_same_bits_at_pool_widths_1_and_4"]
 fn digest_of_one_pool_width() {
     println!("digest={:016x}", corpus_digest());
+    let dir = std::env::temp_dir().join(format!("thicket_widths_{}", std::process::id()));
+    let [files, skipped, tkt] = files_digests(&dir);
+    println!("files={files:016x}");
+    println!("skipped={skipped:016x}");
+    println!("tkt={tkt:016x}");
 }
 
 #[test]
@@ -125,12 +221,19 @@ fn thicket_results_are_the_same_bits_at_pool_widths_1_and_4() {
             "width {width}: {stdout}{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let digest = stdout
-            .lines()
-            .find_map(|l| Some(l.split_once("digest=")?.1));
-        digest
-            .unwrap_or_else(|| panic!("width {width} printed no digest: {stdout}"))
-            .to_string()
+        let digests: Vec<String> = ["digest=", "files=", "skipped=", "tkt="]
+            .iter()
+            .map(|name| {
+                let value = stdout.lines().find_map(|l| l.split_once(name));
+                let (_, value) =
+                    value.unwrap_or_else(|| panic!("width {width} printed no {name}: {stdout}"));
+                format!("{name}{value}")
+            })
+            .collect();
+        digests
     };
-    assert_eq!(digest_at("1"), digest_at("4"));
+    let (one, four) = (digest_at("1"), digest_at("4"));
+    for (a, b) in one.iter().zip(&four) {
+        assert_eq!(a, b, "width 1 vs width 4");
+    }
 }
