@@ -117,7 +117,8 @@ impl KernelBase for Atomic {
 /// Bin count for `Algorithm_HISTOGRAM`.
 pub const HISTOGRAM_BINS: usize = 100;
 
-/// `Algorithm_HISTOGRAM`: atomic binning of a data-dependent index stream.
+/// `Algorithm_HISTOGRAM`: binning of a data-dependent index stream —
+/// atomic adds in the Base variants, a multi-reduce in the RAJA ones.
 pub struct Histogram;
 
 impl KernelBase for Histogram {
@@ -150,6 +151,12 @@ impl KernelBase for Histogram {
         let mut counts = vec![0.0f64; HISTOGRAM_BINS];
         let bs = tuning.gpu_block_size;
         let time = time_reps(reps, || {
+            if variant.is_raja() {
+                crate::run_multi_reduce_raja(variant, n, bs, &mut counts, |i| {
+                    (bins[i] as usize, 1.0)
+                });
+                return;
+            }
             counts.fill(0.0);
             let atoms = as_atomic_slice(&mut counts);
             run_elementwise(variant, n, bs, |i| {

@@ -877,7 +877,8 @@ impl KernelBase for MatMatShared {
 pub const MULTI_REDUCE_BINS: usize = 10;
 
 /// `Basic_MULTI_REDUCE`: sum values into one of several bins selected per
-/// element (a small-histogram reduction).
+/// element (a small-histogram reduction) — atomic adds in the parallel
+/// Base variants, a multi-reduce in the RAJA ones.
 pub struct MultiReduce;
 
 impl KernelBase for MultiReduce {
@@ -913,26 +914,25 @@ impl KernelBase for MultiReduce {
         let time = time_reps(reps, || {
             sums.fill(0.0);
             match variant {
-                VariantId::BaseSeq | VariantId::RajaSeq => {
+                VariantId::BaseSeq => {
                     for i in 0..n {
                         sums[bins[i] as usize] += data[i];
                     }
                 }
-                _ => {
+                VariantId::BasePar | VariantId::BaseSimGpu => {
                     let atoms = as_atomic_slice(&mut sums);
                     let body = |i: usize| {
                         atoms[bins[i] as usize].fetch_add(data[i]);
                     };
-                    match variant {
-                        VariantId::BasePar => (0..n).into_par_iter().for_each(body),
-                        VariantId::RajaPar => raja::forall::<ParExec>(0..n, body),
-                        VariantId::BaseSimGpu => gpusim::launch_1d(n, bs, body),
-                        VariantId::RajaSimGpu => {
-                            crate::dispatch_gpu_block!(bs, P, { raja::forall::<P>(0..n, body) })
-                        }
-                        _ => unreachable!(),
+                    if variant == VariantId::BasePar {
+                        (0..n).into_par_iter().for_each(body);
+                    } else {
+                        gpusim::launch_1d(n, bs, body);
                     }
                 }
+                _ => crate::run_multi_reduce_raja(variant, n, bs, &mut sums, |i| {
+                    (bins[i] as usize, data[i])
+                }),
             }
         });
         (time, checksum(&sums))

@@ -14,6 +14,14 @@
 //! * `HALO_EXCHANGE` / `HALO_EXCHANGE_FUSED` — the full pack → exchange →
 //!   unpack pipeline over the simulated MPI ranks.
 //!
+//! The exchange kernels run their ranks on `simcomm` threads, which share
+//! the one process-wide pool with each other. Rank/pool rule: when a run
+//! has at least as many ranks as pool threads, every rank's parallel loops
+//! run inline on the rank's own thread (`rayon::run_inline`), so ranks ×
+//! threads stays within the cores the pool was sized for, as an MPI+OpenMP
+//! job is laid out. With fewer ranks, each rank submits its loops to the
+//! pool.
+//!
 //! The paper excludes the Comm kernels from the cross-architecture
 //! clustering (their O(N^{2/3}) surface work decomposes incomparably) and
 //! observes they are dominated by MPI time everywhere — which the
@@ -490,8 +498,11 @@ fn exchange(
     // Rank threads pack through `DevicePtr` and launch device kernels: they
     // draw from the fault world of the thread executing this kernel.
     let faults = simfault::current();
-    let outputs = simcomm::run(nranks, |mut comm| {
-        let _faults = faults.enter();
+    // Ranks × pool threads must not exceed the threads the pool was sized
+    // for (MPI+OpenMP with ranks × threads = cores): when the ranks alone
+    // fill the pool, each rank runs its loops inline on its own thread.
+    let inline = nranks >= rayon::current_num_threads();
+    let rank = |mut comm: simcomm::Comm| {
         let g = geometry(n);
         let mut grids = init_grids(&g, if uniform_init { 0 } else { comm.rank() });
         let mut send_bufs: Vec<Vec<f64>> = g
@@ -516,6 +527,14 @@ fn exchange(
         });
         let cs: f64 = grids.iter().map(|gr| checksum(gr)).sum();
         (time, cs)
+    };
+    let outputs = simcomm::run(nranks, |comm| {
+        let _faults = faults.enter();
+        if inline {
+            rayon::run_inline(|| rank(comm))
+        } else {
+            rank(comm)
+        }
     });
     let time = outputs.iter().map(|(t, _)| *t).max().unwrap_or_default();
     (time, outputs.iter().map(|(_, c)| c).sum())

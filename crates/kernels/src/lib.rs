@@ -409,6 +409,30 @@ pub fn run_elementwise(variant: VariantId, n: usize, bs: usize, body: impl Fn(us
     }
 }
 
+/// The RAJA arms of the binning kernels (`MULTI_REDUCE`, `HISTOGRAM`):
+/// `bins` receives the per-bin sums of `map(i) = (bin, value)` over
+/// `0..n` through the portability layer's multi-reduce
+/// ([`raja::reduce::multi_reduce_sum`]). Their parallel Base arms add
+/// atomically into shared bins, as upstream's do.
+pub fn run_multi_reduce_raja(
+    variant: VariantId,
+    n: usize,
+    bs: usize,
+    bins: &mut [f64],
+    map: impl Fn(usize) -> (usize, f64) + Sync,
+) {
+    use raja::policy::{ParExec, SeqExec};
+    use raja::reduce::multi_reduce_sum;
+    match variant {
+        VariantId::RajaSeq => multi_reduce_sum::<SeqExec>(0..n, bins, map),
+        VariantId::RajaPar => multi_reduce_sum::<ParExec>(0..n, bins, map),
+        VariantId::RajaSimGpu => {
+            crate::dispatch_gpu_block!(bs, P, { multi_reduce_sum::<P>(0..n, bins, &map) })
+        }
+        _ => unreachable!("{} is not a RAJA variant", variant.name()),
+    }
+}
+
 /// Variant sets used by kernel `info()` declarations.
 pub const ALL_VARIANTS: &[VariantId] = &[
     VariantId::BaseSeq,

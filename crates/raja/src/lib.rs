@@ -16,7 +16,8 @@
 //! * [`forall`] / [`forall_2d`] / [`forall_3d`] — policy-generic loop
 //!   execution templates.
 //! * [`reduce`] — policy-generic reductions, including multi-value
-//!   reductions and min/max-with-location.
+//!   reductions, min/max-with-location, and multi-reduces that sum into
+//!   many bins ([`reduce::multi_reduce_sum`], RAJA's `MultiReduceSum`).
 //! * [`scan`] — inclusive/exclusive scans.
 //! * [`sort`] — sorts and key/value pair sorts.
 //! * [`atomic`] — portable atomic operations ([`atomic::AtomicF64`]).

@@ -5,12 +5,21 @@
 //! functional Rust equivalent is a map/combine pair: [`forall_reduce`] runs
 //! `map(i)` for each index and folds the results with an associative
 //! `combine`, giving each back-end freedom to partition the fold —
-//! sequential running fold, rayon tree reduction, or the simulated device's
+//! sequential running fold, per-chunk folds on the pool combined in chunk
+//! order on the caller (one pooled call), or the simulated device's
 //! two-stage (block-local shared-memory tree, then host combine) reduction,
 //! which is structurally the reduction CUDA/HIP RAJAPerf variants perform.
 //!
 //! Multi-value reductions (the suite's `REDUCE3_INT`, `REDUCE_STRUCT`) fall
 //! out naturally by reducing tuples or small structs.
+//!
+//! A *multi-reduce* (RAJA's `MultiReduceSum`, which upstream's
+//! `MULTI_REDUCE` and `HISTOGRAM` exercise) sums into one of many bins
+//! chosen per index: [`multi_reduce_sum`]. On the host each chunk of the
+//! range accumulates its own bins in place and the chunks' bins are summed
+//! in chunk order, so no bin is shared between threads and the result is
+//! reproducible; the simulated device adds atomically into the one set of
+//! bins, as a GPU back-end does.
 
 use crate::policy::{ExecPolicy, ParExec, SeqExec, SimGpuExec};
 use rayon::prelude::*;
@@ -34,6 +43,22 @@ where
     P::reduce(range, identity, &map, &combine)
 }
 
+/// Multi-reduce sum (RAJA `MultiReduceSum`): for every `i` in `range`,
+/// `map(i) = (bin, value)` adds `value` to `bins[bin]`. On return `bins`
+/// holds the per-bin sums; what it held before is overwritten. Every `bin`
+/// must be `< bins.len()`.
+///
+/// Host policies sum each bin in index order within a chunk and the
+/// chunks in chunk order, so for a fixed pool width the bits are the same
+/// run after run, and at width one they are [`SeqExec`]'s.
+pub fn multi_reduce_sum<P: ReducePolicy>(
+    range: Range<usize>,
+    bins: &mut [f64],
+    map: impl Fn(usize) -> (usize, f64) + Sync,
+) {
+    P::multi_reduce_sum(range, bins, &map);
+}
+
 /// Back-end hook for reductions. Implemented for the same policy types as
 /// [`ExecPolicy`]; separate because reductions return a value.
 pub trait ReducePolicy: ExecPolicy {
@@ -44,6 +69,13 @@ pub trait ReducePolicy: ExecPolicy {
         map: &(impl Fn(usize) -> T + Sync),
         combine: &(impl Fn(T, T) -> T + Sync),
     ) -> T;
+
+    /// Sum each `map(i).1` into `bins[map(i).0]`; see [`multi_reduce_sum`].
+    fn multi_reduce_sum(
+        range: Range<usize>,
+        bins: &mut [f64],
+        map: &(impl Fn(usize) -> (usize, f64) + Sync),
+    );
 }
 
 impl ReducePolicy for SeqExec {
@@ -60,6 +92,19 @@ impl ReducePolicy for SeqExec {
         }
         acc
     }
+
+    #[inline]
+    fn multi_reduce_sum(
+        range: Range<usize>,
+        bins: &mut [f64],
+        map: &(impl Fn(usize) -> (usize, f64) + Sync),
+    ) {
+        bins.fill(0.0);
+        for i in range {
+            let (bin, value) = map(i);
+            bins[bin] += value;
+        }
+    }
 }
 
 impl ReducePolicy for ParExec {
@@ -74,6 +119,35 @@ impl ReducePolicy for ParExec {
             .into_par_iter()
             .fold(|| identity, |acc, i| combine(acc, map(i)))
             .reduce(|| identity, combine)
+    }
+
+    #[inline]
+    fn multi_reduce_sum(
+        range: Range<usize>,
+        bins: &mut [f64],
+        map: &(impl Fn(usize) -> (usize, f64) + Sync),
+    ) {
+        let nbins = bins.len();
+        // The empty vector is the identity: the first chunk's bins are
+        // taken as they are, so a one-chunk grid is `SeqExec`'s loop.
+        let sums = range
+            .into_par_iter()
+            .fold(
+                || vec![0.0; nbins],
+                |mut acc, i| {
+                    let (bin, value) = map(i);
+                    acc[bin] += value;
+                    acc
+                },
+            )
+            .reduce(Vec::new, |mut acc, part| {
+                if acc.is_empty() {
+                    return part;
+                }
+                acc.iter_mut().zip(&part).for_each(|(a, p)| *a += p);
+                acc
+            });
+        bins.copy_from_slice(&sums);
     }
 }
 
@@ -113,6 +187,19 @@ impl<const B: usize> ReducePolicy for SimGpuExec<B> {
         // Stage 2: host combines the block partials (a second kernel /
         // device-wide pass on real hardware).
         partials.into_iter().fold(identity, combine)
+    }
+
+    fn multi_reduce_sum(
+        range: Range<usize>,
+        bins: &mut [f64],
+        map: &(impl Fn(usize) -> (usize, f64) + Sync),
+    ) {
+        bins.fill(0.0);
+        let atoms = crate::atomic::as_atomic_slice(bins);
+        Self::forall(range, &|i| {
+            let (bin, value) = map(i);
+            atoms[bin].fetch_add(value);
+        });
     }
 }
 
@@ -241,6 +328,44 @@ mod tests {
         assert!((s - d.iter().sum::<f64>()).abs() < 1e-9);
         assert_eq!(lo, d.iter().cloned().fold(f64::INFINITY, f64::min));
         assert_eq!(hi, d.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
+    }
+
+    /// `multi_reduce_sum` over `data(n)` into 13 bins, from NaN-filled bins.
+    fn multi_reduced<P: ReducePolicy>(n: usize) -> Vec<f64> {
+        let d = data(n);
+        let mut bins = vec![f64::NAN; 13];
+        multi_reduce_sum::<P>(0..n, &mut bins, |i| ((i * 7) % 13, d[i]));
+        bins
+    }
+
+    #[test]
+    fn multi_reduce_sums_each_bin() {
+        let n = 5000;
+        let d = data(n);
+        let mut want = vec![0.0; 13];
+        for (i, x) in d.iter().enumerate() {
+            want[(i * 7) % 13] += x;
+        }
+        assert_eq!(
+            multi_reduced::<SeqExec>(n),
+            want,
+            "SeqExec is the in-order loop"
+        );
+        for got in [
+            multi_reduced::<ParExec>(n),
+            multi_reduced::<SimGpuExec<64>>(n),
+        ] {
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g - w).abs() < 1e-9, "{got:?} vs {want:?}");
+            }
+        }
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(multi_reduced::<ParExec>(n)),
+            bits(multi_reduced::<ParExec>(n)),
+            "a host multi-reduce has the same bits run after run"
+        );
+        assert_eq!(multi_reduced::<ParExec>(0), [0.0; 13]);
     }
 
     #[test]

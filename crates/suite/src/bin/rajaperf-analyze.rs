@@ -78,8 +78,9 @@ fn main() {
             }
         };
         let (tk, stats) = Thicket::from_files(&paths);
-        for (path, reason) in &stats.skipped {
-            eprintln!("warning: skipping {}: {reason}", path.display());
+        // Each reason already begins with its file's path.
+        for (_, reason) in &stats.skipped {
+            eprintln!("warning: skipping {reason}");
         }
         if stats.warnings() > 0 {
             eprintln!(

@@ -281,6 +281,39 @@ fn e2e_usage_error_exits_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A skipped profile is named once on its warning line: the reason
+/// `Thicket::from_files` records already begins with the path, and the
+/// line used to print it again in front
+/// (`skipping d/torn.cali.json: d/torn.cali.json: malformed profile: …`).
+#[test]
+fn e2e_a_skipped_profile_is_named_once_on_its_line() {
+    let dir = temp_dir("skips");
+    let good = dir.join("good.cali.json");
+    let run = rajaperf()
+        .args(["--kernels", "Basic_DAXPY", "--size", "1000", "--reps", "1"])
+        .args(["--caliper", &format!("spot(output={})", good.display())])
+        .output()
+        .expect("spawn rajaperf");
+    assert_eq!(run.status.code(), Some(0), "corpus run");
+    let text = std::fs::read_to_string(&good).expect("the run's profile");
+    std::fs::write(dir.join("torn.cali.json"), &text[..text.len() / 2]).unwrap();
+    std::fs::write(dir.join("words.cali.json"), "not a profile").unwrap();
+    let mut analyze = Command::new(env!("CARGO_BIN_EXE_rajaperf-analyze"));
+    let out = analyze.arg(&dir).output().expect("spawn rajaperf-analyze");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let skips: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning: skipping "))
+        .collect();
+    assert_eq!(skips.len(), 2, "{stderr}");
+    for (line, name) in skips.iter().zip(["torn.cali.json", "words.cali.json"]) {
+        assert_eq!(line.matches(name).count(), 1, "{line}");
+        assert!(line.contains("malformed profile"), "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A bit flipped into a checksum's exponent makes it non-finite, which the
 /// profile spells `null` (`--faults 'gpusim.ecc=flip:1.0,seed=5'` did, in
 /// `Checksum` and its three aggregates). That one cell used to make the

@@ -505,7 +505,8 @@ const IN_FLIGHT_PER_THREAD: usize = 4;
 pub struct IngestStats {
     /// Files ingested successfully.
     pub ingested: usize,
-    /// Files skipped, with the error that disqualified each.
+    /// Files skipped, with the error that disqualified each (its text
+    /// begins with the file's path).
     pub skipped: Vec<(std::path::PathBuf, String)>,
 }
 

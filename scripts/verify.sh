@@ -276,6 +276,28 @@ if [[ -z "$RUN_A" || "$RUN_A" != "$RUN_B" ]]; then
 fi
 echo "faults: seed=7 outcome set reproduced exactly"
 
+echo "== cli: RAJA_Par checksums repeat at two threads =="
+# The multi-reduce kernels sum chunk bins in chunk order and two exchange
+# ranks on a two-thread pool run their loops inline, so no checksum depends
+# on which thread ran what: two runs must print the same bits.
+par_checksums() {
+    RAYON_NUM_THREADS=2 "$RAJAPERF" --variant RAJA_Par \
+        --kernels Basic_MULTI_REDUCE,Algorithm_HISTOGRAM,Comm_HALO_EXCHANGE \
+        --caliper "spot(output=$1)" >/dev/null
+    python3 - "$1" <<'EOF'
+import json, sys
+records = json.load(open(sys.argv[1]))["records"]
+for r in records:
+    if "Checksum" in r["metrics"]:
+        print(r["path"][-1], repr(r["metrics"]["Checksum"]))
+EOF
+}
+PAR_A=$(par_checksums "$SWEEP_DIR/par-a.cali.json")
+PAR_B=$(par_checksums "$SWEEP_DIR/par-b.cali.json")
+[[ $(wc -l <<<"$PAR_A") -eq 3 && "$PAR_A" == "$PAR_B" ]] \
+    || { echo "verify: FAIL — RAJA_Par checksums differ between runs: $PAR_A / $PAR_B" >&2; exit 1; }
+echo "par: RAJA_Par MULTI_REDUCE, HISTOGRAM and HALO_EXCHANGE checksums identical across two 2-thread runs"
+
 echo "== cli: analyzer skips truncated profiles with a warning =="
 ANALYZE=target/release/rajaperf-analyze
 GOOD_PROFILE=$(ls "$SWEEP_DIR"/profiles/*.cali.json | head -1)
