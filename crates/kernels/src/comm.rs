@@ -15,12 +15,16 @@
 //!   unpack pipeline over the simulated MPI ranks.
 //!
 //! The exchange kernels run their ranks on `simcomm` threads, which share
-//! the one process-wide pool with each other. Rank/pool rule: when a run
-//! has at least as many ranks as pool threads, every rank's parallel loops
-//! run inline on the rank's own thread (`rayon::run_inline`), so ranks ×
-//! threads stays within the cores the pool was sized for, as an MPI+OpenMP
-//! job is laid out. With fewer ranks, each rank submits its loops to the
-//! pool.
+//! the one process-wide pool with each other. Rank/pool rule: R ranks that
+//! each submit to a W-wide pool (and take part in their own calls) keep
+//! R + W − 1 threads runnable on W CPUs, while R ranks that run their loops
+//! inline keep R runnable. When R ≥ W, inlining busies every CPU and
+//! oversubscribes less, so every rank's parallel loops run inline on the
+//! rank's own thread (`rayon::run_inline`). When R < W, inlining would idle
+//! W − R CPUs against the pool's R − 1 extra threads; that side keeps the
+//! earlier behaviour (each rank submits to the pool), and which is faster
+//! there is not measured. The rule applies to every variant, Base and RAJA
+//! alike, so the two stay comparable.
 //!
 //! The paper excludes the Comm kernels from the cross-architecture
 //! clustering (their O(N^{2/3}) surface work decomposes incomparably) and
@@ -498,9 +502,8 @@ fn exchange(
     // Rank threads pack through `DevicePtr` and launch device kernels: they
     // draw from the fault world of the thread executing this kernel.
     let faults = simfault::current();
-    // Ranks × pool threads must not exceed the threads the pool was sized
-    // for (MPI+OpenMP with ranks × threads = cores): when the ranks alone
-    // fill the pool, each rank runs its loops inline on its own thread.
+    // The rank/pool rule of the module doc: inline once the ranks alone
+    // busy every pool thread.
     let inline = nranks >= rayon::current_num_threads();
     let rank = |mut comm: simcomm::Comm| {
         let g = geometry(n);

@@ -279,7 +279,9 @@ echo "faults: seed=7 outcome set reproduced exactly"
 echo "== cli: RAJA_Par checksums repeat at two threads =="
 # The multi-reduce kernels sum chunk bins in chunk order and two exchange
 # ranks on a two-thread pool run their loops inline, so no checksum depends
-# on which thread ran what: two runs must print the same bits.
+# on which thread ran what: two runs must print the same bits. (Only
+# MULTI_REDUCE's could differ under atomics; HISTOGRAM's 1.0 adds are exact
+# in any order, so its line is a guard.)
 par_checksums() {
     RAYON_NUM_THREADS=2 "$RAJAPERF" --variant RAJA_Par \
         --kernels Basic_MULTI_REDUCE,Algorithm_HISTOGRAM,Comm_HALO_EXCHANGE \

@@ -4,8 +4,10 @@
 //!
 //! * each child runs `Basic_MULTI_REDUCE` and `Algorithm_HISTOGRAM` five
 //!   times and requires the same checksum bits: their multi-reduce sums
-//!   each chunk's bins in chunk order, where contended atomic adds summed
-//!   in whatever order the threads happened to reach a bin;
+//!   each chunk's bins in chunk order, where `MULTI_REDUCE`'s contended
+//!   atomic adds summed in whatever order the threads happened to reach a
+//!   bin. `HISTOGRAM` adds 1.0 per element, which sums exactly in any
+//!   order, so its half is a guard on the multi-reduce, not a fix;
 //! * each child prints `Comm_HALO_EXCHANGE`'s checksum bits, and the
 //!   parent requires the same bits at every width, whether the ranks' loops
 //!   run inline (two ranks on a two-thread pool) or pooled: the exchange
