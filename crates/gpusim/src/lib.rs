@@ -44,7 +44,7 @@
 
 use rayon::prelude::*;
 use std::cell::Cell;
-use std::ops::{Deref, DerefMut, Index, IndexMut};
+use std::ops::{Deref, DerefMut, Index, IndexMut, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 pub mod occupancy;
@@ -464,10 +464,19 @@ where
 {
     // Every thread of a bare launch runs the body: active = launched.
     count_launch(cfg, (cfg.grid.total() * cfg.block.total()) as u64);
+    launch_blocks(cfg, &body);
+}
+
+/// Run every block of an already counted launch: sequentially under an
+/// active [`sanitizer`] scope, on the pool otherwise.
+fn launch_blocks<F>(cfg: &LaunchConfig, body: &F)
+where
+    F: Fn(&mut BlockCtx) + Sync,
+{
     if sanitizer::active() {
-        launch_blocks_sanitized(cfg, &body);
+        launch_blocks_sanitized(cfg, body);
     } else {
-        launch_blocks_raw(cfg, &body);
+        launch_blocks_raw(cfg, body);
     }
 }
 
@@ -533,18 +542,14 @@ where
     }
 }
 
-/// Whether [`launch_1d`] must take its generic block-structured path even
-/// when the fast-path conditions hold; toggled with [`force_generic_launch`]
-/// (the fast-path equivalence tests flip it to compare both paths in one
-/// process).
+/// Whether [`launch_1d`] and [`launch_ragged`] must take their generic
+/// block-structured path even when the fast-path conditions hold; toggled
+/// with [`force_generic_launch`] (the fast-path equivalence tests flip it to
+/// compare both paths in one process).
 static FORCE_GENERIC_LAUNCH: AtomicBool = AtomicBool::new(false);
 
-/// True when the 1-D fast path is disabled (see [`force_generic_launch`]).
-fn generic_launch_forced() -> bool {
-    FORCE_GENERIC_LAUNCH.load(Ordering::Relaxed)
-}
-
-/// Force (or re-allow) the generic block-structured path in [`launch_1d`].
+/// Force (or re-allow) the generic block-structured path in [`launch_1d`]
+/// and [`launch_ragged`].
 /// At pool width 1 the fast path and the generic path produce
 /// bitwise-identical results; this switch exists so tests can prove that.
 pub fn force_generic_launch(on: bool) {
@@ -574,15 +579,22 @@ where
 {
     let cfg = LaunchConfig::linear(n, block_size);
     count_launch(&cfg, n as u64);
-    // An active event trace takes the generic path too: the fast path has no
-    // block structure, so it cannot emit the per-block spans the trace is
-    // for. Same discipline as the sanitizer gate — one relaxed load here,
-    // zero cost while tracing is off.
-    if !sanitizer::active() && !generic_launch_forced() && !caliper::trace::enabled() {
+    if fast_path() {
         (0..n).into_par_iter().for_each(&body);
     } else {
         launch_1d_generic(&cfg, n, &body);
     }
+}
+
+/// Whether a launch without shared memory may skip its block structure: no
+/// [`sanitizer`] scope (it needs block and thread coordinates), no
+/// [`force_generic_launch`], and no event trace (the fast path cannot emit
+/// the per-block spans the trace is for). Same discipline as the sanitizer
+/// gate: relaxed loads here, zero cost while tracing is off.
+fn fast_path() -> bool {
+    !sanitizer::active()
+        && !FORCE_GENERIC_LAUNCH.load(Ordering::Relaxed)
+        && !caliper::trace::enabled()
 }
 
 /// The block-structured execution of [`launch_1d`]: one guarded
@@ -593,19 +605,61 @@ fn launch_1d_generic<F>(cfg: &LaunchConfig, n: usize, body: &F)
 where
     F: Fn(usize) + Sync,
 {
-    let wrapped = |block: &mut BlockCtx| {
+    launch_blocks(cfg, &|block: &mut BlockCtx| {
         block.threads(|t, _| {
             let i = t.global_id_x();
             if i < n {
                 body(i);
             }
         });
-    };
-    if sanitizer::active() {
-        launch_blocks_sanitized(cfg, &wrapped);
-    } else {
-        launch_blocks_raw(cfg, &wrapped);
+    });
+}
+
+/// Launch one 2-D kernel over a ragged set of loops (a fused workgroup,
+/// upstream's `WorkGroup::run` on a CUDA policy). Grid y is the loop. Grid
+/// x is sized from the *average* loop length, and each thread covers its
+/// loop with a grid-stride loop over x, so a long loop costs strides, not
+/// padding: sized from the longest loop, a halo's 26 face, edge and corner
+/// loops would launch about 4× the threads. `body(l, range, step)` runs
+/// `range.step_by(step)` of loop `l < lens.len()`: once per thread that
+/// has work, its grid-stride loop, so together they cover every `i <
+/// lens[l]` once.
+///
+/// Off the generic path (see [`launch_1d`]'s fast path), a block runs the
+/// same indices round by round: in each round its threads cover one
+/// contiguous chunk of their loop, which `body` gets as one step-1 range.
+/// Threads past their loop's end, counted as launched, never run.
+pub fn launch_ragged<F>(lens: &[usize], block_size: usize, body: F)
+where
+    F: Fn(usize, Range<usize>, usize) + Sync,
+{
+    assert!(block_size > 0, "block size must be positive");
+    let mean = lens.iter().sum::<usize>().div_ceil(lens.len().max(1));
+    let gx = mean.div_ceil(block_size).max(1);
+    let cfg = LaunchConfig::grid_block(Dim3::d2(gx, lens.len()), Dim3::d1(block_size));
+    let stride = gx * block_size;
+    let active: usize = lens.iter().map(|&n| n.min(stride)).sum();
+    count_launch(&cfg, active as u64);
+    if fast_path() {
+        (0..cfg.grid.total()).into_par_iter().for_each(|b| {
+            let (l, x0) = (b / gx, b % gx * block_size);
+            let n = lens[l];
+            for lo in (x0..n).step_by(stride) {
+                body(l, lo..n.min(lo + block_size), 1);
+            }
+        });
+        return;
     }
+    launch_blocks(&cfg, &|block: &mut BlockCtx| {
+        let l = block.block_idx.y;
+        let n = lens[l];
+        block.threads(|t, _| {
+            let x = t.global_id_x();
+            if x < n {
+                body(l, x..n, stride);
+            }
+        });
+    });
 }
 
 /// A `Send + Sync` raw-pointer wrapper granting GPU-kernel-style unchecked

@@ -7,9 +7,11 @@
 //! per-direction loops are fused:
 //!
 //! * `HALO_PACKING` / `HALO_PACKING_FUSED` — pack + unpack only (no
-//!   messages); the FUSED variant runs one combined loop instead of one
-//!   loop per direction, which is exactly the kernel-launch-overhead
-//!   experiment the paper discusses for GPUs (§V-C).
+//!   messages); the FUSED variant runs the 26 direction loops of a pack
+//!   (or unpack) as one fused kernel — one device launch, one pooled call
+//!   — instead of one kernel each, which is exactly the
+//!   kernel-launch-overhead experiment the paper discusses for GPUs
+//!   (§V-C). Both run the same per-direction loop bodies.
 //! * `HALO_SENDRECV` — message exchange only (buffers pre-packed).
 //! * `HALO_EXCHANGE` / `HALO_EXCHANGE_FUSED` — the full pack → exchange →
 //!   unpack pipeline over the simulated MPI ranks.
@@ -55,7 +57,7 @@ pub fn register(v: &mut Vec<Box<dyn KernelBase>>) {
 pub const NUM_VARS: usize = 3;
 
 /// Simulated ranks for the exchange kernels.
-const RANKS: usize = 2;
+pub const RANKS: usize = 2;
 
 const MODELS: &[PaperModel] = &[
     PaperModel::Seq,
@@ -97,32 +99,41 @@ fn init_grids(g: &HaloGeometry, rank: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Pack every direction's list for all variables, one loop per direction
-/// (the unfused formulation: 26 kernel launches).
-fn pack_per_direction(
+/// Pack every direction's list for all variables: one loop per direction
+/// (the unfused formulation: 26 kernel launches), or `fused` into one.
+fn pack(
     variant: VariantId,
     bs: usize,
+    fused: bool,
     g: &HaloGeometry,
     grids: &[Vec<f64>],
     bufs: &mut [Vec<f64>],
 ) {
-    for (d, e) in g.exchanges.iter().enumerate() {
-        let len = e.pack_list.len();
-        let bp = DevicePtr::new(&mut bufs[d]);
-        run_elementwise(variant, len * NUM_VARS, bs, |f| {
-            let (v, i) = (f / len, f % len);
-            // SAFETY: the index is in bounds of the allocation the pointer was built
-            // from, and each parallel iterate writes a distinct element, so writes
-            // never alias.
-            unsafe { bp.write(v * len + i, grids[v][e.pack_list[i]]) };
-        });
-    }
+    let (lens, bodies): (Vec<usize>, Vec<_>) = g
+        .exchanges
+        .iter()
+        .zip(bufs.iter_mut())
+        .map(|(e, buf)| {
+            let len = e.pack_list.len();
+            let bp = DevicePtr::new(buf);
+            let body = move |f: usize| {
+                let (v, i) = (f / len, f % len);
+                // SAFETY: the index is in bounds of the allocation the pointer was built
+                // from, and each parallel iterate writes a distinct element, so writes
+                // never alias.
+                unsafe { bp.write(v * len + i, grids[v][e.pack_list[i]]) };
+            };
+            (len * NUM_VARS, body)
+        })
+        .unzip();
+    run_directions(variant, bs, fused, &lens, &bodies);
 }
 
-/// Unpack every direction, one loop per direction.
-fn unpack_per_direction(
+/// Unpack every direction: one loop per direction, or `fused` into one.
+fn unpack(
     variant: VariantId,
     bs: usize,
+    fused: bool,
     g: &HaloGeometry,
     grids: &mut [Vec<f64>],
     bufs: &[Vec<f64>],
@@ -130,134 +141,69 @@ fn unpack_per_direction(
     // One DevicePtr per variable grid; unpack lists are disjoint per
     // direction so parallel writes never collide.
     let ptrs: Vec<DevicePtr<f64>> = grids.iter_mut().map(|g| DevicePtr::new(g)).collect();
-    for (d, e) in g.exchanges.iter().enumerate() {
-        let len = e.unpack_list.len();
-        let buf = &bufs[d];
-        run_elementwise(variant, len * NUM_VARS, bs, |f| {
-            let (v, i) = (f / len, f % len);
-            // SAFETY: the index is in bounds of the allocation the pointer was built
-            // from, and each parallel iterate writes a distinct element, so writes
-            // never alias.
-            unsafe { ptrs[v].write(e.unpack_list[i], buf[v * len + i]) };
-        });
-    }
-}
-
-/// Fused pack: all 26 direction loops executed as one kernel. The RAJA
-/// variants go through the portability layer's workgroup construct
-/// (`WorkPool` → `WorkGroup::run`, one launch — exactly upstream's
-/// `HALO_PACKING_FUSED`); the Base variants fuse manually over a
-/// flattened index space.
-fn pack_fused(
-    variant: VariantId,
-    bs: usize,
-    g: &HaloGeometry,
-    grids: &[Vec<f64>],
-    bufs: &mut [Vec<f64>],
-) {
-    if variant.is_raja() {
-        let ptrs: Vec<DevicePtr<f64>> = bufs.iter_mut().map(|b| DevicePtr::new(b)).collect();
-        let mut pool = raja::workgroup::WorkPool::new();
-        for (d, e) in g.exchanges.iter().enumerate() {
-            let len = e.pack_list.len();
-            let bp = ptrs[d];
-            pool.enqueue(0..len * NUM_VARS, move |f| {
-                let (v, i) = (f / len, f % len);
-                // SAFETY: the index is in bounds of the allocation the pointer was built
-                // from, and each parallel iterate writes a distinct element, so writes
-                // never alias.
-                unsafe { bp.write(v * len + i, grids[v][e.pack_list[i]]) };
-            });
-        }
-        let group = pool.instantiate();
-        match variant {
-            VariantId::RajaSeq => group.run::<raja::policy::SeqExec>(),
-            VariantId::RajaPar => group.run::<raja::policy::ParExec>(),
-            _ => crate::dispatch_gpu_block!(bs, P, { group.run::<P>() }),
-        }
-        return;
-    }
-    // Base variants: manual flattening of (direction, var, idx).
-    let mut offsets = Vec::with_capacity(g.exchanges.len());
-    let mut total = 0usize;
-    for e in &g.exchanges {
-        offsets.push(total);
-        total += e.pack_list.len() * NUM_VARS;
-    }
-    let ptrs: Vec<DevicePtr<f64>> = bufs.iter_mut().map(|b| DevicePtr::new(b)).collect();
-    run_elementwise(variant, total, bs, |f| {
-        let mut d = g.exchanges.len() - 1;
-        for (di, &off) in offsets.iter().enumerate().rev() {
-            if f >= off {
-                d = di;
-                break;
-            }
-        }
-        let e = &g.exchanges[d];
-        let len = e.pack_list.len();
-        let local = f - offsets[d];
-        let (v, i) = (local / len, local % len);
-        // SAFETY: the index is in bounds of the allocation the pointer was built
-        // from, and each parallel iterate writes a distinct element, so writes
-        // never alias.
-        unsafe { ptrs[d].write(v * len + i, grids[v][e.pack_list[i]]) };
-    });
-}
-
-/// Fused unpack (same construct split as [`pack_fused`]).
-fn unpack_fused(
-    variant: VariantId,
-    bs: usize,
-    g: &HaloGeometry,
-    grids: &mut [Vec<f64>],
-    bufs: &[Vec<f64>],
-) {
-    let ptrs: Vec<DevicePtr<f64>> = grids.iter_mut().map(|g| DevicePtr::new(g)).collect();
-    if variant.is_raja() {
-        let mut pool = raja::workgroup::WorkPool::new();
-        for (d, e) in g.exchanges.iter().enumerate() {
+    let ptrs = &ptrs;
+    let (lens, bodies): (Vec<usize>, Vec<_>) = g
+        .exchanges
+        .iter()
+        .zip(bufs)
+        .map(|(e, buf)| {
             let len = e.unpack_list.len();
-            let buf = &bufs[d];
-            let ptrs = &ptrs;
-            pool.enqueue(0..len * NUM_VARS, move |f| {
+            let body = move |f: usize| {
                 let (v, i) = (f / len, f % len);
                 // SAFETY: the index is in bounds of the allocation the pointer was built
                 // from, and each parallel iterate writes a distinct element, so writes
                 // never alias.
                 unsafe { ptrs[v].write(e.unpack_list[i], buf[v * len + i]) };
-            });
-        }
-        let group = pool.instantiate();
-        match variant {
-            VariantId::RajaSeq => group.run::<raja::policy::SeqExec>(),
-            VariantId::RajaPar => group.run::<raja::policy::ParExec>(),
-            _ => crate::dispatch_gpu_block!(bs, P, { group.run::<P>() }),
-        }
+            };
+            (len * NUM_VARS, body)
+        })
+        .unzip();
+    run_directions(variant, bs, fused, &lens, &bodies);
+}
+
+/// Run `bodies[d]` over `0..lens[d]` for every direction `d`: one loop per
+/// direction, or `fused` into one kernel. Fused, the Base arms run the
+/// loops by hand (back to back; as one pooled call whose pool-width tasks
+/// each run their static share of every loop; as one ragged device
+/// launch), and the RAJA arms enqueue them into the portability layer's
+/// workgroup (`WorkPool` → `WorkGroup::run`, as upstream's
+/// `HALO_PACKING_FUSED` does).
+fn run_directions<B: Fn(usize) + Sync>(
+    variant: VariantId,
+    bs: usize,
+    fused: bool,
+    lens: &[usize],
+    bodies: &[B],
+) {
+    use raja::policy::{ParExec, SeqExec};
+    use rayon::prelude::*;
+    let loops = || bodies.iter().zip(lens.iter().copied());
+    if !fused {
+        loops().for_each(|(body, n)| run_elementwise(variant, n, bs, body));
         return;
     }
-    let mut offsets = Vec::with_capacity(g.exchanges.len());
-    let mut total = 0usize;
-    for e in &g.exchanges {
-        offsets.push(total);
-        total += e.unpack_list.len() * NUM_VARS;
-    }
-    run_elementwise(variant, total, bs, |f| {
-        let mut d = g.exchanges.len() - 1;
-        for (di, &off) in offsets.iter().enumerate().rev() {
-            if f >= off {
-                d = di;
-                break;
+    match variant {
+        VariantId::BaseSeq => loops().for_each(|(body, n)| (0..n).for_each(body)),
+        VariantId::BasePar => {
+            let w = rayon::current_num_threads();
+            (0..w).into_par_iter().for_each(|t| {
+                loops().for_each(|(body, n)| (n * t / w..n * (t + 1) / w).for_each(body));
+            });
+        }
+        VariantId::BaseSimGpu => {
+            gpusim::launch_ragged(lens, bs, |d, r, step| r.step_by(step).for_each(&bodies[d]));
+        }
+        _ => {
+            let mut pool = raja::workgroup::WorkPool::new();
+            loops().for_each(|(body, n)| pool.enqueue(0..n, body));
+            let group = pool.instantiate();
+            match variant {
+                VariantId::RajaSeq => group.run::<SeqExec>(),
+                VariantId::RajaPar => group.run::<ParExec>(),
+                _ => crate::dispatch_gpu_block!(bs, P, { group.run::<P>() }),
             }
         }
-        let e = &g.exchanges[d];
-        let len = e.unpack_list.len();
-        let local = f - offsets[d];
-        let (v, i) = (local / len, local % len);
-        // SAFETY: the index is in bounds of the allocation the pointer was built
-        // from, and each parallel iterate writes a distinct element, so writes
-        // never alias.
-        unsafe { ptrs[v].write(e.unpack_list[i], bufs[d][v * len + i]) };
-    });
+    }
 }
 
 /// Exchange packed buffers between ranks: for each direction `d`, send the
@@ -281,15 +227,12 @@ fn exchange_buffers(
         let nbr = decomp.neighbor(comm.rank(), opp);
         reqs.push(comm.irecv(nbr, tag as i32));
     }
+    // `directions()` is point-symmetric: direction `d`'s opposite is
+    // `len - 1 - d`.
+    let last = g.exchanges.len() - 1;
     for (tag, e) in g.exchanges.iter().enumerate() {
         let nbr = decomp.neighbor(comm.rank(), e.offset);
-        let opp = [-e.offset[0], -e.offset[1], -e.offset[2]];
-        let opp_idx = g
-            .exchanges
-            .iter()
-            .position(|x| x.offset == opp)
-            .expect("opposite direction exists");
-        comm.isend(nbr, tag as i32, &send_bufs[opp_idx]);
+        comm.isend(nbr, tag as i32, &send_bufs[last - tag]);
     }
     for (d, req) in reqs.into_iter().enumerate() {
         let payload = comm.wait(req).expect("recv payload");
@@ -351,8 +294,8 @@ impl KernelBase for HaloPacking {
             .collect();
         let bs = tuning.gpu_block_size;
         let time = time_reps(reps, || {
-            pack_per_direction(variant, bs, &g, &grids, &mut bufs);
-            unpack_per_direction(variant, bs, &g, &mut grids, &bufs);
+            pack(variant, bs, false, &g, &grids, &mut bufs);
+            unpack(variant, bs, false, &g, &mut grids, &bufs);
         });
         (time, grids.iter().map(|gr| checksum(gr)).sum())
     }
@@ -388,8 +331,8 @@ impl KernelBase for HaloPackingFused {
             .collect();
         let bs = tuning.gpu_block_size;
         let time = time_reps(reps, || {
-            pack_fused(variant, bs, &g, &grids, &mut bufs);
-            unpack_fused(variant, bs, &g, &mut grids, &bufs);
+            pack(variant, bs, true, &g, &grids, &mut bufs);
+            unpack(variant, bs, true, &g, &mut grids, &bufs);
         });
         (time, grids.iter().map(|gr| checksum(gr)).sum())
     }
@@ -430,7 +373,7 @@ impl KernelBase for HaloSendrecv {
             let g = geometry(n);
             let grids = init_grids(&g, comm.rank());
             // Pre-pack once (not timed — this kernel times the messages).
-            let mut send_bufs: Vec<Vec<f64>> = g
+            let send_bufs: Vec<Vec<f64>> = g
                 .exchanges
                 .iter()
                 .map(|e| {
@@ -447,9 +390,8 @@ impl KernelBase for HaloSendrecv {
                 exchange_buffers(&mut comm, &decomp, &g, &send_bufs, &mut recv_bufs);
             });
             // Fold the received data into the checksum so the exchange is
-            // observable; reuse send buffers to keep iterations uniform.
+            // observable.
             let cs: f64 = recv_bufs.iter().map(|b| checksum(b)).sum();
-            send_bufs.iter_mut().for_each(|b| b.truncate(b.len()));
             (time, cs)
         });
         let time = outputs.iter().map(|(t, _)| *t).max().unwrap_or_default();
@@ -516,17 +458,9 @@ fn exchange(
         let mut recv_bufs: Vec<Vec<f64>> = vec![Vec::new(); g.exchanges.len()];
         comm.barrier();
         let time = time_reps(reps, || {
-            if fused {
-                pack_fused(variant, bs, &g, &grids, &mut send_bufs);
-            } else {
-                pack_per_direction(variant, bs, &g, &grids, &mut send_bufs);
-            }
+            pack(variant, bs, fused, &g, &grids, &mut send_bufs);
             exchange_buffers(&mut comm, &decomp, &g, &send_bufs, &mut recv_bufs);
-            if fused {
-                unpack_fused(variant, bs, &g, &mut grids, &recv_bufs);
-            } else {
-                unpack_per_direction(variant, bs, &g, &mut grids, &recv_bufs);
-            }
+            unpack(variant, bs, fused, &g, &mut grids, &recv_bufs);
         });
         let cs: f64 = grids.iter().map(|gr| checksum(gr)).sum();
         (time, cs)
@@ -605,9 +539,11 @@ mod tests {
     #[test]
     fn fused_and_unfused_packing_produce_identical_grids() {
         let t = Tuning::default();
-        let a = HaloPacking.execute(VariantId::BaseSeq, N, 1, &t);
-        let b = HaloPackingFused.execute(VariantId::BaseSeq, N, 1, &t);
-        assert_eq!(a.checksum, b.checksum);
+        for &v in ALL_VARIANTS {
+            let a = HaloPacking.execute(v, N, 1, &t);
+            let b = HaloPackingFused.execute(v, N, 1, &t);
+            assert_eq!(a.checksum.to_bits(), b.checksum.to_bits(), "{}", v.name());
+        }
     }
 
     #[test]

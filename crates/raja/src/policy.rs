@@ -32,6 +32,13 @@ pub trait ExecPolicy {
         inner: Range<usize>,
         body: &(impl Fn(usize, usize, usize) + Sync),
     );
+
+    /// Run the fused loops of a [`crate::workgroup::WorkGroup`] as loops
+    /// (upstream's work runners): `body(l, range, step)` is called with
+    /// parts `range.step_by(step)` of loop `l` that together cover every
+    /// `i < lens[l]` once.
+    /// Spans of different loops may run in any order, and concurrently.
+    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync));
 }
 
 /// Sequential execution (RAJA `seq_exec`): iterates in index order on the
@@ -73,6 +80,14 @@ impl ExecPolicy for SeqExec {
             }
         }
     }
+
+    /// The loops back to back, each in index order.
+    #[inline]
+    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
+        for (l, &n) in lens.iter().enumerate() {
+            body(l, 0..n, 1);
+        }
+    }
 }
 
 /// Host-parallel execution via rayon (the stand-in for RAJA's
@@ -109,6 +124,19 @@ impl ExecPolicy for ParExec {
                 for k in inner.clone() {
                     body(i, j, k);
                 }
+            }
+        });
+    }
+
+    /// One pooled call of pool-width tasks, each running its static share
+    /// of every loop (upstream's `omp for nowait` loops inside one parallel
+    /// region): one pool job however many loops there are.
+    #[inline]
+    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
+        let w = rayon::current_num_threads();
+        (0..w).into_par_iter().for_each(|t| {
+            for (l, &n) in lens.iter().enumerate() {
+                body(l, n * t / w..n * (t + 1) / w, 1);
             }
         });
     }
@@ -189,6 +217,17 @@ impl<const B: usize> ExecPolicy for SimGpuExec<B> {
                 }
             });
         });
+    }
+
+    /// One ragged launch ([`gpusim::launch_ragged`]): grid y is the loop,
+    /// and each thread's part is its grid-stride loop.
+    #[inline]
+    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
+        if lens.iter().all(|&n| n == 0) {
+            return;
+        }
+        let _region = gpusim::sanitizer::region("raja::workgroup<SimGpu>");
+        gpusim::launch_ragged(lens, B, body);
     }
 }
 

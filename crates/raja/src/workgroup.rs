@@ -8,9 +8,10 @@
 //!
 //! The Rust shape: [`WorkPool::enqueue`] collects `(range, body)` pairs;
 //! [`WorkPool::instantiate`] freezes them into a [`WorkGroup`]; and
-//! [`WorkGroup::run`] executes *all* enqueued iterations as a single
-//! policy-level loop over a flattened index space (one `forall` — one
-//! simulated-device launch).
+//! [`WorkGroup::run`] executes the enqueued loops as one ragged set of
+//! loops under a policy ([`ExecPolicy::forall_ragged`]): back to back on
+//! `SeqExec`, one pooled call on `ParExec`, one simulated-device launch on
+//! `SimGpuExec`. Each body is type-erased once, when it is enqueued.
 //!
 //! # Example
 //! ```
@@ -26,7 +27,7 @@
 //! pool.enqueue(0..20, move |i| unsafe { bp.write(i, 2.0) });
 //! let group = pool.instantiate();
 //! assert_eq!(group.total_iterations(), 30);
-//! group.run::<SeqExec>(); // a single fused loop
+//! group.run::<SeqExec>(); // the two loops, back to back
 //! assert!(a.iter().all(|&v| v == 1.0));
 //! assert!(b.iter().all(|&v| v == 2.0));
 //! ```
@@ -34,22 +35,22 @@
 use crate::policy::ExecPolicy;
 use std::ops::Range;
 
-/// One enqueued loop: an iteration range and its body.
-struct WorkItem<'a> {
-    range: Range<usize>,
-    body: Box<dyn Fn(usize) + Sync + 'a>,
-}
+/// An enqueued loop's body, type-erased as a runner of strided index
+/// ranges: one dynamic call per part of the loop, not per iteration.
+type Runner<'a> = Box<dyn Fn(Range<usize>, usize) + Sync + 'a>;
 
 /// Collects loops to be fused (RAJA `WorkPool`).
 #[derive(Default)]
 pub struct WorkPool<'a> {
-    items: Vec<WorkItem<'a>>,
+    /// Each loop's iteration count, the ragged shape the policy runs.
+    lens: Vec<usize>,
+    runs: Vec<Runner<'a>>,
 }
 
 impl<'a> WorkPool<'a> {
     /// An empty pool.
     pub fn new() -> WorkPool<'a> {
-        WorkPool { items: Vec::new() }
+        WorkPool::default()
     }
 
     /// Enqueue a loop over `range` with `body`. Bodies must tolerate
@@ -57,92 +58,77 @@ impl<'a> WorkPool<'a> {
     /// iterations *and* across enqueued loops (the fused execution
     /// interleaves them).
     pub fn enqueue(&mut self, range: Range<usize>, body: impl Fn(usize) + Sync + 'a) {
-        self.items.push(WorkItem {
-            range,
-            body: Box::new(body),
-        });
+        let start = range.start;
+        self.lens.push(range.len());
+        // Shift the part, not each index: an offset added per iteration
+        // cost the halo bodies about half their speed.
+        self.runs.push(Box::new(move |r: Range<usize>, step| {
+            (start + r.start..start + r.end)
+                .step_by(step)
+                .for_each(&body)
+        }));
     }
 
     /// Number of loops enqueued so far.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.lens.len()
     }
 
     /// True when nothing has been enqueued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.lens.is_empty()
     }
 
     /// Freeze the pool into an executable [`WorkGroup`] (RAJA
-    /// `WorkPool::instantiate`). Consumes the pool; the flattened segment
-    /// table is built once and reused across runs.
+    /// `WorkPool::instantiate`), reusable across runs.
     pub fn instantiate(self) -> WorkGroup<'a> {
-        let mut offsets = Vec::with_capacity(self.items.len());
-        let mut total = 0usize;
-        for item in &self.items {
-            offsets.push(total);
-            total += item.range.len();
-        }
-        WorkGroup {
-            items: self.items,
-            offsets,
-            total,
-        }
+        WorkGroup { pool: self }
     }
 }
 
 /// An instantiated set of fused loops (RAJA `WorkGroup`).
 pub struct WorkGroup<'a> {
-    items: Vec<WorkItem<'a>>,
-    /// Prefix offsets of each loop within the fused index space.
-    offsets: Vec<usize>,
-    total: usize,
+    pool: WorkPool<'a>,
 }
 
 impl WorkGroup<'_> {
     /// Total iterations across all fused loops.
     pub fn total_iterations(&self) -> usize {
-        self.total
+        self.pool.lens.iter().sum()
     }
 
     /// Number of fused loops.
     pub fn num_loops(&self) -> usize {
-        self.items.len()
+        self.pool.len()
     }
 
-    /// Execute every enqueued iteration under policy `P` as one fused
-    /// loop — a single launch on the simulated device (RAJA
-    /// `WorkGroup::run`, returning the `WorkSite` upstream; here the run
-    /// is synchronous so no site handle is needed).
+    /// Execute every enqueued loop under policy `P` as one fused run — a
+    /// single launch on the simulated device (RAJA `WorkGroup::run`,
+    /// returning the `WorkSite` upstream; here the run is synchronous so no
+    /// site handle is needed).
     pub fn run<P: ExecPolicy>(&self) {
-        let total = self.total;
-        if total == 0 {
-            return;
-        }
-        crate::forall::<P>(0..total, |flat| {
-            // Binary-search the segment table for the owning loop.
-            let idx = match self.offsets.binary_search(&flat) {
-                Ok(exact) => exact,
-                Err(insert) => insert - 1,
-            };
-            let item = &self.items[idx];
-            let local = flat - self.offsets[idx];
-            (item.body)(item.range.start + local);
-        });
+        let runs = &self.pool.runs;
+        P::forall_ragged(&self.pool.lens, &|l, r, step| runs[l](r, step));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{ParExec, SeqExec};
+    use crate::policy::{ParExec, SeqExec, SimGpuExec};
     use crate::DevicePtr;
 
     #[test]
     fn fused_loops_cover_all_ranges() {
+        cover_all_ranges::<SeqExec>();
+        cover_all_ranges::<ParExec>();
+        cover_all_ranges::<SimGpuExec<32>>();
+    }
+
+    fn cover_all_ranges<P: ExecPolicy>() {
         let mut a = vec![0u32; 7];
         let mut b = vec![0u32; 13];
-        let mut c = vec![0u32; 29];
+        let mut c = vec![0u32; 129];
         {
             let (ap, bp, cp) = (
                 DevicePtr::new(&mut a),
@@ -161,15 +147,15 @@ mod tests {
             // SAFETY: the index is in bounds of the allocation the pointer was built
             // from, and each parallel iterate writes a distinct element, so writes
             // never alias.
-            pool.enqueue(0..29, move |i| unsafe { cp.write(i, cp.read(i) + 1) });
+            pool.enqueue(0..129, move |i| unsafe { cp.write(i, cp.read(i) + 1) });
             let group = pool.instantiate();
-            assert_eq!(group.total_iterations(), 49);
+            assert_eq!(group.total_iterations(), 149);
             assert_eq!(group.num_loops(), 3);
-            group.run::<ParExec>();
+            group.run::<P>();
         }
-        assert!(a.iter().all(|&v| v == 1));
-        assert!(b.iter().all(|&v| v == 1));
-        assert!(c.iter().all(|&v| v == 1));
+        assert!(a.iter().all(|&v| v == 1), "{}", P::NAME);
+        assert!(b.iter().all(|&v| v == 1), "{}", P::NAME);
+        assert!(c.iter().all(|&v| v == 1), "{}", P::NAME);
     }
 
     #[test]

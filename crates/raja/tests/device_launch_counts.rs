@@ -39,19 +39,29 @@ fn simgpu_sort_counts_device_passes() {
 }
 
 fn fused_run_is_a_single_device_launch() {
+    // Ragged lengths: the grid's x extent follows the mean loop (234: two
+    // 128-thread blocks), so each 700-long loop takes three grid strides.
+    let lens = [1, 50, 700];
     gpusim::reset_stats();
-    let mut bufs: Vec<Vec<f64>> = (0..26).map(|_| vec![0.0; 50]).collect();
+    let mut bufs: Vec<Vec<f64>> = (0..26).map(|d| vec![0.0; lens[d % 3]]).collect();
     {
         let mut pool = WorkPool::new();
         for buf in bufs.iter_mut() {
+            let n = buf.len();
             let p = DevicePtr::new(buf);
             // SAFETY: the index is in bounds of the allocation the pointer was built
             // from, and each parallel iterate writes a distinct element, so writes
             // never alias.
-            pool.enqueue(0..50, move |i| unsafe { p.write(i, 1.0) });
+            pool.enqueue(0..n, move |i| unsafe { p.write(i, p.read(i) + 1.0) });
         }
         pool.instantiate().run::<SimGpuExec<128>>();
     }
-    assert_eq!(gpusim::stats().launches, 1, "26 loops, one launch");
+    let s = gpusim::stats();
+    assert_eq!(s.launches, 1, "26 loops, one launch");
+    assert_eq!(
+        s.blocks,
+        2 * 26,
+        "grid x from the mean loop, grid y the loops"
+    );
     assert!(bufs.iter().all(|b| b.iter().all(|&v| v == 1.0)));
 }

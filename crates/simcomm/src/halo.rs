@@ -10,7 +10,8 @@
 //! (`MPI_Cart_create`-style) for resolving neighbour ranks.
 
 /// All 26 non-zero direction offsets of a 3×3×3 stencil, in a fixed
-/// deterministic order (z-major).
+/// deterministic order (z-major). The order is point-symmetric: entry
+/// `25 - d` is the opposite of entry `d`.
 pub fn directions() -> Vec<[i32; 3]> {
     let mut dirs = Vec::with_capacity(26);
     for dz in -1..=1i32 {
@@ -208,15 +209,13 @@ mod tests {
     #[test]
     fn pack_and_unpack_counts_match_by_direction() {
         let g = HaloGeometry::new([4, 5, 6], 1);
-        for e in &g.exchanges {
-            // This rank's unpack list for `offset` must match the
+        for (d, e) in g.exchanges.iter().enumerate() {
+            // The opposite direction sits at `25 - d` (the exchange relies
+            // on it). This rank's unpack list for `offset` must match the
             // neighbour's pack list for `-offset` in size; with equal box
             // extents that equals this rank's own pack list for `-offset`.
-            let opposite = g
-                .exchanges
-                .iter()
-                .find(|o| o.offset == [-e.offset[0], -e.offset[1], -e.offset[2]])
-                .unwrap();
+            let opposite = &g.exchanges[25 - d];
+            assert_eq!(opposite.offset, e.offset.map(|c| -c), "direction {d}");
             assert_eq!(e.unpack_list.len(), opposite.pack_list.len());
         }
     }
