@@ -14,7 +14,7 @@ use crate::{
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::atomic::as_atomic_slice;
-use raja::policy::{ParExec, SeqExec};
+use raja::policy::{ParExec, SeqExec, SimGpuExec};
 use raja::DevicePtr;
 use rayon::prelude::*;
 use std::time::Duration;
@@ -290,12 +290,10 @@ impl KernelBase for ReduceSum {
             sum = match variant {
                 VariantId::BaseSeq => x.iter().sum(),
                 VariantId::BasePar => x.par_iter().sum(),
-                VariantId::RajaSeq => raja::reduce::reduce_sum::<SeqExec, f64>(0..n, |i| x[i]),
-                VariantId::RajaPar => raja::reduce::reduce_sum::<ParExec, f64>(0..n, |i| x[i]),
+                VariantId::RajaSeq => raja::reduce::reduce_sum(SeqExec, 0..n, |i| x[i]),
+                VariantId::RajaPar => raja::reduce::reduce_sum(ParExec, 0..n, |i| x[i]),
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, {
-                        raja::reduce::reduce_sum::<P, f64>(0..n, |i| x[i])
-                    })
+                    raja::reduce::reduce_sum(SimGpuExec::new(bs), 0..n, |i| x[i])
                 }
             };
         });
@@ -347,15 +345,13 @@ impl KernelBase for Scan {
                 }
             }
             VariantId::BasePar | VariantId::RajaPar => {
-                raja::scan::exclusive_scan::<ParExec>(0..n, &mut y, |i| x[i]);
+                raja::scan::exclusive_scan(ParExec, 0..n, &mut y, |i| x[i]);
             }
             VariantId::RajaSeq => {
-                raja::scan::exclusive_scan::<SeqExec>(0..n, &mut y, |i| x[i]);
+                raja::scan::exclusive_scan(SeqExec, 0..n, &mut y, |i| x[i]);
             }
             VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                crate::dispatch_gpu_block!(bs, P, {
-                    raja::scan::exclusive_scan::<P>(0..n, &mut y, |i| x[i]);
-                })
+                raja::scan::exclusive_scan(SimGpuExec::new(bs), 0..n, &mut y, |i| x[i]);
             }
         });
         (time, checksum(&y))
@@ -409,10 +405,10 @@ impl KernelBase for Sort {
             match variant {
                 VariantId::BaseSeq => x.sort_unstable_by(f64::total_cmp),
                 VariantId::BasePar => x.par_sort_unstable_by(f64::total_cmp),
-                VariantId::RajaSeq => raja::sort::sort::<SeqExec>(&mut x),
-                VariantId::RajaPar => raja::sort::sort::<ParExec>(&mut x),
+                VariantId::RajaSeq => raja::sort::sort(SeqExec, &mut x),
+                VariantId::RajaPar => raja::sort::sort(ParExec, &mut x),
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, { raja::sort::sort::<P>(&mut x) })
+                    raja::sort::sort(SimGpuExec::new(bs), &mut x)
                 }
             }
         });
@@ -469,13 +465,11 @@ impl KernelBase for SortPairs {
                     vals.copy_from_slice(&v2);
                 }
                 VariantId::BasePar | VariantId::RajaPar => {
-                    raja::sort::sort_pairs::<ParExec>(&mut keys, &mut vals)
+                    raja::sort::sort_pairs(ParExec, &mut keys, &mut vals)
                 }
-                VariantId::RajaSeq => raja::sort::sort_pairs::<SeqExec>(&mut keys, &mut vals),
+                VariantId::RajaSeq => raja::sort::sort_pairs(SeqExec, &mut keys, &mut vals),
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, {
-                        raja::sort::sort_pairs::<P>(&mut keys, &mut vals)
-                    })
+                    raja::sort::sort_pairs(SimGpuExec::new(bs), &mut keys, &mut vals)
                 }
             }
         });

@@ -15,7 +15,7 @@ use crate::{
 };
 use perfmodel::{Complexity, ExecSignature};
 use raja::atomic::{as_atomic_slice, AtomicF64};
-use raja::policy::{ParExec, SeqExec};
+use raja::policy::{ExecPolicy, ParExec, SeqExec, SimGpuExec};
 use raja::views::{Layout, MultiView, View};
 use raja::DevicePtr;
 use rayon::prelude::*;
@@ -334,16 +334,13 @@ impl KernelBase for IfQuad {
 // INDEXLIST / INDEXLIST_3LOOP
 // ---------------------------------------------------------------------------
 
-fn indexlist_scan_based<P>(x: &[f64], list: &mut [i32]) -> usize
-where
-    P: raja::scan::ScanPolicy,
-{
+fn indexlist_scan_based(policy: impl raja::scan::ScanPolicy, x: &[f64], list: &mut [i32]) -> usize {
     let n = x.len();
     let mut pos = vec![0.0f64; n];
-    let total =
-        raja::scan::exclusive_scan::<P>(0..n, &mut pos, |i| if x[i] < 0.0 { 1.0 } else { 0.0 });
+    let flag = |i: usize| if x[i] < 0.0 { 1.0 } else { 0.0 };
+    let total = raja::scan::exclusive_scan(policy, 0..n, &mut pos, flag);
     let lp = DevicePtr::new(list);
-    raja::forall::<P>(0..n, |i| {
+    policy.forall(0..n, &|i| {
         if x[i] < 0.0 {
             // SAFETY: the index is in bounds of the allocation the pointer was built
             // from, and each parallel iterate writes a distinct element, so writes
@@ -404,10 +401,10 @@ impl KernelBase for IndexList {
                     cnt
                 }
                 VariantId::BasePar | VariantId::RajaPar => {
-                    indexlist_scan_based::<ParExec>(&x, &mut list)
+                    indexlist_scan_based(ParExec, &x, &mut list)
                 }
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, { indexlist_scan_based::<P>(&x, &mut list) })
+                    indexlist_scan_based(SimGpuExec::new(bs), &x, &mut list)
                 }
             };
         });
@@ -451,10 +448,7 @@ impl KernelBase for IndexList3Loop {
         let mut count = 0usize;
         let bs = tuning.gpu_block_size;
 
-        fn three_loop<P>(x: &[f64], list: &mut [i32]) -> usize
-        where
-            P: raja::scan::ScanPolicy,
-        {
+        fn three_loop(policy: impl raja::scan::ScanPolicy, x: &[f64], list: &mut [i32]) -> usize {
             let n = x.len();
             // Loop 1: flags.
             let mut flags = vec![0.0f64; n];
@@ -462,15 +456,15 @@ impl KernelBase for IndexList3Loop {
             // SAFETY: indices stay within the extents the device pointers/views were
             // built from, and each parallel iterate touches a disjoint set of output
             // elements, so writes never alias.
-            raja::forall::<P>(0..n, |i| unsafe {
+            policy.forall(0..n, &|i| unsafe {
                 fp.write(i, if x[i] < 0.0 { 1.0 } else { 0.0 })
             });
             // Loop 2: exclusive scan of the flags.
             let mut pos = vec![0.0f64; n];
-            let total = raja::scan::exclusive_scan::<P>(0..n, &mut pos, |i| flags[i]);
+            let total = raja::scan::exclusive_scan(policy, 0..n, &mut pos, |i| flags[i]);
             // Loop 3: gather.
             let lp = DevicePtr::new(list);
-            raja::forall::<P>(0..n, |i| {
+            policy.forall(0..n, &|i| {
                 if flags[i] != 0.0 {
                     // SAFETY: the index is in bounds of the allocation the pointer was built
                     // from, and each parallel iterate writes a distinct element, so writes
@@ -483,10 +477,10 @@ impl KernelBase for IndexList3Loop {
 
         let time = time_reps(reps, || {
             count = match variant {
-                VariantId::BaseSeq | VariantId::RajaSeq => three_loop::<SeqExec>(&x, &mut list),
-                VariantId::BasePar | VariantId::RajaPar => three_loop::<ParExec>(&x, &mut list),
+                VariantId::BaseSeq | VariantId::RajaSeq => three_loop(SeqExec, &x, &mut list),
+                VariantId::BasePar | VariantId::RajaPar => three_loop(ParExec, &x, &mut list),
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, { three_loop::<P>(&x, &mut list) })
+                    three_loop(SimGpuExec::new(bs), &x, &mut list)
                 }
             };
         });
@@ -683,11 +677,9 @@ impl KernelBase for InitView1dOffset {
                 VariantId::BaseSimGpu => {
                     gpusim::launch_1d(n, bs, |i| body(i + 1));
                 }
-                VariantId::RajaSeq => raja::forall::<SeqExec>(1..n + 1, body),
-                VariantId::RajaPar => raja::forall::<ParExec>(1..n + 1, body),
-                VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, { raja::forall::<P>(1..n + 1, body) })
-                }
+                VariantId::RajaSeq => SeqExec.forall(1..n + 1, &body),
+                VariantId::RajaPar => ParExec.forall(1..n + 1, &body),
+                VariantId::RajaSimGpu => SimGpuExec::new(bs).forall(1..n + 1, &body),
             }
         });
         (time, checksum(&a))
@@ -713,10 +705,10 @@ impl MatMatShared {
 
     /// Host tiled multiply (cache-blocked; the CPU analogue of the
     /// shared-memory algorithm).
-    fn host_tiled<P: raja::ExecPolicy>(c: &mut [f64], a: &[f64], b: &[f64], ne: usize) {
+    fn host_tiled(policy: impl ExecPolicy, c: &mut [f64], a: &[f64], b: &[f64], ne: usize) {
         let cp = DevicePtr::new(c);
         let tiles = ne.div_ceil(TILE);
-        raja::forall_2d::<P>(0..tiles, 0..tiles, |ti, tj| {
+        policy.forall_2d(0..tiles, 0..tiles, &|ti, tj| {
             let (i0, j0) = (ti * TILE, tj * TILE);
             for kt in 0..tiles {
                 let k0 = kt * TILE;
@@ -857,8 +849,8 @@ impl KernelBase for MatMatShared {
                     });
                 }
                 VariantId::BaseSimGpu => Self::device_shared(&mut c, &a, &b, ne),
-                VariantId::RajaSeq => Self::host_tiled::<SeqExec>(&mut c, &a, &b, ne),
-                VariantId::RajaPar => Self::host_tiled::<ParExec>(&mut c, &a, &b, ne),
+                VariantId::RajaSeq => Self::host_tiled(SeqExec, &mut c, &a, &b, ne),
+                VariantId::RajaPar => Self::host_tiled(ParExec, &mut c, &a, &b, ne),
                 // The RAJA device path uses the same shared-tile algorithm
                 // (upstream it goes through RAJA teams, which our layer
                 // represents with the device kernel directly).
@@ -1009,11 +1001,9 @@ impl KernelBase for NestedInit {
                         });
                     });
                 }
-                VariantId::RajaSeq => raja::forall_3d::<SeqExec>(0..e, 0..e, 0..e, body3),
-                VariantId::RajaPar => raja::forall_3d::<ParExec>(0..e, 0..e, 0..e, body3),
-                VariantId::RajaSimGpu => crate::dispatch_gpu_block!(bs, P, {
-                    raja::forall_3d::<P>(0..e, 0..e, 0..e, body3)
-                }),
+                VariantId::RajaSeq => SeqExec.forall_3d(0..e, 0..e, 0..e, &body3),
+                VariantId::RajaPar => ParExec.forall_3d(0..e, 0..e, 0..e, &body3),
+                VariantId::RajaSimGpu => SimGpuExec::new(bs).forall_3d(0..e, 0..e, 0..e, &body3),
             }
         });
         (time, checksum(&a))
@@ -1110,12 +1100,10 @@ impl KernelBase for PiReduce {
             let sum = match variant {
                 VariantId::BaseSeq => (0..n).map(f).sum::<f64>(),
                 VariantId::BasePar => (0..n).into_par_iter().map(f).sum::<f64>(),
-                VariantId::RajaSeq => raja::reduce::reduce_sum::<SeqExec, f64>(0..n, f),
-                VariantId::RajaPar => raja::reduce::reduce_sum::<ParExec, f64>(0..n, f),
+                VariantId::RajaSeq => raja::reduce::reduce_sum(SeqExec, 0..n, f),
+                VariantId::RajaPar => raja::reduce::reduce_sum(ParExec, 0..n, f),
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, {
-                        raja::reduce::reduce_sum::<P, f64>(0..n, f)
-                    })
+                    raja::reduce::reduce_sum(SimGpuExec::new(bs), 0..n, f)
                 }
             };
             pi = 4.0 * sum;
@@ -1165,12 +1153,10 @@ impl KernelBase for TrapInt {
             total = match variant {
                 VariantId::BaseSeq => (0..n).map(f).sum::<f64>(),
                 VariantId::BasePar => (0..n).into_par_iter().map(f).sum::<f64>(),
-                VariantId::RajaSeq => raja::reduce::reduce_sum::<SeqExec, f64>(0..n, f),
-                VariantId::RajaPar => raja::reduce::reduce_sum::<ParExec, f64>(0..n, f),
+                VariantId::RajaSeq => raja::reduce::reduce_sum(SeqExec, 0..n, f),
+                VariantId::RajaPar => raja::reduce::reduce_sum(ParExec, 0..n, f),
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, {
-                        raja::reduce::reduce_sum::<P, f64>(0..n, f)
-                    })
+                    raja::reduce::reduce_sum(SimGpuExec::new(bs), 0..n, f)
                 }
             };
         });
@@ -1236,15 +1222,13 @@ impl KernelBase for Reduce3Int {
                     .fold(|| identity, |acc, i| combine(acc, map(i)))
                     .reduce(|| identity, combine),
                 VariantId::RajaSeq => {
-                    raja::reduce::forall_reduce::<SeqExec, T3>(0..n, identity, map, combine)
+                    raja::reduce::forall_reduce(SeqExec, 0..n, identity, map, combine)
                 }
                 VariantId::RajaPar => {
-                    raja::reduce::forall_reduce::<ParExec, T3>(0..n, identity, map, combine)
+                    raja::reduce::forall_reduce(ParExec, 0..n, identity, map, combine)
                 }
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, {
-                        raja::reduce::forall_reduce::<P, T3>(0..n, identity, map, combine)
-                    })
+                    raja::reduce::forall_reduce(SimGpuExec::new(bs), 0..n, identity, map, combine)
                 }
             };
         });
@@ -1311,15 +1295,13 @@ impl KernelBase for ReduceStruct {
                     .fold(|| identity, |acc, i| combine(acc, map(i)))
                     .reduce(|| identity, combine),
                 VariantId::RajaSeq => {
-                    raja::reduce::forall_reduce::<SeqExec, T6>(0..n, identity, map, combine)
+                    raja::reduce::forall_reduce(SeqExec, 0..n, identity, map, combine)
                 }
                 VariantId::RajaPar => {
-                    raja::reduce::forall_reduce::<ParExec, T6>(0..n, identity, map, combine)
+                    raja::reduce::forall_reduce(ParExec, 0..n, identity, map, combine)
                 }
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, {
-                        raja::reduce::forall_reduce::<P, T6>(0..n, identity, map, combine)
-                    })
+                    raja::reduce::forall_reduce(SimGpuExec::new(bs), 0..n, identity, map, combine)
                 }
             };
         });

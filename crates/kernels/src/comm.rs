@@ -175,7 +175,7 @@ fn run_directions<B: Fn(usize) + Sync>(
     lens: &[usize],
     bodies: &[B],
 ) {
-    use raja::policy::{ParExec, SeqExec};
+    use raja::policy::{ParExec, SeqExec, SimGpuExec};
     use rayon::prelude::*;
     let loops = || bodies.iter().zip(lens.iter().copied());
     if !fused {
@@ -198,9 +198,9 @@ fn run_directions<B: Fn(usize) + Sync>(
             loops().for_each(|(body, n)| pool.enqueue(0..n, body));
             let group = pool.instantiate();
             match variant {
-                VariantId::RajaSeq => group.run::<SeqExec>(),
-                VariantId::RajaPar => group.run::<ParExec>(),
-                _ => crate::dispatch_gpu_block!(bs, P, { group.run::<P>() }),
+                VariantId::RajaSeq => group.run(SeqExec),
+                VariantId::RajaPar => group.run(ParExec),
+                _ => group.run(SimGpuExec::new(bs)),
             }
         }
     }

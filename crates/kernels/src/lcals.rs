@@ -13,7 +13,7 @@ use crate::{
     PaperModel, Tuning, VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
-use raja::policy::{ParExec, SeqExec};
+use raja::policy::{ParExec, SeqExec, SimGpuExec};
 use raja::DevicePtr;
 use rayon::prelude::*;
 use std::time::Duration;
@@ -273,12 +273,10 @@ impl KernelBase for FirstMin {
                         );
                     raja::reduce::ValLoc { val, loc }
                 }
-                VariantId::RajaSeq => raja::reduce::reduce_min_loc::<SeqExec>(0..n, |i| x[i]),
-                VariantId::RajaPar => raja::reduce::reduce_min_loc::<ParExec>(0..n, |i| x[i]),
+                VariantId::RajaSeq => raja::reduce::reduce_min_loc(SeqExec, 0..n, |i| x[i]),
+                VariantId::RajaPar => raja::reduce::reduce_min_loc(ParExec, 0..n, |i| x[i]),
                 VariantId::BaseSimGpu | VariantId::RajaSimGpu => {
-                    crate::dispatch_gpu_block!(bs, P, {
-                        raja::reduce::reduce_min_loc::<P>(0..n, |i| x[i])
-                    })
+                    raja::reduce::reduce_min_loc(SimGpuExec::new(bs), 0..n, |i| x[i])
                 }
             };
         });

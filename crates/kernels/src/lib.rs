@@ -360,52 +360,20 @@ pub fn check_variant(info: &KernelInfo, variant: VariantId) {
     );
 }
 
-/// Dispatch a block over the simulated-GPU block-size tunings RAJAPerf
-/// sweeps. `$P` is bound to the concrete `SimGpuExec<B>` policy type.
-#[macro_export]
-macro_rules! dispatch_gpu_block {
-    ($bs:expr, $P:ident, $body:block) => {{
-        match $bs {
-            64 => {
-                type $P = raja::SimGpuExec<64>;
-                $body
-            }
-            128 => {
-                type $P = raja::SimGpuExec<128>;
-                $body
-            }
-            512 => {
-                type $P = raja::SimGpuExec<512>;
-                $body
-            }
-            1024 => {
-                type $P = raja::SimGpuExec<1024>;
-                $body
-            }
-            _ => {
-                type $P = raja::SimGpuExec<256>;
-                $body
-            }
-        }
-    }};
-}
-
 /// Dispatch an elementwise `body(i)` over every variant back-end. Shared by
 /// the map-style kernels, whose only difference is the loop body; the Base
 /// arms are direct (plain loop / rayon / device launch) and the RAJA arms go
 /// through the portability layer.
 pub fn run_elementwise(variant: VariantId, n: usize, bs: usize, body: impl Fn(usize) + Sync) {
-    use raja::policy::{ParExec, SeqExec};
+    use raja::policy::{ExecPolicy, ParExec, SeqExec, SimGpuExec};
     use rayon::prelude::*;
     match variant {
         VariantId::BaseSeq => (0..n).for_each(&body),
         VariantId::BasePar => (0..n).into_par_iter().for_each(&body),
         VariantId::BaseSimGpu => gpusim::launch_1d(n, bs, &body),
-        VariantId::RajaSeq => raja::forall::<SeqExec>(0..n, &body),
-        VariantId::RajaPar => raja::forall::<ParExec>(0..n, &body),
-        VariantId::RajaSimGpu => {
-            crate::dispatch_gpu_block!(bs, P, { raja::forall::<P>(0..n, &body) })
-        }
+        VariantId::RajaSeq => SeqExec.forall(0..n, &body),
+        VariantId::RajaPar => ParExec.forall(0..n, &body),
+        VariantId::RajaSimGpu => SimGpuExec::new(bs).forall(0..n, &body),
     }
 }
 
@@ -421,14 +389,12 @@ pub fn run_multi_reduce_raja(
     bins: &mut [f64],
     map: impl Fn(usize) -> (usize, f64) + Sync,
 ) {
-    use raja::policy::{ParExec, SeqExec};
+    use raja::policy::{ParExec, SeqExec, SimGpuExec};
     use raja::reduce::multi_reduce_sum;
     match variant {
-        VariantId::RajaSeq => multi_reduce_sum::<SeqExec>(0..n, bins, map),
-        VariantId::RajaPar => multi_reduce_sum::<ParExec>(0..n, bins, map),
-        VariantId::RajaSimGpu => {
-            crate::dispatch_gpu_block!(bs, P, { multi_reduce_sum::<P>(0..n, bins, &map) })
-        }
+        VariantId::RajaSeq => multi_reduce_sum(SeqExec, 0..n, bins, map),
+        VariantId::RajaPar => multi_reduce_sum(ParExec, 0..n, bins, map),
+        VariantId::RajaSimGpu => multi_reduce_sum(SimGpuExec::new(bs), 0..n, bins, map),
         _ => unreachable!("{} is not a RAJA variant", variant.name()),
     }
 }

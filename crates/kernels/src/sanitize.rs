@@ -144,6 +144,7 @@ pub mod fixtures {
     use crate::common;
     use crate::{time_reps, Feature, Group, PaperModel};
     use perfmodel::Complexity;
+    use raja::policy::{ExecPolicy, SimGpuExec};
 
     const FIXTURE_VARIANTS: &[VariantId] = &[
         VariantId::BaseSeq,
@@ -204,9 +205,7 @@ pub mod fixtures {
                 match variant {
                     VariantId::BaseSeq => (0..n).for_each(body),
                     VariantId::BaseSimGpu => gpusim::launch_1d(n, bs, body),
-                    VariantId::RajaSimGpu => crate::dispatch_gpu_block!(bs, P, {
-                        raja::forall::<P>(0..n, body)
-                    }),
+                    VariantId::RajaSimGpu => SimGpuExec::new(bs).forall(0..n, &body),
                     _ => unreachable!("fixture variants are checked by `execute`"),
                 }
             });

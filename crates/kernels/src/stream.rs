@@ -9,11 +9,11 @@
 
 use crate::common::{checksum, init_unit};
 use crate::{
-    time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo, PaperModel, Tuning,
-    VariantId, ALL_VARIANTS,
+    run_elementwise, time_reps, AnalyticMetrics, Feature, Group, KernelBase, KernelInfo,
+    PaperModel, Tuning, VariantId, ALL_VARIANTS,
 };
 use perfmodel::{Complexity, ExecSignature};
-use raja::policy::{ParExec, SeqExec};
+use raja::policy::{ParExec, SeqExec, SimGpuExec};
 use raja::DevicePtr;
 use rayon::prelude::*;
 use std::time::Duration;
@@ -60,16 +60,6 @@ fn stream_signature(s: &mut ExecSignature) {
 /// `Stream_ADD`: `c[i] = a[i] + b[i]`.
 pub struct Add;
 
-impl Add {
-    fn raja<P: raja::ExecPolicy>(c: &mut [f64], a: &[f64], b: &[f64]) {
-        let cp = DevicePtr::new(c);
-        // SAFETY: the index is in bounds of the allocation the pointer was built
-        // from, and each parallel iterate writes a distinct element, so writes
-        // never alias.
-        raja::forall::<P>(0..a.len(), |i| unsafe { cp.write(i, a[i] + b[i]) });
-    }
-}
-
 impl KernelBase for Add {
     fn info(&self) -> KernelInfo {
         stream_info("Stream_ADD", &[Feature::Forall])
@@ -103,17 +93,12 @@ impl KernelBase for Add {
                     .enumerate()
                     .for_each(|(i, ci)| *ci = a[i] + b[i]);
             }
-            VariantId::BaseSimGpu => {
+            _ => {
                 let cp = DevicePtr::new(&mut c);
                 // SAFETY: the index is in bounds of the allocation the pointer was built
                 // from, and each parallel iterate writes a distinct element, so writes
                 // never alias.
-                gpusim::launch_1d(n, bs, |i| unsafe { cp.write(i, a[i] + b[i]) });
-            }
-            VariantId::RajaSeq => Self::raja::<SeqExec>(&mut c, &a, &b),
-            VariantId::RajaPar => Self::raja::<ParExec>(&mut c, &a, &b),
-            VariantId::RajaSimGpu => {
-                crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut c, &a, &b) })
+                run_elementwise(variant, n, bs, |i| unsafe { cp.write(i, a[i] + b[i]) });
             }
         });
         (time, checksum(&c))
@@ -122,16 +107,6 @@ impl KernelBase for Add {
 
 /// `Stream_COPY`: `c[i] = a[i]`.
 pub struct Copy;
-
-impl Copy {
-    fn raja<P: raja::ExecPolicy>(c: &mut [f64], a: &[f64]) {
-        let cp = DevicePtr::new(c);
-        // SAFETY: the index is in bounds of the allocation the pointer was built
-        // from, and each parallel iterate writes a distinct element, so writes
-        // never alias.
-        raja::forall::<P>(0..a.len(), |i| unsafe { cp.write(i, a[i]) });
-    }
-}
 
 impl KernelBase for Copy {
     fn info(&self) -> KernelInfo {
@@ -163,17 +138,12 @@ impl KernelBase for Copy {
             VariantId::BasePar => {
                 c.par_iter_mut().enumerate().for_each(|(i, ci)| *ci = a[i]);
             }
-            VariantId::BaseSimGpu => {
+            _ => {
                 let cp = DevicePtr::new(&mut c);
                 // SAFETY: the index is in bounds of the allocation the pointer was built
                 // from, and each parallel iterate writes a distinct element, so writes
                 // never alias.
-                gpusim::launch_1d(n, bs, |i| unsafe { cp.write(i, a[i]) });
-            }
-            VariantId::RajaSeq => Self::raja::<SeqExec>(&mut c, &a),
-            VariantId::RajaPar => Self::raja::<ParExec>(&mut c, &a),
-            VariantId::RajaSimGpu => {
-                crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut c, &a) })
+                run_elementwise(variant, n, bs, |i| unsafe { cp.write(i, a[i]) });
             }
         });
         (time, checksum(&c))
@@ -242,11 +212,11 @@ impl KernelBase for Dot {
                     });
                     partials.iter().sum()
                 }
-                VariantId::RajaSeq => raja::reduce::reduce_sum::<SeqExec, f64>(0..n, |i| a[i] * b[i]),
-                VariantId::RajaPar => raja::reduce::reduce_sum::<ParExec, f64>(0..n, |i| a[i] * b[i]),
-                VariantId::RajaSimGpu => crate::dispatch_gpu_block!(bs, P, {
-                    raja::reduce::reduce_sum::<P, f64>(0..n, |i| a[i] * b[i])
-                }),
+                VariantId::RajaSeq => raja::reduce::reduce_sum(SeqExec, 0..n, |i| a[i] * b[i]),
+                VariantId::RajaPar => raja::reduce::reduce_sum(ParExec, 0..n, |i| a[i] * b[i]),
+                VariantId::RajaSimGpu => {
+                    raja::reduce::reduce_sum(SimGpuExec::new(bs), 0..n, |i| a[i] * b[i])
+                }
             };
         });
         (time, dot)
@@ -255,16 +225,6 @@ impl KernelBase for Dot {
 
 /// `Stream_MUL`: `b[i] = alpha * c[i]`.
 pub struct Mul;
-
-impl Mul {
-    fn raja<P: raja::ExecPolicy>(b: &mut [f64], c: &[f64], alpha: f64) {
-        let bp = DevicePtr::new(b);
-        // SAFETY: the index is in bounds of the allocation the pointer was built
-        // from, and each parallel iterate writes a distinct element, so writes
-        // never alias.
-        raja::forall::<P>(0..c.len(), |i| unsafe { bp.write(i, alpha * c[i]) });
-    }
-}
 
 impl KernelBase for Mul {
     fn info(&self) -> KernelInfo {
@@ -299,17 +259,12 @@ impl KernelBase for Mul {
                     .enumerate()
                     .for_each(|(i, bi)| *bi = alpha * c[i]);
             }
-            VariantId::BaseSimGpu => {
+            _ => {
                 let bp = DevicePtr::new(&mut b);
                 // SAFETY: the index is in bounds of the allocation the pointer was built
                 // from, and each parallel iterate writes a distinct element, so writes
                 // never alias.
-                gpusim::launch_1d(n, bs, |i| unsafe { bp.write(i, alpha * c[i]) });
-            }
-            VariantId::RajaSeq => Self::raja::<SeqExec>(&mut b, &c, alpha),
-            VariantId::RajaPar => Self::raja::<ParExec>(&mut b, &c, alpha),
-            VariantId::RajaSimGpu => {
-                crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut b, &c, alpha) })
+                run_elementwise(variant, n, bs, |i| unsafe { bp.write(i, alpha * c[i]) });
             }
         });
         (time, checksum(&b))
@@ -319,16 +274,6 @@ impl KernelBase for Mul {
 /// `Stream_TRIAD`: `a[i] = b[i] + alpha * c[i]` — the paper's bandwidth
 /// yardstick.
 pub struct Triad;
-
-impl Triad {
-    fn raja<P: raja::ExecPolicy>(a: &mut [f64], b: &[f64], c: &[f64], alpha: f64) {
-        let ap = DevicePtr::new(a);
-        // SAFETY: the index is in bounds of the allocation the pointer was built
-        // from, and each parallel iterate writes a distinct element, so writes
-        // never alias.
-        raja::forall::<P>(0..b.len(), |i| unsafe { ap.write(i, b[i] + alpha * c[i]) });
-    }
-}
 
 impl KernelBase for Triad {
     fn info(&self) -> KernelInfo {
@@ -364,17 +309,14 @@ impl KernelBase for Triad {
                     .enumerate()
                     .for_each(|(i, ai)| *ai = b[i] + alpha * c[i]);
             }
-            VariantId::BaseSimGpu => {
+            _ => {
                 let ap = DevicePtr::new(&mut a);
                 // SAFETY: the index is in bounds of the allocation the pointer was built
                 // from, and each parallel iterate writes a distinct element, so writes
                 // never alias.
-                gpusim::launch_1d(n, bs, |i| unsafe { ap.write(i, b[i] + alpha * c[i]) });
-            }
-            VariantId::RajaSeq => Self::raja::<SeqExec>(&mut a, &b, &c, alpha),
-            VariantId::RajaPar => Self::raja::<ParExec>(&mut a, &b, &c, alpha),
-            VariantId::RajaSimGpu => {
-                crate::dispatch_gpu_block!(bs, P, { Self::raja::<P>(&mut a, &b, &c, alpha) })
+                run_elementwise(variant, n, bs, |i| unsafe {
+                    ap.write(i, b[i] + alpha * c[i])
+                });
             }
         });
         (time, checksum(&a))

@@ -11,22 +11,27 @@ fn quick_size(k: &dyn KernelBase) -> usize {
 #[test]
 fn gpu_block_size_does_not_change_results() {
     // RAJAPerf's tunings change performance, never answers: the simulated
-    // device must produce identical checksums for every block size.
+    // device must produce identical checksums for every block size: one
+    // warp (32) and one that is not a power of two (96) included.
     for kernel in kernels::registry() {
         let info = kernel.info();
-        if !info.variants.contains(&VariantId::RajaSimGpu) {
-            continue;
-        }
         let n = quick_size(kernel.as_ref());
-        let r64 = kernel.execute(VariantId::RajaSimGpu, n, 1, &Tuning { gpu_block_size: 64 });
-        let r512 = kernel.execute(VariantId::RajaSimGpu, n, 1, &Tuning { gpu_block_size: 512 });
-        assert!(
-            kernels::common::close(r64.checksum, r512.checksum, 1e-9),
-            "{}: block_64 {} vs block_512 {}",
-            info.name,
-            r64.checksum,
-            r512.checksum
-        );
+        for variant in [VariantId::BaseSimGpu, VariantId::RajaSimGpu] {
+            if !info.variants.contains(&variant) {
+                continue;
+            }
+            let run = |bs| kernel.execute(variant, n, 1, &Tuning { gpu_block_size: bs }).checksum;
+            let r64 = run(64);
+            for bs in [32, 96, 512] {
+                let r = run(bs);
+                assert!(
+                    kernels::common::close(r64, r, 1e-9),
+                    "{}/{}: block_64 {r64} vs block_{bs} {r}",
+                    info.name,
+                    variant.name()
+                );
+            }
+        }
     }
 }
 

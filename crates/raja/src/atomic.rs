@@ -121,10 +121,10 @@ mod tests {
         assert_eq!(a.load(), -1.0);
     }
 
-    fn concurrent_sum<P: ExecPolicy>() {
+    fn concurrent_sum(policy: impl ExecPolicy) {
         let n = 10_000;
         let acc = AtomicF64::new(0.0);
-        forall::<P>(0..n, |_| {
+        policy.forall(0..n, &|_| {
             acc.fetch_add(1.0);
         });
         assert_eq!(acc.load(), n as f64);
@@ -132,8 +132,8 @@ mod tests {
 
     #[test]
     fn concurrent_adds_do_not_lose_updates() {
-        concurrent_sum::<ParExec>();
-        concurrent_sum::<SimGpuExec<256>>();
+        concurrent_sum(ParExec);
+        concurrent_sum(SimGpuExec::default());
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!
 //! This crate reproduces that abstraction boundary in Rust:
 //!
-//! * [`policy`] — execution policies: [`policy::SeqExec`] (sequential),
-//!   [`policy::ParExec`] (host threads via rayon, the stand-in for OpenMP),
-//!   and [`policy::SimGpuExec`] (the simulated GPU device from [`gpusim`],
-//!   the stand-in for CUDA/HIP/SYCL back-ends).
-//! * [`forall`] / [`forall_2d`] / [`forall_3d`] — policy-generic loop
-//!   execution templates.
+//! * [`policy`] — execution policies, passed as values:
+//!   [`policy::SeqExec`] (sequential), [`policy::ParExec`] (host threads
+//!   via rayon, the stand-in for OpenMP), and [`policy::SimGpuExec`] (the
+//!   simulated GPU device from [`gpusim`], the stand-in for CUDA/HIP/SYCL
+//!   back-ends), whose block size is a run-time value.
+//! * [`ExecPolicy::forall`] / [`ExecPolicy::forall_2d`] /
+//!   [`ExecPolicy::forall_3d`] — policy-generic loop execution templates;
+//!   [`forall`] is the shorthand for a policy's default value.
 //! * [`reduce`] — policy-generic reductions, including multi-value
 //!   reductions, min/max-with-location, and multi-reduces that sum into
 //!   many bins ([`reduce::multi_reduce_sum`], RAJA's `MultiReduceSum`).
@@ -32,7 +34,7 @@
 //!
 //! # Example
 //! ```
-//! use raja::policy::SeqExec;
+//! use raja::policy::{ExecPolicy, SeqExec, SimGpuExec};
 //! use raja::DevicePtr;
 //!
 //! let n = 100;
@@ -43,7 +45,10 @@
 //! // DAXPY through the portability layer:
 //! raja::forall::<SeqExec>(0..n, |i| unsafe { yp.write(i, a * x[i] + yp.read(i)) });
 //! assert_eq!(y[3], 7.0);
-//! let total = raja::reduce::reduce_sum::<SeqExec, _>(0..n, |i| y[i]);
+//! // The same loop on the simulated device, in 128-thread blocks:
+//! SimGpuExec::new(128).forall(0..n, &|i| unsafe { yp.write(i, yp.read(i) - 1.0) });
+//! assert_eq!(y[3], 6.0);
+//! let total = raja::reduce::reduce_sum(SeqExec, 0..n, |i| y[i]);
 //! assert!(total > 0.0);
 //! ```
 
@@ -58,38 +63,17 @@ pub mod workgroup;
 pub use gpusim::DevicePtr;
 pub use policy::{ExecPolicy, ParExec, SeqExec, SimGpuExec};
 
-/// Execute `body(i)` for every `i` in `range` under execution policy `P`.
+/// Execute `body(i)` for every `i` in `range` under the default value of
+/// execution policy `P` (for [`SimGpuExec`], [`gpusim::DEFAULT_BLOCK_SIZE`]
+/// threads per block; call [`ExecPolicy::forall`] on a policy value to
+/// choose another).
 ///
 /// This is RAJA's `RAJA::forall<ExecPolicy>(RAJA::RangeSegment(b, e), body)`.
 /// The body must tolerate unordered and concurrent invocation (it receives
 /// each index exactly once).
 #[inline]
-pub fn forall<P: ExecPolicy>(range: std::ops::Range<usize>, body: impl Fn(usize) + Sync) {
-    P::forall(range, &body);
-}
-
-/// Execute `body(i, j)` over the outer×inner iteration space under policy
-/// `P` (RAJA's `kernel` with a two-level nested policy). The outer dimension
-/// is parallelized; the inner is the contiguous/fast dimension.
-#[inline]
-pub fn forall_2d<P: ExecPolicy>(
-    outer: std::ops::Range<usize>,
-    inner: std::ops::Range<usize>,
-    body: impl Fn(usize, usize) + Sync,
-) {
-    P::forall_2d(outer, inner, &body);
-}
-
-/// Execute `body(i, j, k)` over a three-level nested iteration space under
-/// policy `P`; `i` is the outermost (parallel) dimension, `k` the innermost.
-#[inline]
-pub fn forall_3d<P: ExecPolicy>(
-    outer: std::ops::Range<usize>,
-    mid: std::ops::Range<usize>,
-    inner: std::ops::Range<usize>,
-    body: impl Fn(usize, usize, usize) + Sync,
-) {
-    P::forall_3d(outer, mid, inner, &body);
+pub fn forall<P: ExecPolicy + Default>(range: std::ops::Range<usize>, body: impl Fn(usize) + Sync) {
+    P::default().forall(range, &body);
 }
 
 #[cfg(test)]
@@ -97,7 +81,7 @@ mod tests {
     use super::*;
     use crate::policy::{ParExec, SeqExec, SimGpuExec};
 
-    fn check_forall<P: ExecPolicy>() {
+    fn check_forall<P: ExecPolicy + Default>() {
         let n = 1000;
         let mut hits = vec![0u32; n];
         let p = DevicePtr::new(&mut hits);
@@ -120,17 +104,17 @@ mod tests {
 
     #[test]
     fn forall_simgpu_visits_all() {
-        check_forall::<SimGpuExec<256>>();
+        check_forall::<SimGpuExec>();
     }
 
-    fn check_forall_2d<P: ExecPolicy>() {
+    fn check_forall_2d(policy: impl ExecPolicy) {
         let (ni, nj) = (37, 53);
         let mut hits = vec![0u32; ni * nj];
         let p = DevicePtr::new(&mut hits);
         // SAFETY: indices stay within the extents the device pointers/views were
         // built from, and each parallel iterate touches a disjoint set of output
         // elements, so writes never alias.
-        forall_2d::<P>(0..ni, 0..nj, |i, j| unsafe {
+        policy.forall_2d(0..ni, 0..nj, &|i, j| unsafe {
             p.write(i * nj + j, p.read(i * nj + j) + 1)
         });
         assert!(hits.iter().all(|&h| h == 1));
@@ -138,19 +122,19 @@ mod tests {
 
     #[test]
     fn forall_2d_all_policies() {
-        check_forall_2d::<SeqExec>();
-        check_forall_2d::<ParExec>();
-        check_forall_2d::<SimGpuExec<64>>();
+        check_forall_2d(SeqExec);
+        check_forall_2d(ParExec);
+        check_forall_2d(SimGpuExec::new(64));
     }
 
-    fn check_forall_3d<P: ExecPolicy>() {
+    fn check_forall_3d(policy: impl ExecPolicy) {
         let (ni, nj, nk) = (11, 13, 17);
         let mut hits = vec![0u32; ni * nj * nk];
         let p = DevicePtr::new(&mut hits);
         // SAFETY: indices stay within the extents the device pointers/views were
         // built from, and each parallel iterate touches a disjoint set of output
         // elements, so writes never alias.
-        forall_3d::<P>(0..ni, 0..nj, 0..nk, |i, j, k| unsafe {
+        policy.forall_3d(0..ni, 0..nj, 0..nk, &|i, j, k| unsafe {
             let idx = (i * nj + j) * nk + k;
             p.write(idx, p.read(idx) + 1)
         });
@@ -159,9 +143,9 @@ mod tests {
 
     #[test]
     fn forall_3d_all_policies() {
-        check_forall_3d::<SeqExec>();
-        check_forall_3d::<ParExec>();
-        check_forall_3d::<SimGpuExec<64>>();
+        check_forall_3d(SeqExec);
+        check_forall_3d(ParExec);
+        check_forall_3d(SimGpuExec::new(64));
     }
 
     #[test]
@@ -179,7 +163,7 @@ mod tests {
         // SAFETY: the index is in bounds of the allocation the pointer was built
         // from, and each parallel iterate writes a distinct element, so writes
         // never alias.
-        forall::<SimGpuExec<128>>(0..0, |_| unsafe { p.write(0, true) });
+        SimGpuExec::new(128).forall(0..0, &|_| unsafe { p.write(0, true) });
         assert!(!touched);
     }
 

@@ -1,10 +1,12 @@
-//! Execution policies: the compile-time back-end selectors.
+//! Execution policies: the back-end selectors.
 //!
 //! RAJA's execution policies (`seq_exec`, `omp_parallel_for_exec`,
-//! `cuda_exec<BLOCK_SIZE>`, ...) are empty types threaded through execution
-//! templates. The Rust equivalents here follow the same shape: zero-sized
-//! types implementing [`ExecPolicy`], with the simulated-GPU policy carrying
-//! its block size as a const generic exactly like `RAJA::cuda_exec<256>`.
+//! `cuda_exec<BLOCK_SIZE>`, ...) are types threaded through execution
+//! templates. Here a policy is a small `Copy` value implementing
+//! [`ExecPolicy`]: [`SeqExec`] and [`ParExec`] are zero-sized, and
+//! [`SimGpuExec`] carries its block size as a run-time value, as upstream's
+//! `RAJA::launch` takes its threads per team in `LaunchParams`. So one
+//! instantiation of a kernel serves every block-size tuning.
 
 use rayon::prelude::*;
 use std::ops::Range;
@@ -15,18 +17,24 @@ use std::ops::Range;
 /// three-level `RAJA::kernel` nestings the Performance Suite uses. Bodies
 /// must be safe to invoke in any order and concurrently; each index tuple is
 /// delivered exactly once.
-pub trait ExecPolicy {
+pub trait ExecPolicy: Copy {
     /// Human-readable policy name (used in reports).
     const NAME: &'static str;
 
     /// Execute `body` for each index in `range`.
-    fn forall(range: Range<usize>, body: &(impl Fn(usize) + Sync));
+    fn forall(self, range: Range<usize>, body: &(impl Fn(usize) + Sync));
 
     /// Execute `body` over a 2-D nested iteration space (outer × inner).
-    fn forall_2d(outer: Range<usize>, inner: Range<usize>, body: &(impl Fn(usize, usize) + Sync));
+    fn forall_2d(
+        self,
+        outer: Range<usize>,
+        inner: Range<usize>,
+        body: &(impl Fn(usize, usize) + Sync),
+    );
 
     /// Execute `body` over a 3-D nested iteration space.
     fn forall_3d(
+        self,
         outer: Range<usize>,
         mid: Range<usize>,
         inner: Range<usize>,
@@ -38,26 +46,32 @@ pub trait ExecPolicy {
     /// parts `range.step_by(step)` of loop `l` that together cover every
     /// `i < lens[l]` once.
     /// Spans of different loops may run in any order, and concurrently.
-    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync));
+    fn forall_ragged(self, lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync));
 }
 
 /// Sequential execution (RAJA `seq_exec`): iterates in index order on the
 /// calling thread. The reference policy — every other back-end must produce
 /// results equivalent to this one.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SeqExec;
 
 impl ExecPolicy for SeqExec {
     const NAME: &'static str = "seq";
 
     #[inline]
-    fn forall(range: Range<usize>, body: &(impl Fn(usize) + Sync)) {
+    fn forall(self, range: Range<usize>, body: &(impl Fn(usize) + Sync)) {
         for i in range {
             body(i);
         }
     }
 
     #[inline]
-    fn forall_2d(outer: Range<usize>, inner: Range<usize>, body: &(impl Fn(usize, usize) + Sync)) {
+    fn forall_2d(
+        self,
+        outer: Range<usize>,
+        inner: Range<usize>,
+        body: &(impl Fn(usize, usize) + Sync),
+    ) {
         for i in outer {
             for j in inner.clone() {
                 body(i, j);
@@ -67,6 +81,7 @@ impl ExecPolicy for SeqExec {
 
     #[inline]
     fn forall_3d(
+        self,
         outer: Range<usize>,
         mid: Range<usize>,
         inner: Range<usize>,
@@ -83,7 +98,7 @@ impl ExecPolicy for SeqExec {
 
     /// The loops back to back, each in index order.
     #[inline]
-    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
+    fn forall_ragged(self, lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
         for (l, &n) in lens.iter().enumerate() {
             body(l, 0..n, 1);
         }
@@ -93,18 +108,24 @@ impl ExecPolicy for SeqExec {
 /// Host-parallel execution via rayon (the stand-in for RAJA's
 /// `omp_parallel_for_exec`): the outermost dimension is distributed across
 /// the host thread pool.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ParExec;
 
 impl ExecPolicy for ParExec {
     const NAME: &'static str = "par";
 
     #[inline]
-    fn forall(range: Range<usize>, body: &(impl Fn(usize) + Sync)) {
+    fn forall(self, range: Range<usize>, body: &(impl Fn(usize) + Sync)) {
         range.into_par_iter().for_each(body);
     }
 
     #[inline]
-    fn forall_2d(outer: Range<usize>, inner: Range<usize>, body: &(impl Fn(usize, usize) + Sync)) {
+    fn forall_2d(
+        self,
+        outer: Range<usize>,
+        inner: Range<usize>,
+        body: &(impl Fn(usize, usize) + Sync),
+    ) {
         outer.into_par_iter().for_each(|i| {
             for j in inner.clone() {
                 body(i, j);
@@ -114,6 +135,7 @@ impl ExecPolicy for ParExec {
 
     #[inline]
     fn forall_3d(
+        self,
         outer: Range<usize>,
         mid: Range<usize>,
         inner: Range<usize>,
@@ -132,7 +154,7 @@ impl ExecPolicy for ParExec {
     /// of every loop (upstream's `omp for nowait` loops inside one parallel
     /// region): one pool job however many loops there are.
     #[inline]
-    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
+    fn forall_ragged(self, lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
         let w = rayon::current_num_threads();
         (0..w).into_par_iter().for_each(|t| {
             for (l, &n) in lens.iter().enumerate() {
@@ -143,16 +165,33 @@ impl ExecPolicy for ParExec {
 }
 
 /// Simulated-device execution (the stand-in for `RAJA::cuda_exec<B>` /
-/// `hip_exec<B>`): indices are mapped onto a grid of `B`-thread blocks on
-/// the [`gpusim`] device, with the standard `blockIdx * blockDim + threadIdx`
-/// global-thread mapping and a bounds guard.
-pub struct SimGpuExec<const BLOCK_SIZE: usize = { gpusim::DEFAULT_BLOCK_SIZE }>;
+/// `hip_exec<B>`): indices are mapped onto a grid of `block_size`-thread
+/// blocks on the [`gpusim`] device, with the standard `blockIdx * blockDim +
+/// threadIdx` global-thread mapping and a bounds guard. The default is
+/// [`gpusim::DEFAULT_BLOCK_SIZE`].
+#[derive(Clone, Copy, Debug)]
+pub struct SimGpuExec {
+    pub(crate) block_size: usize,
+}
 
-impl<const B: usize> ExecPolicy for SimGpuExec<B> {
+impl SimGpuExec {
+    /// The policy launching `block_size`-thread blocks.
+    pub fn new(block_size: usize) -> SimGpuExec {
+        SimGpuExec { block_size }
+    }
+}
+
+impl Default for SimGpuExec {
+    fn default() -> SimGpuExec {
+        SimGpuExec::new(gpusim::DEFAULT_BLOCK_SIZE)
+    }
+}
+
+impl ExecPolicy for SimGpuExec {
     const NAME: &'static str = "simgpu";
 
     #[inline]
-    fn forall(range: Range<usize>, body: &(impl Fn(usize) + Sync)) {
+    fn forall(self, range: Range<usize>, body: &(impl Fn(usize) + Sync)) {
         let start = range.start;
         let n = range.len();
         if n == 0 {
@@ -161,11 +200,16 @@ impl<const B: usize> ExecPolicy for SimGpuExec<B> {
         // Label accesses for the simulated-device sanitizer, so findings
         // report which RAJA abstraction the hazardous launch ran under.
         let _region = gpusim::sanitizer::region("raja::forall<SimGpu>");
-        gpusim::launch_1d(n, B, |i| body(start + i));
+        gpusim::launch_1d(n, self.block_size, |i| body(start + i));
     }
 
     #[inline]
-    fn forall_2d(outer: Range<usize>, inner: Range<usize>, body: &(impl Fn(usize, usize) + Sync)) {
+    fn forall_2d(
+        self,
+        outer: Range<usize>,
+        inner: Range<usize>,
+        body: &(impl Fn(usize, usize) + Sync),
+    ) {
         let (o0, n_outer) = (outer.start, outer.len());
         let (i0, n_inner) = (inner.start, inner.len());
         if n_outer == 0 || n_inner == 0 {
@@ -175,8 +219,8 @@ impl<const B: usize> ExecPolicy for SimGpuExec<B> {
         // Inner dimension along thread x (coalesced on a real device),
         // outer dimension along grid y — RAJAPerf's usual 2-D GPU mapping.
         let cfg = gpusim::LaunchConfig::grid_block(
-            gpusim::Dim3::d2(n_inner.div_ceil(B), n_outer),
-            gpusim::Dim3::d1(B),
+            gpusim::Dim3::d2(n_inner.div_ceil(self.block_size), n_outer),
+            gpusim::Dim3::d1(self.block_size),
         );
         gpusim::launch(&cfg, |block| {
             let i = o0 + block.block_idx.y;
@@ -191,6 +235,7 @@ impl<const B: usize> ExecPolicy for SimGpuExec<B> {
 
     #[inline]
     fn forall_3d(
+        self,
         outer: Range<usize>,
         mid: Range<usize>,
         inner: Range<usize>,
@@ -204,8 +249,8 @@ impl<const B: usize> ExecPolicy for SimGpuExec<B> {
         }
         let _region = gpusim::sanitizer::region("raja::forall_3d<SimGpu>");
         let cfg = gpusim::LaunchConfig::grid_block(
-            gpusim::Dim3::d3(n_inner.div_ceil(B), n_mid, n_outer),
-            gpusim::Dim3::d1(B),
+            gpusim::Dim3::d3(n_inner.div_ceil(self.block_size), n_mid, n_outer),
+            gpusim::Dim3::d1(self.block_size),
         );
         gpusim::launch(&cfg, |block| {
             let i = o0 + block.block_idx.z;
@@ -222,12 +267,12 @@ impl<const B: usize> ExecPolicy for SimGpuExec<B> {
     /// One ragged launch ([`gpusim::launch_ragged`]): grid y is the loop,
     /// and each thread's part is its grid-stride loop.
     #[inline]
-    fn forall_ragged(lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
+    fn forall_ragged(self, lens: &[usize], body: &(impl Fn(usize, Range<usize>, usize) + Sync)) {
         if lens.iter().all(|&n| n == 0) {
             return;
         }
         let _region = gpusim::sanitizer::region("raja::workgroup<SimGpu>");
-        gpusim::launch_ragged(lens, B, body);
+        gpusim::launch_ragged(lens, self.block_size, body);
     }
 }
 
@@ -240,7 +285,8 @@ mod tests {
     fn policy_names() {
         assert_eq!(SeqExec::NAME, "seq");
         assert_eq!(ParExec::NAME, "par");
-        assert_eq!(<SimGpuExec<256>>::NAME, "simgpu");
+        assert_eq!(SimGpuExec::NAME, "simgpu");
+        assert_eq!(SimGpuExec::default().block_size, gpusim::DEFAULT_BLOCK_SIZE);
     }
 
     #[test]
@@ -251,7 +297,7 @@ mod tests {
         // SAFETY: indices stay within the extents the device pointers/views were
         // built from, and each parallel iterate touches a disjoint set of output
         // elements, so writes never alias.
-        <SimGpuExec<128>>::forall_2d(0..ni, 0..nj, &|i, j| unsafe {
+        SimGpuExec::new(128).forall_2d(0..ni, 0..nj, &|i, j| unsafe {
             p.write(i * nj + j, p.read(i * nj + j) + 1)
         });
         assert!(hits.iter().all(|&h| h == 1));
@@ -259,16 +305,17 @@ mod tests {
 
     #[test]
     fn offset_ranges_respected_in_2d_and_3d() {
-        let collected = parking_lot_free_collect_2d::<SeqExec>(2..4, 7..9);
+        let collected = parking_lot_free_collect_2d(SeqExec, 2..4, 7..9);
         assert_eq!(collected, vec![(2, 7), (2, 8), (3, 7), (3, 8)]);
     }
 
-    fn parking_lot_free_collect_2d<P: ExecPolicy>(
+    fn parking_lot_free_collect_2d(
+        p: impl ExecPolicy,
         o: Range<usize>,
         i: Range<usize>,
     ) -> Vec<(usize, usize)> {
         let out = simsched::sync::Mutex::new(Vec::new());
-        P::forall_2d(o, i, &|a, b| out.lock().unwrap().push((a, b)));
+        p.forall_2d(o, i, &|a, b| out.lock().unwrap().push((a, b)));
         let mut v = out.into_inner().unwrap();
         v.sort_unstable();
         v

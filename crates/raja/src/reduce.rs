@@ -26,11 +26,12 @@ use rayon::prelude::*;
 use std::ops::Range;
 
 /// Reduce `map(i)` over `range` with the associative, commutative `combine`,
-/// starting from `identity`, under execution policy `P`.
+/// starting from `identity`, under execution policy `policy`.
 ///
 /// `identity` must be a true identity for `combine` (`combine(identity, x)
 /// == x`); back-ends may inject it any number of times.
 pub fn forall_reduce<P, T>(
+    policy: P,
     range: Range<usize>,
     identity: T,
     map: impl Fn(usize) -> T + Sync,
@@ -40,7 +41,7 @@ where
     P: ReducePolicy,
     T: Copy + Send + Sync,
 {
-    P::reduce(range, identity, &map, &combine)
+    policy.reduce(range, identity, &map, &combine)
 }
 
 /// Multi-reduce sum (RAJA `MultiReduceSum`): for every `i` in `range`,
@@ -51,12 +52,13 @@ where
 /// Host policies sum each bin in index order within a chunk and the
 /// chunks in chunk order, so for a fixed pool width the bits are the same
 /// run after run, and at width one they are [`SeqExec`]'s.
-pub fn multi_reduce_sum<P: ReducePolicy>(
+pub fn multi_reduce_sum(
+    policy: impl ReducePolicy,
     range: Range<usize>,
     bins: &mut [f64],
     map: impl Fn(usize) -> (usize, f64) + Sync,
 ) {
-    P::multi_reduce_sum(range, bins, &map);
+    policy.multi_reduce_sum(range, bins, &map);
 }
 
 /// Back-end hook for reductions. Implemented for the same policy types as
@@ -64,6 +66,7 @@ pub fn multi_reduce_sum<P: ReducePolicy>(
 pub trait ReducePolicy: ExecPolicy {
     /// Fold `map` over `range` with `combine`.
     fn reduce<T: Copy + Send + Sync>(
+        self,
         range: Range<usize>,
         identity: T,
         map: &(impl Fn(usize) -> T + Sync),
@@ -72,6 +75,7 @@ pub trait ReducePolicy: ExecPolicy {
 
     /// Sum each `map(i).1` into `bins[map(i).0]`; see [`multi_reduce_sum`].
     fn multi_reduce_sum(
+        self,
         range: Range<usize>,
         bins: &mut [f64],
         map: &(impl Fn(usize) -> (usize, f64) + Sync),
@@ -81,6 +85,7 @@ pub trait ReducePolicy: ExecPolicy {
 impl ReducePolicy for SeqExec {
     #[inline]
     fn reduce<T: Copy + Send + Sync>(
+        self,
         range: Range<usize>,
         identity: T,
         map: &(impl Fn(usize) -> T + Sync),
@@ -95,6 +100,7 @@ impl ReducePolicy for SeqExec {
 
     #[inline]
     fn multi_reduce_sum(
+        self,
         range: Range<usize>,
         bins: &mut [f64],
         map: &(impl Fn(usize) -> (usize, f64) + Sync),
@@ -110,6 +116,7 @@ impl ReducePolicy for SeqExec {
 impl ReducePolicy for ParExec {
     #[inline]
     fn reduce<T: Copy + Send + Sync>(
+        self,
         range: Range<usize>,
         identity: T,
         map: &(impl Fn(usize) -> T + Sync),
@@ -123,6 +130,7 @@ impl ReducePolicy for ParExec {
 
     #[inline]
     fn multi_reduce_sum(
+        self,
         range: Range<usize>,
         bins: &mut [f64],
         map: &(impl Fn(usize) -> (usize, f64) + Sync),
@@ -151,8 +159,9 @@ impl ReducePolicy for ParExec {
     }
 }
 
-impl<const B: usize> ReducePolicy for SimGpuExec<B> {
+impl ReducePolicy for SimGpuExec {
     fn reduce<T: Copy + Send + Sync>(
+        self,
         range: Range<usize>,
         identity: T,
         map: &(impl Fn(usize) -> T + Sync),
@@ -164,12 +173,13 @@ impl<const B: usize> ReducePolicy for SimGpuExec<B> {
             return identity;
         }
         let _region = gpusim::sanitizer::region("raja::reduce<SimGpu>");
-        let nblocks = n.div_ceil(B);
+        let bs = self.block_size;
+        let nblocks = n.div_ceil(bs);
         // Stage 1: each block folds its strip into a per-block partial
         // (shared-memory tree reduction on a real device).
         let mut partials = vec![identity; nblocks];
         let pp = gpusim::DevicePtr::new(&mut partials);
-        let cfg = gpusim::LaunchConfig::linear(n, B);
+        let cfg = gpusim::LaunchConfig::linear(n, bs);
         gpusim::launch(&cfg, |block| {
             let bx = block.block_idx.x;
             let mut acc = identity;
@@ -190,13 +200,14 @@ impl<const B: usize> ReducePolicy for SimGpuExec<B> {
     }
 
     fn multi_reduce_sum(
+        self,
         range: Range<usize>,
         bins: &mut [f64],
         map: &(impl Fn(usize) -> (usize, f64) + Sync),
     ) {
         bins.fill(0.0);
         let atoms = crate::atomic::as_atomic_slice(bins);
-        Self::forall(range, &|i| {
+        self.forall(range, &|i| {
             let (bin, value) = map(i);
             atoms[bin].fetch_add(value);
         });
@@ -204,21 +215,33 @@ impl<const B: usize> ReducePolicy for SimGpuExec<B> {
 }
 
 /// Sum reduction (RAJA `ReduceSum`).
-pub fn reduce_sum<P: ReducePolicy, T>(range: Range<usize>, map: impl Fn(usize) -> T + Sync) -> T
+pub fn reduce_sum<T>(
+    policy: impl ReducePolicy,
+    range: Range<usize>,
+    map: impl Fn(usize) -> T + Sync,
+) -> T
 where
     T: Copy + Send + Sync + Default + std::ops::Add<Output = T>,
 {
-    forall_reduce::<P, T>(range, T::default(), map, |a, b| a + b)
+    forall_reduce(policy, range, T::default(), map, |a, b| a + b)
 }
 
 /// Minimum reduction (RAJA `ReduceMin`) for `f64`.
-pub fn reduce_min<P: ReducePolicy>(range: Range<usize>, map: impl Fn(usize) -> f64 + Sync) -> f64 {
-    forall_reduce::<P, f64>(range, f64::INFINITY, map, f64::min)
+pub fn reduce_min(
+    policy: impl ReducePolicy,
+    range: Range<usize>,
+    map: impl Fn(usize) -> f64 + Sync,
+) -> f64 {
+    forall_reduce(policy, range, f64::INFINITY, map, f64::min)
 }
 
 /// Maximum reduction (RAJA `ReduceMax`) for `f64`.
-pub fn reduce_max<P: ReducePolicy>(range: Range<usize>, map: impl Fn(usize) -> f64 + Sync) -> f64 {
-    forall_reduce::<P, f64>(range, f64::NEG_INFINITY, map, f64::max)
+pub fn reduce_max(
+    policy: impl ReducePolicy,
+    range: Range<usize>,
+    map: impl Fn(usize) -> f64 + Sync,
+) -> f64 {
+    forall_reduce(policy, range, f64::NEG_INFINITY, map, f64::max)
 }
 
 /// A value/location pair for loc-reductions.
@@ -232,11 +255,13 @@ pub struct ValLoc {
 
 /// Minimum-with-location reduction (RAJA `ReduceMinLoc`): the smallest value
 /// and the *lowest* index attaining it, independent of execution order.
-pub fn reduce_min_loc<P: ReducePolicy>(
+pub fn reduce_min_loc(
+    policy: impl ReducePolicy,
     range: Range<usize>,
     map: impl Fn(usize) -> f64 + Sync,
 ) -> ValLoc {
-    forall_reduce::<P, ValLoc>(
+    forall_reduce(
+        policy,
         range,
         ValLoc {
             val: f64::INFINITY,
@@ -264,9 +289,9 @@ mod tests {
     fn check_all_policies(n: usize) {
         let d = data(n);
         let expect: f64 = d.iter().sum();
-        let s_seq = reduce_sum::<SeqExec, f64>(0..n, |i| d[i]);
-        let s_par = reduce_sum::<ParExec, f64>(0..n, |i| d[i]);
-        let s_gpu = reduce_sum::<SimGpuExec<64>, f64>(0..n, |i| d[i]);
+        let s_seq = reduce_sum(SeqExec, 0..n, |i| d[i]);
+        let s_par = reduce_sum(ParExec, 0..n, |i| d[i]);
+        let s_gpu = reduce_sum(SimGpuExec::new(64), 0..n, |i| d[i]);
         assert!((s_seq - expect).abs() < 1e-9);
         assert!((s_par - expect).abs() < 1e-9);
         assert!((s_gpu - expect).abs() < 1e-9);
@@ -285,8 +310,8 @@ mod tests {
         let d = data(n);
         let lo = d.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = d.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(reduce_min::<ParExec>(0..n, |i| d[i]), lo);
-        assert_eq!(reduce_max::<SimGpuExec<128>>(0..n, |i| d[i]), hi);
+        assert_eq!(reduce_min(ParExec, 0..n, |i| d[i]), lo);
+        assert_eq!(reduce_max(SimGpuExec::new(128), 0..n, |i| d[i]), hi);
     }
 
     #[test]
@@ -298,9 +323,9 @@ mod tests {
         let lo = d.iter().cloned().fold(f64::INFINITY, f64::min);
         let first = d.iter().position(|&v| v == lo).unwrap();
         for loc in [
-            reduce_min_loc::<SeqExec>(0..n, |i| d[i]).loc,
-            reduce_min_loc::<ParExec>(0..n, |i| d[i]).loc,
-            reduce_min_loc::<SimGpuExec<32>>(0..n, |i| d[i]).loc,
+            reduce_min_loc(SeqExec, 0..n, |i| d[i]).loc,
+            reduce_min_loc(ParExec, 0..n, |i| d[i]).loc,
+            reduce_min_loc(SimGpuExec::new(32), 0..n, |i| d[i]).loc,
         ] {
             assert_eq!(loc, first);
         }
@@ -308,9 +333,9 @@ mod tests {
 
     #[test]
     fn empty_range_returns_identity() {
-        assert_eq!(reduce_sum::<SeqExec, f64>(3..3, |_| 1.0), 0.0);
-        assert_eq!(reduce_min::<ParExec>(0..0, |_| 1.0), f64::INFINITY);
-        let ml = reduce_min_loc::<SimGpuExec<8>>(0..0, |_| 1.0);
+        assert_eq!(reduce_sum(SeqExec, 3..3, |_| 1.0), 0.0);
+        assert_eq!(reduce_min(ParExec, 0..0, |_| 1.0), f64::INFINITY);
+        let ml = reduce_min_loc(SimGpuExec::new(8), 0..0, |_| 1.0);
         assert_eq!(ml.loc, usize::MAX);
     }
 
@@ -319,7 +344,8 @@ mod tests {
         // REDUCE3-style: sum, min, max in a single traversal.
         let n = 300;
         let d = data(n);
-        let (s, lo, hi) = forall_reduce::<ParExec, (f64, f64, f64)>(
+        let (s, lo, hi) = forall_reduce(
+            ParExec,
             0..n,
             (0.0, f64::INFINITY, f64::NEG_INFINITY),
             |i| (d[i], d[i], d[i]),
@@ -331,10 +357,10 @@ mod tests {
     }
 
     /// `multi_reduce_sum` over `data(n)` into 13 bins, from NaN-filled bins.
-    fn multi_reduced<P: ReducePolicy>(n: usize) -> Vec<f64> {
+    fn multi_reduced(policy: impl ReducePolicy, n: usize) -> Vec<f64> {
         let d = data(n);
         let mut bins = vec![f64::NAN; 13];
-        multi_reduce_sum::<P>(0..n, &mut bins, |i| ((i * 7) % 13, d[i]));
+        multi_reduce_sum(policy, 0..n, &mut bins, |i| ((i * 7) % 13, d[i]));
         bins
     }
 
@@ -347,13 +373,13 @@ mod tests {
             want[(i * 7) % 13] += x;
         }
         assert_eq!(
-            multi_reduced::<SeqExec>(n),
+            multi_reduced(SeqExec, n),
             want,
             "SeqExec is the in-order loop"
         );
         for got in [
-            multi_reduced::<ParExec>(n),
-            multi_reduced::<SimGpuExec<64>>(n),
+            multi_reduced(ParExec, n),
+            multi_reduced(SimGpuExec::new(64), n),
         ] {
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-9, "{got:?} vs {want:?}");
@@ -361,18 +387,18 @@ mod tests {
         }
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         assert_eq!(
-            bits(multi_reduced::<ParExec>(n)),
-            bits(multi_reduced::<ParExec>(n)),
+            bits(multi_reduced(ParExec, n)),
+            bits(multi_reduced(ParExec, n)),
             "a host multi-reduce has the same bits run after run"
         );
-        assert_eq!(multi_reduced::<ParExec>(0), [0.0; 13]);
+        assert_eq!(multi_reduced(ParExec, 0), [0.0; 13]);
     }
 
     #[test]
     fn integer_sum() {
         let n = 1000;
         assert_eq!(
-            reduce_sum::<SimGpuExec<256>, i64>(0..n, |i| i as i64),
+            reduce_sum(SimGpuExec::default(), 0..n, |i| i as i64),
             (n as i64 - 1) * n as i64 / 2
         );
     }

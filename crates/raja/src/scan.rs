@@ -15,6 +15,7 @@ pub trait ScanPolicy: ExecPolicy {
     /// Writes the exclusive prefix sums of `map(range)` into `out` (so
     /// `out[0] == 0`) and returns the grand total.
     fn exclusive_scan(
+        self,
         range: Range<usize>,
         out: &mut [f64],
         map: &(impl Fn(usize) -> f64 + Sync),
@@ -23,6 +24,7 @@ pub trait ScanPolicy: ExecPolicy {
 
 impl ScanPolicy for SeqExec {
     fn exclusive_scan(
+        self,
         range: Range<usize>,
         out: &mut [f64],
         map: &(impl Fn(usize) -> f64 + Sync),
@@ -104,6 +106,7 @@ fn blocked_exclusive_scan(
 
 impl ScanPolicy for ParExec {
     fn exclusive_scan(
+        self,
         range: Range<usize>,
         out: &mut [f64],
         map: &(impl Fn(usize) -> f64 + Sync),
@@ -112,38 +115,42 @@ impl ScanPolicy for ParExec {
     }
 }
 
-impl<const B: usize> ScanPolicy for SimGpuExec<B> {
+impl ScanPolicy for SimGpuExec {
     fn exclusive_scan(
+        self,
         range: Range<usize>,
         out: &mut [f64],
         map: &(impl Fn(usize) -> f64 + Sync),
     ) -> f64 {
         // Count the three device passes a real GPU scan performs, so that
         // launch-overhead accounting stays honest, then run the blocked scan.
-        let cfg = gpusim::LaunchConfig::linear(range.len().max(1), B);
+        let bs = self.block_size;
+        let cfg = gpusim::LaunchConfig::linear(range.len().max(1), bs);
         for _ in 0..3 {
             gpusim::launch(&cfg, |_| {});
         }
-        blocked_exclusive_scan(range, out, map, B, false)
+        blocked_exclusive_scan(range, out, map, bs, false)
     }
 }
 
 /// Exclusive scan: `out[k] = sum of map(range[0..k])`; returns the total.
-pub fn exclusive_scan<P: ScanPolicy>(
+pub fn exclusive_scan(
+    policy: impl ScanPolicy,
     range: Range<usize>,
     out: &mut [f64],
     map: impl Fn(usize) -> f64 + Sync,
 ) -> f64 {
-    P::exclusive_scan(range, out, &map)
+    policy.exclusive_scan(range, out, &map)
 }
 
 /// Inclusive scan: `out[k] = sum of map(range[0..=k])`; returns the total.
-pub fn inclusive_scan<P: ScanPolicy>(
+pub fn inclusive_scan(
+    policy: impl ScanPolicy,
     range: Range<usize>,
     out: &mut [f64],
     map: impl Fn(usize) -> f64 + Sync,
 ) -> f64 {
-    let total = P::exclusive_scan(range.clone(), out, &map);
+    let total = policy.exclusive_scan(range.clone(), out, &map);
     // Shift from exclusive to inclusive by adding each element's own value.
     let start = range.start;
     for (k, slot) in out.iter_mut().enumerate() {
@@ -185,17 +192,17 @@ mod tests {
             let total_ref: f64 = d.iter().sum();
 
             let mut out = vec![0.0; n];
-            let t = exclusive_scan::<SeqExec>(0..n, &mut out, |i| d[i]);
+            let t = exclusive_scan(SeqExec, 0..n, &mut out, |i| d[i]);
             assert_close(&out, &expect);
             assert!((t - total_ref).abs() < 1e-9);
 
             let mut out = vec![0.0; n];
-            let t = exclusive_scan::<ParExec>(0..n, &mut out, |i| d[i]);
+            let t = exclusive_scan(ParExec, 0..n, &mut out, |i| d[i]);
             assert_close(&out, &expect);
             assert!((t - total_ref).abs() < 1e-9);
 
             let mut out = vec![0.0; n];
-            let t = exclusive_scan::<SimGpuExec<64>>(0..n, &mut out, |i| d[i]);
+            let t = exclusive_scan(SimGpuExec::new(64), 0..n, &mut out, |i| d[i]);
             assert_close(&out, &expect);
             assert!((t - total_ref).abs() < 1e-9);
         }
@@ -210,10 +217,10 @@ mod tests {
             *e += v;
         }
         let mut out = vec![0.0; n];
-        inclusive_scan::<ParExec>(0..n, &mut out, |i| d[i]);
+        inclusive_scan(ParExec, 0..n, &mut out, |i| d[i]);
         assert_close(&out, &expect);
         let mut out = vec![0.0; n];
-        inclusive_scan::<SimGpuExec<32>>(0..n, &mut out, |i| d[i]);
+        inclusive_scan(SimGpuExec::new(32), 0..n, &mut out, |i| d[i]);
         assert_close(&out, &expect);
     }
 
@@ -221,7 +228,7 @@ mod tests {
     fn offset_range_scans_correct_window() {
         let d = data(100);
         let mut out = vec![0.0; 10];
-        exclusive_scan::<SeqExec>(40..50, &mut out, |i| d[i]);
+        exclusive_scan(SeqExec, 40..50, &mut out, |i| d[i]);
         let expect = reference_exclusive(&d[40..50]);
         assert_close(&out, &expect);
     }
@@ -230,6 +237,6 @@ mod tests {
     #[should_panic(expected = "output length must match range")]
     fn mismatched_output_length_panics() {
         let mut out = vec![0.0; 3];
-        exclusive_scan::<SeqExec>(0..5, &mut out, |_| 1.0);
+        exclusive_scan(SeqExec, 0..5, &mut out, |_| 1.0);
     }
 }

@@ -15,19 +15,19 @@ use rayon::prelude::*;
 pub trait SortPolicy {
     /// Sort `keys` ascending (total order over f64, NaN-free data assumed as
     /// in RAJAPerf).
-    fn sort(keys: &mut [f64]);
+    fn sort(self, keys: &mut [f64]);
 
     /// Sort `keys` ascending, applying the same permutation to `vals`.
     /// Stable with respect to equal keys.
-    fn sort_pairs(keys: &mut [f64], vals: &mut [i32]);
+    fn sort_pairs(self, keys: &mut [f64], vals: &mut [i32]);
 }
 
 impl SortPolicy for SeqExec {
-    fn sort(keys: &mut [f64]) {
+    fn sort(self, keys: &mut [f64]) {
         keys.sort_unstable_by(f64::total_cmp);
     }
 
-    fn sort_pairs(keys: &mut [f64], vals: &mut [i32]) {
+    fn sort_pairs(self, keys: &mut [f64], vals: &mut [i32]) {
         sort_pairs_by_index(keys, vals, |perm, k| {
             perm.sort_by(|&a, &b| k[a].total_cmp(&k[b]));
         });
@@ -35,32 +35,32 @@ impl SortPolicy for SeqExec {
 }
 
 impl SortPolicy for ParExec {
-    fn sort(keys: &mut [f64]) {
+    fn sort(self, keys: &mut [f64]) {
         keys.par_sort_unstable_by(f64::total_cmp);
     }
 
-    fn sort_pairs(keys: &mut [f64], vals: &mut [i32]) {
+    fn sort_pairs(self, keys: &mut [f64], vals: &mut [i32]) {
         sort_pairs_by_index(keys, vals, |perm, k| {
             perm.par_sort_by(|&a, &b| k[a].total_cmp(&k[b]));
         });
     }
 }
 
-impl<const B: usize> SortPolicy for SimGpuExec<B> {
-    fn sort(keys: &mut [f64]) {
+impl SortPolicy for SimGpuExec {
+    fn sort(self, keys: &mut [f64]) {
         // Model the device-library call: a handful of radix passes, each a
         // kernel launch on real hardware.
         let n = keys.len().max(1);
-        let cfg = gpusim::LaunchConfig::linear(n, B);
+        let cfg = gpusim::LaunchConfig::linear(n, self.block_size);
         for _ in 0..RADIX_PASSES {
             gpusim::launch(&cfg, |_| {});
         }
         radix_sort_f64(keys, None);
     }
 
-    fn sort_pairs(keys: &mut [f64], vals: &mut [i32]) {
+    fn sort_pairs(self, keys: &mut [f64], vals: &mut [i32]) {
         let n = keys.len().max(1);
-        let cfg = gpusim::LaunchConfig::linear(n, B);
+        let cfg = gpusim::LaunchConfig::linear(n, self.block_size);
         for _ in 0..RADIX_PASSES {
             gpusim::launch(&cfg, |_| {});
         }
@@ -149,14 +149,14 @@ fn sort_pairs_by_index(
     vals.copy_from_slice(&sorted_vals);
 }
 
-/// Sort `keys` ascending under policy `P`.
-pub fn sort<P: SortPolicy>(keys: &mut [f64]) {
-    P::sort(keys);
+/// Sort `keys` ascending under `policy`.
+pub fn sort(policy: impl SortPolicy, keys: &mut [f64]) {
+    policy.sort(keys);
 }
 
-/// Sort `keys` ascending under policy `P`, permuting `vals` identically.
-pub fn sort_pairs<P: SortPolicy>(keys: &mut [f64], vals: &mut [i32]) {
-    P::sort_pairs(keys, vals);
+/// Sort `keys` ascending under `policy`, permuting `vals` identically.
+pub fn sort_pairs(policy: impl SortPolicy, keys: &mut [f64], vals: &mut [i32]) {
+    policy.sort_pairs(keys, vals);
 }
 
 #[cfg(test)]
@@ -180,9 +180,9 @@ mod tests {
             for run in 0..3 {
                 let mut v = orig.clone();
                 match run {
-                    0 => sort::<SeqExec>(&mut v),
-                    1 => sort::<ParExec>(&mut v),
-                    _ => sort::<SimGpuExec<128>>(&mut v),
+                    0 => sort(SeqExec, &mut v),
+                    1 => sort(ParExec, &mut v),
+                    _ => sort(SimGpuExec::new(128), &mut v),
                 }
                 assert!(is_sorted(&v), "policy {run}, n={n}");
                 let mut expect = orig.clone();
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn sort_handles_negatives_and_zeros() {
         let mut v = vec![3.0, -1.5, 0.0, -0.0, 2.5, -7.25, 0.0];
-        sort::<SimGpuExec<32>>(&mut v);
+        sort(SimGpuExec::new(32), &mut v);
         assert!(is_sorted(&v));
         assert_eq!(v[0], -7.25);
         assert_eq!(*v.last().unwrap(), 3.0);
@@ -208,9 +208,9 @@ mod tests {
             let mut keys = data(n);
             let mut vals: Vec<i32> = (0..n as i32).collect();
             match run {
-                0 => sort_pairs::<SeqExec>(&mut keys, &mut vals),
-                1 => sort_pairs::<ParExec>(&mut keys, &mut vals),
-                _ => sort_pairs::<SimGpuExec<64>>(&mut keys, &mut vals),
+                0 => sort_pairs(SeqExec, &mut keys, &mut vals),
+                1 => sort_pairs(ParExec, &mut keys, &mut vals),
+                _ => sort_pairs(SimGpuExec::new(64), &mut keys, &mut vals),
             }
             assert!(is_sorted(&keys));
             let orig = data(n);
@@ -224,11 +224,11 @@ mod tests {
     fn sort_pairs_is_stable_for_equal_keys() {
         let mut keys = vec![1.0, 0.0, 1.0, 0.0, 1.0];
         let mut vals = vec![10, 20, 11, 21, 12];
-        sort_pairs::<SeqExec>(&mut keys, &mut vals);
+        sort_pairs(SeqExec, &mut keys, &mut vals);
         assert_eq!(vals, vec![20, 21, 10, 11, 12]);
         let mut keys = vec![1.0, 0.0, 1.0, 0.0, 1.0];
         let mut vals = vec![10, 20, 11, 21, 12];
-        sort_pairs::<SimGpuExec<8>>(&mut keys, &mut vals);
+        sort_pairs(SimGpuExec::new(8), &mut keys, &mut vals);
         assert_eq!(vals, vec![20, 21, 10, 11, 12], "radix pair sort is stable");
     }
 
@@ -237,6 +237,6 @@ mod tests {
     fn sort_pairs_length_mismatch_panics() {
         let mut keys = vec![1.0, 2.0];
         let mut vals = vec![1];
-        sort_pairs::<SeqExec>(&mut keys, &mut vals);
+        sort_pairs(SeqExec, &mut keys, &mut vals);
     }
 }

@@ -368,14 +368,14 @@ mod tests {
 
     #[test]
     fn view_works_inside_forall() {
-        use crate::policy::ParExec;
+        use crate::policy::{ExecPolicy, ParExec};
         let (ni, nj) = (16, 16);
         let mut data = vec![0.0f64; ni * nj];
         let v = View::new(&mut data, Layout::new([ni, nj]));
         // SAFETY: indices stay within the extents the device pointers/views were
         // built from, and each parallel iterate touches a disjoint set of output
         // elements, so writes never alias.
-        crate::forall_2d::<ParExec>(0..ni, 0..nj, |i, j| unsafe {
+        ParExec.forall_2d(0..ni, 0..nj, &|i, j| unsafe {
             v.set([i as isize, j as isize], (i * nj + j) as f64);
         });
         assert_eq!(data[5 * nj + 7], (5 * nj + 7) as f64);

@@ -27,7 +27,7 @@
 //! pool.enqueue(0..20, move |i| unsafe { bp.write(i, 2.0) });
 //! let group = pool.instantiate();
 //! assert_eq!(group.total_iterations(), 30);
-//! group.run::<SeqExec>(); // the two loops, back to back
+//! group.run(SeqExec); // the two loops, back to back
 //! assert!(a.iter().all(|&v| v == 1.0));
 //! assert!(b.iter().all(|&v| v == 2.0));
 //! ```
@@ -102,13 +102,13 @@ impl WorkGroup<'_> {
         self.pool.len()
     }
 
-    /// Execute every enqueued loop under policy `P` as one fused run — a
+    /// Execute every enqueued loop under `policy` as one fused run — a
     /// single launch on the simulated device (RAJA `WorkGroup::run`,
     /// returning the `WorkSite` upstream; here the run is synchronous so no
     /// site handle is needed).
-    pub fn run<P: ExecPolicy>(&self) {
+    pub fn run(&self, policy: impl ExecPolicy) {
         let runs = &self.pool.runs;
-        P::forall_ragged(&self.pool.lens, &|l, r, step| runs[l](r, step));
+        policy.forall_ragged(&self.pool.lens, &|l, r, step| runs[l](r, step));
     }
 }
 
@@ -120,12 +120,12 @@ mod tests {
 
     #[test]
     fn fused_loops_cover_all_ranges() {
-        cover_all_ranges::<SeqExec>();
-        cover_all_ranges::<ParExec>();
-        cover_all_ranges::<SimGpuExec<32>>();
+        cover_all_ranges(SeqExec);
+        cover_all_ranges(ParExec);
+        cover_all_ranges(SimGpuExec::new(32));
     }
 
-    fn cover_all_ranges<P: ExecPolicy>() {
+    fn cover_all_ranges<P: ExecPolicy>(policy: P) {
         let mut a = vec![0u32; 7];
         let mut b = vec![0u32; 13];
         let mut c = vec![0u32; 129];
@@ -151,7 +151,7 @@ mod tests {
             let group = pool.instantiate();
             assert_eq!(group.total_iterations(), 149);
             assert_eq!(group.num_loops(), 3);
-            group.run::<P>();
+            group.run(policy);
         }
         assert!(a.iter().all(|&v| v == 1), "{}", P::NAME);
         assert!(b.iter().all(|&v| v == 1), "{}", P::NAME);
@@ -172,7 +172,7 @@ mod tests {
             // from, and each parallel iterate writes a distinct element, so writes
             // never alias.
             pool.enqueue(8..10, move |i| unsafe { p.write(i, 9) });
-            pool.instantiate().run::<SeqExec>();
+            pool.instantiate().run(SeqExec);
         }
         assert_eq!(data, vec![0, 0, 0, 7, 7, 7, 0, 0, 9, 9]);
     }
@@ -182,7 +182,7 @@ mod tests {
         let pool = WorkPool::new();
         let group = pool.instantiate();
         assert_eq!(group.total_iterations(), 0);
-        group.run::<SeqExec>(); // no-op
+        group.run(SeqExec); // no-op
 
         let mut hit = false;
         {
@@ -196,7 +196,7 @@ mod tests {
             // from, and each parallel iterate writes a distinct element, so writes
             // never alias.
             pool.enqueue(0..1, move |_| unsafe { p.write(0, true) });
-            pool.instantiate().run::<SeqExec>();
+            pool.instantiate().run(SeqExec);
         }
         assert!(hit, "the non-empty range still ran");
     }
@@ -212,8 +212,8 @@ mod tests {
             // never alias.
             pool.enqueue(0..4, move |i| unsafe { p.write(i, p.read(i) + 1) });
             let group = pool.instantiate();
-            group.run::<SeqExec>();
-            group.run::<SeqExec>();
+            group.run(SeqExec);
+            group.run(SeqExec);
         }
         assert!(count.iter().all(|&c| c == 2));
     }

@@ -17,7 +17,7 @@ fn device_launch_counts() {
 
 fn simgpu_counts_one_launch_per_forall() {
     gpusim::reset_stats();
-    <SimGpuExec<128>>::forall(0..1000, &|_| {});
+    SimGpuExec::new(128).forall(0..1000, &|_| {});
     let s = gpusim::stats();
     assert_eq!(s.launches, 1);
     assert_eq!(s.blocks, 8); // ceil(1000/128)
@@ -26,14 +26,14 @@ fn simgpu_counts_one_launch_per_forall() {
 fn simgpu_scan_counts_three_launches() {
     gpusim::reset_stats();
     let mut out = vec![0.0; 100];
-    exclusive_scan::<SimGpuExec<32>>(0..100, &mut out, |_| 1.0);
+    exclusive_scan(SimGpuExec::new(32), 0..100, &mut out, |_| 1.0);
     assert_eq!(gpusim::stats().launches, 3);
 }
 
 fn simgpu_sort_counts_device_passes() {
     gpusim::reset_stats();
     let mut v: Vec<f64> = (0..100).rev().map(f64::from).collect();
-    sort::<SimGpuExec<64>>(&mut v);
+    sort(SimGpuExec::new(64), &mut v);
     // One launch per radix pass: a 64-bit key at 8 bits per digit.
     assert_eq!(gpusim::stats().launches, 8);
 }
@@ -54,7 +54,7 @@ fn fused_run_is_a_single_device_launch() {
             // never alias.
             pool.enqueue(0..n, move |i| unsafe { p.write(i, p.read(i) + 1.0) });
         }
-        pool.instantiate().run::<SimGpuExec<128>>();
+        pool.instantiate().run(SimGpuExec::new(128));
     }
     let s = gpusim::stats();
     assert_eq!(s.launches, 1, "26 loops, one launch");

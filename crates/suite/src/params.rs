@@ -242,6 +242,14 @@ pub const MAX_RANKS: usize = 256;
 /// included — down. 8× Table III's 32 M node size; 2 GiB per `f64` array.
 pub const MAX_PROBLEM_SIZE: usize = 1 << 28;
 
+/// Upper bound on `--gpu-block-size` and each `--sweep-block-sizes` value:
+/// CUDA's threads-per-block limit, and the `max_threads_per_block` of both
+/// modelled GPUs (`gpusim::occupancy::SmLimits`). A launch walks every
+/// thread of its blocks, padding included, so an unbounded block size is a
+/// one-block launch that runs for hours and wedges the process — a daemon
+/// worker included.
+pub const MAX_BLOCK_SIZE: usize = 1024;
+
 /// Upper bound on `--rank-restarts`: each restart respawns a full rank
 /// after backoff, so an unbounded budget could retry a
 /// deterministically-crashing rank for hours.
@@ -682,8 +690,8 @@ pub static FLAGS: &[Flag] = &[
         .get(|p| Some(p.variant.name().to_string()))
         .keyed(),
     Flag::new(&["--gpu-block-size"], "N", EXECUTION)
-        .help("device block-size tuning, N >= 1 (default 256)")
-        .set(|p, v| at_least_one(v).map(|n| p.tuning.gpu_block_size = n))
+        .help("device block-size tuning, 1 <= N <= 1024 (default 256)")
+        .set(|p, v| block_size(v).map(|n| p.tuning.gpu_block_size = n))
         .get(|p| Some(p.tuning.gpu_block_size.to_string()))
         .keyed(),
     Flag::new(&["--size"], "N", EXECUTION)
@@ -715,13 +723,13 @@ pub static FLAGS: &[Flag] = &[
         .set(|p, _| put(&mut p.sweep, true))
         .get(|p| p.sweep.then(String::new)),
     Flag::new(&["--sweep-block-sizes"], "N[,N..]", SWEEP)
-        .help("block-size tunings to sweep (default: just --gpu-block-size)")
+        .help("block-size tunings to sweep, each 1 <= N <= 1024 (default: just --gpu-block-size)")
         .set(|p, v| {
             // First occurrences only, as `--kernels A,A`: a repeated size
             // would be two cells sharing one profile and one cell record.
             let mut sizes = Vec::new();
             for size in v.split(',') {
-                let size = at_least_one(size.trim())?;
+                let size = block_size(size.trim())?;
                 if !sizes.contains(&size) {
                     sizes.push(size);
                 }
@@ -907,6 +915,10 @@ fn at_least_one(v: &str) -> Result<usize, String> {
     }
 }
 
+fn block_size(v: &str) -> Result<usize, String> {
+    at_most(at_least_one(v)?, MAX_BLOCK_SIZE)
+}
+
 fn at_most<T: PartialOrd + std::fmt::Display>(n: T, max: T) -> Result<T, String> {
     if n <= max {
         Ok(n)
@@ -1075,8 +1087,22 @@ mod tests {
         assert!(RunParams::parse(&args(&format!("--size {}", usize::MAX))).is_err());
         let err = RunParams::parse(&args("--kernels Stream_TRIAD --size-factor 300")).unwrap_err();
         assert!(err.contains("Stream_TRIAD at 300000000"), "{err}");
+        // Regression: a block size past CUDA's 1024 was a one-block launch
+        // walking every padding thread, running for hours.
+        for over in [MAX_BLOCK_SIZE + 1, usize::MAX] {
+            let err = RunParams::parse(&args(&format!("--gpu-block-size {over}"))).unwrap_err();
+            assert!(err.contains("--gpu-block-size"), "{err}");
+            let sweep = format!("--sweep --sweep-block-sizes 128,{over}");
+            assert!(RunParams::parse(&args(&sweep)).is_err(), "{sweep}");
+        }
         // The boundary values stay accepted.
         assert!(RunParams::parse(&args("--gpu-block-size 1 --size 1 --reps 1")).is_ok());
+        let top = format!("--gpu-block-size {MAX_BLOCK_SIZE}");
+        assert!(RunParams::parse(&args(&top)).is_ok());
+        let sweep = format!("--sweep --sweep-block-sizes 1,{MAX_BLOCK_SIZE}");
+        assert!(RunParams::parse(&args(&sweep)).is_ok());
+        let block_cap = format!("N <= {MAX_BLOCK_SIZE}");
+        assert!(RunParams::usage().contains(&block_cap), "--help states the block cap");
         assert!(RunParams::parse(&args(&format!("--size {MAX_PROBLEM_SIZE}"))).is_ok());
         let cap = MAX_PROBLEM_SIZE.to_string();
         assert!(RunParams::usage().contains(&cap), "--help states the cap");

@@ -109,8 +109,13 @@ cargo test --release -q --test end_to_end every_file_a_sweep_writes_prints_back_
 echo "== cli: full-registry --checksums =="
 cargo build --release --workspace
 RAJAPERF=target/release/rajaperf
-"$RAJAPERF" --checksums --size 20000 --reps 1 | tail -1 | grep -q "ALL CHECKSUMS PASS"
-echo "checksums: ALL CHECKSUMS PASS"
+# At the default 256 and at 96: a block size no power of two, so the
+# simulated-device variants' blocks (and reduction partials) really change.
+for bs in 256 96; do
+    "$RAJAPERF" --checksums --size 20000 --reps 1 --gpu-block-size "$bs" | tail -1 |
+        grep -q "ALL CHECKSUMS PASS"
+    echo "checksums at --gpu-block-size $bs: ALL CHECKSUMS PASS"
+done
 
 echo "== cli: --sweep emits one profile per cell =="
 SWEEP_DIR=$(mktemp -d)

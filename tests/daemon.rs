@@ -656,6 +656,14 @@ fn every_error_path_replies_one_error_then_one_done() {
             ErrorCode::Usage,
             QUEUED,
         ),
+        // Past CUDA's 1024 threads per block: a size of 2^40 was one launch
+        // walking every padding thread, a worker wedged for hours.
+        (
+            "--gpu-block-size above the cap",
+            run(&["--kernels", "Stream_DOT", "--variant", "Base_SimGpu", "--gpu-block-size", "1025"]),
+            ErrorCode::Usage,
+            QUEUED,
+        ),
         (
             "Fixture_PANIC",
             run(&["--kernels", "Fixture_PANIC", "--size", "64", "--reps", "1"]),

@@ -18,12 +18,12 @@ proptest! {
             acc += v;
         }
         let mut out = vec![0.0; n];
-        raja::scan::exclusive_scan::<ParExec>(0..n, &mut out, |i| data[i]);
+        raja::scan::exclusive_scan(ParExec, 0..n, &mut out, |i| data[i]);
         for (a, b) in out.iter().zip(&reference) {
             prop_assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()));
         }
         let mut out = vec![0.0; n];
-        raja::scan::exclusive_scan::<SimGpuExec<64>>(0..n, &mut out, |i| data[i]);
+        raja::scan::exclusive_scan(SimGpuExec::new(64), 0..n, &mut out, |i| data[i]);
         for (a, b) in out.iter().zip(&reference) {
             prop_assert!((a - b).abs() <= 1e-6 * (1.0 + b.abs()));
         }
@@ -37,9 +37,9 @@ proptest! {
         for policy in 0..3 {
             let mut v = data.clone();
             match policy {
-                0 => raja::sort::sort::<SeqExec>(&mut v),
-                1 => raja::sort::sort::<ParExec>(&mut v),
-                _ => raja::sort::sort::<SimGpuExec<128>>(&mut v),
+                0 => raja::sort::sort(SeqExec, &mut v),
+                1 => raja::sort::sort(ParExec, &mut v),
+                _ => raja::sort::sort(SimGpuExec::new(128), &mut v),
             }
             prop_assert_eq!(&v, &expected, "policy {}", policy);
         }
@@ -51,7 +51,7 @@ proptest! {
         let n = data.len();
         let mut keys = data.clone();
         let mut vals: Vec<i32> = (0..n as i32).collect();
-        raja::sort::sort_pairs::<SimGpuExec<64>>(&mut keys, &mut vals);
+        raja::sort::sort_pairs(SimGpuExec::new(64), &mut keys, &mut vals);
         prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         for (k, v) in keys.iter().zip(&vals) {
             prop_assert_eq!(data[*v as usize], *k);
@@ -62,9 +62,9 @@ proptest! {
     #[test]
     fn reduce_sum_policy_equivalence(data in prop::collection::vec(-1e3f64..1e3, 0..3000)) {
         let n = data.len();
-        let seq = raja::reduce::reduce_sum::<SeqExec, f64>(0..n, |i| data[i]);
-        let par = raja::reduce::reduce_sum::<ParExec, f64>(0..n, |i| data[i]);
-        let gpu = raja::reduce::reduce_sum::<SimGpuExec<32>, f64>(0..n, |i| data[i]);
+        let seq = raja::reduce::reduce_sum(SeqExec, 0..n, |i| data[i]);
+        let par = raja::reduce::reduce_sum(ParExec, 0..n, |i| data[i]);
+        let gpu = raja::reduce::reduce_sum(SimGpuExec::new(32), 0..n, |i| data[i]);
         prop_assert!((seq - par).abs() <= 1e-7 * (1.0 + seq.abs()));
         prop_assert!((seq - gpu).abs() <= 1e-7 * (1.0 + seq.abs()));
     }
@@ -263,14 +263,14 @@ fn pool_survives_back_to_back_calls() {
     use std::sync::atomic::{AtomicU32, Ordering};
     const SIZES: [usize; 6] = [0, 1, 2, 17, 256, 10_000];
     let value = |i: usize| ((i as f64) * 0.37).sin() * 1e3;
-    let sums = SIZES.map(|n| raja::reduce::reduce_sum::<ParExec, f64>(0..n, value).to_bits());
+    let sums = SIZES.map(|n| raja::reduce::reduce_sum(ParExec, 0..n, value).to_bits());
     let hits: Vec<AtomicU32> = (0..10_000).map(|_| AtomicU32::new(0)).collect();
     for call in 1..=2_000u32 {
         let n = SIZES[call as usize % SIZES.len()];
         raja::forall::<ParExec>(0..n, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
-        let sum = raja::reduce::reduce_sum::<ParExec, f64>(0..n, value);
+        let sum = raja::reduce::reduce_sum(ParExec, 0..n, value);
         assert_eq!(sum.to_bits(), sums[call as usize % SIZES.len()], "call {call}, n {n}");
     }
     // Index i was visited once per call over a length above i.
@@ -285,7 +285,7 @@ fn pool_survives_back_to_back_calls() {
         (0..500)
             .map(|k| {
                 let n = SIZES[k % SIZES.len()];
-                raja::reduce::reduce_sum::<ParExec, f64>(0..n, value).to_bits()
+                raja::reduce::reduce_sum(ParExec, 0..n, value).to_bits()
             })
             .collect::<Vec<u64>>()
     };

@@ -3,61 +3,12 @@
 //! calling thread — against a bound with stated headroom, so a change that
 //! puts the work back fails here however fast the host is that day.
 //!
-//! Its own binary: the counting allocator below serves every test in it.
+//! Its own binary: the counting allocator (`common`) serves every test in it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
+use common::blocks;
 use suite::RunParams;
-
-/// The system allocator, counting the blocks each thread asks for.
-struct Counting;
-
-thread_local! {
-    static BLOCKS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: a thread's last frees run after its locals are gone.
-    let _ = BLOCKS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; counting touches only a const-initialised
-// thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `layout` contract passes through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `layout` contract passes through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// Blocks this thread allocated while `f` ran, and what `f` returned.
-fn blocks<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = BLOCKS.with(Cell::get);
-    let out = f();
-    (BLOCKS.with(Cell::get) - before, out)
-}
 
 /// A warm `--sweep` (every cell cached) plans the grid, scans each cell's
 /// record and profile digest, and composes the manifest. The key is printed
