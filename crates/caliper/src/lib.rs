@@ -36,7 +36,6 @@ pub mod trace;
 
 use serde::text::Reader;
 use serde::Serialize;
-use simsched::sync::atomic::{AtomicBool, Ordering};
 use simsched::sync::Mutex;
 use simsched::time::Instant;
 use std::collections::BTreeMap;
@@ -423,9 +422,9 @@ static NEXT_SESSION_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 pub struct Session {
     id: u64,
     inner: Arc<Mutex<SessionInner>>,
-    /// Opt-in event-trace mode: when set, begin/end/metric calls also record
-    /// timestamped events in the global [`trace`] collector.
-    events: Arc<AtomicBool>,
+    /// The event trace this channel also records its begin/end/metric calls
+    /// into, on the calling thread's lane.
+    trace: Option<trace::Trace>,
 }
 
 impl Default for Session {
@@ -440,37 +439,32 @@ impl Session {
         Session {
             id: NEXT_SESSION_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             inner: Arc::new(Mutex::new(SessionInner::default())),
-            events: Arc::new(AtomicBool::new(false)),
+            trace: None,
         }
     }
 
-    /// Switch this session's event-trace mode on: every subsequent
-    /// begin/end/metric call is additionally recorded as a timestamped event
-    /// in the global [`trace`] collector (which this also enables). While
-    /// off — the default — the only cost on the annotation path is one
-    /// relaxed atomic load.
-    pub fn enable_event_trace(&self) {
-        trace::enable();
-        self.events.store(true, Ordering::Relaxed);
+    /// A fresh channel whose begin/end/metric calls are also recorded as
+    /// timestamped events in `trace`, whichever thread makes them. A
+    /// [`Session::new`] channel records none: its only cost on the
+    /// annotation path is one `Option` check.
+    pub fn traced(trace: &trace::Trace) -> Session {
+        Session {
+            trace: Some(trace.clone()),
+            ..Session::new()
+        }
     }
 
-    /// Switch this session's event-trace mode off. The global [`trace`]
-    /// collector is left as-is (other producers may still be tracing).
-    pub fn disable_event_trace(&self) {
-        self.events.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether this session records trace events.
-    pub fn event_trace_enabled(&self) -> bool {
-        self.events.load(Ordering::Relaxed)
+    /// Record `kind` in this channel's trace, if it has one.
+    fn event(&self, name: &str, kind: trace::EventKind) {
+        if let Some(trace) = &self.trace {
+            trace.record(name, kind);
+        }
     }
 
     /// Open a region named `name` nested under the calling thread's current
     /// path. Prefer [`Session::region`] which closes automatically.
     pub fn begin(&self, name: &str) {
-        if self.events.load(Ordering::Relaxed) {
-            trace::begin_event(name);
-        }
+        self.event(name, trace::EventKind::Begin);
         STACK.with(|s| {
             s.borrow_mut()
                 .push((self.id, name.to_string(), Instant::now()));
@@ -510,9 +504,7 @@ impl Session {
             path.push(top.1);
             (path, top.2.elapsed().as_secs_f64())
         });
-        if self.events.load(Ordering::Relaxed) {
-            trace::end_event(name);
-        }
+        self.event(name, trace::EventKind::End);
         let mut inner = self.inner.lock().unwrap();
         let node = inner.nodes.entry(path).or_default();
         node.visits += 1;
@@ -585,9 +577,7 @@ impl Session {
     /// value recorded at this node (set semantics — used for per-run
     /// analytic metrics like `Bytes/Rep` that do not vary between visits).
     pub fn set_metric(&self, name: &str, value: f64) {
-        if self.events.load(Ordering::Relaxed) {
-            trace::counter_event(name, value);
-        }
+        self.event(name, trace::EventKind::Counter(value));
         let path = self.metric_path();
         let mut inner = self.inner.lock().unwrap();
         let node = inner.nodes.entry(path).or_default();
@@ -597,9 +587,7 @@ impl Session {
     /// Attach a metric observation to the current region, aggregating
     /// (sum/min/max/avg) with previous observations.
     pub fn add_metric(&self, name: &str, value: f64) {
-        if self.events.load(Ordering::Relaxed) {
-            trace::counter_event(name, value);
-        }
+        self.event(name, trace::EventKind::Counter(value));
         let path = self.metric_path();
         let mut inner = self.inner.lock().unwrap();
         let node = inner.nodes.entry(path).or_default();
@@ -782,7 +770,7 @@ pub enum OutputSpec {
         /// File path for the JSON profile.
         output: String,
     },
-    /// `trace` service: event timeline from the [`trace`] collector.
+    /// `trace` service: the run's event timeline (a [`trace::Trace`]).
     Trace {
         /// File path for the Chrome Trace Event JSON.
         output: String,
@@ -799,8 +787,8 @@ pub enum OutputSpec {
 /// to the most recent service (`runtime-report,output=stdout`).
 ///
 /// Recognized services: `runtime-report`, `spot`, `hatchet-region-profile`,
-/// and `trace` (alias `event-trace`), which serializes the global [`trace`]
-/// event log as Chrome Trace Event JSON (`output=`) and optionally as
+/// and `trace` (alias `event-trace`), which serializes the run's
+/// [`trace::Trace`] as Chrome Trace Event JSON (`output=`) and optionally as
 /// flamegraph folded stacks (`folded=`).
 #[derive(Debug, Default)]
 pub struct ConfigManager {
@@ -899,8 +887,8 @@ impl ConfigManager {
     }
 
     /// Whether any configured service exports the event trace. Callers use
-    /// this to switch event collection on for the run — the `trace` service
-    /// can only export events that were recorded.
+    /// this to make the run's [`trace::Trace`] — the `trace` service can
+    /// only export events that were recorded.
     pub fn requests_event_trace(&self) -> bool {
         self.outputs
             .iter()
@@ -908,11 +896,16 @@ impl ConfigManager {
     }
 
     /// Produce every configured output from `profile` — the one the caller
-    /// built for the run, so what is written is what the caller reports.
-    /// Returns the files written, each digested from the very bytes handed
-    /// to [`write_atomic`] — never read back, so a torn write is not vouched
-    /// for.
-    pub fn flush(&self, profile: &Profile) -> std::io::Result<Vec<Written>> {
+    /// built for the run, so what is written is what the caller reports —
+    /// and `trace`, the run's event trace (a `trace` service given none
+    /// exports an empty one). Returns the files written, each digested from
+    /// the very bytes handed to [`write_atomic`] — never read back, so a
+    /// torn write is not vouched for.
+    pub fn flush(
+        &self,
+        profile: &Profile,
+        trace: Option<&trace::Trace>,
+    ) -> std::io::Result<Vec<Written>> {
         let mut written = Vec::new();
         let mut write = |path: &str, contents: String| {
             let path = std::path::PathBuf::from(path);
@@ -937,9 +930,10 @@ impl ConfigManager {
                 },
                 OutputSpec::SpotProfile { output } => write(output, profile.to_json())?,
                 OutputSpec::Trace { output, folded } => {
-                    write(output, trace::export_chrome_json())?;
+                    let trace = trace.cloned().unwrap_or_default();
+                    write(output, trace.export_chrome_json())?;
                     if let Some(folded) = folded {
-                        write(folded, trace::export_folded())?;
+                        write(folded, trace.export_folded())?;
                     }
                 }
             }
@@ -1139,7 +1133,7 @@ mod tests {
         }
         let mut cm = ConfigManager::new();
         cm.add(&format!("spot(output={})", path.display()));
-        let written = cm.flush(&s.profile()).unwrap();
+        let written = cm.flush(&s.profile(), None).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let expected = Written {
             path: path.clone(),
@@ -1183,7 +1177,7 @@ mod tests {
         cm.push(OutputSpec::SpotProfile {
             output: path.display().to_string(),
         });
-        let written = cm.flush(&s.profile()).unwrap();
+        let written = cm.flush(&s.profile(), None).unwrap();
         assert_eq!(written.len(), 1);
         assert_eq!(written[0].path, path);
         assert!(Profile::read_file(&path).unwrap().find("k").is_some());

@@ -14,35 +14,61 @@
 //!
 //! # Design
 //!
-//! * **Process-global collector, per-thread lanes.** Every thread that
-//!   records gets its own *lane*: a fixed-capacity ring buffer it alone
-//!   writes. Rayon pool workers get stable lane ids derived from
-//!   [`rayon::current_worker_index`] (lane `1 + worker`), so a trace view
-//!   shows one swimlane per pool worker; non-pool threads get lanes past
-//!   [`NONWORKER_LANE_BASE`] (the first one, normally the main thread, gets
-//!   lane 0).
-//! * **Zero cost when off.** The global gate is one relaxed atomic load
-//!   ([`enabled`]); every producer (the session annotation API, the gpusim
-//!   device) checks it before doing any work. Nothing is allocated, timed,
-//!   or locked until the first event of an enabled trace.
+//! * **One trace per run.** A [`Trace`] is a cloneable handle to one
+//!   collector: its epoch, its lanes and its ring capacity. Like a Caliper
+//!   channel's services, it belongs to whoever made it — the suite makes one
+//!   per run whose outputs ask for a trace — so a traced run executes beside
+//!   untraced ones in the same process and records nothing of theirs.
+//! * **Entered per thread.** A thread records into the trace it has
+//!   [`Trace::enter`]ed (the guard restores the previous one on drop), and a
+//!   [`crate::Session`] made by [`crate::Session::traced`] records into its
+//!   own. A thread the run starts joins the run's trace by entering
+//!   [`current`], as it joins the run's fault world.
+//! * **Per-thread lanes.** Every thread that records gets its own *lane* in
+//!   that trace: a fixed-capacity ring buffer it alone writes. Rayon pool
+//!   worker `w` gets lane `1 + w` (one swimlane per pool worker); the first
+//!   other thread — normally the run thread, which enters first — gets lane
+//!   0 (`main`), later ones lanes past [`NONWORKER_LANE_BASE`].
+//! * **Zero cost when off.** [`enabled`] is one thread-local `Cell<bool>`
+//!   read: whether the calling thread has entered a trace. Every producer
+//!   (the gpusim device, the fault observer) checks it before doing any
+//!   work, and an untraced session checks only its own `Option`.
 //! * **Bounded memory.** Each lane's ring holds [`default capacity`]
 //!   events; once full, the oldest events are overwritten and counted in
 //!   [`LaneSnapshot::dropped`]. Exporters tolerate the resulting unmatched
 //!   begin/end events.
 //!
+//! # Where each producer records
+//!
+//! | producer | records on | the trace reached that thread by |
+//! |---|---|---|
+//! | `Session` regions and metrics (suite > group > kernel spans, counters) | the thread calling the session | the session holds the trace |
+//! | `gpusim.launch` instant, `gpusim.*` counters | the launching thread: the run thread, its `--timeout` watchdog, or an exchange kernel's `simcomm` rank | `run_suite` enters it for the timing loop; `exec::attempt` enters it in the watchdog; `kernels::comm` in each rank body |
+//! | `gpusim.block` spans | the thread running the block: a pool worker, or the launching thread | the launch takes the launching thread's [`current`] with it; each block enters it |
+//! | `simfault.<point>.<mode>` instants | the thread where the fault fires | as for launches |
+//! | `simsched.*` lock-order instants | the thread that closes a cycle | as for launches |
+//!
+//! Nothing else carries the trace: a `RAJA_Par` loop's pool jobs record
+//! nothing, so a lock-order cycle closed on a pool worker outside a device
+//! block leaves no instant (the `--lock-order` report still lists it). The
+//! sanitizer pass runs after the run thread has left its trace, so its
+//! launches stay out of the timeline.
+//!
 //! [`default capacity`]: DEFAULT_LANE_CAPACITY
 
-use simsched::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use simsched::sync::Mutex;
 use simsched::time::Instant;
-use std::sync::{Arc, OnceLock};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::Arc;
+use std::thread::ThreadId;
 
 /// Default per-lane ring capacity, in events.
 pub const DEFAULT_LANE_CAPACITY: usize = 1 << 20;
 
 /// First lane id handed to threads that are *not* rayon pool workers (other
-/// than the very first such thread, which gets lane 0 — normally the main
-/// thread). Pool worker `w` always gets lane `1 + w`.
+/// than the first such thread to record in a trace, which gets lane 0 —
+/// normally the run thread). Pool worker `w` always gets lane `1 + w`.
 pub const NONWORKER_LANE_BASE: u32 = 1 << 16;
 
 /// What one trace event records.
@@ -77,16 +103,17 @@ pub struct TraceEvent {
     pub name: String,
     /// What happened.
     pub kind: EventKind,
-    /// Microseconds since the collector's epoch (first [`enable`] call).
+    /// Microseconds since the trace's epoch (its creation).
     pub ts_us: f64,
 }
 
 /// A fixed-capacity overwrite-oldest ring of events.
+#[derive(Default)]
 struct Ring {
     buf: Vec<TraceEvent>,
     /// Index of the chronologically first event once the ring has wrapped.
     head: usize,
-    /// Events overwritten since the last [`clear`].
+    /// Events overwritten so far.
     dropped: u64,
 }
 
@@ -112,14 +139,14 @@ impl Ring {
 /// One thread's lane of the event trace, snapshotted for export.
 #[derive(Debug, Clone)]
 pub struct LaneSnapshot {
-    /// Stable lane id (Chrome `tid`): `1 + worker` for pool workers, 0 for
-    /// the first non-worker thread, `NONWORKER_LANE_BASE + k` otherwise.
+    /// Lane id (Chrome `tid`): `1 + worker` for pool workers, 0 for the
+    /// trace's first non-worker thread, `NONWORKER_LANE_BASE + k` otherwise.
     pub id: u32,
     /// Human-readable lane label (`main`, `pool-worker-3`, ...).
     pub label: String,
     /// Events in chronological order.
     pub events: Vec<TraceEvent>,
-    /// Events lost to ring overwrite since the last clear.
+    /// Events lost to ring overwrite.
     pub dropped: u64,
 }
 
@@ -131,110 +158,243 @@ struct Lane {
 
 struct Collector {
     epoch: Instant,
-    lanes: Mutex<Vec<Arc<Lane>>>,
-    nonworker_seq: AtomicU32,
-    capacity: AtomicUsize,
+    capacity: usize,
+    /// Every lane, keyed by the thread that writes it.
+    lanes: Mutex<Vec<(ThreadId, Arc<Lane>)>>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// One event trace: a cloneable handle to its collector. Clones record into
+/// and export the same lanes.
+#[derive(Clone)]
+pub struct Trace(Arc<Collector>);
 
-fn collector() -> &'static Collector {
-    static COLLECTOR: OnceLock<Collector> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Collector {
-        epoch: Instant::now(),
-        lanes: Mutex::new(Vec::new()),
-        nonworker_seq: AtomicU32::new(0),
-        capacity: AtomicUsize::new(DEFAULT_LANE_CAPACITY),
-    })
-}
+/// The trace a thread has entered, with its lane there.
+struct Current(Trace, Arc<Lane>);
 
 thread_local! {
-    /// This thread's lane, registered with the collector on first use.
-    static MY_LANE: std::cell::OnceCell<Arc<Lane>> = const { std::cell::OnceCell::new() };
+    /// Whether [`CURRENT`] holds a trace: the only thing a producer reads
+    /// while the thread records nothing.
+    static ON: Cell<bool> = const { Cell::new(false) };
+    static CURRENT: RefCell<Option<Current>> = const { RefCell::new(None) };
 }
 
-/// Whether the event-trace service is collecting. One relaxed atomic load:
-/// this is the producers' fast-path gate, the trace-off zero-cost guarantee.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// Make `current` this thread's trace; returns the one it replaces.
+fn install(current: Option<Current>) -> Option<Current> {
+    ON.set(current.is_some());
+    CURRENT.replace(current)
 }
 
-/// Switch event collection on. The first call fixes the trace epoch
-/// (timestamp zero).
-pub fn enable() {
-    collector();
-    ENABLED.store(true, Ordering::Relaxed);
+/// A trace entered on this thread; dropping it (unwinding included) puts
+/// back whatever was there before.
+#[must_use = "dropping the guard leaves the trace immediately"]
+pub struct Entered {
+    previous: Option<Current>,
+    /// `!Send`: the guard restores the thread it was created on.
+    _thread: PhantomData<*const ()>,
 }
 
-/// Switch event collection off. Already-recorded events are retained until
-/// [`clear`].
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Discard every recorded event (lane registrations persist — threads keep
-/// their lane ids for the process lifetime).
-pub fn clear() {
-    let c = collector();
-    for lane in c.lanes.lock().unwrap().iter() {
-        let mut ring = lane.ring.lock().unwrap();
-        ring.buf.clear();
-        ring.head = 0;
-        ring.dropped = 0;
+impl Drop for Entered {
+    fn drop(&mut self) {
+        install(self.previous.take());
     }
 }
 
-/// Cap each lane's ring at `events` entries (applies to subsequent pushes;
-/// existing longer rings are kept until they naturally shrink via clear).
-pub fn set_lane_capacity(events: usize) {
-    collector().capacity.store(events.max(1), Ordering::Relaxed);
+impl Default for Trace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
-fn lane_for_current_thread(c: &'static Collector) -> Arc<Lane> {
-    MY_LANE.with(|cell| {
-        Arc::clone(cell.get_or_init(|| {
-            let (id, label) = match rayon::current_worker_index() {
-                Some(w) => (1 + w as u32, format!("pool-worker-{w}")),
-                None => match c.nonworker_seq.fetch_add(1, Ordering::Relaxed) {
-                    0 => (0, "main".to_string()),
-                    k => (NONWORKER_LANE_BASE + k, format!("thread-{k}")),
-                },
-            };
-            let lane = Arc::new(Lane {
-                id,
-                label,
-                ring: Mutex::new(Ring {
-                    buf: Vec::new(),
-                    head: 0,
-                    dropped: 0,
-                }),
-            });
-            c.lanes.lock().unwrap().push(Arc::clone(&lane));
-            lane
+impl Trace {
+    /// A fresh trace whose lanes hold [`DEFAULT_LANE_CAPACITY`] events each.
+    /// Its creation is timestamp zero.
+    pub fn new() -> Trace {
+        Trace::with_lane_capacity(DEFAULT_LANE_CAPACITY)
+    }
+
+    /// A fresh trace whose lanes hold at most `events` events each.
+    pub fn with_lane_capacity(events: usize) -> Trace {
+        Trace(Arc::new(Collector {
+            epoch: Instant::now(),
+            capacity: events.max(1),
+            lanes: Mutex::new(Vec::new()),
         }))
-    })
-}
+    }
 
-/// Record one event on the calling thread's lane. Cold: callers gate on
-/// [`enabled`] first, so this never sits on a trace-off fast path.
-#[cold]
-pub fn record(name: &str, kind: EventKind) {
-    let c = collector();
-    let ts_us = c.epoch.elapsed().as_secs_f64() * 1e6;
-    let lane = lane_for_current_thread(c);
-    let capacity = c.capacity.load(Ordering::Relaxed);
-    lane.ring.lock().unwrap().push(
-        TraceEvent {
+    /// Record into this trace on the calling thread for the guard's
+    /// lifetime: every producer gated on [`enabled`] writes to this
+    /// thread's lane here.
+    pub fn enter(&self) -> Entered {
+        let previous = install(Some(Current(self.clone(), self.lane())));
+        Entered {
+            previous,
+            _thread: PhantomData,
+        }
+    }
+
+    /// The calling thread's lane in this trace, registered on first use.
+    fn lane(&self) -> Arc<Lane> {
+        let me = std::thread::current().id();
+        let mut lanes = self.0.lanes.lock().unwrap();
+        if let Some((_, lane)) = lanes.iter().find(|(thread, _)| *thread == me) {
+            return Arc::clone(lane);
+        }
+        let others = lanes
+            .iter()
+            .filter(|(_, l)| l.id == 0 || l.id >= NONWORKER_LANE_BASE);
+        let (id, label) = match (rayon::current_worker_index(), others.count() as u32) {
+            (Some(w), _) => (1 + w as u32, format!("pool-worker-{w}")),
+            (None, 0) => (0, "main".to_string()),
+            (None, k) => (NONWORKER_LANE_BASE + k, format!("thread-{k}")),
+        };
+        let ring = Mutex::default();
+        let lane = Arc::new(Lane { id, label, ring });
+        lanes.push((me, Arc::clone(&lane)));
+        lane
+    }
+
+    /// Record one event on the calling thread's lane of this trace, whatever
+    /// trace the thread has entered.
+    #[cold]
+    pub(crate) fn record(&self, name: &str, kind: EventKind) {
+        self.push(&self.lane(), name, kind);
+    }
+
+    fn push(&self, lane: &Lane, name: &str, kind: EventKind) {
+        let ts_us = self.0.epoch.elapsed().as_secs_f64() * 1e6;
+        let ev = TraceEvent {
             name: name.to_string(),
             kind,
             ts_us,
-        },
-        capacity,
-    );
+        };
+        lane.ring.lock().unwrap().push(ev, self.0.capacity);
+    }
+
+    /// Snapshot every lane (sorted by lane id), skipping lanes with no events.
+    pub fn snapshot(&self) -> Vec<LaneSnapshot> {
+        let mut out: Vec<LaneSnapshot> = self
+            .0
+            .lanes
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, lane)| {
+                let ring = lane.ring.lock().unwrap();
+                LaneSnapshot {
+                    id: lane.id,
+                    label: lane.label.clone(),
+                    events: ring.chronological(),
+                    dropped: ring.dropped,
+                }
+            })
+            .filter(|s| !s.events.is_empty())
+            .collect();
+        out.sort_by_key(|s| s.id);
+        out
+    }
+
+    /// Serialize this trace as Chrome Trace Event JSON — the "JSON
+    /// Array with metadata" flavor, loadable in `chrome://tracing` and Perfetto.
+    ///
+    /// Every lane becomes a Chrome thread (`tid` = lane id) named via a
+    /// `thread_name` metadata event. Regions map to `B`/`E` duration events,
+    /// counters to `C` events, markers to thread-scoped `i` events.
+    pub fn export_chrome_json(&self) -> String {
+        use serde_json::{json, Value};
+        let lanes = self.snapshot();
+        let mut events = Vec::new();
+        for lane in &lanes {
+            let (tid, args) = (lane.id, json!({"name": lane.label}));
+            events.push(
+                json!({"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": args}),
+            );
+            for ev in &lane.events {
+                let (name, ph, ts) = (&ev.name, ev.kind.phase(), ev.ts_us);
+                let mut obj = json!({"name": name, "ph": ph, "pid": 1, "tid": tid, "ts": ts});
+                let (key, value) = match ev.kind {
+                    EventKind::Begin | EventKind::End => ("cat", json!("region")),
+                    EventKind::Counter(v) => ("args", json!({ "value": v })),
+                    EventKind::Instant => ("s", json!("t")),
+                };
+                if let Value::Object(members) = &mut obj {
+                    members.insert(key.to_string(), value);
+                }
+                events.push(obj);
+            }
+        }
+        let dropped: u64 = lanes.iter().map(|l| l.dropped).sum();
+        let other =
+            json!({"producer": "rajaperf-rs caliper trace service", "dropped_events": dropped});
+        let doc = json!({"traceEvents": events, "displayTimeUnit": "ms", "otherData": other});
+        serde_json::to_string_pretty(&doc).expect("trace serialization cannot fail")
+    }
+
+    /// Serialize this trace as flamegraph *folded stacks*: one line
+    /// per distinct call stack, `lane;outer;inner <self-time-us>`, suitable for
+    /// `flamegraph.pl` / `inferno-flamegraph`. Values are each stack's
+    /// *exclusive* (self) time in integer microseconds, summed over visits.
+    ///
+    /// Unmatched events (from ring overwrite, or regions still open when the
+    /// snapshot was taken) are skipped rather than guessed at.
+    pub fn export_folded(&self) -> String {
+        use std::collections::BTreeMap;
+        let mut agg: BTreeMap<String, f64> = BTreeMap::new();
+        for lane in self.snapshot() {
+            // Replay the lane's stack: (name, ts_begin, accumulated child time).
+            let mut stack: Vec<(String, f64, f64)> = Vec::new();
+            for ev in lane.events {
+                match ev.kind {
+                    EventKind::Begin => stack.push((ev.name, ev.ts_us, 0.0)),
+                    EventKind::End => {
+                        let Some(pos) = stack.iter().rposition(|f| f.0 == ev.name) else {
+                            continue; // unmatched end: begin was overwritten
+                        };
+                        stack.truncate(pos + 1);
+                        let (name, ts0, child) = stack.pop().expect("pos is in range");
+                        let dur = (ev.ts_us - ts0).max(0.0);
+                        let frames = stack.iter().map(|f| f.0.as_str()).chain([name.as_str()]);
+                        let path = frames.fold(lane.label.clone(), |path, f| path + ";" + f);
+                        *agg.entry(path).or_default() += (dur - child).max(0.0);
+                        if let Some(parent) = stack.last_mut() {
+                            parent.2 += dur;
+                        }
+                    }
+                    EventKind::Counter(_) | EventKind::Instant => {}
+                }
+            }
+        }
+        agg.iter()
+            .map(|(path, self_us)| format!("{path} {}\n", self_us.round() as u64))
+            .collect()
+    }
 }
 
-/// Record a region-begin event (no-op while tracing is off).
+/// The trace the calling thread has entered, if any: what a thread it
+/// starts enters to record into the same run's timeline.
+pub fn current() -> Option<Trace> {
+    CURRENT.with_borrow(|c| c.as_ref().map(|Current(trace, _)| trace.clone()))
+}
+
+/// Whether the calling thread has entered a trace. One thread-local read:
+/// this is the producers' fast-path gate, the trace-off zero-cost guarantee.
+#[inline]
+pub fn enabled() -> bool {
+    ON.get()
+}
+
+/// Record one event on the calling thread's lane of its entered trace.
+/// Cold: callers gate on [`enabled`] first, so this never sits on a
+/// trace-off fast path.
+#[cold]
+fn record(name: &str, kind: EventKind) {
+    CURRENT.with_borrow(|c| {
+        if let Some(Current(trace, lane)) = c {
+            trace.push(lane, name, kind);
+        }
+    });
+}
+
+/// Record a region-begin event (no-op on a thread that has entered no trace).
 #[inline]
 pub fn begin_event(name: &str) {
     if enabled() {
@@ -242,7 +402,7 @@ pub fn begin_event(name: &str) {
     }
 }
 
-/// Record a region-end event (no-op while tracing is off).
+/// Record a region-end event (no-op on a thread that has entered no trace).
 #[inline]
 pub fn end_event(name: &str) {
     if enabled() {
@@ -250,7 +410,7 @@ pub fn end_event(name: &str) {
     }
 }
 
-/// Record a counter sample (no-op while tracing is off).
+/// Record a counter sample (no-op on a thread that has entered no trace).
 #[inline]
 pub fn counter_event(name: &str, value: f64) {
     if enabled() {
@@ -258,35 +418,12 @@ pub fn counter_event(name: &str, value: f64) {
     }
 }
 
-/// Record an instant marker (no-op while tracing is off).
+/// Record an instant marker (no-op on a thread that has entered no trace).
 #[inline]
 pub fn instant_event(name: &str) {
     if enabled() {
         record(name, EventKind::Instant);
     }
-}
-
-/// Snapshot every lane (sorted by lane id), skipping lanes with no events.
-pub fn snapshot() -> Vec<LaneSnapshot> {
-    let c = collector();
-    let mut out: Vec<LaneSnapshot> = c
-        .lanes
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|lane| {
-            let ring = lane.ring.lock().unwrap();
-            LaneSnapshot {
-                id: lane.id,
-                label: lane.label.clone(),
-                events: ring.chronological(),
-                dropped: ring.dropped,
-            }
-        })
-        .filter(|s| !s.events.is_empty())
-        .collect();
-    out.sort_by_key(|s| s.id);
-    out
 }
 
 /// Validate the begin/end discipline of a snapshot: on every lane, events
@@ -337,181 +474,98 @@ pub fn validate_pairing(lanes: &[LaneSnapshot]) -> Result<usize, String> {
     Ok(pairs)
 }
 
-/// Serialize the current event log as Chrome Trace Event JSON — the "JSON
-/// Array with metadata" flavor, loadable in `chrome://tracing` and Perfetto.
-///
-/// Every lane becomes a Chrome thread (`tid` = lane id) named via a
-/// `thread_name` metadata event. Regions map to `B`/`E` duration events,
-/// counters to `C` events, markers to thread-scoped `i` events.
-pub fn export_chrome_json() -> String {
-    use serde_json::{json, Value};
-    fn event_obj(name: &str, ph: &str, tid: u32, ts: f64) -> std::collections::BTreeMap<String, Value> {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert("name".to_string(), json!(name));
-        m.insert("ph".to_string(), json!(ph));
-        m.insert("pid".to_string(), json!(1));
-        m.insert("tid".to_string(), json!(tid));
-        m.insert("ts".to_string(), json!(ts));
-        m
-    }
-    let lanes = snapshot();
-    let dropped: u64 = lanes.iter().map(|l| l.dropped).sum();
-    let mut events: Vec<Value> = Vec::new();
-    for lane in &lanes {
-        let mut meta = event_obj("thread_name", "M", lane.id, 0.0);
-        meta.remove("ts");
-        meta.insert("args".to_string(), json!({"name": lane.label}));
-        events.push(Value::Object(meta));
-        for ev in &lane.events {
-            let mut obj = event_obj(&ev.name, ev.kind.phase(), lane.id, ev.ts_us);
-            match ev.kind {
-                EventKind::Begin | EventKind::End => {
-                    obj.insert("cat".to_string(), json!("region"));
-                }
-                EventKind::Counter(v) => {
-                    obj.insert("args".to_string(), json!({"value": v}));
-                }
-                EventKind::Instant => {
-                    obj.insert("s".to_string(), json!("t"));
-                }
-            }
-            events.push(Value::Object(obj));
-        }
-    }
-    let mut other = std::collections::BTreeMap::new();
-    other.insert(
-        "producer".to_string(),
-        json!("rajaperf-rs caliper trace service"),
-    );
-    other.insert("dropped_events".to_string(), json!(dropped));
-    let mut doc = std::collections::BTreeMap::new();
-    doc.insert("traceEvents".to_string(), Value::Array(events));
-    doc.insert("displayTimeUnit".to_string(), json!("ms"));
-    doc.insert("otherData".to_string(), Value::Object(other));
-    serde_json::to_string_pretty(&Value::Object(doc)).expect("trace serialization cannot fail")
-}
-
-/// Serialize the current event log as flamegraph *folded stacks*: one line
-/// per distinct call stack, `lane;outer;inner <self-time-us>`, suitable for
-/// `flamegraph.pl` / `inferno-flamegraph`. Values are each stack's
-/// *exclusive* (self) time in integer microseconds, summed over visits.
-///
-/// Unmatched events (from ring overwrite, or regions still open when the
-/// snapshot was taken) are skipped rather than guessed at.
-pub fn export_folded() -> String {
-    use std::collections::BTreeMap;
-    let mut agg: BTreeMap<String, f64> = BTreeMap::new();
-    for lane in snapshot() {
-        // Replay the lane's stack: (name, ts_begin, accumulated child time).
-        let mut stack: Vec<(String, f64, f64)> = Vec::new();
-        for ev in lane.events {
-            match ev.kind {
-                EventKind::Begin => stack.push((ev.name, ev.ts_us, 0.0)),
-                EventKind::End => {
-                    let Some(pos) = stack.iter().rposition(|f| f.0 == ev.name) else {
-                        continue; // unmatched end: begin was overwritten
-                    };
-                    stack.truncate(pos + 1);
-                    let (name, ts0, child) = stack.pop().expect("pos is in range");
-                    let dur = (ev.ts_us - ts0).max(0.0);
-                    let mut path = String::with_capacity(lane.label.len() + name.len() + 8);
-                    path.push_str(&lane.label);
-                    for (frame, _, _) in &stack {
-                        path.push(';');
-                        path.push_str(frame);
-                    }
-                    path.push(';');
-                    path.push_str(&name);
-                    *agg.entry(path).or_default() += (dur - child).max(0.0);
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 += dur;
-                    }
-                }
-                EventKind::Counter(_) | EventKind::Instant => {}
-            }
-        }
-    }
-    let mut out = String::new();
-    for (path, self_us) in agg {
-        out.push_str(&path);
-        out.push(' ');
-        out.push_str(&format!("{}", self_us.round() as u64));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Trace state is process-global; tests in this module serialize on one
-    // lock so enable/clear calls do not interleave.
-    fn lock() -> simsched::sync::MutexGuard<'static, ()> {
-        static LOCK: simsched::sync::Mutex<()> = simsched::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
-    fn disabled_is_the_default_and_records_nothing() {
-        let _g = lock();
-        clear();
-        disable();
+    fn a_thread_that_entered_no_trace_records_nothing() {
+        let trace = Trace::new();
         assert!(!enabled());
         begin_event("r");
         end_event("r");
         counter_event("c", 1.0);
-        assert!(snapshot().is_empty());
+        assert!(current().is_none());
+        assert!(trace.snapshot().is_empty());
     }
 
     #[test]
     fn events_record_in_order_with_monotonic_timestamps() {
-        let _g = lock();
-        clear();
-        enable();
-        begin_event("outer");
-        begin_event("inner");
-        counter_event("bytes", 42.0);
-        end_event("inner");
-        end_event("outer");
-        disable();
-        let lanes = snapshot();
-        clear();
-        let lane = lanes
-            .iter()
-            .find(|l| l.events.iter().any(|e| e.name == "outer"))
-            .expect("recording lane present");
-        let names: Vec<&str> = lane.events.iter().map(|e| e.name.as_str()).collect();
+        let trace = Trace::new();
+        {
+            let _in = trace.enter();
+            begin_event("outer");
+            begin_event("inner");
+            counter_event("bytes", 42.0);
+            end_event("inner");
+            end_event("outer");
+        }
+        assert!(!enabled(), "the guard leaves the trace");
+        let lanes = trace.snapshot();
+        assert_eq!(lanes.len(), 1);
+        assert_eq!((lanes[0].id, lanes[0].label.as_str()), (0, "main"));
+        let names: Vec<&str> = lanes[0].events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["outer", "inner", "bytes", "inner", "outer"]);
-        assert!(lane
-            .events
-            .windows(2)
-            .all(|w| w[0].ts_us <= w[1].ts_us));
+        assert!(lanes[0].events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
         assert_eq!(validate_pairing(&lanes).unwrap(), 2);
     }
 
     #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let _g = lock();
-        clear();
-        set_lane_capacity(4);
-        enable();
-        for i in 0..10 {
-            instant_event(&format!("ev{i}"));
+    fn entering_nests_and_restores_the_previous_trace() {
+        let (outer, inner) = (Trace::new(), Trace::new());
+        let _o = outer.enter();
+        instant_event("a");
+        {
+            let _i = inner.enter();
+            instant_event("b");
+            assert!(current().is_some_and(|t| Arc::ptr_eq(&t.0, &inner.0)));
         }
-        disable();
-        let lanes = snapshot();
-        clear();
-        set_lane_capacity(DEFAULT_LANE_CAPACITY);
-        let lane = lanes
+        instant_event("c");
+        let names = |t: &Trace| -> Vec<String> {
+            t.snapshot()
+                .iter()
+                .flat_map(|l| l.events.iter().map(|e| e.name.clone()))
+                .collect()
+        };
+        assert_eq!(names(&outer), ["a", "c"]);
+        assert_eq!(names(&inner), ["b"]);
+    }
+
+    #[test]
+    fn a_started_thread_records_on_its_own_lane_once_it_enters() {
+        let trace = Trace::new();
+        let _in = trace.enter();
+        instant_event("run");
+        let handed = current();
+        std::thread::spawn(move || {
+            instant_event("before");
+            let _in = handed.as_ref().map(Trace::enter);
+            instant_event("started");
+        })
+        .join()
+        .unwrap();
+        let lanes = trace.snapshot();
+        let labels: Vec<(&str, &str)> = lanes
             .iter()
-            .find(|l| l.events.iter().any(|e| e.name.starts_with("ev")))
-            .expect("recording lane present");
-        let evs: Vec<&TraceEvent> =
-            lane.events.iter().filter(|e| e.name.starts_with("ev")).collect();
-        assert_eq!(evs.len(), 4, "ring capped at 4 events");
-        assert_eq!(evs.last().unwrap().name, "ev9", "newest retained");
-        assert!(lane.dropped >= 6, "oldest overwritten: {}", lane.dropped);
+            .flat_map(|l| l.events.iter().map(|e| (l.label.as_str(), e.name.as_str())))
+            .collect();
+        assert_eq!(labels, [("main", "run"), ("thread-1", "started")]);
+        assert_eq!(lanes[1].id, NONWORKER_LANE_BASE + 1);
+    }
+
+    #[test]
+    fn ring_overwrites_oldest_and_counts_drops() {
+        let trace = Trace::with_lane_capacity(4);
+        {
+            let _in = trace.enter();
+            for i in 0..10 {
+                instant_event(&format!("ev{i}"));
+            }
+        }
+        let lanes = trace.snapshot();
+        let names: Vec<&str> = lanes[0].events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["ev6", "ev7", "ev8", "ev9"], "newest four retained");
+        assert_eq!(lanes[0].dropped, 6, "oldest overwritten");
     }
 
     #[test]
@@ -548,63 +602,52 @@ mod tests {
     }
 
     #[test]
-    fn session_event_mode_records_begin_end_and_counters() {
-        let _g = lock();
-        clear();
-        let s = crate::Session::new();
-        assert!(!s.event_trace_enabled());
-        s.enable_event_trace();
+    fn a_traced_session_records_begin_end_and_counters() {
+        let trace = Trace::new();
+        let s = crate::Session::traced(&trace);
+        let untraced = crate::Session::new();
         {
             let _r = s.region("kernel");
             s.set_metric("Bytes/Rep", 64.0);
+            let _u = untraced.region("not_traced");
         }
-        s.disable_event_trace();
-        disable();
-        let lanes = snapshot();
-        clear();
-        let lane = lanes
-            .iter()
-            .find(|l| l.events.iter().any(|e| e.name == "kernel"))
-            .expect("session events recorded");
-        let kinds: Vec<(&str, &EventKind)> = lane
+        let lanes = trace.snapshot();
+        let kinds: Vec<(&str, &EventKind)> = lanes[0]
             .events
             .iter()
-            .filter(|e| e.name == "kernel" || e.name == "Bytes/Rep")
             .map(|e| (e.name.as_str(), &e.kind))
             .collect();
-        assert_eq!(kinds[0], ("kernel", &EventKind::Begin));
-        assert_eq!(kinds[1], ("Bytes/Rep", &EventKind::Counter(64.0)));
-        assert_eq!(kinds[2], ("kernel", &EventKind::End));
+        assert_eq!(
+            kinds,
+            [
+                ("kernel", &EventKind::Begin),
+                ("Bytes/Rep", &EventKind::Counter(64.0)),
+                ("kernel", &EventKind::End),
+            ],
+            "only the traced session records, on a thread that entered nothing"
+        );
         assert!(validate_pairing(&lanes).is_ok());
-        // Off again: nothing further is recorded.
-        {
-            let _r = s.region("not_traced");
-        }
-        assert!(snapshot()
-            .iter()
-            .all(|l| l.events.iter().all(|e| e.name != "not_traced")));
     }
 
     #[test]
     fn folded_export_attributes_self_time_to_stacks() {
-        let _g = lock();
-        clear();
-        enable();
-        begin_event("root");
-        begin_event("leaf");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        end_event("leaf");
-        end_event("root");
-        disable();
-        let folded = export_folded();
-        clear();
-        let lines: Vec<&str> = folded
-            .lines()
-            .filter(|l| l.contains(";root"))
-            .collect();
+        let trace = Trace::new();
+        {
+            let _in = trace.enter();
+            begin_event("root");
+            begin_event("leaf");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            end_event("leaf");
+            end_event("root");
+        }
+        let folded = trace.export_folded();
+        let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 2, "root and root;leaf stacks: {folded}");
         let leaf_line = lines.iter().find(|l| l.contains("root;leaf")).unwrap();
         let leaf_us: u64 = leaf_line.rsplit(' ').next().unwrap().parse().unwrap();
-        assert!(leaf_us >= 1_000, "leaf self time covers the sleep: {leaf_us}");
+        assert!(
+            leaf_us >= 1_000,
+            "leaf self time covers the sleep: {leaf_us}"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! catch what the bounded model can't reach (allocator effects, real
 //! contention, the trace ring under concurrent writers).
 
-use caliper::trace;
+use caliper::trace::{self, Trace};
 use caliper::Session;
 
 const THREADS: usize = 8;
@@ -17,8 +17,8 @@ fn concurrent_interleaved_sessions_with_trace() {
     // Shared channel all threads aggregate into, plus one private channel
     // per thread, interleaved with the shared one on the same thread —
     // the PR 4 interleaved-session shape under real concurrency.
-    let shared = Session::new();
-    shared.enable_event_trace();
+    let trace = Trace::new();
+    let shared = Session::traced(&trace);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let shared = shared.clone();
@@ -48,8 +48,6 @@ fn concurrent_interleaved_sessions_with_trace() {
             });
         }
     });
-    shared.disable_event_trace();
-    trace::disable();
 
     let p = shared.profile();
     let outer = p.find("shared_outer").expect("shared node");
@@ -69,22 +67,22 @@ fn concurrent_interleaved_sessions_with_trace() {
     // The trace recorded each thread's events on its own lane, properly
     // paired. (Ring capacity is ~1M events/lane; this writes ~1.6k/lane, so
     // nothing was dropped and strict pairing must hold.)
-    let lanes = trace::snapshot();
-    trace::clear();
+    let lanes = trace.snapshot();
     let traced: Vec<_> = lanes
         .iter()
         .filter(|l| l.events.iter().any(|e| e.name == "shared_outer"))
         .collect();
-    assert!(
-        traced.len() >= THREADS,
-        "each stressing thread gets its own lane: {}",
-        traced.len()
+    assert_eq!(
+        traced.len(),
+        THREADS,
+        "each stressing thread gets its own lane"
     );
     for lane in &traced {
         assert_eq!(lane.dropped, 0, "lane {}: no ring overflow", lane.label);
     }
     let pairs = trace::validate_pairing(&lanes).expect("per-lane begin/end discipline");
     // 2 shared begin/end pairs per iteration per thread ("shared_outer" and
-    // "leaf"); the private sessions trace nothing (event mode is per-session).
+    // "leaf"); the private sessions trace nothing (the trace is the shared
+    // session's, and no thread entered it).
     assert_eq!(pairs, THREADS * ITERS * 2, "every traced pair is complete");
 }

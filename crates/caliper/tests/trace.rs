@@ -7,12 +7,7 @@
 //! depth. Everything else — field presence, document structure, phase
 //! letters, event order — is pinned exactly.
 
-use caliper::trace;
-use simsched::sync::Mutex;
-
-/// The trace collector is process-global; tests in this binary serialize on
-/// one lock so enable/clear calls do not interleave.
-static LOCK: Mutex<()> = Mutex::new(());
+use caliper::trace::{self, Trace};
 
 /// Project a Chrome Trace JSON document onto its stable fields, one event
 /// per line: `<ph> t<lane> d<depth> <name>`, lanes renumbered densely in
@@ -51,11 +46,10 @@ fn project(json: &str) -> String {
 
 #[test]
 fn chrome_export_matches_golden_projection() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    trace::clear();
-    let s = caliper::Session::new();
-    s.enable_event_trace();
+    let t = Trace::new();
+    let s = caliper::Session::traced(&t);
     {
+        let _in = t.enter();
         let _suite = s.region("RAJAPerf");
         let _group = s.region("Stream");
         {
@@ -68,10 +62,7 @@ fn chrome_export_matches_golden_projection() {
             s.set_metric("Bytes/Rep", 24.0);
         }
     }
-    s.disable_event_trace();
-    trace::disable();
-    let json = trace::export_chrome_json();
-    trace::clear();
+    let json = t.export_chrome_json();
 
     assert_eq!(project(&json), include_str!("golden/chrome_trace.golden"));
 
@@ -107,19 +98,14 @@ fn chrome_export_matches_golden_projection() {
 
 #[test]
 fn folded_export_has_full_stacks() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    trace::clear();
-    let s = caliper::Session::new();
-    s.enable_event_trace();
+    let t = Trace::new();
+    let s = caliper::Session::traced(&t);
     {
         let _a = s.region("RAJAPerf");
         let _b = s.region("Stream");
         let _c = s.region("Stream_TRIAD");
     }
-    s.disable_event_trace();
-    trace::disable();
-    let folded = trace::export_folded();
-    trace::clear();
+    let folded = t.export_folded();
     let stacks: Vec<&str> = folded
         .lines()
         .filter_map(|l| l.rsplit_once(' ').map(|(s, _)| s))

@@ -47,6 +47,10 @@ use std::cell::Cell;
 use std::ops::{Deref, DerefMut, Index, IndexMut, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+/// The event trace, re-exported so the kernels that start threads (the
+/// exchange kernels' `simcomm` ranks) can hand the run's trace to them.
+pub use caliper::trace;
+
 pub mod occupancy;
 pub mod sanitizer;
 pub(crate) mod shadow;
@@ -412,9 +416,10 @@ fn count_launch(cfg: &LaunchConfig, active: u64) {
     BLOCKS.fetch_add(nblocks, Ordering::Relaxed);
     THREADS_LAUNCHED.fetch_add(nblocks * cfg.block.total() as u64, Ordering::Relaxed);
     THREADS_ACTIVE.fetch_add(active, Ordering::Relaxed);
-    // Event-trace hook, gated sanitizer-style: one relaxed atomic load on
-    // the launch path, everything else behind a cold call.
-    if caliper::trace::enabled() {
+    // Event-trace hook, gated sanitizer-style: one thread-local read on the
+    // launch path (has this thread entered a trace?), everything else
+    // behind a cold call.
+    if trace::enabled() {
         trace_launch();
     }
 }
@@ -436,10 +441,10 @@ fn launch_failpoint() {
 /// tracks. Cold so the trace-off launch path carries only the gate load.
 #[cold]
 fn trace_launch() {
-    caliper::trace::instant_event("gpusim.launch");
-    caliper::trace::counter_event("gpusim.launches", LAUNCHES.load(Ordering::Relaxed) as f64);
-    caliper::trace::counter_event("gpusim.blocks", BLOCKS.load(Ordering::Relaxed) as f64);
-    caliper::trace::counter_event(
+    trace::instant_event("gpusim.launch");
+    trace::counter_event("gpusim.launches", LAUNCHES.load(Ordering::Relaxed) as f64);
+    trace::counter_event("gpusim.blocks", BLOCKS.load(Ordering::Relaxed) as f64);
+    trace::counter_event(
         "gpusim.threads_active",
         THREADS_ACTIVE.load(Ordering::Relaxed) as f64,
     );
@@ -487,10 +492,11 @@ where
     F: Fn(&mut BlockCtx) + Sync,
 {
     // Per-block trace events land on the executing thread's lane, giving the
-    // trace one span per block per pool worker. Gated like the launch hook.
-    let tracing = caliper::trace::enabled();
+    // trace one span per block per pool worker. Gated like the launch hook:
+    // a pool worker has entered the launch's trace, if it had one.
+    let tracing = trace::enabled();
     if tracing {
-        caliper::trace::begin_event("gpusim.block");
+        trace::begin_event("gpusim.block");
     }
     let mut ctx = BlockCtx {
         block_idx: Dim3::d3(bx, by, bz),
@@ -502,19 +508,23 @@ where
     body(&mut ctx);
     ctx.shared.release();
     if tracing {
-        caliper::trace::end_event("gpusim.block");
+        trace::end_event("gpusim.block");
     }
 }
 
 /// The un-instrumented block scheduler: flatten the grid and let the pool
 /// schedule blocks. With a one-thread pool this degrades to the same
-/// in-order bz/by/bx sweep as the sanitized sequential loop.
+/// in-order bz/by/bx sweep as the sanitized sequential loop. A traced
+/// launch takes the launching thread's trace with it: each block enters it
+/// on the worker that runs it.
 fn launch_blocks_raw<F>(cfg: &LaunchConfig, body: &F)
 where
     F: Fn(&mut BlockCtx) + Sync,
 {
     let (gx, gy) = (cfg.grid.x, cfg.grid.y);
+    let launched_in = trace::current();
     (0..cfg.grid.total()).into_par_iter().for_each(|flat| {
+        let _trace = launched_in.as_ref().map(trace::Trace::enter);
         let bx = flat % gx;
         let by = (flat / gx) % gy;
         let bz = flat / (gx * gy);
@@ -590,11 +600,12 @@ where
 /// [`sanitizer`] scope (it needs block and thread coordinates), no
 /// [`force_generic_launch`], and no event trace (the fast path cannot emit
 /// the per-block spans the trace is for). Same discipline as the sanitizer
-/// gate: relaxed loads here, zero cost while tracing is off.
+/// gate: a relaxed load and thread-local reads, zero cost while tracing is
+/// off.
 fn fast_path() -> bool {
     !sanitizer::active()
         && !FORCE_GENERIC_LAUNCH.load(Ordering::Relaxed)
-        && !caliper::trace::enabled()
+        && !trace::enabled()
 }
 
 /// The block-structured execution of [`launch_1d`]: one guarded

@@ -368,8 +368,10 @@ impl KernelBase for HaloSendrecv {
     fn run(&self, _v: VariantId, n: usize, reps: usize, _tuning: &Tuning) -> (Duration, f64) {
         let decomp = RankDecomp::new([RANKS, 1, 1]);
         let faults = simfault::current();
+        let trace = gpusim::trace::current();
         let outputs = simcomm::run(RANKS, |mut comm| {
             let _faults = faults.enter();
+            let _trace = trace.as_ref().map(gpusim::trace::Trace::enter);
             let g = geometry(n);
             let grids = init_grids(&g, comm.rank());
             // Pre-pack once (not timed — this kernel times the messages).
@@ -442,8 +444,10 @@ fn exchange(
 ) -> (Duration, f64) {
     let decomp = RankDecomp::new([nranks, 1, 1]);
     // Rank threads pack through `DevicePtr` and launch device kernels: they
-    // draw from the fault world of the thread executing this kernel.
+    // draw from the fault world of the thread executing this kernel and
+    // record into its event trace.
     let faults = simfault::current();
+    let trace = gpusim::trace::current();
     // The rank/pool rule of the module doc: inline once the ranks alone
     // busy every pool thread.
     let inline = nranks >= rayon::current_num_threads();
@@ -467,6 +471,7 @@ fn exchange(
     };
     let outputs = simcomm::run(nranks, |comm| {
         let _faults = faults.enter();
+        let _trace = trace.as_ref().map(gpusim::trace::Trace::enter);
         if inline {
             rayon::run_inline(|| rank(comm))
         } else {

@@ -45,7 +45,8 @@ pub enum ErrorCode {
     /// The campaign executed but one or more kernels failed or timed out.
     KernelFailures,
     /// The request asks for a feature the daemon does not serve (e.g.
-    /// `--trace`, whose collector is process-global).
+    /// `--trace`: a store hit replays a stored result and records no
+    /// timeline).
     Unsupported,
 }
 

@@ -350,8 +350,9 @@ fn execute_job(job: Job, shared: &Arc<Shared>) {
 }
 
 /// Parse and daemon-validate campaign argv. A flag whose [`FLAGS`] row says
-/// the daemon refuses it — its collector is process-global (event trace,
-/// lock-order) or it writes server-side files the client never named
+/// the daemon refuses it — it asks for what a replayed store hit cannot
+/// give (an event trace), its collector is process-global (lock-order), or
+/// it writes server-side files the client never named
 /// (free-form Caliper specs; the profile comes back inline in the result
 /// instead) — is `unsupported`, with the row's reason.
 fn parse_campaign(argv: &[String]) -> Result<RunParams, Failure> {

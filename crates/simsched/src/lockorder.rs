@@ -30,24 +30,24 @@ use std::sync::Arc;
 #[allow(clippy::disallowed_types)]
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+static RECORDING: AtomicBool = AtomicBool::new(false);
 
 /// Whether acquisition recording is on. One relaxed load; this is the gate
 /// `Mutex::lock` checks on its fast path.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    RECORDING.load(Ordering::Relaxed)
 }
 
 /// Start recording lock acquisitions into the order graph.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Release);
+    RECORDING.store(true, Ordering::Release);
 }
 
 /// Stop recording. The graph and any discovered cycles are kept until
 /// [`reset`] so a report can still be rendered.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Release);
+    RECORDING.store(false, Ordering::Release);
 }
 
 /// Drop the recorded graph, cycles, and per-thread state from past runs.

@@ -3,17 +3,14 @@
 //! session-mutex acquisition a scheduling point. This locks in PR 4's
 //! interleaved-session semantics (per-thread region stacks, shared
 //! aggregation) under *every* explored interleaving, not just the ones the
-//! native stress test happens to hit.
-//!
-//! The bodies use fresh `Session`s and leave the process-global trace
-//! collector off: the checker replays schedule prefixes across runs, and
-//! process-global state that survives a run (trace lanes, the default
-//! session) would make replayed prefixes diverge. The native stress test in
-//! `crates/caliper/tests/` covers the trace-enabled path.
+//! native stress test happens to hit. Each body makes its own sessions and
+//! its own event trace, so no state survives from one explored run to the
+//! next.
 #![cfg(simsched)]
 
 use std::sync::Arc;
 
+use caliper::trace::{validate_pairing, Trace};
 use caliper::Session;
 use simsched::check;
 
@@ -83,6 +80,35 @@ fn interleaved_sessions_stay_independent() {
     report.assert_ok();
     println!(
         "caliper interleaved-session model: {} schedules, {} pruned",
+        report.schedules, report.pruned
+    );
+}
+
+/// Two threads recording regions of one traced session: the trace's lane
+/// registry and each lane's ring are scheduling points, and in every
+/// schedule each thread's events land on its own lane, fully paired.
+#[test]
+fn traced_session_pairs_regions_from_both_threads() {
+    let report = check(|| {
+        let trace = Trace::new();
+        let s = Session::traced(&trace);
+        let s2 = s.clone();
+        let t = simsched::thread::spawn(move || {
+            let _r = s2.region("worker");
+            let _leaf = s2.region("leaf");
+            s2.add_metric("reps", 1.0);
+        });
+        {
+            let _r = s.region("main");
+        }
+        t.join().unwrap();
+        let lanes = trace.snapshot();
+        assert_eq!(lanes.len(), 2, "one lane per recording thread");
+        assert_eq!(validate_pairing(&lanes), Ok(3), "main, worker and leaf");
+    });
+    report.assert_ok();
+    println!(
+        "caliper traced-session model: {} schedules, {} pruned",
         report.schedules, report.pruned
     );
 }

@@ -19,7 +19,8 @@ fn abba_cycle_is_reported_with_both_stacks() {
     // from Caliper, findings onto the event-trace timeline.
     set_context_provider(Some(caliper::current_region_path));
     set_instant_sink(Some(caliper::trace::instant_event));
-    caliper::trace::enable();
+    let trace = caliper::trace::Trace::new();
+    let entered = trace.enter();
     lockorder::reset();
     lockorder::enable();
 
@@ -74,9 +75,8 @@ fn abba_cycle_is_reported_with_both_stacks() {
     assert!(report.contains("Basic_DAXPY"), "{report}");
 
     // The finding landed on the trace timeline as an instant event.
-    caliper::trace::disable();
-    let lanes = caliper::trace::snapshot();
-    caliper::trace::clear();
+    drop(entered);
+    let lanes = trace.snapshot();
     assert!(
         lanes.iter().any(|l| l
             .events

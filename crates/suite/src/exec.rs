@@ -166,13 +166,16 @@ fn attempt(
             // abandoned — it keeps running detached, its eventual result
             // discarded (the channel send fails silently). The attempt
             // enters this thread's fault world, so it draws the runner's
-            // sequence under the runner's per-kernel scope label.
+            // sequence under the runner's per-kernel scope label, and its
+            // event trace, so its launches land on the run's timeline.
             let (tx, rx) = std::sync::mpsc::channel();
             let faults = simfault::current();
+            let trace = caliper::trace::current();
             let spawned = std::thread::Builder::new()
                 .name(format!("watchdog:{}", kernel.info().name))
                 .spawn(move || {
                     let _faults = faults.enter();
+                    let _trace = trace.as_ref().map(caliper::trace::Trace::enter);
                     let _ = tx.send(guarded());
                 });
             // Spawn can genuinely fail under resource exhaustion (EAGAIN when

@@ -93,21 +93,6 @@ pub(crate) fn run_suite_with(
     outputs: Vec<caliper::OutputSpec>,
     progress: Option<&dyn Fn(&KernelProgress)>,
 ) -> SuiteReport {
-    let session = caliper::Session::new();
-    adiak::init();
-    // Per-run values go on the run's own session, never into the
-    // process-global Adiak registry: every later profile in the process
-    // (another daemon request, the simulated machines) merges that registry.
-    session.set_global("variant", params.variant.name());
-    session.set_global("tuning", format!("block_{}", params.tuning.gpu_block_size));
-    session.set_global("size_factor", params.size_factor);
-    session.set_global("suite", "RAJAPerf-rs");
-    // Rank identity inside a `--ranks N` campaign, using real Caliper's MPI
-    // attribute names so Thicket-side tooling can group profiles by rank.
-    if let Some((rank, nranks)) = params.rank_context {
-        session.set_rank(rank, nranks);
-    }
-
     // Every output of the run in one manager: the user's spec text, the
     // caller's typed outputs, and `--trace` as the `trace` service it is
     // sugar for — a path is never formatted into text to be parsed back.
@@ -124,15 +109,33 @@ pub(crate) fn run_suite_with(
             folded: params.trace_folded.as_ref().map(|f| f.display().to_string()),
         });
     }
-    // Event trace: switch collection on before the first region so the
-    // timeline covers the whole run (the service can only export events
-    // that were recorded). `clear()` drops any events left over from an
-    // earlier run in this process.
-    let tracing = cm.requests_event_trace();
-    if tracing {
-        caliper::trace::clear();
-        session.enable_event_trace();
+    // The run's own event trace, when an output exports one: the session
+    // records its regions and metrics into it from the first region on.
+    let trace = cm
+        .requests_event_trace()
+        .then(caliper::trace::Trace::new);
+    let session = match &trace {
+        Some(trace) => caliper::Session::traced(trace),
+        None => caliper::Session::new(),
+    };
+    adiak::init();
+    // Per-run values go on the run's own session, never into the
+    // process-global Adiak registry: every later profile in the process
+    // (another daemon request, the simulated machines) merges that registry.
+    session.set_global("variant", params.variant.name());
+    session.set_global("tuning", format!("block_{}", params.tuning.gpu_block_size));
+    session.set_global("size_factor", params.size_factor);
+    session.set_global("suite", "RAJAPerf-rs");
+    // Rank identity inside a `--ranks N` campaign, using real Caliper's MPI
+    // attribute names so Thicket-side tooling can group profiles by rank.
+    if let Some((rank, nranks)) = params.rank_context {
+        session.set_rank(rank, nranks);
     }
+
+    // The run thread records device and fault events into the trace for
+    // the timing loop; the threads the loop starts (watchdog, exchange
+    // ranks, pool workers running its device blocks) enter it from here.
+    let entered = trace.as_ref().map(caliper::trace::Trace::enter);
 
     // Lock-order diagnostics: wire simsched's attribution hooks to Caliper
     // (region context on every recorded edge, `simsched.*` instants on the
@@ -290,12 +293,9 @@ pub(crate) fn run_suite_with(
         session.set_global("comm.bytes_received", suite_comm.bytes_received as i64);
     }
 
-    // Stop collecting before the sanitizer pass and the exports: the trace
-    // is the timing run's timeline, nothing else's.
-    if tracing {
-        session.disable_event_trace();
-        caliper::trace::disable();
-    }
+    // Leave the trace before the sanitizer pass: the trace is the timing
+    // run's timeline, nothing else's.
+    drop(entered);
 
     // Optional sanitizer pass over the same selection. It runs after the
     // timing loop (never interleaved with it) so the measured kernel times
@@ -337,15 +337,10 @@ pub(crate) fn run_suite_with(
     // Built once: the profile the outputs are written from is the one the
     // report carries.
     let profile = session.profile();
-    let outputs = cm.flush(&profile).unwrap_or_else(|e| {
+    let outputs = cm.flush(&profile, trace.as_ref()).unwrap_or_else(|e| {
         eprintln!("warning: caliper flush failed: {e}");
         Vec::new()
     });
-    if tracing {
-        // All trace exports are done; leave no events behind for the next
-        // run in this process.
-        caliper::trace::clear();
-    }
 
     SuiteReport {
         variant: params.variant,

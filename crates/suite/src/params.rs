@@ -88,8 +88,10 @@ pub enum RankIsolation {
     #[default]
     Threads,
     /// Each rank is a spawned child `rajaperf` process: a signal-killed or
-    /// aborted rank is a restarted rank too, and silent ranks are detected
-    /// by heartbeat and killed.
+    /// aborted rank is a restarted rank too. A child that sends no frame for
+    /// the heartbeat deadline (stopped or frozen) is killed; a hung kernel
+    /// keeps its rank's heartbeat thread beating, so only `--timeout`
+    /// bounds it.
     Process,
 }
 
@@ -650,8 +652,8 @@ const OUTPUT: &str = "Output";
 const FAULTS: &str = "Fault tolerance";
 const DIAGNOSTICS: &str = "Diagnostics";
 
-const NOT_SERVED_TRACE: &str =
-    "--trace records a process-global timeline; run it via the one-shot CLI";
+const NOT_SERVED_TRACE: &str = "--trace is not served by the daemon: a store hit replays a stored \
+     result and records no timeline; run it via the one-shot CLI";
 
 /// The command line: every flag `rajaperf` accepts, in usage order.
 pub static FLAGS: &[Flag] = &[
@@ -751,8 +753,9 @@ pub static FLAGS: &[Flag] = &[
     Flag::new(&["--rank-isolation"], "MODE", SWEEP)
         .help(
             "what carries a rank. threads (default): a worker thread in this process; process: a \
-             child rajaperf process, so a rank survives kill -9/abort and wedged ranks are killed \
-             on a missed heartbeat",
+             child rajaperf process, so a rank survives kill -9/abort and a child that stops \
+             sending frames (stopped, frozen) is killed; a hung kernel is bounded only by \
+             --timeout",
         )
         .set(|p, v| match RankIsolation::parse(v) {
             Some(mode) => put(&mut p.rank_isolation, mode),

@@ -28,8 +28,11 @@
 //! Death is an [`Event::Eof`] from the carrier: a child's stdout closed
 //! (clean EOF or the torn frame of a `kill -9`), or a rank thread ended
 //! (returned or panicked). For ranks that can be killed, the liveness scan
-//! also notices no frame for [`HEARTBEAT_DEADLINE`] and kills the wedged
-//! rank so its EOF *will* arrive. Every event is tagged with the slot's
+//! also notices no frame for [`HEARTBEAT_DEADLINE`] and kills the rank so
+//! its EOF *will* arrive. That catches a child that stops sending frames
+//! altogether (stopped, frozen), not a hung kernel: a process worker
+//! heartbeats from a dedicated thread whatever its cell is doing, so a rank
+//! whose kernel hangs keeps beating and only `--timeout` bounds it. Every event is tagged with the slot's
 //! generation, so a restarted rank never has its state corrupted by a
 //! previous incarnation's late events.
 //!
@@ -69,8 +72,8 @@ use std::io;
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// No frame (heartbeats included) for this long means a killable rank is
-/// wedged and gets killed. Process workers heartbeat every 500ms from a
+/// No frame (heartbeats included) for this long means a killable rank has
+/// stopped altogether and gets killed. Process workers heartbeat every 500ms from a
 /// dedicated thread even while a cell runs, so 20× that cadence cannot
 /// false-positive on a merely busy rank.
 const HEARTBEAT_DEADLINE: Duration = Duration::from_secs(10);

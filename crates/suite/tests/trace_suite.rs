@@ -8,14 +8,11 @@
 //!   per-worker lanes with device block events.
 //!
 //! This binary pins `RAYON_NUM_THREADS=4` before first pool use (the pool
-//! is process-global and sized once). The trace collector is also
-//! process-global, so the tests serialize on one lock.
+//! is process-global and sized once). Each run records into its own trace,
+//! so the tests run side by side.
 
 use std::collections::BTreeMap;
-use simsched::sync::Mutex;
 use suite::{run_suite, RunParams, Selection};
-
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn pin_pool() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -76,7 +73,6 @@ fn check_pairing(events: &[Ev]) -> BTreeMap<String, usize> {
 #[test]
 fn full_registry_trace_pairs_every_begin_with_a_later_end() {
     pin_pool();
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = std::env::temp_dir().join(format!("rajaperf_trace_all_{}.json", std::process::id()));
     let p = RunParams {
         selection: Selection::All,
@@ -108,7 +104,6 @@ fn full_registry_trace_pairs_every_begin_with_a_later_end() {
 #[test]
 fn trace_service_in_caliper_spec_enables_collection() {
     pin_pool();
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = std::env::temp_dir().join(format!("rajaperf_trace_svc_{}.json", std::process::id()));
     // The trace service alone (no --trace flag) must switch event
     // collection on — it can only export events that were recorded.
@@ -131,7 +126,6 @@ fn trace_service_in_caliper_spec_enables_collection() {
 #[test]
 fn simgpu_trace_has_worker_lanes_and_device_events() {
     pin_pool();
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = std::env::temp_dir().join(format!("rajaperf_trace_gpu_{}.json", std::process::id()));
     let folded =
         std::env::temp_dir().join(format!("rajaperf_trace_gpu_{}.folded", std::process::id()));

@@ -19,23 +19,35 @@ fn main() {
     for name in ["Stream_TRIAD", "Basic_REDUCE3_INT", "Basic_MAT_MAT_SHARED"] {
         println!("{name} (n = {n}, RAJA_SimGpu):");
         println!(
-            "  {:>10} {:>14} {:>12} {:>14}",
-            "block", "time/rep (s)", "occupancy", "limited by"
+            "  {:>16} {:>14} {:>12} {:>14}",
+            "block (launched)", "time/rep (s)", "occupancy", "limited by"
         );
-        let sweep = suite::run_tuning_sweep(name, VariantId::RajaSimGpu, n, reps, &block_sizes)
-            .expect("registry kernel names are known");
         // MAT_MAT_SHARED's device kernel stages three 16x16 f64 tiles.
         let shared_bytes = if name == "Basic_MAT_MAT_SHARED" {
             3 * 16 * 16 * 8
         } else {
             0
         };
-        for (bs, t) in sweep {
-            let occ = occupancy(&limits, bs, shared_bytes);
+        for bs in block_sizes {
+            // Occupancy at the block size the run launched, which a kernel
+            // with a fixed tile (MAT_MAT_SHARED's 16x16) does not take from
+            // the tuning.
+            let before = gpusim::stats();
+            let sweep = suite::run_tuning_sweep(name, VariantId::RajaSimGpu, n, reps, &[bs])
+                .expect("registry kernel names are known");
+            let after = gpusim::stats();
+            let launched = ((after.threads_launched - before.threads_launched)
+                / (after.blocks - before.blocks).max(1)) as usize;
+            let label = if launched == bs {
+                format!("block_{bs}")
+            } else {
+                format!("block_{bs} ({launched})")
+            };
+            let occ = occupancy(&limits, launched, shared_bytes);
             println!(
-                "  {:>10} {:>14.3e} {:>11.0}% {:>14}",
-                format!("block_{bs}"),
-                t,
+                "  {:>16} {:>14.3e} {:>11.0}% {:>14}",
+                label,
+                sweep[0].1,
                 occ.fraction * 100.0,
                 match occ.limited_by {
                     gpusim::occupancy::OccupancyLimit::Threads => "threads",

@@ -251,6 +251,28 @@ complete = sum(1 for b in begins if b in ends)
 assert complete >= 1, "no complete begin/end event in trace"
 print(f"trace: {len(events)} events, {complete} complete region begin/ends")
 EOF
+# The threads a run starts record into its trace: under --timeout the
+# watchdog launches, and the exchange's simcomm ranks launch from their own
+# lanes. Pairing must hold on every lane, and launch instants must come from
+# at least two lanes besides the one holding the RAJAPerf region.
+HALO_TRACE="$SWEEP_DIR/halo.trace.json"
+"$RAJAPERF" --kernels Comm_HALO_EXCHANGE --variants Base_SimGpu --size 100000 --reps 2 \
+    --timeout 60 --trace "$HALO_TRACE" >/dev/null
+python3 - "$HALO_TRACE" <<'EOF'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+stacks = {}
+for e in events:
+    if e["ph"] == "B":
+        stacks.setdefault(e["tid"], []).append(e["name"])
+    elif e["ph"] == "E":
+        assert stacks.get(e["tid"]) and stacks[e["tid"]].pop() == e["name"], f"unpaired end {e}"
+assert all(not s for s in stacks.values()), f"unclosed regions {stacks}"
+main = next(e["tid"] for e in events if e["ph"] == "B" and e["name"] == "RAJAPerf")
+lanes = {e["tid"] for e in events if e["ph"] == "i" and e["name"] == "gpusim.launch"} - {main}
+assert len(lanes) >= 2, f"gpusim.launch on {len(lanes)} lane(s) besides the run's"
+print(f"trace: HALO_EXCHANGE under --timeout launches from {len(lanes)} started-thread lanes")
+EOF
 
 echo "== cli: fault injection isolates the failing kernel (exit 5) =="
 set +e
